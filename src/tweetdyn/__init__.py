@@ -1,6 +1,7 @@
 """Dynamical analysis of coordinated-account tweet streams.
 
-Subpackages by pipeline stage: :mod:`~tweetdyn.ingest` (records, cohorts,
+Subpackages by pipeline stage: :mod:`~tweetdyn.corpus` (the normalized
+tweet table as NumPy columns), :mod:`~tweetdyn.ingest` (records, cohorts,
 retweet networks), :mod:`~tweetdyn.timeseries` (daily counts, detrending,
 segment fits), :mod:`~tweetdyn.strategy` (posting-mix simplex and symbol
 dynamics), :mod:`~tweetdyn.spectral` (rate spectra, PCA, k-medoids),
@@ -23,6 +24,7 @@ from .timeseries import (  # noqa: F401
     detrend,
     fit_segment,
 )
+from .corpus import Corpus  # noqa: F401
 from .ingest import (  # noqa: F401
     CohortSpec,
     ColumnMap,

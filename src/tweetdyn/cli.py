@@ -3,9 +3,18 @@
 Every subcommand writes JSON/CSV artifacts plus a manifest into an output
 directory. Artifacts are deterministic for a given config and seed: keys are
 sorted, floats are normalized to 12 significant digits, manifests carry a
-config hash and library versions but no timestamps. Later stages (`compare`,
-`report`) read earlier stages' artifacts from the same directory by their
-fixed names.
+config hash and library versions but no timestamps. Later stages read earlier
+stages' artifacts from the same directory by their fixed names.
+
+`ingest` writes the normalized tweets twice, in the same row order:
+`records.jsonl` and its columnar sidecar `corpus.npz`, which records the
+sha256 of that `records.jsonl`. The stages that need tweets (`counts`,
+`strategy`, `spectra`, `cluster-spectral`, `cluster-topic`, `compare`, and
+`changepoint` when there is no `counts_aggregate.csv`) parse the configured
+`input_paths` if there are any. Otherwise they load `corpus.npz`, and fail
+with a failed manifest if it is missing, malformed or older than
+`records.jsonl`, asking for `ingest` to be re-run. Unknown config keys are
+rejected with exit code 2.
 
 Typical flow on synthetic data::
 
@@ -38,6 +47,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from . import __version__, compare, spectral, strategy, synth, timeseries, topic
+from .corpus import Corpus, as_corpus, file_sha256
 from .ingest import (
     CohortSpec,
     ColumnMap,
@@ -52,6 +62,7 @@ from .timeseries import DayWindow
 logger = logging.getLogger(__name__)
 
 RECORDS_FILE = "records.jsonl"
+CORPUS_FILE = "corpus.npz"
 LABELS_FILE = "labels.json"
 
 
@@ -138,7 +149,12 @@ def load_config(path: str | Path | None, overrides: dict[str, Any]) -> RunConfig
     if path is not None:
         with Path(path).open() as fh:
             data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError("config must be a JSON object")
     data.update(overrides)
+    unknown = sorted(set(data) - {f.name for f in dataclasses.fields(RunConfig)})
+    if unknown:
+        raise ValueError(f"unknown config keys {unknown}")
     kwargs: dict[str, Any] = {}
     for f in dataclasses.fields(RunConfig):
         if f.name not in data:
@@ -231,34 +247,25 @@ def write_manifest(
     write_json(outdir / f"manifest_{command.replace('-', '_')}.json", payload)
 
 
-def _load_records(config: RunConfig, outdir: Path):
-    """Records from configured inputs, else the directory's normalized file."""
-    paths = list(config.input_paths)
-    fmt = config.input_format
-    if not paths:
-        fallback = outdir / RECORDS_FILE
-        if not fallback.exists():
-            raise FileNotFoundError(
-                f"no input_paths configured and {fallback} does not exist"
-            )
-        paths, fmt = [str(fallback)], "jsonl"
+def _load_corpus(config: RunConfig, outdir: Path) -> Corpus:
+    """Configured inputs, parsed with their column map; else the directory's
+    ``corpus.npz``, checked against its ``records.jsonl``."""
+    if not config.input_paths:
+        return Corpus.load(outdir / CORPUS_FILE, outdir / RECORDS_FILE)
     records = []
-    for p in paths:
-        part, report = parse_records(p, fmt=fmt, columns=config.column_map)
+    for p in config.input_paths:
+        part, report = parse_records(p, fmt=config.input_format, columns=config.column_map)
         records.extend(part)
         if report.rejected:
             logger.warning("%s: %d rows rejected", p, report.rejected)
-    return records
-
-
-def _campaign_users(records) -> set[str]:
-    return {r.user_id for r in records}
+    return Corpus.from_records(records)
 
 
 def resolve_cohort(records, config: RunConfig, window: DayWindow) -> list[str]:
     """Volume threshold over the bulk window AND regularity over ``window``."""
+    corpus = as_corpus(records)
     volume = select_cohort(
-        records,
+        corpus,
         CohortSpec(
             window=config.bulk_window,
             min_total_tweets=config.min_total_tweets,
@@ -266,7 +273,7 @@ def resolve_cohort(records, config: RunConfig, window: DayWindow) -> list[str]:
         ),
     )
     regular = select_cohort(
-        records,
+        corpus,
         CohortSpec(
             window=window,
             active_day_fraction=config.active_day_fraction,
@@ -290,9 +297,16 @@ def cmd_ingest(config: RunConfig, outdir: Path) -> list[str]:
         reports[p] = report.as_dict()
     records.sort(key=lambda r: (r.timestamp, r.tweet_id))
     write_records(records, outdir / RECORDS_FILE, fmt="jsonl")
+    corpus = Corpus.from_records(records)
+    # records.jsonl keeps whole seconds; the sidecar holds the same rows.
+    corpus = dataclasses.replace(
+        corpus, timestamp_us=corpus.timestamp_us // 1_000_000 * 1_000_000
+    )
+    corpus.save(outdir / CORPUS_FILE, file_sha256(outdir / RECORDS_FILE))
     write_json(outdir / "parse_report.json", reports)
-    write_json(outdir / "campaign_users.json", sorted(_campaign_users(records)))
-    network = retweet_network(records, _campaign_users(records))
+    campaign = corpus.authors()
+    write_json(outdir / "campaign_users.json", sorted(campaign))
+    network = retweet_network(corpus, campaign)
     parts, q = modularity_communities(network)
     write_json(
         outdir / "retweet_network.json",
@@ -305,18 +319,24 @@ def cmd_ingest(config: RunConfig, outdir: Path) -> list[str]:
             "communities": [sorted(p) for p in parts],
         },
     )
-    return [RECORDS_FILE, "parse_report.json", "campaign_users.json", "retweet_network.json"]
+    return [
+        RECORDS_FILE,
+        CORPUS_FILE,
+        "parse_report.json",
+        "campaign_users.json",
+        "retweet_network.json",
+    ]
 
 
 def cmd_counts(config: RunConfig, outdir: Path, window_name: str = "pre") -> list[str]:
-    records = _load_records(config, outdir)
+    corpus = _load_corpus(config, outdir)
     window = config.analysis_window(window_name)
-    cohort = resolve_cohort(records, config, window)
+    cohort = resolve_cohort(corpus, config, window)
     artifacts = []
-    aggregate = timeseries.daily_counts(records, config.bulk_window)
+    aggregate = timeseries.daily_counts(corpus, config.bulk_window)
     timeseries.save_series_csv(aggregate, outdir / "counts_aggregate.csv")
     artifacts.append("counts_aggregate.csv")
-    by_user = timeseries.counts_by_user(records, window, cohort)
+    by_user = timeseries.counts_by_user(corpus, window, cohort)
     rows = [
         [uid, t, int(v)]
         for uid, series in by_user.items()
@@ -334,8 +354,7 @@ def cmd_changepoint(config: RunConfig, outdir: Path) -> list[str]:
     if series_path.exists():
         series = timeseries.load_series_csv(series_path)
     else:
-        records = _load_records(config, outdir)
-        series = timeseries.daily_counts(records, config.bulk_window)
+        series = timeseries.daily_counts(_load_corpus(config, outdir), config.bulk_window)
     s = timeseries.accumulate(series)
     fit1 = timeseries.fit_segment(s, config.model1_range, config.model1_t0)
     fit2 = timeseries.fit_segment(s, config.model2_range, config.model2_t0)
@@ -355,26 +374,29 @@ def cmd_changepoint(config: RunConfig, outdir: Path) -> list[str]:
 
 
 def cmd_strategy(config: RunConfig, outdir: Path) -> list[str]:
-    records = _load_records(config, outdir)
-    campaign = _campaign_users(records)
+    corpus = _load_corpus(config, outdir)
+    campaign = corpus.authors()
     ref_w, cmp_w = config.reference_window, config.comparison_window
     cohort = sorted(
-        set(resolve_cohort(records, config, ref_w))
-        | set(resolve_cohort(records, config, cmp_w))
+        set(resolve_cohort(corpus, config, ref_w))
+        | set(resolve_cohort(corpus, config, cmp_w))
     )
     if not cohort:
         raise ValueError("strategy: empty cohort in both windows")
     sequences = {}
+    dists = {}
     for window_name, window in (("reference", ref_w), ("comparison", cmp_w)):
-        for uid in cohort:
-            seq = strategy.symbol_sequence(records, campaign, uid, window)
+        table = strategy.category_table(corpus, campaign, cohort, window)
+        symbols = strategy.symbol_table(table)
+        for uid, row in zip(cohort, symbols):
+            seq = strategy.symbol_pairs(row)
             if seq:
                 sequences.setdefault(window_name, {})[uid] = {
                     "day_offsets": [t for t, _ in seq],
                     "symbols": strategy.symbol_string(seq),
                 }
-    ref_dist = strategy.symbol_distribution(records, campaign, cohort, ref_w)
-    cmp_dist = strategy.symbol_distribution(records, campaign, cohort, cmp_w)
+        dists[window_name] = strategy.SymbolDistribution.of_symbols(symbols)
+    ref_dist, cmp_dist = dists["reference"], dists["comparison"]
     chi2 = strategy.chi_square_shift(cmp_dist, ref_dist)
     write_json(
         outdir / "strategy.json",
@@ -393,12 +415,12 @@ def cmd_strategy(config: RunConfig, outdir: Path) -> list[str]:
 
 
 def _cohort_spectra(
-    records, config: RunConfig, window: DayWindow
+    corpus: Corpus, config: RunConfig, window: DayWindow
 ) -> dict[str, spectral.Spectrum]:
-    cohort = resolve_cohort(records, config, window)
+    cohort = resolve_cohort(corpus, config, window)
     if not cohort:
         raise ValueError("no users in cohort; nothing to transform")
-    by_user = timeseries.counts_by_user(records, window, cohort)
+    by_user = timeseries.counts_by_user(corpus, window, cohort)
     out: dict[str, spectral.Spectrum] = {}
     for uid, series in by_user.items():
         osc = timeseries.detrend(series, config.ma_window)
@@ -407,9 +429,8 @@ def _cohort_spectra(
 
 
 def cmd_spectra(config: RunConfig, outdir: Path, window_name: str = "pre") -> list[str]:
-    records = _load_records(config, outdir)
     window = config.analysis_window(window_name)
-    spectra = _cohort_spectra(records, config, window)
+    spectra = _cohort_spectra(_load_corpus(config, outdir), config, window)
     users = sorted(spectra)
     rows = [
         [uid, k, float(m)]
@@ -435,9 +456,8 @@ def cmd_spectra(config: RunConfig, outdir: Path, window_name: str = "pre") -> li
 def cmd_cluster_spectral(
     config: RunConfig, outdir: Path, window_name: str = "pre"
 ) -> list[str]:
-    records = _load_records(config, outdir)
     window = config.analysis_window(window_name)
-    spectra = _cohort_spectra(records, config, window)
+    spectra = _cohort_spectra(_load_corpus(config, outdir), config, window)
     ids, matrix = spectral.spectra_matrix(list(spectra.values()))
     embedding = spectral.pca_embed(matrix, ids, dims=config.pca_dims)
     assignment = spectral.kmedoids(
@@ -508,10 +528,10 @@ def cmd_cluster_spectral(
 def cmd_cluster_topic(
     config: RunConfig, outdir: Path, window_name: str = "pre"
 ) -> list[str]:
-    records = _load_records(config, outdir)
+    corpus = _load_corpus(config, outdir)
     window = config.analysis_window(window_name)
-    cohort = resolve_cohort(records, config, window)
-    result = topic.topic_communities(records, cohort, window, config.topic_config())
+    cohort = resolve_cohort(corpus, config, window)
+    result = topic.topic_communities(corpus, cohort, window, config.topic_config())
     write_json(
         outdir / "clusters_topic.json",
         {
@@ -569,9 +589,8 @@ def cmd_compare(config: RunConfig, outdir: Path, window_name: str = "pre") -> li
         ["spectral_cluster"] + [f"community_{j}" for j in tab.topic_ids],
         [[sid] + [int(v) for v in tab.cells[i]] for i, sid in enumerate(tab.spectral_ids)],
     )
-    records = _load_records(config, outdir)
     window = config.analysis_window(window_name)
-    spectra = _cohort_spectra(records, config, window)
+    spectra = _cohort_spectra(_load_corpus(config, outdir), config, window)
     subclusters = {}
     for i, sid in enumerate(tab.spectral_ids):
         for j, tid in enumerate(tab.topic_ids):

@@ -1,0 +1,305 @@
+"""The normalized tweet table as NumPy columns.
+
+A :class:`Corpus` holds one row per tweet, in the order ``ingest`` wrote them:
+
+* ``user`` and ``source`` - codes into ``account_ids``, the sorted table of
+  every author and every retweeted account; ``source`` is -1 for a tweet that
+  is not a retweet, so the retweet flag and the category follow from it;
+* ``timestamp_us`` - UTC time as int64 microseconds since 1970-01-01, and
+  ``day``, the proleptic Gregorian ordinal of its UTC calendar day;
+* ``language`` - codes into the sorted ``language_ids`` table;
+* ``tweet_id`` and ``text`` - UTF-8 blobs plus row offsets.
+
+Strings are encoded with the ``surrogatepass`` handler, so any Python string
+survives the round trip, and byte order in a blob equals code-point order.
+
+``ingest`` writes the corpus next to ``records.jsonl`` as ``corpus.npz``.
+The sidecar records the sha256 of that ``records.jsonl``; :meth:`Corpus.load`
+verifies it along with every shape, code range and offset, and raises
+:class:`CorpusError` on any mismatch instead of handing back stale rows.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import io
+import zipfile
+from dataclasses import dataclass, field
+from datetime import date, datetime, timedelta, timezone
+from functools import cached_property
+from pathlib import Path
+from typing import Iterable, Sequence
+
+import numpy as np
+
+FORMAT_VERSION = 1
+US_PER_DAY = 86_400_000_000
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
+_ONE_US = timedelta(microseconds=1)
+# Any fixed stamp works; np.savez would write the wall clock here.
+_ZIP_DATE = (1980, 1, 1, 0, 0, 0)
+
+# Category codes, in TweetCategory order.
+ORIGINAL, SPREADING, AMPLIFYING = 0, 1, 2
+
+
+class CorpusError(ValueError):
+    """A corpus sidecar that is missing, unreadable or out of date."""
+
+
+def file_sha256(path: str | Path) -> str:
+    digest = hashlib.sha256()
+    with Path(path).open("rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+def _encode(s: str) -> bytes:
+    return s.encode("utf-8", "surrogatepass")
+
+
+@dataclass(frozen=True, eq=False)
+class StringColumn:
+    """Strings stored as one UTF-8 blob; row ``i`` is ``blob[offsets[i]:offsets[i+1]]``."""
+
+    blob: np.ndarray
+    offsets: np.ndarray
+
+    @classmethod
+    def of(cls, strings: Iterable[str]) -> "StringColumn":
+        encoded = [_encode(s) for s in strings]
+        offsets = np.zeros(len(encoded) + 1, dtype=np.int64)
+        np.cumsum([len(b) for b in encoded], out=offsets[1:])
+        blob = np.frombuffer(b"".join(encoded), dtype=np.uint8)
+        return cls(blob=blob, offsets=offsets)
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def take(self, rows: Iterable[int]) -> list[str]:
+        raw = self.blob.tobytes()
+        off = self.offsets.tolist()
+        return [raw[off[i] : off[i + 1]].decode("utf-8", "surrogatepass") for i in rows]
+
+    def tolist(self) -> list[str]:
+        return self.take(range(len(self)))
+
+
+@dataclass(frozen=True, eq=False)
+class Corpus:
+    """Columnar tweet table; see the module docstring for the columns."""
+
+    account_ids: tuple[str, ...]
+    user: np.ndarray
+    source: np.ndarray
+    timestamp_us: np.ndarray
+    language_ids: tuple[str, ...]
+    language: np.ndarray
+    tweet_id: StringColumn
+    text: StringColumn
+    day: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "day", self.timestamp_us // US_PER_DAY + _EPOCH_ORDINAL)
+
+    @classmethod
+    def from_records(cls, records: Iterable) -> "Corpus":
+        """Columns of :class:`~tweetdyn.ingest.TweetRecord` rows, in order."""
+        records = list(records)
+        users = [r.user_id for r in records]
+        sources = [r.retweeted_user_id if r.is_retweet else None for r in records]
+        accounts = sorted(set(users).union(s for s in sources if s is not None))
+        code = {a: i for i, a in enumerate(accounts)}
+        code[None] = -1
+        langs = [r.language for r in records]
+        language_ids = sorted(set(langs))
+        lang_code = {x: i for i, x in enumerate(language_ids)}
+        n = len(records)
+        return cls(
+            account_ids=tuple(accounts),
+            user=np.fromiter((code[u] for u in users), np.int64, n),
+            source=np.fromiter((code[s] for s in sources), np.int64, n),
+            timestamp_us=np.fromiter(
+                ((r.timestamp - _EPOCH) // _ONE_US for r in records), np.int64, n
+            ),
+            language_ids=tuple(language_ids),
+            language=np.fromiter((lang_code[x] for x in langs), np.int64, n),
+            tweet_id=StringColumn.of(r.tweet_id for r in records),
+            text=StringColumn.of(r.text for r in records),
+        )
+
+    def __len__(self) -> int:
+        return len(self.user)
+
+    @cached_property
+    def _account_index(self) -> dict[str, int]:
+        return {a: i for i, a in enumerate(self.account_ids)}
+
+    def codes_of(self, ids: Sequence[str]) -> np.ndarray:
+        """Account code of each id, -1 for ids the corpus never mentions."""
+        index = self._account_index
+        return np.fromiter((index.get(i, -1) for i in ids), np.int64, len(ids))
+
+    def positions(self, users: Sequence[str]) -> np.ndarray:
+        """Per row, the position of its author in ``users``, or -1."""
+        codes = self.codes_of(users)
+        pos = np.full(len(self.account_ids), -1, dtype=np.int64)
+        known = codes >= 0
+        pos[codes[known]] = np.flatnonzero(known)
+        return pos[self.user]
+
+    def members(self, ids: Iterable[str]) -> np.ndarray:
+        """Boolean mask over ``account_ids``: True for the given ids."""
+        mask = np.zeros(len(self.account_ids), dtype=bool)
+        codes = self.codes_of(list(set(ids)))
+        mask[codes[codes >= 0]] = True
+        return mask
+
+    def authors(self) -> set[str]:
+        """Ids of the accounts that wrote at least one row."""
+        return {self.account_ids[c] for c in np.unique(self.user).tolist()}
+
+    def window_offsets(self, window) -> tuple[np.ndarray, np.ndarray]:
+        """Per row, the day offset in a :class:`DayWindow` and whether it is inside."""
+        t = self.day - window.start.toordinal()
+        return t, (t >= 0) & (t < window.n_days)
+
+    def language_mask(self, language: str | None) -> np.ndarray:
+        """Rows in ``language``; every row when it is None."""
+        if language is None:
+            return np.ones(len(self), dtype=bool)
+        if language not in self.language_ids:
+            return np.zeros(len(self), dtype=bool)
+        return self.language == self.language_ids.index(language)
+
+    def categories(self, campaign_users: Iterable[str]) -> np.ndarray:
+        """Per row: ORIGINAL, SPREADING (retweet of a campaign account) or
+        AMPLIFYING (retweet of any other account)."""
+        campaign_users = set(campaign_users)
+        if not campaign_users:
+            raise ValueError("campaign_users must be nonempty")
+        # One extra False slot so that source -1 (no retweet) indexes it.
+        member = np.append(self.members(campaign_users), False)
+        out = np.full(len(self), ORIGINAL, dtype=np.int64)
+        retweet = self.source >= 0
+        out[retweet] = np.where(member[self.source[retweet]], SPREADING, AMPLIFYING)
+        return out
+
+    # ------------------------------------------------------------- sidecar
+
+    def save(self, path: str | Path, records_sha256: str) -> None:
+        """Write ``corpus.npz`` byte-deterministically, stamped with the sha256
+        of the ``records.jsonl`` it mirrors."""
+        accounts = StringColumn.of(self.account_ids)
+        languages = StringColumn.of(self.language_ids)
+        members = {
+            "version": np.array(FORMAT_VERSION, dtype=np.int64),
+            "records_sha256": np.array(records_sha256, dtype="U64"),
+            "account_blob": accounts.blob,
+            "account_offsets": accounts.offsets,
+            "language_blob": languages.blob,
+            "language_offsets": languages.offsets,
+            "user": self.user,
+            "source": self.source,
+            "timestamp_us": self.timestamp_us,
+            "language": self.language,
+            "tweet_id_blob": self.tweet_id.blob,
+            "tweet_id_offsets": self.tweet_id.offsets,
+            "text_blob": self.text.blob,
+            "text_offsets": self.text.offsets,
+        }
+        with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_STORED) as zf:
+            for name, array in members.items():
+                buf = io.BytesIO()
+                np.lib.format.write_array(buf, array, allow_pickle=False)
+                zf.writestr(zipfile.ZipInfo(f"{name}.npy", date_time=_ZIP_DATE), buf.getvalue())
+
+    @classmethod
+    def load(cls, path: str | Path, records_path: str | Path) -> "Corpus":
+        """Read a sidecar and check it against the ``records.jsonl`` beside it.
+
+        Raises :class:`CorpusError` naming the file at fault when the sidecar
+        is missing, unreadable, malformed, or was written for other records.
+        """
+        path, records_path = Path(path), Path(records_path)
+        rerun = "re-run ingest"
+        if not records_path.exists():
+            raise CorpusError(f"{records_path} does not exist; {rerun}")
+        if not path.exists():
+            raise CorpusError(f"{path} does not exist; {rerun}")
+        try:
+            with np.load(path, allow_pickle=False) as npz:
+                arrays = {name: npz[name] for name in npz.files}
+        except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+            raise CorpusError(f"{path} is unreadable ({exc}); {rerun}") from None
+        try:
+            corpus, recorded_sha = cls._from_arrays(arrays)
+        except (KeyError, ValueError, IndexError, TypeError) as exc:
+            raise CorpusError(f"{path} is malformed ({exc}); {rerun}") from None
+        if recorded_sha != file_sha256(records_path):
+            raise CorpusError(
+                f"{path} was not written from the current {records_path.name} "
+                f"(sha256 mismatch); {rerun}"
+            )
+        return corpus
+
+    @classmethod
+    def _from_arrays(cls, a: dict[str, np.ndarray]) -> tuple["Corpus", str]:
+        if int(a["version"]) != FORMAT_VERSION:
+            raise ValueError(f"format version {int(a['version'])}, expected {FORMAT_VERSION}")
+        accounts = _strings(a, "account")
+        languages = _strings(a, "language")
+        account_ids, language_ids = tuple(accounts.tolist()), tuple(languages.tolist())
+        for name, table in (("account", account_ids), ("language", language_ids)):
+            if any(x >= y for x, y in zip(table, table[1:])):
+                raise ValueError(f"{name} table is not strictly sorted")
+        user = _column(a, "user")
+        n = len(user)
+        columns = {name: _column(a, name, n) for name in ("source", "timestamp_us", "language")}
+        tweet_id, text = _strings(a, "tweet_id", n), _strings(a, "text", n)
+        for name, col, lo, hi in (
+            ("user", user, 0, len(account_ids)),
+            ("source", columns["source"], -1, len(account_ids)),
+            ("language", columns["language"], 0, len(language_ids)),
+        ):
+            if n and (col.min() < lo or col.max() >= hi):
+                raise ValueError(f"{name} codes outside [{lo}, {hi})")
+        corpus = cls(
+            account_ids=account_ids,
+            user=user,
+            source=columns["source"],
+            timestamp_us=columns["timestamp_us"],
+            language_ids=language_ids,
+            language=columns["language"],
+            tweet_id=tweet_id,
+            text=text,
+        )
+        return corpus, str(a["records_sha256"])
+
+
+def _column(a: dict[str, np.ndarray], name: str, n: int | None = None) -> np.ndarray:
+    col = a[name]
+    if col.dtype != np.int64 or col.ndim != 1:
+        raise ValueError(f"{name}: dtype {col.dtype}, shape {col.shape}; want 1-d int64")
+    if n is not None and len(col) != n:
+        raise ValueError(f"{name}: {len(col)} rows, want {n}")
+    return col
+
+
+def _strings(a: dict[str, np.ndarray], name: str, n: int | None = None) -> StringColumn:
+    blob = a[f"{name}_blob"]
+    if blob.dtype != np.uint8 or blob.ndim != 1:
+        raise ValueError(f"{name}_blob: dtype {blob.dtype}, shape {blob.shape}")
+    offsets = _column(a, f"{name}_offsets", None if n is None else n + 1)
+    if len(offsets) == 0 or offsets[0] != 0 or offsets[-1] != len(blob):
+        raise ValueError(f"{name}_offsets do not span the blob")
+    if np.any(np.diff(offsets) < 0):
+        raise ValueError(f"{name}_offsets are not monotone")
+    return StringColumn(blob=blob, offsets=offsets)
+
+
+def as_corpus(records) -> Corpus:
+    """The argument itself if it is a :class:`Corpus`, else its records' columns."""
+    return records if isinstance(records, Corpus) else Corpus.from_records(records)

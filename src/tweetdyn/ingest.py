@@ -28,6 +28,9 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, Iterator
 
+import numpy as np
+
+from .corpus import Corpus, as_corpus
 from .graphs import WeightedGraph
 from .timeseries import DayWindow
 
@@ -324,7 +327,7 @@ def categorize(record: TweetRecord, campaign_users: set[str]) -> TweetCategory:
     return TweetCategory.AMPLIFYING
 
 
-def select_cohort(records: Iterable[TweetRecord], spec: CohortSpec) -> set[str]:
+def select_cohort(records: Iterable[TweetRecord] | Corpus, spec: CohortSpec) -> set[str]:
     """Users meeting the volume and regularity thresholds inside the window.
 
     A user qualifies when, counting only their tweets inside the window (and
@@ -332,30 +335,26 @@ def select_cohort(records: Iterable[TweetRecord], spec: CohortSpec) -> set[str]:
     and (days with >= 1 tweet) / window length >= ``active_day_fraction``.
     An empty result is valid and logged.
     """
-    totals: Counter[str] = Counter()
-    active_days: dict[str, set[int]] = {}
-    for rec in records:
-        if spec.language is not None and rec.language != spec.language:
-            continue
-        t = spec.window.offset_of(rec.timestamp)
-        if t is None:
-            continue
-        totals[rec.user_id] += 1
-        active_days.setdefault(rec.user_id, set()).add(t)
-    n_days = spec.window.n_days
-    cohort = {
-        u
-        for u, total in totals.items()
-        if total >= spec.min_total_tweets
-        and len(active_days[u]) / n_days >= spec.active_day_fraction
-    }
+    corpus = as_corpus(records)
+    t, inside = corpus.window_offsets(spec.window)
+    keep = inside & corpus.language_mask(spec.language)
+    user, t = corpus.user[keep], t[keep]
+    n_accounts, n_days = len(corpus.account_ids), spec.window.n_days
+    totals = np.bincount(user, minlength=n_accounts)
+    active_days = np.bincount(np.unique(user * n_days + t) // n_days, minlength=n_accounts)
+    qualifies = (
+        (totals > 0)
+        & (totals >= spec.min_total_tweets)
+        & (active_days / n_days >= spec.active_day_fraction)
+    )
+    cohort = {corpus.account_ids[u] for u in np.flatnonzero(qualifies).tolist()}
     if not cohort:
         logger.warning("select_cohort: no users meet %s", spec)
     return cohort
 
 
 def retweet_network(
-    records: Iterable[TweetRecord], campaign_users: set[str]
+    records: Iterable[TweetRecord] | Corpus, campaign_users: set[str]
 ) -> WeightedGraph:
     """Member-to-member retweet graph.
 
@@ -366,22 +365,20 @@ def retweet_network(
     """
     if not campaign_users:
         raise ValueError("campaign_users must be nonempty")
-    weights: Counter[tuple[str, str]] = Counter()
-    seen: set[str] = set()
-    for rec in records:
-        if rec.user_id in campaign_users:
-            seen.add(rec.user_id)
-        if not rec.is_retweet:
-            continue
-        src = rec.retweeted_user_id
-        if (
-            rec.user_id in campaign_users
-            and src in campaign_users
-            and src != rec.user_id
-        ):
-            seen.add(src)
-            key = (rec.user_id, src) if rec.user_id < src else (src, rec.user_id)
-            weights[key] += 1
-    return WeightedGraph.from_edges(
-        {k: float(v) for k, v in weights.items()}, extra_vertices=seen
+    corpus = as_corpus(records)
+    ids = corpus.account_ids
+    # One extra False slot so that source -1 (no retweet) indexes it.
+    member = np.append(corpus.members(campaign_users), False)
+    by_member = member[corpus.user]
+    edge = by_member & member[corpus.source] & (corpus.source != corpus.user)
+    user, src = corpus.user[edge], corpus.source[edge]
+    # Codes follow the sorted id table, so (min, max) is the sorted id pair.
+    pairs, weights = np.unique(
+        np.minimum(user, src) * len(ids) + np.maximum(user, src), return_counts=True
     )
+    edges = {
+        (ids[p // len(ids)], ids[p % len(ids)]): float(w)
+        for p, w in zip(pairs.tolist(), weights.tolist())
+    }
+    seen = np.unique(np.concatenate([corpus.user[by_member], src]))
+    return WeightedGraph.from_edges(edges, extra_vertices=[ids[c] for c in seen.tolist()])

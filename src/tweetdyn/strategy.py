@@ -28,22 +28,19 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .ingest import TweetCategory, TweetRecord, categorize
+from .corpus import Corpus, as_corpus
+from .ingest import TweetRecord
 from .timeseries import DayWindow
 
 logger = logging.getLogger(__name__)
 
 ALPHABET = ("A", "B", "C", "D", "E", "F", "G")
 
-# corner symbol per dominant component, edge symbol per near-absent component
-_CORNER = {0: "A", 1: "B", 2: "C"}
-_EDGE = {0: "D", 1: "F", 2: "E"}
-
-_CATEGORY_INDEX = {
-    TweetCategory.ORIGINAL: 0,
-    TweetCategory.SPREADING: 1,
-    TweetCategory.AMPLIFYING: 2,
-}
+# ALPHABET index of the corner symbol per dominant component (A, B, C), of
+# the edge symbol per near-absent component (D, F, E), and of the interior G
+_CORNER = np.array([0, 1, 2])
+_EDGE = np.array([3, 5, 4])
+_INTERIOR = 6
 
 
 @dataclass(frozen=True)
@@ -95,14 +92,20 @@ def symbolize(
 ) -> str:
     """Symbol A-G of a simplex point under the partition."""
     p = point.p if isinstance(point, StrategyPoint) else tuple(point)
-    arr = np.asarray(p, dtype=np.float64)
-    hi = int(np.argmax(arr))
-    if arr[hi] >= partition.corner_threshold:
-        return _CORNER[hi]
-    lo = int(np.argmin(arr))
-    if arr[lo] <= partition.edge_threshold:
-        return _EDGE[lo]
-    return "G"
+    arr = np.asarray(p, dtype=np.float64).reshape(1, 3)
+    return ALPHABET[int(_symbol_indices(arr, partition)[0])]
+
+
+def _symbol_indices(p: np.ndarray, partition: SimplexPartition) -> np.ndarray:
+    """Index into :data:`ALPHABET` for each row of an (n, 3) array of mixes."""
+    rows = np.arange(len(p))
+    hi = np.argmax(p, axis=1)
+    lo = np.argmin(p, axis=1)
+    return np.where(
+        p[rows, hi] >= partition.corner_threshold,
+        _CORNER[hi],
+        np.where(p[rows, lo] <= partition.edge_threshold, _EDGE[lo], _INTERIOR),
+    )
 
 
 @dataclass(frozen=True)
@@ -122,6 +125,14 @@ class SymbolDistribution:
             raise ValueError("empty symbol distribution")
         object.__setattr__(self, "counts", full)
 
+    @classmethod
+    def of_symbols(cls, symbols: np.ndarray) -> "SymbolDistribution":
+        """Counts of a :func:`symbol_table`; its -1 cells are skipped."""
+        counts = np.bincount(symbols[symbols >= 0], minlength=len(ALPHABET))
+        if not counts.any():
+            raise ValueError("no active user-days in window; distribution undefined")
+        return cls(counts=dict(zip(ALPHABET, counts.tolist())))
+
     @property
     def total(self) -> int:
         return sum(self.counts.values())
@@ -132,26 +143,49 @@ class SymbolDistribution:
         return {s: c / n for s, c in self.counts.items()}
 
 
+def category_table(
+    records: Iterable[TweetRecord] | Corpus,
+    campaign_users: set[str],
+    users: Sequence[str],
+    window: DayWindow,
+) -> np.ndarray:
+    """(len(users), n_days, 3) per-day category counts of each distinct user."""
+    corpus = as_corpus(records)
+    t, keep = corpus.window_offsets(window)
+    pos = corpus.positions(users)
+    keep &= pos >= 0
+    category = corpus.categories(campaign_users)
+    shape = (len(users), window.n_days, 3)
+    flat = (pos[keep] * window.n_days + t[keep]) * 3 + category[keep]
+    return np.bincount(flat, minlength=int(np.prod(shape))).reshape(shape)
+
+
+def symbol_table(
+    table: np.ndarray, partition: SimplexPartition = DEFAULT_PARTITION
+) -> np.ndarray:
+    """Index into :data:`ALPHABET` of each cell's symbol; -1 where no tweets.
+
+    ``table`` holds (original, spreading, amplifying) counts on its last axis.
+    """
+    total = table.sum(axis=-1)
+    active = total > 0
+    out = np.full(total.shape, -1, dtype=np.int64)
+    out[active] = _symbol_indices(table[active] / total[active, None], partition)
+    return out
+
+
 def daily_category_counts(
-    records: Iterable[TweetRecord],
+    records: Iterable[TweetRecord] | Corpus,
     campaign_users: set[str],
     user_id: str,
     window: DayWindow,
 ) -> np.ndarray:
     """(n_days, 3) array of per-day category counts for one user."""
-    out = np.zeros((window.n_days, 3), dtype=np.int64)
-    for rec in records:
-        if rec.user_id != user_id:
-            continue
-        t = window.offset_of(rec.timestamp)
-        if t is None:
-            continue
-        out[t, _CATEGORY_INDEX[categorize(rec, campaign_users)]] += 1
-    return out
+    return category_table(records, campaign_users, [user_id], window)[0]
 
 
 def symbol_sequence(
-    records: Iterable[TweetRecord],
+    records: Iterable[TweetRecord] | Corpus,
     campaign_users: set[str],
     user_id: str,
     window: DayWindow,
@@ -162,12 +196,13 @@ def symbol_sequence(
     Days with no tweets are skipped; the strategy is undefined there.
     """
     table = daily_category_counts(records, campaign_users, user_id, window)
-    seq: list[tuple[int, str]] = []
-    for t in range(window.n_days):
-        if table[t].sum() == 0:
-            continue
-        seq.append((t, symbolize(strategy_vector(table[t], t=t), partition)))
-    return seq
+    return symbol_pairs(symbol_table(table, partition))
+
+
+def symbol_pairs(symbols: np.ndarray) -> list[tuple[int, str]]:
+    """(day offset, symbol) pairs of one row of :func:`symbol_table`."""
+    days = np.flatnonzero(symbols >= 0)
+    return [(t, ALPHABET[s]) for t, s in zip(days.tolist(), symbols[days].tolist())]
 
 
 def symbol_string(sequence: Sequence[tuple[int, str]]) -> str:
@@ -176,24 +211,15 @@ def symbol_string(sequence: Sequence[tuple[int, str]]) -> str:
 
 
 def symbol_distribution(
-    records: Sequence[TweetRecord],
+    records: Iterable[TweetRecord] | Corpus,
     campaign_users: set[str],
     users: Iterable[str],
     window: DayWindow,
     partition: SimplexPartition = DEFAULT_PARTITION,
 ) -> SymbolDistribution:
     """Pool active user-days of a cohort over a window into symbol counts."""
-    counts = {s: 0 for s in ALPHABET}
-    any_days = False
-    for user_id in sorted(set(users)):
-        for _, sym in symbol_sequence(
-            records, campaign_users, user_id, window, partition
-        ):
-            counts[sym] += 1
-            any_days = True
-    if not any_days:
-        raise ValueError("no active user-days in window; distribution undefined")
-    return SymbolDistribution(counts=counts)
+    table = category_table(records, campaign_users, sorted(set(users)), window)
+    return SymbolDistribution.of_symbols(symbol_table(table, partition))
 
 
 def chi_square_shift(

@@ -23,6 +23,8 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
+from .corpus import Corpus, as_corpus
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .ingest import TweetRecord
 
@@ -171,7 +173,7 @@ class ChangePointReport:
 
 
 def daily_counts(
-    records: Iterable["TweetRecord"],
+    records: Iterable["TweetRecord"] | Corpus,
     window: DayWindow,
     user_id: str | None = None,
 ) -> CountSeries:
@@ -181,33 +183,32 @@ def daily_counts(
     records contribute (aggregate series). Records outside the window are
     ignored.
     """
-    values = np.zeros(window.n_days, dtype=np.int64)
-    for rec in records:
-        if user_id is not None and rec.user_id != user_id:
-            continue
-        t = window.offset_of(rec.timestamp)
-        if t is not None:
-            values[t] += 1
+    corpus = as_corpus(records)
+    t, keep = corpus.window_offsets(window)
+    if user_id is not None:
+        keep &= corpus.positions([user_id]) == 0
+    values = np.bincount(t[keep], minlength=window.n_days)
     return CountSeries(window=window, values=values, user_id=user_id)
 
 
 def counts_by_user(
-    records: Iterable["TweetRecord"],
+    records: Iterable["TweetRecord"] | Corpus,
     window: DayWindow,
     users: Iterable[str],
 ) -> dict[str, CountSeries]:
     """Daily count series for each requested user, in one pass."""
-    users = set(users)
-    table = {u: np.zeros(window.n_days, dtype=np.int64) for u in users}
-    for rec in records:
-        if rec.user_id not in table:
-            continue
-        t = window.offset_of(rec.timestamp)
-        if t is not None:
-            table[rec.user_id][t] += 1
+    users = sorted(set(users))
+    corpus = as_corpus(records)
+    t, keep = corpus.window_offsets(window)
+    pos = corpus.positions(users)
+    keep &= pos >= 0
+    n_days = window.n_days
+    table = np.bincount(
+        pos[keep] * n_days + t[keep], minlength=len(users) * n_days
+    ).reshape(len(users), n_days)
     return {
         u: CountSeries(window=window, values=v, user_id=u)
-        for u, v in sorted(table.items())
+        for u, v in zip(users, table)
     }
 
 

@@ -33,6 +33,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from . import porter
+from .corpus import Corpus, as_corpus
 from .graphs import WeightedGraph, modularity_communities
 from .ingest import TweetRecord
 from .stopwords import ENGLISH_STOPWORDS
@@ -170,25 +171,35 @@ def tokenize(text: str, config: TopicConfig = DEFAULT_TOPIC_CONFIG) -> list[str]
 
 
 def build_documents(
-    records: Iterable[TweetRecord],
+    records: Iterable[TweetRecord] | Corpus,
     users: Iterable[str],
     window: DayWindow,
     config: TopicConfig = DEFAULT_TOPIC_CONFIG,
 ) -> list[Document]:
     """One document per user: their window tweets joined in time order.
 
-    Users with no text in the window are dropped with a warning. Documents
-    come back sorted by user id.
+    Tweets sort by (timestamp, tweet id, text). Users with no text in the
+    window are dropped with a warning. Documents come back sorted by user id.
     """
-    users = set(users)
-    per_user: dict[str, list[tuple]] = {u: [] for u in users}
-    for rec in records:
-        if rec.user_id in users and window.contains(rec.timestamp):
-            per_user[rec.user_id].append((rec.timestamp, rec.tweet_id, rec.text))
+    users = sorted(set(users))
+    corpus = as_corpus(records)
+    _, keep = corpus.window_offsets(window)
+    pos = corpus.positions(users)
+    rows = np.flatnonzero(keep & (pos >= 0))
+    pieces = sorted(
+        zip(
+            pos[rows].tolist(),
+            corpus.timestamp_us[rows].tolist(),
+            corpus.tweet_id.take(rows.tolist()),
+            corpus.text.take(rows.tolist()),
+        )
+    )
+    texts: list[list[str]] = [[] for _ in users]
+    for p, _, _, text in pieces:
+        texts[p].append(text)
     docs: list[Document] = []
-    for user_id in sorted(users):
-        pieces = sorted(per_user[user_id])
-        text = " ".join(p[2] for p in pieces)
+    for user_id, parts in zip(users, texts):
+        text = " ".join(parts)
         tokens = tokenize(text, config)
         if not tokens:
             logger.warning("build_documents: user %s has no usable text", user_id)
@@ -359,7 +370,7 @@ def top_terms(
 
 
 def topic_communities(
-    records: Iterable[TweetRecord],
+    records: Iterable[TweetRecord] | Corpus,
     users: Iterable[str],
     window: DayWindow,
     config: TopicConfig = DEFAULT_TOPIC_CONFIG,

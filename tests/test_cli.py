@@ -7,6 +7,7 @@ import pytest
 
 from tweetdyn.cli import main
 from tweetdyn.compare import adjusted_rand_index
+from tweetdyn.ingest import ColumnMap, parse_records, write_records
 
 SMALL_CONFIG = {
     "bulk_window": ["2016-03-01", "2016-06-01"],
@@ -203,6 +204,11 @@ class TestFailureModes:
         bad.write_text("{not json")
         assert main(["counts", "--config", str(bad), "--out", str(tmp_path)]) == 2
 
+    def test_unknown_config_key_returns_2(self, tmp_path):
+        bad = tmp_path / "typo.json"
+        bad.write_text(json.dumps({"knn-k": 3}))
+        assert main(["counts", "--config", str(bad), "--out", str(tmp_path)]) == 2
+
     def test_missing_config_file_returns_2(self, tmp_path):
         assert main(
             ["counts", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)]
@@ -231,3 +237,25 @@ class TestFailureModes:
         assert rc == 0
         doc = json.loads((tmp_path / "manifest_synth.json").read_text())
         assert doc["config"]["seed"] == 123
+
+
+class TestRemappedColumns:
+    def test_stages_after_ingest_read_the_normalized_schema(self, tmp_path, pipeline_dir):
+        columns = ColumnMap(
+            tweet_id="id", user_id="author", timestamp="when", language="lang",
+            is_retweet="rt", retweeted_user_id="rt_author", text="body",
+        )
+        records, _ = parse_records(pipeline_dir / "records.jsonl", fmt="jsonl")
+        table = tmp_path / "renamed.csv"
+        write_records(records, table, fmt="csv", columns=columns)
+        config = tmp_path / "remapped.json"
+        config.write_text(json.dumps({**SMALL_CONFIG, "column_map": vars(columns)}))
+        argv = ["--config", str(config), "--out", str(tmp_path / "out")]
+        assert main(["ingest", "--input", str(table), "--format", "csv", *argv]) == 0
+        assert main(["counts", *argv]) == 0
+        assert main(["strategy", *argv]) == 0
+        cohort = json.loads((tmp_path / "out" / "cohort_pre.json").read_text())
+        assert cohort == json.loads((pipeline_dir / "cohort_pre.json").read_text())
+        assert len(cohort) == 32
+        doc = json.loads((tmp_path / "out" / "strategy.json").read_text())
+        assert len(doc["cohort"]) == 32

@@ -1,0 +1,251 @@
+"""The columnar corpus: kernels against their per-record references, and the
+``corpus.npz`` sidecar that ``ingest`` writes and later stages load."""
+
+import dataclasses
+import json
+import tempfile
+import zipfile
+from datetime import date, datetime, timedelta, timezone
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference_loops as ref
+from tweetdyn.cli import main
+from tweetdyn.corpus import Corpus, CorpusError, file_sha256
+from tweetdyn.ingest import CohortSpec, TweetRecord, retweet_network, select_cohort, write_records
+from tweetdyn.strategy import (
+    daily_category_counts,
+    symbol_distribution,
+    symbol_sequence,
+)
+from tweetdyn.timeseries import DayWindow, counts_by_user, daily_counts
+from tweetdyn.topic import build_documents
+
+USERS = ["u0", "u1", "u2", "ü3"]
+OUTSIDE = ["x0", "cnn"]
+WINDOW = DayWindow(date(2016, 3, 5), date(2016, 3, 15))
+BASE = datetime(2016, 3, 1, tzinfo=timezone.utc)
+ZONES = [timezone.utc, timezone(timedelta(hours=3)), timezone(timedelta(hours=-5))]
+
+
+@st.composite
+def records_st(draw):
+    """Small corpora with foreign-language rows, days on both sides of
+    WINDOW, retweets of outside accounts and of oneself, and tweets sharing
+    (timestamp, tweet id) but not text."""
+    n = draw(st.integers(0, 40))
+    out = []
+    text_st = st.text(st.sampled_from(list("ab cdé Ж#@1\ud800")), max_size=12)
+    for _ in range(n):
+        if out and draw(st.booleans()):
+            twin = out[draw(st.integers(0, len(out) - 1))]
+            out.append(dataclasses.replace(twin, text=draw(text_st)))
+            continue
+        user = draw(st.sampled_from(USERS))
+        when = BASE + timedelta(
+            days=draw(st.integers(0, 20)),
+            seconds=draw(st.sampled_from([0, 1, 3600, 86399])),
+            microseconds=draw(st.sampled_from([0, 500])),
+        )
+        source = draw(st.one_of(st.none(), st.sampled_from(USERS + OUTSIDE)))
+        out.append(
+            TweetRecord(
+                tweet_id=draw(st.sampled_from(["1", "2", "10", "b"])),
+                user_id=user,
+                timestamp=when.astimezone(draw(st.sampled_from(ZONES))),
+                language=draw(st.sampled_from(["en", "en", "ru"])),
+                is_retweet=source is not None,
+                retweeted_user_id=source,
+                text=draw(text_st),
+            )
+        )
+    return out
+
+
+campaign_st = st.sets(st.sampled_from(USERS + OUTSIDE), min_size=1)
+
+
+def _both(records):
+    """The records as given, and as one Corpus."""
+    return [records, Corpus.from_records(records)]
+
+
+class TestKernelsMatchReferenceLoops:
+    @given(
+        records_st(),
+        st.integers(0, 6),
+        st.sampled_from([0.0, 0.1, 0.2, 0.5]),
+        st.sampled_from([None, "en", "ru", "zz"]),
+    )
+    def test_select_cohort(self, records, min_total, fraction, language):
+        spec = CohortSpec(
+            window=WINDOW,
+            min_total_tweets=min_total,
+            active_day_fraction=fraction,
+            language=language,
+        )
+        expected = ref.select_cohort(records, spec)
+        for data in _both(records):
+            assert select_cohort(data, spec) == expected
+
+    @given(records_st())
+    def test_daily_counts_and_counts_by_user(self, records):
+        users = USERS + ["nobody"]
+        for data in _both(records):
+            for user_id in [None] + users:
+                got = daily_counts(data, WINDOW, user_id)
+                want = ref.daily_counts(records, WINDOW, user_id)
+                assert got.values.tolist() == want.values.tolist()
+            got = counts_by_user(data, WINDOW, users)
+            want = ref.counts_by_user(records, WINDOW, users)
+            assert list(got) == list(want)
+            for u in want:
+                assert got[u].values.tolist() == want[u].values.tolist()
+
+    @given(records_st(), campaign_st)
+    def test_category_counts_and_symbols(self, records, campaign):
+        for data in _both(records):
+            for user_id in USERS:
+                np.testing.assert_array_equal(
+                    daily_category_counts(data, campaign, user_id, WINDOW),
+                    ref.daily_category_counts(records, campaign, user_id, WINDOW),
+                )
+                assert symbol_sequence(data, campaign, user_id, WINDOW) == (
+                    ref.symbol_sequence(records, campaign, user_id, WINDOW)
+                )
+            try:
+                want = ref.symbol_distribution(records, campaign, USERS, WINDOW)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    symbol_distribution(data, campaign, USERS, WINDOW)
+            else:
+                got = symbol_distribution(data, campaign, USERS, WINDOW)
+                assert got.counts == want.counts
+
+    @given(records_st())
+    def test_build_documents(self, records):
+        users = USERS[1:] + ["nobody"]
+        want = ref.build_documents(records, users, WINDOW)
+        for data in _both(records):
+            assert build_documents(data, users, WINDOW) == want
+
+    @given(records_st(), campaign_st)
+    def test_retweet_network(self, records, campaign):
+        want = ref.retweet_network(records, campaign)
+        for data in _both(records):
+            got = retweet_network(data, campaign)
+            assert got.vertices == want.vertices
+            assert got.edges == want.edges
+
+
+def _columns(corpus):
+    return {
+        "account_ids": corpus.account_ids,
+        "language_ids": corpus.language_ids,
+        **{
+            name: getattr(corpus, name).tolist()
+            for name in ("user", "source", "timestamp_us", "language", "day", "tweet_id", "text")
+        },
+    }
+
+
+class TestSidecarFile:
+    @settings(max_examples=25)
+    @given(records_st())
+    def test_round_trip_is_exact_and_byte_deterministic(self, records):
+        corpus = Corpus.from_records(records)
+        with tempfile.TemporaryDirectory() as tmp:
+            jsonl, a, b = Path(tmp, "records.jsonl"), Path(tmp, "a.npz"), Path(tmp, "b.npz")
+            write_records(records, jsonl)
+            corpus.save(a, file_sha256(jsonl))
+            corpus.save(b, file_sha256(jsonl))
+            assert a.read_bytes() == b.read_bytes()
+            assert _columns(Corpus.load(a, jsonl)) == _columns(corpus)
+
+    def test_zip_members_carry_a_fixed_date(self, tmp_path):
+        jsonl = tmp_path / "records.jsonl"
+        jsonl.write_text("")
+        Corpus.from_records([]).save(tmp_path / "corpus.npz", file_sha256(jsonl))
+        with zipfile.ZipFile(tmp_path / "corpus.npz") as zf:
+            assert {i.date_time for i in zf.infolist()} == {(1980, 1, 1, 0, 0, 0)}
+
+    def test_out_of_range_codes_rejected(self, tmp_path):
+        rec = TweetRecord("1", "u", BASE, "en", False, None, "hi")
+        jsonl = tmp_path / "records.jsonl"
+        write_records([rec], jsonl)
+        bad = dataclasses.replace(Corpus.from_records([rec]), user=np.array([5]))
+        bad.save(tmp_path / "corpus.npz", file_sha256(jsonl))
+        with pytest.raises(CorpusError, match="user codes"):
+            Corpus.load(tmp_path / "corpus.npz", jsonl)
+
+
+SMALL_CONFIG = {
+    "bulk_window": ["2016-03-01", "2016-04-01"],
+    "pre_window": ["2016-03-05", "2016-03-15"],
+    "min_total_tweets": 1,
+    "active_day_fraction": 0.1,
+}
+
+
+@pytest.fixture
+def ingested(tmp_path):
+    """An output directory after ``ingest`` of a small hand-made table."""
+    records = [
+        TweetRecord(str(i), f"u{i % 3}", BASE + timedelta(days=4 + i % 9), "en",
+                    False, None, f"word{i} common")
+        for i in range(30)
+    ]
+    src = tmp_path / "input.jsonl"
+    write_records(records, src)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(SMALL_CONFIG))
+    out = tmp_path / "out"
+    argv = ["--config", str(config), "--out", str(out)]
+    assert main(["ingest", "--input", str(src), "--format", "jsonl", *argv]) == 0
+    return out, argv
+
+
+def _counts_fails_naming(out, argv, filename):
+    assert main(["counts", *argv]) == 1
+    doc = json.loads((out / "manifest_counts.json").read_text())
+    assert doc["status"] == "failed"
+    assert doc["artifacts"] == []
+    assert filename in doc["error"] and "re-run ingest" in doc["error"]
+    assert not (out / "cohort_pre.json").exists()
+
+
+class TestStagesRefuseABadSidecar:
+    def test_intact_sidecar_is_used(self, ingested):
+        out, argv = ingested
+        assert main(["counts", *argv]) == 0
+        assert json.loads((out / "cohort_pre.json").read_text()) == ["u0", "u1", "u2"]
+
+    def test_edited_records_jsonl(self, ingested):
+        out, argv = ingested
+        lines = (out / "records.jsonl").read_text().splitlines(keepends=True)
+        (out / "records.jsonl").write_text("".join(lines[:-1]))
+        _counts_fails_naming(out, argv, "records.jsonl")
+
+    def test_missing_sidecar(self, ingested):
+        out, argv = ingested
+        (out / "corpus.npz").unlink()
+        _counts_fails_naming(out, argv, "corpus.npz")
+
+    def test_truncated_sidecar(self, ingested):
+        out, argv = ingested
+        data = (out / "corpus.npz").read_bytes()
+        (out / "corpus.npz").write_bytes(data[: len(data) // 2])
+        _counts_fails_naming(out, argv, "corpus.npz")
+
+    def test_corrupted_sidecar(self, ingested):
+        out, argv = ingested
+        data = bytearray((out / "corpus.npz").read_bytes())
+        # flip a byte inside the stored text blob; the zip CRC catches it
+        at = data.index(b"word1 common") + 2
+        data[at] ^= 0xFF
+        (out / "corpus.npz").write_bytes(bytes(data))
+        _counts_fails_naming(out, argv, "corpus.npz")
