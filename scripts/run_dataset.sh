@@ -6,9 +6,9 @@
 # windows, cohort thresholds or model knobs.
 #
 # usage: scripts/run_dataset.sh OUT_DIR TABLE [TABLE...]
-#   FORMAT=csv|jsonl   input format (default csv)
-#   CONFIG=path.json   extra config (optional)
-#   WINDOW=pre|post    per-user analysis window (default pre)
+#   FORMAT=csv|jsonl      input format (default csv)
+#   CONFIG=path.json      extra config (optional)
+#   WINDOW=pre|post|bulk  per-user analysis window (default pre)
 set -euo pipefail
 
 if [ $# -lt 2 ]; then

@@ -44,7 +44,6 @@ from .strategy import (  # noqa: F401
     chi_square_shift,
     strategy_vector,
     symbol_distribution,
-    symbol_sequence,
     symbolize,
 )
 from .spectral import (  # noqa: F401

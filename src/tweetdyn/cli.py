@@ -1,20 +1,23 @@
 """Command-line front end: one subcommand per pipeline stage.
 
-Every subcommand writes JSON/CSV artifacts plus a manifest into an output
-directory. Artifacts are deterministic for a given config and seed: keys are
-sorted, floats are normalized to 12 significant digits, manifests carry a
-config hash and library versions but no timestamps. Later stages read earlier
-stages' artifacts from the same directory by their fixed names.
+The subcommands are declared once, in :data:`STAGES`; the argument parser
+and :func:`main` both read that table. Every subcommand writes JSON/CSV
+artifacts plus a manifest into an output directory. Artifacts are
+deterministic for a given config and seed: keys are sorted, floats are
+normalized to 12 significant digits, manifests carry a config hash and
+library versions but no timestamps. Later stages read earlier stages'
+artifacts from the same directory by their fixed names.
 
-`ingest` writes the normalized tweets twice, in the same row order:
-`records.jsonl` and its columnar sidecar `corpus.npz`, which records the
-sha256 of that `records.jsonl`. The stages that need tweets (`counts`,
-`strategy`, `spectra`, `cluster-spectral`, `cluster-topic`, `compare`, and
-`changepoint` when there is no `counts_aggregate.csv`) parse the configured
-`input_paths` if there are any. Otherwise they load `corpus.npz`, and fail
-with a failed manifest if it is missing, malformed or older than
-`records.jsonl`, asking for `ingest` to be re-run. Unknown config keys are
-rejected with exit code 2.
+Only `ingest` reads tweet tables (`--input` and `--format`, or `input_paths`
+and `input_format` in the config). It writes the normalized tweets twice, in
+the same row order: `records.jsonl` and its columnar sidecar `corpus.npz`,
+which records the sha256 of that `records.jsonl`. The stages that need
+tweets (`counts`, `strategy`, `spectra`, `cluster-spectral`,
+`cluster-topic`, `compare`, and `changepoint` when there is no
+`counts_aggregate.csv`) load `corpus.npz`, and fail with a failed manifest
+if it is missing, malformed or older than `records.jsonl`, asking for
+`ingest` to be re-run. A config with an unknown key, a wrongly typed value
+or a value out of range is rejected with exit code 2.
 
 Typical flow on synthetic data::
 
@@ -42,7 +45,8 @@ import sys
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
-from typing import Any, Sequence
+from types import UnionType
+from typing import Any, Callable, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -64,6 +68,10 @@ logger = logging.getLogger(__name__)
 RECORDS_FILE = "records.jsonl"
 CORPUS_FILE = "corpus.npz"
 LABELS_FILE = "labels.json"
+
+# --window name -> the RunConfig field holding that calendar
+WINDOWS = {"pre": "pre_window", "post": "post_window", "bulk": "bulk_window"}
+INPUT_FORMATS = ("csv", "jsonl")
 
 
 @dataclass(frozen=True)
@@ -116,6 +124,43 @@ class RunConfig:
     synth_change_day: int = 616
     seed: int = 20170510
 
+    def __post_init__(self) -> None:
+        hints = get_type_hints(RunConfig)
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if not _conforms(value, hints[f.name]):
+                raise TypeError(f"config {f.name}: {value!r} is not {f.type}")
+        bad = [
+            f"{name} must be in [0, 1]"
+            for name in ("active_day_fraction", "denoise_q")
+            if not 0.0 <= getattr(self, name) <= 1.0
+        ]
+        bad += [
+            f"{name} must be >= 1"
+            for name in (
+                "ma_window", "pca_dims", "kmedoids_k", "restarts",
+                "fourier_terms", "top_m",
+            )
+            if getattr(self, name) < 1
+        ]
+        if self.min_total_tweets < 0:
+            bad.append("min_total_tweets must be >= 0")
+        if not self.sigma > 0:
+            bad.append("sigma must be > 0")
+        if self.input_format not in INPUT_FORMATS:
+            bad.append(f"input_format must be one of {INPUT_FORMATS}")
+        for name, (lo, hi), t0 in (
+            ("model1", self.model1_range, self.model1_t0),
+            ("model2", self.model2_range, self.model2_t0),
+        ):
+            if not 0 <= lo < hi:
+                bad.append(f"{name}_range must be ordered days, 0 <= start < end")
+            elif not lo <= t0 <= hi:
+                bad.append(f"{name}_t0 must lie in {name}_range")
+        if bad:
+            raise ValueError("config: " + "; ".join(bad))
+        self.topic_config()  # dynamic_p, gamma_q and knn_k are checked there
+
     def topic_config(self) -> topic.TopicConfig:
         return topic.TopicConfig(
             dynamic_p=self.dynamic_p,
@@ -125,22 +170,33 @@ class RunConfig:
         )
 
     def analysis_window(self, name: str) -> DayWindow:
-        try:
-            return {
-                "pre": self.pre_window,
-                "post": self.post_window,
-                "bulk": self.bulk_window,
-                "reference": self.reference_window,
-                "comparison": self.comparison_window,
-            }[name]
-        except KeyError:
-            raise ValueError(f"unknown window name {name!r}") from None
+        if name not in WINDOWS:
+            raise ValueError(f"unknown window name {name!r}")
+        return getattr(self, WINDOWS[name])
+
+
+def _conforms(value: Any, hint: Any) -> bool:
+    """Whether ``value`` has the annotated type; an int passes as a float,
+    a bool passes as neither."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is tuple:
+        if not isinstance(value, tuple):
+            return False
+        if args[-1] is Ellipsis:
+            return all(_conforms(v, args[0]) for v in value)
+        return len(value) == len(args) and all(map(_conforms, value, args))
+    if origin is UnionType:
+        return any(_conforms(value, a) for a in args)
+    if hint is float:
+        hint = (int, float)
+    return isinstance(value, hint) and not isinstance(value, bool)
 
 
 def _window_from_json(value: Any) -> DayWindow:
     if isinstance(value, dict):
         value = [value["start"], value["end"]]
-    return DayWindow(date.fromisoformat(value[0]), date.fromisoformat(value[1]))
+    start, end = value
+    return DayWindow(date.fromisoformat(start), date.fromisoformat(end))
 
 
 def load_config(path: str | Path | None, overrides: dict[str, Any]) -> RunConfig:
@@ -160,13 +216,11 @@ def load_config(path: str | Path | None, overrides: dict[str, Any]) -> RunConfig
         if f.name not in data:
             continue
         value = data[f.name]
-        if f.name.endswith("_window"):
-            value = _window_from_json(value) if not isinstance(value, DayWindow) else value
-        elif f.name == "column_map":
-            value = ColumnMap(**value) if isinstance(value, dict) else value
-        elif f.name == "input_paths":
-            value = tuple(value)
-        elif f.name in ("model1_range", "model2_range", "synth_rates"):
+        if f.name.endswith("_window") and not isinstance(value, DayWindow):
+            value = _window_from_json(value)
+        elif f.name == "column_map" and isinstance(value, dict):
+            value = ColumnMap(**value)
+        elif isinstance(value, list):
             value = tuple(value)
         kwargs[f.name] = value
     return RunConfig(**kwargs)
@@ -247,18 +301,9 @@ def write_manifest(
     write_json(outdir / f"manifest_{command.replace('-', '_')}.json", payload)
 
 
-def _load_corpus(config: RunConfig, outdir: Path) -> Corpus:
-    """Configured inputs, parsed with their column map; else the directory's
-    ``corpus.npz``, checked against its ``records.jsonl``."""
-    if not config.input_paths:
-        return Corpus.load(outdir / CORPUS_FILE, outdir / RECORDS_FILE)
-    records = []
-    for p in config.input_paths:
-        part, report = parse_records(p, fmt=config.input_format, columns=config.column_map)
-        records.extend(part)
-        if report.rejected:
-            logger.warning("%s: %d rows rejected", p, report.rejected)
-    return Corpus.from_records(records)
+def _load_corpus(outdir: Path) -> Corpus:
+    """The directory's ``corpus.npz``, checked against its ``records.jsonl``."""
+    return Corpus.load(outdir / CORPUS_FILE, outdir / RECORDS_FILE)
 
 
 def resolve_cohort(records, config: RunConfig, window: DayWindow) -> list[str]:
@@ -329,7 +374,7 @@ def cmd_ingest(config: RunConfig, outdir: Path) -> list[str]:
 
 
 def cmd_counts(config: RunConfig, outdir: Path, window_name: str = "pre") -> list[str]:
-    corpus = _load_corpus(config, outdir)
+    corpus = _load_corpus(outdir)
     window = config.analysis_window(window_name)
     cohort = resolve_cohort(corpus, config, window)
     artifacts = []
@@ -354,7 +399,7 @@ def cmd_changepoint(config: RunConfig, outdir: Path) -> list[str]:
     if series_path.exists():
         series = timeseries.load_series_csv(series_path)
     else:
-        series = timeseries.daily_counts(_load_corpus(config, outdir), config.bulk_window)
+        series = timeseries.daily_counts(_load_corpus(outdir), config.bulk_window)
     s = timeseries.accumulate(series)
     fit1 = timeseries.fit_segment(s, config.model1_range, config.model1_t0)
     fit2 = timeseries.fit_segment(s, config.model2_range, config.model2_t0)
@@ -374,7 +419,7 @@ def cmd_changepoint(config: RunConfig, outdir: Path) -> list[str]:
 
 
 def cmd_strategy(config: RunConfig, outdir: Path) -> list[str]:
-    corpus = _load_corpus(config, outdir)
+    corpus = _load_corpus(outdir)
     campaign = corpus.authors()
     ref_w, cmp_w = config.reference_window, config.comparison_window
     cohort = sorted(
@@ -414,6 +459,19 @@ def cmd_strategy(config: RunConfig, outdir: Path) -> list[str]:
     return ["strategy.json"]
 
 
+def _write_band(path: Path, spectra: Sequence[spectral.Spectrum]) -> None:
+    """Per-bin min, quartiles and max of the spectra's magnitudes."""
+    band = spectral.band_summary(spectra)
+    write_csv(
+        path,
+        ["bin", "min", "q1", "median", "q3", "max"],
+        [
+            [k, band.mins[k], band.q1[k], band.medians[k], band.q3[k], band.maxs[k]]
+            for k in range(len(band.medians))
+        ],
+    )
+
+
 def _cohort_spectra(
     corpus: Corpus, config: RunConfig, window: DayWindow
 ) -> dict[str, spectral.Spectrum]:
@@ -430,7 +488,7 @@ def _cohort_spectra(
 
 def cmd_spectra(config: RunConfig, outdir: Path, window_name: str = "pre") -> list[str]:
     window = config.analysis_window(window_name)
-    spectra = _cohort_spectra(_load_corpus(config, outdir), config, window)
+    spectra = _cohort_spectra(_load_corpus(outdir), config, window)
     users = sorted(spectra)
     rows = [
         [uid, k, float(m)]
@@ -440,16 +498,7 @@ def cmd_spectra(config: RunConfig, outdir: Path, window_name: str = "pre") -> li
     write_csv(
         outdir / f"spectra_{window_name}.csv", ["user_id", "bin", "magnitude"], rows
     )
-    band = spectral.band_summary([spectra[u] for u in users])
-    band_rows = [
-        [k, band.mins[k], band.q1[k], band.medians[k], band.q3[k], band.maxs[k]]
-        for k in range(len(band.medians))
-    ]
-    write_csv(
-        outdir / f"band_{window_name}.csv",
-        ["bin", "min", "q1", "median", "q3", "max"],
-        band_rows,
-    )
+    _write_band(outdir / f"band_{window_name}.csv", [spectra[u] for u in users])
     return [f"spectra_{window_name}.csv", f"band_{window_name}.csv"]
 
 
@@ -457,7 +506,7 @@ def cmd_cluster_spectral(
     config: RunConfig, outdir: Path, window_name: str = "pre"
 ) -> list[str]:
     window = config.analysis_window(window_name)
-    spectra = _cohort_spectra(_load_corpus(config, outdir), config, window)
+    spectra = _cohort_spectra(_load_corpus(outdir), config, window)
     ids, matrix = spectral.spectra_matrix(list(spectra.values()))
     embedding = spectral.pca_embed(matrix, ids, dims=config.pca_dims)
     assignment = spectral.kmedoids(
@@ -485,15 +534,7 @@ def cmd_cluster_spectral(
     for c in range(1, assignment.k + 1):
         members = assignment.members(c)
         cluster_spectra = [spectra[u] for u in members]
-        band = spectral.band_summary(cluster_spectra)
-        write_csv(
-            outdir / f"cluster_band_{c}.csv",
-            ["bin", "min", "q1", "median", "q3", "max"],
-            [
-                [k, band.mins[k], band.q1[k], band.medians[k], band.q3[k], band.maxs[k]]
-                for k in range(len(band.medians))
-            ],
-        )
+        _write_band(outdir / f"cluster_band_{c}.csv", cluster_spectra)
         artifacts.append(f"cluster_band_{c}.csv")
         med = spectral.median_spectrum(cluster_spectra)
         models = {
@@ -528,7 +569,7 @@ def cmd_cluster_spectral(
 def cmd_cluster_topic(
     config: RunConfig, outdir: Path, window_name: str = "pre"
 ) -> list[str]:
-    corpus = _load_corpus(config, outdir)
+    corpus = _load_corpus(outdir)
     window = config.analysis_window(window_name)
     cohort = resolve_cohort(corpus, config, window)
     result = topic.topic_communities(corpus, cohort, window, config.topic_config())
@@ -590,7 +631,7 @@ def cmd_compare(config: RunConfig, outdir: Path, window_name: str = "pre") -> li
         [[sid] + [int(v) for v in tab.cells[i]] for i, sid in enumerate(tab.spectral_ids)],
     )
     window = config.analysis_window(window_name)
-    spectra = _cohort_spectra(_load_corpus(config, outdir), config, window)
+    spectra = _cohort_spectra(_load_corpus(outdir), config, window)
     subclusters = {}
     for i, sid in enumerate(tab.spectral_ids):
         for j, tid in enumerate(tab.topic_ids):
@@ -705,6 +746,38 @@ def cmd_report(config: RunConfig, outdir: Path) -> list[str]:
 # -------------------------------------------------------------------- driver
 
 
+@dataclass(frozen=True)
+class Stage:
+    """One subcommand: ``run(config, outdir)`` writes the stage's artifacts and
+    returns their names. A ``windowed`` stage's ``run`` also takes
+    ``window_name``, and ``synth``'s takes ``kind``."""
+
+    name: str
+    help: str
+    run: Callable[..., list[str]]
+    windowed: bool = False
+
+
+STAGES = (
+    Stage("ingest", "parse raw tweet tables", cmd_ingest),
+    Stage("counts", "daily count series", cmd_counts, windowed=True),
+    Stage("changepoint", "fit the accumulation curve", cmd_changepoint),
+    Stage("strategy", "symbolized strategy dynamics", cmd_strategy),
+    Stage("spectra", "per-user rate spectra", cmd_spectra, windowed=True),
+    Stage(
+        "cluster-spectral", "PCA + k-medoids over spectra", cmd_cluster_spectral,
+        windowed=True,
+    ),
+    Stage(
+        "cluster-topic", "text-similarity communities", cmd_cluster_topic,
+        windowed=True,
+    ),
+    Stage("compare", "cross-tabulate the two clusterings", cmd_compare, windowed=True),
+    Stage("synth", "generate ground-truth synthetic data", cmd_synth),
+    Stage("report", "assemble a single report document", cmd_report),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tweetdyn",
@@ -712,48 +785,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--verbose", action="store_true", help="debug logging")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, needs_window: bool = False) -> None:
+    parsers = {}
+    for stage in STAGES:
+        p = parsers[stage.name] = sub.add_parser(stage.name, help=stage.help)
+        p.set_defaults(stage=stage)
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--input", action="append", dest="inputs", help="input file")
-        p.add_argument("--format", choices=["csv", "jsonl"], help="input format")
         p.add_argument("--seed", type=int, help="random seed")
         p.add_argument("--language", help="language filter ('' disables)")
-        if needs_window:
+        if stage.windowed:
             p.add_argument(
-                "--window",
-                default="pre",
-                choices=["pre", "post", "bulk"],
-                help="analysis window",
+                "--window", default="pre", choices=list(WINDOWS), help="analysis window"
             )
-
-    common(sub.add_parser("ingest", help="parse raw tweet tables"))
-    common(sub.add_parser("counts", help="daily count series"), needs_window=True)
-    common(sub.add_parser("changepoint", help="fit the accumulation curve"))
-    common(sub.add_parser("strategy", help="symbolized strategy dynamics"))
-    common(sub.add_parser("spectra", help="per-user rate spectra"), needs_window=True)
-    common(
-        sub.add_parser("cluster-spectral", help="PCA + k-medoids over spectra"),
-        needs_window=True,
+    parsers["ingest"].add_argument(
+        "--input", action="append", dest="inputs", help="input file"
     )
-    common(
-        sub.add_parser("cluster-topic", help="text-similarity communities"),
-        needs_window=True,
-    )
-    common(
-        sub.add_parser("compare", help="cross-tabulate the two clusterings"),
-        needs_window=True,
-    )
-    synth_p = sub.add_parser("synth", help="generate ground-truth synthetic data")
-    common(synth_p)
-    synth_p.add_argument(
+    parsers["ingest"].add_argument("--format", choices=INPUT_FORMATS, help="input format")
+    parsers["synth"].add_argument(
         "--kind",
         default="corpus",
         choices=["corpus", "series", "changepoint"],
         help="what to generate",
     )
-    common(sub.add_parser("report", help="assemble a single report document"))
     return parser
 
 
@@ -766,12 +819,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     overrides: dict[str, Any] = {}
     if args.seed is not None:
         overrides["seed"] = args.seed
-    if args.format is not None:
-        overrides["input_format"] = args.format
-    if args.inputs:
-        overrides["input_paths"] = tuple(args.inputs)
     if args.language is not None:
         overrides["language"] = args.language or None
+    if args.command == "ingest":
+        if args.format is not None:
+            overrides["input_format"] = args.format
+        if args.inputs:
+            overrides["input_paths"] = tuple(args.inputs)
     try:
         config = load_config(args.config, overrides)
     except (OSError, ValueError, KeyError, TypeError) as exc:
@@ -780,20 +834,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    handlers = {
-        "ingest": lambda: cmd_ingest(config, outdir),
-        "counts": lambda: cmd_counts(config, outdir, args.window),
-        "changepoint": lambda: cmd_changepoint(config, outdir),
-        "strategy": lambda: cmd_strategy(config, outdir),
-        "spectra": lambda: cmd_spectra(config, outdir, args.window),
-        "cluster-spectral": lambda: cmd_cluster_spectral(config, outdir, args.window),
-        "cluster-topic": lambda: cmd_cluster_topic(config, outdir, args.window),
-        "compare": lambda: cmd_compare(config, outdir, args.window),
-        "synth": lambda: cmd_synth(config, outdir, args.kind),
-        "report": lambda: cmd_report(config, outdir),
-    }
+    options = {"window_name": args.window} if args.stage.windowed else {}
+    if args.command == "synth":
+        options["kind"] = args.kind
     try:
-        artifacts = handlers[args.command]()
+        artifacts = args.stage.run(config, outdir, **options)
     except Exception as exc:
         logger.error("%s failed: %s", args.command, exc)
         write_manifest(outdir, args.command, config, [], status="failed", error=str(exc))

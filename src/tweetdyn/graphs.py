@@ -83,22 +83,12 @@ class WeightedGraph:
         """Sum of edge weights (each undirected edge counted once)."""
         return sum(self.edges.values())
 
-    def weight(self, u: str, v: str) -> float:
-        return self.edges.get(_edge_key(u, v), 0.0)
-
-    def degree(self, u: str) -> float:
-        return sum(w for (a, b), w in self.edges.items() if u in (a, b))
-
     def degrees(self) -> dict[str, float]:
         deg = {v: 0.0 for v in self.vertices}
         for (u, v), w in self.edges.items():
             deg[u] += w
             deg[v] += w
         return deg
-
-    def neighbors(self, u: str) -> list[str]:
-        out = [v if a == u else a for (a, v) in self.edges if u in (a, v)]
-        return sorted(out)
 
 
 def modularity(graph: WeightedGraph, partition: Sequence[Iterable[str]]) -> float:

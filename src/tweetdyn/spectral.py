@@ -172,11 +172,6 @@ def denoise(spectrum: Spectrum, q: float = 0.33) -> Spectrum:
     return Spectrum(bins=bins, n_samples=spectrum.n_samples, user_id=spectrum.user_id)
 
 
-def reconstruct(spectrum: Spectrum) -> np.ndarray:
-    """Inverse DFT from the half spectrum back to the time domain."""
-    return np.fft.irfft(spectrum.bins, n=spectrum.n_samples)
-
-
 def fit_fourier(
     spectrum: Spectrum,
     series: OscillatorSeries | np.ndarray | None = None,
@@ -249,14 +244,13 @@ def pca_embed(
     matrix: np.ndarray,
     ids: Sequence[str],
     dims: int = 3,
-    normalize_rows: bool = False,
 ) -> Embedding:
     """Project rows onto the leading principal axes.
 
-    The covariance is over column-mean-centered data (rows optionally unit-
-    normalized first). Eigenvalues are reported for the full column space,
-    descending; ranks below ``dims`` are projected with a warning. Component
-    signs are fixed so each axis's largest-magnitude loading is positive.
+    The covariance is over column-mean-centered data. Eigenvalues are
+    reported for the full column space, descending; ranks below ``dims`` are
+    projected with a warning. Component signs are fixed so each axis's
+    largest-magnitude loading is positive.
     """
     x = np.asarray(matrix, dtype=np.float64)
     if x.ndim != 2:
@@ -268,13 +262,6 @@ def pca_embed(
         raise ValueError("dims must be >= 1")
     if n < dims + 1:
         raise ValueError(f"need at least {dims + 1} rows for a {dims}-d embedding")
-    if normalize_rows:
-        norms = np.linalg.norm(x, axis=1, keepdims=True)
-        zero = norms[:, 0] == 0
-        if zero.any():
-            logger.warning("pca_embed: %d all-zero rows left unnormalized", zero.sum())
-        norms[zero] = 1.0
-        x = x / norms
     centered = x - x.mean(axis=0, keepdims=True)
     # SVD of the centered matrix == eigendecomposition of its covariance.
     _, singular, vt = np.linalg.svd(centered, full_matrices=False)

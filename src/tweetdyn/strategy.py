@@ -174,33 +174,9 @@ def symbol_table(
     return out
 
 
-def daily_category_counts(
-    records: Iterable[TweetRecord] | Corpus,
-    campaign_users: set[str],
-    user_id: str,
-    window: DayWindow,
-) -> np.ndarray:
-    """(n_days, 3) array of per-day category counts for one user."""
-    return category_table(records, campaign_users, [user_id], window)[0]
-
-
-def symbol_sequence(
-    records: Iterable[TweetRecord] | Corpus,
-    campaign_users: set[str],
-    user_id: str,
-    window: DayWindow,
-    partition: SimplexPartition = DEFAULT_PARTITION,
-) -> list[tuple[int, str]]:
-    """(day offset, symbol) for each day the user tweeted, in day order.
-
-    Days with no tweets are skipped; the strategy is undefined there.
-    """
-    table = daily_category_counts(records, campaign_users, user_id, window)
-    return symbol_pairs(symbol_table(table, partition))
-
-
 def symbol_pairs(symbols: np.ndarray) -> list[tuple[int, str]]:
-    """(day offset, symbol) pairs of one row of :func:`symbol_table`."""
+    """(day offset, symbol) pairs of one row of :func:`symbol_table`, in day
+    order; days with no tweets are skipped, the strategy is undefined there."""
     days = np.flatnonzero(symbols >= 0)
     return [(t, ALPHABET[s]) for t, s in zip(days.tolist(), symbols[days].tolist())]
 
@@ -252,7 +228,11 @@ def chi_square_shift(
 
 
 def shift_critical_value(alpha: float = 0.999, df: int = 6) -> float:
-    """Chi-square critical value for the seven-symbol shift test."""
-    from scipy.stats import chi2 as chi2_dist
+    """Chi-square critical value for the seven-symbol shift test.
 
-    return float(chi2_dist.ppf(alpha, df))
+    The chi-square(df) quantile is twice the Gamma(df/2, 1) quantile, which
+    ``scipy.special`` gives without importing ``scipy.stats``.
+    """
+    from scipy.special import gammaincinv
+
+    return float(2.0 * gammaincinv(df / 2.0, alpha))

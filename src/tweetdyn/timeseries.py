@@ -146,18 +146,9 @@ class LinearFit:
     n_points: int
     t_range: tuple[int, int]
 
-    def predict(self, t: np.ndarray | float) -> np.ndarray | float:
-        return self.intercept + self.slope * (np.asarray(t, dtype=float) - self.t0)
-
     def slope_interval(self, sigma: float = 5.0) -> tuple[float, float]:
         """Slope estimate +- sigma standard errors."""
         return (self.slope - sigma * self.se_slope, self.slope + sigma * self.se_slope)
-
-    def intercept_interval(self, sigma: float = 5.0) -> tuple[float, float]:
-        return (
-            self.intercept - sigma * self.se_intercept,
-            self.intercept + sigma * self.se_intercept,
-        )
 
 
 @dataclass(frozen=True)

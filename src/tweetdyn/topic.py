@@ -44,6 +44,7 @@ logger = logging.getLogger(__name__)
 _URL_RE = re.compile(r"https?://\S+|www\.\S+")
 _MENTION_RE = re.compile(r"@\w+")
 _SPLIT_RE = re.compile(r"[^0-9a-z]+")
+MIN_TOKEN_LEN = 2
 
 
 @dataclass(frozen=True)
@@ -54,12 +55,6 @@ class TopicConfig:
     gamma_q: float = 0.9
     knn_k: int = 10
     top_m: int = 25
-    min_token_len: int = 2
-    strip_urls: bool = True
-    strip_mentions: bool = True
-    keep_hashtag_body: bool = True
-    include_diagonal_in_bound: bool = False
-    stopwords: frozenset[str] = ENGLISH_STOPWORDS
 
     def __post_init__(self) -> None:
         if not 0.0 < self.dynamic_p <= 1.0:
@@ -98,9 +93,9 @@ class GammaFit:
         return self.k_shape * self.theta_scale
 
     def quantile(self, q: float) -> float:
-        from scipy.stats import gamma as gamma_dist
+        from scipy.special import gammaincinv
 
-        return float(gamma_dist.ppf(q, a=self.k_shape, scale=self.theta_scale))
+        return float(gammaincinv(self.k_shape, q) * self.theta_scale)
 
 
 @dataclass(frozen=True)
@@ -151,30 +146,21 @@ class TopicClustering:
     top_terms: tuple[tuple[tuple[str, int], ...], ...]
 
 
-def tokenize(text: str, config: TopicConfig = DEFAULT_TOPIC_CONFIG) -> list[str]:
+def tokenize(text: str) -> list[str]:
     """Lowercase, strip URLs and @mentions, split on non-alphanumerics.
 
     Hashtag bodies are kept as plain tokens (the ``#`` is a split character).
-    All-digit tokens and tokens shorter than ``min_token_len`` are dropped.
+    All-digit tokens and tokens shorter than ``MIN_TOKEN_LEN`` are dropped.
     """
-    text = text.lower()
-    if config.strip_urls:
-        text = _URL_RE.sub(" ", text)
-    if config.strip_mentions:
-        text = _MENTION_RE.sub(" ", text)
-    if not config.keep_hashtag_body:
-        text = re.sub(r"#\w+", " ", text)
+    text = _MENTION_RE.sub(" ", _URL_RE.sub(" ", text.lower()))
     tokens = [t for t in _SPLIT_RE.split(text) if t]
-    return [
-        t for t in tokens if len(t) >= config.min_token_len and not t.isdigit()
-    ]
+    return [t for t in tokens if len(t) >= MIN_TOKEN_LEN and not t.isdigit()]
 
 
 def build_documents(
     records: Iterable[TweetRecord] | Corpus,
     users: Iterable[str],
     window: DayWindow,
-    config: TopicConfig = DEFAULT_TOPIC_CONFIG,
 ) -> list[Document]:
     """One document per user: their window tweets joined in time order.
 
@@ -200,7 +186,7 @@ def build_documents(
     docs: list[Document] = []
     for user_id, parts in zip(users, texts):
         text = " ".join(parts)
-        tokens = tokenize(text, config)
+        tokens = tokenize(text)
         if not tokens:
             logger.warning("build_documents: user %s has no usable text", user_id)
             continue
@@ -308,18 +294,11 @@ def build_term_user_matrix(
     return TermUserMatrix(terms=terms, users=users, counts=counts)
 
 
-def similarity_graph(
-    matrix: TermUserMatrix,
-    k: int = 10,
-    include_diagonal_in_bound: bool = False,
-) -> WeightedGraph:
+def similarity_graph(matrix: TermUserMatrix, k: int = 10) -> WeightedGraph:
     """Mutual-kNN-sparsified cosine similarity graph between users.
 
     ``A = X~^T X~`` with unit-norm columns. ``B_i`` is the k-th largest
-    entry of row i, by default over off-diagonal entries only; with
-    ``include_diagonal_in_bound`` the self-similarity (1 for any nonempty
-    column) joins the ranking, so each user counts themselves among their
-    k nearest neighbors. The edge (i, j) survives iff
+    off-diagonal entry of row i. The edge (i, j) survives iff
     ``A_ij >= min(B_i, B_j)`` and is strictly positive.
     """
     if k < 1:
@@ -337,10 +316,7 @@ def similarity_graph(
         return WeightedGraph.from_edges({}, extra_vertices=users)
     bounds = np.empty(n)
     for i in range(n):
-        if include_diagonal_in_bound:
-            row = sim[i]
-        else:
-            row = np.delete(sim[i], i)
+        row = np.delete(sim[i], i)
         kth = min(k, len(row))
         bounds[i] = np.sort(row)[::-1][kth - 1]
     np.fill_diagonal(sim, 0.0)
@@ -376,10 +352,10 @@ def topic_communities(
     config: TopicConfig = DEFAULT_TOPIC_CONFIG,
 ) -> TopicClustering:
     """Run the whole text pipeline for a cohort in a window."""
-    docs = build_documents(records, users, window, config)
+    docs = build_documents(records, users, window)
     if len(docs) < 2:
         raise ValueError("need at least 2 users with text to cluster")
-    raw_counts = {d.user_id: stem_and_filter(d, config.stopwords) for d in docs}
+    raw_counts = {d.user_id: stem_and_filter(d) for d in docs}
     dyn = dynamic_stopwords(raw_counts, config.dynamic_p)
     filtered = {
         u: Counter({t: c for t, c in counts.items() if t not in dyn})
@@ -389,9 +365,7 @@ def topic_communities(
     if not vocabulary:
         raise ValueError("no keywords survive filtering; nothing to cluster")
     matrix = build_term_user_matrix(filtered, vocabulary)
-    graph = similarity_graph(
-        matrix, config.knn_k, config.include_diagonal_in_bound
-    )
+    graph = similarity_graph(matrix, config.knn_k)
     partition, q = modularity_communities(graph)
     ranked = top_terms(partition, filtered, config.top_m)
     return TopicClustering(

@@ -19,7 +19,7 @@ from tweetdyn.strategy import (
     strategy_vector,
 )
 from tweetdyn.timeseries import CountSeries
-from tweetdyn.topic import DEFAULT_TOPIC_CONFIG, Document, tokenize
+from tweetdyn.topic import Document, tokenize
 
 _CATEGORY_INDEX = {
     TweetCategory.ORIGINAL: 0,
@@ -138,7 +138,7 @@ def symbol_distribution(records, campaign_users, users, window, partition=DEFAUL
     return SymbolDistribution(counts=counts)
 
 
-def build_documents(records, users, window, config=DEFAULT_TOPIC_CONFIG):
+def build_documents(records, users, window):
     users = set(users)
     per_user = {u: [] for u in users}
     for rec in records:
@@ -148,7 +148,7 @@ def build_documents(records, users, window, config=DEFAULT_TOPIC_CONFIG):
     for user_id in sorted(users):
         pieces = sorted(per_user[user_id])
         text = " ".join(p[2] for p in pieces)
-        tokens = tokenize(text, config)
+        tokens = tokenize(text)
         if tokens:
             docs.append(Document(user_id=user_id, text=text, tokens=tuple(tokens)))
     return docs

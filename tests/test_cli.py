@@ -1,11 +1,16 @@
 """End-to-end runs of every CLI subcommand on small synthetic data."""
 
 import json
+import os
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from tweetdyn.cli import main
+import tweetdyn
+from tweetdyn.cli import load_config, main
 from tweetdyn.compare import adjusted_rand_index
 from tweetdyn.ingest import ColumnMap, parse_records, write_records
 
@@ -158,6 +163,38 @@ class TestPipelineArtifacts:
         assert doc["sections"]["changepoint"] is None
 
 
+def _ingested_copy(pipeline_dir: Path, outdir: Path) -> Path:
+    """A fresh output directory holding only ``pipeline_dir``'s ingest output."""
+    outdir.mkdir()
+    for name in ("records.jsonl", "corpus.npz"):
+        shutil.copy(pipeline_dir / name, outdir / name)
+    return outdir
+
+
+class TestWindowOption:
+    def test_post_window_writes_post_artifacts(self, tmp_path, pipeline_dir):
+        out = _ingested_copy(pipeline_dir, tmp_path / "out")
+        # the synthetic corpus covers the pre window; this post window is its
+        # second half, 15 days
+        config = tmp_path / "post.json"
+        config.write_text(
+            json.dumps({**SMALL_CONFIG, "post_window": ["2016-03-24", "2016-04-08"]})
+        )
+        argv = ["--window", "post", "--config", str(config), "--out", str(out)]
+        assert main(["counts", *argv]) == 0
+        assert main(["spectra", *argv]) == 0
+        cohort = json.loads((out / "cohort_post.json").read_text())
+        assert len(cohort) == 32
+        lines = (out / "counts_post.csv").read_text().splitlines()
+        assert len(lines) == 1 + 32 * 15
+        # 15 days, 7-day detrend: 8 samples -> 5 bins per user
+        assert len((out / "spectra_post.csv").read_text().splitlines()) == 1 + 32 * 5
+        assert len((out / "band_post.csv").read_text().splitlines()) == 1 + 5
+        manifest = json.loads((out / "manifest_spectra.json").read_text())
+        assert manifest["artifacts"] == ["band_post.csv", "spectra_post.csv"]
+        assert not list(out.glob("*_pre.*"))
+
+
 class TestChangepointCommand:
     def test_planted_rates_recovered(self, tmp_path, config_path):
         rc = main(
@@ -209,6 +246,51 @@ class TestFailureModes:
         bad.write_text(json.dumps({"knn-k": 3}))
         assert main(["counts", "--config", str(bad), "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"kmedoids_k": "2"},
+            {"sigma": "5"},
+            {"restarts": 2.5},
+            {"seed": True},
+            {"language": 3},
+            {"input_paths": "table.csv"},
+            {"model1_range": [200]},
+            {"pre_window": ["2016-03-09"]},
+            {"column_map": {"tweet": "id"}},
+            {"denoise_q": 1.5},
+            {"active_day_fraction": -0.1},
+            {"gamma_q": 1.0},
+            {"kmedoids_k": 0},
+            {"knn_k": 0},
+            {"min_total_tweets": -1},
+            {"model1_range": [616, 200]},
+            {"model2_t0": 900},
+            {"input_format": "xml"},
+        ],
+    )
+    def test_mistyped_or_out_of_range_config_returns_2(self, tmp_path, bad):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))
+        assert main(["counts", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert not (tmp_path / "manifest_counts.json").exists()
+
+    def test_ints_for_floats_and_lists_for_tuples_accepted(self, tmp_path):
+        path = tmp_path / "loose.json"
+        path.write_text(json.dumps({
+            "sigma": 5, "active_day_fraction": 1, "model1_range": [200, 616],
+            "input_paths": ["a.csv"], "synth_rates": [2000, 3000.5],
+        }))
+        config = load_config(path, {})
+        assert config.sigma == 5 and config.model1_range == (200, 616)
+        assert config.input_paths == ("a.csv",)
+
+    @pytest.mark.parametrize("flag", [["--input", "x.jsonl"], ["--format", "csv"]])
+    def test_input_flags_belong_to_ingest(self, tmp_path, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["counts", *flag, "--out", str(tmp_path)])
+        assert exc.value.code == 2
+
     def test_missing_config_file_returns_2(self, tmp_path):
         assert main(
             ["counts", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)]
@@ -259,3 +341,23 @@ class TestRemappedColumns:
         assert len(cohort) == 32
         doc = json.loads((tmp_path / "out" / "strategy.json").read_text())
         assert len(doc["cohort"]) == 32
+
+
+def test_strategy_and_topic_stages_leave_scipy_stats_unimported(
+    tmp_path, pipeline_dir, config_path
+):
+    out = _ingested_copy(pipeline_dir, tmp_path / "out")
+    code = (
+        "import sys\n"
+        "from tweetdyn.cli import main\n"
+        "for stage in ('strategy', 'cluster-topic'):\n"
+        f"    assert main([stage, '--config', {str(config_path)!r}, '--out', {str(out)!r}]) == 0\n"
+        "sys.exit('scipy.stats' in sys.modules)\n"
+    )
+    src = str(Path(tweetdyn.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (out / "strategy.json").exists() and (out / "clusters_topic.json").exists()

@@ -17,11 +17,7 @@ import reference_loops as ref
 from tweetdyn.cli import main
 from tweetdyn.corpus import Corpus, CorpusError, file_sha256
 from tweetdyn.ingest import CohortSpec, TweetRecord, retweet_network, select_cohort, write_records
-from tweetdyn.strategy import (
-    daily_category_counts,
-    symbol_distribution,
-    symbol_sequence,
-)
+from tweetdyn.strategy import category_table, symbol_distribution, symbol_pairs, symbol_table
 from tweetdyn.timeseries import DayWindow, counts_by_user, daily_counts
 from tweetdyn.topic import build_documents
 
@@ -109,12 +105,14 @@ class TestKernelsMatchReferenceLoops:
     @given(records_st(), campaign_st)
     def test_category_counts_and_symbols(self, records, campaign):
         for data in _both(records):
-            for user_id in USERS:
+            # the composition cmd_strategy runs: one table for all users
+            table = category_table(data, campaign, USERS, WINDOW)
+            symbols = symbol_table(table)
+            for i, user_id in enumerate(USERS):
                 np.testing.assert_array_equal(
-                    daily_category_counts(data, campaign, user_id, WINDOW),
-                    ref.daily_category_counts(records, campaign, user_id, WINDOW),
+                    table[i], ref.daily_category_counts(records, campaign, user_id, WINDOW)
                 )
-                assert symbol_sequence(data, campaign, user_id, WINDOW) == (
+                assert symbol_pairs(symbols[i]) == (
                     ref.symbol_sequence(records, campaign, user_id, WINDOW)
                 )
             try:

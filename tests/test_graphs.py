@@ -47,16 +47,13 @@ class TestWeightedGraph:
     def test_canonical_edges_and_lookups(self):
         g = _graph([("b", "a", 2.0), ("b", "c", 1.5)])
         assert g.vertices == ("a", "b", "c")
-        assert g.weight("a", "b") == 2.0
-        assert g.weight("b", "a") == 2.0
-        assert g.weight("a", "c") == 0.0
-        assert g.degree("b") == 3.5
-        assert g.neighbors("b") == ["a", "c"]
+        assert g.edges == {("a", "b"): 2.0, ("b", "c"): 1.5}
+        assert g.degrees() == {"a": 2.0, "b": 3.5, "c": 1.5}
         assert g.total_weight == 3.5
 
     def test_from_edges_merges_orientations(self):
         g = WeightedGraph.from_edges({("a", "b"): 1.0, ("b", "a"): 2.0})
-        assert g.weight("a", "b") == 3.0
+        assert g.edges == {("a", "b"): 3.0}
         assert g.n_edges == 1
 
     def test_validation(self):
@@ -70,7 +67,7 @@ class TestWeightedGraph:
     def test_isolated_vertices_kept(self):
         g = _graph([("a", "b", 1.0)], extra=["lonely"])
         assert "lonely" in g.vertices
-        assert g.degree("lonely") == 0.0
+        assert g.degrees()["lonely"] == 0.0
 
 
 class TestModularity:

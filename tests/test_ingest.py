@@ -226,11 +226,11 @@ class TestRetweetNetwork:
             _rec(6, "u3"),
         ]
         g = retweet_network(records, campaign)
-        assert g.weight("u1", "u2") == 3.0
+        assert g.edges[("u1", "u2")] == 3.0
         assert g.n_edges == 1
         # u3 appears (authored records) but has no member-retweet edges
         assert "u3" in g.vertices
-        assert g.degree("u3") == 0.0
+        assert g.degrees()["u3"] == 0.0
 
     def test_retweeted_member_becomes_vertex(self):
         campaign = {"u1", "u9"}

@@ -20,7 +20,6 @@ from tweetdyn.spectral import (
     kmedoids,
     median_spectrum,
     pca_embed,
-    reconstruct,
     spectra_matrix,
     squared_magnitude_quantile,
 )
@@ -74,7 +73,10 @@ class TestDft:
     def test_reconstruct_round_trip(self, n):
         rng = np.random.default_rng(7)
         values = rng.normal(size=n)
-        np.testing.assert_allclose(reconstruct(dft(values)), values, atol=1e-9)
+        spec = dft(values)
+        np.testing.assert_allclose(
+            np.fft.irfft(spec.bins, n=spec.n_samples), values, atol=1e-9
+        )
 
     @pytest.mark.parametrize("n", [10, 237, 238])
     def test_parseval(self, n):
@@ -315,13 +317,6 @@ class TestPcaEmbed:
         # the two groups separate along the first embedded coordinate
         left, right = emb.points[:15, 0], emb.points[15:, 0]
         assert max(left) < min(right) or max(right) < min(left)
-
-    def test_row_normalization_flag(self):
-        x = np.array([[3.0, 4.0], [30.0, 40.0], [5.0, 0.0], [0.0, 5.0]])
-        ids = list("abcd")
-        emb = pca_embed(x, ids, dims=1, normalize_rows=True)
-        # rows a and b have identical direction -> identical embedding
-        assert emb.points[0, 0] == pytest.approx(emb.points[1, 0], abs=1e-12)
 
     def test_validation(self):
         x = np.zeros((3, 4))

@@ -16,13 +16,14 @@ from tweetdyn.strategy import (
     SimplexPartition,
     StrategyPoint,
     SymbolDistribution,
+    category_table,
     chi_square_shift,
-    daily_category_counts,
     shift_critical_value,
     strategy_vector,
     symbol_distribution,
-    symbol_sequence,
+    symbol_pairs,
     symbol_string,
+    symbol_table,
     symbolize,
 )
 from tweetdyn.timeseries import DayWindow
@@ -147,16 +148,19 @@ class TestSequences:
         return recs
 
     def test_daily_category_counts(self):
-        counts = daily_category_counts(self._records(), self.campaign, "u1", self.window)
-        assert counts.shape == (5, 3)
+        table = category_table(self._records(), self.campaign, ["u1", "u2"], self.window)
+        assert table.shape == (2, 5, 3)
+        counts = table[0]
         assert counts[0].tolist() == [3, 0, 0]
         assert counts[1].tolist() == [0, 0, 0]
         assert counts[2].tolist() == [0, 1, 0]
         assert counts[3].tolist() == [0, 0, 2]
         assert counts[4].tolist() == [1, 1, 1]
+        assert table[1].sum(axis=1).tolist() == [1, 0, 0, 0, 0]
 
     def test_symbol_sequence_skips_inactive_days(self):
-        seq = symbol_sequence(self._records(), self.campaign, "u1", self.window)
+        table = category_table(self._records(), self.campaign, ["u1"], self.window)
+        seq = symbol_pairs(symbol_table(table)[0])
         assert seq == [(0, "A"), (2, "B"), (3, "C"), (4, "G")]
         assert symbol_string(seq) == "ABCG"
 
@@ -232,8 +236,12 @@ class TestChiSquare:
 
     def test_critical_value(self):
         crit = shift_critical_value()
-        assert crit == pytest.approx(scipy.stats.chi2.ppf(0.999, df=6), rel=1e-12)
+        assert crit == scipy.stats.chi2.ppf(0.999, df=6)
         assert crit == pytest.approx(22.4577, abs=5e-5)
+
+    @given(st.floats(1e-6, 1 - 1e-6), st.integers(1, 60))
+    def test_critical_value_equals_scipy_stats(self, alpha, df):
+        assert shift_critical_value(alpha, df) == scipy.stats.chi2.ppf(alpha, df)
 
     def test_monotone_in_divergence(self):
         ref = _dist(A=50, B=50)

@@ -9,6 +9,9 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.special
+import scipy.stats
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tweetdyn.ingest import TweetRecord
 from tweetdyn.timeseries import DayWindow
@@ -36,18 +39,8 @@ class TestTokenize:
         text = "Check https://t.co/abc123 and @somebody #MAGA Trump won 2016 ok!!"
         assert tokenize(text) == ["check", "and", "maga", "trump", "won", "ok"]
 
-    def test_keep_urls_and_mentions(self):
-        config = TopicConfig(strip_urls=False, strip_mentions=False)
-        tokens = tokenize("see https://t.co/xyz @fan", config)
-        assert "https" in tokens and "xyz" in tokens and "fan" in tokens
-
-    def test_drop_hashtags_entirely(self):
-        config = TopicConfig(keep_hashtag_body=False)
-        assert tokenize("vote #maga now", config) == ["vote", "now"]
-
     def test_min_token_len(self):
-        config = TopicConfig(min_token_len=3)
-        assert tokenize("ok the cat", config) == ["the", "cat"]
+        assert tokenize("a ok the cat") == ["ok", "the", "cat"]
 
     def test_digit_tokens_dropped_mixed_kept(self):
         assert tokenize("2016 abc123 42") == ["abc123"]
@@ -191,6 +184,13 @@ class TestGammaFit:
                     hi = mid
             assert fit.quantile(q) == pytest.approx((lo + hi) / 2, abs=1e-6)
 
+    @given(
+        st.floats(0.01, 100.0), st.floats(0.01, 100.0), st.floats(1e-6, 1 - 1e-6)
+    )
+    def test_quantile_equals_scipy_stats(self, k, theta, q):
+        fit = GammaFit(k_shape=k, theta_scale=theta)
+        assert fit.quantile(q) == scipy.stats.gamma.ppf(q, a=k, scale=theta)
+
     def test_positivity_enforced(self):
         with pytest.raises(ValueError):
             GammaFit(k_shape=0.0, theta_scale=1.0)
@@ -275,8 +275,8 @@ class TestSimilarityGraph:
         m = self._matrix({"u1": [1, 0], "u2": [1, 1], "u3": [0, 1]})
         g = similarity_graph(m, k=1)
         r = 1 / math.sqrt(2)
-        assert g.weight("u1", "u2") == pytest.approx(r)
-        assert g.weight("u2", "u3") == pytest.approx(r)
+        assert g.edges[("u1", "u2")] == pytest.approx(r)
+        assert g.edges[("u2", "u3")] == pytest.approx(r)
         assert g.n_edges == 2  # u1-u3 cosine is 0: no edge
 
     def test_zero_similarity_never_connects(self):
@@ -301,21 +301,12 @@ class TestSimilarityGraph:
         assert ("a", "e") in g2.edges
         assert set(g1.edges) <= set(g2.edges)
 
-    def test_self_counting_bound_tightens(self):
-        # counting yourself as a neighbor raises the k=1 bar to cosine 1:
-        # only perfectly aligned columns stay connected
-        m = self._matrix({"u1": [1, 0], "u2": [2, 0], "u3": [1, 1]})
-        strict = similarity_graph(m, k=1, include_diagonal_in_bound=True)
-        assert set(strict.edges) == {("u1", "u2")}
-        loose = similarity_graph(m, k=1)
-        assert set(loose.edges) == {("u1", "u2"), ("u1", "u3"), ("u2", "u3")}
-
     def test_isolated_zero_column_warns(self, caplog):
         m = self._matrix({"u1": [1, 0], "u2": [1, 1], "u3": [0, 0]})
         with caplog.at_level(logging.WARNING, logger="tweetdyn.topic"):
             g = similarity_graph(m, k=1)
         assert any("isolated" in msg for msg in caplog.messages)
-        assert g.degree("u3") == 0.0
+        assert g.degrees()["u3"] == 0.0
 
     def test_k_validated(self):
         m = self._matrix({"u1": [1.0], "u2": [1.0]})
