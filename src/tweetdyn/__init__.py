@@ -28,9 +28,8 @@ from .corpus import Corpus  # noqa: F401
 from .ingest import (  # noqa: F401
     CohortSpec,
     ColumnMap,
-    TweetCategory,
     TweetRecord,
-    categorize,
+    merge_parts,
     parse_records,
     retweet_network,
     select_cohort,

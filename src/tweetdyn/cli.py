@@ -9,14 +9,15 @@ library versions but no timestamps. Later stages read earlier stages'
 artifacts from the same directory by their fixed names.
 
 Only `ingest` reads tweet tables (`--input` and `--format`, or `input_paths`
-and `input_format` in the config). It writes the normalized tweets twice, in
-the same row order: `records.jsonl` and its columnar sidecar `corpus.npz`,
-which records the sha256 of that `records.jsonl`. The stages that need
-tweets (`counts`, `strategy`, `spectra`, `cluster-spectral`,
-`cluster-topic`, `compare`, and `changepoint` when there is no
-`counts_aggregate.csv`) load `corpus.npz`, and fail with a failed manifest
-if it is missing, malformed or older than `records.jsonl`, asking for
-`ingest` to be re-run. A config with an unknown key, a wrongly typed value
+and `input_format` in the config). It parses each table into a columnar
+`Corpus`, merges them in (timestamp, tweet id) order and writes the
+normalized tweets twice, in that row order: `records.jsonl` and its columnar
+sidecar `corpus.npz`, which records the sha256 of that `records.jsonl`.
+The stages that need tweets (`counts`, `strategy`, `spectra`,
+`cluster-spectral`, `cluster-topic`, `compare`, and `changepoint` when
+there is no `counts_aggregate.csv`) load `corpus.npz`, and fail with a
+failed manifest if it is missing, malformed or older than `records.jsonl`,
+asking for `ingest` to be re-run. A config with an unknown key, a wrongly typed value
 or a value out of range is rejected with exit code 2.
 
 Typical flow on synthetic data::
@@ -55,6 +56,7 @@ from .corpus import Corpus, as_corpus, file_sha256
 from .ingest import (
     CohortSpec,
     ColumnMap,
+    merge_parts,
     parse_records,
     retweet_network,
     select_cohort,
@@ -334,15 +336,15 @@ def resolve_cohort(records, config: RunConfig, window: DayWindow) -> list[str]:
 def cmd_ingest(config: RunConfig, outdir: Path) -> list[str]:
     if not config.input_paths:
         raise FileNotFoundError("ingest needs --input (or input_paths in config)")
-    records = []
+    parts = []
     reports = {}
     for p in config.input_paths:
         part, report = parse_records(p, fmt=config.input_format, columns=config.column_map)
-        records.extend(part)
+        parts.append(part)
         reports[p] = report.as_dict()
-    records.sort(key=lambda r: (r.timestamp, r.tweet_id))
-    write_records(records, outdir / RECORDS_FILE, fmt="jsonl")
-    corpus = Corpus.from_records(records)
+    corpus = merge_parts(parts)
+    del parts
+    write_records(corpus, outdir / RECORDS_FILE)
     # records.jsonl keeps whole seconds; the sidecar holds the same rows.
     corpus = dataclasses.replace(
         corpus, timestamp_us=corpus.timestamp_us // 1_000_000 * 1_000_000
@@ -685,7 +687,7 @@ def cmd_synth(config: RunConfig, outdir: Path, kind: str = "corpus") -> list[str
     if kind == "corpus":
         spec = _demo_corpus_spec(config)
         records, labels = synth.generate_corpus(spec, config.pre_window, config.seed)
-        write_records(records, outdir / RECORDS_FILE, fmt="jsonl")
+        write_records(records, outdir / RECORDS_FILE)
         write_json(outdir / LABELS_FILE, labels)
         return [RECORDS_FILE, LABELS_FILE]
     if kind == "series":

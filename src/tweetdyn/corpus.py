@@ -24,7 +24,7 @@ from __future__ import annotations
 import hashlib
 import io
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import date, datetime, timedelta, timezone
 from functools import cached_property
 from pathlib import Path
@@ -69,22 +69,49 @@ class StringColumn:
 
     @classmethod
     def of(cls, strings: Iterable[str]) -> "StringColumn":
-        encoded = [_encode(s) for s in strings]
+        return cls._of_bytes([_encode(s) for s in strings])
+
+    @classmethod
+    def _of_bytes(cls, encoded: list[bytes]) -> "StringColumn":
         offsets = np.zeros(len(encoded) + 1, dtype=np.int64)
         np.cumsum([len(b) for b in encoded], out=offsets[1:])
         blob = np.frombuffer(b"".join(encoded), dtype=np.uint8)
         return cls(blob=blob, offsets=offsets)
 
+    @classmethod
+    def concat(cls, columns: Sequence["StringColumn"]) -> "StringColumn":
+        """The rows of ``columns``, one after another."""
+        starts = np.cumsum([0] + [len(c.blob) for c in columns])
+        offsets = [c.offsets[:-1] + start for c, start in zip(columns, starts)]
+        return cls(
+            blob=np.concatenate([c.blob for c in columns]),
+            offsets=np.concatenate([*offsets, starts[-1:]]),
+        )
+
     def __len__(self) -> int:
         return len(self.offsets) - 1
 
     def take(self, rows: Iterable[int]) -> list[str]:
+        return [b.decode("utf-8", "surrogatepass") for b in self._bytes(rows)]
+
+    def select(self, rows: Iterable[int]) -> "StringColumn":
+        """A column of the given rows, in that order."""
+        return StringColumn._of_bytes(self._bytes(rows))
+
+    def _bytes(self, rows: Iterable[int]) -> list[bytes]:
         raw = self.blob.tobytes()
         off = self.offsets.tolist()
-        return [raw[off[i] : off[i + 1]].decode("utf-8", "surrogatepass") for i in rows]
+        return [raw[off[i] : off[i + 1]] for i in rows]
+
+    def strings(self, start: int, stop: int) -> list[str]:
+        """Rows ``start`` to ``stop`` (exclusive), copying only their bytes."""
+        off = self.offsets[start : stop + 1]
+        raw = self.blob[off[0] : off[-1]].tobytes()
+        off = (off - off[0]).tolist()
+        return [raw[a:b].decode("utf-8", "surrogatepass") for a, b in zip(off, off[1:])]
 
     def tolist(self) -> list[str]:
-        return self.take(range(len(self)))
+        return self.strings(0, len(self))
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,26 +135,79 @@ class Corpus:
     def from_records(cls, records: Iterable) -> "Corpus":
         """Columns of :class:`~tweetdyn.ingest.TweetRecord` rows, in order."""
         records = list(records)
-        users = [r.user_id for r in records]
-        sources = [r.retweeted_user_id if r.is_retweet else None for r in records]
-        accounts = sorted(set(users).union(s for s in sources if s is not None))
+        return cls.from_columns(
+            tweet_id=[r.tweet_id for r in records],
+            user=[r.user_id for r in records],
+            source=[r.retweeted_user_id if r.is_retweet else None for r in records],
+            timestamp_us=[(r.timestamp - _EPOCH) // _ONE_US for r in records],
+            language=[r.language for r in records],
+            text=[r.text for r in records],
+        )
+
+    @classmethod
+    def from_columns(
+        cls,
+        tweet_id: list[str],
+        user: list[str],
+        source: list[str | None],
+        timestamp_us: list[int],
+        language: list[str],
+        text: list[str],
+    ) -> "Corpus":
+        """A corpus of plain per-row lists; ``source`` is None for a tweet
+        that is not a retweet."""
+        accounts = sorted(set(user).union(s for s in source if s is not None))
         code = {a: i for i, a in enumerate(accounts)}
         code[None] = -1
-        langs = [r.language for r in records]
-        language_ids = sorted(set(langs))
+        language_ids = sorted(set(language))
         lang_code = {x: i for i, x in enumerate(language_ids)}
-        n = len(records)
+        n = len(user)
         return cls(
             account_ids=tuple(accounts),
-            user=np.fromiter((code[u] for u in users), np.int64, n),
-            source=np.fromiter((code[s] for s in sources), np.int64, n),
-            timestamp_us=np.fromiter(
-                ((r.timestamp - _EPOCH) // _ONE_US for r in records), np.int64, n
-            ),
+            user=np.fromiter(map(code.__getitem__, user), np.int64, n),
+            source=np.fromiter(map(code.__getitem__, source), np.int64, n),
+            timestamp_us=np.array(timestamp_us, dtype=np.int64),
             language_ids=tuple(language_ids),
-            language=np.fromiter((lang_code[x] for x in langs), np.int64, n),
-            tweet_id=StringColumn.of(r.tweet_id for r in records),
-            text=StringColumn.of(r.text for r in records),
+            language=np.fromiter(map(lang_code.__getitem__, language), np.int64, n),
+            tweet_id=StringColumn.of(tweet_id),
+            text=StringColumn.of(text),
+        )
+
+    @classmethod
+    def concat(cls, parts: Sequence["Corpus"]) -> "Corpus":
+        """The rows of ``parts``, one after another, coded against the union
+        of their account and language tables."""
+        accounts = sorted(set().union(*(p.account_ids for p in parts)))
+        language_ids = sorted(set().union(*(p.language_ids for p in parts)))
+
+        def recode(new: list[str], old: tuple[str, ...], codes: np.ndarray) -> np.ndarray:
+            index = {x: i for i, x in enumerate(new)}
+            # The trailing -1 keeps source -1 (no retweet) at -1.
+            return np.array([index[x] for x in old] + [-1], dtype=np.int64)[codes]
+
+        return cls(
+            account_ids=tuple(accounts),
+            user=np.concatenate([recode(accounts, p.account_ids, p.user) for p in parts]),
+            source=np.concatenate([recode(accounts, p.account_ids, p.source) for p in parts]),
+            timestamp_us=np.concatenate([p.timestamp_us for p in parts]),
+            language_ids=tuple(language_ids),
+            language=np.concatenate(
+                [recode(language_ids, p.language_ids, p.language) for p in parts]
+            ),
+            tweet_id=StringColumn.concat([p.tweet_id for p in parts]),
+            text=StringColumn.concat([p.text for p in parts]),
+        )
+
+    def select(self, rows: np.ndarray) -> "Corpus":
+        """The given rows, in that order; the tables stay as they are."""
+        return replace(
+            self,
+            user=self.user[rows],
+            source=self.source[rows],
+            timestamp_us=self.timestamp_us[rows],
+            language=self.language[rows],
+            tweet_id=self.tweet_id.select(rows.tolist()),
+            text=self.text.select(rows.tolist()),
         )
 
     def __len__(self) -> int:

@@ -1,11 +1,15 @@
-"""Reading raw tweet tables into typed records, categories, and cohorts.
+"""Reading raw tweet tables into a columnar corpus; cohorts and retweet networks.
 
 The expected source schema is the public takedown-release layout: one row per
 tweet with columns ``tweetid, userid, tweet_time, tweet_language, is_retweet,
 retweet_userid, tweet_text``. Column names are remappable via
 :class:`ColumnMap` so other exports can be ingested without rewriting files.
+:func:`parse_records` reads one table straight into a :class:`Corpus`,
+:func:`merge_parts` joins the tables in ``ingest``'s row order, and
+:func:`write_records` writes them as the normalized ``records.jsonl``.
 
-Every tweet by a campaign account falls in exactly one category:
+Every tweet by a campaign account falls in exactly one category
+(:meth:`Corpus.categories`):
 
 * ``ORIGINAL``    - not a retweet;
 * ``SPREADING``   - retweet of another campaign account;
@@ -13,20 +17,22 @@ Every tweet by a campaign account falls in exactly one category:
 
 The retweet flag is authoritative: quoted tweets count as whatever the flag
 says, and the quoted text is not classified separately. Timestamps are
-normalized to UTC; naive inputs are taken as already-UTC.
+normalized to UTC; naive inputs are taken as already-UTC, and a time whose
+UTC value falls outside years 1-9999 makes its row a bad timestamp.
 """
 
 from __future__ import annotations
 
 import csv
-import enum
 import json
 import logging
 from collections import Counter
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -36,20 +42,23 @@ from .timeseries import DayWindow
 
 logger = logging.getLogger(__name__)
 
-_TRUE_STRINGS = {"true", "t", "1", "yes"}
-_FALSE_STRINGS = {"false", "f", "0", "no"}
+_BOOLS = {
+    **dict.fromkeys(("true", "t", "1", "yes"), True),
+    **dict.fromkeys(("false", "f", "0", "no"), False),
+}
 
 _TIME_FORMATS = (
     "%Y-%m-%d %H:%M",
     "%Y-%m-%d %H:%M:%S",
     "%m/%d/%Y %H:%M",
 )
-
-
-class TweetCategory(enum.Enum):
-    ORIGINAL = "original"
-    SPREADING = "spreading"
-    AMPLIFYING = "amplifying"
+_NAIVE_EPOCH = datetime(1970, 1, 1)
+_EPOCH = _NAIVE_EPOCH.replace(tzinfo=timezone.utc)
+_ONE_US = timedelta(microseconds=1)
+_MIN_US = (datetime.min - _NAIVE_EPOCH) // _ONE_US
+_MAX_US = (datetime.max - _NAIVE_EPOCH) // _ONE_US
+_2D = [f"{i:02d}" for i in range(60)]
+_WRITE_BLOCK = 8192  # lines
 
 
 @dataclass(frozen=True)
@@ -147,7 +156,7 @@ class IngestError(ValueError):
     """Unrecoverable input problem (bad header, unreadable file)."""
 
 
-def _parse_timestamp(raw: str) -> datetime:
+def _parse_timestamp(raw: str) -> datetime | None:
     raw = raw.strip()
     try:
         return datetime.fromisoformat(raw)
@@ -158,94 +167,112 @@ def _parse_timestamp(raw: str) -> datetime:
             return datetime.strptime(raw, fmt)
         except ValueError:
             continue
-    raise ValueError(f"unparseable timestamp {raw!r}")
+    return None
 
 
-def _parse_bool(raw: object) -> bool:
+def _parse_bool(raw: object) -> bool | None:
     if isinstance(raw, bool):
         return raw
-    text = str(raw).strip().lower()
-    if text in _TRUE_STRINGS:
-        return True
-    if text in _FALSE_STRINGS:
-        return False
-    raise ValueError(f"unparseable boolean {raw!r}")
+    return _BOOLS.get(str(raw).strip().lower())
 
 
-def _row_to_record(row: dict, columns: ColumnMap) -> TweetRecord:
-    missing = [c for c in columns.required() if row.get(c) is None]
-    if missing:
-        raise ValueError(f"missing fields {missing}")
-    is_retweet = _parse_bool(row[columns.is_retweet])
-    raw_source = row.get(columns.retweeted_user_id)
-    source = str(raw_source).strip() if raw_source not in (None, "") else None
-    return TweetRecord(
-        tweet_id=str(row[columns.tweet_id]).strip(),
-        user_id=str(row[columns.user_id]).strip(),
-        timestamp=_parse_timestamp(str(row[columns.timestamp])),
-        language=str(row[columns.language]).strip(),
-        is_retweet=is_retweet,
-        retweeted_user_id=source,
-        text=str(row[columns.text]),
-    )
+def _csv_rows(path: Path, fields: tuple[str, ...]) -> Iterator[tuple]:
+    with path.open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        missing = [c for c in fields[:-1] if c not in header]
+        if missing:
+            raise IngestError(f"{path}: missing required columns {missing}")
+        width = len(header)
+        # A repeated column name reads its last cell, and a cell a short row
+        # lacks reads None; slot ``width`` is None for an absent source column.
+        last = {name: i for i, name in enumerate(header)}
+        pick = itemgetter(*(last.get(name, width) for name in fields))
+        for row in reader:
+            if not row:  # a blank line
+                continue
+            if len(row) != width:
+                row = row[:width] + [None] * (width - len(row))
+            row.append(None)
+            yield pick(row)
 
 
-def _iter_rows(path: Path, fmt: str, columns: ColumnMap) -> Iterator[dict]:
-    if fmt == "csv":
-        with path.open(newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            header = reader.fieldnames or []
-            missing = [c for c in columns.required() if c not in header]
-            if missing:
-                raise IngestError(f"{path}: missing required columns {missing}")
-            yield from reader
-    elif fmt == "jsonl":
-        with path.open(encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    row = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    yield {"__bad_json__": f"line {line_no}: {exc.msg}"}
-                    continue
-                if not isinstance(row, dict):
-                    yield {"__bad_json__": f"line {line_no}: not an object"}
-                    continue
-                yield row
-    else:
-        raise IngestError(f"unknown format {fmt!r} (use 'csv' or 'jsonl')")
+def _jsonl_rows(path: Path, fields: tuple[str, ...]) -> Iterator[tuple | None]:
+    """Each line's fields; None for a line that is no JSON object."""
+    with path.open(encoding="utf-8") as fh:
+        for line in fh:
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                row = json.loads(line)
+            except json.JSONDecodeError:
+                row = None
+            yield tuple(map(row.get, fields)) if isinstance(row, dict) else None
 
 
 def parse_records(
     path: str | Path,
     fmt: str = "csv",
     columns: ColumnMap | None = None,
-) -> tuple[list[TweetRecord], ParseReport]:
-    """Parse one file of tweets.
+) -> tuple[Corpus, ParseReport]:
+    """Parse one file of tweets into a :class:`Corpus`, rows in file order
+    with full-microsecond UTC timestamps.
 
     Malformed rows (bad timestamp, bad boolean, missing field, retweet flag
     inconsistent with the source-user column) are skipped and tallied in the
-    report; a missing CSV column or unreadable file raises :class:`IngestError`.
+    report under the first check they fail, in that order; a missing CSV
+    column or unreadable file raises :class:`IngestError`.
     """
     path = Path(path)
     if not path.exists():
         raise IngestError(f"no such input file: {path}")
+    if fmt not in _READERS:
+        raise IngestError(f"unknown format {fmt!r} (use 'csv' or 'jsonl')")
     columns = columns or ColumnMap()
+    fields = (*columns.required(), columns.retweeted_user_id)
     report = ParseReport()
-    records: list[TweetRecord] = []
-    for row in _iter_rows(path, fmt, columns):
+    reject = report.reject
+    tweet_id, user, source, timestamp_us, language, text = ([] for _ in range(6))
+    for row in _READERS[fmt](path, fields):
         report.total_rows += 1
-        if "__bad_json__" in row:
-            report.reject("bad_json")
+        if row is None:
+            reject("bad_json")
             continue
-        try:
-            records.append(_row_to_record(row, columns))
-        except ValueError as exc:
-            report.reject(_reason_of(exc))
+        tid, uid, stamp, lang, flag, body, src = row
+        if None in (tid, uid, stamp, lang, flag, body):
+            reject("missing_field")
             continue
-        report.accepted += 1
+        flag = _parse_bool(flag)
+        if flag is None:
+            reject("bad_retweet_flag")
+            continue
+        stamp = _parse_timestamp(str(stamp))
+        if stamp is None:
+            reject("bad_timestamp")
+            continue
+        if stamp.tzinfo is None:
+            us = (stamp - _NAIVE_EPOCH) // _ONE_US
+        else:
+            us = (stamp - _EPOCH) // _ONE_US
+            if not _MIN_US <= us <= _MAX_US:  # no UTC datetime for it
+                reject("bad_timestamp")
+                continue
+        # A retweet must name its source and an original must not.
+        src = str(src).strip() if src not in (None, "") else None
+        if flag and not src:
+            reject("retweet_without_source")
+            continue
+        if not flag and src:
+            reject("source_on_non_retweet")
+            continue
+        tweet_id.append(str(tid).strip())
+        user.append(str(uid).strip())
+        source.append(src if flag else None)
+        timestamp_us.append(us)
+        language.append(str(lang).strip())
+        text.append(str(body))
+    report.accepted = len(user)
     if report.rejected:
         logger.warning(
             "%s: rejected %d of %d rows (%s)",
@@ -254,77 +281,78 @@ def parse_records(
             report.total_rows,
             dict(report.reasons),
         )
-    return records, report
+    corpus = Corpus.from_columns(
+        tweet_id=tweet_id,
+        user=user,
+        source=source,
+        timestamp_us=timestamp_us,
+        language=language,
+        text=text,
+    )
+    return corpus, report
 
 
-def _reason_of(exc: ValueError) -> str:
-    msg = str(exc)
-    if "timestamp" in msg:
-        return "bad_timestamp"
-    if "boolean" in msg:
-        return "bad_retweet_flag"
-    if "missing fields" in msg:
-        return "missing_field"
-    if "retweet without source" in msg:
-        return "retweet_without_source"
-    if "source user on a non-retweet" in msg:
-        return "source_on_non_retweet"
-    return "invalid_row"
+_READERS = {"csv": _csv_rows, "jsonl": _jsonl_rows}
 
 
-def write_records(
-    records: Iterable[TweetRecord],
-    path: str | Path,
-    fmt: str = "jsonl",
-    columns: ColumnMap | None = None,
-) -> None:
-    """Write records in the same schema :func:`parse_records` reads."""
-    path = Path(path)
-    columns = columns or ColumnMap()
+def merge_parts(parts: Sequence[Corpus]) -> Corpus:
+    """The rows of every part in one corpus, ordered by (timestamp, tweet id).
 
-    def row_of(rec: TweetRecord) -> dict:
-        return {
-            columns.tweet_id: rec.tweet_id,
-            columns.user_id: rec.user_id,
-            columns.timestamp: rec.timestamp.strftime("%Y-%m-%d %H:%M:%S"),
-            columns.language: rec.language,
-            columns.is_retweet: "true" if rec.is_retweet else "false",
-            columns.retweeted_user_id: rec.retweeted_user_id or "",
-            columns.text: rec.text,
-        }
-
-    if fmt == "csv":
-        fieldnames = [
-            columns.tweet_id,
-            columns.user_id,
-            columns.timestamp,
-            columns.language,
-            columns.is_retweet,
-            columns.retweeted_user_id,
-            columns.text,
-        ]
-        with path.open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=fieldnames)
-            writer.writeheader()
-            for rec in records:
-                writer.writerow(row_of(rec))
-    elif fmt == "jsonl":
-        with path.open("w", encoding="utf-8") as fh:
-            for rec in records:
-                fh.write(json.dumps(row_of(rec), sort_keys=True) + "\n")
-    else:
-        raise IngestError(f"unknown format {fmt!r} (use 'csv' or 'jsonl')")
+    The sort is stable: rows equal in both keys keep their input order, the
+    parts' in the order given.
+    """
+    corpus = Corpus.concat(parts)
+    ids = corpus.tweet_id.tolist()
+    by_id = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.int64)
+    return corpus.select(by_id[np.argsort(corpus.timestamp_us[by_id], kind="stable")])
 
 
-def categorize(record: TweetRecord, campaign_users: set[str]) -> TweetCategory:
-    """Category of one tweet relative to the campaign account set."""
-    if not campaign_users:
-        raise ValueError("campaign_users must be nonempty")
-    if not record.is_retweet:
-        return TweetCategory.ORIGINAL
-    if record.retweeted_user_id in campaign_users:
-        return TweetCategory.SPREADING
-    return TweetCategory.AMPLIFYING
+def write_records(records: Iterable[TweetRecord] | Corpus, path: str | Path) -> None:
+    """Write the normalized ``records.jsonl`` that ``parse_records`` reads.
+
+    Each row is the line ``json.dumps(row, sort_keys=True)`` would give, with
+    the time in whole UTC seconds as ``strftime("%Y-%m-%d %H:%M:%S")`` writes it.
+    """
+    corpus = as_corpus(records)
+    quote = encode_basestring_ascii
+    # Source code -> the line's opening; -1 (no retweet) is the last entry.
+    head = [
+        f'{{"is_retweet": "true", "retweet_userid": {quote(a)}, "tweet_language": '
+        for a in corpus.account_ids
+    ] + ['{"is_retweet": "false", "retweet_userid": "", "tweet_language": ']
+    language = [quote(x) for x in corpus.language_ids]
+    tail = [f', "userid": {quote(a)}}}\n' for a in corpus.account_ids]
+    seconds = corpus.timestamp_us // 1_000_000
+    days, day = np.unique(seconds // 86_400, return_inverse=True)
+    date_text = [
+        (_EPOCH + timedelta(days=int(d))).strftime("%Y-%m-%d") for d in days.tolist()
+    ]
+    clock = seconds % 86_400
+    hh, mm, ss = clock // 3600, clock // 60 % 60, clock % 60
+    # A block at a time: faster than a write per line, and neither the file's
+    # text nor every row's strings are in memory at once.
+    with Path(path).open("w", encoding="utf-8") as fh:
+        for lo in range(0, len(corpus), _WRITE_BLOCK):
+            hi = min(lo + _WRITE_BLOCK, len(corpus))
+            rows = slice(lo, hi)
+            fh.write(
+                "".join(
+                    f'{head[s]}{language[x]}, "tweet_text": {quote(text)}, "tweet_time": '
+                    f'"{date_text[d]} {_2D[h]}:{_2D[m]}:{_2D[c]}", "tweetid": {quote(tid)}'
+                    f"{tail[u]}"
+                    for s, x, text, d, h, m, c, tid, u in zip(
+                        corpus.source[rows].tolist(),
+                        corpus.language[rows].tolist(),
+                        corpus.text.strings(lo, hi),
+                        day[rows].tolist(),
+                        hh[rows].tolist(),
+                        mm[rows].tolist(),
+                        ss[rows].tolist(),
+                        corpus.tweet_id.strings(lo, hi),
+                        corpus.user[rows].tolist(),
+                    )
+                )
+            )
 
 
 def select_cohort(records: Iterable[TweetRecord] | Corpus, spec: CohortSpec) -> set[str]:

@@ -3,15 +3,21 @@
 These are the loops the package ran before it stored tweets as NumPy columns
 (:mod:`tweetdyn.corpus`). They walk a list of :class:`TweetRecord` once per
 call and classify each tweet on its own, so they are slow but easy to check
-by eye. ``test_corpus.py`` requires each kernel to agree with them exactly.
+by eye. ``test_corpus.py`` requires each kernel to agree with them exactly,
+and ``test_ingest.py`` requires the columnar ``ingest`` to agree with the row
+loop at the end of this file.
 """
 
+import csv
+import enum
+import json
 from collections import Counter
+from datetime import datetime
 
 import numpy as np
 
 from tweetdyn.graphs import WeightedGraph
-from tweetdyn.ingest import TweetCategory, categorize
+from tweetdyn.ingest import ColumnMap, IngestError, ParseReport, TweetRecord
 from tweetdyn.strategy import (
     ALPHABET,
     DEFAULT_PARTITION,
@@ -20,6 +26,23 @@ from tweetdyn.strategy import (
 )
 from tweetdyn.timeseries import CountSeries
 from tweetdyn.topic import Document, tokenize
+
+class TweetCategory(enum.Enum):
+    ORIGINAL = "original"
+    SPREADING = "spreading"
+    AMPLIFYING = "amplifying"
+
+
+def categorize(record, campaign_users):
+    """Category of one tweet relative to the campaign account set."""
+    if not campaign_users:
+        raise ValueError("campaign_users must be nonempty")
+    if not record.is_retweet:
+        return TweetCategory.ORIGINAL
+    if record.retweeted_user_id in campaign_users:
+        return TweetCategory.SPREADING
+    return TweetCategory.AMPLIFYING
+
 
 _CATEGORY_INDEX = {
     TweetCategory.ORIGINAL: 0,
@@ -152,3 +175,136 @@ def build_documents(records, users, window):
         if tokens:
             docs.append(Document(user_id=user_id, text=text, tokens=tuple(tokens)))
     return docs
+
+
+# ------------------------------------------------------------------ ingest
+# One frozen TweetRecord per row, the reject reason read off the error text,
+# a sort of the records and one json.dumps per row.
+
+_TRUE_STRINGS = {"true", "t", "1", "yes"}
+_FALSE_STRINGS = {"false", "f", "0", "no"}
+_TIME_FORMATS = ("%Y-%m-%d %H:%M", "%Y-%m-%d %H:%M:%S", "%m/%d/%Y %H:%M")
+
+
+def _parse_timestamp(raw):
+    raw = raw.strip()
+    try:
+        return datetime.fromisoformat(raw)
+    except ValueError:
+        pass
+    for fmt in _TIME_FORMATS:
+        try:
+            return datetime.strptime(raw, fmt)
+        except ValueError:
+            continue
+    raise ValueError(f"unparseable timestamp {raw!r}")
+
+
+def _parse_bool(raw):
+    if isinstance(raw, bool):
+        return raw
+    text = str(raw).strip().lower()
+    if text in _TRUE_STRINGS:
+        return True
+    if text in _FALSE_STRINGS:
+        return False
+    raise ValueError(f"unparseable boolean {raw!r}")
+
+
+def _row_to_record(row, columns):
+    missing = [c for c in columns.required() if row.get(c) is None]
+    if missing:
+        raise ValueError(f"missing fields {missing}")
+    is_retweet = _parse_bool(row[columns.is_retweet])
+    raw_source = row.get(columns.retweeted_user_id)
+    source = str(raw_source).strip() if raw_source not in (None, "") else None
+    return TweetRecord(
+        tweet_id=str(row[columns.tweet_id]).strip(),
+        user_id=str(row[columns.user_id]).strip(),
+        timestamp=_parse_timestamp(str(row[columns.timestamp])),
+        language=str(row[columns.language]).strip(),
+        is_retweet=is_retweet,
+        retweeted_user_id=source,
+        text=str(row[columns.text]),
+    )
+
+
+def _iter_rows(path, fmt, columns):
+    if fmt == "csv":
+        with path.open(newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            header = reader.fieldnames or []
+            missing = [c for c in columns.required() if c not in header]
+            if missing:
+                raise IngestError(f"{path}: missing required columns {missing}")
+            yield from reader
+    elif fmt == "jsonl":
+        with path.open(encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    row = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    yield {"__bad_json__": f"line {line_no}: {exc.msg}"}
+                    continue
+                if not isinstance(row, dict):
+                    yield {"__bad_json__": f"line {line_no}: not an object"}
+                    continue
+                yield row
+    else:
+        raise IngestError(f"unknown format {fmt!r} (use 'csv' or 'jsonl')")
+
+
+def _reason_of(exc):
+    msg = str(exc)
+    if "timestamp" in msg:
+        return "bad_timestamp"
+    if "boolean" in msg:
+        return "bad_retweet_flag"
+    if "missing fields" in msg:
+        return "missing_field"
+    if "retweet without source" in msg:
+        return "retweet_without_source"
+    if "source user on a non-retweet" in msg:
+        return "source_on_non_retweet"
+    return "invalid_row"
+
+
+def parse_records(path, fmt="csv", columns=None):
+    columns = columns or ColumnMap()
+    report = ParseReport()
+    records = []
+    for row in _iter_rows(path, fmt, columns):
+        report.total_rows += 1
+        if "__bad_json__" in row:
+            report.reject("bad_json")
+            continue
+        try:
+            records.append(_row_to_record(row, columns))
+        except ValueError as exc:
+            report.reject(_reason_of(exc))
+            continue
+        report.accepted += 1
+    return records, report
+
+
+def ingest_order(records):
+    """The records in the order ``ingest`` writes them."""
+    return sorted(records, key=lambda r: (r.timestamp, r.tweet_id))
+
+
+def write_records(records, path):
+    with path.open("w", encoding="utf-8") as fh:
+        for rec in records:
+            row = {
+                "tweetid": rec.tweet_id,
+                "userid": rec.user_id,
+                "tweet_time": rec.timestamp.strftime("%Y-%m-%d %H:%M:%S"),
+                "tweet_language": rec.language,
+                "is_retweet": "true" if rec.is_retweet else "false",
+                "retweet_userid": rec.retweeted_user_id or "",
+                "tweet_text": rec.text,
+            }
+            fh.write(json.dumps(row, sort_keys=True) + "\n")

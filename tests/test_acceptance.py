@@ -20,7 +20,7 @@ import pytest
 from tweetdyn.cli import RunConfig, main
 from tweetdyn.compare import adjusted_rand_index
 from tweetdyn.graphs import modularity_communities
-from tweetdyn.ingest import parse_records, retweet_network
+from tweetdyn.ingest import merge_parts, parse_records, retweet_network
 from tweetdyn.spectral import denoise, dft, dominant_period, kmedoids, pca_embed, spectra_matrix
 from tweetdyn.strategy import SymbolDistribution, chi_square_shift, shift_critical_value, symbol_distribution
 from tweetdyn.synth import (
@@ -323,28 +323,25 @@ def test_criterion_9_real_corpus_checks(capsys):
     root = Path(data)
     paths = sorted(root.glob("*.csv")) if root.is_dir() else [root]
     assert paths, f"no CSV tables under {root}"
-    records = []
-    for p in paths:
-        part, _ = parse_records(p, fmt="csv")
-        records.extend(part)
+    corpus = merge_parts([parse_records(p, fmt="csv")[0] for p in paths])
     config = RunConfig()
-    users = {r.user_id for r in records}
+    users = corpus.authors()
 
     from tweetdyn.cli import resolve_cohort
 
-    pre_cohort = resolve_cohort(records, config, config.pre_window)
-    post_cohort = resolve_cohort(records, config, config.post_window)
-    network = retweet_network(records, users)
+    pre_cohort = resolve_cohort(corpus, config, config.pre_window)
+    post_cohort = resolve_cohort(corpus, config, config.post_window)
+    network = retweet_network(corpus, users)
     parts, q = modularity_communities(network)
 
     from tweetdyn.timeseries import daily_counts
 
-    acc = accumulate(daily_counts(records, config.bulk_window))
+    acc = accumulate(daily_counts(corpus, config.bulk_window))
     fit1 = fit_segment(acc, config.model1_range, config.model1_t0)
     fit2 = fit_segment(acc, config.model2_range, config.model2_t0)
 
     checks = {
-        "total tweets 8768633": len(records) == 8_768_633,
+        "total tweets 8768633": len(corpus) == 8_768_633,
         "users 3116": len(users) == 3_116,
         "pre cohort 24": len(pre_cohort) == 24,
         "post cohort 117": len(post_cohort) == 117,

@@ -10,9 +10,10 @@ from pathlib import Path
 import pytest
 
 import tweetdyn
+from tweet_tables import write_csv
 from tweetdyn.cli import load_config, main
 from tweetdyn.compare import adjusted_rand_index
-from tweetdyn.ingest import ColumnMap, parse_records, write_records
+from tweetdyn.ingest import ColumnMap, parse_records
 
 SMALL_CONFIG = {
     "bulk_window": ["2016-03-01", "2016-06-01"],
@@ -327,9 +328,9 @@ class TestRemappedColumns:
             tweet_id="id", user_id="author", timestamp="when", language="lang",
             is_retweet="rt", retweeted_user_id="rt_author", text="body",
         )
-        records, _ = parse_records(pipeline_dir / "records.jsonl", fmt="jsonl")
+        corpus, _ = parse_records(pipeline_dir / "records.jsonl", fmt="jsonl")
         table = tmp_path / "renamed.csv"
-        write_records(records, table, fmt="csv", columns=columns)
+        write_csv(corpus, table, columns)
         config = tmp_path / "remapped.json"
         config.write_text(json.dumps({**SMALL_CONFIG, "column_map": vars(columns)}))
         argv = ["--config", str(config), "--out", str(tmp_path / "out")]

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_loops as ref
+from tweet_tables import arrays_of
 from tweetdyn.cli import main
 from tweetdyn.corpus import Corpus, CorpusError, file_sha256
 from tweetdyn.ingest import CohortSpec, TweetRecord, retweet_network, select_cohort, write_records
@@ -140,17 +141,6 @@ class TestKernelsMatchReferenceLoops:
             assert got.edges == want.edges
 
 
-def _columns(corpus):
-    return {
-        "account_ids": corpus.account_ids,
-        "language_ids": corpus.language_ids,
-        **{
-            name: getattr(corpus, name).tolist()
-            for name in ("user", "source", "timestamp_us", "language", "day", "tweet_id", "text")
-        },
-    }
-
-
 class TestSidecarFile:
     @settings(max_examples=25)
     @given(records_st())
@@ -162,7 +152,7 @@ class TestSidecarFile:
             corpus.save(a, file_sha256(jsonl))
             corpus.save(b, file_sha256(jsonl))
             assert a.read_bytes() == b.read_bytes()
-            assert _columns(Corpus.load(a, jsonl)) == _columns(corpus)
+            assert arrays_of(Corpus.load(a, jsonl)) == arrays_of(corpus)
 
     def test_zip_members_carry_a_fixed_date(self, tmp_path):
         jsonl = tmp_path / "records.jsonl"

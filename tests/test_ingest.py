@@ -1,16 +1,25 @@
 """Parsing, categorization, cohorts, and the retweet network."""
 
+import csv
+import json
+import tempfile
 from datetime import date, datetime, timedelta, timezone
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_loops as ref
+from tweet_tables import arrays_of, fields_of, write_csv
+from tweetdyn.cli import main
+from tweetdyn.corpus import AMPLIFYING, ORIGINAL, SPREADING, Corpus
 from tweetdyn.ingest import (
     CohortSpec,
     ColumnMap,
     IngestError,
-    TweetCategory,
     TweetRecord,
-    categorize,
+    merge_parts,
     parse_records,
     retweet_network,
     select_cohort,
@@ -71,10 +80,11 @@ class TestParse:
                 '6,u6,2016-11-08 14:00,en,false,u9,source on original',
             ],
         )
-        records, report = parse_records(path, fmt="csv")
-        assert [r.tweet_id for r in records] == ["1", "2"]
-        assert records[0].timestamp == datetime(2016, 11, 8, 10, 21, tzinfo=timezone.utc)
-        assert records[1].is_retweet and records[1].retweeted_user_id == "u1"
+        corpus, report = parse_records(path, fmt="csv")
+        rows = fields_of(corpus)
+        assert rows["tweet_id"] == ["1", "2"]
+        assert rows["timestamp"][0] == datetime(2016, 11, 8, 10, 21, tzinfo=timezone.utc)
+        assert rows["is_retweet"][1] and rows["retweeted_user_id"][1] == "u1"
         assert report.total_rows == 6
         assert report.accepted == 2
         assert report.rejected == 4
@@ -108,9 +118,9 @@ class TestParse:
             tweet_id="id", user_id="who", timestamp="at", language="lang",
             is_retweet="rt", retweeted_user_id="src", text="body",
         )
-        records, report = parse_records(path, fmt="csv", columns=columns)
+        corpus, report = parse_records(path, fmt="csv", columns=columns)
         assert report.accepted == 1
-        assert records[0].user_id == "userA"
+        assert fields_of(corpus)["user_id"][0] == "userA"
 
     def test_jsonl_bad_lines_counted(self, tmp_path):
         path = tmp_path / "tweets.jsonl"
@@ -120,10 +130,38 @@ class TestParse:
             "this is not json\n"
             '{"tweetid":"2","userid":"u2"}\n'
         )
-        records, report = parse_records(path, fmt="jsonl")
-        assert len(records) == 1
+        corpus, report = parse_records(path, fmt="jsonl")
+        assert len(corpus) == 1
         assert report.reasons["bad_json"] == 1
         assert report.reasons["missing_field"] == 1
+
+    def test_timestamp_outside_utc_range_rejects_only_its_row(self, tmp_path):
+        path = _write_csv(
+            tmp_path,
+            [
+                "1,u1,2016-11-08 10:21,en,false,,kept",
+                "2,u2,0001-01-01 00:30:00+01:00,en,false,,before year 1 in UTC",
+                "3,u3,9999-12-31 23:59:59-01:00,en,false,,after year 9999 in UTC",
+            ],
+        )
+        corpus, report = parse_records(path, fmt="csv")
+        assert fields_of(corpus)["tweet_id"] == ["1"]
+        assert report.reasons == {"bad_timestamp": 2}
+        out = tmp_path / "out"
+        assert main(["ingest", "--input", str(path), "--format", "csv", "--out", str(out)]) == 0
+        doc = json.loads((out / "parse_report.json").read_text())
+        assert doc[str(path)]["reasons"] == {"bad_timestamp": 2}
+
+    def test_reason_names_the_failed_check_whatever_the_tweet_id(self, tmp_path):
+        path = _write_csv(
+            tmp_path,
+            [
+                "timestamp-7,u1,2016-11-08 10:21,en,true,,retweet without source",
+                "boolean-8,u2,2016-11-08 11:00,en,false,u1,source on original",
+            ],
+        )
+        _, report = parse_records(path, fmt="csv")
+        assert report.reasons == {"retweet_without_source": 1, "source_on_non_retweet": 1}
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     def test_round_trip_synthetic_corpus(self, tmp_path, fmt):
@@ -142,22 +180,26 @@ class TestParse:
         records, _ = generate_corpus(spec, window, seed=3)
         assert len(records) >= 10_000
         path = tmp_path / f"corpus.{fmt}"
-        write_records(records, path, fmt=fmt)
+        if fmt == "csv":
+            write_csv(Corpus.from_records(records), path)
+        else:
+            write_records(records, path)
         loaded, report = parse_records(path, fmt=fmt)
         assert report.rejected == 0
-        assert loaded == records
+        assert arrays_of(loaded) == arrays_of(Corpus.from_records(records))
 
 
 class TestCategorize:
     def test_three_categories(self):
         campaign = {"u1", "u2"}
-        assert categorize(_rec(1, "u1"), campaign) == TweetCategory.ORIGINAL
-        assert categorize(_rec(2, "u1", retweet_of="u2"), campaign) == TweetCategory.SPREADING
-        assert categorize(_rec(3, "u1", retweet_of="cnn"), campaign) == TweetCategory.AMPLIFYING
+        corpus = Corpus.from_records(
+            [_rec(1, "u1"), _rec(2, "u1", retweet_of="u2"), _rec(3, "u1", retweet_of="cnn")]
+        )
+        assert corpus.categories(campaign).tolist() == [ORIGINAL, SPREADING, AMPLIFYING]
 
     def test_empty_campaign_rejected(self):
         with pytest.raises(ValueError):
-            categorize(_rec(1), set())
+            Corpus.from_records([_rec(1)]).categories(set())
 
 
 class TestSelectCohort:
@@ -241,3 +283,200 @@ class TestRetweetNetwork:
     def test_empty_campaign_rejected(self):
         with pytest.raises(ValueError):
             retweet_network([], set())
+
+
+# --------------------------------------------- columnar ingest vs the row loop
+
+REMAPPED = ColumnMap(
+    tweet_id="id", user_id="who", timestamp="at", language="lang",
+    is_retweet="rt", retweeted_user_id="src", text="body",
+)
+# Shared by every table, so (timestamp, tweet id) twins occur within and
+# across files. Years below 1000 print unpadded through strftime.
+MOMENTS = [
+    datetime(2016, 3, 1, 12, 0),
+    datetime(2016, 3, 1, 12, 0, 0, 500),
+    datetime(2016, 3, 2, 0, 0),
+    datetime(5, 3, 4, 1, 2, 3),
+    datetime(999, 12, 31, 23, 59, 59, 999999),
+]
+OFFSETS = [
+    None,
+    timezone.utc,
+    timezone(timedelta(hours=3)),
+    timezone(timedelta(hours=-5, minutes=-30)),
+]
+TEXT_CHARS = list("ab Ж, é\"\n\t#@1")
+
+
+@st.composite
+def stamp_st(draw):
+    """A timestamp cell: ISO with or without zone and microseconds, or one of
+    the other accepted layouts, maybe padded. UTC times stay inside years
+    1-9999: the row loop aborts on anything else."""
+    moment = draw(st.sampled_from(MOMENTS))
+    layout = draw(st.sampled_from(["iso", "iso_t", "minutes", "us_date", "padded"]))
+    if layout == "minutes":
+        return moment.strftime("%Y-%m-%d %H:%M")
+    if layout == "us_date":
+        return moment.strftime("%m/%d/%Y %H:%M")
+    zoned = moment.replace(tzinfo=draw(st.sampled_from(OFFSETS)))
+    text = zoned.isoformat(sep="T" if layout == "iso_t" else " ")
+    return f"  {text} " if layout == "padded" else text
+
+
+# Cells by field, typed as a CSV reader or json.loads gives them. Small
+# pools, so rows share tweet ids. No value contains the words the row loop
+# read its reject reasons from.
+GOOD = {
+    "tweet_id": ["1", "2", "10", " 7 ", "é", "", "b"],
+    "user_id": ["u1", "u2", " u3 ", "ü4", ""],
+    "language": ["en", " ru ", "", "zz"],
+    "true": ["true", "T", " yes ", "1", "TRUE"],
+    "false": ["false", "f", "0", "no", " NO "],
+    "source": ["u1", "u2", " x9 ", "ü4"],
+    "no_source": ["", "  ", "\t"],
+}
+GOOD_JSON = {
+    "tweet_id": [3, 2.5, "\ud800", "\udfff1", "\U0001f600"],
+    "user_id": [42, "\ud800x"],
+    "language": [5],
+    "true": [True, 1],
+    "false": [False, 0],
+    "source": [5, "\ud83d"],
+    "no_source": [None],
+}
+BAD = {
+    "timestamp": ["not-a-time", "", "2016-13-01 00:00", "  "],
+    "is_retweet": ["maybe", "", "2"],
+}
+BAD_JSON = {
+    "tweet_id": [None],
+    "user_id": [None],
+    "timestamp": [None, 1478600460],
+    "language": [None],
+    "is_retweet": [None, 1.0, [1]],
+    "text": [None],
+}
+
+
+def _pick(draw, key, jsonl, good=GOOD, more=GOOD_JSON):
+    return draw(st.sampled_from(good.get(key, []) + (more.get(key, []) if jsonl else [])))
+
+
+@st.composite
+def row_st(draw, jsonl):
+    """One row as {field: cell}: mostly well formed, now and then with one
+    field spoiled; None stands for a JSON null."""
+    retweet = draw(st.booleans())
+    chars = TEXT_CHARS + ["\ud800"] if jsonl else TEXT_CHARS
+    row = {
+        "tweet_id": _pick(draw, "tweet_id", jsonl),
+        "user_id": _pick(draw, "user_id", jsonl),
+        "timestamp": draw(stamp_st()),
+        "language": _pick(draw, "language", jsonl),
+        "is_retweet": _pick(draw, "true" if retweet else "false", jsonl),
+        "retweeted_user_id": _pick(draw, "source" if retweet else "no_source", jsonl),
+        "text": draw(st.text(st.sampled_from(chars), max_size=8)),
+    }
+    if draw(st.integers(0, 3)) == 0:
+        field = draw(st.sampled_from(FIELDS))
+        if field == "retweeted_user_id":  # the flag and the source disagree
+            row[field] = _pick(draw, "no_source" if retweet else "source", jsonl)
+        elif BAD.get(field) or jsonl:
+            row[field] = _pick(draw, field, jsonl, BAD, BAD_JSON)
+    return row
+
+
+FIELDS = ("tweet_id", "user_id", "timestamp", "language", "is_retweet", "retweeted_user_id", "text")
+
+
+@st.composite
+def csv_table_st(draw, columns):
+    header = list(FIELDS)
+    if draw(st.booleans()):
+        header.remove("retweeted_user_id")  # rows flagged as retweets are then malformed
+    header = draw(st.permutations(header))
+    if draw(st.booleans()):  # a repeated name: the last cell wins
+        header.insert(draw(st.integers(0, len(header))), draw(st.sampled_from(header)))
+    lines = [[getattr(columns, f) for f in header]]
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["row"] * 5 + ["short", "long", "blank"]))
+        if kind == "blank":
+            lines.append([])
+            continue
+        row, spare = draw(row_st(False)), draw(row_st(False))
+        # Earlier copies of a repeated name get another row's cell.
+        cells = [
+            (row if f not in header[i + 1 :] else spare)[f] for i, f in enumerate(header)
+        ]
+        if kind == "short":
+            cells = cells[: draw(st.integers(1, len(cells) - 1))]
+        elif kind == "long":
+            cells.append("extra")
+        lines.append(cells)
+    return lines
+
+
+@st.composite
+def jsonl_table_st(draw, columns):
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["row"] * 5 + ["garbage", "blank"]))
+        if kind == "garbage":
+            lines.append(draw(st.sampled_from(["not json", "[1, 2]", "5", '"x"', "null", "{"])))
+        elif kind == "blank":
+            lines.append(draw(st.sampled_from(["", "   "])))
+        else:
+            row = draw(row_st(True))
+            if draw(st.integers(0, 5)) == 0:  # a missing key
+                del row[draw(st.sampled_from(FIELDS))]
+            lines.append(json.dumps({getattr(columns, f): v for f, v in row.items()}))
+    return lines
+
+
+@st.composite
+def tables_st(draw):
+    fmt = draw(st.sampled_from(["csv", "jsonl"]))
+    columns = draw(st.sampled_from([ColumnMap(), REMAPPED]))
+    table_st = csv_table_st(columns) if fmt == "csv" else jsonl_table_st(columns)
+    return fmt, columns, draw(st.lists(table_st, min_size=1, max_size=2))
+
+
+def _write_table(path, fmt, lines):
+    if fmt == "csv":
+        with path.open("w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(lines)
+    else:
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+
+
+class TestColumnarIngestMatchesRowLoop:
+    """parse_records + merge_parts + write_records against the row loop in
+    ``reference_loops``: same records.jsonl bytes, parse reports and columns."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(tables_st())
+    def test_same_records_reports_and_columns(self, tables):
+        fmt, columns, files = tables
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = []
+            for i, lines in enumerate(files):
+                paths.append(Path(tmp, f"part{i}.{fmt}"))
+                _write_table(paths[-1], fmt, lines)
+            parts, reports, old_records, old_reports = [], [], [], []
+            for path in paths:
+                corpus, report = parse_records(path, fmt, columns)
+                parts.append(corpus)
+                reports.append(report.as_dict())
+                records, report = ref.parse_records(path, fmt, columns)
+                old_records.extend(records)
+                old_reports.append(report.as_dict())
+            merged = merge_parts(parts)
+            old_records = ref.ingest_order(old_records)
+            new_file, old_file = Path(tmp, "new.jsonl"), Path(tmp, "old.jsonl")
+            write_records(merged, new_file)
+            ref.write_records(old_records, old_file)
+            assert new_file.read_bytes() == old_file.read_bytes()
+            assert reports == old_reports
+            assert arrays_of(merged) == arrays_of(Corpus.from_records(old_records))
