@@ -6,6 +6,15 @@ positive. Determinism is pinned down by the tie-break: among merges with equal
 gain, take the pair whose (smallest vertex id, then smallest id of the other
 community's representative) sorts first. Vertex ids are compared as strings.
 
+The search follows Clauset, Newman & Moore ("Finding community structure in
+very large networks", Phys. Rev. E 70, 066111, 2004). Each community keeps a
+map of its adjacent communities' weights, and one heap holds
+``(-gain, a, b)`` with ``a < b``, so the heap order is the tie-break above. A
+merge folds the absorbed community's map into the kept one and pushes the kept
+community's pairs afresh; an entry whose community merged away or whose gain
+has changed since it was pushed is dropped when popped. Weights and gains are
+the same sums and products, float for float, as a full rescan would compute.
+
 Modularity of a partition of graph G with symmetric weights A:
 
     Q = sum_c [ w_in(c) / (2m) - (deg(c) / (2m))^2 ]
@@ -16,6 +25,7 @@ orientations, and ``deg(c)`` sums member degrees.
 
 from __future__ import annotations
 
+import heapq
 import logging
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -94,25 +104,27 @@ class WeightedGraph:
 def modularity(graph: WeightedGraph, partition: Sequence[Iterable[str]]) -> float:
     """Modularity Q of a partition; requires an exact cover of the vertices."""
     groups = [frozenset(part) for part in partition]
-    seen: set[str] = set()
-    for g in groups:
-        if g & seen:
-            raise ValueError("partition parts overlap")
-        seen |= g
-    if seen != set(graph.vertices):
+    part_of: dict[str, int] = {}
+    for p, g in enumerate(groups):
+        for v in g:
+            if v in part_of:
+                raise ValueError("partition parts overlap")
+            part_of[v] = p
+    if part_of.keys() != set(graph.vertices):
         raise ValueError("partition does not cover the vertex set exactly")
     two_m = 2.0 * graph.total_weight
     if two_m == 0:
         return 0.0
     deg = graph.degrees()
+    w_in = [0.0] * len(groups)
+    for (u, v), w in graph.edges.items():
+        p = part_of[u]
+        if p == part_of[v]:
+            w_in[p] += 2.0 * w
     q = 0.0
-    for g in groups:
-        w_in = 0.0
-        for (u, v), w in graph.edges.items():
-            if u in g and v in g:
-                w_in += 2.0 * w
+    for g, w in zip(groups, w_in):
         d = sum(deg[u] for u in g)
-        q += w_in / two_m - (d / two_m) ** 2
+        q += w / two_m - (d / two_m) ** 2
     return q
 
 
@@ -133,39 +145,39 @@ def modularity_communities(
     two_m = 2.0 * graph.total_weight
     deg = graph.degrees()
 
-    # Community state: representative id -> members / summed degree.
+    # Community state, keyed by representative id: members, summed degree and
+    # the weight to every adjacent community.
     members: dict[str, set[str]] = {v: {v} for v in graph.vertices}
     comm_deg: dict[str, float] = {v: deg[v] for v in graph.vertices}
-    # Between-community weights, keyed by representative pair (sorted).
-    between: dict[tuple[str, str], float] = {}
+    between: dict[str, dict[str, float]] = {v: {} for v in graph.vertices}
     for (u, v), w in graph.edges.items():
-        between[_edge_key(u, v)] = w
+        between[u][v] = between[v][u] = w
 
-    while True:
-        best_gain = 0.0
-        best_pair: tuple[str, str] | None = None
-        for (a, b), w in between.items():
-            gain = 2.0 * (w / two_m - (comm_deg[a] / two_m) * (comm_deg[b] / two_m))
-            if gain > best_gain or (
-                gain == best_gain and best_pair is not None and (a, b) < best_pair
-            ):
-                if gain > 0.0:
-                    best_gain = gain
-                    best_pair = (a, b)
-        if best_pair is None:
-            break
-        a, b = best_pair  # a < b; the merged community keeps representative a
+    def gain(a: str, b: str) -> float:
+        w = between[a][b]
+        return 2.0 * (w / two_m - (comm_deg[a] / two_m) * (comm_deg[b] / two_m))
+
+    # (-gain, a, b) with a < b for every pair with a positive gain; an entry
+    # is stale once a or b has merged away or the pair's gain has changed.
+    heap = [(-g, u, v) for u, v in graph.edges if (g := gain(u, v)) > 0.0]
+    heapq.heapify(heap)
+    while heap:
+        neg_gain, a, b = heapq.heappop(heap)
+        if a not in members or b not in members or gain(a, b) != -neg_gain:
+            continue
+        # a < b; the merged community keeps representative a
         members[a] |= members.pop(b)
         comm_deg[a] += comm_deg.pop(b)
-        merged: dict[tuple[str, str], float] = {}
-        for (x, y), w in between.items():
-            x = a if x == b else x
-            y = a if y == b else y
-            if x == y:
-                continue
-            key = _edge_key(x, y)
-            merged[key] = merged.get(key, 0.0) + w
-        between = merged
+        near_a, near_b = between[a], between.pop(b)
+        del near_a[b], near_b[a]
+        for x, w in near_b.items():
+            near_x = between[x]
+            del near_x[b]
+            near_x[a] = near_a[x] = near_a[x] + w if x in near_a else w
+        for x in near_a:
+            lo, hi = (a, x) if a < x else (x, a)
+            if (g := gain(lo, hi)) > 0.0:
+                heapq.heappush(heap, (-g, lo, hi))
 
     partition = sorted(
         (frozenset(m) for m in members.values()), key=lambda g: min(g)

@@ -176,39 +176,55 @@ def _parse_bool(raw: object) -> bool | None:
     return _BOOLS.get(str(raw).strip().lower())
 
 
-def _csv_rows(path: Path, fields: tuple[str, ...]) -> Iterator[tuple]:
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        missing = [c for c in fields[:-1] if c not in header]
-        if missing:
-            raise IngestError(f"{path}: missing required columns {missing}")
-        width = len(header)
-        # A repeated column name reads its last cell, and a cell a short row
-        # lacks reads None; slot ``width`` is None for an absent source column.
-        last = {name: i for i, name in enumerate(header)}
-        pick = itemgetter(*(last.get(name, width) for name in fields))
-        for row in reader:
-            if not row:  # a blank line
-                continue
-            if len(row) != width:
-                row = row[:width] + [None] * (width - len(row))
-            row.append(None)
-            yield pick(row)
+def _escaped(text: str) -> bool:
+    """Whether ``text`` holds a byte that the ``surrogateescape`` handler
+    escaped; text decoded from UTF-8 holds no other lone surrogate."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return True
+    return False
 
 
-def _jsonl_rows(path: Path, fields: tuple[str, ...]) -> Iterator[tuple | None]:
-    """Each line's fields; None for a line that is no JSON object."""
-    with path.open(encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError:
-                row = None
-            yield tuple(map(row.get, fields)) if isinstance(row, dict) else None
+def _csv_rows(fh, path: Path, fields: tuple[str, ...], check: bool) -> Iterator[tuple | str]:
+    reader = csv.reader(fh)
+    header = next(reader, [])
+    missing = [c for c in fields[:-1] if c not in header]
+    if missing:
+        raise IngestError(f"{path}: missing required columns {missing}")
+    width = len(header)
+    # A repeated column name reads its last cell, and a cell a short row
+    # lacks reads None; slot ``width`` is None for an absent source column.
+    last = {name: i for i, name in enumerate(header)}
+    pick = itemgetter(*(last.get(name, width) for name in fields))
+    for row in reader:
+        if not row:  # a blank line
+            continue
+        if check and _escaped("".join(row)):
+            yield "bad_encoding"
+            continue
+        if len(row) != width:
+            row = row[:width] + [None] * (width - len(row))
+        row.append(None)
+        yield pick(row)
+
+
+def _jsonl_rows(fh, path: Path, fields: tuple[str, ...], check: bool) -> Iterator[tuple | str]:
+    """Each line's fields, or the reason a line is no JSON object."""
+    for line in fh:
+        line = line.strip()
+        if not line:
+            continue
+        if check and _escaped(line):
+            yield "bad_encoding"
+            continue
+        try:
+            row = json.loads(line)
+        except (ValueError, RecursionError):
+            # a JSONDecodeError, an integer literal over Python's digit
+            # limit, or nesting deeper than the interpreter's stack
+            row = None
+        yield tuple(map(row.get, fields)) if isinstance(row, dict) else "bad_json"
 
 
 def parse_records(
@@ -219,10 +235,12 @@ def parse_records(
     """Parse one file of tweets into a :class:`Corpus`, rows in file order
     with full-microsecond UTC timestamps.
 
-    Malformed rows (bad timestamp, bad boolean, missing field, retweet flag
+    Malformed rows (a byte that is not UTF-8, a JSONL line that is no JSON
+    object, missing field, bad boolean, bad timestamp, retweet flag
     inconsistent with the source-user column) are skipped and tallied in the
     report under the first check they fail, in that order; a missing CSV
-    column or unreadable file raises :class:`IngestError`.
+    column, an unreadable file or a byte that is not UTF-8 in a stream that
+    cannot be rewound (a pipe) raises :class:`IngestError`.
     """
     path = Path(path)
     if not path.exists():
@@ -231,13 +249,30 @@ def parse_records(
         raise IngestError(f"unknown format {fmt!r} (use 'csv' or 'jsonl')")
     columns = columns or ColumnMap()
     fields = (*columns.required(), columns.retweeted_user_id)
+    read = _READERS[fmt]
+    with path.open(newline="", encoding="utf-8") as fh:
+        try:
+            return _parse_rows(read(fh, path, fields, False), path)
+        except UnicodeDecodeError as exc:
+            # Parse the file again from the start, with each byte that is
+            # not UTF-8 escaped and the rows that hold one rejected. Clean
+            # input pays nothing for this; a pipe cannot be read again.
+            if not fh.seekable():
+                raise IngestError(f"{path}: {exc}; the stream cannot be read again") from None
+            fh.seek(0)
+            fh.reconfigure(errors="surrogateescape")
+            return _parse_rows(read(fh, path, fields, True), path)
+
+
+def _parse_rows(rows: Iterable[tuple | str], path: Path) -> tuple[Corpus, ParseReport]:
+    """The columns of a reader's accepted rows, and the report on them all."""
     report = ParseReport()
     reject = report.reject
     tweet_id, user, source, timestamp_us, language, text = ([] for _ in range(6))
-    for row in _READERS[fmt](path, fields):
+    for row in rows:
         report.total_rows += 1
-        if row is None:
-            reject("bad_json")
+        if row.__class__ is str:  # the reason the reader rejected the row
+            reject(row)
             continue
         tid, uid, stamp, lang, flag, body, src = row
         if None in (tid, uid, stamp, lang, flag, body):

@@ -317,8 +317,15 @@ def kmedoids(
     does not depend on input order. Each restart seeds distinct initial
     medoids, alternates assignment and per-cluster medoid updates to
     convergence, then applies swap descent until no single medoid swap lowers
-    the summed distance. The best restart wins; ties prefer the smaller
-    medoid id tuple. Labels are 1-based, numbered by medoid canonical order.
+    the summed distance by more than 1e-12. Each descent step takes the
+    cheapest swap, the earliest medoid slot and then the earliest candidate
+    on ties. It prices all candidates for a slot in one array operation: with
+    each point's distance to the nearest medoid other than that slot (from
+    the nearest and second-nearest medoid, after Schubert & Rousseeuw,
+    "Faster k-Medoids Clustering", arXiv:1810.05691), a candidate's cost is
+    its distance row clipped by those distances and summed. The best restart
+    wins; ties prefer the smaller medoid id tuple. Labels are 1-based,
+    numbered by medoid canonical order.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or len(pts) == 0:
@@ -367,22 +374,31 @@ def kmedoids(
             if new_medoids == medoids:
                 break
             medoids = new_medoids
-        # swap descent
+        # swap descent: for each medoid slot, every candidate at once
         improved = True
         while improved:
             improved = False
             cost = _total_cost(dist, medoids)
+            # each point's nearest medoid slot, its distance and the second
+            sub = dist[:, medoids]
+            nearest = np.argmin(sub, axis=1)
+            d1 = sub[np.arange(n), nearest]
+            sub[np.arange(n), nearest] = np.inf
+            d2 = sub.min(axis=1)
+            is_medoid = np.zeros(n, dtype=bool)
+            is_medoid[medoids] = True
             best_swap: tuple[float, int, int] | None = None
-            for mi, m in enumerate(medoids):
-                for c in range(n):
-                    if c in medoids:
-                        continue
-                    trial = medoids[:mi] + [c] + medoids[mi + 1 :]
-                    trial_cost = _total_cost(dist, trial)
-                    if trial_cost < cost - 1e-12 and (
-                        best_swap is None or trial_cost < best_swap[0]
-                    ):
-                        best_swap = (trial_cost, mi, c)
+            for mi in range(k):
+                # distance to the nearest medoid other than slot mi
+                dmin = np.where(nearest == mi, d2, d1)
+                trial_costs = np.minimum(dist, dmin[None, :]).sum(axis=1)
+                trial_costs[is_medoid] = np.inf
+                c = int(np.argmin(trial_costs))
+                trial_cost = float(trial_costs[c])
+                if trial_cost < cost - 1e-12 and (
+                    best_swap is None or trial_cost < best_swap[0]
+                ):
+                    best_swap = (trial_cost, mi, c)
             if best_swap is not None:
                 _, mi, c = best_swap
                 medoids[mi] = c

@@ -314,18 +314,16 @@ def similarity_graph(matrix: TermUserMatrix, k: int = 10) -> WeightedGraph:
     n = len(users)
     if n < 2:
         return WeightedGraph.from_edges({}, extra_vertices=users)
-    bounds = np.empty(n)
-    for i in range(n):
-        row = np.delete(sim[i], i)
-        kth = min(k, len(row))
-        bounds[i] = np.sort(row)[::-1][kth - 1]
-    np.fill_diagonal(sim, 0.0)
-    edges: dict[tuple[str, str], float] = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            a = sim[i, j]
-            if a > 0 and a >= min(bounds[i], bounds[j]):
-                edges[(users[i], users[j])] = float(a)
+    kth = min(k, n - 1)
+    np.fill_diagonal(sim, -np.inf)  # sorts first, so it never sets a bound
+    bounds = np.partition(sim, n - kth, axis=1)[:, n - kth]
+    # Read sim[i, j] with i < j only: a BLAS product need not be symmetric.
+    keep = np.triu((sim > 0) & (sim >= np.minimum.outer(bounds, bounds)), 1)
+    rows, cols = np.nonzero(keep)
+    edges = {
+        (users[i], users[j]): a
+        for i, j, a in zip(rows.tolist(), cols.tolist(), sim[rows, cols].tolist())
+    }
     return WeightedGraph.from_edges(edges, extra_vertices=users)
 
 

@@ -1,11 +1,14 @@
-"""Per-record reference implementations of the columnar corpus kernels.
+"""Reference implementations of the package's fast kernels.
 
-These are the loops the package ran before it stored tweets as NumPy columns
+Most are the loops the package ran before it stored tweets as NumPy columns
 (:mod:`tweetdyn.corpus`). They walk a list of :class:`TweetRecord` once per
 call and classify each tweet on its own, so they are slow but easy to check
 by eye. ``test_corpus.py`` requires each kernel to agree with them exactly,
 and ``test_ingest.py`` requires the columnar ``ingest`` to agree with the row
-loop at the end of this file.
+loop. The last section holds the quadratic pairwise kernels that greedy
+modularity, k-medoids and the similarity graph replaced; ``test_graphs.py``,
+``test_spectral.py`` and ``test_topic.py`` require the same partitions,
+medoids, costs and edges, float for float.
 """
 
 import csv
@@ -18,6 +21,7 @@ import numpy as np
 
 from tweetdyn.graphs import WeightedGraph
 from tweetdyn.ingest import ColumnMap, IngestError, ParseReport, TweetRecord
+from tweetdyn.spectral import ClusterAssignment, _assign, _pairwise_distances, _total_cost
 from tweetdyn.strategy import (
     ALPHABET,
     DEFAULT_PARTITION,
@@ -308,3 +312,166 @@ def write_records(records, path):
                 "tweet_text": rec.text,
             }
             fh.write(json.dumps(row, sort_keys=True) + "\n")
+
+
+# ----------------------------------------------------------- pairwise kernels
+# Greedy modularity that rescans and rebuilds every inter-community weight on
+# each merge, Q summed part by part over all edges, k-medoids swap descent
+# that prices each (medoid, candidate) swap from scratch, and the similarity
+# graph built with a full sort per row and a loop over vertex pairs.
+
+
+def modularity(graph, partition):
+    groups = [frozenset(part) for part in partition]
+    seen = set()
+    for g in groups:
+        if g & seen:
+            raise ValueError("partition parts overlap")
+        seen |= g
+    if seen != set(graph.vertices):
+        raise ValueError("partition does not cover the vertex set exactly")
+    two_m = 2.0 * graph.total_weight
+    if two_m == 0:
+        return 0.0
+    deg = graph.degrees()
+    q = 0.0
+    for g in groups:
+        w_in = 0.0
+        for (u, v), w in graph.edges.items():
+            if u in g and v in g:
+                w_in += 2.0 * w
+        d = sum(deg[u] for u in g)
+        q += w_in / two_m - (d / two_m) ** 2
+    return q
+
+
+def _edge_key(u, v):
+    return (u, v) if u < v else (v, u)
+
+
+def modularity_communities(graph):
+    if graph.n_edges == 0:
+        return [frozenset([v]) for v in graph.vertices], 0.0
+    two_m = 2.0 * graph.total_weight
+    deg = graph.degrees()
+    members = {v: {v} for v in graph.vertices}
+    comm_deg = {v: deg[v] for v in graph.vertices}
+    between = {}
+    for (u, v), w in graph.edges.items():
+        between[_edge_key(u, v)] = w
+    while True:
+        best_gain = 0.0
+        best_pair = None
+        for (a, b), w in between.items():
+            gain = 2.0 * (w / two_m - (comm_deg[a] / two_m) * (comm_deg[b] / two_m))
+            if gain > best_gain or (
+                gain == best_gain and best_pair is not None and (a, b) < best_pair
+            ):
+                if gain > 0.0:
+                    best_gain = gain
+                    best_pair = (a, b)
+        if best_pair is None:
+            break
+        a, b = best_pair
+        members[a] |= members.pop(b)
+        comm_deg[a] += comm_deg.pop(b)
+        merged = {}
+        for (x, y), w in between.items():
+            x = a if x == b else x
+            y = a if y == b else y
+            if x == y:
+                continue
+            key = _edge_key(x, y)
+            merged[key] = merged.get(key, 0.0) + w
+        between = merged
+    partition = sorted((frozenset(m) for m in members.values()), key=lambda g: min(g))
+    return partition, modularity(graph, partition)
+
+
+def kmedoids(points, ids, k=4, seed=0, restarts=10):
+    pts = np.asarray(points, dtype=np.float64)
+    n = len(pts)
+    order = sorted(range(n), key=lambda i: (tuple(pts[i]), ids[i]))
+    pts = pts[order]
+    sorted_ids = [ids[i] for i in order]
+    dist = _pairwise_distances(pts)
+    seen = {}
+    for i, row in enumerate(pts):
+        seen.setdefault(tuple(row), i)
+    candidates = np.array(sorted(seen.values()))
+    rng = np.random.default_rng(seed)
+    best = None
+    for _ in range(restarts):
+        medoids = sorted(rng.choice(candidates, size=k, replace=False).tolist())
+        for _ in range(200):
+            labels = _assign(dist, medoids)
+            new_medoids = []
+            for c in range(k):
+                members = np.flatnonzero(labels == c)
+                if len(members) == 0:
+                    new_medoids.append(medoids[c])
+                    continue
+                within = dist[np.ix_(members, members)].sum(axis=1)
+                new_medoids.append(int(members[np.argmin(within)]))
+            new_medoids = sorted(set(new_medoids))
+            while len(new_medoids) < k:
+                spare = [c for c in candidates if c not in new_medoids]
+                far = max(spare, key=lambda i: dist[i, new_medoids].min())
+                new_medoids.append(int(far))
+                new_medoids.sort()
+            if new_medoids == medoids:
+                break
+            medoids = new_medoids
+        improved = True
+        while improved:
+            improved = False
+            cost = _total_cost(dist, medoids)
+            best_swap = None
+            for mi, m in enumerate(medoids):
+                for c in range(n):
+                    if c in medoids:
+                        continue
+                    trial = medoids[:mi] + [c] + medoids[mi + 1 :]
+                    trial_cost = _total_cost(dist, trial)
+                    if trial_cost < cost - 1e-12 and (
+                        best_swap is None or trial_cost < best_swap[0]
+                    ):
+                        best_swap = (trial_cost, mi, c)
+            if best_swap is not None:
+                _, mi, c = best_swap
+                medoids[mi] = c
+                medoids.sort()
+                improved = True
+        cost = _total_cost(dist, medoids)
+        key = (cost, tuple(sorted_ids[m] for m in sorted(medoids)))
+        if best is None or key < (best[0], best[1]):
+            best = (key[0], key[1], sorted(medoids))
+    cost, _, medoids = best
+    labels = _assign(dist, medoids)
+    return ClusterAssignment(
+        labels={sorted_ids[i]: int(labels[i]) + 1 for i in range(n)},
+        medoids=tuple(sorted_ids[m] for m in medoids),
+        cost=cost,
+    )
+
+
+def similarity_graph(matrix, k=10):
+    users = matrix.users
+    xn = matrix.normalized
+    sim = xn.T @ xn
+    n = len(users)
+    if n < 2:
+        return WeightedGraph.from_edges({}, extra_vertices=users)
+    bounds = np.empty(n)
+    for i in range(n):
+        row = np.delete(sim[i], i)
+        kth = min(k, len(row))
+        bounds[i] = np.sort(row)[::-1][kth - 1]
+    np.fill_diagonal(sim, 0.0)
+    edges = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            a = sim[i, j]
+            if a > 0 and a >= min(bounds[i], bounds[j]):
+                edges[(users[i], users[j])] = float(a)
+    return WeightedGraph.from_edges(edges, extra_vertices=users)

@@ -3,10 +3,12 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_loops as ref
 from tweetdyn.graphs import WeightedGraph, modularity, modularity_communities
 
 
@@ -172,3 +174,109 @@ class TestModularityCommunities:
         assert q >= singles - 1e-12
         # the partition is an exact cover
         assert sorted(u for part in partition for u in part) == sorted(g.vertices)
+
+
+@st.composite
+def graph_st(draw):
+    """A small graph: integer weights (many tied gains) or float weights,
+    maybe isolated vertices, maybe no edge at all."""
+    n = draw(st.integers(1, 12))
+    names = [f"v{i}" for i in range(n)]
+    weight = st.integers(1, 3) if draw(st.booleans()) else st.floats(0.01, 10.0)
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda p: p[0] != p[1]
+    )
+    edges = draw(st.dictionaries(pairs, weight, max_size=3 * n))
+    return WeightedGraph.from_edges(
+        {(names[u], names[v]): w for (u, v), w in edges.items()}, extra_vertices=names
+    )
+
+
+class TestMatchesQuadraticReference:
+    """The heap search and the one-pass Q against the loops they replaced
+    (``reference_loops``): the same partition and the same Q, bit for bit."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(graph_st())
+    def test_same_partition_and_q(self, graph):
+        partition, q = modularity_communities(graph)
+        old_partition, old_q = ref.modularity_communities(graph)
+        assert partition == old_partition
+        assert q.hex() == float(old_q).hex()
+
+    @settings(max_examples=200, deadline=None)
+    @given(graph_st(), st.randoms(use_true_random=False))
+    def test_same_q_of_any_partition(self, graph, rnd):
+        labels = [rnd.randrange(3) for _ in graph.vertices]
+        partition = [
+            {v for v, lab in zip(graph.vertices, labels) if lab == part}
+            for part in range(3)
+        ]
+        partition = [p for p in partition if p]
+        assert modularity(graph, partition).hex() == float(
+            ref.modularity(graph, partition)
+        ).hex()
+
+    def test_tie_break_on_equal_gains(self):
+        # a 6-cycle: every first merge has the same gain; the smallest pair wins
+        ring = _graph([(f"v{i}", f"v{(i + 1) % 6}", 1.0) for i in range(6)])
+        partition, _ = modularity_communities(ring)
+        assert partition == ref.modularity_communities(ring)[0]
+        assert frozenset({"v0", "v1"}) <= next(p for p in partition if "v0" in p)
+        # Later, a pair pushed again after a merge ties with an entry pushed
+        # before it; the smaller pair wins, not the older entry.
+        g = _graph([("v0", "v3", 1.0), ("v0", "v4", 1.0), ("v1", "v3", 1.0),
+                    ("v3", "v5", 1.0), ("v4", "v5", 1.0)])
+        partition, _ = modularity_communities(g)
+        assert partition == ref.modularity_communities(g)[0]
+        assert partition == [frozenset({"v0", "v4", "v5"}), frozenset({"v1", "v3"})]
+
+
+def _knn_graph(n, k, seed):
+    rng = np.random.default_rng(seed)
+    pts = rng.random((n, 2))
+    dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
+    np.fill_diagonal(dist, np.inf)
+    edges = {}
+    for i in range(n):
+        for j in np.argsort(dist[i])[:k]:
+            edges[tuple(sorted((f"n{i:03d}", f"n{int(j):03d}")))] = 1.0
+    return WeightedGraph.from_edges(edges)
+
+
+def _planted_graph(n_blocks, size, seed):
+    rng = np.random.default_rng(seed)
+    n = n_blocks * size
+    block = np.arange(n) // size
+    p = np.where(block[:, None] == block[None, :], 0.3, 0.005)
+    hits = np.triu(rng.random((n, n)) < p, 1)
+    return WeightedGraph.from_edges(
+        {(f"n{i:03d}", f"n{j:03d}"): 1.0 for i, j in zip(*np.nonzero(hits))}
+    )
+
+
+class TestAgainstNetworkx:
+    """Q of the greedy search against networkx's Clauset-Newman-Moore search
+    on 400-node graphs (networkx is optional and not a dependency). Both are
+    greedy and break ties differently, so on a 10-NN graph they may stop at
+    different partitions: on seed 2 this search ends 0.023 above networkx."""
+
+    def _nx_q(self, graph):
+        nx = pytest.importorskip("networkx")
+        g = nx.Graph()
+        g.add_nodes_from(graph.vertices)
+        g.add_weighted_edges_from((u, v, w) for (u, v), w in graph.edges.items())
+        parts = nx.community.greedy_modularity_communities(g, weight="weight")
+        return nx.community.modularity(g, parts, weight="weight")
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_knn_graph_not_below_networkx(self, seed):
+        graph = _knn_graph(400, 10, seed)
+        _, q = modularity_communities(graph)
+        assert q >= self._nx_q(graph) - 0.01
+
+    def test_planted_partition_equal(self):
+        graph = _planted_graph(4, 100, 0)
+        partition, q = modularity_communities(graph)
+        assert q == pytest.approx(self._nx_q(graph), abs=1e-9)
+        assert sorted(len(p) for p in partition) == [100] * 4

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import os
 import tempfile
 from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
@@ -134,6 +135,84 @@ class TestParse:
         assert len(corpus) == 1
         assert report.reasons["bad_json"] == 1
         assert report.reasons["missing_field"] == 1
+
+    def test_jsonl_huge_integer_and_deep_nesting_are_bad_json(self, tmp_path):
+        good = json.dumps(
+            {"tweetid": "1", "userid": "u1", "tweet_time": "2016-11-08 10:21",
+             "tweet_language": "en", "is_retweet": False, "retweet_userid": "",
+             "tweet_text": "ok"}
+        )
+        path = tmp_path / "tweets.jsonl"
+        path.write_text(
+            good + "\n"
+            + '{"tweetid": ' + "7" * 5000 + "}\n"  # over Python's 4,300-digit limit
+            + "[" * 100_000 + "\n"  # deeper than the interpreter's stack
+            + good.replace('"1"', '"2"') + "\n"
+        )
+        corpus, report = parse_records(path, fmt="jsonl")
+        assert fields_of(corpus)["tweet_id"] == ["1", "2"]
+        assert report.reasons == {"bad_json": 2}
+        out = tmp_path / "out"
+        assert main(["ingest", "--input", str(path), "--format", "jsonl", "--out", str(out)]) == 0
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_bytes_not_utf8_reject_only_their_row(self, tmp_path, fmt):
+        # The first bad byte lies past the reader's first buffers, so rows
+        # are read before the decode error; they must be neither lost nor
+        # counted twice, and a later bad byte rejects its row too.
+        cells = [
+            (str(i), f"u{i % 3}", "2016-11-08 10:21", "en", "false", "", f"Жж text {i}")
+            for i in range(1000)
+        ]
+        lines = []
+        for row in cells:
+            if fmt == "csv":
+                lines.append(",".join(row).encode())
+            else:
+                keys = ("tweetid", "userid", "tweet_time", "tweet_language",
+                        "is_retweet", "retweet_userid", "tweet_text")
+                lines.append(json.dumps(dict(zip(keys, row)), ensure_ascii=False).encode())
+        lines[500] = lines[500].replace("text".encode(), b"te\xffxt")
+        lines[900] = lines[900].replace("Жж".encode(), b"\xd0\xd0")
+        header = CSV_HEADER.encode() if fmt == "csv" else b""
+        path = tmp_path / f"tweets.{fmt}"
+        path.write_bytes(header + b"".join(line + b"\n" for line in lines))
+        assert path.read_bytes().index(b"\xff") > 16_384
+        corpus, report = parse_records(path, fmt=fmt)
+        assert fields_of(corpus)["tweet_id"] == [str(i) for i in range(1000) if i not in (500, 900)]
+        assert report.as_dict() == {
+            "total_rows": 1000, "accepted": 998, "rejected": 2, "reasons": {"bad_encoding": 2},
+        }
+        out = tmp_path / "out"
+        assert main(["ingest", "--input", str(path), "--format", fmt, "--out", str(out)]) == 0
+        doc = json.loads((out / "parse_report.json").read_text())
+        assert doc[str(path)]["reasons"] == {"bad_encoding": 2}
+
+    @pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="needs /dev/fd")
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_bytes_not_utf8_in_a_pipe_are_fatal(self, fmt):
+        # A pipe (what a shell's <(zcat ...) gives) cannot be rewound to read
+        # its rows again with the bad bytes escaped: opening it again would go
+        # on past what the first reader had buffered, so parsing must fail
+        # rather than drop rows. The bad byte lies past the first buffer.
+        good = {
+            "csv": b"1,u1,2016-11-08 10:21,en,false,,fine\n",
+            "jsonl": b'{"tweetid": "1", "userid": "u1", "tweet_time": "2016-11-08 10:21",'
+                     b' "tweet_language": "en", "is_retweet": "false", "retweet_userid": "",'
+                     b' "tweet_text": "fine"}\n',
+        }[fmt]
+        rows = good * (12_000 // len(good))
+        data = (CSV_HEADER.encode() if fmt == "csv" else b"") + rows
+        data += good.replace(b"fine", b"f\xffne") + rows
+        assert len(data) < 60_000  # fits a pipe's buffer, so no writer thread
+        read_end, write_end = os.pipe()
+        try:
+            os.write(write_end, data)
+            os.close(write_end)
+            with pytest.raises(IngestError, match="cannot be read again"):
+                parse_records(f"/dev/fd/{read_end}", fmt=fmt)
+        finally:
+            os.close(read_end)
 
     def test_timestamp_outside_utc_range_rejects_only_its_row(self, tmp_path):
         path = _write_csv(
@@ -435,6 +514,10 @@ def jsonl_table_st(draw, columns):
     return lines
 
 
+# Every table is UTF-8 and every JSON line is shallow with short numbers: the
+# row loop aborts on a byte that is not UTF-8 and on the ValueError or
+# RecursionError of an over-long integer or deep nesting, where ``ingest``
+# rejects the row (``TestParse`` covers both).
 @st.composite
 def tables_st(draw):
     fmt = draw(st.sampled_from(["csv", "jsonl"]))

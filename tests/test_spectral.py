@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_loops as ref
 from tweetdyn.spectral import (
     BandSummary,
     ClusterAssignment,
@@ -414,6 +415,68 @@ class TestKmedoids:
             kmedoids(pts, ["a", "a"], k=1)  # duplicate ids
         with pytest.raises(ValueError):
             kmedoids(pts, ["a", "b"], k=0)
+
+
+@st.composite
+def point_set_st(draw):
+    """Points with duplicates: integer grids (many tied distances and costs)
+    or floats; k anywhere from 1 to the number of distinct points."""
+    n = draw(st.integers(1, 16))
+    d = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        coord = st.integers(0, 3).map(float)
+    else:
+        coord = st.floats(-5.0, 5.0, allow_nan=False, width=32)
+    pts = np.array(draw(st.lists(st.lists(coord, min_size=d, max_size=d), min_size=n, max_size=n)))
+    if draw(st.booleans()):  # repeat some points
+        pts = np.vstack([pts, pts[: draw(st.integers(0, n))]])
+    distinct = len({tuple(row) for row in pts})
+    k = draw(st.sampled_from([1, distinct, draw(st.integers(1, distinct))]))
+    return pts, k
+
+
+class TestKmedoidsMatchesQuadraticReference:
+    """Swap descent that prices every candidate of a slot at once against
+    the loop that priced each swap from scratch (``reference_loops``)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(point_set_st(), st.integers(0, 3), st.integers(1, 4))
+    def test_same_labels_medoids_and_cost(self, case, seed, restarts):
+        pts, k = case
+        ids = [f"p{i:02d}" for i in range(len(pts))]
+        new = kmedoids(pts, ids, k=k, seed=seed, restarts=restarts)
+        old = ref.kmedoids(pts, ids, k=k, seed=seed, restarts=restarts)
+        assert new.labels == old.labels
+        assert new.medoids == old.medoids
+        assert new.cost.hex() == old.cost.hex()
+
+    @pytest.mark.parametrize("layout", ["gaussian", "grid"])
+    def test_more_points_than_one_row_block(self, layout):
+        # candidates are priced 64 rows at a time; 150 points span three blocks
+        if layout == "grid":
+            pts = np.array([[x, y] for x in range(10) for y in range(15)], dtype=float)
+        else:
+            pts = np.random.default_rng(3).normal(size=(150, 3))
+        ids = [f"p{i:03d}" for i in range(150)]
+        new = kmedoids(pts, ids, k=5, seed=1, restarts=2)
+        old = ref.kmedoids(pts, ids, k=5, seed=1, restarts=2)
+        assert new == old
+        assert new.cost.hex() == old.cost.hex()
+
+    def test_gain_below_margin_is_no_swap(self):
+        # 0.5 - 0.4 rounds to 3e-17 below 0.2 - 0.1, so trading medoid 0.4 for
+        # 0.2 would "gain" less than the 1e-12 margin
+        pts = np.array([[0.5], [0.4], [0.2], [0.1]])
+        result = kmedoids(pts, ["p0", "p1", "p2", "p3"], k=3, seed=0, restarts=1)
+        assert result.medoids == ("p3", "p1", "p0")
+        assert result.cost == 0.1
+
+    def test_k_equals_n(self):
+        pts = np.array([[0.0, 0], [1, 0], [0, 1], [3, 3]])
+        ids = list("abcd")
+        result = kmedoids(pts, ids, k=4, restarts=2)
+        assert result == ref.kmedoids(pts, ids, k=4, restarts=2)
+        assert result.cost == 0.0
 
 
 class TestBandSummary:

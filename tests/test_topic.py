@@ -10,9 +10,10 @@ import pytest
 import scipy.integrate
 import scipy.special
 import scipy.stats
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_loops as ref
 from tweetdyn.ingest import TweetRecord
 from tweetdyn.timeseries import DayWindow
 from tweetdyn.topic import (
@@ -312,6 +313,33 @@ class TestSimilarityGraph:
         m = self._matrix({"u1": [1.0], "u2": [1.0]})
         with pytest.raises(ValueError):
             similarity_graph(m, k=0)
+
+
+class TestSimilarityGraphMatchesLoop:
+    """The partitioned bounds and the upper-triangle mask against the per-row
+    sort and the pair loop (``reference_loops``): the same edges and floats."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 20),
+        st.integers(1, 6),
+        st.integers(1, 12),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_same_edges(self, n_users, n_terms, k, seed):
+        rng = np.random.default_rng(seed)
+        counts = rng.integers(0, 3, size=(n_terms, n_users))
+        counts[:, rng.random(n_users) < 0.2] = 0  # users with no keyword
+        m = TermUserMatrix(
+            terms=tuple(f"t{i}" for i in range(n_terms)),
+            users=tuple(f"u{i:02d}" for i in range(n_users)),
+            counts=counts,
+        )
+        new, old = similarity_graph(m, k=k), ref.similarity_graph(m, k=k)
+        assert new.vertices == old.vertices
+        assert [(e, w.hex()) for e, w in new.edges.items()] == [
+            (e, w.hex()) for e, w in old.edges.items()
+        ]
 
 
 class TestTopTerms:
