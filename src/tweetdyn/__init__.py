@@ -1,11 +1,11 @@
 """Dynamical analysis of coordinated-account tweet streams.
 
 Subpackages by pipeline stage: :mod:`~tweetdyn.corpus` (the normalized
-tweet table as NumPy columns), :mod:`~tweetdyn.ingest` (records, cohorts,
-retweet networks), :mod:`~tweetdyn.timeseries` (daily counts, detrending,
-segment fits), :mod:`~tweetdyn.strategy` (posting-mix simplex and symbol
-dynamics), :mod:`~tweetdyn.spectral` (rate spectra, PCA, k-medoids),
-:mod:`~tweetdyn.topic` (text keywords and similarity communities),
+tweet table as NumPy columns), :mod:`~tweetdyn.ingest` (tweet tables parsed
+into a corpus, cohorts, retweet networks), :mod:`~tweetdyn.timeseries` (daily
+counts, detrending, segment fits), :mod:`~tweetdyn.strategy` (posting-mix
+simplex and symbol dynamics), :mod:`~tweetdyn.spectral` (rate spectra, PCA,
+k-medoids), :mod:`~tweetdyn.topic` (text keywords and similarity communities),
 :mod:`~tweetdyn.compare` (cross-tabulating the two clusterings),
 :mod:`~tweetdyn.synth` (ground-truth generators), :mod:`~tweetdyn.cli`.
 """
@@ -28,7 +28,6 @@ from .corpus import Corpus  # noqa: F401
 from .ingest import (  # noqa: F401
     CohortSpec,
     ColumnMap,
-    TweetRecord,
     merge_parts,
     parse_records,
     retweet_network,
@@ -38,12 +37,8 @@ from .ingest import (  # noqa: F401
 from .graphs import WeightedGraph, modularity, modularity_communities  # noqa: F401
 from .strategy import (  # noqa: F401
     SimplexPartition,
-    StrategyPoint,
     SymbolDistribution,
     chi_square_shift,
-    strategy_vector,
-    symbol_distribution,
-    symbolize,
 )
 from .spectral import (  # noqa: F401
     ClusterAssignment,

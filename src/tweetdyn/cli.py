@@ -52,7 +52,7 @@ from typing import Any, Callable, Sequence, get_args, get_origin, get_type_hints
 import numpy as np
 
 from . import __version__, compare, spectral, strategy, synth, timeseries, topic
-from .corpus import Corpus, as_corpus, file_sha256
+from .corpus import Corpus, file_sha256
 from .ingest import (
     CohortSpec,
     ColumnMap,
@@ -308,9 +308,8 @@ def _load_corpus(outdir: Path) -> Corpus:
     return Corpus.load(outdir / CORPUS_FILE, outdir / RECORDS_FILE)
 
 
-def resolve_cohort(records, config: RunConfig, window: DayWindow) -> list[str]:
+def resolve_cohort(corpus: Corpus, config: RunConfig, window: DayWindow) -> list[str]:
     """Volume threshold over the bulk window AND regularity over ``window``."""
-    corpus = as_corpus(records)
     volume = select_cohort(
         corpus,
         CohortSpec(
@@ -686,8 +685,8 @@ def _demo_corpus_spec(config: RunConfig) -> synth.CorpusSpec:
 def cmd_synth(config: RunConfig, outdir: Path, kind: str = "corpus") -> list[str]:
     if kind == "corpus":
         spec = _demo_corpus_spec(config)
-        records, labels = synth.generate_corpus(spec, config.pre_window, config.seed)
-        write_records(records, outdir / RECORDS_FILE)
+        corpus, labels = synth.generate_corpus(spec, config.pre_window, config.seed)
+        write_records(corpus, outdir / RECORDS_FILE)
         write_json(outdir / LABELS_FILE, labels)
         return [RECORDS_FILE, LABELS_FILE]
     if kind == "series":
@@ -764,7 +763,7 @@ STAGES = (
     Stage("ingest", "parse raw tweet tables", cmd_ingest),
     Stage("counts", "daily count series", cmd_counts, windowed=True),
     Stage("changepoint", "fit the accumulation curve", cmd_changepoint),
-    Stage("strategy", "symbolized strategy dynamics", cmd_strategy),
+    Stage("strategy", "strategy symbol dynamics", cmd_strategy),
     Stage("spectra", "per-user rate spectra", cmd_spectra, windowed=True),
     Stage(
         "cluster-spectral", "PCA + k-medoids over spectra", cmd_cluster_spectral,

@@ -41,12 +41,6 @@ class CrossTab:
             raise ValueError("negative cell count")
         object.__setattr__(self, "cells", cells)
 
-    @property
-    def row_shares(self) -> np.ndarray:
-        totals = self.cells.sum(axis=1, keepdims=True).astype(np.float64)
-        safe = np.where(totals == 0, 1.0, totals)
-        return self.cells / safe
-
     def diversity(self) -> dict[int, dict[str, float]]:
         """Per spectral cluster: communities touched and row entropy in bits."""
         out: dict[int, dict[str, float]] = {}

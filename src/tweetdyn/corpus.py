@@ -25,7 +25,7 @@ import hashlib
 import io
 import zipfile
 from dataclasses import dataclass, field, replace
-from datetime import date, datetime, timedelta, timezone
+from datetime import date
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -34,13 +34,11 @@ import numpy as np
 
 FORMAT_VERSION = 1
 US_PER_DAY = 86_400_000_000
-_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
-_ONE_US = timedelta(microseconds=1)
 # Any fixed stamp works; np.savez would write the wall clock here.
 _ZIP_DATE = (1980, 1, 1, 0, 0, 0)
 
-# Category codes, in TweetCategory order.
+# Category codes of Corpus.categories.
 ORIGINAL, SPREADING, AMPLIFYING = 0, 1, 2
 
 
@@ -130,19 +128,6 @@ class Corpus:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "day", self.timestamp_us // US_PER_DAY + _EPOCH_ORDINAL)
-
-    @classmethod
-    def from_records(cls, records: Iterable) -> "Corpus":
-        """Columns of :class:`~tweetdyn.ingest.TweetRecord` rows, in order."""
-        records = list(records)
-        return cls.from_columns(
-            tweet_id=[r.tweet_id for r in records],
-            user=[r.user_id for r in records],
-            source=[r.retweeted_user_id if r.is_retweet else None for r in records],
-            timestamp_us=[(r.timestamp - _EPOCH) // _ONE_US for r in records],
-            language=[r.language for r in records],
-            text=[r.text for r in records],
-        )
 
     @classmethod
     def from_columns(
@@ -379,7 +364,3 @@ def _strings(a: dict[str, np.ndarray], name: str, n: int | None = None) -> Strin
         raise ValueError(f"{name}_offsets are not monotone")
     return StringColumn(blob=blob, offsets=offsets)
 
-
-def as_corpus(records) -> Corpus:
-    """The argument itself if it is a :class:`Corpus`, else its records' columns."""
-    return records if isinstance(records, Corpus) else Corpus.from_records(records)

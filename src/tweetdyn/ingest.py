@@ -36,7 +36,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, as_corpus
+from .corpus import Corpus
 from .graphs import WeightedGraph
 from .timeseries import DayWindow
 
@@ -59,34 +59,6 @@ _MIN_US = (datetime.min - _NAIVE_EPOCH) // _ONE_US
 _MAX_US = (datetime.max - _NAIVE_EPOCH) // _ONE_US
 _2D = [f"{i:02d}" for i in range(60)]
 _WRITE_BLOCK = 8192  # lines
-
-
-@dataclass(frozen=True)
-class TweetRecord:
-    """One normalized tweet."""
-
-    tweet_id: str
-    user_id: str
-    timestamp: datetime
-    language: str
-    is_retweet: bool
-    retweeted_user_id: str | None
-    text: str
-
-    def __post_init__(self) -> None:
-        if self.timestamp.tzinfo is None:
-            object.__setattr__(
-                self, "timestamp", self.timestamp.replace(tzinfo=timezone.utc)
-            )
-        else:
-            object.__setattr__(
-                self, "timestamp", self.timestamp.astimezone(timezone.utc)
-            )
-        # A retweet must name its source and an original must not.
-        if self.is_retweet and not self.retweeted_user_id:
-            raise ValueError(f"tweet {self.tweet_id}: retweet without source user")
-        if not self.is_retweet and self.retweeted_user_id:
-            raise ValueError(f"tweet {self.tweet_id}: source user on a non-retweet")
 
 
 @dataclass(frozen=True)
@@ -342,13 +314,12 @@ def merge_parts(parts: Sequence[Corpus]) -> Corpus:
     return corpus.select(by_id[np.argsort(corpus.timestamp_us[by_id], kind="stable")])
 
 
-def write_records(records: Iterable[TweetRecord] | Corpus, path: str | Path) -> None:
+def write_records(corpus: Corpus, path: str | Path) -> None:
     """Write the normalized ``records.jsonl`` that ``parse_records`` reads.
 
     Each row is the line ``json.dumps(row, sort_keys=True)`` would give, with
     the time in whole UTC seconds as ``strftime("%Y-%m-%d %H:%M:%S")`` writes it.
     """
-    corpus = as_corpus(records)
     quote = encode_basestring_ascii
     # Source code -> the line's opening; -1 (no retweet) is the last entry.
     head = [
@@ -390,7 +361,7 @@ def write_records(records: Iterable[TweetRecord] | Corpus, path: str | Path) -> 
             )
 
 
-def select_cohort(records: Iterable[TweetRecord] | Corpus, spec: CohortSpec) -> set[str]:
+def select_cohort(corpus: Corpus, spec: CohortSpec) -> set[str]:
     """Users meeting the volume and regularity thresholds inside the window.
 
     A user qualifies when, counting only their tweets inside the window (and
@@ -398,7 +369,6 @@ def select_cohort(records: Iterable[TweetRecord] | Corpus, spec: CohortSpec) -> 
     and (days with >= 1 tweet) / window length >= ``active_day_fraction``.
     An empty result is valid and logged.
     """
-    corpus = as_corpus(records)
     t, inside = corpus.window_offsets(spec.window)
     keep = inside & corpus.language_mask(spec.language)
     user, t = corpus.user[keep], t[keep]
@@ -416,19 +386,16 @@ def select_cohort(records: Iterable[TweetRecord] | Corpus, spec: CohortSpec) -> 
     return cohort
 
 
-def retweet_network(
-    records: Iterable[TweetRecord] | Corpus, campaign_users: set[str]
-) -> WeightedGraph:
+def retweet_network(corpus: Corpus, campaign_users: set[str]) -> WeightedGraph:
     """Member-to-member retweet graph.
 
-    Vertices are campaign users that appear in the records (as author or as
+    Vertices are campaign users that appear in the corpus (as author or as
     retweeted source of a member retweet); an edge weight counts the retweet
     events between the two accounts, direction ignored. Self-retweets and
     retweets of outside accounts contribute no edges.
     """
     if not campaign_users:
         raise ValueError("campaign_users must be nonempty")
-    corpus = as_corpus(records)
     ids = corpus.account_ids
     # One extra False slot so that source -1 (no retweet) indexes it.
     member = np.append(corpus.members(campaign_users), False)

@@ -24,7 +24,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -58,12 +58,6 @@ class Spectrum:
     @property
     def magnitudes(self) -> np.ndarray:
         return np.abs(self.bins)
-
-    def period_of_bin(self, k: int) -> float:
-        """Period in days represented by bin k (k >= 1)."""
-        if not 1 <= k < len(self.bins):
-            raise ValueError(f"bin {k} out of range 1..{len(self.bins) - 1}")
-        return self.n_samples / k
 
 
 @dataclass(frozen=True)

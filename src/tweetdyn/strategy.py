@@ -24,12 +24,11 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, as_corpus
-from .ingest import TweetRecord
+from .corpus import Corpus
 from .timeseries import DayWindow
 
 logger = logging.getLogger(__name__)
@@ -58,54 +57,6 @@ class SimplexPartition:
 
 
 DEFAULT_PARTITION = SimplexPartition()
-
-
-@dataclass(frozen=True)
-class StrategyPoint:
-    """Category mix for one user-day; components sum to 1."""
-
-    t: int
-    p: tuple[float, float, float]
-
-    def __post_init__(self) -> None:
-        if len(self.p) != 3 or any(c < 0 for c in self.p):
-            raise ValueError(f"bad simplex point {self.p}")
-        if abs(sum(self.p) - 1.0) > 1e-9:
-            raise ValueError(f"simplex point {self.p} does not sum to 1")
-
-
-def strategy_vector(category_counts: Sequence[float], t: int = 0) -> StrategyPoint:
-    """Normalize one day's (original, spreading, amplifying) counts."""
-    counts = np.asarray(category_counts, dtype=np.float64)
-    if counts.shape != (3,):
-        raise ValueError(f"need 3 category counts, got shape {counts.shape}")
-    total = counts.sum()
-    if total <= 0:
-        raise ValueError("no tweets on this day; strategy undefined")
-    p = counts / total
-    return StrategyPoint(t=t, p=(float(p[0]), float(p[1]), float(p[2])))
-
-
-def symbolize(
-    point: StrategyPoint | Sequence[float],
-    partition: SimplexPartition = DEFAULT_PARTITION,
-) -> str:
-    """Symbol A-G of a simplex point under the partition."""
-    p = point.p if isinstance(point, StrategyPoint) else tuple(point)
-    arr = np.asarray(p, dtype=np.float64).reshape(1, 3)
-    return ALPHABET[int(_symbol_indices(arr, partition)[0])]
-
-
-def _symbol_indices(p: np.ndarray, partition: SimplexPartition) -> np.ndarray:
-    """Index into :data:`ALPHABET` for each row of an (n, 3) array of mixes."""
-    rows = np.arange(len(p))
-    hi = np.argmax(p, axis=1)
-    lo = np.argmin(p, axis=1)
-    return np.where(
-        p[rows, hi] >= partition.corner_threshold,
-        _CORNER[hi],
-        np.where(p[rows, lo] <= partition.edge_threshold, _EDGE[lo], _INTERIOR),
-    )
 
 
 @dataclass(frozen=True)
@@ -144,13 +95,12 @@ class SymbolDistribution:
 
 
 def category_table(
-    records: Iterable[TweetRecord] | Corpus,
+    corpus: Corpus,
     campaign_users: set[str],
     users: Sequence[str],
     window: DayWindow,
 ) -> np.ndarray:
     """(len(users), n_days, 3) per-day category counts of each distinct user."""
-    corpus = as_corpus(records)
     t, keep = corpus.window_offsets(window)
     pos = corpus.positions(users)
     keep &= pos >= 0
@@ -169,8 +119,16 @@ def symbol_table(
     """
     total = table.sum(axis=-1)
     active = total > 0
+    p = table[active] / total[active, None]
+    rows = np.arange(len(p))
+    hi = np.argmax(p, axis=1)
+    lo = np.argmin(p, axis=1)
     out = np.full(total.shape, -1, dtype=np.int64)
-    out[active] = _symbol_indices(table[active] / total[active, None], partition)
+    out[active] = np.where(
+        p[rows, hi] >= partition.corner_threshold,
+        _CORNER[hi],
+        np.where(p[rows, lo] <= partition.edge_threshold, _EDGE[lo], _INTERIOR),
+    )
     return out
 
 
@@ -184,18 +142,6 @@ def symbol_pairs(symbols: np.ndarray) -> list[tuple[int, str]]:
 def symbol_string(sequence: Sequence[tuple[int, str]]) -> str:
     """Active-day symbols concatenated in day order."""
     return "".join(sym for _, sym in sequence)
-
-
-def symbol_distribution(
-    records: Iterable[TweetRecord] | Corpus,
-    campaign_users: set[str],
-    users: Iterable[str],
-    window: DayWindow,
-    partition: SimplexPartition = DEFAULT_PARTITION,
-) -> SymbolDistribution:
-    """Pool active user-days of a cohort over a window into symbol counts."""
-    table = category_table(records, campaign_users, sorted(set(users)), window)
-    return SymbolDistribution.of_symbols(symbol_table(table, partition))
 
 
 def chi_square_shift(

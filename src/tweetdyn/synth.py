@@ -6,29 +6,31 @@ specs and seeds reproduce byte-identical data:
 * :func:`generate_series` - daily counts per user as a baseline schedule plus
   planted cosines plus Gaussian noise, rounded half-to-even (``np.rint``) and
   clipped at zero. Ground truth is the group label per user.
-* :func:`generate_corpus` - tweet records with planted group vocabularies,
-  per-era strategy mixes and an optional strategy change point; tweet volume
-  per day either constant or driven by an embedded rate spec. Ground truth
-  (user -> group) is returned separately, never written into the records.
+* :func:`generate_corpus` - a tweet :class:`~tweetdyn.corpus.Corpus` with
+  planted group vocabularies, per-era strategy mixes and an optional strategy
+  change point; tweet volume per day either constant or driven by an embedded
+  rate spec. Ground truth (user -> group) is returned separately, never
+  written into the tweet table.
 * :func:`generate_changepoint_aggregate` - one aggregate Poisson count series
   whose rate switches at a planted day.
 
 Generated user ids are ``<group>-u<NN>``; tweet ids are sequential. Labels
-belong in a sidecar file, not in the record schema.
+belong in a sidecar file, not in the tweet table.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from datetime import date, datetime, timedelta, timezone
+from datetime import date
 from typing import Sequence
 
 import numpy as np
 
-from .ingest import TweetRecord
+from .corpus import US_PER_DAY, Corpus
 from .timeseries import CountSeries, DayWindow
 
+_US_PER_MINUTE = 60_000_000
 _OUTSIDERS = tuple(f"outsider-{i:02d}" for i in range(12))
 
 
@@ -222,8 +224,8 @@ def generate_corpus(
     spec: CorpusSpec,
     window: DayWindow,
     seed: int = 0,
-) -> tuple[list[TweetRecord], dict[str, str]]:
-    """Tweet records for a synthetic campaign, plus true labels.
+) -> tuple[Corpus, dict[str, str]]:
+    """Tweets of a synthetic campaign as a :class:`Corpus`, plus true labels.
 
     Per user-day the tweet count comes from the group's embedded rate spec
     (when set) or ``tweets_per_day``. Each tweet draws a category from the
@@ -249,37 +251,37 @@ def generate_corpus(
             else:
                 counts_by_user[uid] = np.full(n_days, spec.tweets_per_day, np.int64)
 
-    records: list[TweetRecord] = []
-    serial = 0
+    user: list[str] = []
+    source: list[str | None] = []
+    timestamp_us: list[int] = []
+    text: list[str] = []
+    first_day = (window.start - date(1970, 1, 1)).days
     for group in spec.groups:
         vocab = list(group.vocabulary)
         weights = group.weights()
         for uid in _member_ids(group):
             counts = counts_by_user[uid]
+            others = [u for u in all_users if u != uid]
             for day in range(n_days):
                 mix = _strategy_of(group, day, spec.changepoint_day)
-                day_start = datetime.combine(
-                    window.date_of(day), datetime.min.time(), tzinfo=timezone.utc
-                )
+                day_start = (first_day + day) * US_PER_DAY
                 n_tweets = int(counts[day])
                 if n_tweets == 0:
                     continue
                 step = min(60, max(1, (24 * 60) // n_tweets))
                 categories = rng.choice(3, size=n_tweets, p=np.asarray(mix))
                 for i in range(n_tweets):
-                    serial += 1
-                    stamp = day_start + timedelta(minutes=(i * step) % (24 * 60))
                     category = int(categories[i])
-                    is_retweet = category != 0
                     if category == 1:
-                        others = [u for u in all_users if u != uid]
-                        source = others[int(rng.integers(len(others)))]
+                        source.append(others[int(rng.integers(len(others)))])
                     elif category == 2:
-                        source = spec.amplified_outsiders[
-                            int(rng.integers(len(spec.amplified_outsiders)))
-                        ]
+                        source.append(
+                            spec.amplified_outsiders[
+                                int(rng.integers(len(spec.amplified_outsiders)))
+                            ]
+                        )
                     else:
-                        source = None
+                        source.append(None)
                     n_tokens = spec.tokens_per_tweet
                     use_noise = (
                         rng.random(n_tokens) < spec.noise_weight
@@ -293,18 +295,18 @@ def generate_corpus(
                         else vocab[int(group_draws[j])]
                         for j in range(n_tokens)
                     ]
-                    records.append(
-                        TweetRecord(
-                            tweet_id=f"syn{serial:08d}",
-                            user_id=uid,
-                            timestamp=stamp,
-                            language="en",
-                            is_retweet=is_retweet,
-                            retweeted_user_id=source,
-                            text=" ".join(words),
-                        )
-                    )
-    return records, group_of
+                    user.append(uid)
+                    timestamp_us.append(day_start + (i * step) % (24 * 60) * _US_PER_MINUTE)
+                    text.append(" ".join(words))
+    corpus = Corpus.from_columns(
+        tweet_id=[f"syn{serial:08d}" for serial in range(1, len(user) + 1)],
+        user=user,
+        source=source,
+        timestamp_us=timestamp_us,
+        language=["en"] * len(user),
+        text=text,
+    )
+    return corpus, group_of
 
 
 def planted_vocabulary(group_id: str, n_terms: int = 30) -> tuple[str, ...]:

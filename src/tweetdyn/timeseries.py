@@ -16,17 +16,14 @@ from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, as_corpus
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from .ingest import TweetRecord
+from .corpus import Corpus
 
 logger = logging.getLogger(__name__)
 
@@ -127,11 +124,6 @@ class OscillatorSeries:
     def __len__(self) -> int:
         return len(self.values)
 
-    @property
-    def day_offsets(self) -> np.ndarray:
-        """Day offsets (within the window) that each sample corresponds to."""
-        return np.arange(self.ma_window, self.window.n_days)
-
 
 @dataclass(frozen=True)
 class LinearFit:
@@ -164,17 +156,16 @@ class ChangePointReport:
 
 
 def daily_counts(
-    records: Iterable["TweetRecord"] | Corpus,
+    corpus: Corpus,
     window: DayWindow,
     user_id: str | None = None,
 ) -> CountSeries:
     """Count tweets per day inside the window.
 
     With ``user_id`` set only that user's tweets are counted; otherwise all
-    records contribute (aggregate series). Records outside the window are
+    tweets contribute (aggregate series). Tweets outside the window are
     ignored.
     """
-    corpus = as_corpus(records)
     t, keep = corpus.window_offsets(window)
     if user_id is not None:
         keep &= corpus.positions([user_id]) == 0
@@ -183,13 +174,12 @@ def daily_counts(
 
 
 def counts_by_user(
-    records: Iterable["TweetRecord"] | Corpus,
+    corpus: Corpus,
     window: DayWindow,
     users: Iterable[str],
 ) -> dict[str, CountSeries]:
     """Daily count series for each requested user, in one pass."""
     users = sorted(set(users))
-    corpus = as_corpus(records)
     t, keep = corpus.window_offsets(window)
     pos = corpus.positions(users)
     keep &= pos >= 0

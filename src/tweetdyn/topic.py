@@ -33,9 +33,8 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from . import porter
-from .corpus import Corpus, as_corpus
+from .corpus import Corpus
 from .graphs import WeightedGraph, modularity_communities
-from .ingest import TweetRecord
 from .stopwords import ENGLISH_STOPWORDS
 from .timeseries import DayWindow
 
@@ -158,7 +157,7 @@ def tokenize(text: str) -> list[str]:
 
 
 def build_documents(
-    records: Iterable[TweetRecord] | Corpus,
+    corpus: Corpus,
     users: Iterable[str],
     window: DayWindow,
 ) -> list[Document]:
@@ -168,7 +167,6 @@ def build_documents(
     window are dropped with a warning. Documents come back sorted by user id.
     """
     users = sorted(set(users))
-    corpus = as_corpus(records)
     _, keep = corpus.window_offsets(window)
     pos = corpus.positions(users)
     rows = np.flatnonzero(keep & (pos >= 0))
@@ -344,13 +342,13 @@ def top_terms(
 
 
 def topic_communities(
-    records: Iterable[TweetRecord] | Corpus,
+    corpus: Corpus,
     users: Iterable[str],
     window: DayWindow,
     config: TopicConfig = DEFAULT_TOPIC_CONFIG,
 ) -> TopicClustering:
     """Run the whole text pipeline for a cohort in a window."""
-    docs = build_documents(records, users, window)
+    docs = build_documents(corpus, users, window)
     if len(docs) < 2:
         raise ValueError("need at least 2 users with text to cluster")
     raw_counts = {d.user_id: stem_and_filter(d) for d in docs}

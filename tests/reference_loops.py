@@ -1,9 +1,10 @@
 """Reference implementations of the package's fast kernels.
 
 Most are the loops the package ran before it stored tweets as NumPy columns
-(:mod:`tweetdyn.corpus`). They walk a list of :class:`TweetRecord` once per
-call and classify each tweet on its own, so they are slow but easy to check
-by eye. ``test_corpus.py`` requires each kernel to agree with them exactly,
+(:mod:`tweetdyn.corpus`). They walk a list of
+:class:`~tweet_tables.TweetRecord` once per call and classify and symbolize
+each tweet and day on its own, with no scalar code from the package, so they
+are slow but easy to check by eye. ``test_corpus.py`` requires each kernel to agree with them exactly,
 and ``test_ingest.py`` requires the columnar ``ingest`` to agree with the row
 loop. The last section holds the quadratic pairwise kernels that greedy
 modularity, k-medoids and the similarity graph replaced; ``test_graphs.py``,
@@ -19,15 +20,11 @@ from datetime import datetime
 
 import numpy as np
 
+from tweet_tables import TweetRecord
 from tweetdyn.graphs import WeightedGraph
-from tweetdyn.ingest import ColumnMap, IngestError, ParseReport, TweetRecord
+from tweetdyn.ingest import ColumnMap, IngestError, ParseReport
 from tweetdyn.spectral import ClusterAssignment, _assign, _pairwise_distances, _total_cost
-from tweetdyn.strategy import (
-    ALPHABET,
-    DEFAULT_PARTITION,
-    SymbolDistribution,
-    strategy_vector,
-)
+from tweetdyn.strategy import ALPHABET, DEFAULT_PARTITION, SymbolDistribution
 from tweetdyn.timeseries import CountSeries
 from tweetdyn.topic import Document, tokenize
 
@@ -120,8 +117,8 @@ def counts_by_user(records, window, users):
     }
 
 
-def symbolize(point, partition=DEFAULT_PARTITION):
-    arr = np.asarray(point.p, dtype=np.float64)
+def symbolize(shares, partition=DEFAULT_PARTITION):
+    arr = np.asarray(shares, dtype=np.float64)
     hi = int(np.argmax(arr))
     if arr[hi] >= partition.corner_threshold:
         return _CORNER[hi]
@@ -149,7 +146,8 @@ def symbol_sequence(records, campaign_users, user_id, window, partition=DEFAULT_
     for t in range(window.n_days):
         if table[t].sum() == 0:
             continue
-        seq.append((t, symbolize(strategy_vector(table[t], t=t), partition)))
+        counts = table[t].astype(np.float64)
+        seq.append((t, symbolize(counts / counts.sum(), partition)))
     return seq
 
 

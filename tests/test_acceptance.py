@@ -22,7 +22,13 @@ from tweetdyn.compare import adjusted_rand_index
 from tweetdyn.graphs import modularity_communities
 from tweetdyn.ingest import merge_parts, parse_records, retweet_network
 from tweetdyn.spectral import denoise, dft, dominant_period, kmedoids, pca_embed, spectra_matrix
-from tweetdyn.strategy import SymbolDistribution, chi_square_shift, shift_critical_value, symbol_distribution
+from tweetdyn.strategy import (
+    SymbolDistribution,
+    category_table,
+    chi_square_shift,
+    shift_critical_value,
+    symbol_table,
+)
 from tweetdyn.synth import (
     CorpusSpec,
     GroupCorpusSpec,
@@ -152,10 +158,14 @@ def test_criterion_3_chi_square_oracle_and_planted_shift(capsys):
             strategy_post=(0.15, 0.15, 0.7),
         )
         spec = CorpusSpec(groups=(group,), tweets_per_day=5, changepoint_day=20)
-        records, group_of = generate_corpus(spec, window, seed=seed)
+        corpus, group_of = generate_corpus(spec, window, seed=seed)
         campaign = set(group_of)
-        ref = symbol_distribution(records, campaign, campaign, first_half)
-        cmp_ = symbol_distribution(records, campaign, campaign, second_half)
+        ref, cmp_ = (
+            SymbolDistribution.of_symbols(
+                symbol_table(category_table(corpus, campaign, sorted(campaign), half))
+            )
+            for half in (first_half, second_half)
+        )
         shift_hits += chi_square_shift(cmp_, ref) > critical
     _report(
         capsys,
@@ -245,8 +255,8 @@ def test_criterion_7_text_pipeline_end_to_end(capsys):
         tweets_per_day=5,
         tokens_per_tweet=8,
     )
-    records, group_of = generate_corpus(spec, window, seed=0)
-    result = topic_communities(records, sorted(group_of), window)
+    corpus, group_of = generate_corpus(spec, window, seed=0)
+    result = topic_communities(corpus, sorted(group_of), window)
     planted: dict[str, set] = {}
     for u, g in group_of.items():
         planted.setdefault(g, set()).add(u)

@@ -35,7 +35,6 @@ class TestCrossTab:
         assert tab.spectral_ids == (1, 2)
         assert tab.topic_ids == (1, 2)
         np.testing.assert_array_equal(tab.cells, [[2, 1], [1, 2]])
-        np.testing.assert_allclose(tab.row_shares, [[2 / 3, 1 / 3], [1 / 3, 2 / 3]])
 
     def test_users_in_one_clustering_ignored(self):
         spectral = _assignment({"a": 1, "b": 1, "zz": 1}, medoids=("a",))

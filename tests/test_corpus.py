@@ -14,11 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_loops as ref
-from tweet_tables import arrays_of
+from tweet_tables import TweetRecord, arrays_of, corpus_of
 from tweetdyn.cli import main
 from tweetdyn.corpus import Corpus, CorpusError, file_sha256
-from tweetdyn.ingest import CohortSpec, TweetRecord, retweet_network, select_cohort, write_records
-from tweetdyn.strategy import category_table, symbol_distribution, symbol_pairs, symbol_table
+from tweetdyn.ingest import CohortSpec, retweet_network, select_cohort, write_records
+from tweetdyn.strategy import SymbolDistribution, category_table, symbol_pairs, symbol_table
 from tweetdyn.timeseries import DayWindow, counts_by_user, daily_counts
 from tweetdyn.topic import build_documents
 
@@ -66,11 +66,6 @@ def records_st(draw):
 campaign_st = st.sets(st.sampled_from(USERS + OUTSIDE), min_size=1)
 
 
-def _both(records):
-    """The records as given, and as one Corpus."""
-    return [records, Corpus.from_records(records)]
-
-
 class TestKernelsMatchReferenceLoops:
     @given(
         records_st(),
@@ -85,70 +80,64 @@ class TestKernelsMatchReferenceLoops:
             active_day_fraction=fraction,
             language=language,
         )
-        expected = ref.select_cohort(records, spec)
-        for data in _both(records):
-            assert select_cohort(data, spec) == expected
+        assert select_cohort(corpus_of(records), spec) == ref.select_cohort(records, spec)
 
     @given(records_st())
     def test_daily_counts_and_counts_by_user(self, records):
         users = USERS + ["nobody"]
-        for data in _both(records):
-            for user_id in [None] + users:
-                got = daily_counts(data, WINDOW, user_id)
-                want = ref.daily_counts(records, WINDOW, user_id)
-                assert got.values.tolist() == want.values.tolist()
-            got = counts_by_user(data, WINDOW, users)
-            want = ref.counts_by_user(records, WINDOW, users)
-            assert list(got) == list(want)
-            for u in want:
-                assert got[u].values.tolist() == want[u].values.tolist()
+        corpus = corpus_of(records)
+        for user_id in [None] + users:
+            got = daily_counts(corpus, WINDOW, user_id)
+            want = ref.daily_counts(records, WINDOW, user_id)
+            assert got.values.tolist() == want.values.tolist()
+        got = counts_by_user(corpus, WINDOW, users)
+        want = ref.counts_by_user(records, WINDOW, users)
+        assert list(got) == list(want)
+        for u in want:
+            assert got[u].values.tolist() == want[u].values.tolist()
 
     @given(records_st(), campaign_st)
     def test_category_counts_and_symbols(self, records, campaign):
-        for data in _both(records):
-            # the composition cmd_strategy runs: one table for all users
-            table = category_table(data, campaign, USERS, WINDOW)
-            symbols = symbol_table(table)
-            for i, user_id in enumerate(USERS):
-                np.testing.assert_array_equal(
-                    table[i], ref.daily_category_counts(records, campaign, user_id, WINDOW)
-                )
-                assert symbol_pairs(symbols[i]) == (
-                    ref.symbol_sequence(records, campaign, user_id, WINDOW)
-                )
-            try:
-                want = ref.symbol_distribution(records, campaign, USERS, WINDOW)
-            except ValueError:
-                with pytest.raises(ValueError):
-                    symbol_distribution(data, campaign, USERS, WINDOW)
-            else:
-                got = symbol_distribution(data, campaign, USERS, WINDOW)
-                assert got.counts == want.counts
+        # the composition cmd_strategy runs: one table for all users
+        table = category_table(corpus_of(records), campaign, USERS, WINDOW)
+        symbols = symbol_table(table)
+        for i, user_id in enumerate(USERS):
+            np.testing.assert_array_equal(
+                table[i], ref.daily_category_counts(records, campaign, user_id, WINDOW)
+            )
+            assert symbol_pairs(symbols[i]) == (
+                ref.symbol_sequence(records, campaign, user_id, WINDOW)
+            )
+        try:
+            want = ref.symbol_distribution(records, campaign, USERS, WINDOW)
+        except ValueError:
+            with pytest.raises(ValueError):
+                SymbolDistribution.of_symbols(symbols)
+        else:
+            assert SymbolDistribution.of_symbols(symbols).counts == want.counts
 
     @given(records_st())
     def test_build_documents(self, records):
         users = USERS[1:] + ["nobody"]
         want = ref.build_documents(records, users, WINDOW)
-        for data in _both(records):
-            assert build_documents(data, users, WINDOW) == want
+        assert build_documents(corpus_of(records), users, WINDOW) == want
 
     @given(records_st(), campaign_st)
     def test_retweet_network(self, records, campaign):
         want = ref.retweet_network(records, campaign)
-        for data in _both(records):
-            got = retweet_network(data, campaign)
-            assert got.vertices == want.vertices
-            assert got.edges == want.edges
+        got = retweet_network(corpus_of(records), campaign)
+        assert got.vertices == want.vertices
+        assert got.edges == want.edges
 
 
 class TestSidecarFile:
     @settings(max_examples=25)
     @given(records_st())
     def test_round_trip_is_exact_and_byte_deterministic(self, records):
-        corpus = Corpus.from_records(records)
+        corpus = corpus_of(records)
         with tempfile.TemporaryDirectory() as tmp:
             jsonl, a, b = Path(tmp, "records.jsonl"), Path(tmp, "a.npz"), Path(tmp, "b.npz")
-            write_records(records, jsonl)
+            write_records(corpus, jsonl)
             corpus.save(a, file_sha256(jsonl))
             corpus.save(b, file_sha256(jsonl))
             assert a.read_bytes() == b.read_bytes()
@@ -157,15 +146,15 @@ class TestSidecarFile:
     def test_zip_members_carry_a_fixed_date(self, tmp_path):
         jsonl = tmp_path / "records.jsonl"
         jsonl.write_text("")
-        Corpus.from_records([]).save(tmp_path / "corpus.npz", file_sha256(jsonl))
+        corpus_of([]).save(tmp_path / "corpus.npz", file_sha256(jsonl))
         with zipfile.ZipFile(tmp_path / "corpus.npz") as zf:
             assert {i.date_time for i in zf.infolist()} == {(1980, 1, 1, 0, 0, 0)}
 
     def test_out_of_range_codes_rejected(self, tmp_path):
         rec = TweetRecord("1", "u", BASE, "en", False, None, "hi")
         jsonl = tmp_path / "records.jsonl"
-        write_records([rec], jsonl)
-        bad = dataclasses.replace(Corpus.from_records([rec]), user=np.array([5]))
+        write_records(corpus_of([rec]), jsonl)
+        bad = dataclasses.replace(corpus_of([rec]), user=np.array([5]))
         bad.save(tmp_path / "corpus.npz", file_sha256(jsonl))
         with pytest.raises(CorpusError, match="user codes"):
             Corpus.load(tmp_path / "corpus.npz", jsonl)
@@ -188,7 +177,7 @@ def ingested(tmp_path):
         for i in range(30)
     ]
     src = tmp_path / "input.jsonl"
-    write_records(records, src)
+    write_records(corpus_of(records), src)
     config = tmp_path / "config.json"
     config.write_text(json.dumps(SMALL_CONFIG))
     out = tmp_path / "out"

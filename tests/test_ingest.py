@@ -12,14 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_loops as ref
-from tweet_tables import arrays_of, fields_of, write_csv
+from tweet_tables import TweetRecord, arrays_of, corpus_of, fields_of, write_csv
 from tweetdyn.cli import main
-from tweetdyn.corpus import AMPLIFYING, ORIGINAL, SPREADING, Corpus
+from tweetdyn.corpus import AMPLIFYING, ORIGINAL, SPREADING
 from tweetdyn.ingest import (
     CohortSpec,
     ColumnMap,
     IngestError,
-    TweetRecord,
     merge_parts,
     parse_records,
     retweet_network,
@@ -51,6 +50,9 @@ def _rec(i, user="u1", when=None, retweet_of=None, lang="en"):
 
 
 class TestTweetRecord:
+    """The fixture record of ``tweet_tables``; the row-loop oracle of ingest
+    reads two of its reject reasons off these checks."""
+
     def test_naive_timestamp_becomes_utc(self):
         rec = _rec(1, when=datetime(2016, 5, 1, 10, 30))
         assert rec.timestamp.tzinfo == timezone.utc
@@ -256,33 +258,33 @@ class TestParse:
         )
         spec = CorpusSpec(groups=groups, tweets_per_day=10, tokens_per_tweet=4)
         window = DayWindow.of_length(date(2016, 3, 9), 60)
-        records, _ = generate_corpus(spec, window, seed=3)
-        assert len(records) >= 10_000
+        corpus, _ = generate_corpus(spec, window, seed=3)
+        assert len(corpus) >= 10_000
         path = tmp_path / f"corpus.{fmt}"
         if fmt == "csv":
-            write_csv(Corpus.from_records(records), path)
+            write_csv(corpus, path)
         else:
-            write_records(records, path)
+            write_records(corpus, path)
         loaded, report = parse_records(path, fmt=fmt)
         assert report.rejected == 0
-        assert arrays_of(loaded) == arrays_of(Corpus.from_records(records))
+        assert arrays_of(loaded) == arrays_of(corpus)
 
 
 class TestCategorize:
     def test_three_categories(self):
         campaign = {"u1", "u2"}
-        corpus = Corpus.from_records(
+        corpus = corpus_of(
             [_rec(1, "u1"), _rec(2, "u1", retweet_of="u2"), _rec(3, "u1", retweet_of="cnn")]
         )
         assert corpus.categories(campaign).tolist() == [ORIGINAL, SPREADING, AMPLIFYING]
 
     def test_empty_campaign_rejected(self):
         with pytest.raises(ValueError):
-            Corpus.from_records([_rec(1)]).categories(set())
+            corpus_of([_rec(1)]).categories(set())
 
 
 class TestSelectCohort:
-    def _records(self):
+    def _corpus(self):
         w_start = datetime(2016, 3, 9, tzinfo=timezone.utc)
         records = []
         i = 0
@@ -297,35 +299,35 @@ class TestSelectCohort:
             records.append(
                 _rec(i := i + 1, "foreign", w_start + timedelta(days=d), lang="ru")
             )
-        return records
+        return corpus_of(records)
 
     def test_thresholds_and_language(self):
         window = DayWindow.of_length(date(2016, 3, 9), 10)
-        records = self._records()
+        corpus = self._corpus()
         spec = CohortSpec(
             window=window, min_total_tweets=5, active_day_fraction=0.6, language="en"
         )
-        assert select_cohort(records, spec) == {"steady"}
+        assert select_cohort(corpus, spec) == {"steady"}
         # volume-only: burst qualifies too
         spec2 = CohortSpec(window=window, min_total_tweets=5, language="en")
-        assert select_cohort(records, spec2) == {"steady", "burst"}
+        assert select_cohort(corpus, spec2) == {"steady", "burst"}
         # no language filter: foreign meets both thresholds
         spec3 = CohortSpec(window=window, min_total_tweets=5, active_day_fraction=0.6)
-        assert select_cohort(records, spec3) == {"steady", "foreign"}
+        assert select_cohort(corpus, spec3) == {"steady", "foreign"}
 
     def test_fraction_boundary_inclusive(self):
         window = DayWindow.of_length(date(2016, 3, 9), 10)
-        records = self._records()
+        corpus = self._corpus()
         # steady is active 8/10 days; 0.8 passes, nudging above fails
         spec = CohortSpec(window=window, active_day_fraction=0.8, language="en")
-        assert "steady" in select_cohort(records, spec)
+        assert "steady" in select_cohort(corpus, spec)
         spec_hi = CohortSpec(window=window, active_day_fraction=0.81, language="en")
-        assert "steady" not in select_cohort(records, spec_hi)
+        assert "steady" not in select_cohort(corpus, spec_hi)
 
     def test_empty_cohort_is_valid(self):
         window = DayWindow.of_length(date(2016, 3, 9), 10)
         spec = CohortSpec(window=window, min_total_tweets=10_000)
-        assert select_cohort(self._records(), spec) == set()
+        assert select_cohort(self._corpus(), spec) == set()
 
     def test_spec_validation(self):
         window = DayWindow.of_length(date(2016, 3, 9), 10)
@@ -346,7 +348,7 @@ class TestRetweetNetwork:
             _rec(5, "u3", retweet_of="u3"),  # self-retweet: dropped
             _rec(6, "u3"),
         ]
-        g = retweet_network(records, campaign)
+        g = retweet_network(corpus_of(records), campaign)
         assert g.edges[("u1", "u2")] == 3.0
         assert g.n_edges == 1
         # u3 appears (authored records) but has no member-retweet edges
@@ -356,12 +358,12 @@ class TestRetweetNetwork:
     def test_retweeted_member_becomes_vertex(self):
         campaign = {"u1", "u9"}
         records = [_rec(1, "u1", retweet_of="u9")]
-        g = retweet_network(records, campaign)
+        g = retweet_network(corpus_of(records), campaign)
         assert set(g.vertices) == {"u1", "u9"}
 
     def test_empty_campaign_rejected(self):
         with pytest.raises(ValueError):
-            retweet_network([], set())
+            retweet_network(corpus_of([]), set())
 
 
 # --------------------------------------------- columnar ingest vs the row loop
@@ -562,4 +564,4 @@ class TestColumnarIngestMatchesRowLoop:
             ref.write_records(old_records, old_file)
             assert new_file.read_bytes() == old_file.read_bytes()
             assert reports == old_reports
-            assert arrays_of(merged) == arrays_of(Corpus.from_records(old_records))
+            assert arrays_of(merged) == arrays_of(corpus_of(old_records))

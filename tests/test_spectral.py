@@ -88,12 +88,6 @@ class TestDft:
             time_power, rel=1e-12
         )
 
-    def test_period_of_bin(self):
-        spec = dft(np.arange(10.0))
-        assert spec.period_of_bin(2) == pytest.approx(5.0)
-        with pytest.raises(ValueError):
-            spec.period_of_bin(0)
-
     def test_carries_user_id_from_series(self):
         window = DayWindow.of_length(date(2016, 3, 9), 20)
         counts = CountSeries(

@@ -4,57 +4,41 @@ import logging
 import math
 from datetime import date, datetime, timedelta, timezone
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import scipy.stats
 
-from tweetdyn.ingest import TweetRecord
+from tweet_tables import TweetRecord, corpus_of
 from tweetdyn.strategy import (
     ALPHABET,
     SimplexPartition,
-    StrategyPoint,
     SymbolDistribution,
     category_table,
     chi_square_shift,
     shift_critical_value,
-    strategy_vector,
-    symbol_distribution,
     symbol_pairs,
     symbol_string,
     symbol_table,
-    symbolize,
 )
 from tweetdyn.timeseries import DayWindow
 
 
-def _point(o, s, a, t=0):
-    return StrategyPoint(t=t, p=(o, s, a))
+def _point(o, s, a):
+    """One day's (original, spreading, amplifying) row, as a count table."""
+    return np.array([[o, s, a]], dtype=np.float64)
 
 
-class TestStrategyPoint:
-    def test_shares_must_sum_to_one(self):
-        with pytest.raises(ValueError):
-            _point(0.5, 0.5, 0.5)
-        with pytest.raises(ValueError):
-            _point(-0.2, 0.6, 0.6)
-
-    def test_strategy_vector_normalizes(self):
-        p = strategy_vector([6, 3, 1], t=12)
-        assert p.p == pytest.approx((0.6, 0.3, 0.1))
-        assert p.t == 12
-
-    def test_strategy_vector_rejects_empty_day(self):
-        with pytest.raises(ValueError):
-            strategy_vector([0, 0, 0], t=0)
-
-    def test_strategy_vector_rejects_wrong_arity(self):
-        with pytest.raises(ValueError):
-            strategy_vector([1, 2], t=0)
+def symbolize(day, partition):
+    """The symbol :func:`symbol_table` gives a one-row count table."""
+    return ALPHABET[int(symbol_table(day, partition)[0])]
 
 
 class TestSymbolize:
+    """The partition cases, each run through ``symbol_table`` on one day."""
+
     part = SimplexPartition()
 
     def test_corners(self):
@@ -75,17 +59,23 @@ class TestSymbolize:
         assert symbolize(_point(0.4, 0.35, 0.25), self.part) == "G"
 
     def test_boundaries_inclusive(self):
+        # counts whose shares are exactly (2/3, 1/6, 1/6) and (1/6, 1/2, 1/3);
+        # the shares as floats would not sum to exactly 1
+        corner, edge = _point(4, 1, 1), _point(1, 3, 2)
+        assert (corner / 6).tolist() == [[2 / 3, 1 / 6, 1 / 6]]
+        assert (edge / 6).tolist() == [[1 / 6, 0.5, 1 / 3]]
         # exactly 2/3 counts as a corner
-        assert symbolize(_point(2 / 3, 1 / 6, 1 / 6), self.part) == "A"
+        assert symbolize(corner, self.part) == "A"
         # exactly 1/6 counts as an edge (corner checked first)
-        assert symbolize(_point(1 / 6, 0.5, 1 / 3), self.part) == "D"
+        assert symbolize(edge, self.part) == "D"
+
+    def test_empty_day_has_no_symbol(self):
+        # the strategy is undefined on a day without tweets
+        assert symbol_table(_point(0, 0, 0), self.part).tolist() == [-1]
 
     def test_corner_takes_precedence_over_edge(self):
         # above 2/3 on one share AND below 1/6 on another: corner wins
         assert symbolize(_point(0.8, 0.1, 0.1), self.part) == "A"
-
-    def test_bare_sequence_accepted(self):
-        assert symbolize((0.7, 0.2, 0.1), self.part) == "A"
 
     def test_custom_partition(self):
         loose = SimplexPartition(corner_threshold=0.51, edge_threshold=0.05)
@@ -101,12 +91,10 @@ class TestSymbolize:
         )
     )
     def test_total_and_scale_invariance(self, raw):
-        total = sum(raw)
-        p = strategy_vector(raw)
-        sym = symbolize(p, self.part)
+        sym = symbolize(_point(*raw), self.part)
         assert sym in ALPHABET
         # symbol depends on shares, not on absolute counts
-        scaled = strategy_vector([x * 17.0 for x in raw])
+        scaled = _point(*(x * 17.0 for x in raw))
         assert symbolize(scaled, self.part) == sym
 
 
@@ -126,7 +114,7 @@ class TestSequences:
     window = DayWindow.of_length(date(2016, 3, 9), 5)
     campaign = {"u1", "u2"}
 
-    def _records(self):
+    def _corpus(self):
         base = datetime(2016, 3, 9, 12, 0, tzinfo=timezone.utc)
         day = timedelta(days=1)
         recs = []
@@ -145,10 +133,10 @@ class TestSequences:
         recs.append(_rec("g2", "u1", base + 4 * day, retweet_of="cnn"))
         # another user's tweet must not leak into u1's counts
         recs.append(_rec("x0", "u2", base))
-        return recs
+        return corpus_of(recs)
 
     def test_daily_category_counts(self):
-        table = category_table(self._records(), self.campaign, ["u1", "u2"], self.window)
+        table = category_table(self._corpus(), self.campaign, ["u1", "u2"], self.window)
         assert table.shape == (2, 5, 3)
         counts = table[0]
         assert counts[0].tolist() == [3, 0, 0]
@@ -159,15 +147,14 @@ class TestSequences:
         assert table[1].sum(axis=1).tolist() == [1, 0, 0, 0, 0]
 
     def test_symbol_sequence_skips_inactive_days(self):
-        table = category_table(self._records(), self.campaign, ["u1"], self.window)
+        table = category_table(self._corpus(), self.campaign, ["u1"], self.window)
         seq = symbol_pairs(symbol_table(table)[0])
         assert seq == [(0, "A"), (2, "B"), (3, "C"), (4, "G")]
         assert symbol_string(seq) == "ABCG"
 
     def test_symbol_distribution_pools_users(self):
-        dist = symbol_distribution(
-            self._records(), self.campaign, {"u1", "u2"}, self.window
-        )
+        table = category_table(self._corpus(), self.campaign, ["u1", "u2"], self.window)
+        dist = SymbolDistribution.of_symbols(symbol_table(table))
         assert isinstance(dist, SymbolDistribution)
         # u1 contributes ABCG; u2 contributes A on day 0
         assert dist.counts["A"] == 2
@@ -178,8 +165,9 @@ class TestSequences:
         assert shares["A"] == pytest.approx(0.4)
 
     def test_empty_distribution_rejected(self):
+        table = category_table(corpus_of([]), self.campaign, ["u1"], self.window)
         with pytest.raises(ValueError):
-            symbol_distribution([], self.campaign, {"u1"}, self.window)
+            SymbolDistribution.of_symbols(symbol_table(table))
 
 
 def _dist(**counts):

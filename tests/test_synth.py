@@ -1,12 +1,15 @@
 """Synthetic generators and their ground-truth guarantees."""
 
+import hashlib
 import math
 from datetime import date
 
 import numpy as np
 import pytest
 
+from tweet_tables import arrays_of, fields_of
 from tweetdyn import porter
+from tweetdyn.ingest import write_records
 from tweetdyn.spectral import dft, dominant_period
 from tweetdyn.synth import (
     CorpusSpec,
@@ -174,38 +177,84 @@ class TestGenerateCorpus:
         spec = self._spec()
         a, la = generate_corpus(spec, self.window, seed=9)
         b, lb = generate_corpus(spec, self.window, seed=9)
-        assert a == b and la == lb
+        assert arrays_of(a) == arrays_of(b) and la == lb
         c, _ = generate_corpus(spec, self.window, seed=10)
-        assert a != c
+        assert arrays_of(a) != arrays_of(c)
+
+    # sha256 of the records.jsonl of a fixed spec and seed; a change here
+    # means other draws or another order.
+    @pytest.mark.parametrize(
+        "mixed, sha256",
+        [
+            (False, "daeddc8cfc323a68711e5fcecc4caf49072cd58ef893fe1f01049f31dd3857ef"),
+            (True, "9ee6ca5c4ebb5221dde0c06d57cf54c2773ab8298e69689332c6d15b3c3a48d6"),
+        ],
+        ids=["plain", "mixed"],
+    )
+    def test_records_bytes_pinned(self, tmp_path, mixed, sha256):
+        spec = self._spec()
+        if mixed:
+            # member and outsider retweets, noise words, an era switch and
+            # an embedded rate spec with zero-tweet days
+            alpha, beta = spec.groups
+            spec = self._spec(
+                groups=(
+                    GroupCorpusSpec(
+                        group_id="alpha",
+                        vocabulary=alpha.vocabulary,
+                        members=3,
+                        strategy_pre=(0.4, 0.3, 0.3),
+                        strategy_post=(0.1, 0.2, 0.7),
+                    ),
+                    GroupCorpusSpec(
+                        group_id="beta",
+                        vocabulary=beta.vocabulary,
+                        members=3,
+                        strategy_pre=(0.2, 0.5, 0.3),
+                        dynamics=GroupSpec(
+                            group_id="beta", baseline_levels=(2.0,), noise_sigma=2.0, members=3
+                        ),
+                    ),
+                ),
+                noise_vocabulary=("noisea", "noiseb"),
+                noise_weight=0.3,
+                changepoint_day=10,
+            )
+        corpus, labels = generate_corpus(spec, self.window, seed=0)
+        write_records(corpus, tmp_path / "records.jsonl")
+        assert hashlib.sha256((tmp_path / "records.jsonl").read_bytes()).hexdigest() == sha256
+        assert labels == {f"{g}-u{j:02d}": g for g in ("alpha", "beta") for j in range(3)}
 
     def test_volume_and_labels(self):
         spec = self._spec()
-        records, group_of = generate_corpus(spec, self.window, seed=0)
-        assert len(records) == 2 * 3 * 20 * 4  # groups x members x days x rate
+        corpus, group_of = generate_corpus(spec, self.window, seed=0)
+        assert len(corpus) == 2 * 3 * 20 * 4  # groups x members x days x rate
         assert set(group_of.values()) == {"alpha", "beta"}
         assert group_of["alpha-u00"] == "alpha"
+        f = fields_of(corpus)
         per_user_day = {}
-        for r in records:
-            key = (r.user_id, r.timestamp.date())
+        for user, stamp in zip(f["user_id"], f["timestamp"]):
+            key = (user, stamp.date())
             per_user_day[key] = per_user_day.get(key, 0) + 1
         assert set(per_user_day.values()) == {4}
 
     def test_text_drawn_from_group_vocabulary_only(self):
         spec = self._spec(noise_weight=0.0)
-        records, group_of = generate_corpus(spec, self.window, seed=1)
+        corpus, group_of = generate_corpus(spec, self.window, seed=1)
         vocab = {
             g.group_id: set(g.vocabulary) for g in spec.groups
         }
-        for r in records:
-            allowed = vocab[group_of[r.user_id]]
-            assert set(r.text.split()) <= allowed
+        f = fields_of(corpus)
+        for user, text in zip(f["user_id"], f["text"]):
+            allowed = vocab[group_of[user]]
+            assert set(text.split()) <= allowed
 
     def test_noise_vocabulary_mixes_in(self):
         spec = self._spec(
             noise_vocabulary=("noisea", "noiseb"), noise_weight=0.5
         )
-        records, _ = generate_corpus(spec, self.window, seed=2)
-        tokens = [t for r in records for t in r.text.split()]
+        corpus, _ = generate_corpus(spec, self.window, seed=2)
+        tokens = [t for text in fields_of(corpus)["text"] for t in text.split()]
         noise_share = sum(t.startswith("noise") for t in tokens) / len(tokens)
         assert 0.4 < noise_share < 0.6
 
@@ -219,15 +268,18 @@ class TestGenerateCorpus:
             strategy_pre=(0.0, 0.0, 1.0),
         )
         spec = CorpusSpec(groups=(members, amplifiers), tweets_per_day=3)
-        records, group_of = generate_corpus(spec, self.window, seed=4)
+        corpus, group_of = generate_corpus(spec, self.window, seed=4)
         campaign = set(group_of)
-        for r in records:
-            assert r.is_retweet
-            if group_of[r.user_id] == "m":
-                assert r.retweeted_user_id in campaign
-                assert r.retweeted_user_id != r.user_id
+        f = fields_of(corpus)
+        for user, is_retweet, source in zip(
+            f["user_id"], f["is_retweet"], f["retweeted_user_id"]
+        ):
+            assert is_retweet
+            if group_of[user] == "m":
+                assert source in campaign
+                assert source != user
             else:
-                assert r.retweeted_user_id in spec.amplified_outsiders
+                assert source in spec.amplified_outsiders
 
     def test_changepoint_switches_era_mix(self):
         group = GroupCorpusSpec(
@@ -235,13 +287,16 @@ class TestGenerateCorpus:
             strategy_pre=(1.0, 0.0, 0.0), strategy_post=(0.0, 0.0, 1.0),
         )
         spec = CorpusSpec(groups=(group,), tweets_per_day=3, changepoint_day=10)
-        records, _ = generate_corpus(spec, self.window, seed=5)
-        for r in records:
-            day = (r.timestamp.date() - self.window.start).days
+        corpus, _ = generate_corpus(spec, self.window, seed=5)
+        days, _ = corpus.window_offsets(self.window)
+        f = fields_of(corpus)
+        for day, is_retweet, source in zip(
+            days.tolist(), f["is_retweet"], f["retweeted_user_id"]
+        ):
             if day < 10:
-                assert not r.is_retweet
+                assert not is_retweet
             else:
-                assert r.is_retweet and r.retweeted_user_id in spec.amplified_outsiders
+                assert is_retweet and source in spec.amplified_outsiders
 
     def test_embedded_dynamics_drive_volume(self):
         dyn = GroupSpec(group_id="g", baseline_levels=(2.0,), members=2)
@@ -249,18 +304,18 @@ class TestGenerateCorpus:
             group_id="g", vocabulary=("vux",), members=2, dynamics=dyn
         )
         spec = CorpusSpec(groups=(group,), tweets_per_day=99)
-        records, _ = generate_corpus(spec, self.window, seed=6)
+        corpus, _ = generate_corpus(spec, self.window, seed=6)
         # the flat 2/day schedule overrides tweets_per_day
-        assert len(records) == 2 * 20 * 2
+        assert len(corpus) == 2 * 20 * 2
 
     def test_timestamps_inside_window(self):
-        records, _ = generate_corpus(self._spec(), self.window, seed=7)
-        for r in records:
-            assert self.window.contains(r.timestamp)
+        corpus, _ = generate_corpus(self._spec(), self.window, seed=7)
+        _, inside = corpus.window_offsets(self.window)
+        assert inside.all()
 
     def test_unique_tweet_ids(self):
-        records, _ = generate_corpus(self._spec(), self.window, seed=8)
-        ids = [r.tweet_id for r in records]
+        corpus, _ = generate_corpus(self._spec(), self.window, seed=8)
+        ids = corpus.tweet_id.tolist()
         assert len(set(ids)) == len(ids)
 
 

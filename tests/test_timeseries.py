@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from tweetdyn.ingest import TweetRecord
+from tweet_tables import TweetRecord, corpus_of
 from tweetdyn.timeseries import (
     CountSeries,
     DayWindow,
@@ -86,9 +86,10 @@ class TestDailyCounts:
             _record("b", datetime(2016, 1, 2, 8), 4),
             _record("a", datetime(2016, 1, 4, 0), 5),  # outside
         ]
-        series = daily_counts(records, w, user_id="a")
+        corpus = corpus_of(records)
+        series = daily_counts(corpus, w, user_id="a")
         assert series.values.tolist() == [2, 0, 1]
-        agg = daily_counts(records, w)
+        agg = daily_counts(corpus, w)
         assert agg.values.tolist() == [2, 1, 1]
 
     def test_aggregate_equals_sum_of_users(self):
@@ -100,8 +101,9 @@ class TestDailyCounts:
                 hours=int(rng.integers(0, 10 * 24))
             )
             records.append(_record(f"u{int(rng.integers(3))}", when, i))
-        total = daily_counts(records, w).values
-        per_user = counts_by_user(records, w, {"u0", "u1", "u2"})
+        corpus = corpus_of(records)
+        total = daily_counts(corpus, w).values
+        per_user = counts_by_user(corpus, w, {"u0", "u1", "u2"})
         assert (sum(s.values for s in per_user.values()) == total).all()
 
     @pytest.mark.parametrize("seed", [11, 12, 13, 14, 15])
@@ -118,7 +120,7 @@ class TestDailyCounts:
                     _record("u", datetime(2015, 1, 1) + timedelta(days=day), i)
                 )
                 i += 1
-        series = daily_counts(records, w, user_id="u")
+        series = daily_counts(corpus_of(records), w, user_id="u")
         assert abs(series.values.mean() - lam) < 3.0 * np.sqrt(lam / n_days)
 
     def test_negative_and_length_validation(self):
@@ -167,8 +169,13 @@ class TestDetrend:
         s = CountSeries(window=w, values=np.ones(244))
         xi = detrend(s, ma_window=7)
         assert len(xi) == 237
-        assert xi.day_offsets[0] == 7
-        assert xi.day_offsets[-1] == 243
+        # sample i is day offset i + 7: mark days 7 and 243
+        marked = np.ones(244)
+        marked[[7, 243]] = 8
+        xi = detrend(CountSeries(window=w, values=marked), ma_window=7)
+        assert xi.values[0] == 7.0
+        assert xi.values[-1] == 7.0
+        assert np.all(xi.values[1:-1] <= 0.0)
 
     def test_trend_slope_strongly_attenuated(self):
         # planted cosine + strong linear trend: residual trend < 1% of input's

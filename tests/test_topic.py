@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_loops as ref
-from tweetdyn.ingest import TweetRecord
+from tweet_tables import TweetRecord, corpus_of
 from tweetdyn.timeseries import DayWindow
 from tweetdyn.topic import (
     Document,
@@ -77,7 +77,7 @@ class TestBuildDocuments:
             _rec(3, "u2", self.base, "other user"),
             _rec(4, "u1", self.base + timedelta(days=30), "outside window"),
         ]
-        docs = build_documents(records, {"u1", "u2"}, self.window)
+        docs = build_documents(corpus_of(records), {"u1", "u2"}, self.window)
         assert [d.user_id for d in docs] == ["u1", "u2"]
         assert docs[0].text == "first part second part"
         assert docs[0].tokens == ("first", "part", "second", "part")
@@ -88,7 +88,7 @@ class TestBuildDocuments:
             _rec(2, "u2", self.base, "!!! 42"),
         ]
         with caplog.at_level(logging.WARNING, logger="tweetdyn.topic"):
-            docs = build_documents(records, {"u1", "u2", "u3"}, self.window)
+            docs = build_documents(corpus_of(records), {"u1", "u2", "u3"}, self.window)
         assert [d.user_id for d in docs] == ["u1"]
         assert sum("no usable text" in m for m in caplog.messages) == 2
 
@@ -378,9 +378,9 @@ class TestTopicCommunities:
         return generate_corpus(spec, self.window, seed=seed)
 
     def test_recovers_planted_groups_exactly(self):
-        records, group_of = self._corpus(seed=2)
+        corpus, group_of = self._corpus(seed=2)
         users = sorted(group_of)
-        result = topic_communities(records, users, self.window)
+        result = topic_communities(corpus, users, self.window)
         planted = {}
         for u, g in group_of.items():
             planted.setdefault(g, set()).add(u)
@@ -391,10 +391,10 @@ class TestTopicCommunities:
         assert len(result.top_terms) == len(result.partition)
 
     def test_needs_two_documents(self):
-        records, group_of = self._corpus()
+        corpus, group_of = self._corpus()
         one_user = [next(iter(sorted(group_of)))]
         with pytest.raises(ValueError):
-            topic_communities(records, one_user, self.window)
+            topic_communities(corpus, one_user, self.window)
 
     def test_all_shared_vocabulary_errors(self):
         base = datetime(2016, 3, 9, 8, 0, tzinfo=timezone.utc)
@@ -404,4 +404,4 @@ class TestTopicCommunities:
         ]
         # the lone term is a dynamic stopword (2/2 docs); nothing survives
         with pytest.raises(ValueError):
-            topic_communities(records, ["u1", "u2"], self.window)
+            topic_communities(corpus_of(records), ["u1", "u2"], self.window)

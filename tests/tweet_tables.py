@@ -1,11 +1,56 @@
-"""Test helpers: tweet tables on disk and corpora as plain Python values."""
+"""Test helpers: tweet tables on disk, and corpora built from or turned into
+plain Python values."""
 
 import csv
+from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 
+from tweetdyn.corpus import Corpus
 from tweetdyn.ingest import ColumnMap
 
 EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+ONE_US = timedelta(microseconds=1)
+
+
+@dataclass(frozen=True)
+class TweetRecord:
+    """One tweet as plain values, for writing fixtures by hand."""
+
+    tweet_id: str
+    user_id: str
+    timestamp: datetime
+    language: str
+    is_retweet: bool
+    retweeted_user_id: str | None
+    text: str
+
+    def __post_init__(self) -> None:
+        if self.timestamp.tzinfo is None:
+            object.__setattr__(
+                self, "timestamp", self.timestamp.replace(tzinfo=timezone.utc)
+            )
+        else:
+            object.__setattr__(
+                self, "timestamp", self.timestamp.astimezone(timezone.utc)
+            )
+        # A retweet must name its source and an original must not.
+        if self.is_retweet and not self.retweeted_user_id:
+            raise ValueError(f"tweet {self.tweet_id}: retweet without source user")
+        if not self.is_retweet and self.retweeted_user_id:
+            raise ValueError(f"tweet {self.tweet_id}: source user on a non-retweet")
+
+
+def corpus_of(records):
+    """A :class:`Corpus` of the records' rows, in order."""
+    records = list(records)
+    return Corpus.from_columns(
+        tweet_id=[r.tweet_id for r in records],
+        user=[r.user_id for r in records],
+        source=[r.retweeted_user_id if r.is_retweet else None for r in records],
+        timestamp_us=[(r.timestamp - EPOCH) // ONE_US for r in records],
+        language=[r.language for r in records],
+        text=[r.text for r in records],
+    )
 
 
 def utc(timestamp_us):
@@ -14,7 +59,8 @@ def utc(timestamp_us):
 
 
 def fields_of(corpus):
-    """The corpus's rows as one list per :class:`TweetRecord` field."""
+    """The corpus's rows as one list per column, named and typed as the
+    fields of :class:`TweetRecord`."""
     ids = corpus.account_ids
     source = corpus.source.tolist()
     return {
