@@ -1,13 +1,16 @@
-"""Micro-benchmark of the pairwise kernels against the loops they replaced.
+"""Micro-benchmark of the fast kernels against the code they replaced.
 
 Times ``graphs.modularity_communities`` on 10-NN graphs of uniform random
 points in the unit square, ``spectral.kmedoids`` on 3-d Gaussian blobs (the
-pipeline's default ``pca_dims`` and ``kmedoids_k``, 10 restarts) and
-``topic.similarity_graph`` on a random term-by-user count matrix, each next
-to its quadratic reference in ``tests/reference_loops.py``. A kernel's time is
-the best of three calls in this process, a reference's time one call; each
-row also says whether the two results are identical (partition and Q, labels,
-medoids and cost, or edges and weights).
+pipeline's default ``pca_dims`` and ``kmedoids_k``, 10 restarts),
+``topic.similarity_graph`` on a random term-by-user count matrix,
+``porter.stem`` on 20k distinct words (each stemmed once, so every call is
+cold) and ``topic.topic_communities`` on planted corpora from
+``perfbench/gen.py`` with 256 and 4,000 users, each next to its reference in
+``tests/reference_loops.py``. A kernel's time is the best of three calls in
+this process, a reference's time one call; each row also says whether the
+two results are identical (partition and Q, labels, medoids and cost, edges
+and weights, stems, or every topic artifact).
 Prints one JSON document.
 
 usage: python scripts/bench_kernels.py
@@ -20,21 +23,32 @@ import os
 import platform
 import sys
 import time
+from datetime import date
+from functools import partial
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
 
 import numpy as np  # noqa: E402
 
 import reference_loops as ref  # noqa: E402
+from gen import planted_corpus, pseudo_words  # noqa: E402
+from tweetdyn import porter  # noqa: E402
+from tweetdyn.corpus import Corpus  # noqa: E402
 from tweetdyn.graphs import WeightedGraph, modularity_communities  # noqa: E402
 from tweetdyn.spectral import kmedoids  # noqa: E402
-from tweetdyn.topic import TermUserMatrix, similarity_graph  # noqa: E402
+from tweetdyn.timeseries import DayWindow  # noqa: E402
+from tweetdyn.topic import TermUserMatrix, similarity_graph, topic_communities  # noqa: E402
 
 MODULARITY_N = (250, 500, 1000)
 KMEDOIDS_N = (200, 400, 800, 2000)
 SIMILARITY_N = (2000,)
+STEM_N = (20_000,)
+# users -> days of a planted corpus (perfbench's crowd rates: about 2 tweets
+# per user-day); 256 users over 60 days is the crowd workload's size
+TOPIC_N = {256: 60, 4000: 20}
+TOPIC_START = date(2016, 3, 9)
 REPEATS = 3
 
 
@@ -67,6 +81,39 @@ def term_matrix(n: int, n_terms: int = 400, seed: int = 0) -> TermUserMatrix:
     )
 
 
+def distinct_words(n: int, seed: int = 0) -> list[str]:
+    """``n`` distinct consonant-vowel words, each with a suffix that a
+    Porter rule tests."""
+    rng = np.random.default_rng(seed)
+    suffixes = ref.PORTER_SUFFIXES
+    words: dict[str, None] = {}
+    for syllables in (3, 4):
+        for i, stem in enumerate(pseudo_words(rng, n, syllables, "")):
+            words[stem + suffixes[i % len(suffixes)]] = None
+    return list(words)[:n]
+
+
+def planted_topic_corpus(n_users: int, n_days: int, seed: int = 0) -> tuple[Corpus, list[str]]:
+    rows, labels, _ = planted_corpus(
+        np.random.default_rng(seed), per_group=n_users // 4, start=TOPIC_START,
+        n_days=n_days, base_rate=2.0, scale=1.8,
+    )
+    tweet_id, user, stamp, language, _, source, text = map(list, zip(*rows))
+    corpus = Corpus.from_columns(
+        tweet_id=tweet_id,
+        user=user,
+        source=[s or None for s in source],
+        timestamp_us=np.array(stamp, dtype="datetime64[us]").astype(np.int64).tolist(),
+        language=language,
+        text=text,
+    )
+    return corpus, sorted(labels)
+
+
+def stem_all(stem, words: list[str]) -> list[str]:
+    return [stem(w) for w in words]
+
+
 def best_of(repeats: int, fn, *args, **kwargs):
     times = []
     for _ in range(repeats):
@@ -80,6 +127,19 @@ def same_edges(a: WeightedGraph, b: WeightedGraph) -> bool:
     return a.vertices == b.vertices and [(e, w.hex()) for e, w in a.edges.items()] == [
         (e, w.hex()) for e, w in b.edges.items()
     ]
+
+
+def same_topics(new, old: dict) -> bool:
+    return (
+        new.dynamic_stopwords == old["dynamic_stopwords"]
+        and new.keywords_by_user == old["keywords_by_user"]
+        and new.vocabulary == old["vocabulary"]
+        and new.matrix.counts.tobytes() == old["matrix"].counts.tobytes()
+        and same_edges(new.graph, old["graph"])
+        and new.partition == old["partition"]
+        and new.modularity.hex() == old["modularity"].hex()
+        and new.top_terms == old["top_terms"]
+    )
 
 
 def main() -> int:
@@ -99,6 +159,19 @@ def main() -> int:
         cases.append(("similarity_graph", n, {"terms": len(matrix.terms), "k": 10},
                       similarity_graph, ref.similarity_graph, (matrix,), {"k": 10},
                       same_edges))
+    for n in STEM_N:
+        words = distinct_words(n)
+        # uncached, as the reference's lru_cache would warm every call but one
+        cases.append(("porter.stem", n, {"cold": True},
+                      partial(stem_all, porter.stem),
+                      partial(stem_all, ref.porter_stem.__wrapped__), (words,), {},
+                      lambda a, b: a == b))
+    for n, days in TOPIC_N.items():
+        corpus, users = planted_topic_corpus(n, days)
+        window = DayWindow.of_length(TOPIC_START, days)
+        cases.append(("topic_communities", n, {"days": days, "tweets": len(corpus)},
+                      topic_communities, ref.topic_communities, (corpus, users, window), {},
+                      same_topics))
 
     rows = []
     for kernel, n, shape, new_fn, old_fn, fn_args, fn_kwargs, same in cases:

@@ -55,7 +55,6 @@ from .spectral import (  # noqa: F401
     spectra_matrix,
 )
 from .topic import (  # noqa: F401
-    Document,
     GammaFit,
     TermUserMatrix,
     TopicConfig,

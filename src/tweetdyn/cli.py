@@ -578,7 +578,7 @@ def cmd_cluster_topic(
         outdir / "clusters_topic.json",
         {
             "window": window,
-            "n_users": len(result.documents),
+            "n_users": len(result.matrix.users),
             "n_dynamic_stopwords": len(result.dynamic_stopwords),
             "dynamic_stopwords": result.dynamic_stopwords,
             "vocabulary_size": len(result.vocabulary),

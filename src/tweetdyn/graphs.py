@@ -121,9 +121,13 @@ def modularity(graph: WeightedGraph, partition: Sequence[Iterable[str]]) -> floa
         p = part_of[u]
         if p == part_of[v]:
             w_in[p] += 2.0 * w
+    # Sum member degrees in vertex order, not in the hash order of a part's
+    # frozenset, so Q does not depend on PYTHONHASHSEED.
+    part_deg = [0.0] * len(groups)
+    for v in graph.vertices:
+        part_deg[part_of[v]] += deg[v]
     q = 0.0
-    for g, w in zip(groups, w_in):
-        d = sum(deg[u] for u in g)
+    for w, d in zip(w_in, part_deg):
         q += w / two_m - (d / two_m) ** 2
     return q
 

@@ -283,9 +283,15 @@ def pca_embed(
     )
 
 
-def _pairwise_distances(points: np.ndarray) -> np.ndarray:
-    diff = points[:, None, :] - points[None, :, :]
-    return np.sqrt(np.sum(diff**2, axis=-1))
+def _pairwise_distances(points: np.ndarray, block: int = 64) -> np.ndarray:
+    # Row blocks keep the difference tensor at block x n x d; each distance
+    # is the same sum over d as with the whole n x n x d tensor.
+    n = len(points)
+    dist = np.empty((n, n))
+    for start in range(0, n, block):
+        diff = points[start : start + block, None, :] - points[None, :, :]
+        dist[start : start + block] = np.sqrt(np.sum(diff**2, axis=-1))
+    return dist
 
 
 def _assign(dist: np.ndarray, medoids: list[int]) -> np.ndarray:

@@ -1,20 +1,23 @@
 """Grouping users by what they post: stems, keywords, similarity communities.
 
-The stages compose into one text pipeline:
+The stages compose into one text pipeline over NumPy arrays:
 
-1. :func:`build_documents` - concatenate each user's tweets in a window into
-   one document and tokenize it.
-2. :func:`stem_and_filter` - drop static stopwords, stem the rest, count.
-3. :func:`dynamic_stopwords` - terms used by strictly more than ``p * n_c``
+1. :func:`count_terms` - per user, join their window tweets into one string,
+   lowercase it, strip URLs and @mentions and take the runs of ``[0-9a-z]``
+   of length >= ``MIN_TOKEN_LEN`` that are not all digits. Each distinct
+   token gets an integer id and is stemmed once, static stopwords dropped
+   before stemming, and the (user, term) pairs are counted with
+   ``np.unique`` into a :class:`TermCounts`.
+2. :func:`dynamic_stopwords` - terms used by strictly more than ``p * n_c``
    of the ``n_c`` cohort users are corpus-specific stopwords.
-4. :func:`gamma_keywords` - per user, fit a Gamma(k, theta) to their term
+3. :func:`gamma_keywords` - per user, fit a Gamma(k, theta) to their term
    counts by method of moments and keep terms at or above the q-quantile;
    the union over users is the shared vocabulary.
-5. :func:`build_term_user_matrix` + :func:`similarity_graph` - cosine
+4. :func:`build_term_user_matrix` + :func:`similarity_graph` - cosine
    similarities between users' unit-normalized keyword-count columns, sparsified
    by a mutual k-nearest-neighbor bound.
-6. :func:`tweetdyn.graphs.modularity_communities` - greedy modularity over
-   the surviving edges.
+5. :func:`tweetdyn.graphs.modularity_communities` - greedy modularity over
+   the surviving edges, and :func:`top_terms` per community.
 
 The kNN bound: with the diagonal zeroed, ``B_i`` is the k-th largest entry of
 row i; the edge (i, j) survives iff ``A_ij >= min(B_i, B_j)`` and ``A_ij > 0``.
@@ -26,8 +29,8 @@ from __future__ import annotations
 
 import logging
 import re
-from collections import Counter
-from dataclasses import dataclass
+from collections import defaultdict
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -42,8 +45,13 @@ logger = logging.getLogger(__name__)
 
 _URL_RE = re.compile(r"https?://\S+|www\.\S+")
 _MENTION_RE = re.compile(r"@\w+")
-_SPLIT_RE = re.compile(r"[^0-9a-z]+")
 MIN_TOKEN_LEN = 2
+# Maps the bytes of lowercased text, encoded as ASCII with "?" for any other
+# character, to themselves for [0-9a-z] and to a space for the rest, so
+# bytes.split() yields the runs of [0-9a-z].
+_RUN_BYTES = bytes(
+    i if chr(i) in "0123456789abcdefghijklmnopqrstuvwxyz" else ord(" ") for i in range(256)
+)
 
 
 @dataclass(frozen=True)
@@ -67,13 +75,36 @@ class TopicConfig:
 DEFAULT_TOPIC_CONFIG = TopicConfig()
 
 
-@dataclass(frozen=True)
-class Document:
-    """One user's pooled tweet text in a window."""
+@dataclass(frozen=True, eq=False)
+class TermCounts:
+    """Positive (user, term) counts, one entry per pair.
 
-    user_id: str
-    text: str
-    tokens: tuple[str, ...]
+    ``users`` and ``terms`` are sorted tables; ``user`` and ``term`` index
+    them, and the pairs are sorted by user, then term. Every user in
+    ``users`` is a document, also one whose tokens were all stopwords and
+    who therefore has no pair.
+    """
+
+    users: tuple[str, ...]
+    terms: tuple[str, ...]
+    user: np.ndarray
+    term: np.ndarray
+    count: np.ndarray
+
+    def bounds(self) -> list[int]:
+        """Pair offsets per user: user i owns pairs ``[b[i], b[i + 1])``."""
+        return np.searchsorted(self.user, np.arange(len(self.users) + 1)).tolist()
+
+    def where(self, keep: np.ndarray) -> "TermCounts":
+        """The pairs where the boolean mask ``keep`` is True."""
+        return replace(
+            self, user=self.user[keep], term=self.term[keep], count=self.count[keep]
+        )
+
+    def without(self, stopwords: frozenset[str]) -> "TermCounts":
+        """The pairs whose term is not in ``stopwords``."""
+        stop = np.fromiter((t in stopwords for t in self.terms), bool, len(self.terms))
+        return self.where(~stop[self.term])
 
 
 @dataclass(frozen=True)
@@ -133,8 +164,6 @@ class TermUserMatrix:
 class TopicClustering:
     """Everything the text pipeline produced, stage by stage."""
 
-    documents: tuple[Document, ...]
-    term_counts: Mapping[str, Counter]
     dynamic_stopwords: frozenset[str]
     keywords_by_user: Mapping[str, frozenset[str]]
     vocabulary: tuple[str, ...]
@@ -145,79 +174,87 @@ class TopicClustering:
     top_terms: tuple[tuple[tuple[str, int], ...], ...]
 
 
-def tokenize(text: str) -> list[str]:
-    """Lowercase, strip URLs and @mentions, split on non-alphanumerics.
+def count_terms(corpus: Corpus, users: Iterable[str], window: DayWindow) -> TermCounts:
+    """Stemmed term counts of each user's tweets in the window.
 
-    Hashtag bodies are kept as plain tokens (the ``#`` is a split character).
-    All-digit tokens and tokens shorter than ``MIN_TOKEN_LEN`` are dropped.
-    """
-    text = _MENTION_RE.sub(" ", _URL_RE.sub(" ", text.lower()))
-    tokens = [t for t in _SPLIT_RE.split(text) if t]
-    return [t for t in tokens if len(t) >= MIN_TOKEN_LEN and not t.isdigit()]
-
-
-def build_documents(
-    corpus: Corpus,
-    users: Iterable[str],
-    window: DayWindow,
-) -> list[Document]:
-    """One document per user: their window tweets joined in time order.
-
-    Tweets sort by (timestamp, tweet id, text). Users with no text in the
-    window are dropped with a warning. Documents come back sorted by user id.
+    A token is a run of ``[0-9a-z]`` of length >= ``MIN_TOKEN_LEN`` in the
+    lowercased text once URLs and @mentions are blanked; hashtag bodies are
+    plain tokens (``#`` separates), and all-digit tokens are dropped. Static
+    stopwords are matched before stemming. Users with no token in the window
+    are dropped with a warning.
     """
     users = sorted(set(users))
     _, keep = corpus.window_offsets(window)
     pos = corpus.positions(users)
     rows = np.flatnonzero(keep & (pos >= 0))
-    pieces = sorted(
-        zip(
-            pos[rows].tolist(),
-            corpus.timestamp_us[rows].tolist(),
-            corpus.tweet_id.take(rows.tolist()),
-            corpus.text.take(rows.tolist()),
-        )
+    rows = rows[np.argsort(pos[rows], kind="stable")]
+    ends = np.cumsum(np.bincount(pos[rows], minlength=len(users))).tolist()
+    texts = corpus.text.take(rows.tolist())
+
+    # run -> id in first-seen order; a new run gets the current size. Neither
+    # a URL nor a mention spans the " " that joins two tweets, so the runs
+    # do not depend on the order of a user's tweets.
+    index: defaultdict[bytes, int] = defaultdict()
+    index.default_factory = index.__len__
+    ids, n_runs, start = [np.zeros(0, np.int64)], [], 0
+    for end in ends:
+        text = " ".join(texts[start:end]).lower()
+        text = _MENTION_RE.sub(" ", _URL_RE.sub(" ", text))
+        runs = text.encode("ascii", "replace").translate(_RUN_BYTES).split()
+        ids.append(np.fromiter(map(index.__getitem__, runs), np.int64, len(runs)))
+        n_runs.append(len(runs))
+        start = end
+    del texts
+
+    words = [run.decode("ascii") for run in index]
+    is_token = [len(w) >= MIN_TOKEN_LEN and not w.isdigit() for w in words]
+    stems = {
+        w: porter.stem(w)
+        for w, t in zip(words, is_token)
+        if t and w not in ENGLISH_STOPWORDS
+    }
+    terms = sorted(set(stems.values()))
+    term_index = {s: i for i, s in enumerate(terms)}
+    # per run: its term, -1 for a stopword, -2 for a run that is no token
+    code = np.array(
+        [term_index[stems[w]] if w in stems else -1 if t else -2 for w, t in zip(words, is_token)],
+        dtype=np.int64,
+    )[np.concatenate(ids)]
+    user_of = np.repeat(np.arange(len(users)), n_runs)
+
+    has_text = np.bincount(user_of[code != -2], minlength=len(users)) > 0
+    for i in np.flatnonzero(~has_text).tolist():
+        logger.warning("count_terms: user %s has no usable text", users[i])
+    kept = np.cumsum(has_text) - 1
+    is_term = code >= 0
+    n_terms = max(len(terms), 1)
+    keys, count = np.unique(
+        kept[user_of[is_term]] * n_terms + code[is_term], return_counts=True
     )
-    texts: list[list[str]] = [[] for _ in users]
-    for p, _, _, text in pieces:
-        texts[p].append(text)
-    docs: list[Document] = []
-    for user_id, parts in zip(users, texts):
-        text = " ".join(parts)
-        tokens = tokenize(text)
-        if not tokens:
-            logger.warning("build_documents: user %s has no usable text", user_id)
-            continue
-        docs.append(Document(user_id=user_id, text=text, tokens=tuple(tokens)))
-    return docs
-
-
-def stem_and_filter(
-    doc: Document, stopwords: frozenset[str] = ENGLISH_STOPWORDS
-) -> Counter:
-    """Counts of stemmed tokens, stopwords removed before stemming."""
-    return Counter(
-        porter.stem(tok) for tok in doc.tokens if tok not in stopwords
+    user, term = np.divmod(keys, n_terms)
+    return TermCounts(
+        users=tuple(u for u, h in zip(users, has_text.tolist()) if h),
+        terms=tuple(terms),
+        user=user,
+        term=term,
+        count=count,
     )
 
 
-def dynamic_stopwords(
-    term_counts: Mapping[str, Counter], p: float = 0.5
-) -> frozenset[str]:
+def dynamic_stopwords(counts: TermCounts, p: float = 0.5) -> frozenset[str]:
     """Terms appearing in strictly more than ``p * n_c`` of the user docs.
 
     The inequality is strict: with ``n_c`` even and ``p = 0.5``, a term used
     by exactly half the users is kept.
     """
-    if not term_counts:
+    if not counts.users:
         raise ValueError("no user documents")
     if not 0.0 < p <= 1.0:
         raise ValueError("p must be in (0, 1]")
-    n_c = len(term_counts)
-    df: Counter = Counter()
-    for counts in term_counts.values():
-        df.update(set(counts))
-    return frozenset(t for t, d in df.items() if d > p * n_c)
+    df = np.bincount(counts.term, minlength=len(counts.terms))
+    return frozenset(
+        counts.terms[i] for i in np.flatnonzero(df > p * len(counts.users)).tolist()
+    )
 
 
 def gamma_fit(counts: Sequence[float]) -> GammaFit:
@@ -239,57 +276,58 @@ def gamma_fit(counts: Sequence[float]) -> GammaFit:
 
 
 def gamma_keywords(
-    term_counts: Mapping[str, Counter],
+    counts: TermCounts,
     q: float = 0.9,
 ) -> tuple[dict[str, frozenset[str]], frozenset[str]]:
     """Per-user keyword sets (counts at or above the user's Gamma q-quantile)
     and their union.
 
-    Users whose counts admit no moment fit (fewer than two distinct terms, or
-    all counts equal) fall back to keeping terms with count >= their mean.
+    The fit reads the user's counts in ascending order. Users whose counts
+    admit no moment fit (fewer than two distinct terms, or all counts equal)
+    fall back to keeping terms with count >= their mean.
     """
     if not 0.0 < q < 1.0:
         raise ValueError("q must be in (0, 1)")
-    per_user: dict[str, frozenset[str]] = {}
-    union: set[str] = set()
-    for user_id in sorted(term_counts):
-        counts = term_counts[user_id]
-        if not counts:
-            per_user[user_id] = frozenset()
+    values = counts.count[np.lexsort((counts.count, counts.user))].astype(np.float64)
+    bounds = counts.bounds()
+    threshold = np.full(len(counts.users), np.inf)
+    for i, (a, b) in enumerate(zip(bounds, bounds[1:])):
+        if a == b:
             continue
-        values = np.array(sorted(counts.values()), dtype=np.float64)
         try:
-            threshold = gamma_fit(values).quantile(q)
+            threshold[i] = gamma_fit(values[a:b]).quantile(q)
         except ValueError:
-            threshold = float(values.mean())
+            threshold[i] = float(values[a:b].mean())
             logger.debug(
                 "gamma_keywords: user %s has degenerate counts, "
                 "keeping terms at or above the mean",
-                user_id,
+                counts.users[i],
             )
-        kept = frozenset(t for t, c in counts.items() if c >= threshold)
-        per_user[user_id] = kept
-        union |= kept
-    return per_user, frozenset(union)
+    keywords = counts.where(counts.count >= threshold[counts.user])
+    kept = [counts.terms[t] for t in keywords.term.tolist()]
+    bounds = keywords.bounds()
+    per_user = {
+        u: frozenset(kept[a:b]) for u, a, b in zip(counts.users, bounds, bounds[1:])
+    }
+    return per_user, frozenset(kept)
 
 
 def build_term_user_matrix(
-    term_counts: Mapping[str, Counter],
+    counts: TermCounts,
     vocabulary: Iterable[str],
 ) -> TermUserMatrix:
     """Count matrix restricted to the vocabulary; rows terms, columns users."""
     terms = tuple(sorted(set(vocabulary)))
-    users = tuple(sorted(term_counts))
-    if not terms or not users:
+    if not terms or not counts.users:
         raise ValueError("empty vocabulary or user set")
-    counts = np.zeros((len(terms), len(users)), dtype=np.float64)
-    term_index = {t: i for i, t in enumerate(terms)}
-    for j, user_id in enumerate(users):
-        for term, c in term_counts[user_id].items():
-            i = term_index.get(term)
-            if i is not None:
-                counts[i, j] = c
-    return TermUserMatrix(terms=terms, users=users, counts=counts)
+    index = {t: i for i, t in enumerate(terms)}
+    row = np.fromiter(
+        (index.get(t, -1) for t in counts.terms), np.int64, len(counts.terms)
+    )[counts.term]
+    sel = row >= 0
+    matrix = np.zeros((len(terms), len(counts.users)), dtype=np.float64)
+    matrix[row[sel], counts.user[sel]] = counts.count[sel]
+    return TermUserMatrix(terms=terms, users=counts.users, counts=matrix)
 
 
 def similarity_graph(matrix: TermUserMatrix, k: int = 10) -> WeightedGraph:
@@ -327,18 +365,32 @@ def similarity_graph(matrix: TermUserMatrix, k: int = 10) -> WeightedGraph:
 
 def top_terms(
     partition: Sequence[Iterable[str]],
-    term_counts: Mapping[str, Counter],
+    counts: TermCounts,
     m: int = 25,
 ) -> tuple[tuple[tuple[str, int], ...], ...]:
-    """Per-community term ranking: pooled counts, ties broken alphabetically."""
-    out = []
-    for part in partition:
-        pooled: Counter = Counter()
-        for user_id in part:
-            pooled.update(term_counts.get(user_id, Counter()))
-        ranked = sorted(pooled.items(), key=lambda kv: (-kv[1], kv[0]))[:m]
-        out.append(tuple((t, int(c)) for t, c in ranked))
-    return tuple(out)
+    """Per-community term ranking: pooled counts, ties broken alphabetically.
+
+    The parts must be disjoint; users without counts are ignored.
+    """
+    index = {u: i for i, u in enumerate(counts.users)}
+    part_of = np.full(len(counts.users), -1, dtype=np.int64)
+    for p, part in enumerate(partition):
+        part_of[[index[u] for u in part if u in index]] = p
+    part = part_of[counts.user]
+    sel = part >= 0
+    n_terms = max(len(counts.terms), 1)
+    keys, pair_key = np.unique(part[sel] * n_terms + counts.term[sel], return_inverse=True)
+    pooled = np.zeros(len(keys), dtype=np.int64)
+    np.add.at(pooled, pair_key, counts.count[sel])
+    part, term = np.divmod(keys, n_terms)
+    # by part, then count descending, then term (the term table is sorted)
+    ranked = np.lexsort((term, -pooled, part))
+    part, term, pooled = part[ranked], term[ranked].tolist(), pooled[ranked].tolist()
+    bounds = np.searchsorted(part, np.arange(len(partition) + 1)).tolist()
+    return tuple(
+        tuple((counts.terms[t], c) for t, c in zip(term[a:b][:m], pooled[a:b][:m]))
+        for a, b in zip(bounds, bounds[1:])
+    )
 
 
 def topic_communities(
@@ -348,25 +400,18 @@ def topic_communities(
     config: TopicConfig = DEFAULT_TOPIC_CONFIG,
 ) -> TopicClustering:
     """Run the whole text pipeline for a cohort in a window."""
-    docs = build_documents(corpus, users, window)
-    if len(docs) < 2:
+    raw = count_terms(corpus, users, window)
+    if len(raw.users) < 2:
         raise ValueError("need at least 2 users with text to cluster")
-    raw_counts = {d.user_id: stem_and_filter(d) for d in docs}
-    dyn = dynamic_stopwords(raw_counts, config.dynamic_p)
-    filtered = {
-        u: Counter({t: c for t, c in counts.items() if t not in dyn})
-        for u, counts in raw_counts.items()
-    }
-    keywords, vocabulary = gamma_keywords(filtered, config.gamma_q)
+    dyn = dynamic_stopwords(raw, config.dynamic_p)
+    counts = raw.without(dyn)
+    keywords, vocabulary = gamma_keywords(counts, config.gamma_q)
     if not vocabulary:
         raise ValueError("no keywords survive filtering; nothing to cluster")
-    matrix = build_term_user_matrix(filtered, vocabulary)
+    matrix = build_term_user_matrix(counts, vocabulary)
     graph = similarity_graph(matrix, config.knn_k)
     partition, q = modularity_communities(graph)
-    ranked = top_terms(partition, filtered, config.top_m)
     return TopicClustering(
-        documents=tuple(docs),
-        term_counts=filtered,
         dynamic_stopwords=dyn,
         keywords_by_user=keywords,
         vocabulary=tuple(sorted(vocabulary)),
@@ -374,5 +419,5 @@ def topic_communities(
         graph=graph,
         partition=tuple(partition),
         modularity=q,
-        top_terms=ranked,
+        top_terms=top_terms(partition, counts, config.top_m),
     )

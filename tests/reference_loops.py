@@ -6,27 +6,37 @@ Most are the loops the package ran before it stored tweets as NumPy columns
 each tweet and day on its own, with no scalar code from the package, so they
 are slow but easy to check by eye. ``test_corpus.py`` requires each kernel to agree with them exactly,
 and ``test_ingest.py`` requires the columnar ``ingest`` to agree with the row
-loop. The last section holds the quadratic pairwise kernels that greedy
+loop. The pairwise section holds the quadratic kernels that greedy
 modularity, k-medoids and the similarity graph replaced; ``test_graphs.py``,
 ``test_spectral.py`` and ``test_topic.py`` require the same partitions,
-medoids, costs and edges, float for float.
+medoids, costs and edges, float for float. The last section is the text
+pipeline as it ran before :func:`tweetdyn.topic.count_terms`: one joined
+document and one ``Counter`` per user and a Porter stemmer that walks the
+word once per condition. ``test_porter.py`` and ``test_topic.py`` require the
+same stems and the same topic artifacts.
 """
 
 import csv
 import enum
 import json
+import re
 from collections import Counter
+from dataclasses import dataclass
 from datetime import datetime
+from functools import lru_cache
 
 import numpy as np
 
 from tweet_tables import TweetRecord
 from tweetdyn.graphs import WeightedGraph
+from tweetdyn.graphs import modularity_communities as fast_modularity_communities
 from tweetdyn.ingest import ColumnMap, IngestError, ParseReport
-from tweetdyn.spectral import ClusterAssignment, _assign, _pairwise_distances, _total_cost
+from tweetdyn.spectral import ClusterAssignment, _assign, _total_cost
+from tweetdyn.stopwords import ENGLISH_STOPWORDS
 from tweetdyn.strategy import ALPHABET, DEFAULT_PARTITION, SymbolDistribution
 from tweetdyn.timeseries import CountSeries
-from tweetdyn.topic import Document, tokenize
+from tweetdyn.topic import DEFAULT_TOPIC_CONFIG, TermUserMatrix, gamma_fit
+from tweetdyn.topic import similarity_graph as fast_similarity_graph
 
 class TweetCategory(enum.Enum):
     ORIGINAL = "original"
@@ -161,22 +171,6 @@ def symbol_distribution(records, campaign_users, users, window, partition=DEFAUL
     if not any_days:
         raise ValueError("no active user-days in window; distribution undefined")
     return SymbolDistribution(counts=counts)
-
-
-def build_documents(records, users, window):
-    users = set(users)
-    per_user = {u: [] for u in users}
-    for rec in records:
-        if rec.user_id in users and window.contains(rec.timestamp):
-            per_user[rec.user_id].append((rec.timestamp, rec.tweet_id, rec.text))
-    docs = []
-    for user_id in sorted(users):
-        pieces = sorted(per_user[user_id])
-        text = " ".join(p[2] for p in pieces)
-        tokens = tokenize(text)
-        if tokens:
-            docs.append(Document(user_id=user_id, text=text, tokens=tuple(tokens)))
-    return docs
 
 
 # ------------------------------------------------------------------ ingest
@@ -338,7 +332,7 @@ def modularity(graph, partition):
         for (u, v), w in graph.edges.items():
             if u in g and v in g:
                 w_in += 2.0 * w
-        d = sum(deg[u] for u in g)
+        d = sum(deg[u] for u in sorted(g))
         q += w_in / two_m - (d / two_m) ** 2
     return q
 
@@ -386,13 +380,18 @@ def modularity_communities(graph):
     return partition, modularity(graph, partition)
 
 
+def pairwise_distances(points):
+    diff = points[:, None, :] - points[None, :, :]
+    return np.sqrt(np.sum(diff**2, axis=-1))
+
+
 def kmedoids(points, ids, k=4, seed=0, restarts=10):
     pts = np.asarray(points, dtype=np.float64)
     n = len(pts)
     order = sorted(range(n), key=lambda i: (tuple(pts[i]), ids[i]))
     pts = pts[order]
     sorted_ids = [ids[i] for i in order]
-    dist = _pairwise_distances(pts)
+    dist = pairwise_distances(pts)
     seen = {}
     for i, row in enumerate(pts):
         seen.setdefault(tuple(row), i)
@@ -473,3 +472,321 @@ def similarity_graph(matrix, k=10):
             if a > 0 and a >= min(bounds[i], bounds[j]):
                 edges[(users[i], users[j])] = float(a)
     return WeightedGraph.from_edges(edges, extra_vertices=users)
+
+
+# ------------------------------------------------------------ text pipeline
+# The Porter stemmer that sorts its rule tables on every call and classifies
+# each letter by recursion, and the per-user documents and Counters.
+
+_VOWELS = set("aeiou")
+
+
+def _is_consonant(word, i):
+    ch = word[i]
+    if ch in _VOWELS:
+        return False
+    if ch == "y":
+        return i == 0 or not _is_consonant(word, i - 1)
+    return True
+
+
+def _measure(stem):
+    m = 0
+    prev_vowel = False
+    for i in range(len(stem)):
+        if _is_consonant(stem, i):
+            if prev_vowel:
+                m += 1
+            prev_vowel = False
+        else:
+            prev_vowel = True
+    return m
+
+
+def _contains_vowel(stem):
+    return any(not _is_consonant(stem, i) for i in range(len(stem)))
+
+
+def _ends_double_consonant(stem):
+    return len(stem) >= 2 and stem[-1] == stem[-2] and _is_consonant(stem, len(stem) - 1)
+
+
+def _ends_cvc(stem):
+    if len(stem) < 3:
+        return False
+    return (
+        _is_consonant(stem, len(stem) - 3)
+        and not _is_consonant(stem, len(stem) - 2)
+        and _is_consonant(stem, len(stem) - 1)
+        and stem[-1] not in "wxy"
+    )
+
+
+def _replace_longest(word, rules):
+    for suffix, repl, min_m in sorted(rules, key=lambda r: -len(r[0])):
+        if word.endswith(suffix):
+            stem = word[: -len(suffix)]
+            if _measure(stem) > min_m:
+                return stem + repl
+            return word
+    return word
+
+
+_STEP2 = [
+    ("ational", "ate", 0), ("tional", "tion", 0), ("enci", "ence", 0),
+    ("anci", "ance", 0), ("izer", "ize", 0), ("abli", "able", 0),
+    ("alli", "al", 0), ("entli", "ent", 0), ("eli", "e", 0),
+    ("ousli", "ous", 0), ("ization", "ize", 0), ("ation", "ate", 0),
+    ("ator", "ate", 0), ("alism", "al", 0), ("iveness", "ive", 0),
+    ("fulness", "ful", 0), ("ousness", "ous", 0), ("aliti", "al", 0),
+    ("iviti", "ive", 0), ("biliti", "ble", 0),
+]
+
+_STEP3 = [
+    ("icate", "ic", 0), ("ative", "", 0), ("alize", "al", 0),
+    ("iciti", "ic", 0), ("ical", "ic", 0), ("ful", "", 0), ("ness", "", 0),
+]
+
+_STEP4_SUFFIXES = [
+    "al", "ance", "ence", "er", "ic", "able", "ible", "ant", "ement",
+    "ment", "ent", "ion", "ou", "ism", "ate", "iti", "ous", "ive", "ize",
+]
+
+# every suffix a rule of steps 1-5 tests
+PORTER_SUFFIXES = tuple(
+    ["sses", "ies", "ss", "s", "eed", "ed", "ing", "at", "bl", "iz", "y", "e", "ll"]
+    + [r[0] for r in _STEP2 + _STEP3]
+    + _STEP4_SUFFIXES
+)
+
+
+def _step1a(word):
+    if word.endswith("sses"):
+        return word[:-2]
+    if word.endswith("ies"):
+        return word[:-2]
+    if word.endswith("ss"):
+        return word
+    if word.endswith("s"):
+        return word[:-1]
+    return word
+
+
+def _step1b(word):
+    if word.endswith("eed"):
+        stem = word[:-3]
+        return stem + "ee" if _measure(stem) > 0 else word
+    stripped = None
+    if word.endswith("ed") and _contains_vowel(word[:-2]):
+        stripped = word[:-2]
+    elif word.endswith("ing") and _contains_vowel(word[:-3]):
+        stripped = word[:-3]
+    if stripped is None:
+        return word
+    if stripped.endswith(("at", "bl", "iz")):
+        return stripped + "e"
+    if _ends_double_consonant(stripped) and stripped[-1] not in "lsz":
+        return stripped[:-1]
+    if _measure(stripped) == 1 and _ends_cvc(stripped):
+        return stripped + "e"
+    return stripped
+
+
+def _step1c(word):
+    if word.endswith("y") and _contains_vowel(word[:-1]):
+        return word[:-1] + "i"
+    return word
+
+
+def _step4(word):
+    for suffix in sorted(_STEP4_SUFFIXES, key=len, reverse=True):
+        if word.endswith(suffix):
+            stem = word[: -len(suffix)]
+            if _measure(stem) <= 1:
+                return word
+            if suffix == "ion" and not stem.endswith(("s", "t")):
+                return word
+            return stem
+    return word
+
+
+def _step5a(word):
+    if word.endswith("e"):
+        stem = word[:-1]
+        m = _measure(stem)
+        if m > 1:
+            return stem
+        if m == 1 and not _ends_cvc(stem):
+            return stem
+    return word
+
+
+def _step5b(word):
+    if _measure(word) > 1 and _ends_double_consonant(word) and word.endswith("l"):
+        return word[:-1]
+    return word
+
+
+@lru_cache(maxsize=65536)
+def porter_stem(word):
+    if len(word) <= 2:
+        return word
+    word = _step1a(word)
+    word = _step1b(word)
+    word = _step1c(word)
+    word = _replace_longest(word, _STEP2)
+    word = _replace_longest(word, _STEP3)
+    word = _step4(word)
+    word = _step5a(word)
+    word = _step5b(word)
+    return word
+
+
+_URL_RE = re.compile(r"https?://\S+|www\.\S+")
+_MENTION_RE = re.compile(r"@\w+")
+_SPLIT_RE = re.compile(r"[^0-9a-z]+")
+
+
+def tokenize(text):
+    text = _MENTION_RE.sub(" ", _URL_RE.sub(" ", text.lower()))
+    tokens = [t for t in _SPLIT_RE.split(text) if t]
+    return [t for t in tokens if len(t) >= 2 and not t.isdigit()]
+
+
+@dataclass(frozen=True)
+class Document:
+    user_id: str
+    text: str
+    tokens: tuple
+
+
+def build_documents(records, users, window):
+    users = set(users)
+    per_user = {u: [] for u in users}
+    for rec in records:
+        if rec.user_id in users and window.contains(rec.timestamp):
+            per_user[rec.user_id].append((rec.timestamp, rec.tweet_id, rec.text))
+    docs = []
+    for user_id in sorted(users):
+        pieces = sorted(per_user[user_id])
+        text = " ".join(p[2] for p in pieces)
+        tokens = tokenize(text)
+        if tokens:
+            docs.append(Document(user_id=user_id, text=text, tokens=tuple(tokens)))
+    return docs
+
+
+def corpus_documents(corpus, users, window):
+    """``build_documents`` over a Corpus: one sort of (position, timestamp,
+    tweet id, text) tuples, then one joined text per user."""
+    users = sorted(set(users))
+    _, keep = corpus.window_offsets(window)
+    pos = corpus.positions(users)
+    rows = np.flatnonzero(keep & (pos >= 0))
+    pieces = sorted(
+        zip(
+            pos[rows].tolist(),
+            corpus.timestamp_us[rows].tolist(),
+            corpus.tweet_id.take(rows.tolist()),
+            corpus.text.take(rows.tolist()),
+        )
+    )
+    texts = [[] for _ in users]
+    for p, _, _, text in pieces:
+        texts[p].append(text)
+    docs = []
+    for user_id, parts in zip(users, texts):
+        text = " ".join(parts)
+        tokens = tokenize(text)
+        if tokens:
+            docs.append(Document(user_id=user_id, text=text, tokens=tuple(tokens)))
+    return docs
+
+
+def stem_and_filter(doc, stopwords=ENGLISH_STOPWORDS):
+    return Counter(porter_stem(tok) for tok in doc.tokens if tok not in stopwords)
+
+
+def dynamic_stopwords(term_counts, p=0.5):
+    if not term_counts:
+        raise ValueError("no user documents")
+    n_c = len(term_counts)
+    df = Counter()
+    for counts in term_counts.values():
+        df.update(set(counts))
+    return frozenset(t for t, d in df.items() if d > p * n_c)
+
+
+def gamma_keywords(term_counts, q=0.9):
+    per_user = {}
+    union = set()
+    for user_id in sorted(term_counts):
+        counts = term_counts[user_id]
+        if not counts:
+            per_user[user_id] = frozenset()
+            continue
+        values = np.array(sorted(counts.values()), dtype=np.float64)
+        try:
+            threshold = gamma_fit(values).quantile(q)
+        except ValueError:
+            threshold = float(values.mean())
+        kept = frozenset(t for t, c in counts.items() if c >= threshold)
+        per_user[user_id] = kept
+        union |= kept
+    return per_user, frozenset(union)
+
+
+def build_term_user_matrix(term_counts, vocabulary):
+    terms = tuple(sorted(set(vocabulary)))
+    users = tuple(sorted(term_counts))
+    if not terms or not users:
+        raise ValueError("empty vocabulary or user set")
+    counts = np.zeros((len(terms), len(users)), dtype=np.float64)
+    term_index = {t: i for i, t in enumerate(terms)}
+    for j, user_id in enumerate(users):
+        for term, c in term_counts[user_id].items():
+            i = term_index.get(term)
+            if i is not None:
+                counts[i, j] = c
+    return TermUserMatrix(terms=terms, users=users, counts=counts)
+
+
+def top_terms(partition, term_counts, m=25):
+    out = []
+    for part in partition:
+        pooled = Counter()
+        for user_id in part:
+            pooled.update(term_counts.get(user_id, Counter()))
+        ranked = sorted(pooled.items(), key=lambda kv: (-kv[1], kv[0]))[:m]
+        out.append(tuple((t, int(c)) for t, c in ranked))
+    return tuple(out)
+
+
+def topic_communities(corpus, users, window, config=DEFAULT_TOPIC_CONFIG):
+    """The old composition; a dict of what it produced, raw counts included."""
+    docs = corpus_documents(corpus, users, window)
+    if len(docs) < 2:
+        raise ValueError("need at least 2 users with text to cluster")
+    raw_counts = {d.user_id: stem_and_filter(d) for d in docs}
+    dyn = dynamic_stopwords(raw_counts, config.dynamic_p)
+    filtered = {
+        u: Counter({t: c for t, c in counts.items() if t not in dyn})
+        for u, counts in raw_counts.items()
+    }
+    keywords, vocabulary = gamma_keywords(filtered, config.gamma_q)
+    if not vocabulary:
+        raise ValueError("no keywords survive filtering; nothing to cluster")
+    matrix = build_term_user_matrix(filtered, vocabulary)
+    graph = fast_similarity_graph(matrix, config.knn_k)
+    partition, q = fast_modularity_communities(graph)
+    return {
+        "raw_counts": raw_counts,
+        "dynamic_stopwords": dyn,
+        "keywords_by_user": keywords,
+        "vocabulary": tuple(sorted(vocabulary)),
+        "matrix": matrix,
+        "graph": graph,
+        "partition": tuple(partition),
+        "modularity": q,
+        "top_terms": top_terms(partition, filtered, config.top_m),
+    }

@@ -52,6 +52,7 @@ from test_cli import SMALL_CONFIG, run_pipeline
 from test_graphs import FIXTURES as GRAPH_FIXTURES
 from test_graphs import brute_force_best_q
 from test_spectral import KMEDOID_FIXTURES, exhaustive_kmedoids_cost, half_spectrum_power
+from tweet_tables import term_counts_of
 
 
 def _report(capsys, name: str, ok: bool, detail: str) -> None:
@@ -272,7 +273,7 @@ def test_criterion_7_text_pipeline_end_to_end(capsys):
         "u3": Counter({"majority": 1}),
         "u4": Counter({"other": 1}),
     }
-    stop = dynamic_stopwords(half_counts, p=0.5)
+    stop = dynamic_stopwords(term_counts_of(half_counts), p=0.5)
     boundary_ok = "boundary" not in stop and "majority" in stop
 
     fit1 = gamma_fit([2, 6])

@@ -14,13 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_loops as ref
-from tweet_tables import TweetRecord, arrays_of, corpus_of
+from tweet_tables import TweetRecord, arrays_of, corpus_of, counters_of
 from tweetdyn.cli import main
 from tweetdyn.corpus import Corpus, CorpusError, file_sha256
 from tweetdyn.ingest import CohortSpec, retweet_network, select_cohort, write_records
 from tweetdyn.strategy import SymbolDistribution, category_table, symbol_pairs, symbol_table
 from tweetdyn.timeseries import DayWindow, counts_by_user, daily_counts
-from tweetdyn.topic import build_documents
+from tweetdyn.topic import count_terms
 
 USERS = ["u0", "u1", "u2", "ü3"]
 OUTSIDE = ["x0", "cnn"]
@@ -118,9 +118,13 @@ class TestKernelsMatchReferenceLoops:
 
     @given(records_st())
     def test_build_documents(self, records):
+        # count_terms against the reference documents, stemmed and counted
         users = USERS[1:] + ["nobody"]
-        want = ref.build_documents(records, users, WINDOW)
-        assert build_documents(corpus_of(records), users, WINDOW) == want
+        want = {
+            d.user_id: ref.stem_and_filter(d)
+            for d in ref.build_documents(records, users, WINDOW)
+        }
+        assert counters_of(count_terms(corpus_of(records), users, WINDOW)) == want
 
     @given(records_st(), campaign_st)
     def test_retweet_network(self, records, campaign):

@@ -1,7 +1,11 @@
 """Weighted graphs, modularity, and the greedy community search."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_loops as ref
+import tweetdyn
 from tweetdyn.graphs import WeightedGraph, modularity, modularity_communities
 
 
@@ -73,6 +78,29 @@ class TestWeightedGraph:
 
 
 class TestModularity:
+    def test_same_q_under_every_hash_seed(self):
+        # String hashing orders a frozenset; Q must not follow that order.
+        script = (
+            "import numpy as np\n"
+            "from tweetdyn.graphs import WeightedGraph, modularity\n"
+            "rng = np.random.default_rng(3)\n"
+            "verts = [f'user{i:03d}' for i in range(80)]\n"
+            "edges = {(verts[i], verts[j]): float(rng.random() * 10 ** rng.uniform(-3, 3))\n"
+            "         for i in range(80) for j in range(i + 1, 80) if rng.random() < 0.2}\n"
+            "graph = WeightedGraph.from_edges(edges, extra_vertices=verts)\n"
+            "print(repr(modularity(graph, [verts[:40], verts[40:]])))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(tweetdyn.__file__).parents[1]))
+        reprs = {
+            subprocess.run(
+                [sys.executable, "-c", script],
+                env=dict(env, PYTHONHASHSEED=str(seed)),
+                capture_output=True, text=True, check=True,
+            ).stdout
+            for seed in (0, 1, 2, 5, 42)
+        }
+        assert len(reprs) == 1
+
     def test_two_triangles_split_is_half(self):
         q = modularity(TWO_TRIANGLES, [{"a", "b", "c"}, {"x", "y", "z"}])
         assert q == pytest.approx(0.5, abs=1e-12)

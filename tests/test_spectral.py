@@ -24,6 +24,7 @@ from tweetdyn.spectral import (
     spectra_matrix,
     squared_magnitude_quantile,
 )
+from tweetdyn.spectral import _pairwise_distances
 from tweetdyn.timeseries import CountSeries, DayWindow, detrend
 from datetime import date
 
@@ -471,6 +472,28 @@ class TestKmedoidsMatchesQuadraticReference:
         result = kmedoids(pts, ids, k=4, restarts=2)
         assert result == ref.kmedoids(pts, ids, k=4, restarts=2)
         assert result.cost == 0.0
+
+
+class TestPairwiseDistancesInRowBlocks:
+    """Distances built block x n x d at a time against the whole n x n x d
+    tensor (``reference_loops``): the same floats, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 150),
+        st.integers(1, 39),
+        st.sampled_from([1, 7, 64]),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_equal_to_whole_tensor(self, n, d, block, grid, seed):
+        rng = np.random.default_rng(seed)
+        if grid:
+            pts = rng.integers(-3, 4, size=(n, d)).astype(np.float64)
+        else:
+            pts = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-3, 3, size=d)
+        got = _pairwise_distances(pts, block=block)
+        assert got.tobytes() == ref.pairwise_distances(pts).tobytes()
 
 
 class TestBandSummary:

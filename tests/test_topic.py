@@ -14,41 +14,60 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_loops as ref
-from tweet_tables import TweetRecord, corpus_of
+from tweet_tables import TweetRecord, corpus_of, counters_of, term_counts_of
 from tweetdyn.timeseries import DayWindow
 from tweetdyn.topic import (
-    Document,
     GammaFit,
     TermUserMatrix,
     TopicConfig,
-    build_documents,
     build_term_user_matrix,
+    count_terms,
     dynamic_stopwords,
     gamma_fit,
     gamma_keywords,
     similarity_graph,
-    stem_and_filter,
-    tokenize,
     top_terms,
     topic_communities,
 )
 from tweetdyn.synth import CorpusSpec, GroupCorpusSpec, generate_corpus, planted_vocabulary
 
 
+WINDOW = DayWindow.of_length(date(2016, 3, 9), 10)
+BASE = datetime(2016, 3, 9, 8, 0, tzinfo=timezone.utc)
+
+
+def _rec(i, user, when, text):
+    return TweetRecord(
+        tweet_id=str(i), user_id=user, timestamp=when, language="en",
+        is_retweet=False, retweeted_user_id=None, text=text,
+    )
+
+
+def _terms(*texts, users=("u1",)):
+    """Stemmed term counts of each user, every text tweeted by every user."""
+    records = [
+        _rec(i, u, BASE, text) for u in users for i, text in enumerate(texts)
+    ]
+    return counters_of(count_terms(corpus_of(records), users, WINDOW))
+
+
 class TestTokenize:
     def test_default_pipeline(self):
         text = "Check https://t.co/abc123 and @somebody #MAGA Trump won 2016 ok!!"
-        assert tokenize(text) == ["check", "and", "maga", "trump", "won", "ok"]
+        # the URL, the mention and "2016" are no tokens; "and" and "won" are
+        # stopwords
+        assert _terms(text) == {
+            "u1": Counter({"check": 1, "maga": 1, "trump": 1, "ok": 1})
+        }
 
     def test_min_token_len(self):
-        assert tokenize("a ok the cat") == ["ok", "the", "cat"]
+        assert _terms("a ok the cat") == {"u1": Counter({"ok": 1, "cat": 1})}
 
     def test_digit_tokens_dropped_mixed_kept(self):
-        assert tokenize("2016 abc123 42") == ["abc123"]
+        assert _terms("2016 abc123 42") == {"u1": Counter({"abc123": 1})}
 
     def test_empty_and_junk(self):
-        assert tokenize("") == []
-        assert tokenize("!!! ... ---") == []
+        assert _terms("", "!!! ... ---", "42 a") == {}
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -59,54 +78,50 @@ class TestTokenize:
             TopicConfig(knn_k=0)
 
 
-def _rec(i, user, when, text):
-    return TweetRecord(
-        tweet_id=str(i), user_id=user, timestamp=when, language="en",
-        is_retweet=False, retweeted_user_id=None, text=text,
-    )
-
-
 class TestBuildDocuments:
-    window = DayWindow.of_length(date(2016, 3, 9), 10)
-    base = datetime(2016, 3, 9, 8, 0, tzinfo=timezone.utc)
-
-    def test_time_ordered_concatenation(self):
+    def test_window_tweets_pooled(self):
         records = [
-            _rec(2, "u1", self.base + timedelta(days=3), "second part"),
-            _rec(1, "u1", self.base, "first part"),
-            _rec(3, "u2", self.base, "other user"),
-            _rec(4, "u1", self.base + timedelta(days=30), "outside window"),
+            _rec(2, "u1", BASE + timedelta(days=3), "second part"),
+            _rec(1, "u1", BASE, "first part"),
+            _rec(3, "u2", BASE, "other user"),
+            _rec(4, "u1", BASE + timedelta(days=30), "outside window"),
         ]
-        docs = build_documents(corpus_of(records), {"u1", "u2"}, self.window)
-        assert [d.user_id for d in docs] == ["u1", "u2"]
-        assert docs[0].text == "first part second part"
-        assert docs[0].tokens == ("first", "part", "second", "part")
+        counts = count_terms(corpus_of(records), {"u1", "u2"}, WINDOW)
+        assert counts.users == ("u1", "u2")
+        assert counters_of(counts) == {
+            "u1": Counter({"first": 1, "part": 2, "second": 1}),
+            "u2": Counter({"user": 1}),  # "other" is a stopword
+        }
 
     def test_textless_user_dropped_with_warning(self, caplog):
         records = [
-            _rec(1, "u1", self.base, "real words here"),
-            _rec(2, "u2", self.base, "!!! 42"),
+            _rec(1, "u1", BASE, "real words here"),
+            _rec(2, "u2", BASE, "!!! 42"),
         ]
         with caplog.at_level(logging.WARNING, logger="tweetdyn.topic"):
-            docs = build_documents(corpus_of(records), {"u1", "u2", "u3"}, self.window)
-        assert [d.user_id for d in docs] == ["u1"]
+            counts = count_terms(corpus_of(records), {"u1", "u2", "u3"}, WINDOW)
+        assert counts.users == ("u1",)
         assert sum("no usable text" in m for m in caplog.messages) == 2
+
+    def test_all_stopword_user_stays_a_document(self):
+        records = [
+            _rec(1, "u1", BASE, "real words here"),
+            _rec(2, "u2", BASE, "the and this"),
+        ]
+        counts = count_terms(corpus_of(records), ["u1", "u2"], WINDOW)
+        assert counts.users == ("u1", "u2")
+        assert counters_of(counts)["u2"] == Counter()
 
 
 class TestStemAndFilter:
     def test_stopwords_removed_before_stemming(self):
-        doc = Document(
-            user_id="u",
-            text="",
-            tokens=("running", "the", "runs", "corruption", "this"),
-        )
-        counts = stem_and_filter(doc, frozenset({"the", "this"}))
-        assert counts == Counter({"run": 2, "corrupt": 1})
+        assert _terms("running the runs corruption this") == {
+            "u1": Counter({"run": 2, "corrupt": 1})
+        }
 
     def test_stopword_match_is_pre_stem(self):
-        # "running" is not a stopword even if "run" is
-        doc = Document(user_id="u", text="", tokens=("running",))
-        assert stem_and_filter(doc, frozenset({"run"})) == Counter({"run": 1})
+        # "others" is not a stopword even though its stem "other" is
+        assert _terms("others other") == {"u1": Counter({"other": 1})}
 
 
 class TestDynamicStopwords:
@@ -117,7 +132,7 @@ class TestDynamicStopwords:
             "u3": Counter({"shared": 1, "rare": 1}),
             "u4": Counter({"other": 1}),
         }
-        stop = dynamic_stopwords(counts, p=0.5)
+        stop = dynamic_stopwords(term_counts_of(counts), p=0.5)
         # "shared" in 3/4 docs > 2 -> stopword; "half" in exactly 2/4 -> kept
         assert stop == frozenset({"shared"})
 
@@ -128,13 +143,13 @@ class TestDynamicStopwords:
             "u3": Counter({"quiet": 1}),
         }
         # "loud" is frequent but in 1/3 docs only
-        assert dynamic_stopwords(counts, p=0.5) == frozenset({"quiet"})
+        assert dynamic_stopwords(term_counts_of(counts), p=0.5) == frozenset({"quiet"})
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            dynamic_stopwords({}, p=0.5)
+            dynamic_stopwords(term_counts_of({}), p=0.5)
         with pytest.raises(ValueError):
-            dynamic_stopwords({"u": Counter({"a": 1})}, p=0.0)
+            dynamic_stopwords(term_counts_of({"u": Counter({"a": 1})}), p=0.0)
 
 
 class TestGammaFit:
@@ -202,7 +217,7 @@ class TestGammaFit:
 class TestGammaKeywords:
     def test_threshold_application(self):
         counts = {"u1": Counter({"a": 1, "b": 1, "c": 1, "d": 1, "e": 10})}
-        per_user, union = gamma_keywords(counts, q=0.9)
+        per_user, union = gamma_keywords(term_counts_of(counts), q=0.9)
         threshold = gamma_fit([1, 1, 1, 1, 10]).quantile(0.9)
         expected = frozenset(t for t, c in counts["u1"].items() if c >= threshold)
         assert per_user["u1"] == expected
@@ -215,7 +230,7 @@ class TestGammaKeywords:
             "solo": Counter({"only": 5}),  # single term
             "empty": Counter(),
         }
-        per_user, union = gamma_keywords(counts, q=0.9)
+        per_user, union = gamma_keywords(term_counts_of(counts), q=0.9)
         assert per_user["flat"] == frozenset({"a", "b"})
         assert per_user["solo"] == frozenset({"only"})
         assert per_user["empty"] == frozenset()
@@ -225,12 +240,12 @@ class TestGammaKeywords:
         counts = {"u": Counter({"hi": 4, "lo": 2, "mid": 3})}
         # mean 3 with nonzero variance: gamma path; force fallback via equal pair
         counts2 = {"u": Counter({"hi": 4, "lo": 2})}  # mean 3, var 2 -> gamma path
-        per_user, _ = gamma_keywords(counts2, q=0.9)
+        per_user, _ = gamma_keywords(term_counts_of(counts2), q=0.9)
         assert isinstance(per_user["u"], frozenset)
 
     def test_q_validated(self):
         with pytest.raises(ValueError):
-            gamma_keywords({"u": Counter({"a": 2, "b": 4})}, q=1.0)
+            gamma_keywords(term_counts_of({"u": Counter({"a": 2, "b": 4})}), q=1.0)
 
 
 class TestTermUserMatrix:
@@ -239,7 +254,7 @@ class TestTermUserMatrix:
             "u1": Counter({"kept": 2, "dropped": 9}),
             "u2": Counter({"kept": 1, "alsokept": 3}),
         }
-        m = build_term_user_matrix(counts, vocabulary={"kept", "alsokept"})
+        m = build_term_user_matrix(term_counts_of(counts), vocabulary={"kept", "alsokept"})
         assert m.terms == ("alsokept", "kept")
         assert m.users == ("u1", "u2")
         np.testing.assert_allclose(m.counts, [[0, 3], [2, 1]])
@@ -261,7 +276,7 @@ class TestTermUserMatrix:
                 terms=("a",), users=("x",), counts=np.array([[-1.0]])
             )
         with pytest.raises(ValueError):
-            build_term_user_matrix({}, vocabulary={"a"})
+            build_term_user_matrix(term_counts_of({}), vocabulary={"a"})
 
 
 class TestSimilarityGraph:
@@ -348,12 +363,12 @@ class TestTopTerms:
             "u1": Counter({"beta": 3, "alpha": 2}),
             "u2": Counter({"alpha": 1, "gamma": 3}),
         }
-        ranked = top_terms([["u1", "u2"]], counts, m=2)
+        ranked = top_terms([["u1", "u2"]], term_counts_of(counts), m=2)
         # pooled: alpha 3, beta 3, gamma 3 -> tie broken alphabetically
         assert ranked == ((("alpha", 3), ("beta", 3)),)
 
     def test_unknown_users_ignored(self):
-        ranked = top_terms([["ghost"]], {"u1": Counter({"a": 1})}, m=5)
+        ranked = top_terms([["ghost"]], term_counts_of({"u1": Counter({"a": 1})}), m=5)
         assert ranked == ((),)
 
 
@@ -397,11 +412,145 @@ class TestTopicCommunities:
             topic_communities(corpus, one_user, self.window)
 
     def test_all_shared_vocabulary_errors(self):
-        base = datetime(2016, 3, 9, 8, 0, tzinfo=timezone.utc)
         records = [
-            _rec(1, "u1", base, "alpha alpha alpha"),
-            _rec(2, "u2", base, "alpha alpha"),
+            _rec(1, "u1", BASE, "alpha alpha alpha"),
+            _rec(2, "u2", BASE, "alpha alpha"),
         ]
         # the lone term is a dynamic stopword (2/2 docs); nothing survives
         with pytest.raises(ValueError):
             topic_communities(corpus_of(records), ["u1", "u2"], self.window)
+
+
+# --------------------------------------------- against the old text pipeline
+
+TOPIC_USERS = ["u0", "u1", "u2", "u3", "ü4"]
+FRAGMENTS = [
+    # content words, some sharing a stem
+    "alpha", "beta", "gamma", "delta", "epsilon", "zeta", "theta", "kappa",
+    "running", "runs", "connection", "connected", "others", "happy", "syzygy",
+    # static stopwords
+    "the", "and", "this", "other",
+    # no token: one character, all digits, punctuation, a mention, a URL
+    "a", "x", "42", "2016", "!!!", "@someone", "@us_er1", "@émile",
+    "https://t.co/abc", "http://x.y/z?q=1,", "www.site.org/p",
+    # mixed, hashtags, upper case and text outside ASCII; "İ" lowercases to
+    # "i" plus a combining dot, the Kelvin sign to "k"
+    "abc123", "#Tag", "CAPS", "İstanbul", "\u212aelvin", "naïve", "Жжж", "\ud800",
+]
+
+
+@st.composite
+def topic_records_st(draw):
+    """Small corpora whose texts join the fragments with assorted separators,
+    with days on both sides of WINDOW and repeated timestamps and ids."""
+    out = []
+    for _ in range(draw(st.integers(0, 30))):
+        words = draw(st.lists(st.sampled_from(FRAGMENTS), max_size=6))
+        text = draw(st.sampled_from([" ", "", ",", "\n", "#", ". "])).join(words)
+        when = BASE + timedelta(
+            days=draw(st.integers(-1, 11)), seconds=draw(st.sampled_from([0, 1, 7200]))
+        )
+        out.append(_rec(draw(st.sampled_from(["1", "2", "10"])),
+                        draw(st.sampled_from(TOPIC_USERS)), when, text))
+    return out
+
+
+def _assert_same_clustering(got, want):
+    assert got.dynamic_stopwords == want["dynamic_stopwords"]
+    assert got.keywords_by_user == want["keywords_by_user"]
+    assert got.vocabulary == want["vocabulary"]
+    assert (got.matrix.terms, got.matrix.users) == (want["matrix"].terms, want["matrix"].users)
+    assert got.matrix.counts.tobytes() == want["matrix"].counts.tobytes()
+    assert got.graph.vertices == want["graph"].vertices
+    assert [(e, w.hex()) for e, w in got.graph.edges.items()] == [
+        (e, w.hex()) for e, w in want["graph"].edges.items()
+    ]
+    assert got.partition == want["partition"]
+    assert got.modularity.hex() == want["modularity"].hex()
+    assert got.top_terms == want["top_terms"]
+
+
+def _check_against_reference(records, config=TopicConfig()):
+    users = TOPIC_USERS + ["nobody"]
+    corpus = corpus_of(records)
+    want_raw = {
+        d.user_id: ref.stem_and_filter(d) for d in ref.build_documents(records, users, WINDOW)
+    }
+    assert counters_of(count_terms(corpus, users, WINDOW)) == want_raw
+    try:
+        want = ref.topic_communities(corpus, users, WINDOW, config)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            topic_communities(corpus, users, WINDOW, config)
+        assert str(raised.value) == str(exc)
+        return None
+    got = topic_communities(corpus, users, WINDOW, config)
+    _assert_same_clustering(got, want)
+    return got
+
+
+def _tweets(*rows):
+    """Records of (user, text) rows, all at one time with one tweet id."""
+    return [_rec(1, user, BASE, text) for user, text in rows]
+
+
+class TestTopicCommunitiesMatchesReference:
+    """count_terms and the array stages against the per-user documents and
+    Counters of ``reference_loops``: equal raw counts, stopwords, keywords,
+    vocabulary, matrix bytes, edges, partition, Q and top terms."""
+
+    BASE_ROWS = (
+        ("u0", "alpha beta alpha gamma running"),
+        ("u1", "alpha beta beta delta runs"),
+        ("u2", "gamma delta epsilon zeta zeta"),
+        ("u3", "epsilon zeta theta kappa kappa"),
+    )
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            pytest.param((), id="plain"),
+            pytest.param((("ü4", "the and this other"),), id="all-stopword-user"),
+            pytest.param(
+                (("ü4", "https://t.co/x @someone 2016 42 !!! www.a.b"),), id="url-mention-digit-user"
+            ),
+            pytest.param((("ü4", "a b c alpha x y zeta"),), id="one-character-tokens"),
+            pytest.param(
+                (("ü4", "İstanbul \u212aelvin \u212aappa kappa"),), id="non-ascii-lowercasing-to-ascii"
+            ),
+            pytest.param(
+                (("u0", "theta https://t.co/end"), ("u1", "kappa www.x.org/end")), id="urls-at-tweet-ends"
+            ),
+        ],
+    )
+    def test_listed_cases(self, extra):
+        got = _check_against_reference(_tweets(*self.BASE_ROWS, *extra))
+        assert got is not None
+
+    def test_all_stopword_user_is_an_isolated_vertex(self):
+        got = _check_against_reference(_tweets(*self.BASE_ROWS, ("ü4", "the and this")))
+        assert "ü4" in got.matrix.users
+        assert got.graph.degrees()["ü4"] == 0.0
+        assert frozenset({"ü4"}) in got.partition
+
+    def test_duplicate_timestamps_and_ids(self):
+        rows = [
+            _rec(7, user, BASE + timedelta(days=day), text)
+            for day in (0, 0, 2)
+            for user, text in self.BASE_ROWS
+        ]
+        assert _check_against_reference(rows) is not None
+
+    @pytest.mark.parametrize("rows", [(), (("u0", "alpha beta"),)], ids=["no-user", "one-user"])
+    def test_fewer_than_two_users(self, rows):
+        assert _check_against_reference(_tweets(*rows)) is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        topic_records_st(),
+        st.sampled_from(
+            [TopicConfig(), TopicConfig(dynamic_p=0.75, gamma_q=0.5, knn_k=2, top_m=3)]
+        ),
+    )
+    def test_same_artifacts(self, records, config):
+        _check_against_reference(records, config)

@@ -1,12 +1,16 @@
-"""Test helpers: tweet tables on disk, and corpora built from or turned into
-plain Python values."""
+"""Test helpers: tweet tables on disk, and corpora and term counts built
+from or turned into plain Python values."""
 
 import csv
+from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 
+import numpy as np
+
 from tweetdyn.corpus import Corpus
 from tweetdyn.ingest import ColumnMap
+from tweetdyn.topic import TermCounts
 
 EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 ONE_US = timedelta(microseconds=1)
@@ -113,3 +117,25 @@ def write_csv(corpus, path, columns=ColumnMap()):
             f["text"],
         ):
             writer.writerow(row)
+
+
+def term_counts_of(counters):
+    """A :class:`TermCounts` of ``{user: Counter({term: count})}``."""
+    users = sorted(counters)
+    terms = sorted({t for c in counters.values() for t in c})
+    index = {t: i for i, t in enumerate(terms)}
+    pairs = sorted(
+        (i, index[t], c) for i, u in enumerate(users) for t, c in counters[u].items() if c > 0
+    )
+    arr = np.array(pairs, dtype=np.int64).reshape(-1, 3)
+    return TermCounts(
+        users=tuple(users), terms=tuple(terms), user=arr[:, 0], term=arr[:, 1], count=arr[:, 2]
+    )
+
+
+def counters_of(counts):
+    """``{user: Counter({term: count})}`` of a :class:`TermCounts`."""
+    out = {u: Counter() for u in counts.users}
+    for u, t, c in zip(counts.user.tolist(), counts.term.tolist(), counts.count.tolist()):
+        out[counts.users[u]][counts.terms[t]] = c
+    return out
