@@ -4,7 +4,10 @@
 # Generates a four-group campaign corpus (planted rate spectra, vocabularies
 # and strategy mixes), runs the whole analysis pipeline on it, then fits the
 # change-point model on a separate planted-rate aggregate series. Prints a
-# short summary of how well each stage recovered the planted structure.
+# short summary of how well each stage recovered the planted structure, and
+# the sha256 of every file it wrote, sorted by path under OUT_DIR. Two runs
+# from two checkouts with the same OUT_DIR wrote the same bytes exactly when
+# their outputs diff clean (the input path is embedded in a few artifacts).
 #
 # usage: scripts/run_demo.sh [OUT_DIR]   (default: runs/demo)
 set -euo pipefail
@@ -75,4 +78,16 @@ print(
     f" (significant: {cp['significant']})"
 )
 print(f"  artifacts: {corpus}/ and {agg}/")
+PY
+
+python3 - "$OUT" <<'PY'
+import hashlib
+import sys
+from pathlib import Path
+
+out = Path(sys.argv[1])
+print()
+print(f"sha256 of every file under {out}/")
+for path in sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()):
+    print(hashlib.sha256((out / path).read_bytes()).hexdigest(), path)
 PY

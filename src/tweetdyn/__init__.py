@@ -36,14 +36,12 @@ from .ingest import (  # noqa: F401
 )
 from .graphs import WeightedGraph, modularity, modularity_communities  # noqa: F401
 from .strategy import (  # noqa: F401
-    SimplexPartition,
     SymbolDistribution,
     chi_square_shift,
 )
 from .spectral import (  # noqa: F401
     ClusterAssignment,
     Embedding,
-    FourierModel,
     Spectrum,
     band_summary,
     denoise,

@@ -17,8 +17,10 @@ The stages that need tweets (`counts`, `strategy`, `spectra`,
 `cluster-spectral`, `cluster-topic`, `compare`, and `changepoint` when
 there is no `counts_aggregate.csv`) load `corpus.npz`, and fail with a
 failed manifest if it is missing, malformed or older than `records.jsonl`,
-asking for `ingest` to be re-run. A config with an unknown key, a wrongly typed value
-or a value out of range is rejected with exit code 2.
+asking for `ingest` to be re-run. `compare` fails the same way when
+`clusters_spectral.json` or `clusters_topic.json` was made for another window
+than the one it recomputes spectra for. A config with an unknown key, a
+wrongly typed value or a value out of range is rejected with exit code 2.
 
 Typical flow on synthetic data::
 
@@ -454,7 +456,7 @@ def cmd_strategy(config: RunConfig, outdir: Path) -> list[str]:
             "reference_shares": ref_dist.normalized,
             "comparison_shares": cmp_dist.normalized,
             "chi_square": chi2,
-            "critical_value_p999_df6": strategy.shift_critical_value(),
+            "critical_value_p999_df6": strategy.CRITICAL_VALUE_P999_DF6,
         },
     )
     return ["strategy.json"]
@@ -483,7 +485,7 @@ def _cohort_spectra(
     out: dict[str, spectral.Spectrum] = {}
     for uid, series in by_user.items():
         osc = timeseries.detrend(series, config.ma_window)
-        out[uid] = spectral.denoise(spectral.dft(osc), config.denoise_q)
+        out[uid] = spectral.denoise(spectral.dft(osc.values, uid), config.denoise_q)
     return out
 
 
@@ -554,9 +556,9 @@ def cmd_cluster_spectral(
                         "phase": t.phase,
                         "bin": t.bin,
                     }
-                    for t in m.terms
+                    for t in terms
                 ]
-                for u, m in models.items()
+                for u, terms in models.items()
             },
         }
     write_json(
@@ -611,6 +613,13 @@ def cmd_compare(config: RunConfig, outdir: Path, window_name: str = "pre") -> li
             raise FileNotFoundError(f"compare needs {p.name}; run the cluster steps first")
     spec_doc = json.loads(spec_path.read_text())
     topic_doc = json.loads(topic_path.read_text())
+    window = config.analysis_window(window_name)
+    for p, doc in ((spec_path, spec_doc), (topic_path, topic_doc)):
+        if doc["window"] != _plain(window):
+            raise ValueError(
+                f"{p.name} was made for window {doc['window']}, not {window_name} "
+                f"{_plain(window)}; re-run its cluster step"
+            )
     labels = {
         u: int(c)
         for c, info in spec_doc["clusters"].items()
@@ -631,7 +640,6 @@ def cmd_compare(config: RunConfig, outdir: Path, window_name: str = "pre") -> li
         ["spectral_cluster"] + [f"community_{j}" for j in tab.topic_ids],
         [[sid] + [int(v) for v in tab.cells[i]] for i, sid in enumerate(tab.spectral_ids)],
     )
-    window = config.analysis_window(window_name)
     spectra = _cohort_spectra(_load_corpus(outdir), config, window)
     subclusters = {}
     for i, sid in enumerate(tab.spectral_ids):

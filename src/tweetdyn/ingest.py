@@ -73,6 +73,11 @@ class ColumnMap:
     retweeted_user_id: str = "retweet_userid"
     text: str = "tweet_text"
 
+    def __post_init__(self) -> None:
+        for name, column in vars(self).items():
+            if not isinstance(column, str) or not column:
+                raise TypeError(f"column_map {name}: {column!r} is not a column name")
+
     def required(self) -> tuple[str, ...]:
         """Columns that must exist; the retweet-source column may be absent
         (rows flagged as retweets are then malformed)."""

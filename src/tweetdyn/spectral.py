@@ -2,9 +2,9 @@
 
 Pipeline, in the order the operations compose:
 
-1. :func:`dft` - unnormalized forward DFT of the detrended series, keeping
-   the non-negative-frequency half spectrum (bins ``0 .. floor(N/2)``).
-   Bin ``k`` is a period of ``N / k`` days.
+1. :func:`dft` - unnormalized forward DFT of the detrended series' values
+   (a 1-d array), keeping the non-negative-frequency half spectrum (bins
+   ``0 .. floor(N/2)``). Bin ``k`` is a period of ``N / k`` days.
 2. :func:`denoise` - zero every bin whose squared magnitude falls strictly
    below the empirical q-quantile of the squared magnitudes.
 3. :func:`pca_embed` - project user magnitude spectra onto the leading
@@ -12,7 +12,8 @@ Pipeline, in the order the operations compose:
 4. :func:`kmedoids` - PAM clustering with seeded restarts; points are
    pre-sorted canonically so the outcome is invariant to input order.
 5. :func:`fit_fourier` / :func:`band_summary` / :func:`dominant_period` -
-   per-cluster summaries.
+   per-cluster summaries; :func:`fit_fourier` returns the cosine-sum terms
+   of a spectrum's largest bins as a tuple of :class:`FourierTerm`.
 
 Quantile convention: ``Q(q)`` is the smallest squared magnitude such that at
 least a ``q`` fraction of bins are at or below it (``sorted[ceil(q*n)-1]``);
@@ -27,8 +28,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-
-from .timeseries import OscillatorSeries
 
 logger = logging.getLogger(__name__)
 
@@ -66,25 +65,6 @@ class FourierTerm:
     omega: float
     phase: float
     bin: int
-
-
-@dataclass(frozen=True)
-class FourierModel:
-    """Truncated cosine-sum model of a detrended series."""
-
-    terms: tuple[FourierTerm, ...]
-    n_samples: int
-    residual_sigma: float
-    user_id: str | None = None
-
-    def evaluate(self, t: np.ndarray | None = None) -> np.ndarray:
-        if t is None:
-            t = np.arange(self.n_samples)
-        t = np.asarray(t, dtype=np.float64)
-        out = np.zeros_like(t)
-        for term in self.terms:
-            out += term.amplitude * np.cos(term.omega * t + term.phase)
-        return out
 
 
 @dataclass(frozen=True)
@@ -132,16 +112,12 @@ class BandSummary:
     n_spectra: int
 
 
-def dft(series: OscillatorSeries | np.ndarray, user_id: str | None = None) -> Spectrum:
-    """Unnormalized forward DFT, half spectrum.
+def dft(values: np.ndarray, user_id: str | None = None) -> Spectrum:
+    """Unnormalized forward DFT of a 1-d series, half spectrum.
 
     ``X_k = sum_t xi[t] * exp(-2i pi k t / N)`` for ``k = 0 .. floor(N/2)``.
     """
-    if isinstance(series, OscillatorSeries):
-        values = series.values
-        user_id = user_id or series.user_id
-    else:
-        values = np.asarray(series, dtype=np.float64)
+    values = np.asarray(values, dtype=np.float64)
     if values.ndim != 1 or len(values) < 2:
         raise ValueError("need a 1-d series of at least 2 samples")
     return Spectrum(bins=np.fft.rfft(values), n_samples=len(values), user_id=user_id)
@@ -166,18 +142,14 @@ def denoise(spectrum: Spectrum, q: float = 0.33) -> Spectrum:
     return Spectrum(bins=bins, n_samples=spectrum.n_samples, user_id=spectrum.user_id)
 
 
-def fit_fourier(
-    spectrum: Spectrum,
-    series: OscillatorSeries | np.ndarray | None = None,
-    j_terms: int = 6,
-) -> FourierModel:
-    """Cosine-sum model from the ``j_terms`` largest-magnitude bins.
+def fit_fourier(spectrum: Spectrum, j_terms: int = 6) -> tuple[FourierTerm, ...]:
+    """Cosine-sum terms of the ``j_terms`` largest-magnitude bins.
 
+    The series is modeled as ``sum_j A_j cos(omega_j t + phase_j)``.
     Amplitudes follow the half-spectrum convention that makes the all-bins
     model reproduce the series exactly: ``A_k = 2|X_k|/N`` for interior bins,
     ``|X_k|/N`` for bin 0 and (even N) the Nyquist bin. Terms are ordered by
-    descending amplitude, ties by bin index. ``residual_sigma`` is the RMS
-    misfit against ``series`` when given, else NaN.
+    descending amplitude, ties by bin index.
     """
     n = spectrum.n_samples
     n_bins = len(spectrum.bins)
@@ -200,23 +172,7 @@ def fit_fourier(
             )
         )
     terms.sort(key=lambda t: (-t.amplitude, t.bin))
-    residual_sigma = float("nan")
-    if series is not None:
-        values = series.values if isinstance(series, OscillatorSeries) else series
-        values = np.asarray(values, dtype=np.float64)
-        if len(values) != n:
-            raise ValueError("series length does not match spectrum n_samples")
-        model = FourierModel(
-            terms=tuple(terms), n_samples=n, residual_sigma=float("nan"),
-            user_id=spectrum.user_id,
-        ).evaluate()
-        residual_sigma = float(np.std(values - model))
-    return FourierModel(
-        terms=tuple(terms),
-        n_samples=n,
-        residual_sigma=residual_sigma,
-        user_id=spectrum.user_id,
-    )
+    return tuple(terms)
 
 
 def spectra_matrix(spectra: Sequence[Spectrum]) -> tuple[list[str], np.ndarray]:

@@ -5,11 +5,12 @@ category: ``p = (original, spreading, amplifying)``, a point on the standard
 2-simplex. The simplex is partitioned into seven regions:
 
 * ``A``/``B``/``C`` - corner regions where one component dominates
-  (original / spreading / amplifying respectively, component >= 2/3);
+  (original / spreading / amplifying respectively, component >=
+  :data:`CORNER_THRESHOLD`, 2/3);
 * ``D``/``E``/``F`` - edge regions where one component is nearly absent
-  (minimum component <= 1/6): ``D`` is the edge opposite *original*
-  (little original posting), ``E`` opposite *amplifying*, ``F`` opposite
-  *spreading*;
+  (minimum component <= :data:`EDGE_THRESHOLD`, 1/6): ``D`` is the edge
+  opposite *original* (little original posting), ``E`` opposite
+  *amplifying*, ``F`` opposite *spreading*;
 * ``G`` - the interior (balanced mix).
 
 Corner tests run first, so a point qualifying for both goes to its corner.
@@ -18,6 +19,9 @@ Ties take the first component in (original, spreading, amplifying) order.
 Symbol distributions pooled over user-days feed a chi-square statistic
 comparing an observed era against a reference era:
 ``chi2 = sum_s (O_s - E_s)^2 / E_s`` with ``E_s = total(O) * ref_share(s)``.
+A shift is called against :data:`CRITICAL_VALUE_P999_DF6`, the p = 0.999
+quantile of the chi-square distribution with 6 degrees of freedom (seven
+symbols).
 """
 
 from __future__ import annotations
@@ -41,22 +45,13 @@ _CORNER = np.array([0, 1, 2])
 _EDGE = np.array([3, 5, 4])
 _INTERIOR = 6
 
+# a component at or above CORNER_THRESHOLD takes its corner; otherwise a
+# minimum component at or below EDGE_THRESHOLD takes its edge
+CORNER_THRESHOLD = 2.0 / 3.0
+EDGE_THRESHOLD = 1.0 / 6.0
 
-@dataclass(frozen=True)
-class SimplexPartition:
-    """Thresholds of the seven-region partition."""
-
-    corner_threshold: float = 2.0 / 3.0
-    edge_threshold: float = 1.0 / 6.0
-
-    def __post_init__(self) -> None:
-        if not 0.5 < self.corner_threshold <= 1.0:
-            raise ValueError("corner_threshold must be in (0.5, 1]")
-        if not 0.0 <= self.edge_threshold < 1.0 / 3.0:
-            raise ValueError("edge_threshold must be in [0, 1/3)")
-
-
-DEFAULT_PARTITION = SimplexPartition()
+# chi2.ppf(0.999, 6), equal to 2 * scipy.special.gammaincinv(3, 0.999)
+CRITICAL_VALUE_P999_DF6 = 22.457744484825323
 
 
 @dataclass(frozen=True)
@@ -110,9 +105,7 @@ def category_table(
     return np.bincount(flat, minlength=int(np.prod(shape))).reshape(shape)
 
 
-def symbol_table(
-    table: np.ndarray, partition: SimplexPartition = DEFAULT_PARTITION
-) -> np.ndarray:
+def symbol_table(table: np.ndarray) -> np.ndarray:
     """Index into :data:`ALPHABET` of each cell's symbol; -1 where no tweets.
 
     ``table`` holds (original, spreading, amplifying) counts on its last axis.
@@ -125,9 +118,9 @@ def symbol_table(
     lo = np.argmin(p, axis=1)
     out = np.full(total.shape, -1, dtype=np.int64)
     out[active] = np.where(
-        p[rows, hi] >= partition.corner_threshold,
+        p[rows, hi] >= CORNER_THRESHOLD,
         _CORNER[hi],
-        np.where(p[rows, lo] <= partition.edge_threshold, _EDGE[lo], _INTERIOR),
+        np.where(p[rows, lo] <= EDGE_THRESHOLD, _EDGE[lo], _INTERIOR),
     )
     return out
 
@@ -171,14 +164,3 @@ def chi_square_shift(
             e = 0.5
         chi2 += (o - e) ** 2 / e
     return chi2
-
-
-def shift_critical_value(alpha: float = 0.999, df: int = 6) -> float:
-    """Chi-square critical value for the seven-symbol shift test.
-
-    The chi-square(df) quantile is twice the Gamma(df/2, 1) quantile, which
-    ``scipy.special`` gives without importing ``scipy.stats``.
-    """
-    from scipy.special import gammaincinv
-
-    return float(2.0 * gammaincinv(df / 2.0, alpha))

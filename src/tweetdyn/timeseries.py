@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import logging
 from dataclasses import dataclass
-from datetime import date, datetime, timezone
+from datetime import date, timedelta
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -45,36 +45,13 @@ class DayWindow:
 
     @classmethod
     def of_length(cls, start: date, n_days: int) -> "DayWindow":
-        from datetime import timedelta
-
         return cls(start, start + timedelta(days=n_days))
 
     def date_of(self, t: int) -> date:
         """Calendar date of day offset ``t`` (0-based from start)."""
-        from datetime import timedelta
-
         if not 0 <= t < self.n_days:
             raise IndexError(f"day offset {t} outside window of {self.n_days} days")
         return self.start + timedelta(days=t)
-
-    def offset_of(self, when: datetime | date) -> int | None:
-        """Day offset of a timestamp or date, or None if outside the window.
-
-        Naive datetimes are taken as UTC; aware ones are converted.
-        """
-        if isinstance(when, datetime):
-            if when.tzinfo is not None:
-                when = when.astimezone(timezone.utc)
-            day = when.date()
-        else:
-            day = when
-        t = (day - self.start).days
-        if 0 <= t < self.n_days:
-            return t
-        return None
-
-    def contains(self, when: datetime | date) -> bool:
-        return self.offset_of(when) is not None
 
 
 def _readonly(values: np.ndarray) -> np.ndarray:
@@ -155,22 +132,14 @@ class ChangePointReport:
     significant: bool
 
 
-def daily_counts(
-    corpus: Corpus,
-    window: DayWindow,
-    user_id: str | None = None,
-) -> CountSeries:
-    """Count tweets per day inside the window.
+def daily_counts(corpus: Corpus, window: DayWindow) -> CountSeries:
+    """Count all tweets per day inside the window (the aggregate series).
 
-    With ``user_id`` set only that user's tweets are counted; otherwise all
-    tweets contribute (aggregate series). Tweets outside the window are
-    ignored.
+    Tweets outside the window are ignored.
     """
     t, keep = corpus.window_offsets(window)
-    if user_id is not None:
-        keep &= corpus.positions([user_id]) == 0
     values = np.bincount(t[keep], minlength=window.n_days)
-    return CountSeries(window=window, values=values, user_id=user_id)
+    return CountSeries(window=window, values=values)
 
 
 def counts_by_user(
@@ -302,7 +271,7 @@ def save_series_csv(series: CountSeries, path: str | Path) -> None:
             writer.writerow([t, series.window.date_of(t).isoformat(), int(v)])
 
 
-def load_series_csv(path: str | Path, user_id: str | None = None) -> CountSeries:
+def load_series_csv(path: str | Path) -> CountSeries:
     """Read a series written by :func:`save_series_csv`."""
     path = Path(path)
     offsets: list[int] = []
@@ -318,4 +287,4 @@ def load_series_csv(path: str | Path, user_id: str | None = None) -> CountSeries
     if offsets != list(range(len(offsets))):
         raise ValueError(f"day offsets in {path} are not contiguous from 0")
     window = DayWindow.of_length(dates[0], len(dates))
-    return CountSeries(window=window, values=np.array(counts), user_id=user_id)
+    return CountSeries(window=window, values=np.array(counts))

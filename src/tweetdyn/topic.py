@@ -118,10 +118,6 @@ class GammaFit:
         if not (self.k_shape > 0 and self.theta_scale > 0):
             raise ValueError("Gamma parameters must be positive")
 
-    @property
-    def mean(self) -> float:
-        return self.k_shape * self.theta_scale
-
     def quantile(self, q: float) -> float:
         from scipy.special import gammaincinv
 

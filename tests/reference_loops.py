@@ -22,7 +22,7 @@ import json
 import re
 from collections import Counter
 from dataclasses import dataclass
-from datetime import datetime
+from datetime import datetime, timezone
 from functools import lru_cache
 
 import numpy as np
@@ -33,10 +33,24 @@ from tweetdyn.graphs import modularity_communities as fast_modularity_communitie
 from tweetdyn.ingest import ColumnMap, IngestError, ParseReport
 from tweetdyn.spectral import ClusterAssignment, _assign, _total_cost
 from tweetdyn.stopwords import ENGLISH_STOPWORDS
-from tweetdyn.strategy import ALPHABET, DEFAULT_PARTITION, SymbolDistribution
+from tweetdyn.strategy import ALPHABET, CORNER_THRESHOLD, EDGE_THRESHOLD, SymbolDistribution
 from tweetdyn.timeseries import CountSeries
 from tweetdyn.topic import DEFAULT_TOPIC_CONFIG, TermUserMatrix, gamma_fit
 from tweetdyn.topic import similarity_graph as fast_similarity_graph
+
+
+def offset_of(window, when):
+    """Day offset of a timestamp or date in ``window``, or None if outside.
+
+    Naive datetimes are taken as UTC; aware ones are converted.
+    """
+    if isinstance(when, datetime):
+        if when.tzinfo is not None:
+            when = when.astimezone(timezone.utc)
+        when = when.date()
+    t = (when - window.start).days
+    return t if 0 <= t < window.n_days else None
+
 
 class TweetCategory(enum.Enum):
     ORIGINAL = "original"
@@ -70,7 +84,7 @@ def select_cohort(records, spec):
     for rec in records:
         if spec.language is not None and rec.language != spec.language:
             continue
-        t = spec.window.offset_of(rec.timestamp)
+        t = offset_of(spec.window, rec.timestamp)
         if t is None:
             continue
         totals[rec.user_id] += 1
@@ -102,15 +116,13 @@ def retweet_network(records, campaign_users):
     )
 
 
-def daily_counts(records, window, user_id=None):
+def daily_counts(records, window):
     values = np.zeros(window.n_days, dtype=np.int64)
     for rec in records:
-        if user_id is not None and rec.user_id != user_id:
-            continue
-        t = window.offset_of(rec.timestamp)
+        t = offset_of(window, rec.timestamp)
         if t is not None:
             values[t] += 1
-    return CountSeries(window=window, values=values, user_id=user_id)
+    return CountSeries(window=window, values=values)
 
 
 def counts_by_user(records, window, users):
@@ -118,7 +130,7 @@ def counts_by_user(records, window, users):
     for rec in records:
         if rec.user_id not in table:
             continue
-        t = window.offset_of(rec.timestamp)
+        t = offset_of(window, rec.timestamp)
         if t is not None:
             table[rec.user_id][t] += 1
     return {
@@ -127,13 +139,13 @@ def counts_by_user(records, window, users):
     }
 
 
-def symbolize(shares, partition=DEFAULT_PARTITION):
+def symbolize(shares):
     arr = np.asarray(shares, dtype=np.float64)
     hi = int(np.argmax(arr))
-    if arr[hi] >= partition.corner_threshold:
+    if arr[hi] >= CORNER_THRESHOLD:
         return _CORNER[hi]
     lo = int(np.argmin(arr))
-    if arr[lo] <= partition.edge_threshold:
+    if arr[lo] <= EDGE_THRESHOLD:
         return _EDGE[lo]
     return "G"
 
@@ -143,29 +155,29 @@ def daily_category_counts(records, campaign_users, user_id, window):
     for rec in records:
         if rec.user_id != user_id:
             continue
-        t = window.offset_of(rec.timestamp)
+        t = offset_of(window, rec.timestamp)
         if t is None:
             continue
         out[t, _CATEGORY_INDEX[categorize(rec, campaign_users)]] += 1
     return out
 
 
-def symbol_sequence(records, campaign_users, user_id, window, partition=DEFAULT_PARTITION):
+def symbol_sequence(records, campaign_users, user_id, window):
     table = daily_category_counts(records, campaign_users, user_id, window)
     seq = []
     for t in range(window.n_days):
         if table[t].sum() == 0:
             continue
         counts = table[t].astype(np.float64)
-        seq.append((t, symbolize(counts / counts.sum(), partition)))
+        seq.append((t, symbolize(counts / counts.sum())))
     return seq
 
 
-def symbol_distribution(records, campaign_users, users, window, partition=DEFAULT_PARTITION):
+def symbol_distribution(records, campaign_users, users, window):
     counts = {s: 0 for s in ALPHABET}
     any_days = False
     for user_id in sorted(set(users)):
-        for _, sym in symbol_sequence(records, campaign_users, user_id, window, partition):
+        for _, sym in symbol_sequence(records, campaign_users, user_id, window):
             counts[sym] += 1
             any_days = True
     if not any_days:
@@ -664,7 +676,7 @@ def build_documents(records, users, window):
     users = set(users)
     per_user = {u: [] for u in users}
     for rec in records:
-        if rec.user_id in users and window.contains(rec.timestamp):
+        if rec.user_id in users and offset_of(window, rec.timestamp) is not None:
             per_user[rec.user_id].append((rec.timestamp, rec.tweet_id, rec.text))
     docs = []
     for user_id in sorted(users):

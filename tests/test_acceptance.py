@@ -23,10 +23,10 @@ from tweetdyn.graphs import modularity_communities
 from tweetdyn.ingest import merge_parts, parse_records, retweet_network
 from tweetdyn.spectral import denoise, dft, dominant_period, kmedoids, pca_embed, spectra_matrix
 from tweetdyn.strategy import (
+    CRITICAL_VALUE_P999_DF6,
     SymbolDistribution,
     category_table,
     chi_square_shift,
-    shift_critical_value,
     symbol_table,
 )
 from tweetdyn.synth import (
@@ -79,7 +79,7 @@ def test_criterion_1_spectral_cluster_recovery(capsys):
     worst = 1.0
     for seed in range(10):
         series, truth = generate_series(specs, PRE_WINDOW, seed=seed)
-        spectra = [denoise(dft(detrend(s, 7)), 0.33) for s in series]
+        spectra = [denoise(dft(detrend(s, 7).values, s.user_id), 0.33) for s in series]
         ids, matrix = spectra_matrix(spectra)
         embedding = pca_embed(matrix, ids, dims=3)
         assignment = kmedoids(
@@ -148,7 +148,7 @@ def test_criterion_3_chi_square_oracle_and_planted_shift(capsys):
     window = DayWindow.of_length(date(2016, 3, 9), 40)
     first_half = DayWindow.of_length(date(2016, 3, 9), 20)
     second_half = DayWindow.of_length(date(2016, 3, 29), 20)
-    critical = shift_critical_value()
+    critical = CRITICAL_VALUE_P999_DF6
     shift_hits = 0
     for seed in range(20):
         group = GroupCorpusSpec(
@@ -184,7 +184,7 @@ def test_criterion_4_dft_period_and_parseval(capsys):
     series = CountSeries(window=PRE_WINDOW, values=values, user_id="tone")
     osc = detrend(series, 7)
     n_samples = len(osc.values)
-    spectrum = dft(osc)
+    spectrum = dft(osc.values)
     period = dominant_period(spectrum)
     time_power = float(np.sum(osc.values**2))
     parseval_rel = abs(half_spectrum_power(spectrum) - time_power) / time_power

@@ -1,5 +1,6 @@
 """End-to-end runs of every CLI subcommand on small synthetic data."""
 
+import hashlib
 import json
 import os
 import shutil
@@ -53,6 +54,50 @@ def run_pipeline(
             argv += ["--input", str(src), "--format", "jsonl"]
         rc = main(argv)
         assert rc == 0, f"step {step[0]} failed"
+
+
+# sha256 of every non-manifest artifact of ``pipeline_dir``; the two files
+# that embed the input path are hashed with the run directory replaced by
+# "<out>". A change that keeps the pipeline's output must keep these.
+PIPELINE_DIGESTS = {
+    "band_pre.csv": "06a55bb4a8e1d8e3e849a2f8a27bab4c288814766ac97ad8fad86f7d83476068",
+    "campaign_users.json": "aa53ed9e855d0a3b71f53ec8f86e6824232b2105bb479a95cc2c3ecb4f02c739",
+    "cluster_band_1.csv": "e4fd3553bdbffc67483d62600c5ba8b2bf6883d6565818dfef9fdf00ee0bb423",
+    "cluster_band_2.csv": "64a8f377be611c97ce70737c0dc3dde63757fab669ca4c76e55a8342f0392727",
+    "cluster_band_3.csv": "770e672965cbb4f2bcef57697913b7a04703133d7b023a8929dc0cb8f673c6de",
+    "cluster_band_4.csv": "e3f11ae9fb9fcbf423fd0d2983fada6558bc27ce339d4d60c151eea1f995b39f",
+    "clusters_spectral.json": "cc8d5bd95460bf36df006fc25eb00082d32277e58e75594232aa3cc0292b8ee8",
+    "clusters_topic.json": "cff21f3b14bb505e7a94b0474ac9786a2cfae234456dda5bbc5ea762450fd3ec",
+    "cohort_pre.json": "aa53ed9e855d0a3b71f53ec8f86e6824232b2105bb479a95cc2c3ecb4f02c739",
+    "compare.json": "21f5d57a85cea66eb0ceb63ecf34717b4b0758897e053484ab06392abcc0d041",
+    "corpus.npz": "12ec50ddee11c2799b2789bd4199fd94c74aee5c33cf4b2237601162e7a2e7ce",
+    "counts_aggregate.csv": "4a63e319a96e2240f7c346f4fd3a278f61753ea64909bbebdfac18ab56930b4a",
+    "counts_pre.csv": "d01e704d015641314d8ddefd39bc9db2461481447496e6333710f4e94e9c068c",
+    "crosstab.csv": "1906f108aed94b0cfad74a2533af8aeaecd6f94fcf8f86872a89e80e72b1897e",
+    "eigenvalues.csv": "47203d03c65c77d035db4897e50eb824563208db1cc021e3394f2baa2052930d",
+    "embedding.csv": "b63d0fab0b3f2d085e0f62ab56c3eabafb94a71501b7029e29fbc2cdcc12b02b",
+    "labels.json": "6f09b83c4551a35e6e0010a592fe941e329e859e2e1abe5ff6411a2209867475",
+    "parse_report.json": "2bb21b190ba043de5dde5995270a0c99d07f2616640b782e2531eba5aef71895",
+    "records.jsonl": "56d8c2de0f597787a04578b0d92790d23f0fcf7acb642106aa04243335f4ea90",
+    "report.json": "9be0a5edce55b4fb0295bfa6ed357d65c2f8da7d71dc9524822810d40c091478",
+    "retweet_network.json": "1175c0de1bc0ed6122d1031434f4529f4973c5600785dd7392988c67e478f3fe",
+    "spectra_pre.csv": "962516224785f0c9366234de89071c49c0fc6ba8d2d6217e00bb041d8dbb9e22",
+    "strategy.json": "0a83b7ff3b7a929ce010d46023011d386c1ca4252fd7711ec44598b3d6bbedb9",
+    "topic_edges.csv": "9795cd29812ce942d10cddecbd0b0ec9aa3c715e164e96e3300d9370b0765b35",
+    "topic_top_terms.csv": "d00f2816ebceaf07c7e32d035ddac8f3a4e8dc796da14d3d6528547a99143248",
+}
+
+
+def _artifact_digests(outdir: Path) -> dict[str, str]:
+    out = {}
+    for path in sorted(outdir.iterdir()):
+        if path.name.startswith("manifest_"):
+            continue
+        data = path.read_bytes()
+        if path.name in ("parse_report.json", "report.json"):
+            data = data.replace(str(outdir).encode(), b"<out>")
+        out[path.name] = hashlib.sha256(data).hexdigest()
+    return out
 
 
 @pytest.fixture(scope="session")
@@ -163,6 +208,9 @@ class TestPipelineArtifacts:
         # changepoint was not run in this directory
         assert doc["sections"]["changepoint"] is None
 
+    def test_artifact_bytes_pinned(self, pipeline_dir):
+        assert _artifact_digests(pipeline_dir) == PIPELINE_DIGESTS
+
 
 def _ingested_copy(pipeline_dir: Path, outdir: Path) -> Path:
     """A fresh output directory holding only ``pipeline_dir``'s ingest output."""
@@ -268,6 +316,9 @@ class TestFailureModes:
             {"model1_range": [616, 200]},
             {"model2_t0": 900},
             {"input_format": "xml"},
+            {"column_map": {"tweet_id": 5}},
+            {"column_map": {"tweet_id": ""}},
+            {"column_map": {"text": ["tweet_text"]}},
         ],
     )
     def test_mistyped_or_out_of_range_config_returns_2(self, tmp_path, bad):
@@ -305,6 +356,34 @@ class TestFailureModes:
         assert doc["status"] == "failed"
         assert "clusters_spectral.json" in doc["error"]
         assert doc["artifacts"] == []
+
+    def test_compare_refuses_clusters_of_another_window(self, tmp_path, pipeline_dir):
+        out = _ingested_copy(pipeline_dir, tmp_path / "out")
+        for name in ("clusters_spectral.json", "clusters_topic.json"):
+            shutil.copy(pipeline_dir / name, out / name)
+        shifted = tmp_path / "shifted.json"
+        shifted.write_text(
+            json.dumps({**SMALL_CONFIG, "pre_window": ["2016-03-12", "2016-04-05"]})
+        )
+
+        def compare(config):
+            rc = main(["compare", "--config", str(config), "--out", str(out)])
+            return rc, json.loads((out / "manifest_compare.json").read_text())
+
+        rc, doc = compare(shifted)
+        assert rc == 1 and doc["status"] == "failed"
+        assert "clusters_spectral.json" in doc["error"]
+        assert not (out / "compare.json").exists()
+        # the topic clusters alone made for another window
+        original = tmp_path / "original.json"
+        original.write_text(json.dumps(SMALL_CONFIG))
+        topic_doc = json.loads((out / "clusters_topic.json").read_text())
+        topic_doc["window"] = ["2016-03-12", "2016-04-05"]
+        (out / "clusters_topic.json").write_text(json.dumps(topic_doc))
+        rc, doc = compare(original)
+        assert rc == 1 and doc["status"] == "failed"
+        assert "clusters_topic.json" in doc["error"]
+        assert not (out / "compare.json").exists()
 
     def test_ingest_without_input_fails_cleanly(self, tmp_path, config_path):
         rc = main(["ingest", "--config", str(config_path), "--out", str(tmp_path)])

@@ -1,11 +1,14 @@
 """Every public function, class and method of the package has a caller in
-the package itself, so no API lives on only because a test calls it.
+the package itself, and every defaulted parameter of a public function or
+method is passed by one, so no API or knob lives on only because a test
+calls or sets it.
 
 A name counts as called when the same identifier appears as a name or an
 attribute anywhere in ``src/tweetdyn`` outside its own definition. The match
 is by identifier alone, so it can miss an unused name that shares its
 identifier with a used one; it never flags a name that is in use. Re-exports
-in ``__init__.py`` do not count as calls.
+in ``__init__.py`` do not count as calls. Parameters are matched the same
+way, by the callee's identifier.
 """
 
 import ast
@@ -23,9 +26,19 @@ ALLOWED = {
         "library users scoring a clustering against synth's planted labels "
         "(README, Library); perfbench keeps its own copy"
     ),
-    "timeseries.DayWindow.contains": (
-        "the window test of the reference build_documents in tests/reference_loops.py"
-    ),
+}
+
+# Defaulted parameters that no call in the package passes, each with the
+# caller that sets them.
+_STAGE_OPTION = "set by the CLI through Stage.run(config, outdir, **options)"
+ALLOWED_DEFAULTS = {
+    "cli.main.argv": "the tweetdyn console script, which calls main() to parse sys.argv",
+    "cli.cmd_counts.window_name": _STAGE_OPTION,
+    "cli.cmd_spectra.window_name": _STAGE_OPTION,
+    "cli.cmd_cluster_spectral.window_name": _STAGE_OPTION,
+    "cli.cmd_cluster_topic.window_name": _STAGE_OPTION,
+    "cli.cmd_compare.window_name": _STAGE_OPTION,
+    "cli.cmd_synth.kind": _STAGE_OPTION,
 }
 
 
@@ -51,8 +64,12 @@ def _identifiers(node):
             yield sub.attr
 
 
+def _trees():
+    return {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
+
+
 def _uncalled():
-    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
+    trees = _trees()
     uses = Counter(i for tree in trees.values() for i in _identifiers(tree))
     out = []
     for module, tree in trees.items():
@@ -69,3 +86,57 @@ def test_every_public_name_has_a_caller_in_the_package():
     assert [n for n in uncalled if n not in ALLOWED] == []
     # an entry whose name is gone or now called is stale
     assert sorted(ALLOWED) == sorted(uncalled)
+
+
+def _defaulted_parameters(node, is_method):
+    """(positional index or None, name) of each parameter with a default;
+    a method's index does not count ``self`` or ``cls``."""
+    args = node.args
+    positional = args.posonlyargs + args.args
+    static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+    if is_method and not static:
+        positional = positional[1:]
+    first = len(positional) - len(args.defaults)
+    for index in range(first, len(positional)):
+        yield index, positional[index].arg
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield None, arg.arg
+
+
+def _passes(call, index, name):
+    """Whether ``call`` sets the parameter: by keyword, by enough positional
+    arguments, or through ``*``/``**`` unpacking."""
+    if any(k.arg in (name, None) for k in call.keywords):
+        return True
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    return index is not None and len(call.args) > index
+
+
+def _unpassed():
+    trees = _trees()
+    calls = [n for t in trees.values() for n in ast.walk(t) if isinstance(n, ast.Call)]
+
+    def callee(call):
+        return getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+
+    out = []
+    for module, tree in trees.items():
+        for name, node in _public_definitions(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            ident = name.rsplit(".", 1)[-1]
+            own = {id(n) for n in ast.walk(node)}
+            sites = [c for c in calls if callee(c) == ident and id(c) not in own]
+            for index, param in _defaulted_parameters(node, "." in name):
+                if not any(_passes(c, index, param) for c in sites):
+                    out.append(f"{module}.{name}.{param}")
+    return out
+
+
+def test_every_defaulted_parameter_is_passed_in_the_package():
+    unpassed = _unpassed()
+    assert [n for n in unpassed if n not in ALLOWED_DEFAULTS] == []
+    # an entry whose parameter is gone or now passed is stale
+    assert sorted(ALLOWED_DEFAULTS) == sorted(unpassed)

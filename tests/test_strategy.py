@@ -14,11 +14,10 @@ import scipy.stats
 from tweet_tables import TweetRecord, corpus_of
 from tweetdyn.strategy import (
     ALPHABET,
-    SimplexPartition,
+    CRITICAL_VALUE_P999_DF6,
     SymbolDistribution,
     category_table,
     chi_square_shift,
-    shift_critical_value,
     symbol_pairs,
     symbol_string,
     symbol_table,
@@ -31,32 +30,30 @@ def _point(o, s, a):
     return np.array([[o, s, a]], dtype=np.float64)
 
 
-def symbolize(day, partition):
+def symbolize(day):
     """The symbol :func:`symbol_table` gives a one-row count table."""
-    return ALPHABET[int(symbol_table(day, partition)[0])]
+    return ALPHABET[int(symbol_table(day)[0])]
 
 
 class TestSymbolize:
     """The partition cases, each run through ``symbol_table`` on one day."""
 
-    part = SimplexPartition()
-
     def test_corners(self):
-        assert symbolize(_point(1.0, 0.0, 0.0), self.part) == "A"
-        assert symbolize(_point(0.0, 1.0, 0.0), self.part) == "B"
-        assert symbolize(_point(0.0, 0.0, 1.0), self.part) == "C"
-        assert symbolize(_point(0.7, 0.2, 0.1), self.part) == "A"
+        assert symbolize(_point(1.0, 0.0, 0.0)) == "A"
+        assert symbolize(_point(0.0, 1.0, 0.0)) == "B"
+        assert symbolize(_point(0.0, 0.0, 1.0)) == "C"
+        assert symbolize(_point(0.7, 0.2, 0.1)) == "A"
 
     def test_edges(self):
         # low original -> D; low amplifying -> E; low spreading -> F
-        assert symbolize(_point(0.10, 0.45, 0.45), self.part) == "D"
-        assert symbolize(_point(0.45, 0.45, 0.10), self.part) == "E"
-        assert symbolize(_point(0.45, 0.10, 0.45), self.part) == "F"
+        assert symbolize(_point(0.10, 0.45, 0.45)) == "D"
+        assert symbolize(_point(0.45, 0.45, 0.10)) == "E"
+        assert symbolize(_point(0.45, 0.10, 0.45)) == "F"
 
     def test_interior(self):
         third = 1.0 / 3.0
-        assert symbolize(_point(third, third, third), self.part) == "G"
-        assert symbolize(_point(0.4, 0.35, 0.25), self.part) == "G"
+        assert symbolize(_point(third, third, third)) == "G"
+        assert symbolize(_point(0.4, 0.35, 0.25)) == "G"
 
     def test_boundaries_inclusive(self):
         # counts whose shares are exactly (2/3, 1/6, 1/6) and (1/6, 1/2, 1/3);
@@ -65,25 +62,17 @@ class TestSymbolize:
         assert (corner / 6).tolist() == [[2 / 3, 1 / 6, 1 / 6]]
         assert (edge / 6).tolist() == [[1 / 6, 0.5, 1 / 3]]
         # exactly 2/3 counts as a corner
-        assert symbolize(corner, self.part) == "A"
+        assert symbolize(corner) == "A"
         # exactly 1/6 counts as an edge (corner checked first)
-        assert symbolize(edge, self.part) == "D"
+        assert symbolize(edge) == "D"
 
     def test_empty_day_has_no_symbol(self):
         # the strategy is undefined on a day without tweets
-        assert symbol_table(_point(0, 0, 0), self.part).tolist() == [-1]
+        assert symbol_table(_point(0, 0, 0)).tolist() == [-1]
 
     def test_corner_takes_precedence_over_edge(self):
         # above 2/3 on one share AND below 1/6 on another: corner wins
-        assert symbolize(_point(0.8, 0.1, 0.1), self.part) == "A"
-
-    def test_custom_partition(self):
-        loose = SimplexPartition(corner_threshold=0.51, edge_threshold=0.05)
-        assert symbolize(_point(0.55, 0.25, 0.20), loose) == "A"
-        with pytest.raises(ValueError):
-            SimplexPartition(corner_threshold=0.4)
-        with pytest.raises(ValueError):
-            SimplexPartition(edge_threshold=0.5)
+        assert symbolize(_point(0.8, 0.1, 0.1)) == "A"
 
     @given(
         st.tuples(
@@ -91,11 +80,11 @@ class TestSymbolize:
         )
     )
     def test_total_and_scale_invariance(self, raw):
-        sym = symbolize(_point(*raw), self.part)
+        sym = symbolize(_point(*raw))
         assert sym in ALPHABET
         # symbol depends on shares, not on absolute counts
         scaled = _point(*(x * 17.0 for x in raw))
-        assert symbolize(scaled, self.part) == sym
+        assert symbolize(scaled) == sym
 
 
 def _rec(i, user, when, retweet_of=None):
@@ -223,13 +212,8 @@ class TestChiSquare:
         assert chi_square_shift(observed, reference) == pytest.approx(0.0, abs=1e-12)
 
     def test_critical_value(self):
-        crit = shift_critical_value()
-        assert crit == scipy.stats.chi2.ppf(0.999, df=6)
-        assert crit == pytest.approx(22.4577, abs=5e-5)
-
-    @given(st.floats(1e-6, 1 - 1e-6), st.integers(1, 60))
-    def test_critical_value_equals_scipy_stats(self, alpha, df):
-        assert shift_critical_value(alpha, df) == scipy.stats.chi2.ppf(alpha, df)
+        assert CRITICAL_VALUE_P999_DF6 == scipy.stats.chi2.ppf(0.999, df=6)
+        assert CRITICAL_VALUE_P999_DF6 == pytest.approx(22.4577, abs=5e-5)
 
     def test_monotone_in_divergence(self):
         ref = _dist(A=50, B=50)

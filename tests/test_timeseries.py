@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from reference_loops import offset_of
 from tweet_tables import TweetRecord, corpus_of
 from tweetdyn.timeseries import (
     CountSeries,
@@ -42,24 +43,24 @@ class TestDayWindow:
 
     def test_end_date_is_outside(self):
         w = DayWindow(date(2016, 3, 9), date(2016, 11, 8))
-        assert w.offset_of(date(2016, 3, 9)) == 0
-        assert w.offset_of(date(2016, 11, 7)) == 243
-        assert w.offset_of(date(2016, 11, 8)) is None
+        assert offset_of(w, date(2016, 3, 9)) == 0
+        assert offset_of(w, date(2016, 11, 7)) == 243
+        assert offset_of(w, date(2016, 11, 8)) is None
 
     def test_datetime_offsets_and_tz(self):
         w = DayWindow(date(2016, 3, 9), date(2016, 3, 12))
         naive = datetime(2016, 3, 10, 23, 59)
         aware = datetime(2016, 3, 11, 1, 30, tzinfo=timezone.utc)
-        assert w.offset_of(naive) == 1
-        assert w.offset_of(aware) == 2
+        assert offset_of(w, naive) == 1
+        assert offset_of(w, aware) == 2
         # an aware stamp east of UTC can fall on the previous UTC day
         east = datetime(2016, 3, 12, 1, 0, tzinfo=timezone(timedelta(hours=3)))
-        assert w.offset_of(east) == 2
+        assert offset_of(w, east) == 2
 
     def test_date_of_round_trip(self):
         w = DayWindow(date(2016, 3, 9), date(2016, 11, 8))
         for t in (0, 100, 243):
-            assert w.offset_of(w.date_of(t)) == t
+            assert offset_of(w, w.date_of(t)) == t
         with pytest.raises(IndexError):
             w.date_of(244)
 
@@ -71,9 +72,11 @@ class TestDayWindow:
     def test_contains_iff_offset(self, delta):
         w = DayWindow(date(2016, 1, 1), date(2016, 12, 31))
         day = date(2016, 6, 1) + timedelta(days=delta)
-        assert w.contains(day) == (w.offset_of(day) is not None)
-        if w.contains(day):
-            assert 0 <= w.offset_of(day) < w.n_days
+        t = offset_of(w, day)
+        assert (t is not None) == (w.start <= day < w.end)
+        if t is not None:
+            assert 0 <= t < w.n_days
+            assert w.date_of(t) == day
 
 
 class TestDailyCounts:
@@ -87,7 +90,7 @@ class TestDailyCounts:
             _record("a", datetime(2016, 1, 4, 0), 5),  # outside
         ]
         corpus = corpus_of(records)
-        series = daily_counts(corpus, w, user_id="a")
+        series = counts_by_user(corpus, w, ["a"])["a"]
         assert series.values.tolist() == [2, 0, 1]
         agg = daily_counts(corpus, w)
         assert agg.values.tolist() == [2, 1, 1]
@@ -120,7 +123,7 @@ class TestDailyCounts:
                     _record("u", datetime(2015, 1, 1) + timedelta(days=day), i)
                 )
                 i += 1
-        series = daily_counts(corpus_of(records), w, user_id="u")
+        series = counts_by_user(corpus_of(records), w, ["u"])["u"]
         assert abs(series.values.mean() - lam) < 3.0 * np.sqrt(lam / n_days)
 
     def test_negative_and_length_validation(self):
@@ -281,10 +284,9 @@ class TestChangepoint:
 class TestSeriesCsv:
     def test_round_trip(self, tmp_path):
         w = DayWindow.of_length(date(2016, 3, 9), 12)
-        s = CountSeries(window=w, values=np.arange(12), user_id="u1")
+        s = CountSeries(window=w, values=np.arange(12))
         path = tmp_path / "series.csv"
         save_series_csv(s, path)
-        loaded = load_series_csv(path, user_id="u1")
+        loaded = load_series_csv(path)
         assert loaded.window == s.window
         assert (loaded.values == s.values).all()
-        assert loaded.user_id == "u1"

@@ -157,7 +157,7 @@ class TestGammaFit:
         fit = gamma_fit([2, 6])  # mean 4, sample var 8
         assert fit.k_shape == pytest.approx(2.0)
         assert fit.theta_scale == pytest.approx(2.0)
-        assert fit.mean == pytest.approx(4.0)
+        assert fit.k_shape * fit.theta_scale == pytest.approx(4.0)
 
     def test_closed_form_one_two_three(self):
         fit = gamma_fit([1, 2, 3])  # mean 2, sample var 1
