@@ -5,12 +5,15 @@ points in the unit square, ``spectral.kmedoids`` on 3-d Gaussian blobs (the
 pipeline's default ``pca_dims`` and ``kmedoids_k``, 10 restarts),
 ``topic.similarity_graph`` on a random term-by-user count matrix,
 ``porter.stem`` on 20k distinct words (each stemmed once, so every call is
-cold) and ``topic.topic_communities`` on planted corpora from
-``perfbench/gen.py`` with 256 and 4,000 users, each next to its reference in
-``tests/reference_loops.py``. A kernel's time is the best of three calls in
-this process, a reference's time one call; each row also says whether the
-two results are identical (partition and Q, labels, medoids and cost, edges
-and weights, stems, or every topic artifact).
+cold), ``topic.topic_communities`` on planted corpora from
+``perfbench/gen.py`` with 256 and 4,000 users, and the spectra chain
+(``detrend`` -> ``dft`` -> ``denoise`` on a Poisson count table of 256 and
+4,000 users over 244 days, the pipeline's default ``ma_window`` and
+``denoise_q``), each next to its reference in ``tests/reference_loops.py``.
+A kernel's time is the best of three calls in this process, a reference's
+time one call; each row also says whether the two results are identical
+(partition and Q, labels, medoids and cost, edges and weights, stems, every
+topic artifact, or the spectra's bins and magnitude matrix, byte for byte).
 Prints one JSON document.
 
 usage: python scripts/bench_kernels.py
@@ -37,8 +40,8 @@ from gen import planted_corpus, pseudo_words  # noqa: E402
 from tweetdyn import porter  # noqa: E402
 from tweetdyn.corpus import Corpus  # noqa: E402
 from tweetdyn.graphs import WeightedGraph, modularity_communities  # noqa: E402
-from tweetdyn.spectral import kmedoids  # noqa: E402
-from tweetdyn.timeseries import DayWindow  # noqa: E402
+from tweetdyn.spectral import denoise, dft, kmedoids  # noqa: E402
+from tweetdyn.timeseries import DayWindow, detrend  # noqa: E402
 from tweetdyn.topic import TermUserMatrix, similarity_graph, topic_communities  # noqa: E402
 
 MODULARITY_N = (250, 500, 1000)
@@ -49,6 +52,9 @@ STEM_N = (20_000,)
 # per user-day); 256 users over 60 days is the crowd workload's size
 TOPIC_N = {256: 60, 4000: 20}
 TOPIC_START = date(2016, 3, 9)
+SPECTRA_N = (256, 4000)
+SPECTRA_DAYS = 244
+MA_WINDOW, DENOISE_Q = 7, 0.33
 REPEATS = 3
 
 
@@ -108,6 +114,29 @@ def planted_topic_corpus(n_users: int, n_days: int, seed: int = 0) -> tuple[Corp
         text=text,
     )
     return corpus, sorted(labels)
+
+
+def count_table(n: int, n_days: int, seed: int = 0) -> np.ndarray:
+    """(n, n_days) Poisson daily counts, each row at its own rate."""
+    rng = np.random.default_rng(seed)
+    return rng.poisson(rng.uniform(0.5, 30.0, size=(n, 1)), size=(n, n_days))
+
+
+def table_spectra(table: np.ndarray, users: list[str], window: DayWindow):
+    return denoise(dft(detrend(table, MA_WINDOW), users), DENOISE_Q)
+
+
+def loop_spectra(table: np.ndarray, users: list[str], window: DayWindow):
+    return ref.cohort_spectra(window, table, users, MA_WINDOW, DENOISE_Q)
+
+
+def same_spectra(new, old: dict) -> bool:
+    _, matrix = ref.spectra_matrix(list(old.values()))
+    return (
+        new.users == tuple(old)
+        and new.bins.tobytes() == np.vstack([b.bins for b in old.values()]).tobytes()
+        and new.magnitudes.tobytes() == matrix.tobytes()
+    )
 
 
 def stem_all(stem, words: list[str]) -> list[str]:
@@ -172,6 +201,13 @@ def main() -> int:
         cases.append(("topic_communities", n, {"days": days, "tweets": len(corpus)},
                       topic_communities, ref.topic_communities, (corpus, users, window), {},
                       same_topics))
+
+    for n in SPECTRA_N:
+        users = [f"u{i:04d}" for i in range(n)]
+        window = DayWindow.of_length(TOPIC_START, SPECTRA_DAYS)
+        cases.append(("spectra_chain", n, {"days": SPECTRA_DAYS},
+                      table_spectra, loop_spectra,
+                      (count_table(n, SPECTRA_DAYS), users, window), {}, same_spectra))
 
     rows = []
     for kernel, n, shape, new_fn, old_fn, fn_args, fn_kwargs, same in cases:

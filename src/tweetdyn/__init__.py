@@ -3,8 +3,9 @@
 Subpackages by pipeline stage: :mod:`~tweetdyn.corpus` (the normalized
 tweet table as NumPy columns), :mod:`~tweetdyn.ingest` (tweet tables parsed
 into a corpus, cohorts, retweet networks), :mod:`~tweetdyn.timeseries` (daily
-counts, detrending, segment fits), :mod:`~tweetdyn.strategy` (posting-mix
-simplex and symbol dynamics), :mod:`~tweetdyn.spectral` (rate spectra, PCA,
+counts as a (users, days) table, detrending, segment fits),
+:mod:`~tweetdyn.strategy` (posting-mix simplex and symbol dynamics),
+:mod:`~tweetdyn.spectral` (rate spectra as one (users, bins) table, PCA,
 k-medoids), :mod:`~tweetdyn.topic` (text keywords and similarity communities),
 :mod:`~tweetdyn.compare` (cross-tabulating the two clusterings),
 :mod:`~tweetdyn.synth` (ground-truth generators), :mod:`~tweetdyn.cli`.
@@ -16,7 +17,6 @@ from .timeseries import (  # noqa: F401
     CountSeries,
     DayWindow,
     LinearFit,
-    OscillatorSeries,
     accumulate,
     changepoint_significant,
     counts_by_user,
@@ -42,7 +42,7 @@ from .strategy import (  # noqa: F401
 from .spectral import (  # noqa: F401
     ClusterAssignment,
     Embedding,
-    Spectrum,
+    Spectra,
     band_summary,
     denoise,
     dft,
@@ -50,7 +50,6 @@ from .spectral import (  # noqa: F401
     fit_fourier,
     kmedoids,
     pca_embed,
-    spectra_matrix,
 )
 from .topic import (  # noqa: F401
     GammaFit,

@@ -215,14 +215,15 @@ def load_config(path: str | Path | None, overrides: dict[str, Any]) -> RunConfig
     unknown = sorted(set(data) - {f.name for f in dataclasses.fields(RunConfig)})
     if unknown:
         raise ValueError(f"unknown config keys {unknown}")
+    hints = get_type_hints(RunConfig)
     kwargs: dict[str, Any] = {}
     for f in dataclasses.fields(RunConfig):
         if f.name not in data:
             continue
         value = data[f.name]
-        if f.name.endswith("_window") and not isinstance(value, DayWindow):
+        if hints[f.name] is DayWindow and not isinstance(value, DayWindow):
             value = _window_from_json(value)
-        elif f.name == "column_map" and isinstance(value, dict):
+        elif hints[f.name] is ColumnMap and isinstance(value, dict):
             value = ColumnMap(**value)
         elif isinstance(value, list):
             value = tuple(value)
@@ -384,12 +385,8 @@ def cmd_counts(config: RunConfig, outdir: Path, window_name: str = "pre") -> lis
     aggregate = timeseries.daily_counts(corpus, config.bulk_window)
     timeseries.save_series_csv(aggregate, outdir / "counts_aggregate.csv")
     artifacts.append("counts_aggregate.csv")
-    by_user = timeseries.counts_by_user(corpus, window, cohort)
-    rows = [
-        [uid, t, int(v)]
-        for uid, series in by_user.items()
-        for t, v in enumerate(series.values)
-    ]
+    table = timeseries.counts_by_user(corpus, window, cohort)
+    rows = [[uid, t, int(v)] for uid, row in zip(cohort, table) for t, v in enumerate(row)]
     write_csv(outdir / f"counts_{window_name}.csv", ["user_id", "day_offset", "count"], rows)
     artifacts.append(f"counts_{window_name}.csv")
     write_json(outdir / f"cohort_{window_name}.json", cohort)
@@ -462,9 +459,8 @@ def cmd_strategy(config: RunConfig, outdir: Path) -> list[str]:
     return ["strategy.json"]
 
 
-def _write_band(path: Path, spectra: Sequence[spectral.Spectrum]) -> None:
-    """Per-bin min, quartiles and max of the spectra's magnitudes."""
-    band = spectral.band_summary(spectra)
+def _write_band(path: Path, band: spectral.BandSummary) -> None:
+    """Per-bin min, quartiles and max of a band summary."""
     write_csv(
         path,
         ["bin", "min", "q1", "median", "q3", "max"],
@@ -477,31 +473,32 @@ def _write_band(path: Path, spectra: Sequence[spectral.Spectrum]) -> None:
 
 def _cohort_spectra(
     corpus: Corpus, config: RunConfig, window: DayWindow
-) -> dict[str, spectral.Spectrum]:
+) -> spectral.Spectra:
+    """Denoised spectra of the window's cohort, one row per user in id order."""
     cohort = resolve_cohort(corpus, config, window)
     if not cohort:
         raise ValueError("no users in cohort; nothing to transform")
-    by_user = timeseries.counts_by_user(corpus, window, cohort)
-    out: dict[str, spectral.Spectrum] = {}
-    for uid, series in by_user.items():
-        osc = timeseries.detrend(series, config.ma_window)
-        out[uid] = spectral.denoise(spectral.dft(osc.values, uid), config.denoise_q)
-    return out
+    table = timeseries.counts_by_user(corpus, window, cohort)
+    oscillators = timeseries.detrend(table, config.ma_window)
+    return spectral.denoise(spectral.dft(oscillators, cohort), config.denoise_q)
 
 
 def cmd_spectra(config: RunConfig, outdir: Path, window_name: str = "pre") -> list[str]:
     window = config.analysis_window(window_name)
     spectra = _cohort_spectra(_load_corpus(outdir), config, window)
-    users = sorted(spectra)
+    magnitudes = spectra.magnitudes
     rows = [
         [uid, k, float(m)]
-        for uid in users
-        for k, m in enumerate(spectra[uid].magnitudes)
+        for uid, row in zip(spectra.users, magnitudes)
+        for k, m in enumerate(row)
     ]
     write_csv(
         outdir / f"spectra_{window_name}.csv", ["user_id", "bin", "magnitude"], rows
     )
-    _write_band(outdir / f"band_{window_name}.csv", [spectra[u] for u in users])
+    _write_band(
+        outdir / f"band_{window_name}.csv",
+        spectral.band_summary(magnitudes, spectra.n_samples),
+    )
     return [f"spectra_{window_name}.csv", f"band_{window_name}.csv"]
 
 
@@ -510,8 +507,8 @@ def cmd_cluster_spectral(
 ) -> list[str]:
     window = config.analysis_window(window_name)
     spectra = _cohort_spectra(_load_corpus(outdir), config, window)
-    ids, matrix = spectral.spectra_matrix(list(spectra.values()))
-    embedding = spectral.pca_embed(matrix, ids, dims=config.pca_dims)
+    magnitudes = spectra.magnitudes
+    embedding = spectral.pca_embed(magnitudes, spectra.users, dims=config.pca_dims)
     assignment = spectral.kmedoids(
         embedding.points,
         embedding.ids,
@@ -536,18 +533,18 @@ def cmd_cluster_spectral(
     artifacts = ["embedding.csv", "eigenvalues.csv", "clusters_spectral.json"]
     for c in range(1, assignment.k + 1):
         members = assignment.members(c)
-        cluster_spectra = [spectra[u] for u in members]
-        _write_band(outdir / f"cluster_band_{c}.csv", cluster_spectra)
+        rows = spectra.rows(members)
+        band = spectral.band_summary(magnitudes[rows], spectra.n_samples)
+        _write_band(outdir / f"cluster_band_{c}.csv", band)
         artifacts.append(f"cluster_band_{c}.csv")
-        med = spectral.median_spectrum(cluster_spectra)
         models = {
-            u: spectral.fit_fourier(spectra[u], j_terms=config.fourier_terms)
-            for u in members
+            u: spectral.fit_fourier(spectra, i, j_terms=config.fourier_terms)
+            for u, i in zip(members, rows)
         }
         clusters_payload[str(c)] = {
             "members": members,
             "medoid": assignment.medoids[c - 1],
-            "dominant_period_days": spectral.dominant_period(med),
+            "dominant_period_days": spectral.dominant_period(band.medians, band.n_samples),
             "fourier_terms": {
                 u: [
                     {
@@ -564,7 +561,7 @@ def cmd_cluster_spectral(
     write_json(
         outdir / "clusters_spectral.json",
         {"k": assignment.k, "cost": assignment.cost, "clusters": clusters_payload,
-         "window": window, "n_users": len(ids)},
+         "window": window, "n_users": len(spectra.users)},
     )
     return artifacts
 
@@ -699,10 +696,8 @@ def cmd_synth(config: RunConfig, outdir: Path, kind: str = "corpus") -> list[str
         return [RECORDS_FILE, LABELS_FILE]
     if kind == "series":
         specs = synth.reference_cluster_specs()
-        series, labels = synth.generate_series(specs, config.pre_window, config.seed)
-        rows = [
-            [s.user_id, t, int(v)] for s in series for t, v in enumerate(s.values)
-        ]
+        users, table, labels = synth.generate_series(specs, config.pre_window, config.seed)
+        rows = [[uid, t, int(v)] for uid, row in zip(users, table) for t, v in enumerate(row)]
         write_csv(outdir / "synth_series.csv", ["user_id", "day_offset", "count"], rows)
         write_json(outdir / LABELS_FILE, labels)
         return ["synth_series.csv", LABELS_FILE]

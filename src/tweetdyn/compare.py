@@ -4,7 +4,8 @@ The two clusterings live over the same user cohort. :func:`cross_tab` counts
 their joint membership; a spectral cluster's *diversity* is how many text
 communities it touches and the Shannon entropy (bits) of its row. A
 *sub-cluster* is the intersection of one spectral cluster with one text
-community; :func:`intersect_subcluster` summarizes its members' spectra.
+community; :func:`intersect_subcluster` summarizes its members' rows of the
+cohort's :class:`~tweetdyn.spectral.Spectra`.
 """
 
 from __future__ import annotations
@@ -18,10 +19,9 @@ import numpy as np
 from .spectral import (
     BandSummary,
     ClusterAssignment,
-    Spectrum,
+    Spectra,
     band_summary,
     dominant_period,
-    median_spectrum,
 )
 
 
@@ -95,22 +95,18 @@ def cross_tab(
 def intersect_subcluster(
     spectral_users: Iterable[str],
     topic_users: Iterable[str],
-    spectra_by_user: Mapping[str, Spectrum],
+    spectra: Spectra,
 ) -> SubclusterSummary:
     """Summarize the spectra of users in both groups.
 
-    The dominant period is read off the per-bin median spectrum of the
-    intersection. An empty intersection is an error.
+    The dominant period is read off the per-bin medians of the
+    intersection's band. An empty intersection is an error.
     """
     users = tuple(sorted(set(spectral_users) & set(topic_users)))
     if not users:
         raise ValueError("empty sub-cluster")
-    missing = [u for u in users if u not in spectra_by_user]
-    if missing:
-        raise ValueError(f"no spectrum for users {missing}")
-    spectra = [spectra_by_user[u] for u in users]
-    band = band_summary(spectra)
-    period = dominant_period(median_spectrum(spectra))
+    band = band_summary(np.abs(spectra.bins[spectra.rows(users)]), spectra.n_samples)
+    period = dominant_period(band.medians, band.n_samples)
     return SubclusterSummary(users=users, band=band, dominant_period_days=period)
 
 

@@ -1,19 +1,23 @@
 """Frequency-domain modeling and clustering of detrended tweet-rate series.
 
-Pipeline, in the order the operations compose:
+The spectra of a cohort are one table, :class:`Spectra`: row ``i`` is the
+half spectrum of ``users[i]``. Pipeline, in the order the operations compose:
 
-1. :func:`dft` - unnormalized forward DFT of the detrended series' values
-   (a 1-d array), keeping the non-negative-frequency half spectrum (bins
-   ``0 .. floor(N/2)``). Bin ``k`` is a period of ``N / k`` days.
-2. :func:`denoise` - zero every bin whose squared magnitude falls strictly
-   below the empirical q-quantile of the squared magnitudes.
-3. :func:`pca_embed` - project user magnitude spectra onto the leading
-   principal axes of the column-mean-centered covariance.
+1. :func:`dft` - unnormalized forward DFT of each row of a
+   ``(users, samples)`` table of detrended series, keeping the
+   non-negative-frequency half spectrum (bins ``0 .. floor(N/2)``). Bin ``k``
+   is a period of ``N / k`` days.
+2. :func:`denoise` - in each row, zero every bin whose squared magnitude
+   falls strictly below the empirical q-quantile of that row's squared
+   magnitudes.
+3. :func:`pca_embed` - project the magnitude rows (:attr:`Spectra.magnitudes`)
+   onto the leading principal axes of the column-mean-centered covariance.
 4. :func:`kmedoids` - PAM clustering with seeded restarts; points are
    pre-sorted canonically so the outcome is invariant to input order.
 5. :func:`fit_fourier` / :func:`band_summary` / :func:`dominant_period` -
    per-cluster summaries; :func:`fit_fourier` returns the cosine-sum terms
-   of a spectrum's largest bins as a tuple of :class:`FourierTerm`.
+   of one row's largest bins as a tuple of :class:`FourierTerm`, and
+   :func:`dominant_period` reads a band's per-bin medians.
 
 Quantile convention: ``Q(q)`` is the smallest squared magnitude such that at
 least a ``q`` fraction of bins are at or below it (``sorted[ceil(q*n)-1]``);
@@ -25,7 +29,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -33,30 +37,40 @@ logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
-class Spectrum:
-    """Half spectrum of one detrended series (unnormalized forward DFT)."""
+class Spectra:
+    """Half spectra of detrended series (unnormalized forward DFT), one row
+    per user, all of ``n_samples`` samples."""
 
+    users: tuple[str, ...]
     bins: np.ndarray
     n_samples: int
-    user_id: str | None = None
 
     def __post_init__(self) -> None:
-        bins = np.asarray(self.bins, dtype=np.complex128)
+        users = tuple(self.users)
+        bins = np.array(self.bins, dtype=np.complex128)
         expect = self.n_samples // 2 + 1
-        if bins.ndim != 1 or len(bins) != expect:
+        if bins.ndim != 2 or bins.shape[1] != expect:
             raise ValueError(
                 f"need {expect} bins for n_samples={self.n_samples}, got {bins.shape}"
             )
-        bins = bins.copy()
+        if len(users) != len(bins) or len(set(users)) != len(users):
+            raise ValueError("need one distinct user per row")
         bins.flags.writeable = False
+        object.__setattr__(self, "users", users)
         object.__setattr__(self, "bins", bins)
-
-    def __len__(self) -> int:
-        return len(self.bins)
 
     @property
     def magnitudes(self) -> np.ndarray:
         return np.abs(self.bins)
+
+    def rows(self, users: Iterable[str]) -> np.ndarray:
+        """Row index of each of ``users``."""
+        index = {u: i for i, u in enumerate(self.users)}
+        users = list(users)
+        missing = [u for u in users if u not in index]
+        if missing:
+            raise ValueError(f"no spectrum for users {missing}")
+        return np.array([index[u] for u in users], dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -112,38 +126,34 @@ class BandSummary:
     n_spectra: int
 
 
-def dft(values: np.ndarray, user_id: str | None = None) -> Spectrum:
-    """Unnormalized forward DFT of a 1-d series, half spectrum.
+def dft(values: np.ndarray, users: Sequence[str]) -> Spectra:
+    """Unnormalized forward DFT of each row of a (users, samples) table, half
+    spectrum.
 
     ``X_k = sum_t xi[t] * exp(-2i pi k t / N)`` for ``k = 0 .. floor(N/2)``.
     """
     values = np.asarray(values, dtype=np.float64)
-    if values.ndim != 1 or len(values) < 2:
-        raise ValueError("need a 1-d series of at least 2 samples")
-    return Spectrum(bins=np.fft.rfft(values), n_samples=len(values), user_id=user_id)
+    if values.ndim != 2 or values.shape[1] < 2:
+        raise ValueError("need a (users, samples) table of at least 2 samples")
+    return Spectra(users=users, bins=np.fft.rfft(values, axis=-1), n_samples=values.shape[1])
 
 
-def squared_magnitude_quantile(spectrum: Spectrum, q: float) -> float:
-    """Empirical inverse-CDF quantile of the squared bin magnitudes."""
+def denoise(spectra: Spectra, q: float = 0.33) -> Spectra:
+    """Zero the bins of each row whose squared magnitude is strictly below
+    that row's q-quantile."""
     if not 0.0 <= q <= 1.0:
         raise ValueError("q must be in [0, 1]")
-    power = np.sort(spectrum.magnitudes**2)
-    if q == 0.0:
-        return 0.0
-    idx = math.ceil(q * len(power)) - 1
-    return float(power[idx])
+    power = spectra.magnitudes**2
+    threshold = 0.0
+    if q > 0.0:
+        idx = math.ceil(q * power.shape[1]) - 1
+        threshold = np.sort(power, axis=1)[:, idx, None]
+    bins = np.where(power < threshold, 0.0 + 0.0j, spectra.bins)
+    return Spectra(users=spectra.users, bins=bins, n_samples=spectra.n_samples)
 
 
-def denoise(spectrum: Spectrum, q: float = 0.33) -> Spectrum:
-    """Zero bins whose squared magnitude is strictly below the q-quantile."""
-    threshold = squared_magnitude_quantile(spectrum, q)
-    power = spectrum.magnitudes**2
-    bins = np.where(power < threshold, 0.0 + 0.0j, spectrum.bins)
-    return Spectrum(bins=bins, n_samples=spectrum.n_samples, user_id=spectrum.user_id)
-
-
-def fit_fourier(spectrum: Spectrum, j_terms: int = 6) -> tuple[FourierTerm, ...]:
-    """Cosine-sum terms of the ``j_terms`` largest-magnitude bins.
+def fit_fourier(spectra: Spectra, row: int, j_terms: int = 6) -> tuple[FourierTerm, ...]:
+    """Cosine-sum terms of the ``j_terms`` largest-magnitude bins of one row.
 
     The series is modeled as ``sum_j A_j cos(omega_j t + phase_j)``.
     Amplitudes follow the half-spectrum convention that makes the all-bins
@@ -151,16 +161,17 @@ def fit_fourier(spectrum: Spectrum, j_terms: int = 6) -> tuple[FourierTerm, ...]
     ``|X_k|/N`` for bin 0 and (even N) the Nyquist bin. Terms are ordered by
     descending amplitude, ties by bin index.
     """
-    n = spectrum.n_samples
-    n_bins = len(spectrum.bins)
+    n = spectra.n_samples
+    bins = spectra.bins[row]
+    n_bins = len(bins)
     if not 1 <= j_terms <= n_bins:
         raise ValueError(f"j_terms must be in 1..{n_bins}")
-    mags = spectrum.magnitudes
+    mags = np.abs(bins)
     order = np.lexsort((np.arange(n_bins), -mags))
     chosen = sorted(order[:j_terms])
     terms = []
     for k in chosen:
-        x = spectrum.bins[k]
+        x = bins[k]
         half_weight = k == 0 or (n % 2 == 0 and k == n // 2)
         amp = (1.0 if half_weight else 2.0) * np.abs(x) / n
         terms.append(
@@ -173,21 +184,6 @@ def fit_fourier(spectrum: Spectrum, j_terms: int = 6) -> tuple[FourierTerm, ...]
         )
     terms.sort(key=lambda t: (-t.amplitude, t.bin))
     return tuple(terms)
-
-
-def spectra_matrix(spectra: Sequence[Spectrum]) -> tuple[list[str], np.ndarray]:
-    """Stack magnitude spectra into an (n_users, n_bins) matrix, sorted by id."""
-    if not spectra:
-        raise ValueError("no spectra")
-    n_bins = {len(s) for s in spectra}
-    if len(n_bins) != 1:
-        raise ValueError(f"mixed bin counts {sorted(n_bins)}")
-    ids = [s.user_id or "" for s in spectra]
-    if len(set(ids)) != len(ids) or "" in ids:
-        raise ValueError("spectra must carry distinct user ids")
-    order = np.argsort(ids)
-    matrix = np.vstack([spectra[i].magnitudes for i in order])
-    return [ids[i] for i in order], matrix
 
 
 def pca_embed(
@@ -376,14 +372,11 @@ def kmedoids(
     )
 
 
-def band_summary(spectra: Sequence[Spectrum]) -> BandSummary:
-    """Five-number summary of magnitudes per bin across spectra."""
-    if not spectra:
+def band_summary(magnitudes: np.ndarray, n_samples: int) -> BandSummary:
+    """Five-number summary per bin (column) of a magnitude matrix."""
+    mags = np.asarray(magnitudes, dtype=np.float64)
+    if mags.ndim != 2 or len(mags) == 0:
         raise ValueError("no spectra to summarize")
-    n_samples = {s.n_samples for s in spectra}
-    if len(n_samples) != 1:
-        raise ValueError("spectra have mixed sample counts")
-    mags = np.vstack([s.magnitudes for s in spectra])
     q1, med, q3 = np.percentile(mags, [25, 50, 75], axis=0)
     return BandSummary(
         mins=mags.min(axis=0),
@@ -391,26 +384,18 @@ def band_summary(spectra: Sequence[Spectrum]) -> BandSummary:
         medians=med,
         q3=q3,
         maxs=mags.max(axis=0),
-        n_samples=n_samples.pop(),
-        n_spectra=len(spectra),
+        n_samples=n_samples,
+        n_spectra=len(mags),
     )
 
 
-def median_spectrum(spectra: Sequence[Spectrum]) -> Spectrum:
-    """Spectrum whose bins are the per-bin median magnitudes (real-valued)."""
-    summary = band_summary(spectra)
-    return Spectrum(
-        bins=summary.medians.astype(np.complex128),
-        n_samples=summary.n_samples,
-    )
-
-
-def dominant_period(spectrum: Spectrum) -> float:
-    """Period (days) of the largest-magnitude bin, excluding bin 0."""
-    mags = spectrum.magnitudes
+def dominant_period(magnitudes: np.ndarray, n_samples: int) -> float:
+    """Period (days) of the largest of a half spectrum's bin magnitudes,
+    excluding bin 0."""
+    mags = np.asarray(magnitudes)
     if len(mags) < 2:
         raise ValueError("spectrum has no oscillatory bins")
     if np.all(mags[1:] == 0):
         raise ValueError("all oscillatory bins are zero; no dominant period")
     k = 1 + int(np.argmax(mags[1:]))
-    return spectrum.n_samples / k
+    return n_samples / k

@@ -3,14 +3,17 @@
 Three generators, all driven by ``numpy.random.default_rng(seed)`` so equal
 specs and seeds reproduce byte-identical data:
 
-* :func:`generate_series` - daily counts per user as a baseline schedule plus
-  planted cosines plus Gaussian noise, rounded half-to-even (``np.rint``) and
-  clipped at zero. Ground truth is the group label per user.
+* :func:`generate_series` - a ``(users, days)`` count table, each row a
+  constant baseline plus planted cosines plus Gaussian noise, rounded
+  half-to-even (``np.rint``) and clipped at zero. Ground truth is the group
+  label per user.
 * :func:`generate_corpus` - a tweet :class:`~tweetdyn.corpus.Corpus` with
   planted group vocabularies, per-era strategy mixes and an optional strategy
   change point; tweet volume per day either constant or driven by an embedded
-  rate spec. Ground truth (user -> group) is returned separately, never
-  written into the tweet table.
+  rate spec. Term draws follow Zipf-like 1/rank weights over each group's
+  vocabulary; outsider retweets name one of :data:`AMPLIFIED_OUTSIDERS`.
+  Ground truth (user -> group) is returned separately, never written into
+  the tweet table.
 * :func:`generate_changepoint_aggregate` - one aggregate Poisson count series
   whose rate switches at a planted day.
 
@@ -31,28 +34,26 @@ from .corpus import US_PER_DAY, Corpus
 from .timeseries import CountSeries, DayWindow
 
 _US_PER_MINUTE = 60_000_000
-_OUTSIDERS = tuple(f"outsider-{i:02d}" for i in range(12))
+# accounts outside the campaign that its members' outsider retweets amplify
+AMPLIFIED_OUTSIDERS = tuple(f"outsider-{i:02d}" for i in range(12))
 
 
 @dataclass(frozen=True)
 class GroupSpec:
-    """Rate model of one user group: baseline schedule + planted cosines."""
+    """Rate model of one user group: constant baseline + planted cosines."""
 
     group_id: str
     frequencies: tuple[float, ...] = ()
     amplitude_ranges: tuple[tuple[float, float], ...] = ()
-    baseline_levels: tuple[float, ...] = (30.0,)
-    baseline_breaks: tuple[int, ...] = ()
+    baseline_level: float = 30.0
     noise_sigma: float = 0.0
     members: int = 10
 
     def __post_init__(self) -> None:
         if len(self.frequencies) != len(self.amplitude_ranges):
             raise ValueError("one amplitude range per frequency required")
-        if len(self.baseline_levels) != len(self.baseline_breaks) + 1:
-            raise ValueError("baseline schedule needs breaks+1 levels")
-        if any(lvl < 0 for lvl in self.baseline_levels):
-            raise ValueError("baseline levels must be >= 0")
+        if self.baseline_level < 0:
+            raise ValueError("baseline_level must be >= 0")
         if any(lo > hi for lo, hi in self.amplitude_ranges):
             raise ValueError("amplitude range inverted")
         if self.noise_sigma < 0:
@@ -68,7 +69,6 @@ class GroupCorpusSpec:
     group_id: str
     vocabulary: tuple[str, ...]
     members: int = 10
-    emission_weights: tuple[float, ...] | None = None
     strategy_pre: tuple[float, float, float] = (1.0, 0.0, 0.0)
     strategy_post: tuple[float, float, float] | None = None
     dynamics: GroupSpec | None = None
@@ -76,10 +76,6 @@ class GroupCorpusSpec:
     def __post_init__(self) -> None:
         if not self.vocabulary:
             raise ValueError("empty vocabulary")
-        if self.emission_weights is not None and len(self.emission_weights) != len(
-            self.vocabulary
-        ):
-            raise ValueError("one emission weight per vocabulary term required")
         for mix in (self.strategy_pre, self.strategy_post):
             if mix is None:
                 continue
@@ -91,15 +87,9 @@ class GroupCorpusSpec:
             raise ValueError("dynamics member count must match the group's")
 
     def weights(self) -> np.ndarray:
-        """Emission weights, default Zipf-like 1/rank, normalized."""
-        if self.emission_weights is None:
-            w = 1.0 / np.arange(1, len(self.vocabulary) + 1)
-        else:
-            w = np.asarray(self.emission_weights, dtype=np.float64)
-        total = w.sum()
-        if total <= 0:
-            raise ValueError("emission weights sum to zero")
-        return w / total
+        """Emission weights of the vocabulary: Zipf-like 1/rank, normalized."""
+        w = 1.0 / np.arange(1, len(self.vocabulary) + 1)
+        return w / w.sum()
 
 
 @dataclass(frozen=True)
@@ -112,7 +102,6 @@ class CorpusSpec:
     tweets_per_day: int = 5
     tokens_per_tweet: int = 8
     changepoint_day: int | None = None
-    amplified_outsiders: tuple[str, ...] = _OUTSIDERS
 
     def __post_init__(self) -> None:
         if not self.groups:
@@ -132,18 +121,12 @@ def _member_ids(spec: GroupSpec | GroupCorpusSpec) -> list[str]:
     return [f"{spec.group_id}-u{j:02d}" for j in range(spec.members)]
 
 
-def _baseline(spec: GroupSpec, n_days: int) -> np.ndarray:
-    levels = np.asarray(spec.baseline_levels, dtype=np.float64)
-    idx = np.searchsorted(np.asarray(spec.baseline_breaks), np.arange(n_days), "right")
-    return levels[idx]
-
-
 def _member_counts(
     spec: GroupSpec, n_days: int, rng: np.random.Generator
 ) -> np.ndarray:
     """One member's daily counts: baseline + cosines + noise, rounded >= 0."""
     t = np.arange(n_days, dtype=np.float64)
-    values = _baseline(spec, n_days).copy()
+    values = np.full(n_days, spec.baseline_level, dtype=np.float64)
     for omega, (lo, hi) in zip(spec.frequencies, spec.amplitude_ranges):
         amplitude = rng.uniform(lo, hi)
         phase = rng.uniform(0.0, 2.0 * math.pi)
@@ -157,20 +140,17 @@ def generate_series(
     specs: Sequence[GroupSpec],
     window: DayWindow,
     seed: int = 0,
-) -> tuple[list[CountSeries], dict[str, str]]:
-    """Count series for every member of every group, plus true labels."""
-    ids = [uid for spec in specs for uid in _member_ids(spec)]
-    if len(set(ids)) != len(ids):
+) -> tuple[list[str], np.ndarray, dict[str, str]]:
+    """Member ids of every group, their (users, days) count table (row ``i``
+    for ``users[i]``) and their true labels."""
+    users = [uid for spec in specs for uid in _member_ids(spec)]
+    if len(set(users)) != len(users):
         raise ValueError("group ids collide; member ids must be unique")
     rng = np.random.default_rng(seed)
-    series: list[CountSeries] = []
-    labels: dict[str, str] = {}
-    for spec in specs:
-        for uid in _member_ids(spec):
-            values = _member_counts(spec, window.n_days, rng)
-            series.append(CountSeries(window=window, values=values, user_id=uid))
-            labels[uid] = spec.group_id
-    return series, labels
+    rows = [_member_counts(s, window.n_days, rng) for s in specs for _ in range(s.members)]
+    table = np.array(rows, dtype=np.int64).reshape(len(users), window.n_days)
+    labels = {uid: s.group_id for s in specs for uid in _member_ids(s)}
+    return users, table, labels
 
 
 def reference_cluster_specs(members: int = 10) -> tuple[GroupSpec, ...]:
@@ -180,7 +160,7 @@ def reference_cluster_specs(members: int = 10) -> tuple[GroupSpec, ...]:
         GroupSpec(
             group_id="flat",
             noise_sigma=6.0,
-            baseline_levels=(30.0,),
+            baseline_level=30.0,
             members=members,
         ),
         GroupSpec(
@@ -188,7 +168,7 @@ def reference_cluster_specs(members: int = 10) -> tuple[GroupSpec, ...]:
             frequencies=(two_pi / 4.0,),
             amplitude_ranges=((8.0, 12.0),),
             noise_sigma=3.0,
-            baseline_levels=(30.0,),
+            baseline_level=30.0,
             members=members,
         ),
         GroupSpec(
@@ -196,7 +176,7 @@ def reference_cluster_specs(members: int = 10) -> tuple[GroupSpec, ...]:
             frequencies=(two_pi / 7.0, two_pi / 4.0),
             amplitude_ranges=((8.0, 12.0), (6.0, 10.0)),
             noise_sigma=3.0,
-            baseline_levels=(35.0,),
+            baseline_level=35.0,
             members=members,
         ),
         GroupSpec(
@@ -204,7 +184,7 @@ def reference_cluster_specs(members: int = 10) -> tuple[GroupSpec, ...]:
             frequencies=(two_pi / 7.0, two_pi / 2.5),
             amplitude_ranges=((8.0, 12.0), (6.0, 10.0)),
             noise_sigma=3.0,
-            baseline_levels=(35.0,),
+            baseline_level=35.0,
             members=members,
         ),
     )
@@ -276,8 +256,8 @@ def generate_corpus(
                         source.append(others[int(rng.integers(len(others)))])
                     elif category == 2:
                         source.append(
-                            spec.amplified_outsiders[
-                                int(rng.integers(len(spec.amplified_outsiders)))
+                            AMPLIFIED_OUTSIDERS[
+                                int(rng.integers(len(AMPLIFIED_OUTSIDERS)))
                             ]
                         )
                     else:
@@ -353,4 +333,4 @@ def generate_changepoint_aggregate(
     rng = np.random.default_rng(seed)
     rates = np.where(np.arange(window.n_days) < t_change, rate_before, rate_after)
     values = rng.poisson(rates)
-    return CountSeries(window=window, values=values, user_id=None)
+    return CountSeries(window=window, values=values)

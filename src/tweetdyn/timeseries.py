@@ -5,11 +5,15 @@ Time is discretized to UTC calendar days. A :class:`DayWindow` is half-open,
 days and a tweet posted on the end date falls outside. Day offset ``t`` counts
 from the window start (``t = 0`` is the first day).
 
-The detrend step subtracts a trailing moving average: with window ``w`` the
-output is ``xi[t] = nu[t] - mean(nu[t-w .. t-1])`` for ``t >= w``, so the
-oscillator series is ``w`` samples shorter than the input and carries no
-padding. A constant input maps to all zeros; a pure linear ramp maps to the
-constant ``slope * (w + 1) / 2``.
+Per-user counts are one ``(users, days)`` table, row ``i`` the daily counts of
+``users[i]``; :class:`CountSeries` is the aggregate series of all tweets.
+
+The detrend step works along the last axis, on one series or a whole table.
+It subtracts a trailing moving average: with window ``w`` the output is
+``xi[t] = nu[t] - mean(nu[t-w .. t-1])`` for ``t >= w``, so each detrended
+series is ``w`` samples shorter than its input and carries no padding; sample
+``i`` is day offset ``i + w``. A constant input maps to all zeros; a pure
+linear ramp maps to the constant ``slope * (w + 1) / 2``.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import logging
 from dataclasses import dataclass
 from datetime import date, timedelta
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -62,11 +66,10 @@ def _readonly(values: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CountSeries:
-    """Per-day tweet counts for one user (or the aggregate, user_id=None)."""
+    """Per-day tweet counts of all users together (the aggregate series)."""
 
     window: DayWindow
     values: np.ndarray
-    user_id: str | None = None
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values)
@@ -77,26 +80,6 @@ class CountSeries:
         if np.any(values < 0):
             raise ValueError("negative daily count")
         object.__setattr__(self, "values", _readonly(values.astype(np.int64)))
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-@dataclass(frozen=True)
-class OscillatorSeries:
-    """Detrended daily series; sample ``i`` is day offset ``i + ma_window``."""
-
-    window: DayWindow
-    values: np.ndarray
-    ma_window: int
-    user_id: str | None = None
-
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=np.float64)
-        expect = self.window.n_days - self.ma_window
-        if values.ndim != 1 or len(values) != expect:
-            raise ValueError(f"need {expect} detrended values, got {values.shape}")
-        object.__setattr__(self, "values", _readonly(values))
 
     def __len__(self) -> int:
         return len(self.values)
@@ -145,21 +128,16 @@ def daily_counts(corpus: Corpus, window: DayWindow) -> CountSeries:
 def counts_by_user(
     corpus: Corpus,
     window: DayWindow,
-    users: Iterable[str],
-) -> dict[str, CountSeries]:
-    """Daily count series for each requested user, in one pass."""
-    users = sorted(set(users))
+    users: Sequence[str],
+) -> np.ndarray:
+    """(len(users), n_days) daily counts, row ``i`` those of ``users[i]``."""
     t, keep = corpus.window_offsets(window)
     pos = corpus.positions(users)
     keep &= pos >= 0
     n_days = window.n_days
-    table = np.bincount(
+    return np.bincount(
         pos[keep] * n_days + t[keep], minlength=len(users) * n_days
     ).reshape(len(users), n_days)
-    return {
-        u: CountSeries(window=window, values=v, user_id=u)
-        for u, v in zip(users, table)
-    }
 
 
 def accumulate(series: CountSeries) -> np.ndarray:
@@ -167,26 +145,25 @@ def accumulate(series: CountSeries) -> np.ndarray:
     return np.cumsum(series.values)
 
 
-def detrend(series: CountSeries, ma_window: int = 7) -> OscillatorSeries:
-    """Subtract the trailing ``ma_window``-day moving average.
+def detrend(values: np.ndarray, ma_window: int = 7) -> np.ndarray:
+    """Subtract the trailing ``ma_window``-day moving average along the last axis.
 
     The first ``ma_window`` days have no full trailing window and are dropped,
-    never padded: the output has ``len(series) - ma_window`` samples.
+    never padded: each output series has ``ma_window`` fewer samples.
     """
     if ma_window < 1:
         raise ValueError("ma_window must be >= 1")
-    if len(series) <= ma_window:
+    nu = np.asarray(values, dtype=np.float64)
+    n_days = nu.shape[-1]
+    if n_days <= ma_window:
         raise ValueError(
-            f"series of {len(series)} days too short for ma_window={ma_window}"
+            f"series of {n_days} days too short for ma_window={ma_window}"
         )
-    nu = series.values.astype(np.float64)
-    csum = np.concatenate([[0.0], np.cumsum(nu)])
+    zero = np.zeros(nu.shape[:-1] + (1,))
+    csum = np.concatenate([zero, np.cumsum(nu, axis=-1)], axis=-1)
     # trailing[t] = mean(nu[t-w .. t-1]) for t in [w, N)
-    trailing = (csum[ma_window:-1] - csum[:-ma_window - 1]) / ma_window
-    xi = nu[ma_window:] - trailing
-    return OscillatorSeries(
-        window=series.window, values=xi, ma_window=ma_window, user_id=series.user_id
-    )
+    trailing = (csum[..., ma_window:-1] - csum[..., : -ma_window - 1]) / ma_window
+    return nu[..., ma_window:] - trailing
 
 
 def fit_segment(

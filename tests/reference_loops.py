@@ -13,12 +13,16 @@ medoids, costs and edges, float for float. The last section is the text
 pipeline as it ran before :func:`tweetdyn.topic.count_terms`: one joined
 document and one ``Counter`` per user and a Porter stemmer that walks the
 word once per condition. ``test_porter.py`` and ``test_topic.py`` require the
-same stems and the same topic artifacts.
+same stems and the same topic artifacts. The spectral section is the chain
+the ``spectra`` stages ran before the spectra became one (users x bins)
+table: detrend, DFT, denoise and summaries one user's series at a time;
+``test_spectral.py`` requires the same bytes from the table chain.
 """
 
 import csv
 import enum
 import json
+import math
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -31,7 +35,13 @@ from tweet_tables import TweetRecord
 from tweetdyn.graphs import WeightedGraph
 from tweetdyn.graphs import modularity_communities as fast_modularity_communities
 from tweetdyn.ingest import ColumnMap, IngestError, ParseReport
-from tweetdyn.spectral import ClusterAssignment, _assign, _total_cost
+from tweetdyn.spectral import (
+    BandSummary,
+    ClusterAssignment,
+    FourierTerm,
+    _assign,
+    _total_cost,
+)
 from tweetdyn.stopwords import ENGLISH_STOPWORDS
 from tweetdyn.strategy import ALPHABET, CORNER_THRESHOLD, EDGE_THRESHOLD, SymbolDistribution
 from tweetdyn.timeseries import CountSeries
@@ -126,6 +136,7 @@ def daily_counts(records, window):
 
 
 def counts_by_user(records, window, users):
+    """Daily counts of each distinct user, by user id."""
     table = {u: np.zeros(window.n_days, dtype=np.int64) for u in set(users)}
     for rec in records:
         if rec.user_id not in table:
@@ -133,10 +144,7 @@ def counts_by_user(records, window, users):
         t = offset_of(window, rec.timestamp)
         if t is not None:
             table[rec.user_id][t] += 1
-    return {
-        u: CountSeries(window=window, values=v, user_id=u)
-        for u, v in sorted(table.items())
-    }
+    return dict(sorted(table.items()))
 
 
 def symbolize(shares):
@@ -802,3 +810,183 @@ def topic_communities(corpus, users, window, config=DEFAULT_TOPIC_CONFIG):
         "modularity": q,
         "top_terms": top_terms(partition, filtered, config.top_m),
     }
+
+
+# ------------------------------------------------------------ spectral chain
+
+
+@dataclass(frozen=True)
+class OscillatorSeries:
+    """Detrended daily series; sample ``i`` is day offset ``i + ma_window``."""
+
+    window: object
+    values: np.ndarray
+    ma_window: int
+    user_id: str | None = None
+
+    def __post_init__(self):
+        values = np.asarray(self.values, dtype=np.float64)
+        expect = self.window.n_days - self.ma_window
+        if values.ndim != 1 or len(values) != expect:
+            raise ValueError(f"need {expect} detrended values, got {values.shape}")
+        values = values.copy()
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
+
+    def __len__(self):
+        return len(self.values)
+
+
+def detrend(series, ma_window=7, user_id=None):
+    """One :class:`~tweetdyn.timeseries.CountSeries` minus its trailing
+    ``ma_window``-day moving average."""
+    if ma_window < 1:
+        raise ValueError("ma_window must be >= 1")
+    if len(series) <= ma_window:
+        raise ValueError(
+            f"series of {len(series)} days too short for ma_window={ma_window}"
+        )
+    nu = series.values.astype(np.float64)
+    csum = np.concatenate([[0.0], np.cumsum(nu)])
+    trailing = (csum[ma_window:-1] - csum[:-ma_window - 1]) / ma_window
+    xi = nu[ma_window:] - trailing
+    return OscillatorSeries(
+        window=series.window, values=xi, ma_window=ma_window, user_id=user_id
+    )
+
+
+@dataclass(frozen=True)
+class Spectrum:
+    """Half spectrum of one detrended series (unnormalized forward DFT)."""
+
+    bins: np.ndarray
+    n_samples: int
+    user_id: str | None = None
+
+    def __post_init__(self):
+        bins = np.asarray(self.bins, dtype=np.complex128)
+        expect = self.n_samples // 2 + 1
+        if bins.ndim != 1 or len(bins) != expect:
+            raise ValueError(
+                f"need {expect} bins for n_samples={self.n_samples}, got {bins.shape}"
+            )
+        bins = bins.copy()
+        bins.flags.writeable = False
+        object.__setattr__(self, "bins", bins)
+
+    def __len__(self):
+        return len(self.bins)
+
+    @property
+    def magnitudes(self):
+        return np.abs(self.bins)
+
+
+def dft(values, user_id=None):
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim != 1 or len(values) < 2:
+        raise ValueError("need a 1-d series of at least 2 samples")
+    return Spectrum(bins=np.fft.rfft(values), n_samples=len(values), user_id=user_id)
+
+
+def squared_magnitude_quantile(spectrum, q):
+    """Empirical inverse-CDF quantile of the squared bin magnitudes."""
+    if not 0.0 <= q <= 1.0:
+        raise ValueError("q must be in [0, 1]")
+    power = np.sort(spectrum.magnitudes**2)
+    if q == 0.0:
+        return 0.0
+    idx = math.ceil(q * len(power)) - 1
+    return float(power[idx])
+
+
+def denoise(spectrum, q=0.33):
+    threshold = squared_magnitude_quantile(spectrum, q)
+    power = spectrum.magnitudes**2
+    bins = np.where(power < threshold, 0.0 + 0.0j, spectrum.bins)
+    return Spectrum(bins=bins, n_samples=spectrum.n_samples, user_id=spectrum.user_id)
+
+
+def fit_fourier(spectrum, j_terms=6):
+    n = spectrum.n_samples
+    n_bins = len(spectrum.bins)
+    if not 1 <= j_terms <= n_bins:
+        raise ValueError(f"j_terms must be in 1..{n_bins}")
+    mags = spectrum.magnitudes
+    order = np.lexsort((np.arange(n_bins), -mags))
+    terms = []
+    for k in sorted(order[:j_terms]):
+        x = spectrum.bins[k]
+        half_weight = k == 0 or (n % 2 == 0 and k == n // 2)
+        amp = (1.0 if half_weight else 2.0) * np.abs(x) / n
+        terms.append(
+            FourierTerm(
+                amplitude=float(amp),
+                omega=2.0 * math.pi * k / n,
+                phase=float(np.angle(x)),
+                bin=int(k),
+            )
+        )
+    terms.sort(key=lambda t: (-t.amplitude, t.bin))
+    return tuple(terms)
+
+
+def spectra_matrix(spectra):
+    """Magnitude spectra stacked into an (n_users, n_bins) matrix, sorted by id."""
+    if not spectra:
+        raise ValueError("no spectra")
+    n_bins = {len(s) for s in spectra}
+    if len(n_bins) != 1:
+        raise ValueError(f"mixed bin counts {sorted(n_bins)}")
+    ids = [s.user_id or "" for s in spectra]
+    if len(set(ids)) != len(ids) or "" in ids:
+        raise ValueError("spectra must carry distinct user ids")
+    order = np.argsort(ids)
+    matrix = np.vstack([spectra[i].magnitudes for i in order])
+    return [ids[i] for i in order], matrix
+
+
+def band_summary(spectra):
+    if not spectra:
+        raise ValueError("no spectra to summarize")
+    n_samples = {s.n_samples for s in spectra}
+    if len(n_samples) != 1:
+        raise ValueError("spectra have mixed sample counts")
+    mags = np.vstack([s.magnitudes for s in spectra])
+    q1, med, q3 = np.percentile(mags, [25, 50, 75], axis=0)
+    return BandSummary(
+        mins=mags.min(axis=0),
+        q1=q1,
+        medians=med,
+        q3=q3,
+        maxs=mags.max(axis=0),
+        n_samples=n_samples.pop(),
+        n_spectra=len(spectra),
+    )
+
+
+def median_spectrum(spectra):
+    """Spectrum whose bins are the per-bin median magnitudes (real-valued)."""
+    summary = band_summary(spectra)
+    return Spectrum(
+        bins=summary.medians.astype(np.complex128), n_samples=summary.n_samples
+    )
+
+
+def dominant_period(spectrum):
+    mags = spectrum.magnitudes
+    if len(mags) < 2:
+        raise ValueError("spectrum has no oscillatory bins")
+    if np.all(mags[1:] == 0):
+        raise ValueError("all oscillatory bins are zero; no dominant period")
+    k = 1 + int(np.argmax(mags[1:]))
+    return spectrum.n_samples / k
+
+
+def cohort_spectra(window, table, users, ma_window, q):
+    """The loop ``cli._cohort_spectra`` ran: one denoised spectrum per user."""
+    out = {}
+    for uid, row in zip(users, table):
+        osc = detrend(CountSeries(window=window, values=row), ma_window, uid)
+        out[uid] = denoise(dft(osc.values, uid), q)
+    return out

@@ -21,7 +21,7 @@ from tweetdyn.cli import RunConfig, main
 from tweetdyn.compare import adjusted_rand_index
 from tweetdyn.graphs import modularity_communities
 from tweetdyn.ingest import merge_parts, parse_records, retweet_network
-from tweetdyn.spectral import denoise, dft, dominant_period, kmedoids, pca_embed, spectra_matrix
+from tweetdyn.spectral import denoise, dft, dominant_period, kmedoids, pca_embed
 from tweetdyn.strategy import (
     CRITICAL_VALUE_P999_DF6,
     SymbolDistribution,
@@ -39,7 +39,6 @@ from tweetdyn.synth import (
     reference_cluster_specs,
 )
 from tweetdyn.timeseries import (
-    CountSeries,
     DayWindow,
     accumulate,
     changepoint_significant,
@@ -78,9 +77,10 @@ def test_criterion_1_spectral_cluster_recovery(capsys):
     hits = 0
     worst = 1.0
     for seed in range(10):
-        series, truth = generate_series(specs, PRE_WINDOW, seed=seed)
-        spectra = [denoise(dft(detrend(s, 7).values, s.user_id), 0.33) for s in series]
-        ids, matrix = spectra_matrix(spectra)
+        users, table, truth = generate_series(specs, PRE_WINDOW, seed=seed)
+        spectra = denoise(dft(detrend(table, 7), users), 0.33)
+        ids = sorted(users)
+        matrix = spectra.magnitudes[spectra.rows(ids)]
         embedding = pca_embed(matrix, ids, dims=3)
         assignment = kmedoids(
             embedding.points, embedding.ids, k=4, seed=seed, restarts=10
@@ -181,12 +181,11 @@ def test_criterion_4_dft_period_and_parseval(capsys):
     """Period-4 cosine, 244-day window -> dominant period in [3.8, 4.2]; Parseval 1e-9."""
     t = np.arange(PRE_WINDOW.n_days, dtype=np.float64)
     values = np.rint(30.0 + 10.0 * np.cos(2.0 * math.pi * t / 4.0)).astype(np.int64)
-    series = CountSeries(window=PRE_WINDOW, values=values, user_id="tone")
-    osc = detrend(series, 7)
-    n_samples = len(osc.values)
-    spectrum = dft(osc.values)
-    period = dominant_period(spectrum)
-    time_power = float(np.sum(osc.values**2))
+    osc = detrend(values, 7)
+    n_samples = len(osc)
+    spectrum = dft(osc[None, :], ["tone"])
+    period = dominant_period(spectrum.magnitudes[0], spectrum.n_samples)
+    time_power = float(np.sum(osc**2))
     parseval_rel = abs(half_spectrum_power(spectrum) - time_power) / time_power
     _report(
         capsys,

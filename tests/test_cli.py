@@ -244,6 +244,22 @@ class TestWindowOption:
         assert not list(out.glob("*_pre.*"))
 
 
+class TestSynthSeries:
+    def test_bytes_pinned(self, tmp_path):
+        # default config: 4 reference groups x 10 users over the 244-day pre window
+        assert main(["synth", "--kind", "series", "--out", str(tmp_path)]) == 0
+        rows = (tmp_path / "synth_series.csv").read_text().splitlines()
+        assert len(rows) == 1 + 40 * 244
+        digests = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in ("synth_series.csv", "labels.json")
+        }
+        assert digests == {
+            "synth_series.csv": "c0e2bd83cc42d0cf09ab7cc5b56426d20633ca9d2e5b9606d0584fe20ba6f085",
+            "labels.json": "0037b2ec2b890462b50d3aa6d9bb1bc2b27b8de38727be1a465eaa9bbe1cd4ca",
+        }
+
+
 class TestChangepointCommand:
     def test_planted_rates_recovered(self, tmp_path, config_path):
         rc = main(
@@ -319,6 +335,8 @@ class TestFailureModes:
             {"column_map": {"tweet_id": 5}},
             {"column_map": {"tweet_id": ""}},
             {"column_map": {"text": ["tweet_text"]}},
+            {"pre_window": 5},
+            {"reference_window": 7},
         ],
     )
     def test_mistyped_or_out_of_range_config_returns_2(self, tmp_path, bad):
@@ -336,6 +354,16 @@ class TestFailureModes:
         config = load_config(path, {})
         assert config.sigma == 5 and config.model1_range == (200, 616)
         assert config.input_paths == ("a.csv",)
+
+    def test_ma_window_set_from_config_file(self, tmp_path, pipeline_dir):
+        out = _ingested_copy(pipeline_dir, tmp_path / "out")
+        config = tmp_path / "ma5.json"
+        config.write_text(json.dumps({**SMALL_CONFIG, "ma_window": 5}))
+        assert main(["spectra", "--config", str(config), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest_spectra.json").read_text())
+        assert manifest["config"]["ma_window"] == 5
+        # 30-day window, 5-day detrend: 25 samples -> 13 bins per user
+        assert len((out / "band_pre.csv").read_text().splitlines()) == 1 + 13
 
     @pytest.mark.parametrize("flag", [["--input", "x.jsonl"], ["--format", "csv"]])
     def test_input_flags_belong_to_ingest(self, tmp_path, flag):

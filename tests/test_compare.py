@@ -71,17 +71,22 @@ class TestCrossTab:
             )
 
 
+def _one_spectrum(user):
+    return dft(np.arange(8.0)[None, :], [user])
+
+
 class TestIntersectSubcluster:
     def test_planted_tone_period_recovered(self):
         n = 240
         t = np.arange(n)
-        spectra = {}
+        rows = []
         for i in range(6):
             rng = np.random.default_rng(i)
             values = 9.0 * np.cos(2 * np.pi * 60 * t / n + i) + rng.normal(
                 0, 1.0, size=n
             )
-            spectra[f"u{i}"] = dft(values, user_id=f"u{i}")
+            rows.append(values)
+        spectra = dft(np.vstack(rows), [f"u{i}" for i in range(6)])
         summary = intersect_subcluster(
             ["u0", "u1", "u2", "u9"], ["u1", "u2", "u3"], spectra
         )
@@ -91,11 +96,11 @@ class TestIntersectSubcluster:
 
     def test_empty_intersection_rejected(self):
         with pytest.raises(ValueError):
-            intersect_subcluster(["a"], ["b"], {})
+            intersect_subcluster(["a"], ["b"], _one_spectrum("a"))
 
     def test_missing_spectrum_rejected(self):
         with pytest.raises(ValueError):
-            intersect_subcluster(["a"], ["a"], {})
+            intersect_subcluster(["a"], ["a"], _one_spectrum("z"))
 
 
 class TestAdjustedRandIndex:

@@ -91,9 +91,9 @@ class TestKernelsMatchReferenceLoops:
         assert got.values.tolist() == want.values.tolist()
         got = counts_by_user(corpus, WINDOW, users)
         want = ref.counts_by_user(records, WINDOW, users)
-        assert list(got) == list(want)
-        for u in want:
-            assert got[u].values.tolist() == want[u].values.tolist()
+        assert got.shape == (len(want), WINDOW.n_days)
+        for u, row in zip(users, got):
+            assert row.tolist() == want[u].tolist()
 
     @given(records_st(), campaign_st)
     def test_category_counts_and_symbols(self, records, campaign):

@@ -1,14 +1,16 @@
 """Every public function, class and method of the package has a caller in
 the package itself, and every defaulted parameter of a public function or
-method is passed by one, so no API or knob lives on only because a test
-calls or sets it.
+method, and every defaulted field of a public dataclass, is passed by one, so
+no API or knob lives on only because a test calls or sets it.
 
 A name counts as called when the same identifier appears as a name or an
 attribute anywhere in ``src/tweetdyn`` outside its own definition. The match
 is by identifier alone, so it can miss an unused name that shares its
 identifier with a used one; it never flags a name that is in use. Re-exports
 in ``__init__.py`` do not count as calls. Parameters are matched the same
-way, by the callee's identifier.
+way, by the callee's identifier. A dataclass field is a keyword of the
+class's constructor, at its place among the fields ``__init__`` takes; a
+field declared with ``init=False`` is not one.
 """
 
 import ast
@@ -28,10 +30,19 @@ ALLOWED = {
     ),
 }
 
-# Defaulted parameters that no call in the package passes, each with the
-# caller that sets them.
+# Defaulted parameters and dataclass fields that no call in the package
+# passes, each with the caller that sets them or why they are not a knob.
 _STAGE_OPTION = "set by the CLI through Stage.run(config, outdir, **options)"
+_COUNTER = "running state of one parse pass, counted up by parse_records; not a knob"
 ALLOWED_DEFAULTS = {
+    "ingest.ParseReport.total_rows": _COUNTER,
+    "ingest.ParseReport.accepted": _COUNTER,
+    "ingest.ParseReport.rejected": _COUNTER,
+    "ingest.ParseReport.reasons": _COUNTER,
+    "synth.CorpusSpec.tweets_per_day": (
+        "acceptance 3 and 7 build corpora at other volumes; to become a "
+        "per-group rate with the vectorized synth (ROADMAP item 6, step 2)"
+    ),
     "cli.main.argv": "the tweetdyn console script, which calls main() to parse sys.argv",
     "cli.cmd_counts.window_name": _STAGE_OPTION,
     "cli.cmd_spectra.window_name": _STAGE_OPTION,
@@ -114,22 +125,55 @@ def _passes(call, index, name):
     return index is not None and len(call.args) > index
 
 
+def _callee(call):
+    return getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+
+
+def _is_dataclass(node):
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if "dataclass" in (getattr(target, "id", None), getattr(target, "attr", None)):
+            return True
+    return False
+
+
+def _defaulted_fields(node):
+    """(positional index, name) of each field of a dataclass that its
+    ``__init__`` takes with a default."""
+    index = 0
+    for item in node.body:
+        if not isinstance(item, ast.AnnAssign) or not isinstance(item.target, ast.Name):
+            continue
+        value = item.value
+        if isinstance(value, ast.Call) and _callee(value) == "field":
+            options = {k.arg: k.value for k in value.keywords}
+            init = options.get("init")
+            if isinstance(init, ast.Constant) and init.value is False:
+                continue
+            defaulted = "default" in options or "default_factory" in options
+        else:
+            defaulted = value is not None
+        if defaulted:
+            yield index, item.target.id
+        index += 1
+
+
 def _unpassed():
     trees = _trees()
     calls = [n for t in trees.values() for n in ast.walk(t) if isinstance(n, ast.Call)]
-
-    def callee(call):
-        return getattr(call.func, "id", None) or getattr(call.func, "attr", None)
-
     out = []
     for module, tree in trees.items():
         for name, node in _public_definitions(tree):
-            if not isinstance(node, ast.FunctionDef):
+            if isinstance(node, ast.FunctionDef):
+                defaulted = _defaulted_parameters(node, "." in name)
+            elif _is_dataclass(node):
+                defaulted = _defaulted_fields(node)
+            else:
                 continue
             ident = name.rsplit(".", 1)[-1]
             own = {id(n) for n in ast.walk(node)}
-            sites = [c for c in calls if callee(c) == ident and id(c) not in own]
-            for index, param in _defaulted_parameters(node, "." in name):
+            sites = [c for c in calls if _callee(c) == ident and id(c) not in own]
+            for index, param in defaulted:
                 if not any(_passes(c, index, param) for c in sites):
                     out.append(f"{module}.{name}.{param}")
     return out

@@ -12,21 +12,33 @@ import reference_loops as ref
 from tweetdyn.spectral import (
     BandSummary,
     ClusterAssignment,
-    Spectrum,
+    Spectra,
     band_summary,
     denoise,
     dft,
     dominant_period,
     fit_fourier,
     kmedoids,
-    median_spectrum,
     pca_embed,
-    spectra_matrix,
-    squared_magnitude_quantile,
 )
 from tweetdyn.spectral import _pairwise_distances
 from tweetdyn.timeseries import CountSeries, DayWindow, detrend
 from datetime import date
+
+
+def dft1(values):
+    """Spectra of one series, user ``u``."""
+    return dft(np.asarray(values, dtype=np.float64)[None, :], ["u"])
+
+
+def spectrum_of(bins, n_samples):
+    """Spectra of one row of given bins, user ``u``."""
+    return Spectra(users=("u",), bins=np.asarray(bins)[None, :], n_samples=n_samples)
+
+
+def period_of(spectra):
+    """Dominant period of a one-row Spectra."""
+    return dominant_period(spectra.magnitudes[0], spectra.n_samples)
 
 
 def brute_force_dft(values):
@@ -39,10 +51,10 @@ def brute_force_dft(values):
     )
 
 
-def half_spectrum_power(spectrum):
-    """Total signal power reassembled from the half spectrum (Parseval)."""
-    mags2 = spectrum.magnitudes**2
-    n = spectrum.n_samples
+def half_spectrum_power(spectra, row=0):
+    """Total signal power reassembled from one row's half spectrum (Parseval)."""
+    mags2 = spectra.magnitudes[row] ** 2
+    n = spectra.n_samples
     weights = np.full(len(mags2), 2.0)
     weights[0] = 1.0
     if n % 2 == 0:
@@ -55,16 +67,16 @@ class TestDft:
     def test_matches_brute_force(self, n):
         rng = np.random.default_rng(42 + n)
         values = rng.normal(size=n)
-        spec = dft(values)
-        assert len(spec) == n // 2 + 1
-        np.testing.assert_allclose(spec.bins, brute_force_dft(values), atol=1e-9)
+        spec = dft1(values)
+        assert spec.bins.shape == (1, n // 2 + 1)
+        np.testing.assert_allclose(spec.bins[0], brute_force_dft(values), atol=1e-9)
 
     def test_pure_tone_lands_in_its_bin(self):
         n = 237
         t = np.arange(n)
         values = np.cos(2 * np.pi * 61 * t / n)
-        spec = dft(values)
-        mags = spec.magnitudes
+        spec = dft1(values)
+        mags = spec.magnitudes[0]
         assert int(np.argmax(mags)) == 61
         # an exact-frequency tone has magnitude N/2 in its bin, ~0 elsewhere
         assert mags[61] == pytest.approx(n / 2, rel=1e-9)
@@ -75,9 +87,9 @@ class TestDft:
     def test_reconstruct_round_trip(self, n):
         rng = np.random.default_rng(7)
         values = rng.normal(size=n)
-        spec = dft(values)
+        spec = dft1(values)
         np.testing.assert_allclose(
-            np.fft.irfft(spec.bins, n=spec.n_samples), values, atol=1e-9
+            np.fft.irfft(spec.bins[0], n=spec.n_samples), values, atol=1e-9
         )
 
     @pytest.mark.parametrize("n", [10, 237, 238])
@@ -85,64 +97,72 @@ class TestDft:
         rng = np.random.default_rng(n)
         values = rng.normal(size=n)
         time_power = float(np.sum(values**2))
-        assert half_spectrum_power(dft(values)) == pytest.approx(
+        assert half_spectrum_power(dft1(values)) == pytest.approx(
             time_power, rel=1e-12
         )
 
     def test_carries_user_id_from_series(self):
-        window = DayWindow.of_length(date(2016, 3, 9), 20)
-        counts = CountSeries(
-            window=window, values=np.arange(20, dtype=np.int64), user_id="u7"
-        )
-        osc = detrend(counts)
-        spec = dft(osc.values, osc.user_id)
-        assert spec.user_id == "u7"
+        counts = np.vstack([np.arange(20, dtype=np.int64), np.ones(20, dtype=np.int64)])
+        spec = dft(detrend(counts), ["u7", "u3"])
+        assert spec.users == ("u7", "u3")
+        assert spec.rows(["u3"]).tolist() == [1]
 
     def test_rejects_short_input(self):
         with pytest.raises(ValueError):
-            dft(np.array([1.0]))
+            dft(np.array([[1.0]]), ["u"])
+        with pytest.raises(ValueError):
+            dft(np.array([1.0, 2.0]), ["u"])  # one series, not a table
+
+
+def kept(spectra, q):
+    """Which bins of a one-row Spectra survive :func:`denoise` at ``q``."""
+    return denoise(spectra, q).bins[0] != 0
 
 
 class TestQuantile:
+    """The q-quantile threshold, seen through the bins that denoise keeps:
+    a nonzero bin survives exactly when its power is at or above it."""
+
     def test_inverse_cdf_convention(self):
         # powers sorted: [1, 4, 9]; ceil(0.34 * 3) - 1 = 1 -> 4
-        spec = Spectrum(bins=np.array([1.0, 2.0, 3.0]), n_samples=4)
-        assert squared_magnitude_quantile(spec, 0.34) == pytest.approx(4.0)
-        assert squared_magnitude_quantile(spec, 1.0) == pytest.approx(9.0)
-        assert squared_magnitude_quantile(spec, 0.0) == 0.0
-        assert squared_magnitude_quantile(spec, 1e-9) == pytest.approx(1.0)
+        spec = spectrum_of([1.0, 2.0, 3.0], 4)
+        power = spec.magnitudes[0] ** 2
+        assert (kept(spec, 0.34) == (power >= 4.0)).all()
+        assert (kept(spec, 1.0) == (power >= 9.0)).all()
+        assert (kept(spec, 0.0) == (power >= 0.0)).all()
+        assert (kept(spec, 1e-9) == (power >= 1.0)).all()
 
     def test_matches_independent_implementation(self):
         rng = np.random.default_rng(11)
         mags = rng.uniform(0.1, 5.0, size=17)
-        spec = Spectrum(bins=mags.astype(complex), n_samples=32)
+        spec = spectrum_of(mags.astype(complex), 32)
         for q in (0.1, 0.33, 0.5, 0.9, 1.0):
             powers = sorted(m * m for m in mags)
             expect = powers[math.ceil(q * len(powers)) - 1]
-            assert squared_magnitude_quantile(spec, q) == pytest.approx(expect)
+            assert (kept(spec, q) == (mags * mags >= expect)).all()
 
     def test_rejects_out_of_range(self):
-        spec = Spectrum(bins=np.ones(3), n_samples=4)
+        spec = spectrum_of(np.ones(3), 4)
         with pytest.raises(ValueError):
-            squared_magnitude_quantile(spec, -0.1)
+            denoise(spec, -0.1)
         with pytest.raises(ValueError):
-            squared_magnitude_quantile(spec, 1.1)
+            denoise(spec, 1.1)
 
 
 class TestDenoise:
     def test_zeroes_strictly_below_threshold(self):
-        spec = Spectrum(bins=np.array([1.0, 2.0, 3.0]), n_samples=4)
+        spec = spectrum_of([1.0, 2.0, 3.0], 4)
         out = denoise(spec, q=0.34)  # threshold 4: only power 1 dies
-        np.testing.assert_allclose(out.bins, [0.0, 2.0, 3.0])
+        np.testing.assert_allclose(out.bins[0], [0.0, 2.0, 3.0])
 
     def test_q_zero_is_identity(self):
         rng = np.random.default_rng(3)
-        spec = dft(rng.normal(size=30))
+        spec = dft1(rng.normal(size=30))
         out = denoise(spec, q=0.0)
         np.testing.assert_array_equal(out.bins, spec.bins)
 
     def test_ties_at_threshold_survive(self):
-        spec = Spectrum(bins=np.array([2.0, 2.0, 2.0, 5.0]), n_samples=6)
+        spec = spectrum_of([2.0, 2.0, 2.0, 5.0], 6)
         out = denoise(spec, q=0.5)  # threshold = 4; nothing strictly below
         np.testing.assert_allclose(out.bins, spec.bins)
 
@@ -158,19 +178,19 @@ class TestDenoise:
                 + 10 * np.cos(2 * np.pi * 11 * t / n + 2.0)
                 + rng.normal(0, 1.0, size=n)
             )
-            out = denoise(dft(values), q=0.33)
+            out = denoise(dft1(values), q=0.33)
             for k in (34, 59, 11):
-                assert abs(out.bins[k]) > 0, f"tone bin {k} zeroed (seed {seed})"
+                assert abs(out.bins[0, k]) > 0, f"tone bin {k} zeroed (seed {seed})"
 
     @given(st.integers(0, 99), st.floats(0.0, 1.0))
     @settings(max_examples=60, deadline=None)
     def test_zeroed_count_bounded_by_quantile_rank(self, seed, q):
         rng = np.random.default_rng(seed)
-        spec = dft(rng.normal(size=41))
+        spec = dft1(rng.normal(size=41))
         out = denoise(spec, q=q)
         n_zeroed = int(np.sum(out.bins == 0))
         # at most ceil(q*n) - 1 bins lie strictly below the q-quantile
-        assert n_zeroed <= max(0, math.ceil(q * len(spec)) - 1)
+        assert n_zeroed <= max(0, math.ceil(q * spec.bins.shape[1]) - 1)
         np.testing.assert_array_equal(
             out.bins[out.bins != 0], spec.bins[out.bins != 0]
         )
@@ -192,7 +212,7 @@ class TestFitFourier:
         values = 3.0 * np.cos(2 * np.pi * 10 * t / n + 0.5) + 1.5 * np.cos(
             2 * np.pi * 40 * t / n - 1.0
         )
-        terms = fit_fourier(dft(values), j_terms=2)
+        terms = fit_fourier(dft1(values), 0, j_terms=2)
         assert [tm.bin for tm in terms] == [10, 40]
         assert terms[0].amplitude == pytest.approx(3.0, rel=1e-9)
         assert terms[0].phase == pytest.approx(0.5, abs=1e-9)
@@ -209,7 +229,7 @@ class TestFitFourier:
             + 3.0 * np.cos(2 * np.pi * 17 * t / n)
             + 0.5 * np.cos(2 * np.pi * 30 * t / n)
         )
-        terms = fit_fourier(dft(values), j_terms=3)
+        terms = fit_fourier(dft1(values), 0, j_terms=3)
         assert [tm.bin for tm in terms] == [17, 5, 30]
 
     def test_exact_magnitude_ties_break_to_lower_bin(self):
@@ -217,8 +237,8 @@ class TestFitFourier:
         bins[3] = 4.0
         bins[6] = 4.0j  # same magnitude, different phase
         bins[1] = 1.0
-        spec = Spectrum(bins=bins, n_samples=16)
-        terms = fit_fourier(spec, j_terms=2)
+        spec = spectrum_of(bins, 16)
+        terms = fit_fourier(spec, 0, j_terms=2)
         assert [tm.bin for tm in terms] == [3, 6]
 
     def test_residual_sigma_matches_noise_level(self):
@@ -227,7 +247,7 @@ class TestFitFourier:
         rng = np.random.default_rng(5)
         noise = rng.normal(0, 1.0, size=n)
         values = 12.0 * np.cos(2 * np.pi * 34 * t / n) + noise
-        terms = fit_fourier(dft(values), j_terms=1)
+        terms = fit_fourier(dft1(values), 0, j_terms=1)
         # one term soaks up the tone; residual sigma ~ the unit noise sigma
         assert 0.8 <= np.std(values - cosine_sum(terms, n)) <= 1.3
 
@@ -235,36 +255,39 @@ class TestFitFourier:
     def test_all_bins_model_reproduces_series(self, n):
         rng = np.random.default_rng(n)
         values = rng.normal(size=n)
-        spec = dft(values)
-        terms = fit_fourier(spec, j_terms=len(spec))
+        spec = dft1(values)
+        terms = fit_fourier(spec, 0, j_terms=spec.bins.shape[1])
         np.testing.assert_allclose(cosine_sum(terms, n), values, atol=1e-9)
         assert np.std(values - cosine_sum(terms, n)) == pytest.approx(0.0, abs=1e-9)
 
     def test_j_terms_validated(self):
-        spec = dft(np.arange(10.0))
+        spec = dft1(np.arange(10.0))
         with pytest.raises(ValueError):
-            fit_fourier(spec, j_terms=0)
+            fit_fourier(spec, 0, j_terms=0)
         with pytest.raises(ValueError):
-            fit_fourier(spec, j_terms=len(spec) + 1)
+            fit_fourier(spec, 0, j_terms=spec.bins.shape[1] + 1)
 
 
 class TestSpectraMatrix:
+    """``Spectra.magnitudes`` is the PCA matrix, one row per user."""
+
     def test_rows_sorted_by_id(self):
-        specs = [
-            dft(np.arange(8.0) * (i + 1), user_id=uid)
-            for i, uid in enumerate(["zeta", "alpha", "mid"])
-        ]
-        ids, matrix = spectra_matrix(specs)
+        values = np.vstack([np.arange(8.0) * (i + 1) for i in range(3)])
+        spectra = dft(values, ["zeta", "alpha", "mid"])
+        ids = sorted(spectra.users)
         assert ids == ["alpha", "mid", "zeta"]
-        np.testing.assert_allclose(matrix[2], specs[0].magnitudes)
+        matrix = spectra.magnitudes[spectra.rows(ids)]
+        np.testing.assert_allclose(matrix[2], dft1(values[0]).magnitudes[0])
 
     def test_rejects_mixed_bins_and_duplicate_ids(self):
         with pytest.raises(ValueError):
-            spectra_matrix([dft(np.arange(8.0), "a"), dft(np.arange(10.0), "b")])
+            Spectra(users=("a", "b"), bins=np.zeros((2, 5)), n_samples=10)
         with pytest.raises(ValueError):
-            spectra_matrix([dft(np.arange(8.0), "a"), dft(np.arange(8.0), "a")])
+            dft(np.vstack([np.arange(8.0), np.arange(8.0)]), ["a", "a"])
         with pytest.raises(ValueError):
-            spectra_matrix([])
+            dft(np.vstack([np.arange(8.0), np.arange(8.0)]), ["a"])
+        with pytest.raises(ValueError):
+            dft1(np.arange(8.0)).rows(["b"])
 
 
 class TestPcaEmbed:
@@ -503,10 +526,8 @@ class TestPairwiseDistancesInRowBlocks:
 
 class TestBandSummary:
     def test_hand_quartiles(self):
-        specs = [
-            Spectrum(bins=np.array([m, 2.0 * m]), n_samples=3) for m in (1.0, 2.0, 3.0)
-        ]
-        summary = band_summary(specs)
+        mags = np.array([[m, 2.0 * m] for m in (1.0, 2.0, 3.0)])
+        summary = band_summary(mags, 3)
         assert isinstance(summary, BandSummary)
         np.testing.assert_allclose(summary.mins, [1.0, 2.0])
         np.testing.assert_allclose(summary.q1, [1.5, 3.0])
@@ -518,19 +539,20 @@ class TestBandSummary:
     def test_median_spectrum_and_dominant_period(self):
         n = 240
         t = np.arange(n)
-        specs = []
+        rows = []
         for seed in range(5):
             rng = np.random.default_rng(seed)
-            values = 9.0 * np.cos(2 * np.pi * 60 * t / n) + rng.normal(0, 0.5, size=n)
-            specs.append(dft(values))
-        med = median_spectrum(specs)
-        assert dominant_period(med) == pytest.approx(4.0)  # bin 60 of 240 samples
+            rows.append(9.0 * np.cos(2 * np.pi * 60 * t / n) + rng.normal(0, 0.5, size=n))
+        specs = dft(np.vstack(rows), [f"u{i}" for i in range(5)])
+        band = band_summary(specs.magnitudes, specs.n_samples)
+        # bin 60 of 240 samples
+        assert dominant_period(band.medians, band.n_samples) == pytest.approx(4.0)
 
     def test_mixed_sample_counts_rejected(self):
         with pytest.raises(ValueError):
-            band_summary([dft(np.arange(8.0)), dft(np.arange(9.0))])
+            band_summary(dft1(np.arange(8.0)).magnitudes[0], 8)  # not a matrix
         with pytest.raises(ValueError):
-            band_summary([])
+            band_summary(np.zeros((0, 5)), 8)
 
 
 class TestDominantPeriod:
@@ -539,9 +561,125 @@ class TestDominantPeriod:
         n = 240
         t = np.arange(n)
         values = 100.0 + 2.0 * np.cos(2 * np.pi * 30 * t / n)
-        assert dominant_period(dft(values)) == pytest.approx(8.0)
+        assert period_of(dft1(values)) == pytest.approx(8.0)
 
     def test_all_zero_oscillation_rejected(self):
-        spec = Spectrum(bins=np.array([5.0, 0.0, 0.0]), n_samples=4)
+        spec = spectrum_of([5.0, 0.0, 0.0], 4)
         with pytest.raises(ValueError):
-            dominant_period(spec)
+            period_of(spec)
+
+
+def _outcome(fn):
+    """What a call returns, floats as hex; or the text of its ValueError."""
+    try:
+        value = fn()
+    except ValueError as exc:
+        return ("error", str(exc))
+    if isinstance(value, float):
+        return ("ok", value.hex())
+    return ("ok", tuple(
+        (t.amplitude.hex(), t.omega.hex(), t.phase.hex(), t.bin) for t in value
+    ))
+
+
+def _same_band(new, old):
+    assert (new.n_samples, new.n_spectra) == (old.n_samples, old.n_spectra)
+    for name in ("mins", "q1", "medians", "q3", "maxs"):
+        assert getattr(new, name).tobytes() == getattr(old, name).tobytes(), name
+
+
+def _table_row(rng, kind, n_days):
+    if kind == "zero":
+        return np.zeros(n_days, dtype=np.int64)
+    if kind == "constant":
+        return np.full(n_days, int(rng.integers(1, 50)), dtype=np.int64)
+    return rng.poisson(rng.uniform(0.1, 40.0), size=n_days)
+
+
+@st.composite
+def count_table_st(draw):
+    """A (users, days) count table of Poisson, all-zero and constant rows,
+    with a detrend window, a denoise quantile, a cluster and a term count."""
+    n_users = draw(st.integers(1, 40))
+    n_days = draw(st.integers(3, 60))
+    ma_window = draw(st.integers(1, n_days - 2))
+    q = draw(st.one_of(st.sampled_from([0.0, 0.33, 0.5, 1.0]), st.floats(0.0, 1.0)))
+    kinds = draw(
+        st.lists(
+            st.sampled_from(["poisson", "zero", "constant"]),
+            min_size=n_users,
+            max_size=n_users,
+        )
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    table = np.array([_table_row(rng, kind, n_days) for kind in kinds], dtype=np.int64)
+    users = [f"u{i:02d}" for i in range(n_users)]
+    cluster = sorted(draw(st.lists(st.sampled_from(users), min_size=1, unique=True)))
+    n_bins = (n_days - ma_window) // 2 + 1
+    j_terms = draw(st.integers(0, n_bins + 1))
+    return table, users, ma_window, q, cluster, j_terms
+
+
+class TestTableChainMatchesPerUserLoop:
+    """The (users x days) chain against the per-user loop it replaced
+    (``reference_loops``): the same bytes, or the same ValueError text."""
+
+    def check(self, table, users, ma_window, q, cluster, j_terms):
+        window = DayWindow.of_length(date(2016, 3, 9), table.shape[1])
+        oscillators = detrend(table, ma_window)
+        for u, row, osc in zip(users, table, oscillators):
+            old = ref.detrend(CountSeries(window=window, values=row), ma_window, u)
+            assert osc.tobytes() == old.values.tobytes()
+        new = denoise(dft(oscillators, users), q)
+        old = ref.cohort_spectra(window, table, users, ma_window, q)
+        assert new.users == tuple(old)
+        assert new.bins.tobytes() == np.vstack([old[u].bins for u in users]).tobytes()
+        ids, matrix = ref.spectra_matrix(list(old.values()))
+        assert list(new.users) == ids
+        assert new.magnitudes.tobytes() == matrix.tobytes()
+        for members in (users, cluster):
+            band = band_summary(new.magnitudes[new.rows(members)], new.n_samples)
+            old_members = [old[u] for u in members]
+            _same_band(band, ref.band_summary(old_members))
+            assert _outcome(lambda: dominant_period(band.medians, band.n_samples)) == _outcome(
+                lambda: ref.dominant_period(ref.median_spectrum(old_members))
+            )
+        for i, u in enumerate(users):
+            assert _outcome(
+                lambda: dominant_period(new.magnitudes[i], new.n_samples)
+            ) == _outcome(lambda: ref.dominant_period(old[u]))
+            assert _outcome(lambda: fit_fourier(new, i, j_terms)) == _outcome(
+                lambda: ref.fit_fourier(old[u], j_terms)
+            )
+
+    @settings(max_examples=200, deadline=None)
+    @given(count_table_st())
+    def test_same_bytes(self, case):
+        self.check(*case)
+
+    @pytest.mark.parametrize("n_days", [244, 243])
+    def test_cohort_sized_table(self, n_days):
+        rng = np.random.default_rng(n_days)
+        table = rng.poisson(rng.uniform(0.5, 30.0, size=(256, 1)), size=(256, n_days))
+        users = [f"u{i:03d}" for i in range(256)]
+        self.check(table, users, 7, 0.33, users[::5], 6)
+
+    @pytest.mark.parametrize(
+        "n_days,ma_window,q", [(20, 0, 0.33), (7, 7, 0.33), (20, 7, 1.5), (20, 7, -0.1)]
+    )
+    def test_same_errors(self, n_days, ma_window, q):
+        window = DayWindow.of_length(date(2016, 3, 9), n_days)
+        table = np.random.default_rng(0).poisson(5.0, size=(3, n_days))
+        users = ["a", "b", "c"]
+
+        def new():
+            return denoise(dft(detrend(table, ma_window), users), q)
+
+        def old():
+            return ref.cohort_spectra(window, table, users, ma_window, q)
+
+        with pytest.raises(ValueError) as new_exc:
+            new()
+        with pytest.raises(ValueError) as old_exc:
+            old()
+        assert str(new_exc.value) == str(old_exc.value)

@@ -12,6 +12,7 @@ from tweetdyn import porter
 from tweetdyn.ingest import write_records
 from tweetdyn.spectral import dft, dominant_period
 from tweetdyn.synth import (
+    AMPLIFIED_OUTSIDERS,
     CorpusSpec,
     GroupCorpusSpec,
     GroupSpec,
@@ -29,9 +30,7 @@ class TestGroupSpecValidation:
         with pytest.raises(ValueError):
             GroupSpec(group_id="g", frequencies=(1.0,), amplitude_ranges=())
         with pytest.raises(ValueError):
-            GroupSpec(group_id="g", baseline_levels=(1.0, 2.0))  # breaks missing
-        with pytest.raises(ValueError):
-            GroupSpec(group_id="g", baseline_levels=(-1.0,))
+            GroupSpec(group_id="g", baseline_level=-1.0)
         with pytest.raises(ValueError):
             GroupSpec(
                 group_id="g", frequencies=(1.0,), amplitude_ranges=((5.0, 2.0),)
@@ -47,57 +46,43 @@ class TestGenerateSeries:
 
     def test_deterministic_per_seed(self):
         specs = reference_cluster_specs(members=3)
-        a, labels_a = generate_series(specs, self.window, seed=5)
-        b, labels_b = generate_series(specs, self.window, seed=5)
-        c, _ = generate_series(specs, self.window, seed=6)
+        users_a, a, labels_a = generate_series(specs, self.window, seed=5)
+        users_b, b, labels_b = generate_series(specs, self.window, seed=5)
+        _, c, _ = generate_series(specs, self.window, seed=6)
         assert labels_a == labels_b
+        assert users_a == users_b
         for s1, s2 in zip(a, b):
-            assert s1.user_id == s2.user_id
-            np.testing.assert_array_equal(s1.values, s2.values)
-        assert any(
-            not np.array_equal(s1.values, s3.values) for s1, s3 in zip(a, c)
-        )
+            np.testing.assert_array_equal(s1, s2)
+        assert any(not np.array_equal(s1, s3) for s1, s3 in zip(a, c))
 
     def test_labels_and_member_ids(self):
         specs = reference_cluster_specs(members=2)
-        series, labels = generate_series(specs, self.window, seed=0)
-        assert len(series) == 8
+        users, table, labels = generate_series(specs, self.window, seed=0)
+        assert len(users) == len(table) == 8
         assert labels["p4-u00"] == "p4"
         assert labels["flat-u01"] == "flat"
-        assert {s.user_id for s in series} == set(labels)
+        assert set(users) == set(labels)
 
     def test_counts_are_nonnegative_integers(self):
-        spec = GroupSpec(group_id="g", baseline_levels=(0.5,), noise_sigma=4.0)
-        series, _ = generate_series([spec], self.window, seed=1)
-        for s in series:
-            assert s.values.dtype == np.int64
-            assert np.all(s.values >= 0)
-
-    def test_baseline_breaks_honored_exactly(self):
-        spec = GroupSpec(
-            group_id="g",
-            baseline_levels=(10.0, 40.0),
-            baseline_breaks=(5,),
-            members=1,
-        )
-        series, _ = generate_series([spec], DayWindow.of_length(date(2016, 1, 1), 12), seed=0)
-        values = series[0].values
-        assert np.all(values[:5] == 10)
-        assert np.all(values[5:] == 40)
+        spec = GroupSpec(group_id="g", baseline_level=0.5, noise_sigma=4.0)
+        _, table, _ = generate_series([spec], self.window, seed=1)
+        assert table.dtype == np.int64
+        assert np.all(table >= 0)
 
     def test_planted_tone_is_dominant(self):
         spec = GroupSpec(
             group_id="g",
             frequencies=(2 * math.pi / 4.0,),
             amplitude_ranges=((8.0, 12.0),),
-            baseline_levels=(30.0,),
+            baseline_level=30.0,
             members=4,
         )
-        series, _ = generate_series([spec], self.window, seed=3)
-        for s in series:
-            dev = s.values.astype(float) - 30.0
+        _, table, _ = generate_series([spec], self.window, seed=3)
+        for dev in table.astype(float) - 30.0:
             assert np.max(np.abs(dev)) <= 12.5  # amplitude cap + rounding
-            assert dominant_period(dft(dev)) == pytest.approx(4.0)
+            spectrum = dft(dev[None, :], ["g"])
+            period = dominant_period(spectrum.magnitudes[0], spectrum.n_samples)
+            assert period == pytest.approx(4.0)
 
     def test_colliding_group_ids_rejected(self):
         specs = [GroupSpec(group_id="same"), GroupSpec(group_id="same")]
@@ -116,10 +101,6 @@ class TestCorpusSpecValidation:
     def test_group_spec_constraints(self):
         with pytest.raises(ValueError):
             GroupCorpusSpec(group_id="g", vocabulary=())
-        with pytest.raises(ValueError):
-            GroupCorpusSpec(
-                group_id="g", vocabulary=("a", "b"), emission_weights=(1.0,)
-            )
         with pytest.raises(ValueError):
             GroupCorpusSpec(
                 group_id="g", vocabulary=("a",), strategy_pre=(0.5, 0.5, 0.5)
@@ -212,7 +193,7 @@ class TestGenerateCorpus:
                         members=3,
                         strategy_pre=(0.2, 0.5, 0.3),
                         dynamics=GroupSpec(
-                            group_id="beta", baseline_levels=(2.0,), noise_sigma=2.0, members=3
+                            group_id="beta", baseline_level=2.0, noise_sigma=2.0, members=3
                         ),
                     ),
                 ),
@@ -279,7 +260,7 @@ class TestGenerateCorpus:
                 assert source in campaign
                 assert source != user
             else:
-                assert source in spec.amplified_outsiders
+                assert source in AMPLIFIED_OUTSIDERS
 
     def test_changepoint_switches_era_mix(self):
         group = GroupCorpusSpec(
@@ -296,10 +277,10 @@ class TestGenerateCorpus:
             if day < 10:
                 assert not is_retweet
             else:
-                assert is_retweet and source in spec.amplified_outsiders
+                assert is_retweet and source in AMPLIFIED_OUTSIDERS
 
     def test_embedded_dynamics_drive_volume(self):
-        dyn = GroupSpec(group_id="g", baseline_levels=(2.0,), members=2)
+        dyn = GroupSpec(group_id="g", baseline_level=2.0, members=2)
         group = GroupCorpusSpec(
             group_id="g", vocabulary=("vux",), members=2, dynamics=dyn
         )

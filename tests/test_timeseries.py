@@ -90,8 +90,8 @@ class TestDailyCounts:
             _record("a", datetime(2016, 1, 4, 0), 5),  # outside
         ]
         corpus = corpus_of(records)
-        series = counts_by_user(corpus, w, ["a"])["a"]
-        assert series.values.tolist() == [2, 0, 1]
+        table = counts_by_user(corpus, w, ["a"])
+        assert table.tolist() == [[2, 0, 1]]
         agg = daily_counts(corpus, w)
         assert agg.values.tolist() == [2, 1, 1]
 
@@ -106,8 +106,8 @@ class TestDailyCounts:
             records.append(_record(f"u{int(rng.integers(3))}", when, i))
         corpus = corpus_of(records)
         total = daily_counts(corpus, w).values
-        per_user = counts_by_user(corpus, w, {"u0", "u1", "u2"})
-        assert (sum(s.values for s in per_user.values()) == total).all()
+        per_user = counts_by_user(corpus, w, ["u0", "u1", "u2"])
+        assert (per_user.sum(axis=0) == total).all()
 
     @pytest.mark.parametrize("seed", [11, 12, 13, 14, 15])
     def test_poisson_mean_recovery(self, seed):
@@ -123,8 +123,8 @@ class TestDailyCounts:
                     _record("u", datetime(2015, 1, 1) + timedelta(days=day), i)
                 )
                 i += 1
-        series = counts_by_user(corpus_of(records), w, ["u"])["u"]
-        assert abs(series.values.mean() - lam) < 3.0 * np.sqrt(lam / n_days)
+        (row,) = counts_by_user(corpus_of(records), w, ["u"])
+        assert abs(row.mean() - lam) < 3.0 * np.sqrt(lam / n_days)
 
     def test_negative_and_length_validation(self):
         w = DayWindow(date(2016, 1, 1), date(2016, 1, 4))
@@ -154,57 +154,52 @@ class TestAccumulate:
 
 class TestDetrend:
     def test_constant_input_maps_to_zero(self):
-        w = DayWindow.of_length(date(2016, 1, 1), 30)
-        s = CountSeries(window=w, values=np.full(30, 7))
-        xi = detrend(s)
+        xi = detrend(np.full(30, 7))
         assert len(xi) == 23
-        assert np.allclose(xi.values, 0.0)
+        assert np.allclose(xi, 0.0)
 
     def test_linear_ramp_maps_to_constant_four(self):
         # nu[t] = t: trailing 7-day mean is t - 4, so xi is identically 4
-        w = DayWindow.of_length(date(2016, 1, 1), 40)
-        s = CountSeries(window=w, values=np.arange(40))
-        xi = detrend(s)
-        assert np.allclose(xi.values, 4.0)
+        xi = detrend(np.arange(40))
+        assert np.allclose(xi, 4.0)
 
     def test_output_length_and_offsets(self):
-        w = DayWindow.of_length(date(2016, 3, 9), 244)
-        s = CountSeries(window=w, values=np.ones(244))
-        xi = detrend(s, ma_window=7)
+        xi = detrend(np.ones(244), ma_window=7)
         assert len(xi) == 237
         # sample i is day offset i + 7: mark days 7 and 243
         marked = np.ones(244)
         marked[[7, 243]] = 8
-        xi = detrend(CountSeries(window=w, values=marked), ma_window=7)
-        assert xi.values[0] == 7.0
-        assert xi.values[-1] == 7.0
-        assert np.all(xi.values[1:-1] <= 0.0)
+        xi = detrend(marked, ma_window=7)
+        assert xi[0] == 7.0
+        assert xi[-1] == 7.0
+        assert np.all(xi[1:-1] <= 0.0)
 
     def test_trend_slope_strongly_attenuated(self):
         # planted cosine + strong linear trend: residual trend < 1% of input's
         n = 244
-        w = DayWindow.of_length(date(2016, 1, 1), n)
         t = np.arange(n)
         slope = 2.0
         values = 100 + slope * t + 10 * np.cos(2 * np.pi * t / 7)
-        s = CountSeries(window=w, values=np.rint(values).astype(int))
-        xi = detrend(s)
-        fit = np.polyfit(np.arange(len(xi)), xi.values, 1)
+        xi = detrend(np.rint(values).astype(int))
+        fit = np.polyfit(np.arange(len(xi)), xi, 1)
         assert abs(fit[0]) < 0.01 * slope
 
     def test_too_short_series_rejected(self):
-        w = DayWindow.of_length(date(2016, 1, 1), 7)
-        s = CountSeries(window=w, values=np.ones(7))
         with pytest.raises(ValueError):
-            detrend(s)
+            detrend(np.ones(7))
 
     def test_moving_average_window_parameter(self):
-        w = DayWindow.of_length(date(2016, 1, 1), 10)
-        s = CountSeries(window=w, values=np.arange(10))
-        xi = detrend(s, ma_window=3)
+        xi = detrend(np.arange(10), ma_window=3)
         # trailing 3-mean of t is t-2, so xi = 2
         assert len(xi) == 7
-        assert np.allclose(xi.values, 2.0)
+        assert np.allclose(xi, 2.0)
+
+    def test_rows_of_a_table_detrended_independently(self):
+        table = np.vstack([np.full(30, 7), np.arange(30), np.zeros(30, dtype=int)])
+        xi = detrend(table)
+        assert xi.shape == (3, 23)
+        for row, values in zip(xi, table):
+            assert row.tobytes() == detrend(values).tobytes()
 
 
 class TestFitSegment:
