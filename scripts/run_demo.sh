@@ -2,12 +2,14 @@
 # End-to-end demo on synthetic data with known ground truth.
 #
 # Generates a four-group campaign corpus (planted rate spectra, vocabularies
-# and strategy mixes), runs the whole analysis pipeline on it, then fits the
-# change-point model on a separate planted-rate aggregate series. Prints a
-# short summary of how well each stage recovered the planted structure, and
-# the sha256 of every file it wrote, sorted by path under OUT_DIR. Two runs
-# from two checkouts with the same OUT_DIR wrote the same bytes exactly when
-# their outputs diff clean (the input path is embedded in a few artifacts).
+# and strategy mixes) with `tweetdyn synth`, runs the whole analysis pipeline
+# on it with `tweetdyn run`, then fits the change-point model on a separate
+# planted-rate aggregate series (`synth --kind changepoint`, `changepoint`).
+# Prints a short summary of how well each stage recovered the planted
+# structure, and the sha256 of every file it wrote, sorted by path under
+# OUT_DIR. Two runs from two checkouts with the same OUT_DIR wrote the same
+# bytes exactly when their outputs diff clean (the input path is embedded in
+# a few artifacts).
 #
 # usage: scripts/run_demo.sh [OUT_DIR]   (default: runs/demo)
 set -euo pipefail
@@ -34,23 +36,16 @@ else
   TWEETDYN=(python3 -m tweetdyn.cli)
 fi
 
-run() {
+step() {
   echo "==> tweetdyn $*"
   "${TWEETDYN[@]}" "$@"
 }
 
-run synth            --config "$CONFIG" --out "$CORPUS"
-run ingest           --config "$CONFIG" --out "$CORPUS" --input "$CORPUS/records.jsonl"
-run counts           --config "$CONFIG" --out "$CORPUS"
-run strategy         --config "$CONFIG" --out "$CORPUS"
-run spectra          --config "$CONFIG" --out "$CORPUS"
-run cluster-spectral --config "$CONFIG" --out "$CORPUS"
-run cluster-topic    --config "$CONFIG" --out "$CORPUS"
-run compare          --config "$CONFIG" --out "$CORPUS"
-run report           --config "$CONFIG" --out "$CORPUS"
+step synth --config "$CONFIG" --out "$CORPUS"
+step run   --config "$CONFIG" --out "$CORPUS" --input "$CORPUS/records.jsonl"
 
-run synth --kind changepoint --config "$CONFIG" --out "$AGG"
-run changepoint              --config "$CONFIG" --out "$AGG"
+step synth --kind changepoint --config "$CONFIG" --out "$AGG"
+step changepoint              --config "$CONFIG" --out "$AGG"
 
 python3 - "$CORPUS" "$AGG" <<'PY'
 import json

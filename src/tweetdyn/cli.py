@@ -1,12 +1,17 @@
-"""Command-line front end: one subcommand per pipeline stage.
+"""Command-line front end: one subcommand per pipeline stage, plus `run`.
 
-The subcommands are declared once, in :data:`STAGES`; the argument parser
-and :func:`main` both read that table. Every subcommand writes JSON/CSV
-artifacts plus a manifest into an output directory. Artifacts are
-deterministic for a given config and seed: keys are sorted, floats are
-normalized to 12 significant digits, manifests carry a config hash and
-library versions but no timestamps. Later stages read earlier stages'
-artifacts from the same directory by their fixed names.
+The stages are declared once, in :data:`STAGES`; the argument parser and
+:func:`main` both read that table. `run` walks every stage but `synth` in
+table order in one process and stops at the first that fails; it takes the
+union of those stages' flags. Each `main` call builds one
+:class:`StageContext` that its stages share, so within a `run` the corpus,
+and each window's cohort and cohort spectra, are computed once. Every stage
+writes JSON/CSV artifacts plus a manifest into an output directory.
+Artifacts are deterministic for a given config and seed: keys are sorted,
+floats are normalized to 12 significant digits, manifests carry a config
+hash and library versions but no timestamps. Later stages read earlier
+stages' artifacts from the same directory by their fixed names, so `run`
+writes the same bytes as its stages run one by one with the same flags.
 
 Only `ingest` reads tweet tables (`--input` and `--format`, or `input_paths`
 and `input_format` in the config). It parses each table into a columnar
@@ -14,26 +19,20 @@ and `input_format` in the config). It parses each table into a columnar
 normalized tweets twice, in that row order: `records.jsonl` and its columnar
 sidecar `corpus.npz`, which records the sha256 of that `records.jsonl`.
 The stages that need tweets (`counts`, `strategy`, `spectra`,
-`cluster-spectral`, `cluster-topic`, `compare`, and `changepoint` when
-there is no `counts_aggregate.csv`) load `corpus.npz`, and fail with a
-failed manifest if it is missing, malformed or older than `records.jsonl`,
-asking for `ingest` to be re-run. `compare` fails the same way when
-`clusters_spectral.json` or `clusters_topic.json` was made for another window
-than the one it recomputes spectra for. A config with an unknown key, a
-wrongly typed value or a value out of range is rejected with exit code 2.
+`cluster-spectral`, `cluster-topic` and `compare`) load `corpus.npz`, and
+fail with a failed manifest if it is missing, malformed or older than
+`records.jsonl`, asking for `ingest` to be re-run. `changepoint` reads only
+`counts_aggregate.csv` and fails the same way without it. `compare` fails
+when `clusters_spectral.json` or `clusters_topic.json` was made for another
+window than the one it recomputes spectra for, or when the spectral clusters
+were made under other cohort or spectra settings. A config with an unknown
+key, a wrongly typed value or a value out of range is rejected with exit
+code 2.
 
 Typical flow on synthetic data::
 
     tweetdyn synth --out runs/demo
-    tweetdyn ingest --input runs/demo/records.jsonl --format jsonl --out runs/demo
-    tweetdyn counts --out runs/demo
-    tweetdyn changepoint --out runs/demo
-    tweetdyn strategy --out runs/demo
-    tweetdyn spectra --out runs/demo
-    tweetdyn cluster-spectral --out runs/demo
-    tweetdyn cluster-topic --out runs/demo
-    tweetdyn compare --out runs/demo
-    tweetdyn report --out runs/demo
+    tweetdyn run --input runs/demo/records.jsonl --out runs/demo
 """
 
 from __future__ import annotations
@@ -47,6 +46,7 @@ import logging
 import sys
 from dataclasses import dataclass, field
 from datetime import date
+from functools import cached_property
 from pathlib import Path
 from types import UnionType
 from typing import Any, Callable, Sequence, get_args, get_origin, get_type_hints
@@ -76,6 +76,12 @@ LABELS_FILE = "labels.json"
 # --window name -> the RunConfig field holding that calendar
 WINDOWS = {"pre": "pre_window", "post": "post_window", "bulk": "bulk_window"}
 INPUT_FORMATS = ("csv", "jsonl")
+# RunConfig fields the cohort spectra depend on; compare recomputes the
+# spectra and refuses spectral clusters made under other values
+SPECTRA_FIELDS = (
+    "bulk_window", "min_total_tweets", "language", "active_day_fraction",
+    "ma_window", "denoise_q",
+)
 
 
 @dataclass(frozen=True)
@@ -306,11 +312,6 @@ def write_manifest(
     write_json(outdir / f"manifest_{command.replace('-', '_')}.json", payload)
 
 
-def _load_corpus(outdir: Path) -> Corpus:
-    """The directory's ``corpus.npz``, checked against its ``records.jsonl``."""
-    return Corpus.load(outdir / CORPUS_FILE, outdir / RECORDS_FILE)
-
-
 def resolve_cohort(corpus: Corpus, config: RunConfig, window: DayWindow) -> list[str]:
     """Volume threshold over the bulk window AND regularity over ``window``."""
     volume = select_cohort(
@@ -332,10 +333,54 @@ def resolve_cohort(corpus: Corpus, config: RunConfig, window: DayWindow) -> list
     return sorted(volume & regular)
 
 
+@dataclass(frozen=True)
+class StageContext:
+    """What the stages of one :func:`main` call share: the config, the output
+    directory, the ``--window`` name and synth's ``--kind`` (None for a call
+    whose stages take no such flag). The corpus, and the cohort and cohort
+    spectra of each window, are computed on first use and live as long as
+    the context."""
+
+    config: RunConfig
+    outdir: Path
+    window_name: str | None
+    kind: str | None
+    _cohorts: dict[DayWindow, tuple[str, ...]] = field(default_factory=dict, init=False)
+    _spectra: dict[DayWindow, spectral.Spectra] = field(default_factory=dict, init=False)
+
+    @cached_property
+    def window(self) -> DayWindow:
+        return self.config.analysis_window(self.window_name)
+
+    @cached_property
+    def corpus(self) -> Corpus:
+        """The directory's ``corpus.npz``, checked against its ``records.jsonl``."""
+        return Corpus.load(self.outdir / CORPUS_FILE, self.outdir / RECORDS_FILE)
+
+    def cohort(self, window: DayWindow) -> tuple[str, ...]:
+        if window not in self._cohorts:
+            self._cohorts[window] = tuple(resolve_cohort(self.corpus, self.config, window))
+        return self._cohorts[window]
+
+    def spectra(self, window: DayWindow) -> spectral.Spectra:
+        """Denoised spectra of the window's cohort, one row per user in id order."""
+        if window not in self._spectra:
+            cohort = self.cohort(window)
+            if not cohort:
+                raise ValueError("no users in cohort; nothing to transform")
+            table = timeseries.counts_by_user(self.corpus, window, cohort)
+            oscillators = timeseries.detrend(table, self.config.ma_window)
+            self._spectra[window] = spectral.denoise(
+                spectral.dft(oscillators, cohort), self.config.denoise_q
+            )
+        return self._spectra[window]
+
+
 # ---------------------------------------------------------------- subcommands
 
 
-def cmd_ingest(config: RunConfig, outdir: Path) -> list[str]:
+def cmd_ingest(ctx: StageContext) -> list[str]:
+    config, outdir = ctx.config, ctx.outdir
     if not config.input_paths:
         raise FileNotFoundError("ingest needs --input (or input_paths in config)")
     parts = []
@@ -377,35 +422,31 @@ def cmd_ingest(config: RunConfig, outdir: Path) -> list[str]:
     ]
 
 
-def cmd_counts(config: RunConfig, outdir: Path, window_name: str = "pre") -> list[str]:
-    corpus = _load_corpus(outdir)
-    window = config.analysis_window(window_name)
-    cohort = resolve_cohort(corpus, config, window)
-    artifacts = []
-    aggregate = timeseries.daily_counts(corpus, config.bulk_window)
+def cmd_counts(ctx: StageContext) -> list[str]:
+    outdir, name = ctx.outdir, ctx.window_name
+    cohort = ctx.cohort(ctx.window)
+    aggregate = timeseries.daily_counts(ctx.corpus, ctx.config.bulk_window)
     timeseries.save_series_csv(aggregate, outdir / "counts_aggregate.csv")
-    artifacts.append("counts_aggregate.csv")
-    table = timeseries.counts_by_user(corpus, window, cohort)
+    table = timeseries.counts_by_user(ctx.corpus, ctx.window, cohort)
     rows = [[uid, t, int(v)] for uid, row in zip(cohort, table) for t, v in enumerate(row)]
-    write_csv(outdir / f"counts_{window_name}.csv", ["user_id", "day_offset", "count"], rows)
-    artifacts.append(f"counts_{window_name}.csv")
-    write_json(outdir / f"cohort_{window_name}.json", cohort)
-    artifacts.append(f"cohort_{window_name}.json")
-    return artifacts
+    write_csv(outdir / f"counts_{name}.csv", ["user_id", "day_offset", "count"], rows)
+    write_json(outdir / f"cohort_{name}.json", cohort)
+    return ["counts_aggregate.csv", f"counts_{name}.csv", f"cohort_{name}.json"]
 
 
-def cmd_changepoint(config: RunConfig, outdir: Path) -> list[str]:
-    series_path = outdir / "counts_aggregate.csv"
-    if series_path.exists():
-        series = timeseries.load_series_csv(series_path)
-    else:
-        series = timeseries.daily_counts(_load_corpus(outdir), config.bulk_window)
-    s = timeseries.accumulate(series)
+def cmd_changepoint(ctx: StageContext) -> list[str]:
+    config, series_path = ctx.config, ctx.outdir / "counts_aggregate.csv"
+    if not series_path.exists():
+        raise FileNotFoundError(
+            f"changepoint needs {series_path.name}; run counts "
+            "(or synth --kind changepoint) first"
+        )
+    s = timeseries.accumulate(timeseries.load_series_csv(series_path))
     fit1 = timeseries.fit_segment(s, config.model1_range, config.model1_t0)
     fit2 = timeseries.fit_segment(s, config.model2_range, config.model2_t0)
     verdict = timeseries.changepoint_significant(fit1, fit2, config.sigma)
     write_json(
-        outdir / "changepoint.json",
+        ctx.outdir / "changepoint.json",
         {
             "model1": fit1,
             "model2": fit2,
@@ -418,14 +459,11 @@ def cmd_changepoint(config: RunConfig, outdir: Path) -> list[str]:
     return ["changepoint.json"]
 
 
-def cmd_strategy(config: RunConfig, outdir: Path) -> list[str]:
-    corpus = _load_corpus(outdir)
+def cmd_strategy(ctx: StageContext) -> list[str]:
+    corpus = ctx.corpus
     campaign = corpus.authors()
-    ref_w, cmp_w = config.reference_window, config.comparison_window
-    cohort = sorted(
-        set(resolve_cohort(corpus, config, ref_w))
-        | set(resolve_cohort(corpus, config, cmp_w))
-    )
+    ref_w, cmp_w = ctx.config.reference_window, ctx.config.comparison_window
+    cohort = sorted(set(ctx.cohort(ref_w)) | set(ctx.cohort(cmp_w)))
     if not cohort:
         raise ValueError("strategy: empty cohort in both windows")
     sequences = {}
@@ -444,7 +482,7 @@ def cmd_strategy(config: RunConfig, outdir: Path) -> list[str]:
     ref_dist, cmp_dist = dists["reference"], dists["comparison"]
     chi2 = strategy.chi_square_shift(cmp_dist, ref_dist)
     write_json(
-        outdir / "strategy.json",
+        ctx.outdir / "strategy.json",
         {
             "cohort": cohort,
             "sequences": sequences,
@@ -471,21 +509,9 @@ def _write_band(path: Path, band: spectral.BandSummary) -> None:
     )
 
 
-def _cohort_spectra(
-    corpus: Corpus, config: RunConfig, window: DayWindow
-) -> spectral.Spectra:
-    """Denoised spectra of the window's cohort, one row per user in id order."""
-    cohort = resolve_cohort(corpus, config, window)
-    if not cohort:
-        raise ValueError("no users in cohort; nothing to transform")
-    table = timeseries.counts_by_user(corpus, window, cohort)
-    oscillators = timeseries.detrend(table, config.ma_window)
-    return spectral.denoise(spectral.dft(oscillators, cohort), config.denoise_q)
-
-
-def cmd_spectra(config: RunConfig, outdir: Path, window_name: str = "pre") -> list[str]:
-    window = config.analysis_window(window_name)
-    spectra = _cohort_spectra(_load_corpus(outdir), config, window)
+def cmd_spectra(ctx: StageContext) -> list[str]:
+    outdir, window_name = ctx.outdir, ctx.window_name
+    spectra = ctx.spectra(ctx.window)
     magnitudes = spectra.magnitudes
     rows = [
         [uid, k, float(m)]
@@ -502,11 +528,9 @@ def cmd_spectra(config: RunConfig, outdir: Path, window_name: str = "pre") -> li
     return [f"spectra_{window_name}.csv", f"band_{window_name}.csv"]
 
 
-def cmd_cluster_spectral(
-    config: RunConfig, outdir: Path, window_name: str = "pre"
-) -> list[str]:
-    window = config.analysis_window(window_name)
-    spectra = _cohort_spectra(_load_corpus(outdir), config, window)
+def cmd_cluster_spectral(ctx: StageContext) -> list[str]:
+    config, outdir = ctx.config, ctx.outdir
+    spectra = ctx.spectra(ctx.window)
     magnitudes = spectra.magnitudes
     embedding = spectral.pca_embed(magnitudes, spectra.users, dims=config.pca_dims)
     assignment = spectral.kmedoids(
@@ -561,18 +585,16 @@ def cmd_cluster_spectral(
     write_json(
         outdir / "clusters_spectral.json",
         {"k": assignment.k, "cost": assignment.cost, "clusters": clusters_payload,
-         "window": window, "n_users": len(spectra.users)},
+         "window": ctx.window, "n_users": len(spectra.users)},
     )
     return artifacts
 
 
-def cmd_cluster_topic(
-    config: RunConfig, outdir: Path, window_name: str = "pre"
-) -> list[str]:
-    corpus = _load_corpus(outdir)
-    window = config.analysis_window(window_name)
-    cohort = resolve_cohort(corpus, config, window)
-    result = topic.topic_communities(corpus, cohort, window, config.topic_config())
+def cmd_cluster_topic(ctx: StageContext) -> list[str]:
+    outdir, window = ctx.outdir, ctx.window
+    result = topic.topic_communities(
+        ctx.corpus, ctx.cohort(window), window, ctx.config.topic_config()
+    )
     write_json(
         outdir / "clusters_topic.json",
         {
@@ -602,7 +624,8 @@ def cmd_cluster_topic(
     return ["clusters_topic.json", "topic_edges.csv", "topic_top_terms.csv"]
 
 
-def cmd_compare(config: RunConfig, outdir: Path, window_name: str = "pre") -> list[str]:
+def cmd_compare(ctx: StageContext) -> list[str]:
+    outdir, window = ctx.outdir, ctx.window
     spec_path = outdir / "clusters_spectral.json"
     topic_path = outdir / "clusters_topic.json"
     for p in (spec_path, topic_path):
@@ -610,12 +633,27 @@ def cmd_compare(config: RunConfig, outdir: Path, window_name: str = "pre") -> li
             raise FileNotFoundError(f"compare needs {p.name}; run the cluster steps first")
     spec_doc = json.loads(spec_path.read_text())
     topic_doc = json.loads(topic_path.read_text())
-    window = config.analysis_window(window_name)
     for p, doc in ((spec_path, spec_doc), (topic_path, topic_doc)):
         if doc["window"] != _plain(window):
             raise ValueError(
-                f"{p.name} was made for window {doc['window']}, not {window_name} "
-                f"{_plain(window)}; re-run its cluster step"
+                f"{p.name} was made for window {doc['window']}, not "
+                f"{ctx.window_name} {_plain(window)}; re-run its cluster step"
+            )
+    manifest_path = outdir / "manifest_cluster_spectral.json"
+    if not manifest_path.exists():
+        raise FileNotFoundError(f"compare needs {manifest_path.name}; run cluster-spectral")
+    manifest = json.loads(manifest_path.read_text())
+    if manifest["status"] != "ok":
+        raise ValueError(
+            f"{manifest_path.name} has status {manifest['status']!r}; re-run cluster-spectral"
+        )
+    current = _plain(ctx.config)
+    for name in SPECTRA_FIELDS:
+        if manifest["config"][name] != current[name]:
+            raise ValueError(
+                f"clusters_spectral.json was made with {name} "
+                f"{manifest['config'][name]!r}, not {current[name]!r}; "
+                "re-run cluster-spectral"
             )
     labels = {
         u: int(c)
@@ -637,7 +675,7 @@ def cmd_compare(config: RunConfig, outdir: Path, window_name: str = "pre") -> li
         ["spectral_cluster"] + [f"community_{j}" for j in tab.topic_ids],
         [[sid] + [int(v) for v in tab.cells[i]] for i, sid in enumerate(tab.spectral_ids)],
     )
-    spectra = _cohort_spectra(_load_corpus(outdir), config, window)
+    spectra = ctx.spectra(window)
     subclusters = {}
     for i, sid in enumerate(tab.spectral_ids):
         for j, tid in enumerate(tab.topic_ids):
@@ -687,7 +725,8 @@ def _demo_corpus_spec(config: RunConfig) -> synth.CorpusSpec:
     )
 
 
-def cmd_synth(config: RunConfig, outdir: Path, kind: str = "corpus") -> list[str]:
+def cmd_synth(ctx: StageContext) -> list[str]:
+    config, outdir, kind = ctx.config, ctx.outdir, ctx.kind
     if kind == "corpus":
         spec = _demo_corpus_spec(config)
         corpus, labels = synth.generate_corpus(spec, config.pre_window, config.seed)
@@ -714,7 +753,7 @@ def cmd_synth(config: RunConfig, outdir: Path, kind: str = "corpus") -> list[str
     raise ValueError(f"unknown synth kind {kind!r}")
 
 
-def cmd_report(config: RunConfig, outdir: Path) -> list[str]:
+def cmd_report(ctx: StageContext) -> list[str]:
     """Collect the directory's JSON artifacts into one report document."""
     wanted = [
         "parse_report.json",
@@ -727,7 +766,7 @@ def cmd_report(config: RunConfig, outdir: Path) -> list[str]:
     ]
     sections = {}
     for name in wanted:
-        p = outdir / name
+        p = ctx.outdir / name
         sections[name.removesuffix(".json")] = (
             json.loads(p.read_text()) if p.exists() else None
         )
@@ -743,7 +782,7 @@ def cmd_report(config: RunConfig, outdir: Path) -> list[str]:
         headline["topic_modularity"] = sections["clusters_topic"]["modularity"]
     if sections["clusters_spectral"]:
         headline["n_spectral_clusters"] = sections["clusters_spectral"]["k"]
-    write_json(outdir / "report.json", {"headline": headline, "sections": sections})
+    write_json(ctx.outdir / "report.json", {"headline": headline, "sections": sections})
     return ["report.json"]
 
 
@@ -752,13 +791,13 @@ def cmd_report(config: RunConfig, outdir: Path) -> list[str]:
 
 @dataclass(frozen=True)
 class Stage:
-    """One subcommand: ``run(config, outdir)`` writes the stage's artifacts and
-    returns their names. A ``windowed`` stage's ``run`` also takes
-    ``window_name``, and ``synth``'s takes ``kind``."""
+    """One subcommand: ``run(ctx)`` writes the stage's artifacts into
+    ``ctx.outdir`` and returns their names. A ``windowed`` stage takes
+    ``--window``."""
 
     name: str
     help: str
-    run: Callable[..., list[str]]
+    run: Callable[[StageContext], list[str]]
     windowed: bool = False
 
 
@@ -780,6 +819,8 @@ STAGES = (
     Stage("synth", "generate ground-truth synthetic data", cmd_synth),
     Stage("report", "assemble a single report document", cmd_report),
 )
+# what `run` walks, in this order
+PIPELINE = tuple(stage for stage in STAGES if stage.name != "synth")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -789,28 +830,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--verbose", action="store_true", help="debug logging")
     sub = parser.add_subparsers(dest="command", required=True)
-    parsers = {}
-    for stage in STAGES:
-        p = parsers[stage.name] = sub.add_parser(stage.name, help=stage.help)
-        p.set_defaults(stage=stage)
+    commands = [(stage.name, stage.help, (stage,)) for stage in STAGES]
+    commands.append(("run", "every stage but synth, in order", PIPELINE))
+    for name, help_text, stages in commands:
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(stages=stages)
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--seed", type=int, help="random seed")
         p.add_argument("--language", help="language filter ('' disables)")
-        if stage.windowed:
+        names = {stage.name for stage in stages}
+        if any(stage.windowed for stage in stages):
             p.add_argument(
                 "--window", default="pre", choices=list(WINDOWS), help="analysis window"
             )
-    parsers["ingest"].add_argument(
-        "--input", action="append", dest="inputs", help="input file"
-    )
-    parsers["ingest"].add_argument("--format", choices=INPUT_FORMATS, help="input format")
-    parsers["synth"].add_argument(
-        "--kind",
-        default="corpus",
-        choices=["corpus", "series", "changepoint"],
-        help="what to generate",
-    )
+        if "ingest" in names:
+            p.add_argument("--input", action="append", dest="inputs", help="input file")
+            p.add_argument("--format", choices=INPUT_FORMATS, help="input format")
+        if "synth" in names:
+            p.add_argument(
+                "--kind",
+                default="corpus",
+                choices=["corpus", "series", "changepoint"],
+                help="what to generate",
+            )
     return parser
 
 
@@ -825,29 +868,38 @@ def main(argv: Sequence[str] | None = None) -> int:
         overrides["seed"] = args.seed
     if args.language is not None:
         overrides["language"] = args.language or None
-    if args.command == "ingest":
-        if args.format is not None:
-            overrides["input_format"] = args.format
-        if args.inputs:
-            overrides["input_paths"] = tuple(args.inputs)
+    # --input and --format override the config of ingest alone, so every
+    # other stage's manifest is the same under run as when run by itself
+    inputs: dict[str, Any] = {}
+    if getattr(args, "format", None) is not None:
+        inputs["input_format"] = args.format
+    if getattr(args, "inputs", None):
+        inputs["input_paths"] = tuple(args.inputs)
     try:
         config = load_config(args.config, overrides)
+        ingest_config = dataclasses.replace(config, **inputs) if inputs else config
     except (OSError, ValueError, KeyError, TypeError) as exc:
         logger.error("bad config: %s", exc)
         return 2
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    options = {"window_name": args.window} if args.stage.windowed else {}
-    if args.command == "synth":
-        options["kind"] = args.kind
-    try:
-        artifacts = args.stage.run(config, outdir, **options)
-    except Exception as exc:
-        logger.error("%s failed: %s", args.command, exc)
-        write_manifest(outdir, args.command, config, [], status="failed", error=str(exc))
-        return 1
-    write_manifest(outdir, args.command, config, artifacts)
+    ctx = StageContext(
+        config, outdir, getattr(args, "window", None), getattr(args, "kind", None)
+    )
+    for stage in args.stages:
+        stage_ctx = (
+            dataclasses.replace(ctx, config=ingest_config) if stage.name == "ingest" else ctx
+        )
+        try:
+            artifacts = stage.run(stage_ctx)
+        except Exception as exc:
+            logger.error("%s failed: %s", stage.name, exc)
+            write_manifest(
+                outdir, stage.name, stage_ctx.config, [], status="failed", error=str(exc)
+            )
+            return 1
+        write_manifest(outdir, stage.name, stage_ctx.config, artifacts)
     return 0
 
 

@@ -1,5 +1,6 @@
 """End-to-end runs of every CLI subcommand on small synthetic data."""
 
+import ast
 import hashlib
 import json
 import os
@@ -12,9 +13,12 @@ import pytest
 
 import tweetdyn
 from tweet_tables import write_csv
+from tweetdyn import cli
 from tweetdyn.cli import load_config, main
 from tweetdyn.compare import adjusted_rand_index
 from tweetdyn.ingest import ColumnMap, parse_records
+
+REPO = Path(__file__).resolve().parents[1]
 
 SMALL_CONFIG = {
     "bulk_window": ["2016-03-01", "2016-06-01"],
@@ -280,24 +284,69 @@ class TestChangepointCommand:
         assert hi1 < lo2
 
 
+# the stage order perfbench times and `run` walks; windowed stages get "pre"
+STAGE_ORDER = (
+    "ingest", "counts", "changepoint", "strategy", "spectra",
+    "cluster-spectral", "cluster-topic", "compare", "report",
+)
+WINDOWED = {"counts", "spectra", "cluster-spectral", "cluster-topic", "compare"}
+
+
 class TestDeterminism:
-    def test_reruns_are_byte_identical(self, tmp_path, config_path):
-        # identical config means identical inputs: synth once, ingest twice
+    def test_reruns_are_byte_identical(self, tmp_path):
+        # one synth; `run` and the nine stages one by one ingest its records.
+        # The fit ranges are the bulk window's days 8-23 and 23-38: the pre
+        # window's two halves, on either side of the planted strategy flip.
+        config_path = tmp_path / "fit.json"
+        config_path.write_text(json.dumps({
+            **SMALL_CONFIG, "model1_range": [8, 23], "model1_t0": 8,
+            "model2_range": [23, 38], "model2_t0": 23,
+        }))
         src = tmp_path / "source"
-        src.mkdir()
-        rc = main(["synth", "--config", str(config_path), "--out", str(src)])
-        assert rc == 0
-        dirs = [tmp_path / "run1", tmp_path / "run2"]
-        for d in dirs:
-            d.mkdir()
-            run_pipeline(d, config_path, records_src=src / "records.jsonl")
-        files1 = sorted(p.name for p in dirs[0].iterdir())
-        files2 = sorted(p.name for p in dirs[1].iterdir())
-        assert files1 == files2
-        for name in files1:
-            a = (dirs[0] / name).read_bytes()
-            b = (dirs[1] / name).read_bytes()
-            assert a == b, f"{name} differs between reruns"
+        assert main(["synth", "--config", str(config_path), "--out", str(src)]) == 0
+        inputs = ["--input", str(src / "records.jsonl"), "--format", "jsonl"]
+        staged, whole = tmp_path / "staged", tmp_path / "run"
+        for stage in STAGE_ORDER:
+            argv = [stage, "--config", str(config_path), "--out", str(staged)]
+            argv += inputs if stage == "ingest" else []
+            argv += ["--window", "pre"] if stage in WINDOWED else []
+            assert main(argv) == 0, f"step {stage} failed"
+        argv = ["run", "--config", str(config_path), "--out", str(whole), "--window", "pre"]
+        assert main(argv + inputs) == 0
+        names = sorted(p.name for p in staged.iterdir())
+        assert names == sorted(p.name for p in whole.iterdir())
+        assert "manifest_changepoint.json" in names
+        for name in names:
+            a = (staged / name).read_bytes()
+            b = (whole / name).read_bytes()
+            assert a == b, f"{name} differs between run and the stages one by one"
+
+
+class TestRunCommand:
+    def test_stops_at_the_first_failed_stage(self, tmp_path, config_path):
+        # no --input: ingest fails, and nothing after it runs
+        assert main(["run", "--config", str(config_path), "--out", str(tmp_path)]) == 1
+        doc = json.loads((tmp_path / "manifest_ingest.json").read_text())
+        assert doc["status"] == "failed" and "--input" in doc["error"]
+        assert [p.name for p in tmp_path.glob("manifest_*.json")] == ["manifest_ingest.json"]
+
+    def test_takes_no_flag_of_synth(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--kind", "series", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+
+    def test_benchmark_times_the_stages_run_runs(self):
+        # perfbench/run.py is read, not imported: it is the benchmark's file
+        tree = ast.parse((REPO / "perfbench" / "run.py").read_text(encoding="utf-8"))
+        found = {
+            node.targets[0].id: ast.literal_eval(node.value)
+            for node in tree.body
+            if isinstance(node, ast.Assign)
+            and isinstance(node.targets[0], ast.Name)
+            and node.targets[0].id in ("STAGES", "WINDOW_STAGES")
+        }
+        assert found["STAGES"] == tuple(stage.name for stage in cli.PIPELINE) == STAGE_ORDER
+        assert found["WINDOW_STAGES"] == {s.name for s in cli.STAGES if s.windowed} == WINDOWED
 
 
 class TestFailureModes:
@@ -412,6 +461,39 @@ class TestFailureModes:
         assert rc == 1 and doc["status"] == "failed"
         assert "clusters_topic.json" in doc["error"]
         assert not (out / "compare.json").exists()
+
+    @pytest.mark.parametrize("case", ["denoise_q", "no manifest", "failed manifest"])
+    def test_compare_refuses_clusters_made_under_other_settings(
+        self, tmp_path, pipeline_dir, case
+    ):
+        out = _ingested_copy(pipeline_dir, tmp_path / "out")
+        for name in ("clusters_spectral.json", "clusters_topic.json",
+                     "manifest_cluster_spectral.json"):
+            shutil.copy(pipeline_dir / name, out / name)
+        # the clusters were made under the default denoise_q, 0.33
+        settings = {**SMALL_CONFIG, "denoise_q": 0.9} if case == "denoise_q" else SMALL_CONFIG
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(settings))
+        manifest = out / "manifest_cluster_spectral.json"
+        if case == "no manifest":
+            manifest.unlink()
+        elif case == "failed manifest":
+            doc = json.loads(manifest.read_text())
+            manifest.write_text(json.dumps({**doc, "status": "failed"}))
+        rc = main(["compare", "--config", str(config), "--out", str(out)])
+        doc = json.loads((out / "manifest_compare.json").read_text())
+        assert rc == 1 and doc["status"] == "failed"
+        expect = "denoise_q" if case == "denoise_q" else "manifest_cluster_spectral.json"
+        assert expect in doc["error"]
+        assert not (out / "compare.json").exists()
+
+    def test_changepoint_needs_counts_aggregate(self, tmp_path, config_path):
+        rc = main(["changepoint", "--config", str(config_path), "--out", str(tmp_path)])
+        assert rc == 1
+        doc = json.loads((tmp_path / "manifest_changepoint.json").read_text())
+        assert doc["status"] == "failed"
+        assert "counts_aggregate.csv" in doc["error"] and "run counts" in doc["error"]
+        assert not (tmp_path / "changepoint.json").exists()
 
     def test_ingest_without_input_fails_cleanly(self, tmp_path, config_path):
         rc = main(["ingest", "--config", str(config_path), "--out", str(tmp_path)])

@@ -32,7 +32,6 @@ ALLOWED = {
 
 # Defaulted parameters and dataclass fields that no call in the package
 # passes, each with the caller that sets them or why they are not a knob.
-_STAGE_OPTION = "set by the CLI through Stage.run(config, outdir, **options)"
 _COUNTER = "running state of one parse pass, counted up by parse_records; not a knob"
 ALLOWED_DEFAULTS = {
     "ingest.ParseReport.total_rows": _COUNTER,
@@ -44,12 +43,6 @@ ALLOWED_DEFAULTS = {
         "per-group rate with the vectorized synth (ROADMAP item 6, step 2)"
     ),
     "cli.main.argv": "the tweetdyn console script, which calls main() to parse sys.argv",
-    "cli.cmd_counts.window_name": _STAGE_OPTION,
-    "cli.cmd_spectra.window_name": _STAGE_OPTION,
-    "cli.cmd_cluster_spectral.window_name": _STAGE_OPTION,
-    "cli.cmd_cluster_topic.window_name": _STAGE_OPTION,
-    "cli.cmd_compare.window_name": _STAGE_OPTION,
-    "cli.cmd_synth.kind": _STAGE_OPTION,
 }
 
 
