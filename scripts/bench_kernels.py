@@ -9,11 +9,14 @@ cold), ``topic.topic_communities`` on planted corpora from
 ``perfbench/gen.py`` with 256 and 4,000 users, and the spectra chain
 (``detrend`` -> ``dft`` -> ``denoise`` on a Poisson count table of 256 and
 4,000 users over 244 days, the pipeline's default ``ma_window`` and
-``denoise_q``), each next to its reference in ``tests/reference_loops.py``.
+``denoise_q``), and ``cli.write_csv`` writing the 4,000-user spectra as
+``spectra_pre.csv``, each next to its reference in
+``tests/reference_loops.py``.
 A kernel's time is the best of three calls in this process, a reference's
 time one call; each row also says whether the two results are identical
 (partition and Q, labels, medoids and cost, edges and weights, stems, every
-topic artifact, or the spectra's bins and magnitude matrix, byte for byte).
+topic artifact, the spectra's bins and magnitude matrix, or the CSV file,
+byte for byte).
 Prints one JSON document.
 
 usage: python scripts/bench_kernels.py
@@ -24,7 +27,9 @@ from __future__ import annotations
 import json
 import os
 import platform
+import shutil
 import sys
+import tempfile
 import time
 from datetime import date
 from functools import partial
@@ -37,7 +42,7 @@ import numpy as np  # noqa: E402
 
 import reference_loops as ref  # noqa: E402
 from gen import planted_corpus, pseudo_words  # noqa: E402
-from tweetdyn import porter  # noqa: E402
+from tweetdyn import cli, porter  # noqa: E402
 from tweetdyn.corpus import Corpus  # noqa: E402
 from tweetdyn.graphs import WeightedGraph, modularity_communities  # noqa: E402
 from tweetdyn.spectral import denoise, dft, kmedoids  # noqa: E402
@@ -54,6 +59,8 @@ TOPIC_N = {256: 60, 4000: 20}
 TOPIC_START = date(2016, 3, 9)
 SPECTRA_N = (256, 4000)
 SPECTRA_DAYS = 244
+CSV_USERS = 4000
+CSV_HEADER = ["user_id", "bin", "magnitude"]
 MA_WINDOW, DENOISE_Q = 7, 0.33
 REPEATS = 3
 
@@ -139,6 +146,20 @@ def same_spectra(new, old: dict) -> bool:
     )
 
 
+def columns_csv(path: Path, users: list[str], table: np.ndarray) -> Path:
+    cli.write_csv(path, CSV_HEADER, cli._long_form(users, table))
+    return path
+
+
+def cells_csv(path: Path, users: list[str], table: np.ndarray) -> Path:
+    ref.write_csv_rows(path, CSV_HEADER, ref.long_rows(users, table))
+    return path
+
+
+def same_file(a: Path, b: Path) -> bool:
+    return a.read_bytes() == b.read_bytes()
+
+
 def stem_all(stem, words: list[str]) -> list[str]:
     return [stem(w) for w in words]
 
@@ -209,6 +230,14 @@ def main() -> int:
                       table_spectra, loop_spectra,
                       (count_table(n, SPECTRA_DAYS), users, window), {}, same_spectra))
 
+    tmp = Path(tempfile.mkdtemp())
+    users = [f"u{i:04d}" for i in range(CSV_USERS)]
+    window = DayWindow.of_length(TOPIC_START, SPECTRA_DAYS)
+    magnitudes = table_spectra(count_table(CSV_USERS, SPECTRA_DAYS), users, window).magnitudes
+    cases.append(("write_csv", CSV_USERS, {"days": SPECTRA_DAYS, "rows": magnitudes.size},
+                  partial(columns_csv, tmp / "columns.csv"), partial(cells_csv, tmp / "cells.csv"),
+                  (users, magnitudes), {}, same_file))
+
     rows = []
     for kernel, n, shape, new_fn, old_fn, fn_args, fn_kwargs, same in cases:
         row = {"kernel": kernel, "n": n, **shape}
@@ -218,6 +247,7 @@ def main() -> int:
         row["identical"] = bool(same(new_out, old_out))
         rows.append(row)
         print(json.dumps(row), file=sys.stderr, flush=True)
+    shutil.rmtree(tmp)
 
     machine = {
         "python": platform.python_version(),

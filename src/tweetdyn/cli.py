@@ -43,10 +43,12 @@ import dataclasses
 import hashlib
 import json
 import logging
+import math
 import sys
 from dataclasses import dataclass, field
 from datetime import date
 from functools import cached_property
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from types import UnionType
 from typing import Any, Callable, Sequence, get_args, get_origin, get_type_hints
@@ -261,26 +263,100 @@ def _plain(obj: Any) -> Any:
     return obj
 
 
+def _json_float(f: float) -> str:
+    return float.__repr__(float(f"{f:.12g}")) if math.isfinite(f) else "null"
+
+
+# exact type -> its JSON text, for the scalars _plain leaves as they are
+_SCALAR_JSON = {str: encode_basestring_ascii, int: int.__repr__, float: _json_float}
+
+
+def _json_text(obj: Any, nl: str) -> str:
+    """What ``json.dumps(_plain(obj), sort_keys=True, indent=2)`` writes for
+    ``obj`` at the line start ``nl``, in one walk: the cases of
+    :func:`_plain`, in its order, then the values it passes through."""
+    scalar = _SCALAR_JSON.get(obj.__class__)
+    if scalar is not None:
+        return scalar(obj)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        plain = {str(k): v for k, v in obj.items()}
+        inner = nl + "  "
+        return (
+            "{" + inner
+            + ("," + inner).join(
+                f"{encode_basestring_ascii(k)}: {_json_text(plain[k], inner)}"
+                for k in sorted(plain)
+            )
+            + nl + "}"
+        )
+    if isinstance(obj, (list, tuple, set, frozenset, np.ndarray)):
+        if isinstance(obj, (set, frozenset)):
+            obj = sorted(obj)
+        elif isinstance(obj, np.ndarray):
+            obj = list(obj.tolist())
+        if not obj:
+            return "[]"
+        inner = nl + "  "
+        kinds = {v.__class__ for v in obj}
+        scalar = _SCALAR_JSON.get(kinds.pop()) if len(kinds) == 1 else None
+        items = map(scalar, obj) if scalar else (_json_text(v, inner) for v in obj)
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
+    if isinstance(obj, (np.integer, int)) and not isinstance(obj, bool):
+        return int.__repr__(int(obj))
+    if isinstance(obj, (np.floating, float)):
+        return _json_float(float(obj))
+    if isinstance(obj, DayWindow):
+        return _json_text([obj.start.isoformat(), obj.end.isoformat()], nl)
+    if isinstance(obj, date):
+        return encode_basestring_ascii(obj.isoformat())
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return _json_text(dataclasses.asdict(obj), nl)
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None or obj is True or obj is False:
+        return {None: "null", True: "true", False: "false"}[obj]
+    raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
+
+
 def write_json(path: Path, payload: Any) -> None:
-    path.write_text(
-        json.dumps(_plain(payload), sort_keys=True, indent=2) + "\n",
-        encoding="utf-8",
-    )
+    """Write ``json.dumps(_plain(payload), sort_keys=True, indent=2)`` and a
+    newline. That call encodes an indented payload in pure Python, in a
+    second walk after :func:`_plain`'s; :func:`_json_text` takes one."""
+    path.write_text(_json_text(payload, "\n") + "\n", encoding="utf-8")
 
 
-def write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence[Any]]) -> None:
-    def fmt(v: Any) -> Any:
-        if isinstance(v, (np.floating, float)):
-            return f"{float(v):.12g}"
-        if isinstance(v, np.integer):
-            return int(v)
-        return v
+def _csv_cells(column: Sequence[Any] | np.ndarray) -> Sequence[Any]:
+    """A column's cells for ``csv.writer``: floats at 12 significant digits,
+    NumPy integers as ``int``, anything else as it is."""
+    if isinstance(column, np.ndarray):
+        values = column.tolist()
+        return list(map("{:.12g}".format, values)) if column.dtype.kind == "f" else values
+    return [
+        f"{float(v):.12g}" if isinstance(v, (np.floating, float))
+        else int(v) if isinstance(v, np.integer) else v
+        for v in column
+    ]
 
+
+def write_csv(path: Path, header: Sequence[str], columns: Sequence[Sequence[Any]]) -> None:
+    """A header and the rows of equal-length columns, each formatted once."""
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([fmt(v) for v in row])
+        writer.writerows(zip(*map(_csv_cells, columns)))
+
+
+def _long_form(users: Sequence[str], table: np.ndarray) -> list:
+    """The (user, column index, value) columns of a (users x columns) table,
+    row after row."""
+    n = table.shape[1]
+    return [
+        np.repeat(np.array(users, dtype=object), n),
+        np.tile(np.arange(n), len(users)),
+        table.ravel(),
+    ]
 
 
 def config_hash(config: RunConfig) -> str:
@@ -428,8 +504,11 @@ def cmd_counts(ctx: StageContext) -> list[str]:
     aggregate = timeseries.daily_counts(ctx.corpus, ctx.config.bulk_window)
     timeseries.save_series_csv(aggregate, outdir / "counts_aggregate.csv")
     table = timeseries.counts_by_user(ctx.corpus, ctx.window, cohort)
-    rows = [[uid, t, int(v)] for uid, row in zip(cohort, table) for t, v in enumerate(row)]
-    write_csv(outdir / f"counts_{name}.csv", ["user_id", "day_offset", "count"], rows)
+    write_csv(
+        outdir / f"counts_{name}.csv",
+        ["user_id", "day_offset", "count"],
+        _long_form(cohort, table),
+    )
     write_json(outdir / f"cohort_{name}.json", cohort)
     return ["counts_aggregate.csv", f"counts_{name}.csv", f"cohort_{name}.json"]
 
@@ -502,10 +581,7 @@ def _write_band(path: Path, band: spectral.BandSummary) -> None:
     write_csv(
         path,
         ["bin", "min", "q1", "median", "q3", "max"],
-        [
-            [k, band.mins[k], band.q1[k], band.medians[k], band.q3[k], band.maxs[k]]
-            for k in range(len(band.medians))
-        ],
+        [range(len(band.medians)), band.mins, band.q1, band.medians, band.q3, band.maxs],
     )
 
 
@@ -513,13 +589,10 @@ def cmd_spectra(ctx: StageContext) -> list[str]:
     outdir, window_name = ctx.outdir, ctx.window_name
     spectra = ctx.spectra(ctx.window)
     magnitudes = spectra.magnitudes
-    rows = [
-        [uid, k, float(m)]
-        for uid, row in zip(spectra.users, magnitudes)
-        for k, m in enumerate(row)
-    ]
     write_csv(
-        outdir / f"spectra_{window_name}.csv", ["user_id", "bin", "magnitude"], rows
+        outdir / f"spectra_{window_name}.csv",
+        ["user_id", "bin", "magnitude"],
+        _long_form(spectra.users, magnitudes),
     )
     _write_band(
         outdir / f"band_{window_name}.csv",
@@ -544,14 +617,15 @@ def cmd_cluster_spectral(ctx: StageContext) -> list[str]:
         outdir / "embedding.csv",
         ["user_id"] + [f"pc{i + 1}" for i in range(config.pca_dims)] + ["cluster"],
         [
-            [uid] + [float(x) for x in embedding.points[i]] + [assignment.labels[uid]]
-            for i, uid in enumerate(embedding.ids)
+            embedding.ids,
+            *embedding.points.T,
+            [assignment.labels[uid] for uid in embedding.ids],
         ],
     )
     write_csv(
         outdir / "eigenvalues.csv",
         ["rank", "eigenvalue"],
-        [[i + 1, float(v)] for i, v in enumerate(embedding.eigenvalues)],
+        [range(1, len(embedding.eigenvalues) + 1), embedding.eigenvalues],
     )
     clusters_payload = {}
     artifacts = ["embedding.csv", "eigenvalues.csv", "clusters_spectral.json"]
@@ -610,16 +684,22 @@ def cmd_cluster_topic(ctx: StageContext) -> list[str]:
     write_csv(
         outdir / "topic_edges.csv",
         ["user_a", "user_b", "similarity"],
-        [[u, v, w] for (u, v), w in result.graph.edges.items()],
+        [
+            [u for u, _ in result.graph.edges],
+            [v for _, v in result.graph.edges],
+            list(result.graph.edges.values()),
+        ],
     )
-    top_rows = []
-    for idx, ranked in enumerate(result.top_terms, start=1):
-        for rank, (term, count) in enumerate(ranked, start=1):
-            top_rows.append([idx, rank, term, count])
+    ranked = result.top_terms
     write_csv(
         outdir / "topic_top_terms.csv",
         ["community", "rank", "term", "count"],
-        top_rows,
+        [
+            [c for c, terms in enumerate(ranked, start=1) for _ in terms],
+            [r for terms in ranked for r in range(1, len(terms) + 1)],
+            [term for terms in ranked for term, _ in terms],
+            [count for terms in ranked for _, count in terms],
+        ],
     )
     return ["clusters_topic.json", "topic_edges.csv", "topic_top_terms.csv"]
 
@@ -673,7 +753,7 @@ def cmd_compare(ctx: StageContext) -> list[str]:
     write_csv(
         outdir / "crosstab.csv",
         ["spectral_cluster"] + [f"community_{j}" for j in tab.topic_ids],
-        [[sid] + [int(v) for v in tab.cells[i]] for i, sid in enumerate(tab.spectral_ids)],
+        [tab.spectral_ids, *tab.cells.T],
     )
     spectra = ctx.spectra(window)
     subclusters = {}
@@ -736,8 +816,11 @@ def cmd_synth(ctx: StageContext) -> list[str]:
     if kind == "series":
         specs = synth.reference_cluster_specs()
         users, table, labels = synth.generate_series(specs, config.pre_window, config.seed)
-        rows = [[uid, t, int(v)] for uid, row in zip(users, table) for t, v in enumerate(row)]
-        write_csv(outdir / "synth_series.csv", ["user_id", "day_offset", "count"], rows)
+        write_csv(
+            outdir / "synth_series.csv",
+            ["user_id", "day_offset", "count"],
+            _long_form(users, table),
+        )
         write_json(outdir / LABELS_FILE, labels)
         return ["synth_series.csv", LABELS_FILE]
     if kind == "changepoint":

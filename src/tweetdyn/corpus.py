@@ -67,7 +67,14 @@ class StringColumn:
 
     @classmethod
     def of(cls, strings: Iterable[str]) -> "StringColumn":
-        return cls._of_bytes([_encode(s) for s in strings])
+        strings = list(strings)
+        text = "".join(strings)
+        blob = _encode(text)
+        if len(blob) != len(text):  # a character of more than one byte
+            return cls._of_bytes([_encode(s) for s in strings])
+        offsets = np.zeros(len(strings) + 1, dtype=np.int64)
+        np.cumsum(np.fromiter(map(len, strings), np.int64, len(strings)), out=offsets[1:])
+        return cls(blob=np.frombuffer(blob, dtype=np.uint8), offsets=offsets)
 
     @classmethod
     def _of_bytes(cls, encoded: list[bytes]) -> "StringColumn":
@@ -106,7 +113,10 @@ class StringColumn:
         off = self.offsets[start : stop + 1]
         raw = self.blob[off[0] : off[-1]].tobytes()
         off = (off - off[0]).tolist()
-        return [raw[a:b].decode("utf-8", "surrogatepass") for a, b in zip(off, off[1:])]
+        text = raw.decode("utf-8", "surrogatepass")
+        if len(text) != len(raw):  # a character of more than one byte
+            return [raw[a:b].decode("utf-8", "surrogatepass") for a, b in zip(off, off[1:])]
+        return [text[a:b] for a, b in zip(off, off[1:])]
 
     def tolist(self) -> list[str]:
         return self.strings(0, len(self))

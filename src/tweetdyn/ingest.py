@@ -29,8 +29,9 @@ import logging
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
+from itertools import compress, islice, repeat
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
+from operator import is_, itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -59,6 +60,13 @@ _MIN_US = (datetime.min - _NAIVE_EPOCH) // _ONE_US
 _MAX_US = (datetime.max - _NAIVE_EPOCH) // _ONE_US
 _2D = [f"{i:02d}" for i in range(60)]
 _WRITE_BLOCK = 8192  # lines
+_PARSE_BLOCK = 8192  # rows checked at once
+_NO_FIELDS = (None,) * 7  # the fields of a row the reader rejected
+_scan_json = json.JSONDecoder().scan_once
+# YYYY-MM-DD HH:MM:SS: the places of the digits, and of "-", " " and ":"
+_STAMP_DIGITS = [0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18]
+_STAMP_MARKS = [4, 7, 10, 13, 16]
+_STAMP_MARK_CODES = np.array([ord(c) for c in "-- ::"], dtype=np.uint32)
 
 
 @dataclass(frozen=True)
@@ -196,12 +204,17 @@ def _jsonl_rows(fh, path: Path, fields: tuple[str, ...], check: bool) -> Iterato
             yield "bad_encoding"
             continue
         try:
-            row = json.loads(line)
-        except (ValueError, RecursionError):
-            # a JSONDecodeError, an integer literal over Python's digit
-            # limit, or nesting deeper than the interpreter's stack
-            row = None
-        yield tuple(map(row.get, fields)) if isinstance(row, dict) else "bad_json"
+            # json.loads without its wrappers: a stripped line is one JSON
+            # value exactly when the value ends the line
+            row, end = _scan_json(line, 0)
+        except (StopIteration, ValueError, RecursionError):
+            # no value, a JSONDecodeError, an integer literal over Python's
+            # digit limit, or nesting deeper than the interpreter's stack
+            row = end = None
+        if end == len(line) and isinstance(row, dict):
+            yield tuple(map(row.get, fields))
+        else:
+            yield "bad_json"
 
 
 def parse_records(
@@ -242,48 +255,14 @@ def parse_records(
 
 
 def _parse_rows(rows: Iterable[tuple | str], path: Path) -> tuple[Corpus, ParseReport]:
-    """The columns of a reader's accepted rows, and the report on them all."""
+    """The columns of a reader's accepted rows, and the report on them all,
+    checked a block of rows at a time."""
     report = ParseReport()
-    reject = report.reject
-    tweet_id, user, source, timestamp_us, language, text = ([] for _ in range(6))
-    for row in rows:
-        report.total_rows += 1
-        if row.__class__ is str:  # the reason the reader rejected the row
-            reject(row)
-            continue
-        tid, uid, stamp, lang, flag, body, src = row
-        if None in (tid, uid, stamp, lang, flag, body):
-            reject("missing_field")
-            continue
-        flag = _parse_bool(flag)
-        if flag is None:
-            reject("bad_retweet_flag")
-            continue
-        stamp = _parse_timestamp(str(stamp))
-        if stamp is None:
-            reject("bad_timestamp")
-            continue
-        if stamp.tzinfo is None:
-            us = (stamp - _NAIVE_EPOCH) // _ONE_US
-        else:
-            us = (stamp - _EPOCH) // _ONE_US
-            if not _MIN_US <= us <= _MAX_US:  # no UTC datetime for it
-                reject("bad_timestamp")
-                continue
-        # A retweet must name its source and an original must not.
-        src = str(src).strip() if src not in (None, "") else None
-        if flag and not src:
-            reject("retweet_without_source")
-            continue
-        if not flag and src:
-            reject("source_on_non_retweet")
-            continue
-        tweet_id.append(str(tid).strip())
-        user.append(str(uid).strip())
-        source.append(src if flag else None)
-        timestamp_us.append(us)
-        language.append(str(lang).strip())
-        text.append(str(body))
+    accepted: tuple[list, ...] = tuple([] for _ in range(6))
+    rows = iter(rows)
+    while block := list(islice(rows, _PARSE_BLOCK)):
+        _check_block(block, report, accepted)
+    tweet_id, user, source, timestamp_us, language, text = accepted
     report.accepted = len(user)
     if report.rejected:
         logger.warning(
@@ -304,6 +283,124 @@ def _parse_rows(rows: Iterable[tuple | str], path: Path) -> tuple[Corpus, ParseR
     return corpus, report
 
 
+def _check_block(block: list[tuple | str], report: ParseReport, accepted: tuple[list, ...]) -> None:
+    """Check a block of reader rows one column at a time, tally each rejected
+    row under the first check it fails, and append the accepted rows'
+    values to the six ``accepted`` columns.
+
+    Each check looks at the rows the earlier checks passed, and only values
+    that fail a fast check go through the per-value helpers, so every row
+    gets the reason and the values that checking it on its own gives.
+    """
+    n = len(block)
+    report.total_rows += n
+    reasons = {"": 0}  # reason -> its code; 0 while a row passes
+    code = np.zeros(n, dtype=np.int64)
+    for i, row in enumerate(block):
+        if row.__class__ is str:  # the reason the reader rejected the row
+            code[i] = reasons.setdefault(row, len(reasons))
+            block[i] = _NO_FIELDS
+    tid, uid, stamp, lang, flag, body, src = zip(*block)
+
+    def fail(reason: str, bad: np.ndarray) -> None:
+        bad &= code == 0
+        if bad.any():
+            code[bad] = reasons.setdefault(reason, len(reasons))
+
+    missing = np.zeros(n, dtype=bool)
+    for column in (tid, uid, stamp, lang, flag, body):
+        if None in column:
+            missing |= _is(column, None)
+    fail("missing_field", missing)
+
+    is_retweet = [_BOOLS.get(v) if v.__class__ is str else None for v in flag]
+    for i in np.flatnonzero(_is(is_retweet, None) & (code == 0)).tolist():
+        is_retweet[i] = _parse_bool(flag[i])
+    fail("bad_retweet_flag", _is(is_retweet, None))
+
+    us, parsed = _iso_seconds_us(stamp)
+    for i in np.flatnonzero((code == 0) & ~parsed).tolist():
+        value = _timestamp_us(stamp[i])
+        if value is not None:
+            us[i], parsed[i] = value, True
+    fail("bad_timestamp", ~parsed)
+
+    # A retweet must name its source and an original must not.
+    src = [None if v is None or v == "" else str(v).strip() for v in src]
+    has_source = np.fromiter(map(bool, src), bool, n)
+    retweet = _is(is_retweet, True)
+    fail("retweet_without_source", retweet & ~has_source)
+    fail("source_on_non_retweet", ~retweet & has_source)
+
+    if len(reasons) > 1:
+        names = list(reasons)
+        for c in code[code > 0].tolist():
+            report.reject(names[c])
+        keep = code == 0
+        us = us[keep]
+        keep = keep.tolist()
+        tid, uid, lang, body, src, is_retweet = (
+            list(compress(column, keep)) for column in (tid, uid, lang, body, src, is_retweet)
+        )
+    tweet_ids, users, sources, stamps, languages, texts = accepted
+    tweet_ids.extend(map(str.strip, map(str, tid)))
+    users.extend(map(str.strip, map(str, uid)))
+    sources.extend(s if r else None for s, r in zip(src, is_retweet))
+    stamps.extend(us.tolist())
+    languages.extend(map(str.strip, map(str, lang)))
+    texts.extend(map(str, body))
+
+
+def _is(column: Sequence[object], value: object) -> np.ndarray:
+    """Mask of the entries that are ``value``."""
+    return np.fromiter(map(is_, column, repeat(value)), bool, len(column))
+
+
+def _timestamp_us(raw: object) -> int | None:
+    """Microseconds since the epoch of a raw timestamp cell (naive times are
+    UTC), or None if it does not parse or has no UTC datetime."""
+    stamp = _parse_timestamp(str(raw))
+    if stamp is None:
+        return None
+    if stamp.tzinfo is None:
+        return (stamp - _NAIVE_EPOCH) // _ONE_US
+    us = (stamp - _EPOCH) // _ONE_US
+    return us if _MIN_US <= us <= _MAX_US else None
+
+
+def _iso_seconds_us(stamps: Sequence[object]) -> tuple[np.ndarray, np.ndarray]:
+    """Microseconds since the epoch of each ``YYYY-MM-DD HH:MM:SS`` string
+    that names a valid day and time, and the mask of those strings.
+
+    ``datetime.fromisoformat`` reads each of them as that naive time; the
+    other cells are left to :func:`_timestamp_us`.
+    """
+    n = len(stamps)
+    text = np.array([s if s.__class__ is str else "" for s in stamps], dtype="U20")
+    chars = text.view(np.uint32).reshape(n, 20)
+    digits = chars[:, _STAMP_DIGITS] - np.uint32(ord("0"))  # wraps below "0"
+    ok = (
+        np.all(digits <= 9, axis=1)
+        & np.all(chars[:, _STAMP_MARKS] == _STAMP_MARK_CODES, axis=1)
+        & (chars[:, 19] == 0)
+    )
+    digits = np.where(ok[:, None], digits, 0).astype(np.int64)
+    year = digits[:, :4] @ np.array([1000, 100, 10, 1])
+    month, day, hour, minute, second = (digits[:, 4::2] * 10 + digits[:, 5::2]).T
+    # days from 1970-01-01 to the first of the month and of the next month
+    months = (year - 1970) * 12 + month - 1
+    first, following = (
+        (months + k).astype("datetime64[M]").astype("datetime64[D]").astype(np.int64)
+        for k in (0, 1)
+    )
+    ok &= (
+        (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1) & (day <= following - first)
+        & (hour <= 23) & (minute <= 59) & (second <= 59)
+    )
+    seconds = (first + day - 1) * 86_400 + hour * 3600 + minute * 60 + second
+    return np.where(ok, seconds * 1_000_000, 0), ok
+
+
 _READERS = {"csv": _csv_rows, "jsonl": _jsonl_rows}
 
 
@@ -316,7 +413,10 @@ def merge_parts(parts: Sequence[Corpus]) -> Corpus:
     corpus = Corpus.concat(parts)
     ids = corpus.tweet_id.tolist()
     by_id = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.int64)
-    return corpus.select(by_id[np.argsort(corpus.timestamp_us[by_id], kind="stable")])
+    order = by_id[np.argsort(corpus.timestamp_us[by_id], kind="stable")]
+    if np.array_equal(order, np.arange(len(order))):  # already in that order
+        return corpus
+    return corpus.select(order)
 
 
 def write_records(corpus: Corpus, path: str | Path) -> None:

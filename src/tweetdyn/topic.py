@@ -28,6 +28,7 @@ every positive similarity of a sparse row stays eligible.
 from __future__ import annotations
 
 import logging
+import math
 import re
 from collections import defaultdict
 from dataclasses import dataclass, replace
@@ -119,9 +120,83 @@ class GammaFit:
             raise ValueError("Gamma parameters must be positive")
 
     def quantile(self, q: float) -> float:
-        from scipy.special import gammaincinv
+        return _gamma_p_inverse(self.k_shape, q) * self.theta_scale
 
-        return float(gammaincinv(self.k_shape, q) * self.theta_scale)
+
+_EPS = 2.0**-53
+_TINY = 1e-300
+
+
+def _log_gamma_tail(a: float, x: float, upper: bool) -> tuple[float, float]:
+    """log P(a, x), or log Q(a, x) when ``upper``, for a, x > 0, with its
+    derivative in log x.
+
+    P / f and Q / f, with ``f = x^a e^-x / Gamma(a)``, come from a power
+    series below ``x = a + 1`` and a modified-Lentz continued fraction above
+    (Numerical Recipes §6.2), so no factor underflows.
+    """
+    log_f = a * math.log(x) - x - math.lgamma(a)
+    if x < a + 1.0:
+        term = ratio = 1.0 / a
+        ap = a
+        while term > ratio * _EPS:
+            ap += 1.0
+            term *= x / ap
+            ratio += term
+        is_upper = False
+    else:
+        b = x + 1.0 - a
+        c, d = 1.0 / _TINY, 1.0 / b
+        ratio, i = d, 0
+        while True:
+            i += 1
+            an = -i * (i - a)
+            b += 2.0
+            d = an * d + b
+            d = 1.0 / (d if abs(d) >= _TINY else _TINY)
+            c = b + an / c
+            c = c if abs(c) >= _TINY else _TINY
+            ratio *= d * c
+            if abs(d * c - 1.0) <= _EPS:
+                break
+        is_upper = True
+    log_tail = math.log(ratio) + log_f
+    if is_upper != upper:
+        log_tail = math.log1p(-math.exp(log_tail))
+    slope = math.exp(log_f - log_tail)
+    return log_tail, -slope if upper else slope
+
+
+def _gamma_p_inverse(a: float, p: float) -> float:
+    """The x with P(a, x) = p, for a > 0 and 0 < p < 1.
+
+    Newton steps in log x on log P, or on log Q = log(1 - p) for p > 0.5,
+    where 1 - p is exact. Both are concave in log x (the log of a gamma
+    variate has a log-concave density), so the steps converge from any
+    start. P(a, x) <= x^a / Gamma(a + 1), with equality to the last bit
+    below x = 1e-100; that power's inverse starts the lower tail from below,
+    and the Numerical Recipes guess starts the upper tail.
+    """
+    x = math.exp((math.log(p) + math.lgamma(a + 1.0)) / a)
+    if x < 1e-100:
+        return x
+    upper = p > 0.5
+    if upper:
+        if a > 1.0:
+            t = math.sqrt(-2.0 * math.log(1.0 - p))
+            z = t - (2.30753 + t * 0.27061) / (1.0 + t * (0.99229 + t * 0.04481))
+            x = max(1e-3, a * (1.0 - 1.0 / (9.0 * a) + z / (3.0 * math.sqrt(a))) ** 3)
+        else:
+            t = 1.0 - a * (0.253 + a * 0.12)
+            x = (p / t) ** (1.0 / a) if p < t else 1.0 - math.log1p(-(p - t) / (1.0 - t))
+    target = math.log1p(-p) if upper else math.log(p)
+    for _ in range(100):
+        log_tail, slope = _log_gamma_tail(a, x, upper)
+        step = max(-10.0, min(10.0, (log_tail - target) / slope))
+        x *= math.exp(-step)
+        if abs(step) < 1e-9:  # the error left is about step^2
+            break
+    return x
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,11 @@ word once per condition. ``test_porter.py`` and ``test_topic.py`` require the
 same stems and the same topic artifacts. The spectral section is the chain
 the ``spectra`` stages ran before the spectra became one (users x bins)
 table: detrend, DFT, denoise and summaries one user's series at a time;
-``test_spectral.py`` requires the same bytes from the table chain.
+``test_spectral.py`` requires the same bytes from the table chain. The
+ingest row loop is the parse that checked and converted one row at a time
+before ``ingest`` checked whole columns, and the CSV writer the one that
+formatted one cell at a time; ``test_ingest.py`` and ``test_cli.py``
+require the same corpus, report and bytes.
 """
 
 import csv
@@ -26,8 +30,9 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from functools import lru_cache
+from operator import itemgetter
 
 import numpy as np
 
@@ -324,6 +329,175 @@ def write_records(records, path):
                 "tweet_text": rec.text,
             }
             fh.write(json.dumps(row, sort_keys=True) + "\n")
+
+
+# -------------------------------------------------------- ingest row loop
+# The row-at-a-time parse that the column checks of ``ingest._check_block``
+# replaced: the same readers (one json.loads per JSONL line, or csv.reader)
+# feed one loop that checks and converts each row on its own.
+
+_BOOL_WORDS = {
+    **dict.fromkeys(("true", "t", "1", "yes"), True),
+    **dict.fromkeys(("false", "f", "0", "no"), False),
+}
+_NAIVE_EPOCH = datetime(1970, 1, 1)
+_UTC_EPOCH = _NAIVE_EPOCH.replace(tzinfo=timezone.utc)
+_ONE_US = timedelta(microseconds=1)
+_MIN_US = (datetime.min - _NAIVE_EPOCH) // _ONE_US
+_MAX_US = (datetime.max - _NAIVE_EPOCH) // _ONE_US
+
+
+def _loop_timestamp(raw):
+    raw = raw.strip()
+    try:
+        return datetime.fromisoformat(raw)
+    except ValueError:
+        pass
+    for fmt in _TIME_FORMATS:
+        try:
+            return datetime.strptime(raw, fmt)
+        except ValueError:
+            continue
+    return None
+
+
+def _loop_bool(raw):
+    if isinstance(raw, bool):
+        return raw
+    return _BOOL_WORDS.get(str(raw).strip().lower())
+
+
+def _escaped(text):
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return True
+    return False
+
+
+def csv_rows(fh, path, fields, check):
+    reader = csv.reader(fh)
+    header = next(reader, [])
+    missing = [c for c in fields[:-1] if c not in header]
+    if missing:
+        raise IngestError(f"{path}: missing required columns {missing}")
+    width = len(header)
+    last = {name: i for i, name in enumerate(header)}
+    pick = itemgetter(*(last.get(name, width) for name in fields))
+    for row in reader:
+        if not row:
+            continue
+        if check and _escaped("".join(row)):
+            yield "bad_encoding"
+            continue
+        if len(row) != width:
+            row = row[:width] + [None] * (width - len(row))
+        row.append(None)
+        yield pick(row)
+
+
+def jsonl_rows(fh, path, fields, check):
+    for line in fh:
+        line = line.strip()
+        if not line:
+            continue
+        if check and _escaped(line):
+            yield "bad_encoding"
+            continue
+        try:
+            row = json.loads(line)
+        except (ValueError, RecursionError):
+            row = None
+        yield tuple(map(row.get, fields)) if isinstance(row, dict) else "bad_json"
+
+
+def parse_rows(rows):
+    """The accepted rows' columns (as ``Corpus.from_columns`` takes them)
+    and the report on every row."""
+    report = ParseReport()
+    tweet_id, user, source, timestamp_us, language, text = ([] for _ in range(6))
+    for row in rows:
+        report.total_rows += 1
+        if row.__class__ is str:
+            report.reject(row)
+            continue
+        tid, uid, stamp, lang, flag, body, src = row
+        if None in (tid, uid, stamp, lang, flag, body):
+            report.reject("missing_field")
+            continue
+        flag = _loop_bool(flag)
+        if flag is None:
+            report.reject("bad_retweet_flag")
+            continue
+        stamp = _loop_timestamp(str(stamp))
+        if stamp is None:
+            report.reject("bad_timestamp")
+            continue
+        if stamp.tzinfo is None:
+            us = (stamp - _NAIVE_EPOCH) // _ONE_US
+        else:
+            us = (stamp - _UTC_EPOCH) // _ONE_US
+            if not _MIN_US <= us <= _MAX_US:
+                report.reject("bad_timestamp")
+                continue
+        src = str(src).strip() if src not in (None, "") else None
+        if flag and not src:
+            report.reject("retweet_without_source")
+            continue
+        if not flag and src:
+            report.reject("source_on_non_retweet")
+            continue
+        tweet_id.append(str(tid).strip())
+        user.append(str(uid).strip())
+        source.append(src if flag else None)
+        timestamp_us.append(us)
+        language.append(str(lang).strip())
+        text.append(str(body))
+    report.accepted = len(user)
+    columns = dict(
+        tweet_id=tweet_id, user=user, source=source, timestamp_us=timestamp_us,
+        language=language, text=text,
+    )
+    return columns, report
+
+
+def parse_file(path, fmt, columns):
+    """``parse_rows`` over one table, with the rewind that escapes bytes
+    that are not UTF-8."""
+    fields = (*columns.required(), columns.retweeted_user_id)
+    read = {"csv": csv_rows, "jsonl": jsonl_rows}[fmt]
+    with path.open(newline="", encoding="utf-8") as fh:
+        try:
+            return parse_rows(read(fh, path, fields, False))
+        except UnicodeDecodeError:
+            fh.seek(0)
+            fh.reconfigure(errors="surrogateescape")
+            return parse_rows(read(fh, path, fields, True))
+
+
+# ------------------------------------------------------------- CSV writer
+# One Python list and one format call per cell.
+
+
+def write_csv_rows(path, header, rows):
+    def fmt(v):
+        if isinstance(v, (np.floating, float)):
+            return f"{float(v):.12g}"
+        if isinstance(v, np.integer):
+            return int(v)
+        return v
+
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([fmt(v) for v in row])
+
+
+def long_rows(users, table):
+    """(user, column index, value) rows of a (users x columns) table, as the
+    ``counts`` and ``spectra`` stages built them."""
+    return [[uid, k, v] for uid, row in zip(users, table) for k, v in enumerate(row)]
 
 
 # ----------------------------------------------------------- pairwise kernels

@@ -1,22 +1,31 @@
 """End-to-end runs of every CLI subcommand on small synthetic data."""
 
 import ast
+import dataclasses
 import hashlib
 import json
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
+from datetime import date
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+import reference_loops as ref
 import tweetdyn
 from tweet_tables import write_csv
 from tweetdyn import cli
 from tweetdyn.cli import load_config, main
 from tweetdyn.compare import adjusted_rand_index
 from tweetdyn.ingest import ColumnMap, parse_records
+from tweetdyn.timeseries import DayWindow
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -533,16 +542,23 @@ class TestRemappedColumns:
         assert len(doc["cohort"]) == 32
 
 
-def test_strategy_and_topic_stages_leave_scipy_stats_unimported(
-    tmp_path, pipeline_dir, config_path
-):
-    out = _ingested_copy(pipeline_dir, tmp_path / "out")
+def test_run_leaves_scipy_unimported(tmp_path, pipeline_dir):
+    # scipy is a test dependency only: no stage may import any of it
+    config_path = tmp_path / "fit.json"
+    config_path.write_text(json.dumps({
+        **SMALL_CONFIG, "model1_range": [8, 23], "model1_t0": 8,
+        "model2_range": [23, 38], "model2_t0": 23,
+    }))
+    out = tmp_path / "out"
+    argv = [
+        "run", "--config", str(config_path), "--out", str(out), "--window", "pre",
+        "--input", str(pipeline_dir / "records.jsonl"), "--format", "jsonl",
+    ]
     code = (
         "import sys\n"
         "from tweetdyn.cli import main\n"
-        "for stage in ('strategy', 'cluster-topic'):\n"
-        f"    assert main([stage, '--config', {str(config_path)!r}, '--out', {str(out)!r}]) == 0\n"
-        "sys.exit('scipy.stats' in sys.modules)\n"
+        f"assert main({argv!r}) == 0\n"
+        "sys.exit(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy') or None)\n"
     )
     src = str(Path(tweetdyn.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
@@ -550,4 +566,101 @@ def test_strategy_and_topic_stages_leave_scipy_stats_unimported(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
     )
     assert proc.returncode == 0, proc.stderr
-    assert (out / "strategy.json").exists() and (out / "clusters_topic.json").exists()
+    manifests = sorted(p.name for p in out.glob("manifest_*.json"))
+    assert manifests == sorted(f"manifest_{s.replace('-', '_')}.json" for s in STAGE_ORDER)
+
+
+@dataclasses.dataclass(frozen=True)
+class _Fit:
+    slope: float
+    window: DayWindow
+    tags: tuple
+
+
+_DAY_WINDOWS = st.builds(
+    DayWindow.of_length, st.dates(max_value=date(9000, 1, 1)), st.integers(1, 400)
+)
+_JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(10**20), 10**20),
+    st.floats(),
+    st.text(max_size=6),
+    st.sampled_from(["é", "Ж", " ", "\ud800", "\U0001f600", '"\\/\x00', ""]),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.floats(width=32).map(np.float32),
+    st.floats().map(np.float64),
+    st.dates(),
+    st.datetimes(),
+    _DAY_WINDOWS,
+    st.frozensets(st.integers(), max_size=4),
+    st.sets(st.text(max_size=3), max_size=4),
+    hnp.arrays(
+        st.sampled_from([np.int64, np.float64, np.float32, np.bool_]),
+        hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=3),
+    ),
+)
+
+
+def _json_containers(children):
+    return st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.one_of(st.integers(-3, 3), st.text(max_size=2)), children, max_size=4),
+        st.builds(_Fit, st.floats(), _DAY_WINDOWS, st.lists(children, max_size=2).map(tuple)),
+    )
+
+
+_JSON_PAYLOADS = st.recursive(_JSON_SCALARS, _json_containers, max_leaves=25)
+
+
+class TestArtifactWriters:
+    """``write_json`` walks a payload once and ``write_csv`` formats whole
+    columns; both write the bytes of the writers they replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_JSON_PAYLOADS)
+    def test_json_is_the_two_walk_text(self, payload):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "out.json")
+            cli.write_json(path, payload)
+            expected = json.dumps(cli._plain(payload), sort_keys=True, indent=2) + "\n"
+            assert path.read_bytes() == expected.encode("utf-8")
+
+    @pytest.mark.parametrize(
+        "payload",
+        [np.bool_(True), {"a": [1, np.bool_(False)]}, [object()], {"x": {1: complex(1, 2)}}],
+    )
+    def test_json_refuses_what_json_dumps_refuses(self, tmp_path, payload):
+        with pytest.raises(TypeError):
+            json.dumps(cli._plain(payload), sort_keys=True, indent=2)
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            cli.write_json(tmp_path / "out.json", payload)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 6), st.data())
+    def test_csv_is_the_cell_by_cell_text(self, n, data):
+        mixed = st.one_of(
+            st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4),
+            st.integers(-(2**63), 2**63 - 1).map(np.int64), st.floats(width=32).map(np.float32),
+        )
+        column = st.one_of(
+            st.lists(st.text(max_size=4), min_size=n, max_size=n),
+            st.lists(st.integers(), min_size=n, max_size=n),
+            st.lists(st.floats(), min_size=n, max_size=n),
+            st.lists(mixed, min_size=n, max_size=n),
+            st.just(range(n)),
+            hnp.arrays(st.sampled_from([np.int64, np.float64, np.float32, np.bool_]), n),
+            # a NumPy str array drops trailing NULs, so its cells have none
+            hnp.arrays(
+                st.sampled_from(["U3", object]), n,
+                elements=st.text(st.characters(exclude_characters="\x00"), max_size=3),
+            ),
+        )
+        columns = data.draw(st.lists(column, min_size=1, max_size=4))
+        header = [f"c{i}" for i in range(len(columns))]
+        with tempfile.TemporaryDirectory() as tmp:
+            new, old = Path(tmp, "new.csv"), Path(tmp, "old.csv")
+            cli.write_csv(new, header, columns)
+            ref.write_csv_rows(old, header, list(zip(*columns)))
+            assert new.read_bytes() == old.read_bytes()

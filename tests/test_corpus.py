@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import reference_loops as ref
 from tweet_tables import TweetRecord, arrays_of, corpus_of, counters_of
 from tweetdyn.cli import main
-from tweetdyn.corpus import Corpus, CorpusError, file_sha256
+from tweetdyn.corpus import Corpus, CorpusError, StringColumn, file_sha256
 from tweetdyn.ingest import CohortSpec, retweet_network, select_cohort, write_records
 from tweetdyn.strategy import SymbolDistribution, category_table, symbol_pairs, symbol_table
 from tweetdyn.timeseries import DayWindow, counts_by_user, daily_counts
@@ -131,6 +131,27 @@ class TestKernelsMatchReferenceLoops:
         got = retweet_network(corpus_of(records), campaign)
         assert got.vertices == want.vertices
         assert got.edges == want.edges
+
+
+class TestStringColumn:
+    """A column of ASCII strings is encoded and decoded in one piece; any
+    other column one string at a time. Both give the bytes and strings of
+    the one-at-a-time path."""
+
+    @settings(max_examples=200)
+    @given(
+        st.lists(st.text(st.sampled_from(list("ab ,\n\x00") + ["é", "Ж", "\ud800", "\U0001f600"]),
+                         max_size=5), max_size=12),
+        st.data(),
+    )
+    def test_of_and_strings_match_one_string_at_a_time(self, strings, data):
+        column = StringColumn.of(iter(strings))
+        encoded = [s.encode("utf-8", "surrogatepass") for s in strings]
+        assert column.blob.tobytes() == b"".join(encoded)
+        assert column.offsets.tolist() == np.cumsum([0] + [len(b) for b in encoded]).tolist()
+        start = data.draw(st.integers(0, len(strings)))
+        stop = data.draw(st.integers(start, len(strings)))
+        assert column.strings(start, stop) == strings[start:stop]
 
 
 class TestSidecarFile:

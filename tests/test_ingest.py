@@ -1,11 +1,13 @@
 """Parsing, categorization, cohorts, and the retweet network."""
 
 import csv
+import io
 import json
 import os
 import tempfile
 from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -13,8 +15,9 @@ from hypothesis import strategies as st
 
 import reference_loops as ref
 from tweet_tables import TweetRecord, arrays_of, corpus_of, fields_of, write_csv
+from tweetdyn import ingest
 from tweetdyn.cli import main
-from tweetdyn.corpus import AMPLIFYING, ORIGINAL, SPREADING
+from tweetdyn.corpus import AMPLIFYING, ORIGINAL, SPREADING, Corpus
 from tweetdyn.ingest import (
     CohortSpec,
     ColumnMap,
@@ -565,3 +568,138 @@ class TestColumnarIngestMatchesRowLoop:
             assert new_file.read_bytes() == old_file.read_bytes()
             assert reports == old_reports
             assert arrays_of(merged) == arrays_of(corpus_of(old_records))
+
+
+# Timestamps at the edges of the YYYY-MM-DD HH:MM:SS form that the column
+# check reads (leap days, the first and last valid times, fields out of
+# range) and off that form, where the per-value helper decides: each must
+# get the row loop's verdict.
+ODD_STAMPS = [
+    "2016-02-30 00:00:00", "2015-02-29 00:00:00", "2016-02-29 23:59:59",
+    "1900-02-29 00:00:00", "2000-02-29 00:00:00", "2016-04-31 12:00:00",
+    "2016-03-01 24:00:00", "2016-03-01 23:60:00", "2016-03-01 23:59:60",
+    "2016-00-10 00:00:00", "2016-13-10 00:00:00", "2016-03-00 00:00:00",
+    "2016-03-01T12:00:00", "2016-03-01 12:00:00+03:00", "2016-03-01 12:00:00Z",
+    "2016-03-01 12:00:00.250000", "2016-03-01 12:00:00.5", "03/09/2016 00:05",
+    "2016-03-01 12:00", "2016-3-1 12:00:00", " 2016-03-01 12:00:00",
+    "2016-03-01 12:00:00 ", "2016-03-01\t12:00:00", "2016/03/01 12:00:00",
+    "２０１６-03-01 12:00:00", "2016-03-01 12:00:00x",
+    "0000-01-01 00:00:00", "0001-01-01 00:00:00", "0001-01-01 00:30:00+01:00",
+    "9999-12-31 23:59:59", "9999-12-31 23:59:59-01:00", "9999-12-31 23:59:59+01:00",
+]
+# JSONL lines that are no JSON object, or no JSON at all
+NOT_OBJECTS = [
+    "1,2", "[1", "2]", '{"a": 1}],[{"b": 2}', '{"a": 1} {"b": 2}', "not json",
+    "{", "null", '"x"', "5", "[1, 2]", "﻿{}", "{} x", "NaN",
+    '{"tweetid": ' + "7" * 5000 + "}",  # over Python's 4,300-digit limit
+    "[" * 100_000,  # deeper than the interpreter's stack
+]
+BAD_BYTE_MARK = "¤"  # its UTF-8 bytes become a byte that is not UTF-8
+
+
+@st.composite
+def odd_row_st(draw, jsonl):
+    """A row of ``row_st``, now and then with an odd timestamp, a text
+    nested a few levels deep (JSONL) or a mark for a byte that is not UTF-8."""
+    row = draw(row_st(jsonl))
+    if draw(st.integers(0, 2)) == 0:
+        row["timestamp"] = draw(st.sampled_from(ODD_STAMPS))
+    if jsonl and draw(st.integers(0, 9)) == 0:
+        row["text"] = json.loads("[" * 40 + "]" * 40)
+    if draw(st.integers(0, 9)) == 0:
+        row["text"] = f"x{BAD_BYTE_MARK}y"
+    return row
+
+
+def _line_bytes(text):
+    """The UTF-8 bytes of a table line, with each bad-byte mark made a 0xff."""
+    return text.encode("utf-8").replace(BAD_BYTE_MARK.encode(), b"\xff") + b"\n"
+
+
+@st.composite
+def odd_jsonl_st(draw, columns):
+    lines = []
+    for _ in range(draw(st.integers(0, 20))):
+        kind = draw(st.sampled_from(["row"] * 6 + ["garbage", "blank"]))
+        if kind == "garbage":
+            lines.append(draw(st.sampled_from(NOT_OBJECTS)))
+        elif kind == "blank":
+            lines.append(draw(st.sampled_from(["", "   ", "\t"])))
+        else:
+            row = draw(odd_row_st(True))
+            if draw(st.integers(0, 5)) == 0:  # a missing key
+                del row[draw(st.sampled_from(FIELDS))]
+            doc = {getattr(columns, f): v for f, v in row.items()}
+            lines.append(json.dumps(doc).replace("\\u00a4", BAD_BYTE_MARK))
+    return b"".join(map(_line_bytes, lines))
+
+
+@st.composite
+def odd_csv_st(draw, columns):
+    header = list(FIELDS)
+    if draw(st.booleans()):
+        header.remove("retweeted_user_id")
+    header = draw(st.permutations(header))
+    if draw(st.booleans()):  # a repeated name: the last cell wins
+        header.insert(draw(st.integers(0, len(header))), draw(st.sampled_from(header)))
+    lines = [[getattr(columns, f) for f in header]]
+    for _ in range(draw(st.integers(0, 20))):
+        kind = draw(st.sampled_from(["row"] * 5 + ["short", "long", "blank"]))
+        if kind == "blank":
+            lines.append([])
+            continue
+        row = draw(odd_row_st(False))
+        cells = [row[f] for f in header]
+        if kind == "short":
+            cells = cells[: draw(st.integers(1, len(cells) - 1))]
+        elif kind == "long":
+            cells += ["extra"] * draw(st.integers(1, 2))
+        lines.append(cells)
+    text = io.StringIO(newline="")
+    csv.writer(text).writerows(lines)
+    return b"".join(_line_bytes(line) for line in text.getvalue().splitlines())
+
+
+class TestColumnChecksMatchRowLoop:
+    """``parse_records`` checks whole columns; the row loop it replaced
+    (``reference_loops.parse_file``) checks one row at a time. On tables that
+    mix well-formed rows with every kind of malformed one, both give the same
+    corpus bytes and the same report, reasons in the same order, whatever
+    the block size."""
+
+    @settings(max_examples=250, deadline=None)
+    @given(
+        st.sampled_from(["csv", "jsonl"]),
+        st.sampled_from([ColumnMap(), REMAPPED]),
+        st.sampled_from([1, 2, 3, 8192]),
+        st.data(),
+    )
+    def test_same_corpus_bytes_and_report(self, fmt, columns, block, data):
+        table = data.draw((odd_csv_st if fmt == "csv" else odd_jsonl_st)(columns))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, f"table.{fmt}")
+            path.write_bytes(table)
+            with mock.patch.object(ingest, "_PARSE_BLOCK", block):
+                corpus, report = parse_records(path, fmt, columns)
+            old_columns, old_report = ref.parse_file(path, fmt, columns)
+            corpus.save(Path(tmp, "new.npz"), "0" * 64)
+            Corpus.from_columns(**old_columns).save(Path(tmp, "old.npz"), "0" * 64)
+            assert Path(tmp, "new.npz").read_bytes() == Path(tmp, "old.npz").read_bytes()
+        assert report == old_report
+        assert list(report.reasons) == list(old_report.reasons)
+
+
+class TestIsoStampColumn:
+    """The column check of ``YYYY-MM-DD HH:MM:SS`` stamps takes each stamp it
+    accepts to the microseconds the per-value helper gives, and accepts every
+    valid time in that form."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.datetimes(), st.text(st.sampled_from("0123456789-: T"), min_size=17, max_size=21))
+    def test_accepted_stamps_match_the_helper(self, moment, noise):
+        valid = moment.replace(microsecond=0).isoformat(sep=" ")
+        us, ok = ingest._iso_seconds_us([valid, noise, None, 7])
+        assert ok.tolist()[0] and not ok[2] and not ok[3]
+        for stamp, value, accepted in zip((valid, noise), us.tolist(), ok.tolist()):
+            if accepted:
+                assert value == ingest._timestamp_us(stamp)

@@ -1,9 +1,14 @@
 """Text pipeline: tokenizing, stemming, Gamma keywords, similarity graph."""
 
+import json
 import logging
 import math
+import subprocess
+import sys
 from collections import Counter
 from datetime import date, datetime, timedelta, timezone
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +20,7 @@ from hypothesis import strategies as st
 
 import reference_loops as ref
 from tweet_tables import TweetRecord, corpus_of, counters_of, term_counts_of
+from tweetdyn import cli, synth
 from tweetdyn.timeseries import DayWindow
 from tweetdyn.topic import (
     GammaFit,
@@ -30,6 +36,54 @@ from tweetdyn.topic import (
     topic_communities,
 )
 from tweetdyn.synth import CorpusSpec, GroupCorpusSpec, generate_corpus, planted_vocabulary
+
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def _quantiles_of(run) -> list[tuple[float, float, float, float]]:
+    """(shape, scale, q, threshold) of every Gamma quantile ``run()`` takes."""
+    calls = []
+    quantile = GammaFit.quantile
+
+    def record(fit, q):
+        threshold = quantile(fit, q)
+        calls.append((fit.k_shape, fit.theta_scale, q, threshold))
+        return threshold
+
+    with mock.patch.object(GammaFit, "quantile", record):
+        run()
+    return calls
+
+
+@pytest.fixture(scope="module")
+def pipeline_quantiles(tmp_path_factory):
+    """Every user threshold of the demo corpus (cluster-topic over its pre
+    window) and of perfbench's crowd and chatter inputs at seed 7 (``tweetdyn
+    run``)."""
+    config = cli.load_config(None, {})
+    corpus, _ = synth.generate_corpus(
+        cli._demo_corpus_spec(config), config.pre_window, config.seed
+    )
+    window = config.pre_window
+    cohort = cli.resolve_cohort(corpus, config, window)
+    calls = _quantiles_of(
+        lambda: topic_communities(corpus, cohort, window, config.topic_config())
+    )
+    del corpus
+    for workload in ("crowd", "chatter"):
+        inputs = tmp_path_factory.mktemp(workload)
+        meta = json.loads(subprocess.run(
+            [sys.executable, str(REPO / "perfbench" / "gen.py"), "--workload", workload,
+             "--seed", "7", "--out", str(inputs)],
+            capture_output=True, text=True, check=True,
+        ).stdout)
+        argv = ["run", "--out", str(inputs / "out"), "--window", "pre", "--format", meta["format"]]
+        argv += ["--config", str(inputs / meta["config"])] if meta["config"] else []
+        for table in meta["inputs"]:
+            argv += ["--input", str(inputs / table["file"])]
+        calls += _quantiles_of(lambda: cli.main(argv))
+    return calls
 
 
 WINDOW = DayWindow.of_length(date(2016, 3, 9), 10)
@@ -200,12 +254,38 @@ class TestGammaFit:
                     hi = mid
             assert fit.quantile(q) == pytest.approx((lo + hi) / 2, abs=1e-6)
 
+    @settings(max_examples=500, deadline=None)
     @given(
         st.floats(0.01, 100.0), st.floats(0.01, 100.0), st.floats(1e-6, 1 - 1e-6)
     )
-    def test_quantile_equals_scipy_stats(self, k, theta, q):
-        fit = GammaFit(k_shape=k, theta_scale=theta)
-        assert fit.quantile(q) == scipy.stats.gamma.ppf(q, a=k, scale=theta)
+    def test_quantile_within_1e12_of_scipy(self, k, theta, q):
+        new = GammaFit(k_shape=k, theta_scale=theta).quantile(q)
+        old = scipy.stats.gamma.ppf(q, a=k, scale=theta)
+        if old >= sys.float_info.min:
+            assert abs(new - old) <= 1e-12 * old
+        else:  # below the normal floats a value carries fewer than 12 digits
+            assert new < sys.float_info.min
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.floats(1e-3, 1e4),
+        st.floats(0.01, 100.0),
+        # scipy's three Halley steps do not converge for q below the normal
+        # floats at shapes of 100 and more (mpmath agrees with the package)
+        st.floats(1e-300, 1.0, exclude_max=True),
+    )
+    def test_quantile_compares_every_count_as_scipy(self, k, theta, q):
+        # a count c is kept when c >= threshold, so the two thresholds keep
+        # the same counts exactly when no integer lies between them
+        new = GammaFit(k_shape=k, theta_scale=theta).quantile(q)
+        old = scipy.stats.gamma.ppf(q, a=k, scale=theta)
+        assert math.ceil(new) == math.ceil(old)
+
+    def test_every_pipeline_threshold_compares_every_count_as_scipy(self, pipeline_quantiles):
+        assert len(pipeline_quantiles) == 32 + 256 + 32
+        for k, theta, q, threshold in pipeline_quantiles:
+            old = scipy.stats.gamma.ppf(q, a=k, scale=theta)
+            assert math.ceil(threshold) == math.ceil(old), (k, theta, q)
 
     def test_positivity_enforced(self):
         with pytest.raises(ValueError):
