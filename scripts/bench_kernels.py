@@ -6,7 +6,9 @@ pipeline's default ``pca_dims`` and ``kmedoids_k``, 10 restarts),
 ``topic.similarity_graph`` on a random term-by-user count matrix,
 ``porter.stem`` on 20k distinct words (each stemmed once, so every call is
 cold), ``topic.topic_communities`` on planted corpora from
-``perfbench/gen.py`` with 256 and 4,000 users, and the spectra chain
+``perfbench/gen.py`` with 256 and 4,000 users, ``topic.count_terms`` on the
+4,000-user one, ``ingest.parse_records`` on its first 68,000 rows as a CSV
+table, and the spectra chain
 (``detrend`` -> ``dft`` -> ``denoise`` on a Poisson count table of 256 and
 4,000 users over 244 days, the pipeline's default ``ma_window`` and
 ``denoise_q``), and ``cli.write_csv`` writing the 4,000-user spectra as
@@ -15,8 +17,10 @@ cold), ``topic.topic_communities`` on planted corpora from
 A kernel's time is the best of three calls in this process, a reference's
 time one call; each row also says whether the two results are identical
 (partition and Q, labels, medoids and cost, edges and weights, stems, every
-topic artifact, the spectra's bins and magnitude matrix, or the CSV file,
-byte for byte).
+topic artifact, the spectra's bins and magnitude matrix, the term counts,
+the corpus columns and parse report, or the CSV file, byte for byte). The
+rows of ``parse_records``, ``count_terms`` and ``similarity_graph`` also
+give the traced peak (``tracemalloc``) of one more call of each, in MiB.
 Prints one JSON document.
 
 usage: python scripts/bench_kernels.py
@@ -31,6 +35,7 @@ import shutil
 import sys
 import tempfile
 import time
+import tracemalloc
 from datetime import date
 from functools import partial
 from pathlib import Path
@@ -41,13 +46,20 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
 import numpy as np  # noqa: E402
 
 import reference_loops as ref  # noqa: E402
-from gen import planted_corpus, pseudo_words  # noqa: E402
+from gen import planted_corpus, pseudo_words, write_csv  # noqa: E402
+from tweet_tables import arrays_of, counters_of  # noqa: E402
 from tweetdyn import cli, porter  # noqa: E402
 from tweetdyn.corpus import Corpus  # noqa: E402
 from tweetdyn.graphs import WeightedGraph, modularity_communities  # noqa: E402
+from tweetdyn.ingest import ColumnMap, parse_records  # noqa: E402
 from tweetdyn.spectral import denoise, dft, kmedoids  # noqa: E402
 from tweetdyn.timeseries import DayWindow, detrend  # noqa: E402
-from tweetdyn.topic import TermUserMatrix, similarity_graph, topic_communities  # noqa: E402
+from tweetdyn.topic import (  # noqa: E402
+    TermUserMatrix,
+    count_terms,
+    similarity_graph,
+    topic_communities,
+)
 
 MODULARITY_N = (250, 500, 1000)
 KMEDOIDS_N = (200, 400, 800, 2000)
@@ -60,6 +72,9 @@ TOPIC_START = date(2016, 3, 9)
 SPECTRA_N = (256, 4000)
 SPECTRA_DAYS = 244
 CSV_USERS = 4000
+PARSE_ROWS = 68_000
+TERMS_USERS = 4000  # one of TOPIC_N
+PEAK_KERNELS = {"parse_records", "count_terms", "similarity_graph"}
 CSV_HEADER = ["user_id", "bin", "magnitude"]
 MA_WINDOW, DENOISE_Q = 7, 0.33
 REPEATS = 3
@@ -106,13 +121,17 @@ def distinct_words(n: int, seed: int = 0) -> list[str]:
     return list(words)[:n]
 
 
-def planted_topic_corpus(n_users: int, n_days: int, seed: int = 0) -> tuple[Corpus, list[str]]:
+def planted_rows(n_users: int, n_days: int, seed: int = 0) -> tuple[list[list[str]], list[str]]:
     rows, labels, _ = planted_corpus(
         np.random.default_rng(seed), per_group=n_users // 4, start=TOPIC_START,
         n_days=n_days, base_rate=2.0, scale=1.8,
     )
+    return rows, sorted(labels)
+
+
+def corpus_of_rows(rows: list[list[str]]) -> Corpus:
     tweet_id, user, stamp, language, _, source, text = map(list, zip(*rows))
-    corpus = Corpus.from_columns(
+    return Corpus.from_columns(
         tweet_id=tweet_id,
         user=user,
         source=[s or None for s in source],
@@ -120,7 +139,6 @@ def planted_topic_corpus(n_users: int, n_days: int, seed: int = 0) -> tuple[Corp
         language=language,
         text=text,
     )
-    return corpus, sorted(labels)
 
 
 def count_table(n: int, n_days: int, seed: int = 0) -> np.ndarray:
@@ -173,6 +191,35 @@ def best_of(repeats: int, fn, *args, **kwargs):
     return round(min(times), 4), out
 
 
+def traced_peak_mb(fn, *args, **kwargs) -> float:
+    """The traced peak of one call, in MiB."""
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return round(tracemalloc.get_traced_memory()[1] / 2**20, 2)
+    finally:
+        tracemalloc.stop()
+
+
+def loop_term_counts(corpus: Corpus, users: list[str], window: DayWindow) -> dict:
+    return {
+        d.user_id: ref.stem_and_filter(d) for d in ref.corpus_documents(corpus, users, window)
+    }
+
+
+def same_term_counts(new, old: dict) -> bool:
+    return counters_of(new) == old
+
+
+def loop_parse(path: Path) -> tuple[Corpus, object]:
+    columns, report = ref.parse_file(path, "csv", ColumnMap())
+    return Corpus.from_columns(**columns), report
+
+
+def same_parse(new, old) -> bool:
+    return arrays_of(new[0]) == arrays_of(old[0]) and new[1] == old[1]
+
+
 def same_edges(a: WeightedGraph, b: WeightedGraph) -> bool:
     return a.vertices == b.vertices and [(e, w.hex()) for e, w in a.edges.items()] == [
         (e, w.hex()) for e, w in b.edges.items()
@@ -216,12 +263,21 @@ def main() -> int:
                       partial(stem_all, porter.stem),
                       partial(stem_all, ref.porter_stem.__wrapped__), (words,), {},
                       lambda a, b: a == b))
+    tmp = Path(tempfile.mkdtemp())
     for n, days in TOPIC_N.items():
-        corpus, users = planted_topic_corpus(n, days)
+        rows, users = planted_rows(n, days)
+        corpus = corpus_of_rows(rows)
         window = DayWindow.of_length(TOPIC_START, days)
         cases.append(("topic_communities", n, {"days": days, "tweets": len(corpus)},
                       topic_communities, ref.topic_communities, (corpus, users, window), {},
                       same_topics))
+        if n == TERMS_USERS:
+            cases.append(("count_terms", n, {"days": days, "tweets": len(corpus)},
+                          count_terms, loop_term_counts, (corpus, users, window), {},
+                          same_term_counts))
+            write_csv(tmp / "parse.csv", rows[:PARSE_ROWS])
+            cases.append(("parse_records", PARSE_ROWS, {"format": "csv"},
+                          parse_records, loop_parse, (tmp / "parse.csv",), {}, same_parse))
 
     for n in SPECTRA_N:
         users = [f"u{i:04d}" for i in range(n)]
@@ -230,7 +286,6 @@ def main() -> int:
                       table_spectra, loop_spectra,
                       (count_table(n, SPECTRA_DAYS), users, window), {}, same_spectra))
 
-    tmp = Path(tempfile.mkdtemp())
     users = [f"u{i:04d}" for i in range(CSV_USERS)]
     window = DayWindow.of_length(TOPIC_START, SPECTRA_DAYS)
     magnitudes = table_spectra(count_table(CSV_USERS, SPECTRA_DAYS), users, window).magnitudes
@@ -245,6 +300,10 @@ def main() -> int:
         row["reference_s"], old_out = best_of(1, old_fn, *fn_args, **fn_kwargs)
         row["speedup"] = round(row["reference_s"] / max(row["new_s"], 1e-9), 1)
         row["identical"] = bool(same(new_out, old_out))
+        del new_out, old_out
+        if kernel in PEAK_KERNELS:
+            row["new_peak_mb"] = traced_peak_mb(new_fn, *fn_args, **fn_kwargs)
+            row["reference_peak_mb"] = traced_peak_mb(old_fn, *fn_args, **fn_kwargs)
         rows.append(row)
         print(json.dumps(row), file=sys.stderr, flush=True)
     shutil.rmtree(tmp)

@@ -47,7 +47,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from datetime import date
-from functools import cached_property
+from functools import cache, cached_property
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from types import UnionType
@@ -56,7 +56,7 @@ from typing import Any, Callable, Sequence, get_args, get_origin, get_type_hints
 import numpy as np
 
 from . import __version__, compare, spectral, strategy, synth, timeseries, topic
-from .corpus import Corpus, file_sha256
+from .corpus import Corpus
 from .ingest import (
     CohortSpec,
     ColumnMap,
@@ -466,13 +466,13 @@ def cmd_ingest(ctx: StageContext) -> list[str]:
         parts.append(part)
         reports[p] = report.as_dict()
     corpus = merge_parts(parts)
-    del parts
-    write_records(corpus, outdir / RECORDS_FILE)
+    del parts, part
+    records_sha256 = write_records(corpus, outdir / RECORDS_FILE)
     # records.jsonl keeps whole seconds; the sidecar holds the same rows.
     corpus = dataclasses.replace(
         corpus, timestamp_us=corpus.timestamp_us // 1_000_000 * 1_000_000
     )
-    corpus.save(outdir / CORPUS_FILE, file_sha256(outdir / RECORDS_FILE))
+    corpus.save(outdir / CORPUS_FILE, records_sha256)
     write_json(outdir / "parse_report.json", reports)
     campaign = corpus.authors()
     write_json(outdir / "campaign_users.json", sorted(campaign))
@@ -940,8 +940,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# one parser per process, built by the first call of main
+_parser = cache(build_parser)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     logging.basicConfig(
         level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, replace
 from datetime import date
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -37,6 +37,7 @@ US_PER_DAY = 86_400_000_000
 _EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
 # Any fixed stamp works; np.savez would write the wall clock here.
 _ZIP_DATE = (1980, 1, 1, 0, 0, 0)
+_SELECT_BLOCK = 8192  # rows joined at once by StringColumn.select
 
 # Category codes of Corpus.categories.
 ORIGINAL, SPREADING, AMPLIFYING = 0, 1, 2
@@ -96,17 +97,26 @@ class StringColumn:
     def __len__(self) -> int:
         return len(self.offsets) - 1
 
-    def take(self, rows: Iterable[int]) -> list[str]:
-        return [b.decode("utf-8", "surrogatepass") for b in self._bytes(rows)]
+    def take(self, rows: Sequence[int]) -> list[str]:
+        return [str(b, "utf-8", "surrogatepass") for b in self._bytes(rows)]
 
-    def select(self, rows: Iterable[int]) -> "StringColumn":
-        """A column of the given rows, in that order."""
-        return StringColumn._of_bytes(self._bytes(rows))
+    def select(self, rows: np.ndarray) -> "StringColumn":
+        """A column of the given rows, in that order, joined a block of rows
+        at a time."""
+        offsets = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum(np.diff(self.offsets)[rows], out=offsets[1:])
+        blob = np.empty(offsets[-1], dtype=np.uint8)
+        for lo in range(0, len(rows), _SELECT_BLOCK):
+            chunk = b"".join(self._bytes(rows[lo : lo + _SELECT_BLOCK]))
+            blob[offsets[lo] : offsets[lo] + len(chunk)] = np.frombuffer(chunk, dtype=np.uint8)
+        return StringColumn(blob=blob, offsets=offsets)
 
-    def _bytes(self, rows: Iterable[int]) -> list[bytes]:
-        raw = self.blob.tobytes()
-        off = self.offsets.tolist()
-        return [raw[off[i] : off[i + 1]] for i in rows]
+    def _bytes(self, rows: Sequence[int]) -> Iterator[memoryview]:
+        """Views of the rows' bytes; the blob is not copied."""
+        rows = np.asarray(rows, dtype=np.int64)
+        raw = memoryview(self.blob)
+        starts, stops = self.offsets[rows].tolist(), self.offsets[rows + 1].tolist()
+        return map(raw.__getitem__, map(slice, starts, stops))
 
     def strings(self, start: int, stop: int) -> list[str]:
         """Rows ``start`` to ``stop`` (exclusive), copying only their bytes."""
@@ -175,20 +185,21 @@ class Corpus:
         accounts = sorted(set().union(*(p.account_ids for p in parts)))
         language_ids = sorted(set().union(*(p.language_ids for p in parts)))
 
-        def recode(new: list[str], old: tuple[str, ...], codes: np.ndarray) -> np.ndarray:
+        def recode(new: list[str], old: Sequence[tuple[str, ...]]) -> list[np.ndarray]:
+            """Per part, its old code -> the new code; the trailing -1 keeps
+            source -1 (no retweet) at -1."""
             index = {x: i for i, x in enumerate(new)}
-            # The trailing -1 keeps source -1 (no retweet) at -1.
-            return np.array([index[x] for x in old] + [-1], dtype=np.int64)[codes]
+            return [np.array([index[x] for x in table] + [-1], dtype=np.int64) for table in old]
 
+        accounts_of = recode(accounts, [p.account_ids for p in parts])
+        language_of = recode(language_ids, [p.language_ids for p in parts])
         return cls(
             account_ids=tuple(accounts),
-            user=np.concatenate([recode(accounts, p.account_ids, p.user) for p in parts]),
-            source=np.concatenate([recode(accounts, p.account_ids, p.source) for p in parts]),
+            user=np.concatenate([a[p.user] for a, p in zip(accounts_of, parts)]),
+            source=np.concatenate([a[p.source] for a, p in zip(accounts_of, parts)]),
             timestamp_us=np.concatenate([p.timestamp_us for p in parts]),
             language_ids=tuple(language_ids),
-            language=np.concatenate(
-                [recode(language_ids, p.language_ids, p.language) for p in parts]
-            ),
+            language=np.concatenate([x[p.language] for x, p in zip(language_of, parts)]),
             tweet_id=StringColumn.concat([p.tweet_id for p in parts]),
             text=StringColumn.concat([p.text for p in parts]),
         )
@@ -201,8 +212,8 @@ class Corpus:
             source=self.source[rows],
             timestamp_us=self.timestamp_us[rows],
             language=self.language[rows],
-            tweet_id=self.tweet_id.select(rows.tolist()),
-            text=self.text.select(rows.tolist()),
+            tweet_id=self.tweet_id.select(rows),
+            text=self.text.select(rows),
         )
 
     def __len__(self) -> int:
@@ -287,9 +298,17 @@ class Corpus:
         }
         with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_STORED) as zf:
             for name, array in members.items():
-                buf = io.BytesIO()
-                np.lib.format.write_array(buf, array, allow_pickle=False)
-                zf.writestr(zipfile.ZipInfo(f"{name}.npy", date_time=_ZIP_DATE), buf.getvalue())
+                # np.save's header, then the array's own buffer: no copy
+                header = io.BytesIO()
+                np.lib.format.write_array_header_1_0(
+                    header, np.lib.format.header_data_from_array_1_0(array)
+                )
+                info = zipfile.ZipInfo(f"{name}.npy", date_time=_ZIP_DATE)
+                # as writestr sets it, so the same entries take ZIP64 fields
+                info.file_size = header.tell() + array.nbytes
+                with zf.open(info, "w") as fh:
+                    fh.write(header.getbuffer())
+                    fh.write(array.data)
 
     @classmethod
     def load(cls, path: str | Path, records_path: str | Path) -> "Corpus":

@@ -24,14 +24,15 @@ UTC value falls outside years 1-9999 makes its row a bad timestamp.
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import logging
 from collections import Counter
 from dataclasses import dataclass, field
-from datetime import datetime, timedelta, timezone
+from datetime import date, datetime, timedelta, timezone
 from itertools import compress, islice, repeat
 from json.encoder import encode_basestring_ascii
-from operator import is_, itemgetter
+from operator import is_, itemgetter, le
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -59,7 +60,7 @@ _ONE_US = timedelta(microseconds=1)
 _MIN_US = (datetime.min - _NAIVE_EPOCH) // _ONE_US
 _MAX_US = (datetime.max - _NAIVE_EPOCH) // _ONE_US
 _2D = [f"{i:02d}" for i in range(60)]
-_WRITE_BLOCK = 8192  # lines
+_WRITE_BLOCK = 1024  # lines
 _PARSE_BLOCK = 8192  # rows checked at once
 _NO_FIELDS = (None,) * 7  # the fields of a row the reader rejected
 _scan_json = json.JSONDecoder().scan_once
@@ -256,14 +257,14 @@ def parse_records(
 
 def _parse_rows(rows: Iterable[tuple | str], path: Path) -> tuple[Corpus, ParseReport]:
     """The columns of a reader's accepted rows, and the report on them all,
-    checked a block of rows at a time."""
+    checked a block of rows at a time; only one block's rows are Python
+    objects at once."""
     report = ParseReport()
-    accepted: tuple[list, ...] = tuple([] for _ in range(6))
+    blocks = []
     rows = iter(rows)
     while block := list(islice(rows, _PARSE_BLOCK)):
-        _check_block(block, report, accepted)
-    tweet_id, user, source, timestamp_us, language, text = accepted
-    report.accepted = len(user)
+        blocks.append(_check_block(block, report))
+    report.accepted = sum(map(len, blocks))
     if report.rejected:
         logger.warning(
             "%s: rejected %d of %d rows (%s)",
@@ -272,21 +273,14 @@ def _parse_rows(rows: Iterable[tuple | str], path: Path) -> tuple[Corpus, ParseR
             report.total_rows,
             dict(report.reasons),
         )
-    corpus = Corpus.from_columns(
-        tweet_id=tweet_id,
-        user=user,
-        source=source,
-        timestamp_us=timestamp_us,
-        language=language,
-        text=text,
-    )
-    return corpus, report
+    if not blocks:
+        return Corpus.from_columns([], [], [], [], [], []), report
+    return Corpus.concat(blocks), report
 
 
-def _check_block(block: list[tuple | str], report: ParseReport, accepted: tuple[list, ...]) -> None:
+def _check_block(block: list[tuple | str], report: ParseReport) -> Corpus:
     """Check a block of reader rows one column at a time, tally each rejected
-    row under the first check it fails, and append the accepted rows'
-    values to the six ``accepted`` columns.
+    row under the first check it fails, and return the accepted rows.
 
     Each check looks at the rows the earlier checks passed, and only values
     that fail a fast check go through the per-value helpers, so every row
@@ -342,13 +336,14 @@ def _check_block(block: list[tuple | str], report: ParseReport, accepted: tuple[
         tid, uid, lang, body, src, is_retweet = (
             list(compress(column, keep)) for column in (tid, uid, lang, body, src, is_retweet)
         )
-    tweet_ids, users, sources, stamps, languages, texts = accepted
-    tweet_ids.extend(map(str.strip, map(str, tid)))
-    users.extend(map(str.strip, map(str, uid)))
-    sources.extend(s if r else None for s, r in zip(src, is_retweet))
-    stamps.extend(us.tolist())
-    languages.extend(map(str.strip, map(str, lang)))
-    texts.extend(map(str, body))
+    return Corpus.from_columns(
+        tweet_id=list(map(str.strip, map(str, tid))),
+        user=list(map(str.strip, map(str, uid))),
+        source=[s if r else None for s, r in zip(src, is_retweet)],
+        timestamp_us=us,
+        language=list(map(str.strip, map(str, lang))),
+        text=list(map(str, body)),
+    )
 
 
 def _is(column: Sequence[object], value: object) -> np.ndarray:
@@ -411,19 +406,47 @@ def merge_parts(parts: Sequence[Corpus]) -> Corpus:
     parts' in the order given.
     """
     corpus = Corpus.concat(parts)
-    ids = corpus.tweet_id.tolist()
-    by_id = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.int64)
-    order = by_id[np.argsort(corpus.timestamp_us[by_id], kind="stable")]
-    if np.array_equal(order, np.arange(len(order))):  # already in that order
+    if _in_order(corpus):
         return corpus
-    return corpus.select(order)
+    return corpus.select(_ingest_order(corpus))
 
 
-def write_records(corpus: Corpus, path: str | Path) -> None:
-    """Write the normalized ``records.jsonl`` that ``parse_records`` reads.
+def _in_order(corpus: Corpus) -> bool:
+    """Whether the rows are in (timestamp, tweet id) order; tweet ids are
+    read only where timestamps tie, a block of rows at a time."""
+    step = np.diff(corpus.timestamp_us)
+    if (step < 0).any():
+        return False
+    tied = np.flatnonzero(step == 0)
+    for lo in range(0, len(tied), _PARSE_BLOCK):
+        rows = tied[lo : lo + _PARSE_BLOCK]
+        if not all(map(le, corpus.tweet_id.take(rows), corpus.tweet_id.take(rows + 1))):
+            return False
+    return True
+
+
+def _ingest_order(corpus: Corpus) -> np.ndarray:
+    """The stable (timestamp, tweet id) order of the rows; tweet ids are
+    read only for rows whose timestamp another row shares."""
+    order = np.argsort(corpus.timestamp_us, kind="stable")
+    stamps = corpus.timestamp_us[order]
+    tie = stamps[1:] == stamps[:-1]
+    tied = np.flatnonzero(np.append(tie, False) | np.insert(tie, 0, False))
+    rows = order[tied]
+    # Tie groups are runs of ``tied``, in timestamp order, so sorting their
+    # rows by (timestamp, id) moves rows only within their group.
+    keys = list(zip(stamps[tied].tolist(), corpus.tweet_id.take(rows)))
+    order[tied] = rows[sorted(range(len(keys)), key=keys.__getitem__)]
+    return order
+
+
+def write_records(corpus: Corpus, path: str | Path) -> str:
+    """Write the normalized ``records.jsonl`` that ``parse_records`` reads,
+    and return the sha256 of its bytes.
 
     Each row is the line ``json.dumps(row, sort_keys=True)`` would give, with
-    the time in whole UTC seconds as ``strftime("%Y-%m-%d %H:%M:%S")`` writes it.
+    the time in whole UTC seconds as ``strftime("%Y-%m-%d %H:%M:%S")`` writes it;
+    every line is ASCII.
     """
     quote = encode_basestring_ascii
     # Source code -> the line's opening; -1 (no retweet) is the last entry.
@@ -433,37 +456,34 @@ def write_records(corpus: Corpus, path: str | Path) -> None:
     ] + ['{"is_retweet": "false", "retweet_userid": "", "tweet_language": ']
     language = [quote(x) for x in corpus.language_ids]
     tail = [f', "userid": {quote(a)}}}\n' for a in corpus.account_ids]
-    seconds = corpus.timestamp_us // 1_000_000
-    days, day = np.unique(seconds // 86_400, return_inverse=True)
-    date_text = [
-        (_EPOCH + timedelta(days=int(d))).strftime("%Y-%m-%d") for d in days.tolist()
-    ]
-    clock = seconds % 86_400
-    hh, mm, ss = clock // 3600, clock // 60 % 60, clock % 60
+    days = np.unique(corpus.day)
+    date_text = [date.fromordinal(d).strftime("%Y-%m-%d") for d in days.tolist()]
     # A block at a time: faster than a write per line, and neither the file's
     # text nor every row's strings are in memory at once.
-    with Path(path).open("w", encoding="utf-8") as fh:
+    digest = hashlib.sha256()
+    with Path(path).open("wb") as fh:
         for lo in range(0, len(corpus), _WRITE_BLOCK):
             hi = min(lo + _WRITE_BLOCK, len(corpus))
-            rows = slice(lo, hi)
-            fh.write(
-                "".join(
-                    f'{head[s]}{language[x]}, "tweet_text": {quote(text)}, "tweet_time": '
-                    f'"{date_text[d]} {_2D[h]}:{_2D[m]}:{_2D[c]}", "tweetid": {quote(tid)}'
-                    f"{tail[u]}"
-                    for s, x, text, d, h, m, c, tid, u in zip(
-                        corpus.source[rows].tolist(),
-                        corpus.language[rows].tolist(),
-                        corpus.text.strings(lo, hi),
-                        day[rows].tolist(),
-                        hh[rows].tolist(),
-                        mm[rows].tolist(),
-                        ss[rows].tolist(),
-                        corpus.tweet_id.strings(lo, hi),
-                        corpus.user[rows].tolist(),
-                    )
+            clock = corpus.timestamp_us[lo:hi] // 1_000_000 % 86_400
+            block = "".join(
+                f'{head[s]}{language[x]}, "tweet_text": {quote(text)}, "tweet_time": '
+                f'"{date_text[d]} {_2D[h]}:{_2D[m]}:{_2D[c]}", "tweetid": {quote(tid)}'
+                f"{tail[u]}"
+                for s, x, text, d, h, m, c, tid, u in zip(
+                    corpus.source[lo:hi].tolist(),
+                    corpus.language[lo:hi].tolist(),
+                    corpus.text.strings(lo, hi),
+                    np.searchsorted(days, corpus.day[lo:hi]).tolist(),
+                    (clock // 3600).tolist(),
+                    (clock // 60 % 60).tolist(),
+                    (clock % 60).tolist(),
+                    corpus.tweet_id.strings(lo, hi),
+                    corpus.user[lo:hi].tolist(),
                 )
-            )
+            ).encode("ascii")
+            digest.update(block)
+            fh.write(block)
+    return digest.hexdigest()
 
 
 def select_cohort(corpus: Corpus, spec: CohortSpec) -> set[str]:

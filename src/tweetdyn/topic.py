@@ -5,9 +5,10 @@ The stages compose into one text pipeline over NumPy arrays:
 1. :func:`count_terms` - per user, join their window tweets into one string,
    lowercase it, strip URLs and @mentions and take the runs of ``[0-9a-z]``
    of length >= ``MIN_TOKEN_LEN`` that are not all digits. Each distinct
-   token gets an integer id and is stemmed once, static stopwords dropped
-   before stemming, and the (user, term) pairs are counted with
-   ``np.unique`` into a :class:`TermCounts`.
+   token gets an integer id, counted per user with ``np.unique`` one user
+   at a time, and is stemmed once, static stopwords dropped before
+   stemming; the counts of a user's tokens that stem alike add up into a
+   :class:`TermCounts`.
 2. :func:`dynamic_stopwords` - terms used by strictly more than ``p * n_c``
    of the ``n_c`` cohort users are corpus-specific stopwords.
 3. :func:`gamma_keywords` - per user, fit a Gamma(k, theta) to their term
@@ -47,6 +48,7 @@ logger = logging.getLogger(__name__)
 _URL_RE = re.compile(r"https?://\S+|www\.\S+")
 _MENTION_RE = re.compile(r"@\w+")
 MIN_TOKEN_LEN = 2
+_SIM_BLOCK_CELLS = 1 << 20  # similarity_graph's row blocks: about 8 MB of float64
 # Maps the bytes of lowercased text, encoded as ASCII with "?" for any other
 # character, to themselves for [0-9a-z] and to a space for the rest, so
 # bytes.split() yields the runs of [0-9a-z].
@@ -260,37 +262,30 @@ def count_terms(corpus: Corpus, users: Iterable[str], window: DayWindow) -> Term
     rows = np.flatnonzero(keep & (pos >= 0))
     rows = rows[np.argsort(pos[rows], kind="stable")]
     ends = np.cumsum(np.bincount(pos[rows], minlength=len(users))).tolist()
-    texts = corpus.text.take(rows.tolist())
 
     # run -> id in first-seen order; a new run gets the current size. Neither
     # a URL nor a mention spans the " " that joins two tweets, so the runs
-    # do not depend on the order of a user's tweets.
+    # do not depend on the order of a user's tweets. One user's texts are
+    # strings at a time, and only their distinct runs and counts are kept.
     index: defaultdict[bytes, int] = defaultdict()
     index.default_factory = index.__len__
-    ids, n_runs, start = [np.zeros(0, np.int64)], [], 0
+    run_ids, run_counts, n_runs = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)], []
+    start = 0
     for end in ends:
-        text = " ".join(texts[start:end]).lower()
+        text = " ".join(corpus.text.take(rows[start:end])).lower()
         text = _MENTION_RE.sub(" ", _URL_RE.sub(" ", text))
         runs = text.encode("ascii", "replace").translate(_RUN_BYTES).split()
-        ids.append(np.fromiter(map(index.__getitem__, runs), np.int64, len(runs)))
-        n_runs.append(len(runs))
+        ids, counts = np.unique(
+            np.fromiter(map(index.__getitem__, runs), np.int64, len(runs)), return_counts=True
+        )
+        run_ids.append(ids)
+        run_counts.append(counts)
+        n_runs.append(len(ids))
         start = end
-    del texts
 
-    words = [run.decode("ascii") for run in index]
-    is_token = [len(w) >= MIN_TOKEN_LEN and not w.isdigit() for w in words]
-    stems = {
-        w: porter.stem(w)
-        for w, t in zip(words, is_token)
-        if t and w not in ENGLISH_STOPWORDS
-    }
-    terms = sorted(set(stems.values()))
-    term_index = {s: i for i, s in enumerate(terms)}
-    # per run: its term, -1 for a stopword, -2 for a run that is no token
-    code = np.array(
-        [term_index[stems[w]] if w in stems else -1 if t else -2 for w, t in zip(words, is_token)],
-        dtype=np.int64,
-    )[np.concatenate(ids)]
+    terms, run_code = _stem_runs(index)
+    del index
+    code = run_code[np.concatenate(run_ids)]
     user_of = np.repeat(np.arange(len(users)), n_runs)
 
     has_text = np.bincount(user_of[code != -2], minlength=len(users)) > 0
@@ -299,10 +294,13 @@ def count_terms(corpus: Corpus, users: Iterable[str], window: DayWindow) -> Term
     kept = np.cumsum(has_text) - 1
     is_term = code >= 0
     n_terms = max(len(terms), 1)
-    keys, count = np.unique(
-        kept[user_of[is_term]] * n_terms + code[is_term], return_counts=True
-    )
-    user, term = np.divmod(keys, n_terms)
+    # the counts of a user's runs that stem alike add up
+    keys = kept[user_of[is_term]] * n_terms + code[is_term]
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.flatnonzero(np.diff(keys, prepend=-1))
+    count = np.add.reduceat(np.concatenate(run_counts)[is_term][order], first)
+    user, term = np.divmod(keys[first], n_terms)
     return TermCounts(
         users=tuple(u for u, h in zip(users, has_text.tolist()) if h),
         terms=tuple(terms),
@@ -310,6 +308,25 @@ def count_terms(corpus: Corpus, users: Iterable[str], window: DayWindow) -> Term
         term=term,
         count=count,
     )
+
+
+def _stem_runs(runs: Iterable[bytes]) -> tuple[list[str], np.ndarray]:
+    """The sorted table of the runs' stemmed terms, and per run its term, -1
+    for a stopword or -2 for a run that is no token. Each run is stemmed once."""
+    words = [run.decode("ascii") for run in runs]
+    is_token = [len(w) >= MIN_TOKEN_LEN and not w.isdigit() for w in words]
+    stems = {
+        w: porter.stem(w)
+        for w, t in zip(words, is_token)
+        if t and w not in ENGLISH_STOPWORDS
+    }
+    terms = sorted(set(stems.values()))
+    term_index = {s: i for i, s in enumerate(terms)}
+    code = np.array(
+        [term_index[stems[w]] if w in stems else -1 if t else -2 for w, t in zip(words, is_token)],
+        dtype=np.int64,
+    )
+    return terms, code
 
 
 def dynamic_stopwords(counts: TermCounts, p: float = 0.5) -> frozenset[str]:
@@ -418,19 +435,29 @@ def similarity_graph(matrix: TermUserMatrix, k: int = 10) -> WeightedGraph:
         )
     xn = matrix.normalized
     sim = xn.T @ xn
+    del xn
     n = len(users)
     if n < 2:
         return WeightedGraph.from_edges({}, extra_vertices=users)
     kth = min(k, n - 1)
     np.fill_diagonal(sim, -np.inf)  # sorts first, so it never sets a bound
-    bounds = np.partition(sim, n - kth, axis=1)[:, n - kth]
-    # Read sim[i, j] with i < j only: a BLAS product need not be symmetric.
-    keep = np.triu((sim > 0) & (sim >= np.minimum.outer(bounds, bounds)), 1)
-    rows, cols = np.nonzero(keep)
-    edges = {
-        (users[i], users[j]): a
-        for i, j, a in zip(rows.tolist(), cols.tolist(), sim[rows, cols].tolist())
-    }
+    # ``sim`` is the one n x n array; the rest goes a block of rows at a time.
+    step = max(1, _SIM_BLOCK_CELLS // n)
+    bounds = np.empty(n)
+    for lo in range(0, n, step):
+        bounds[lo : lo + step] = np.partition(sim[lo : lo + step], n - kth, axis=1)[:, n - kth]
+    edges = {}
+    for lo in range(0, n, step):
+        block = sim[lo : lo + step]
+        # Read sim[i, j] with i < j only: a BLAS product need not be symmetric.
+        keep = np.triu(
+            (block > 0) & (block >= np.minimum(bounds[lo : lo + step, None], bounds)), 1 + lo
+        )
+        rows, cols = np.nonzero(keep)
+        edges.update(
+            ((users[lo + i], users[j]), a)
+            for i, j, a in zip(rows.tolist(), cols.tolist(), block[rows, cols].tolist())
+        )
     return WeightedGraph.from_edges(edges, extra_vertices=users)
 
 

@@ -1,10 +1,12 @@
 """Parsing, categorization, cohorts, and the retweet network."""
 
 import csv
+import hashlib
 import io
 import json
 import os
 import tempfile
+import tracemalloc
 from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
 from unittest import mock
@@ -17,7 +19,7 @@ import reference_loops as ref
 from tweet_tables import TweetRecord, arrays_of, corpus_of, fields_of, write_csv
 from tweetdyn import ingest
 from tweetdyn.cli import main
-from tweetdyn.corpus import AMPLIFYING, ORIGINAL, SPREADING, Corpus
+from tweetdyn.corpus import AMPLIFYING, ORIGINAL, SPREADING, Corpus, file_sha256
 from tweetdyn.ingest import (
     CohortSpec,
     ColumnMap,
@@ -267,7 +269,7 @@ class TestParse:
         if fmt == "csv":
             write_csv(corpus, path)
         else:
-            write_records(corpus, path)
+            assert write_records(corpus, path) == file_sha256(path)
         loaded, report = parse_records(path, fmt=fmt)
         assert report.rejected == 0
         assert arrays_of(loaded) == arrays_of(corpus)
@@ -539,35 +541,59 @@ def _write_table(path, fmt, lines):
         path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 
 
+def _same_as_row_loop(paths, fmt, columns, tmp):
+    """parse_records + merge_parts + write_records over ``paths`` give the
+    row loop's records.jsonl (whose path this returns), parse reports and
+    columns, and write_records returns that file's sha256."""
+    parts, reports, old_records, old_reports = [], [], [], []
+    for path in paths:
+        corpus, report = parse_records(path, fmt, columns)
+        parts.append(corpus)
+        reports.append(report.as_dict())
+        records, report = ref.parse_records(path, fmt, columns)
+        old_records.extend(records)
+        old_reports.append(report.as_dict())
+    merged = merge_parts(parts)
+    old_records = ref.ingest_order(old_records)
+    new_file, old_file = tmp / "new.jsonl", tmp / "old.jsonl"
+    digest = write_records(merged, new_file)
+    ref.write_records(old_records, old_file)
+    assert new_file.read_bytes() == old_file.read_bytes()
+    assert digest == hashlib.sha256(old_file.read_bytes()).hexdigest()
+    assert reports == old_reports
+    assert arrays_of(merged) == arrays_of(corpus_of(old_records))
+    return old_file
+
+
 class TestColumnarIngestMatchesRowLoop:
     """parse_records + merge_parts + write_records against the row loop in
-    ``reference_loops``: same records.jsonl bytes, parse reports and columns."""
+    ``reference_loops``: same records.jsonl bytes, parse reports and columns,
+    whatever the parse block. The drawn tables have rows out of (time, id)
+    order and timestamp ties within and across parts, so merge_parts
+    reorders them (``Corpus.select``). The records.jsonl they give, cut in
+    two, has its rows in order up to the ties that whole seconds make, with
+    ties across the cut, so merge_parts mostly keeps the order it checked."""
 
     @settings(max_examples=300, deadline=None)
-    @given(tables_st())
-    def test_same_records_reports_and_columns(self, tables):
+    @given(tables_st(), st.sampled_from([1, 3, 8192]), st.data())
+    def test_same_records_reports_and_columns(self, tables, block, data):
         fmt, columns, files = tables
-        with tempfile.TemporaryDirectory() as tmp:
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
+            ingest, "_PARSE_BLOCK", block
+        ):
+            tmp = Path(tmp)
             paths = []
             for i, lines in enumerate(files):
-                paths.append(Path(tmp, f"part{i}.{fmt}"))
+                paths.append(tmp / f"part{i}.{fmt}")
                 _write_table(paths[-1], fmt, lines)
-            parts, reports, old_records, old_reports = [], [], [], []
-            for path in paths:
-                corpus, report = parse_records(path, fmt, columns)
-                parts.append(corpus)
-                reports.append(report.as_dict())
-                records, report = ref.parse_records(path, fmt, columns)
-                old_records.extend(records)
-                old_reports.append(report.as_dict())
-            merged = merge_parts(parts)
-            old_records = ref.ingest_order(old_records)
-            new_file, old_file = Path(tmp, "new.jsonl"), Path(tmp, "old.jsonl")
-            write_records(merged, new_file)
-            ref.write_records(old_records, old_file)
-            assert new_file.read_bytes() == old_file.read_bytes()
-            assert reports == old_reports
-            assert arrays_of(merged) == arrays_of(corpus_of(old_records))
+            records = _same_as_row_loop(paths, fmt, columns, tmp)
+            lines = records.read_bytes().splitlines(keepends=True)
+            cut = data.draw(st.integers(0, len(lines)))
+            halves = [tmp / "first.jsonl", tmp / "second.jsonl"]
+            halves[0].write_bytes(b"".join(lines[:cut]))
+            halves[1].write_bytes(b"".join(lines[cut:]))
+            (tmp / "again").mkdir()
+            _same_as_row_loop(halves, "jsonl", ColumnMap(), tmp / "again")
 
 
 # Timestamps at the edges of the YYYY-MM-DD HH:MM:SS form that the column
@@ -703,3 +729,41 @@ class TestIsoStampColumn:
         for stamp, value, accepted in zip((valid, noise), us.tolist(), ok.tolist()):
             if accepted:
                 assert value == ingest._timestamp_us(stamp)
+
+
+WORDS = "news rally vote power people today state world media truth city".split()
+
+
+def _big_table(path, n_rows):
+    """A takedown-layout CSV table of ``n_rows`` well-formed rows, about 150
+    bytes each: 500 users, one retweet in four, texts of 14 words."""
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        fh.write(CSV_HEADER)
+        for i in range(n_rows):
+            source = f"u{(i * 7) % 500:04d}" if i % 4 == 0 else ""
+            text = " ".join(WORDS[(i * k + k) % len(WORDS)] for k in range(14))
+            fh.write(
+                f"{10**17 + i},u{i % 500:04d},2016-03-{1 + i % 28:02d} "
+                f"{i % 24:02d}:{i % 60:02d}:{i % 59:02d},{'en' if i % 3 else 'ru'},"
+                f"{'true' if source else 'false'},{source},{text}\n"
+            )
+
+
+class TestParseMemory:
+    """parse_records turns each checked block into columns and joins them
+    once at the end, so the traced memory it allocates and frees again (its
+    peak less what the corpus keeps) is at most one more copy of the corpus
+    plus one block's rows, at about 1 KiB a row. Whole-table lists of row
+    strings, joined at the end, take about three copies of the corpus."""
+
+    def test_transient_is_one_copy_and_one_block(self, tmp_path):
+        path = tmp_path / "tweets.csv"
+        _big_table(path, 68_000)
+        tracemalloc.start()
+        try:
+            corpus, report = parse_records(path)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.accepted == len(corpus) == 68_000
+        assert peak - kept <= kept + ingest._PARSE_BLOCK * 1024

@@ -5,6 +5,7 @@ import logging
 import math
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
@@ -20,7 +21,8 @@ from hypothesis import strategies as st
 
 import reference_loops as ref
 from tweet_tables import TweetRecord, corpus_of, counters_of, term_counts_of
-from tweetdyn import cli, synth
+from tweetdyn import cli, synth, topic
+from tweetdyn.corpus import Corpus
 from tweetdyn.timeseries import DayWindow
 from tweetdyn.topic import (
     GammaFit,
@@ -57,20 +59,10 @@ def _quantiles_of(run) -> list[tuple[float, float, float, float]]:
 
 
 @pytest.fixture(scope="module")
-def pipeline_quantiles(tmp_path_factory):
-    """Every user threshold of the demo corpus (cluster-topic over its pre
-    window) and of perfbench's crowd and chatter inputs at seed 7 (``tweetdyn
-    run``)."""
-    config = cli.load_config(None, {})
-    corpus, _ = synth.generate_corpus(
-        cli._demo_corpus_spec(config), config.pre_window, config.seed
-    )
-    window = config.pre_window
-    cohort = cli.resolve_cohort(corpus, config, window)
-    calls = _quantiles_of(
-        lambda: topic_communities(corpus, cohort, window, config.topic_config())
-    )
-    del corpus
+def perfbench_runs(tmp_path_factory):
+    """perfbench's crowd and chatter inputs at seed 7 run through ``tweetdyn
+    run``: per workload, the output directory and every user threshold."""
+    runs = {}
     for workload in ("crowd", "chatter"):
         inputs = tmp_path_factory.mktemp(workload)
         meta = json.loads(subprocess.run(
@@ -82,7 +74,25 @@ def pipeline_quantiles(tmp_path_factory):
         argv += ["--config", str(inputs / meta["config"])] if meta["config"] else []
         for table in meta["inputs"]:
             argv += ["--input", str(inputs / table["file"])]
-        calls += _quantiles_of(lambda: cli.main(argv))
+        runs[workload] = inputs / "out", _quantiles_of(lambda: cli.main(argv))
+    return runs
+
+
+@pytest.fixture(scope="module")
+def pipeline_quantiles(perfbench_runs):
+    """Every user threshold of the demo corpus (cluster-topic over its pre
+    window) and of perfbench's crowd and chatter inputs at seed 7."""
+    config = cli.load_config(None, {})
+    corpus, _ = synth.generate_corpus(
+        cli._demo_corpus_spec(config), config.pre_window, config.seed
+    )
+    window = config.pre_window
+    cohort = cli.resolve_cohort(corpus, config, window)
+    calls = _quantiles_of(
+        lambda: topic_communities(corpus, cohort, window, config.topic_config())
+    )
+    for _, run_calls in perfbench_runs.values():
+        calls += run_calls
     return calls
 
 
@@ -411,8 +421,10 @@ class TestSimilarityGraph:
 
 
 class TestSimilarityGraphMatchesLoop:
-    """The partitioned bounds and the upper-triangle mask against the per-row
-    sort and the pair loop (``reference_loops``): the same edges and floats."""
+    """The partitioned bounds and the upper-triangle mask, a block of rows at
+    a time, against the per-row sort and the pair loop (``reference_loops``):
+    the same edges and floats, with tied similarities (small counts over few
+    terms) and users with no keyword, whatever the block."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -420,8 +432,9 @@ class TestSimilarityGraphMatchesLoop:
         st.integers(1, 6),
         st.integers(1, 12),
         st.integers(0, 2**32 - 1),
+        st.sampled_from([1, 7, 40, 1 << 20]),
     )
-    def test_same_edges(self, n_users, n_terms, k, seed):
+    def test_same_edges(self, n_users, n_terms, k, seed, block_cells):
         rng = np.random.default_rng(seed)
         counts = rng.integers(0, 3, size=(n_terms, n_users))
         counts[:, rng.random(n_users) < 0.2] = 0  # users with no keyword
@@ -430,7 +443,9 @@ class TestSimilarityGraphMatchesLoop:
             users=tuple(f"u{i:02d}" for i in range(n_users)),
             counts=counts,
         )
-        new, old = similarity_graph(m, k=k), ref.similarity_graph(m, k=k)
+        with mock.patch.object(topic, "_SIM_BLOCK_CELLS", block_cells):
+            new = similarity_graph(m, k=k)
+        old = ref.similarity_graph(m, k=k)
         assert new.vertices == old.vertices
         assert [(e, w.hex()) for e, w in new.edges.items()] == [
             (e, w.hex()) for e, w in old.edges.items()
@@ -499,6 +514,30 @@ class TestTopicCommunities:
         # the lone term is a dynamic stopword (2/2 docs); nothing survives
         with pytest.raises(ValueError):
             topic_communities(corpus_of(records), ["u1", "u2"], self.window)
+
+
+class TestCountTermsMemory:
+    """count_terms holds one user's texts as strings at a time and keeps only
+    their distinct runs and counts, so on perfbench's chatter corpus (seed 7:
+    32 users, about 5.8 MB of tweet text) its traced peak stays within twice
+    the corpus's text bytes. Decoding every window text at once and counting
+    every token occurrence in one array took three times the text bytes."""
+
+    def test_peak_within_twice_the_text(self, perfbench_runs):
+        out, _ = perfbench_runs["chatter"]
+        config = cli.load_config(None, {})
+        corpus = Corpus.load(out / cli.CORPUS_FILE, out / cli.RECORDS_FILE)
+        window = config.analysis_window("pre")
+        users = cli.resolve_cohort(corpus, config, window)
+        text_bytes = corpus.text.blob.nbytes
+        count_terms(corpus, users, window)  # fills the corpus's account index
+        tracemalloc.start()
+        try:
+            count_terms(corpus, users, window)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * text_bytes
 
 
 # --------------------------------------------- against the old text pipeline
