@@ -76,7 +76,11 @@ PARSE_ROWS = 68_000
 TERMS_USERS = 4000  # one of TOPIC_N
 PEAK_KERNELS = {"parse_records", "count_terms", "similarity_graph"}
 CSV_HEADER = ["user_id", "bin", "magnitude"]
-MA_WINDOW, DENOISE_Q = 7, 0.33
+DEFAULTS = cli.RunConfig()
+MA_WINDOW, DENOISE_Q = DEFAULTS.ma_window, DEFAULTS.denoise_q
+TOPIC_KNOBS = {
+    name: getattr(DEFAULTS, name) for name in ("dynamic_p", "gamma_q", "knn_k", "top_m")
+}
 REPEATS = 3
 
 
@@ -90,7 +94,7 @@ def knn_graph(n: int, k: int = 10, seed: int = 0) -> WeightedGraph:
         for i in range(n)
         for j in nearest[i]
     }
-    return WeightedGraph.from_edges(edges)
+    return WeightedGraph.from_edges(edges, extra_vertices=())
 
 
 def blobs(n: int, seed: int = 0) -> tuple[np.ndarray, list[str]]:
@@ -211,8 +215,8 @@ def same_term_counts(new, old: dict) -> bool:
     return counters_of(new) == old
 
 
-def loop_parse(path: Path) -> tuple[Corpus, object]:
-    columns, report = ref.parse_file(path, "csv", ColumnMap())
+def loop_parse(path: Path, fmt: str, columns: ColumnMap) -> tuple[Corpus, object]:
+    columns, report = ref.parse_file(path, fmt, columns)
     return Corpus.from_columns(**columns), report
 
 
@@ -269,15 +273,16 @@ def main() -> int:
         corpus = corpus_of_rows(rows)
         window = DayWindow.of_length(TOPIC_START, days)
         cases.append(("topic_communities", n, {"days": days, "tweets": len(corpus)},
-                      topic_communities, ref.topic_communities, (corpus, users, window), {},
-                      same_topics))
+                      topic_communities, ref.topic_communities, (corpus, users, window),
+                      TOPIC_KNOBS, same_topics))
         if n == TERMS_USERS:
             cases.append(("count_terms", n, {"days": days, "tweets": len(corpus)},
                           count_terms, loop_term_counts, (corpus, users, window), {},
                           same_term_counts))
             write_csv(tmp / "parse.csv", rows[:PARSE_ROWS])
             cases.append(("parse_records", PARSE_ROWS, {"format": "csv"},
-                          parse_records, loop_parse, (tmp / "parse.csv",), {}, same_parse))
+                          parse_records, loop_parse, (tmp / "parse.csv",),
+                          {"fmt": "csv", "columns": ColumnMap()}, same_parse))
 
     for n in SPECTRA_N:
         users = [f"u{i:04d}" for i in range(n)]

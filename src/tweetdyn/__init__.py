@@ -26,7 +26,6 @@ from .timeseries import (  # noqa: F401
 )
 from .corpus import Corpus  # noqa: F401
 from .ingest import (  # noqa: F401
-    CohortSpec,
     ColumnMap,
     merge_parts,
     parse_records,
@@ -54,7 +53,6 @@ from .spectral import (  # noqa: F401
 from .topic import (  # noqa: F401
     GammaFit,
     TermUserMatrix,
-    TopicConfig,
     gamma_keywords,
     similarity_graph,
     topic_communities,

@@ -58,7 +58,6 @@ import numpy as np
 from . import __version__, compare, spectral, strategy, synth, timeseries, topic
 from .corpus import Corpus
 from .ingest import (
-    CohortSpec,
     ColumnMap,
     merge_parts,
     parse_records,
@@ -78,6 +77,8 @@ LABELS_FILE = "labels.json"
 # --window name -> the RunConfig field holding that calendar
 WINDOWS = {"pre": "pre_window", "post": "post_window", "bulk": "bulk_window"}
 INPUT_FORMATS = ("csv", "jsonl")
+# days of the aggregate series `synth --kind changepoint` writes
+SYNTH_CHANGEPOINT_DAYS = 860
 # RunConfig fields the cohort spectra depend on; compare recomputes the
 # spectra and refuses spectral clusters made under other values
 SPECTRA_FIELDS = (
@@ -88,7 +89,8 @@ SPECTRA_FIELDS = (
 
 @dataclass(frozen=True)
 class RunConfig:
-    """All pipeline knobs; JSON-loadable, CLI-overridable."""
+    """All pipeline knobs, and the one place their defaults are declared: the
+    kernels take each value as an argument. JSON-loadable, CLI-overridable."""
 
     input_paths: tuple[str, ...] = ()
     input_format: str = "jsonl"
@@ -151,14 +153,27 @@ class RunConfig:
             f"{name} must be >= 1"
             for name in (
                 "ma_window", "pca_dims", "kmedoids_k", "restarts",
-                "fourier_terms", "top_m",
+                "fourier_terms", "knn_k", "top_m",
             )
             if getattr(self, name) < 1
         ]
-        if self.min_total_tweets < 0:
-            bad.append("min_total_tweets must be >= 0")
+        bad += [
+            f"{name} must be >= 0"
+            for name in ("min_total_tweets", "seed")
+            if getattr(self, name) < 0
+        ]
+        if not 0.0 < self.dynamic_p <= 1.0:
+            bad.append("dynamic_p must be in (0, 1]")
+        if not 0.0 < self.gamma_q < 1.0:
+            bad.append("gamma_q must be in (0, 1)")
         if not self.sigma > 0:
             bad.append("sigma must be > 0")
+        if not all(rate > 0 for rate in self.synth_rates):
+            bad.append("synth_rates must be > 0")
+        if not 0 < self.synth_change_day < SYNTH_CHANGEPOINT_DAYS:
+            bad.append(f"synth_change_day must be in (0, {SYNTH_CHANGEPOINT_DAYS})")
+        if self.language == "":
+            bad.append("language must not be empty; use null to disable the filter")
         if self.input_format not in INPUT_FORMATS:
             bad.append(f"input_format must be one of {INPUT_FORMATS}")
         for name, (lo, hi), t0 in (
@@ -171,15 +186,6 @@ class RunConfig:
                 bad.append(f"{name}_t0 must lie in {name}_range")
         if bad:
             raise ValueError("config: " + "; ".join(bad))
-        self.topic_config()  # dynamic_p, gamma_q and knn_k are checked there
-
-    def topic_config(self) -> topic.TopicConfig:
-        return topic.TopicConfig(
-            dynamic_p=self.dynamic_p,
-            gamma_q=self.gamma_q,
-            knn_k=self.knn_k,
-            top_m=self.top_m,
-        )
 
     def analysis_window(self, name: str) -> DayWindow:
         if name not in WINDOWS:
@@ -392,19 +398,17 @@ def resolve_cohort(corpus: Corpus, config: RunConfig, window: DayWindow) -> list
     """Volume threshold over the bulk window AND regularity over ``window``."""
     volume = select_cohort(
         corpus,
-        CohortSpec(
-            window=config.bulk_window,
-            min_total_tweets=config.min_total_tweets,
-            language=config.language,
-        ),
+        config.bulk_window,
+        config.language,
+        min_total_tweets=config.min_total_tweets,
+        active_day_fraction=0.0,
     )
     regular = select_cohort(
         corpus,
-        CohortSpec(
-            window=window,
-            active_day_fraction=config.active_day_fraction,
-            language=config.language,
-        ),
+        window,
+        config.language,
+        min_total_tweets=0,
+        active_day_fraction=config.active_day_fraction,
     )
     return sorted(volume & regular)
 
@@ -665,9 +669,15 @@ def cmd_cluster_spectral(ctx: StageContext) -> list[str]:
 
 
 def cmd_cluster_topic(ctx: StageContext) -> list[str]:
-    outdir, window = ctx.outdir, ctx.window
+    outdir, window, config = ctx.outdir, ctx.window, ctx.config
     result = topic.topic_communities(
-        ctx.corpus, ctx.cohort(window), window, ctx.config.topic_config()
+        ctx.corpus,
+        ctx.cohort(window),
+        window,
+        dynamic_p=config.dynamic_p,
+        gamma_q=config.gamma_q,
+        knn_k=config.knn_k,
+        top_m=config.top_m,
     )
     write_json(
         outdir / "clusters_topic.json",
@@ -828,7 +838,7 @@ def cmd_synth(ctx: StageContext) -> list[str]:
             config.synth_rates[0],
             config.synth_rates[1],
             config.synth_change_day,
-            DayWindow.of_length(config.bulk_window.start, 860),
+            DayWindow.of_length(config.bulk_window.start, SYNTH_CHANGEPOINT_DAYS),
             config.seed,
         )
         timeseries.save_series_csv(series, outdir / "counts_aggregate.csv")

@@ -68,7 +68,7 @@ class WeightedGraph:
     def from_edges(
         cls,
         edge_weights: Mapping[tuple[str, str], float],
-        extra_vertices: Iterable[str] = (),
+        extra_vertices: Iterable[str],
     ) -> "WeightedGraph":
         verts = set(extra_vertices)
         for u, v in edge_weights:

@@ -100,30 +100,14 @@ class ColumnMap:
         )
 
 
-@dataclass(frozen=True)
-class CohortSpec:
-    """Activity thresholds defining a user cohort within one window."""
-
-    window: DayWindow
-    min_total_tweets: int = 0
-    active_day_fraction: float = 0.0
-    language: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.min_total_tweets < 0:
-            raise ValueError("min_total_tweets must be >= 0")
-        if not 0.0 <= self.active_day_fraction <= 1.0:
-            raise ValueError("active_day_fraction must be in [0, 1]")
-
-
 @dataclass
 class ParseReport:
     """Row accounting for one parse pass."""
 
-    total_rows: int = 0
-    accepted: int = 0
-    rejected: int = 0
-    reasons: Counter[str] = field(default_factory=Counter)
+    total_rows: int = field(default=0, init=False)
+    accepted: int = field(default=0, init=False)
+    rejected: int = field(default=0, init=False)
+    reasons: Counter[str] = field(default_factory=Counter, init=False)
 
     def reject(self, reason: str) -> None:
         self.rejected += 1
@@ -219,9 +203,7 @@ def _jsonl_rows(fh, path: Path, fields: tuple[str, ...], check: bool) -> Iterato
 
 
 def parse_records(
-    path: str | Path,
-    fmt: str = "csv",
-    columns: ColumnMap | None = None,
+    path: str | Path, fmt: str, columns: ColumnMap
 ) -> tuple[Corpus, ParseReport]:
     """Parse one file of tweets into a :class:`Corpus`, rows in file order
     with full-microsecond UTC timestamps.
@@ -238,7 +220,6 @@ def parse_records(
         raise IngestError(f"no such input file: {path}")
     if fmt not in _READERS:
         raise IngestError(f"unknown format {fmt!r} (use 'csv' or 'jsonl')")
-    columns = columns or ColumnMap()
     fields = (*columns.required(), columns.retweeted_user_id)
     read = _READERS[fmt]
     with path.open(newline="", encoding="utf-8") as fh:
@@ -486,28 +467,42 @@ def write_records(corpus: Corpus, path: str | Path) -> str:
     return digest.hexdigest()
 
 
-def select_cohort(corpus: Corpus, spec: CohortSpec) -> set[str]:
+def select_cohort(
+    corpus: Corpus,
+    window: DayWindow,
+    language: str | None,
+    min_total_tweets: int,
+    active_day_fraction: float,
+) -> set[str]:
     """Users meeting the volume and regularity thresholds inside the window.
 
     A user qualifies when, counting only their tweets inside the window (and
-    matching the language filter, if any): total tweets >= ``min_total_tweets``
+    in ``language``, unless it is None): total tweets >= ``min_total_tweets``
     and (days with >= 1 tweet) / window length >= ``active_day_fraction``.
     An empty result is valid and logged.
     """
-    t, inside = corpus.window_offsets(spec.window)
-    keep = inside & corpus.language_mask(spec.language)
+    if min_total_tweets < 0:
+        raise ValueError("min_total_tweets must be >= 0")
+    if not 0.0 <= active_day_fraction <= 1.0:
+        raise ValueError("active_day_fraction must be in [0, 1]")
+    t, inside = corpus.window_offsets(window)
+    keep = inside & corpus.language_mask(language)
     user, t = corpus.user[keep], t[keep]
-    n_accounts, n_days = len(corpus.account_ids), spec.window.n_days
+    n_accounts, n_days = len(corpus.account_ids), window.n_days
     totals = np.bincount(user, minlength=n_accounts)
     active_days = np.bincount(np.unique(user * n_days + t) // n_days, minlength=n_accounts)
     qualifies = (
         (totals > 0)
-        & (totals >= spec.min_total_tweets)
-        & (active_days / n_days >= spec.active_day_fraction)
+        & (totals >= min_total_tweets)
+        & (active_days / n_days >= active_day_fraction)
     )
     cohort = {corpus.account_ids[u] for u in np.flatnonzero(qualifies).tolist()}
     if not cohort:
-        logger.warning("select_cohort: no users meet %s", spec)
+        logger.warning(
+            "select_cohort: no users in %s meet language=%r, min_total_tweets=%d, "
+            "active_day_fraction=%s",
+            window, language, min_total_tweets, active_day_fraction,
+        )
     return cohort
 
 

@@ -138,7 +138,7 @@ def dft(values: np.ndarray, users: Sequence[str]) -> Spectra:
     return Spectra(users=users, bins=np.fft.rfft(values, axis=-1), n_samples=values.shape[1])
 
 
-def denoise(spectra: Spectra, q: float = 0.33) -> Spectra:
+def denoise(spectra: Spectra, q: float) -> Spectra:
     """Zero the bins of each row whose squared magnitude is strictly below
     that row's q-quantile."""
     if not 0.0 <= q <= 1.0:
@@ -152,7 +152,7 @@ def denoise(spectra: Spectra, q: float = 0.33) -> Spectra:
     return Spectra(users=spectra.users, bins=bins, n_samples=spectra.n_samples)
 
 
-def fit_fourier(spectra: Spectra, row: int, j_terms: int = 6) -> tuple[FourierTerm, ...]:
+def fit_fourier(spectra: Spectra, row: int, j_terms: int) -> tuple[FourierTerm, ...]:
     """Cosine-sum terms of the ``j_terms`` largest-magnitude bins of one row.
 
     The series is modeled as ``sum_j A_j cos(omega_j t + phase_j)``.
@@ -186,11 +186,7 @@ def fit_fourier(spectra: Spectra, row: int, j_terms: int = 6) -> tuple[FourierTe
     return tuple(terms)
 
 
-def pca_embed(
-    matrix: np.ndarray,
-    ids: Sequence[str],
-    dims: int = 3,
-) -> Embedding:
+def pca_embed(matrix: np.ndarray, ids: Sequence[str], dims: int) -> Embedding:
     """Project rows onto the leading principal axes.
 
     The covariance is over column-mean-centered data. Eigenvalues are
@@ -259,9 +255,9 @@ def _total_cost(dist: np.ndarray, medoids: list[int]) -> float:
 def kmedoids(
     points: np.ndarray,
     ids: Sequence[str],
-    k: int = 4,
-    seed: int = 0,
-    restarts: int = 10,
+    k: int,
+    seed: int,
+    restarts: int,
 ) -> ClusterAssignment:
     """PAM clustering under Euclidean distance, best of ``restarts`` runs.
 

@@ -139,7 +139,7 @@ def _member_counts(
 def generate_series(
     specs: Sequence[GroupSpec],
     window: DayWindow,
-    seed: int = 0,
+    seed: int,
 ) -> tuple[list[str], np.ndarray, dict[str, str]]:
     """Member ids of every group, their (users, days) count table (row ``i``
     for ``users[i]``) and their true labels."""
@@ -203,7 +203,7 @@ def _strategy_of(group: GroupCorpusSpec, day: int, changepoint: int | None):
 def generate_corpus(
     spec: CorpusSpec,
     window: DayWindow,
-    seed: int = 0,
+    seed: int,
 ) -> tuple[Corpus, dict[str, str]]:
     """Tweets of a synthetic campaign as a :class:`Corpus`, plus true labels.
 
@@ -289,7 +289,7 @@ def generate_corpus(
     return corpus, group_of
 
 
-def planted_vocabulary(group_id: str, n_terms: int = 30) -> tuple[str, ...]:
+def planted_vocabulary(group_id: str, n_terms: int) -> tuple[str, ...]:
     """Stemmer-invariant nonsense terms, deterministic per (group id, index).
 
     Consonant-vowel syllables with a terminal ``x``: no suffix rule of the
@@ -323,7 +323,7 @@ def generate_changepoint_aggregate(
     rate_after: float,
     t_change: int,
     window: DayWindow,
-    seed: int = 0,
+    seed: int,
 ) -> CountSeries:
     """Aggregate Poisson daily counts whose rate switches at ``t_change``."""
     if rate_before <= 0 or rate_after <= 0:

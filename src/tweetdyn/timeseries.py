@@ -98,7 +98,7 @@ class LinearFit:
     n_points: int
     t_range: tuple[int, int]
 
-    def slope_interval(self, sigma: float = 5.0) -> tuple[float, float]:
+    def slope_interval(self, sigma: float) -> tuple[float, float]:
         """Slope estimate +- sigma standard errors."""
         return (self.slope - sigma * self.se_slope, self.slope + sigma * self.se_slope)
 
@@ -145,7 +145,7 @@ def accumulate(series: CountSeries) -> np.ndarray:
     return np.cumsum(series.values)
 
 
-def detrend(values: np.ndarray, ma_window: int = 7) -> np.ndarray:
+def detrend(values: np.ndarray, ma_window: int) -> np.ndarray:
     """Subtract the trailing ``ma_window``-day moving average along the last axis.
 
     The first ``ma_window`` days have no full trailing window and are dropped,
@@ -169,7 +169,7 @@ def detrend(values: np.ndarray, ma_window: int = 7) -> np.ndarray:
 def fit_segment(
     accumulated: np.ndarray | Sequence[float],
     t_range: tuple[int, int],
-    t0: int | None = None,
+    t0: int,
 ) -> LinearFit:
     """OLS fit of the accumulation curve on days ``t_range`` (inclusive).
 
@@ -182,8 +182,6 @@ def fit_segment(
     lo, hi = t_range
     if not (0 <= lo < hi < len(s)):
         raise ValueError(f"t_range {t_range} outside series of length {len(s)}")
-    if t0 is None:
-        t0 = lo
     t = np.arange(lo, hi + 1, dtype=np.float64)
     y = s[lo : hi + 1]
     n = len(t)
@@ -218,7 +216,7 @@ def fit_segment(
 
 
 def changepoint_significant(
-    fit_before: LinearFit, fit_after: LinearFit, sigma: float = 5.0
+    fit_before: LinearFit, fit_after: LinearFit, sigma: float
 ) -> ChangePointReport:
     """Disjoint slope-interval test at ``sigma`` standard errors.
 

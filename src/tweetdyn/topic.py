@@ -57,27 +57,6 @@ _RUN_BYTES = bytes(
 )
 
 
-@dataclass(frozen=True)
-class TopicConfig:
-    """Knobs of the text pipeline."""
-
-    dynamic_p: float = 0.5
-    gamma_q: float = 0.9
-    knn_k: int = 10
-    top_m: int = 25
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.dynamic_p <= 1.0:
-            raise ValueError("dynamic_p must be in (0, 1]")
-        if not 0.0 < self.gamma_q < 1.0:
-            raise ValueError("gamma_q must be in (0, 1)")
-        if self.knn_k < 1:
-            raise ValueError("knn_k must be >= 1")
-
-
-DEFAULT_TOPIC_CONFIG = TopicConfig()
-
-
 @dataclass(frozen=True, eq=False)
 class TermCounts:
     """Positive (user, term) counts, one entry per pair.
@@ -329,7 +308,7 @@ def _stem_runs(runs: Iterable[bytes]) -> tuple[list[str], np.ndarray]:
     return terms, code
 
 
-def dynamic_stopwords(counts: TermCounts, p: float = 0.5) -> frozenset[str]:
+def dynamic_stopwords(counts: TermCounts, p: float) -> frozenset[str]:
     """Terms appearing in strictly more than ``p * n_c`` of the user docs.
 
     The inequality is strict: with ``n_c`` even and ``p = 0.5``, a term used
@@ -365,7 +344,7 @@ def gamma_fit(counts: Sequence[float]) -> GammaFit:
 
 def gamma_keywords(
     counts: TermCounts,
-    q: float = 0.9,
+    q: float,
 ) -> tuple[dict[str, frozenset[str]], frozenset[str]]:
     """Per-user keyword sets (counts at or above the user's Gamma q-quantile)
     and their union.
@@ -418,7 +397,7 @@ def build_term_user_matrix(
     return TermUserMatrix(terms=terms, users=counts.users, counts=matrix)
 
 
-def similarity_graph(matrix: TermUserMatrix, k: int = 10) -> WeightedGraph:
+def similarity_graph(matrix: TermUserMatrix, k: int) -> WeightedGraph:
     """Mutual-kNN-sparsified cosine similarity graph between users.
 
     ``A = X~^T X~`` with unit-norm columns. ``B_i`` is the k-th largest
@@ -464,7 +443,7 @@ def similarity_graph(matrix: TermUserMatrix, k: int = 10) -> WeightedGraph:
 def top_terms(
     partition: Sequence[Iterable[str]],
     counts: TermCounts,
-    m: int = 25,
+    m: int,
 ) -> tuple[tuple[tuple[str, int], ...], ...]:
     """Per-community term ranking: pooled counts, ties broken alphabetically.
 
@@ -495,19 +474,24 @@ def topic_communities(
     corpus: Corpus,
     users: Iterable[str],
     window: DayWindow,
-    config: TopicConfig = DEFAULT_TOPIC_CONFIG,
+    dynamic_p: float,
+    gamma_q: float,
+    knn_k: int,
+    top_m: int,
 ) -> TopicClustering:
-    """Run the whole text pipeline for a cohort in a window."""
+    """Run the whole text pipeline for a cohort in a window: ``dynamic_p`` is
+    :func:`dynamic_stopwords`' p, ``gamma_q`` :func:`gamma_keywords`' q,
+    ``knn_k`` :func:`similarity_graph`'s k and ``top_m`` :func:`top_terms`' m."""
     raw = count_terms(corpus, users, window)
     if len(raw.users) < 2:
         raise ValueError("need at least 2 users with text to cluster")
-    dyn = dynamic_stopwords(raw, config.dynamic_p)
+    dyn = dynamic_stopwords(raw, dynamic_p)
     counts = raw.without(dyn)
-    keywords, vocabulary = gamma_keywords(counts, config.gamma_q)
+    keywords, vocabulary = gamma_keywords(counts, gamma_q)
     if not vocabulary:
         raise ValueError("no keywords survive filtering; nothing to cluster")
     matrix = build_term_user_matrix(counts, vocabulary)
-    graph = similarity_graph(matrix, config.knn_k)
+    graph = similarity_graph(matrix, knn_k)
     partition, q = modularity_communities(graph)
     return TopicClustering(
         dynamic_stopwords=dyn,
@@ -517,5 +501,5 @@ def topic_communities(
         graph=graph,
         partition=tuple(partition),
         modularity=q,
-        top_terms=top_terms(partition, counts, config.top_m),
+        top_terms=top_terms(partition, counts, top_m),
     )

@@ -39,7 +39,7 @@ import numpy as np
 from tweet_tables import TweetRecord
 from tweetdyn.graphs import WeightedGraph
 from tweetdyn.graphs import modularity_communities as fast_modularity_communities
-from tweetdyn.ingest import ColumnMap, IngestError, ParseReport
+from tweetdyn.ingest import IngestError, ParseReport
 from tweetdyn.spectral import (
     BandSummary,
     ClusterAssignment,
@@ -50,7 +50,7 @@ from tweetdyn.spectral import (
 from tweetdyn.stopwords import ENGLISH_STOPWORDS
 from tweetdyn.strategy import ALPHABET, CORNER_THRESHOLD, EDGE_THRESHOLD, SymbolDistribution
 from tweetdyn.timeseries import CountSeries
-from tweetdyn.topic import DEFAULT_TOPIC_CONFIG, TermUserMatrix, gamma_fit
+from tweetdyn.topic import TermUserMatrix, gamma_fit
 from tweetdyn.topic import similarity_graph as fast_similarity_graph
 
 
@@ -93,23 +93,23 @@ _CORNER = {0: "A", 1: "B", 2: "C"}
 _EDGE = {0: "D", 1: "F", 2: "E"}
 
 
-def select_cohort(records, spec):
+def select_cohort(records, window, language, min_total_tweets, active_day_fraction):
     totals = Counter()
     active_days = {}
     for rec in records:
-        if spec.language is not None and rec.language != spec.language:
+        if language is not None and rec.language != language:
             continue
-        t = offset_of(spec.window, rec.timestamp)
+        t = offset_of(window, rec.timestamp)
         if t is None:
             continue
         totals[rec.user_id] += 1
         active_days.setdefault(rec.user_id, set()).add(t)
-    n_days = spec.window.n_days
+    n_days = window.n_days
     return {
         u
         for u, total in totals.items()
-        if total >= spec.min_total_tweets
-        and len(active_days[u]) / n_days >= spec.active_day_fraction
+        if total >= min_total_tweets
+        and len(active_days[u]) / n_days >= active_day_fraction
     }
 
 
@@ -293,8 +293,7 @@ def _reason_of(exc):
     return "invalid_row"
 
 
-def parse_records(path, fmt="csv", columns=None):
-    columns = columns or ColumnMap()
+def parse_records(path, fmt, columns):
     report = ParseReport()
     records = []
     for row in _iter_rows(path, fmt, columns):
@@ -579,7 +578,7 @@ def pairwise_distances(points):
     return np.sqrt(np.sum(diff**2, axis=-1))
 
 
-def kmedoids(points, ids, k=4, seed=0, restarts=10):
+def kmedoids(points, ids, k, seed, restarts):
     pts = np.asarray(points, dtype=np.float64)
     n = len(pts)
     order = sorted(range(n), key=lambda i: (tuple(pts[i]), ids[i]))
@@ -646,7 +645,7 @@ def kmedoids(points, ids, k=4, seed=0, restarts=10):
     )
 
 
-def similarity_graph(matrix, k=10):
+def similarity_graph(matrix, k):
     users = matrix.users
     xn = matrix.normalized
     sim = xn.T @ xn
@@ -901,7 +900,7 @@ def stem_and_filter(doc, stopwords=ENGLISH_STOPWORDS):
     return Counter(porter_stem(tok) for tok in doc.tokens if tok not in stopwords)
 
 
-def dynamic_stopwords(term_counts, p=0.5):
+def dynamic_stopwords(term_counts, p):
     if not term_counts:
         raise ValueError("no user documents")
     n_c = len(term_counts)
@@ -911,7 +910,7 @@ def dynamic_stopwords(term_counts, p=0.5):
     return frozenset(t for t, d in df.items() if d > p * n_c)
 
 
-def gamma_keywords(term_counts, q=0.9):
+def gamma_keywords(term_counts, q):
     per_user = {}
     union = set()
     for user_id in sorted(term_counts):
@@ -945,7 +944,7 @@ def build_term_user_matrix(term_counts, vocabulary):
     return TermUserMatrix(terms=terms, users=users, counts=counts)
 
 
-def top_terms(partition, term_counts, m=25):
+def top_terms(partition, term_counts, m):
     out = []
     for part in partition:
         pooled = Counter()
@@ -956,22 +955,22 @@ def top_terms(partition, term_counts, m=25):
     return tuple(out)
 
 
-def topic_communities(corpus, users, window, config=DEFAULT_TOPIC_CONFIG):
+def topic_communities(corpus, users, window, dynamic_p, gamma_q, knn_k, top_m):
     """The old composition; a dict of what it produced, raw counts included."""
     docs = corpus_documents(corpus, users, window)
     if len(docs) < 2:
         raise ValueError("need at least 2 users with text to cluster")
     raw_counts = {d.user_id: stem_and_filter(d) for d in docs}
-    dyn = dynamic_stopwords(raw_counts, config.dynamic_p)
+    dyn = dynamic_stopwords(raw_counts, dynamic_p)
     filtered = {
         u: Counter({t: c for t, c in counts.items() if t not in dyn})
         for u, counts in raw_counts.items()
     }
-    keywords, vocabulary = gamma_keywords(filtered, config.gamma_q)
+    keywords, vocabulary = gamma_keywords(filtered, gamma_q)
     if not vocabulary:
         raise ValueError("no keywords survive filtering; nothing to cluster")
     matrix = build_term_user_matrix(filtered, vocabulary)
-    graph = fast_similarity_graph(matrix, config.knn_k)
+    graph = fast_similarity_graph(matrix, knn_k)
     partition, q = fast_modularity_communities(graph)
     return {
         "raw_counts": raw_counts,
@@ -982,7 +981,7 @@ def topic_communities(corpus, users, window, config=DEFAULT_TOPIC_CONFIG):
         "graph": graph,
         "partition": tuple(partition),
         "modularity": q,
-        "top_terms": top_terms(partition, filtered, config.top_m),
+        "top_terms": top_terms(partition, filtered, top_m),
     }
 
 
@@ -1011,7 +1010,7 @@ class OscillatorSeries:
         return len(self.values)
 
 
-def detrend(series, ma_window=7, user_id=None):
+def detrend(series, ma_window, user_id=None):
     """One :class:`~tweetdyn.timeseries.CountSeries` minus its trailing
     ``ma_window``-day moving average."""
     if ma_window < 1:
@@ -1074,14 +1073,14 @@ def squared_magnitude_quantile(spectrum, q):
     return float(power[idx])
 
 
-def denoise(spectrum, q=0.33):
+def denoise(spectrum, q):
     threshold = squared_magnitude_quantile(spectrum, q)
     power = spectrum.magnitudes**2
     bins = np.where(power < threshold, 0.0 + 0.0j, spectrum.bins)
     return Spectrum(bins=bins, n_samples=spectrum.n_samples, user_id=spectrum.user_id)
 
 
-def fit_fourier(spectrum, j_terms=6):
+def fit_fourier(spectrum, j_terms):
     n = spectrum.n_samples
     n_bins = len(spectrum.bins)
     if not 1 <= j_terms <= n_bins:

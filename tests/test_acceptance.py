@@ -20,7 +20,7 @@ import pytest
 from tweetdyn.cli import RunConfig, main
 from tweetdyn.compare import adjusted_rand_index
 from tweetdyn.graphs import modularity_communities
-from tweetdyn.ingest import merge_parts, parse_records, retweet_network
+from tweetdyn.ingest import ColumnMap, merge_parts, parse_records, retweet_network
 from tweetdyn.spectral import denoise, dft, dominant_period, kmedoids, pca_embed
 from tweetdyn.strategy import (
     CRITICAL_VALUE_P999_DF6,
@@ -202,7 +202,7 @@ def test_criterion_5_kmedoids_exhaustive_optimality(capsys):
     for name, points, k in KMEDOID_FIXTURES:
         assert len(points) <= 7, f"fixture {name} exceeds the criterion's size"
         ids = [f"p{i}" for i in range(len(points))]
-        got = kmedoids(np.array(points, dtype=float), ids, k=k, restarts=10).cost
+        got = kmedoids(np.array(points, dtype=float), ids, k=k, seed=0, restarts=10).cost
         best = exhaustive_kmedoids_cost(points, k)
         if abs(got - best) > 1e-9:
             failures.append(f"{name}: {got} vs {best}")
@@ -256,7 +256,9 @@ def test_criterion_7_text_pipeline_end_to_end(capsys):
         tokens_per_tweet=8,
     )
     corpus, group_of = generate_corpus(spec, window, seed=0)
-    result = topic_communities(corpus, sorted(group_of), window)
+    result = topic_communities(
+        corpus, sorted(group_of), window, dynamic_p=0.5, gamma_q=0.9, knn_k=10, top_m=25
+    )
     planted: dict[str, set] = {}
     for u, g in group_of.items():
         planted.setdefault(g, set()).add(u)
@@ -333,7 +335,7 @@ def test_criterion_9_real_corpus_checks(capsys):
     root = Path(data)
     paths = sorted(root.glob("*.csv")) if root.is_dir() else [root]
     assert paths, f"no CSV tables under {root}"
-    corpus = merge_parts([parse_records(p, fmt="csv")[0] for p in paths])
+    corpus = merge_parts([parse_records(p, fmt="csv", columns=ColumnMap())[0] for p in paths])
     config = RunConfig()
     users = corpus.authors()
 

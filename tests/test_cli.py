@@ -395,6 +395,12 @@ class TestFailureModes:
             {"column_map": {"text": ["tweet_text"]}},
             {"pre_window": 5},
             {"reference_window": 7},
+            {"dynamic_p": 0.0},
+            {"seed": -3},
+            {"synth_rates": [-5.0, 10.0]},
+            {"synth_change_day": 0},
+            {"synth_change_day": 860},
+            {"language": ""},
         ],
     )
     def test_mistyped_or_out_of_range_config_returns_2(self, tmp_path, bad):
@@ -402,6 +408,16 @@ class TestFailureModes:
         path.write_text(json.dumps(bad))
         assert main(["counts", "--config", str(path), "--out", str(tmp_path)]) == 2
         assert not (tmp_path / "manifest_counts.json").exists()
+
+    def test_negative_seed_flag_returns_2(self, tmp_path):
+        assert main(["synth", "--seed", "-1", "--out", str(tmp_path)]) == 2
+        assert not (tmp_path / "manifest_synth.json").exists()
+
+    def test_empty_language_flag_disables_the_filter(self, tmp_path):
+        argv = ["synth", "--kind", "changepoint", "--language", "", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        manifest = json.loads((tmp_path / "manifest_synth.json").read_text())
+        assert manifest["config"]["language"] is None
 
     def test_ints_for_floats_and_lists_for_tuples_accepted(self, tmp_path):
         path = tmp_path / "loose.json"
@@ -526,7 +542,7 @@ class TestRemappedColumns:
             tweet_id="id", user_id="author", timestamp="when", language="lang",
             is_retweet="rt", retweeted_user_id="rt_author", text="body",
         )
-        corpus, _ = parse_records(pipeline_dir / "records.jsonl", fmt="jsonl")
+        corpus, _ = parse_records(pipeline_dir / "records.jsonl", fmt="jsonl", columns=ColumnMap())
         table = tmp_path / "renamed.csv"
         write_csv(corpus, table, columns)
         config = tmp_path / "remapped.json"

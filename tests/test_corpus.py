@@ -17,7 +17,7 @@ import reference_loops as ref
 from tweet_tables import TweetRecord, arrays_of, corpus_of, counters_of
 from tweetdyn.cli import main
 from tweetdyn.corpus import Corpus, CorpusError, StringColumn, file_sha256
-from tweetdyn.ingest import CohortSpec, retweet_network, select_cohort, write_records
+from tweetdyn.ingest import retweet_network, select_cohort, write_records
 from tweetdyn.strategy import SymbolDistribution, category_table, symbol_pairs, symbol_table
 from tweetdyn.timeseries import DayWindow, counts_by_user, daily_counts
 from tweetdyn.topic import count_terms
@@ -74,13 +74,8 @@ class TestKernelsMatchReferenceLoops:
         st.sampled_from([None, "en", "ru", "zz"]),
     )
     def test_select_cohort(self, records, min_total, fraction, language):
-        spec = CohortSpec(
-            window=WINDOW,
-            min_total_tweets=min_total,
-            active_day_fraction=fraction,
-            language=language,
-        )
-        assert select_cohort(corpus_of(records), spec) == ref.select_cohort(records, spec)
+        args = (WINDOW, language, min_total, fraction)
+        assert select_cohort(corpus_of(records), *args) == ref.select_cohort(records, *args)
 
     @given(records_st())
     def test_daily_counts_and_counts_by_user(self, records):

@@ -59,7 +59,7 @@ class TestWeightedGraph:
         assert g.total_weight == 3.5
 
     def test_from_edges_merges_orientations(self):
-        g = WeightedGraph.from_edges({("a", "b"): 1.0, ("b", "a"): 2.0})
+        g = WeightedGraph.from_edges({("a", "b"): 1.0, ("b", "a"): 2.0}, extra_vertices=())
         assert g.edges == {("a", "b"): 3.0}
         assert g.n_edges == 1
 
@@ -195,7 +195,7 @@ class TestModularityCommunities:
     )
     def test_greedy_never_below_singletons(self, pairs):
         g = WeightedGraph.from_edges(
-            {(f"v{u}", f"v{v}"): 1.0 for u, v in pairs}
+            {(f"v{u}", f"v{v}"): 1.0 for u, v in pairs}, extra_vertices=()
         )
         partition, q = modularity_communities(g)
         singles = modularity(g, [{v} for v in g.vertices])
@@ -269,7 +269,7 @@ def _knn_graph(n, k, seed):
     for i in range(n):
         for j in np.argsort(dist[i])[:k]:
             edges[tuple(sorted((f"n{i:03d}", f"n{int(j):03d}")))] = 1.0
-    return WeightedGraph.from_edges(edges)
+    return WeightedGraph.from_edges(edges, extra_vertices=())
 
 
 def _planted_graph(n_blocks, size, seed):
@@ -279,7 +279,8 @@ def _planted_graph(n_blocks, size, seed):
     p = np.where(block[:, None] == block[None, :], 0.3, 0.005)
     hits = np.triu(rng.random((n, n)) < p, 1)
     return WeightedGraph.from_edges(
-        {(f"n{i:03d}", f"n{j:03d}"): 1.0 for i, j in zip(*np.nonzero(hits))}
+        {(f"n{i:03d}", f"n{j:03d}"): 1.0 for i, j in zip(*np.nonzero(hits))},
+        extra_vertices=(),
     )
 
 

@@ -21,7 +21,6 @@ from tweetdyn import ingest
 from tweetdyn.cli import main
 from tweetdyn.corpus import AMPLIFYING, ORIGINAL, SPREADING, Corpus, file_sha256
 from tweetdyn.ingest import (
-    CohortSpec,
     ColumnMap,
     IngestError,
     merge_parts,
@@ -88,7 +87,7 @@ class TestParse:
                 '6,u6,2016-11-08 14:00,en,false,u9,source on original',
             ],
         )
-        corpus, report = parse_records(path, fmt="csv")
+        corpus, report = parse_records(path, fmt="csv", columns=ColumnMap())
         rows = fields_of(corpus)
         assert rows["tweet_id"] == ["1", "2"]
         assert rows["timestamp"][0] == datetime(2016, 11, 8, 10, 21, tzinfo=timezone.utc)
@@ -110,11 +109,11 @@ class TestParse:
             header="tweetid,userid,tweet_time,tweet_language,is_retweet,retweet_userid\n",
         )
         with pytest.raises(IngestError):
-            parse_records(path, fmt="csv")
+            parse_records(path, fmt="csv", columns=ColumnMap())
 
     def test_missing_file_is_fatal(self, tmp_path):
         with pytest.raises(IngestError):
-            parse_records(tmp_path / "nope.csv", fmt="csv")
+            parse_records(tmp_path / "nope.csv", fmt="csv", columns=ColumnMap())
 
     def test_column_remapping(self, tmp_path):
         path = tmp_path / "alt.csv"
@@ -138,7 +137,7 @@ class TestParse:
             "this is not json\n"
             '{"tweetid":"2","userid":"u2"}\n'
         )
-        corpus, report = parse_records(path, fmt="jsonl")
+        corpus, report = parse_records(path, fmt="jsonl", columns=ColumnMap())
         assert len(corpus) == 1
         assert report.reasons["bad_json"] == 1
         assert report.reasons["missing_field"] == 1
@@ -156,7 +155,7 @@ class TestParse:
             + "[" * 100_000 + "\n"  # deeper than the interpreter's stack
             + good.replace('"1"', '"2"') + "\n"
         )
-        corpus, report = parse_records(path, fmt="jsonl")
+        corpus, report = parse_records(path, fmt="jsonl", columns=ColumnMap())
         assert fields_of(corpus)["tweet_id"] == ["1", "2"]
         assert report.reasons == {"bad_json": 2}
         out = tmp_path / "out"
@@ -185,7 +184,7 @@ class TestParse:
         path = tmp_path / f"tweets.{fmt}"
         path.write_bytes(header + b"".join(line + b"\n" for line in lines))
         assert path.read_bytes().index(b"\xff") > 16_384
-        corpus, report = parse_records(path, fmt=fmt)
+        corpus, report = parse_records(path, fmt=fmt, columns=ColumnMap())
         assert fields_of(corpus)["tweet_id"] == [str(i) for i in range(1000) if i not in (500, 900)]
         assert report.as_dict() == {
             "total_rows": 1000, "accepted": 998, "rejected": 2, "reasons": {"bad_encoding": 2},
@@ -217,7 +216,7 @@ class TestParse:
             os.write(write_end, data)
             os.close(write_end)
             with pytest.raises(IngestError, match="cannot be read again"):
-                parse_records(f"/dev/fd/{read_end}", fmt=fmt)
+                parse_records(f"/dev/fd/{read_end}", fmt=fmt, columns=ColumnMap())
         finally:
             os.close(read_end)
 
@@ -230,7 +229,7 @@ class TestParse:
                 "3,u3,9999-12-31 23:59:59-01:00,en,false,,after year 9999 in UTC",
             ],
         )
-        corpus, report = parse_records(path, fmt="csv")
+        corpus, report = parse_records(path, fmt="csv", columns=ColumnMap())
         assert fields_of(corpus)["tweet_id"] == ["1"]
         assert report.reasons == {"bad_timestamp": 2}
         out = tmp_path / "out"
@@ -246,7 +245,7 @@ class TestParse:
                 "boolean-8,u2,2016-11-08 11:00,en,false,u1,source on original",
             ],
         )
-        _, report = parse_records(path, fmt="csv")
+        _, report = parse_records(path, fmt="csv", columns=ColumnMap())
         assert report.reasons == {"retweet_without_source": 1, "source_on_non_retweet": 1}
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
@@ -270,7 +269,7 @@ class TestParse:
             write_csv(corpus, path)
         else:
             assert write_records(corpus, path) == file_sha256(path)
-        loaded, report = parse_records(path, fmt=fmt)
+        loaded, report = parse_records(path, fmt=fmt, columns=ColumnMap())
         assert report.rejected == 0
         assert arrays_of(loaded) == arrays_of(corpus)
 
@@ -309,37 +308,30 @@ class TestSelectCohort:
     def test_thresholds_and_language(self):
         window = DayWindow.of_length(date(2016, 3, 9), 10)
         corpus = self._corpus()
-        spec = CohortSpec(
-            window=window, min_total_tweets=5, active_day_fraction=0.6, language="en"
-        )
-        assert select_cohort(corpus, spec) == {"steady"}
+        assert select_cohort(corpus, window, "en", 5, 0.6) == {"steady"}
         # volume-only: burst qualifies too
-        spec2 = CohortSpec(window=window, min_total_tweets=5, language="en")
-        assert select_cohort(corpus, spec2) == {"steady", "burst"}
+        assert select_cohort(corpus, window, "en", 5, 0.0) == {"steady", "burst"}
         # no language filter: foreign meets both thresholds
-        spec3 = CohortSpec(window=window, min_total_tweets=5, active_day_fraction=0.6)
-        assert select_cohort(corpus, spec3) == {"steady", "foreign"}
+        assert select_cohort(corpus, window, None, 5, 0.6) == {"steady", "foreign"}
 
     def test_fraction_boundary_inclusive(self):
         window = DayWindow.of_length(date(2016, 3, 9), 10)
         corpus = self._corpus()
         # steady is active 8/10 days; 0.8 passes, nudging above fails
-        spec = CohortSpec(window=window, active_day_fraction=0.8, language="en")
-        assert "steady" in select_cohort(corpus, spec)
-        spec_hi = CohortSpec(window=window, active_day_fraction=0.81, language="en")
-        assert "steady" not in select_cohort(corpus, spec_hi)
+        assert "steady" in select_cohort(corpus, window, "en", 0, 0.8)
+        assert "steady" not in select_cohort(corpus, window, "en", 0, 0.81)
 
     def test_empty_cohort_is_valid(self):
         window = DayWindow.of_length(date(2016, 3, 9), 10)
-        spec = CohortSpec(window=window, min_total_tweets=10_000)
-        assert select_cohort(self._corpus(), spec) == set()
+        assert select_cohort(self._corpus(), window, None, 10_000, 0.0) == set()
 
     def test_spec_validation(self):
         window = DayWindow.of_length(date(2016, 3, 9), 10)
-        with pytest.raises(ValueError):
-            CohortSpec(window=window, active_day_fraction=1.5)
-        with pytest.raises(ValueError):
-            CohortSpec(window=window, min_total_tweets=-1)
+        corpus = self._corpus()
+        with pytest.raises(ValueError, match="active_day_fraction"):
+            select_cohort(corpus, window, None, 0, 1.5)
+        with pytest.raises(ValueError, match="min_total_tweets"):
+            select_cohort(corpus, window, None, -1, 0.0)
 
 
 class TestRetweetNetwork:
@@ -761,7 +753,7 @@ class TestParseMemory:
         _big_table(path, 68_000)
         tracemalloc.start()
         try:
-            corpus, report = parse_records(path)
+            corpus, report = parse_records(path, fmt="csv", columns=ColumnMap())
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

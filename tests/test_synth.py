@@ -350,8 +350,8 @@ class TestChangepointAggregate:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            generate_changepoint_aggregate(0.0, 10.0, 100, self.window)
+            generate_changepoint_aggregate(0.0, 10.0, 100, self.window, seed=0)
         with pytest.raises(ValueError):
-            generate_changepoint_aggregate(10.0, 10.0, 0, self.window)
+            generate_changepoint_aggregate(10.0, 10.0, 0, self.window, seed=0)
         with pytest.raises(ValueError):
-            generate_changepoint_aggregate(10.0, 10.0, 400, self.window)
+            generate_changepoint_aggregate(10.0, 10.0, 400, self.window, seed=0)

@@ -154,13 +154,13 @@ class TestAccumulate:
 
 class TestDetrend:
     def test_constant_input_maps_to_zero(self):
-        xi = detrend(np.full(30, 7))
+        xi = detrend(np.full(30, 7), ma_window=7)
         assert len(xi) == 23
         assert np.allclose(xi, 0.0)
 
     def test_linear_ramp_maps_to_constant_four(self):
         # nu[t] = t: trailing 7-day mean is t - 4, so xi is identically 4
-        xi = detrend(np.arange(40))
+        xi = detrend(np.arange(40), ma_window=7)
         assert np.allclose(xi, 4.0)
 
     def test_output_length_and_offsets(self):
@@ -180,13 +180,13 @@ class TestDetrend:
         t = np.arange(n)
         slope = 2.0
         values = 100 + slope * t + 10 * np.cos(2 * np.pi * t / 7)
-        xi = detrend(np.rint(values).astype(int))
+        xi = detrend(np.rint(values).astype(int), ma_window=7)
         fit = np.polyfit(np.arange(len(xi)), xi, 1)
         assert abs(fit[0]) < 0.01 * slope
 
     def test_too_short_series_rejected(self):
         with pytest.raises(ValueError):
-            detrend(np.ones(7))
+            detrend(np.ones(7), ma_window=7)
 
     def test_moving_average_window_parameter(self):
         xi = detrend(np.arange(10), ma_window=3)
@@ -196,10 +196,10 @@ class TestDetrend:
 
     def test_rows_of_a_table_detrended_independently(self):
         table = np.vstack([np.full(30, 7), np.arange(30), np.zeros(30, dtype=int)])
-        xi = detrend(table)
+        xi = detrend(table, ma_window=7)
         assert xi.shape == (3, 23)
         for row, values in zip(xi, table):
-            assert row.tobytes() == detrend(values).tobytes()
+            assert row.tobytes() == detrend(values, ma_window=7).tobytes()
 
 
 class TestFitSegment:
@@ -238,14 +238,14 @@ class TestFitSegment:
     def test_range_validation(self):
         s = np.arange(10.0)
         with pytest.raises(ValueError):
-            fit_segment(s, (5, 15))
+            fit_segment(s, (5, 15), t0=5)
         with pytest.raises(ValueError):
-            fit_segment(s, (5, 5))
+            fit_segment(s, (5, 5), t0=5)
 
     def test_interval_width(self):
         rng = np.random.default_rng(0)
         y = 1.0 + 2.0 * np.arange(40.0) + rng.normal(0, 1, 40)
-        fit = fit_segment(y, (0, 39))
+        fit = fit_segment(y, (0, 39), t0=0)
         lo, hi = fit.slope_interval(sigma=5.0)
         assert hi - lo == pytest.approx(10 * fit.se_slope)
 
@@ -257,9 +257,9 @@ class TestChangepoint:
         y1 = 100 + 10.0 * t + rng.normal(0, 5, 200)
         y2 = 100 + 10.0 * t + rng.normal(0, 5, 200)
         y3 = 100 + 40.0 * t + rng.normal(0, 5, 200)
-        f1 = fit_segment(y1, (0, 199))
-        f2 = fit_segment(y2, (0, 199))
-        f3 = fit_segment(y3, (0, 199))
+        f1 = fit_segment(y1, (0, 199), t0=0)
+        f2 = fit_segment(y2, (0, 199), t0=0)
+        f3 = fit_segment(y3, (0, 199), t0=0)
         near = changepoint_significant(f1, f2, sigma=5.0)
         far = changepoint_significant(f1, f3, sigma=5.0)
         assert not near.significant
@@ -268,11 +268,11 @@ class TestChangepoint:
     def test_symmetry(self):
         rng = np.random.default_rng(2)
         t = np.arange(150.0)
-        fa = fit_segment(5 + 2.0 * t + rng.normal(0, 2, 150), (0, 149))
-        fb = fit_segment(5 + 9.0 * t + rng.normal(0, 2, 150), (0, 149))
+        fa = fit_segment(5 + 2.0 * t + rng.normal(0, 2, 150), (0, 149), t0=0)
+        fb = fit_segment(5 + 9.0 * t + rng.normal(0, 2, 150), (0, 149), t0=0)
         assert (
-            changepoint_significant(fa, fb).significant
-            == changepoint_significant(fb, fa).significant
+            changepoint_significant(fa, fb, sigma=5.0).significant
+            == changepoint_significant(fb, fa, sigma=5.0).significant
         )
 
 

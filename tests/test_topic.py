@@ -27,7 +27,6 @@ from tweetdyn.timeseries import DayWindow
 from tweetdyn.topic import (
     GammaFit,
     TermUserMatrix,
-    TopicConfig,
     build_term_user_matrix,
     count_terms,
     dynamic_stopwords,
@@ -89,7 +88,7 @@ def pipeline_quantiles(perfbench_runs):
     window = config.pre_window
     cohort = cli.resolve_cohort(corpus, config, window)
     calls = _quantiles_of(
-        lambda: topic_communities(corpus, cohort, window, config.topic_config())
+        lambda: topic_communities(corpus, cohort, window, **knobs_of(config))
     )
     for _, run_calls in perfbench_runs.values():
         calls += run_calls
@@ -98,6 +97,15 @@ def pipeline_quantiles(perfbench_runs):
 
 WINDOW = DayWindow.of_length(date(2016, 3, 9), 10)
 BASE = datetime(2016, 3, 9, 8, 0, tzinfo=timezone.utc)
+TOPIC_KNOBS = ("dynamic_p", "gamma_q", "knn_k", "top_m")
+
+
+def knobs_of(config):
+    """The knob arguments of ``topic_communities`` that a RunConfig holds."""
+    return {name: getattr(config, name) for name in TOPIC_KNOBS}
+
+
+DEFAULT_KNOBS = knobs_of(cli.RunConfig())
 
 
 def _rec(i, user, when, text):
@@ -134,12 +142,16 @@ class TestTokenize:
         assert _terms("", "!!! ... ---", "42 a") == {}
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            TopicConfig(dynamic_p=0.0)
-        with pytest.raises(ValueError):
-            TopicConfig(gamma_q=1.0)
-        with pytest.raises(ValueError):
-            TopicConfig(knn_k=0)
+        corpus = corpus_of(_tweets(("u1", "alpha beta"), ("u2", "gamma delta")))
+        for knob, value, message in (
+            ("dynamic_p", 0.0, "p must be"),
+            ("gamma_q", 1.0, "q must be"),
+            ("knn_k", 0, "k must be"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                topic_communities(
+                    corpus, ["u1", "u2"], WINDOW, **{**DEFAULT_KNOBS, knob: value}
+                )
 
 
 class TestBuildDocuments:
@@ -490,7 +502,7 @@ class TestTopicCommunities:
     def test_recovers_planted_groups_exactly(self):
         corpus, group_of = self._corpus(seed=2)
         users = sorted(group_of)
-        result = topic_communities(corpus, users, self.window)
+        result = topic_communities(corpus, users, self.window, **DEFAULT_KNOBS)
         planted = {}
         for u, g in group_of.items():
             planted.setdefault(g, set()).add(u)
@@ -504,7 +516,7 @@ class TestTopicCommunities:
         corpus, group_of = self._corpus()
         one_user = [next(iter(sorted(group_of)))]
         with pytest.raises(ValueError):
-            topic_communities(corpus, one_user, self.window)
+            topic_communities(corpus, one_user, self.window, **DEFAULT_KNOBS)
 
     def test_all_shared_vocabulary_errors(self):
         records = [
@@ -513,7 +525,7 @@ class TestTopicCommunities:
         ]
         # the lone term is a dynamic stopword (2/2 docs); nothing survives
         with pytest.raises(ValueError):
-            topic_communities(corpus_of(records), ["u1", "u2"], self.window)
+            topic_communities(corpus_of(records), ["u1", "u2"], self.window, **DEFAULT_KNOBS)
 
 
 class TestCountTermsMemory:
@@ -589,7 +601,7 @@ def _assert_same_clustering(got, want):
     assert got.top_terms == want["top_terms"]
 
 
-def _check_against_reference(records, config=TopicConfig()):
+def _check_against_reference(records, knobs=DEFAULT_KNOBS):
     users = TOPIC_USERS + ["nobody"]
     corpus = corpus_of(records)
     want_raw = {
@@ -597,13 +609,13 @@ def _check_against_reference(records, config=TopicConfig()):
     }
     assert counters_of(count_terms(corpus, users, WINDOW)) == want_raw
     try:
-        want = ref.topic_communities(corpus, users, WINDOW, config)
+        want = ref.topic_communities(corpus, users, WINDOW, **knobs)
     except ValueError as exc:
         with pytest.raises(ValueError) as raised:
-            topic_communities(corpus, users, WINDOW, config)
+            topic_communities(corpus, users, WINDOW, **knobs)
         assert str(raised.value) == str(exc)
         return None
-    got = topic_communities(corpus, users, WINDOW, config)
+    got = topic_communities(corpus, users, WINDOW, **knobs)
     _assert_same_clustering(got, want)
     return got
 
@@ -668,8 +680,8 @@ class TestTopicCommunitiesMatchesReference:
     @given(
         topic_records_st(),
         st.sampled_from(
-            [TopicConfig(), TopicConfig(dynamic_p=0.75, gamma_q=0.5, knn_k=2, top_m=3)]
+            [DEFAULT_KNOBS, {"dynamic_p": 0.75, "gamma_q": 0.5, "knn_k": 2, "top_m": 3}]
         ),
     )
-    def test_same_artifacts(self, records, config):
-        _check_against_reference(records, config)
+    def test_same_artifacts(self, records, knobs):
+        _check_against_reference(records, knobs)
