@@ -9,7 +9,10 @@ and each window's cohort and cohort spectra, are computed once. Every stage
 writes JSON/CSV artifacts plus a manifest into an output directory.
 Artifacts are deterministic for a given config and seed: keys are sorted,
 floats are normalized to 12 significant digits, manifests carry a config
-hash and library versions but no timestamps. Later stages read earlier
+hash and library versions but no timestamps. Every JSON and CSV artifact,
+manifests included, is written by :func:`write_json` or :func:`write_csv`
+and read back only in this module; ``records.jsonl`` has its own row format
+(:func:`tweetdyn.ingest.write_records`). Later stages read earlier
 stages' artifacts from the same directory by their fixed names, so `run`
 writes the same bytes as its stages run one by one with the same flags.
 
@@ -245,42 +248,20 @@ def load_config(path: str | Path | None, overrides: dict[str, Any]) -> RunConfig
     return RunConfig(**kwargs)
 
 
-def _plain(obj: Any) -> Any:
-    """JSON-safe, deterministic view: numpy unwrapped, floats at 12 digits."""
-    if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in sorted(obj.items(), key=lambda kv: str(kv[0]))}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, (set, frozenset)):
-        return [_plain(v) for v in sorted(obj)]
-    if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
-    if isinstance(obj, (np.integer, int)) and not isinstance(obj, bool):
-        return int(obj)
-    if isinstance(obj, (np.floating, float)):
-        f = float(obj)
-        return float(f"{f:.12g}") if np.isfinite(f) else None
-    if isinstance(obj, DayWindow):
-        return [obj.start.isoformat(), obj.end.isoformat()]
-    if isinstance(obj, date):
-        return obj.isoformat()
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return _plain(dataclasses.asdict(obj))
-    return obj
-
-
 def _json_float(f: float) -> str:
     return float.__repr__(float(f"{f:.12g}")) if math.isfinite(f) else "null"
 
 
-# exact type -> its JSON text, for the scalars _plain leaves as they are
+# exact type -> its JSON text, for the scalars that need no other case
 _SCALAR_JSON = {str: encode_basestring_ascii, int: int.__repr__, float: _json_float}
 
 
 def _json_text(obj: Any, nl: str) -> str:
-    """What ``json.dumps(_plain(obj), sort_keys=True, indent=2)`` writes for
-    ``obj`` at the line start ``nl``, in one walk: the cases of
-    :func:`_plain`, in its order, then the values it passes through."""
+    """The JSON text of ``obj`` at the line start ``nl``: keys as strings,
+    sorted, and an indent of 2; NumPy values unwrapped, floats at 12
+    significant digits (non-finite ones as null), sets sorted, a
+    :class:`DayWindow` as its two ISO dates, a date as its ISO date and a
+    dataclass as ``dataclasses.asdict`` of it."""
     scalar = _SCALAR_JSON.get(obj.__class__)
     if scalar is not None:
         return scalar(obj)
@@ -327,10 +308,13 @@ def _json_text(obj: Any, nl: str) -> str:
 
 
 def write_json(path: Path, payload: Any) -> None:
-    """Write ``json.dumps(_plain(payload), sort_keys=True, indent=2)`` and a
-    newline. That call encodes an indented payload in pure Python, in a
-    second walk after :func:`_plain`'s; :func:`_json_text` takes one."""
+    """Write the JSON text of ``payload`` (:func:`_json_text`) and a newline."""
     path.write_text(_json_text(payload, "\n") + "\n", encoding="utf-8")
+
+
+def _recorded(obj: Any) -> Any:
+    """``obj`` as an artifact records it and a later stage reads it back."""
+    return json.loads(_json_text(obj, "\n"))
 
 
 def _csv_cells(column: Sequence[Any] | np.ndarray) -> Sequence[Any]:
@@ -354,6 +338,31 @@ def write_csv(path: Path, header: Sequence[str], columns: Sequence[Sequence[Any]
         writer.writerows(zip(*map(_csv_cells, columns)))
 
 
+def _write_series(path: Path, series: timeseries.CountSeries) -> None:
+    """One series as (day_offset, date, count) rows."""
+    days = range(len(series))
+    dates = [series.window.date_of(t).isoformat() for t in days]
+    write_csv(path, ["day_offset", "date", "count"], [days, dates, series.values])
+
+
+def load_series_csv(path: Path) -> timeseries.CountSeries:
+    """Read a series written by :func:`_write_series`."""
+    offsets: list[int] = []
+    dates: list[date] = []
+    counts: list[int] = []
+    with path.open(newline="") as fh:
+        for row in csv.DictReader(fh):
+            offsets.append(int(row["day_offset"]))
+            dates.append(date.fromisoformat(row["date"]))
+            counts.append(int(row["count"]))
+    if not offsets:
+        raise ValueError(f"no rows in {path}")
+    if offsets != list(range(len(offsets))):
+        raise ValueError(f"day offsets in {path} are not contiguous from 0")
+    window = DayWindow.of_length(dates[0], len(dates))
+    return timeseries.CountSeries(window=window, values=np.array(counts))
+
+
 def _long_form(users: Sequence[str], table: np.ndarray) -> list:
     """The (user, column index, value) columns of a (users x columns) table,
     row after row."""
@@ -366,7 +375,7 @@ def _long_form(users: Sequence[str], table: np.ndarray) -> list:
 
 
 def config_hash(config: RunConfig) -> str:
-    canon = json.dumps(_plain(config), sort_keys=True)
+    canon = json.dumps(_recorded(config), sort_keys=True)
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
@@ -383,7 +392,7 @@ def write_manifest(
         "status": status,
         "error": error,
         "artifacts": sorted(artifacts),
-        "config": _plain(config),
+        "config": config,
         "config_sha256": config_hash(config),
         "versions": {
             "tweetdyn": __version__,
@@ -468,7 +477,7 @@ def cmd_ingest(ctx: StageContext) -> list[str]:
     for p in config.input_paths:
         part, report = parse_records(p, fmt=config.input_format, columns=config.column_map)
         parts.append(part)
-        reports[p] = report.as_dict()
+        reports[p] = report
     corpus = merge_parts(parts)
     del parts, part
     records_sha256 = write_records(corpus, outdir / RECORDS_FILE)
@@ -506,7 +515,7 @@ def cmd_counts(ctx: StageContext) -> list[str]:
     outdir, name = ctx.outdir, ctx.window_name
     cohort = ctx.cohort(ctx.window)
     aggregate = timeseries.daily_counts(ctx.corpus, ctx.config.bulk_window)
-    timeseries.save_series_csv(aggregate, outdir / "counts_aggregate.csv")
+    _write_series(outdir / "counts_aggregate.csv", aggregate)
     table = timeseries.counts_by_user(ctx.corpus, ctx.window, cohort)
     write_csv(
         outdir / f"counts_{name}.csv",
@@ -524,7 +533,7 @@ def cmd_changepoint(ctx: StageContext) -> list[str]:
             f"changepoint needs {series_path.name}; run counts "
             "(or synth --kind changepoint) first"
         )
-    s = timeseries.accumulate(timeseries.load_series_csv(series_path))
+    s = timeseries.accumulate(load_series_csv(series_path))
     fit1 = timeseries.fit_segment(s, config.model1_range, config.model1_t0)
     fit2 = timeseries.fit_segment(s, config.model2_range, config.model2_t0)
     verdict = timeseries.changepoint_significant(fit1, fit2, config.sigma)
@@ -639,25 +648,13 @@ def cmd_cluster_spectral(ctx: StageContext) -> list[str]:
         band = spectral.band_summary(magnitudes[rows], spectra.n_samples)
         _write_band(outdir / f"cluster_band_{c}.csv", band)
         artifacts.append(f"cluster_band_{c}.csv")
-        models = {
-            u: spectral.fit_fourier(spectra, i, j_terms=config.fourier_terms)
-            for u, i in zip(members, rows)
-        }
         clusters_payload[str(c)] = {
             "members": members,
             "medoid": assignment.medoids[c - 1],
             "dominant_period_days": spectral.dominant_period(band.medians, band.n_samples),
             "fourier_terms": {
-                u: [
-                    {
-                        "amplitude": t.amplitude,
-                        "omega": t.omega,
-                        "phase": t.phase,
-                        "bin": t.bin,
-                    }
-                    for t in terms
-                ]
-                for u, terms in models.items()
+                u: spectral.fit_fourier(spectra, i, j_terms=config.fourier_terms)
+                for u, i in zip(members, rows)
             },
         }
     write_json(
@@ -723,11 +720,12 @@ def cmd_compare(ctx: StageContext) -> list[str]:
             raise FileNotFoundError(f"compare needs {p.name}; run the cluster steps first")
     spec_doc = json.loads(spec_path.read_text())
     topic_doc = json.loads(topic_path.read_text())
+    recorded_window = _recorded(window)
     for p, doc in ((spec_path, spec_doc), (topic_path, topic_doc)):
-        if doc["window"] != _plain(window):
+        if doc["window"] != recorded_window:
             raise ValueError(
                 f"{p.name} was made for window {doc['window']}, not "
-                f"{ctx.window_name} {_plain(window)}; re-run its cluster step"
+                f"{ctx.window_name} {recorded_window}; re-run its cluster step"
             )
     manifest_path = outdir / "manifest_cluster_spectral.json"
     if not manifest_path.exists():
@@ -737,7 +735,8 @@ def cmd_compare(ctx: StageContext) -> list[str]:
         raise ValueError(
             f"{manifest_path.name} has status {manifest['status']!r}; re-run cluster-spectral"
         )
-    current = _plain(ctx.config)
+    # compared as recorded: a manifest keeps floats at 12 significant digits
+    current = _recorded(ctx.config)
     for name in SPECTRA_FIELDS:
         if manifest["config"][name] != current[name]:
             raise ValueError(
@@ -841,7 +840,7 @@ def cmd_synth(ctx: StageContext) -> list[str]:
             DayWindow.of_length(config.bulk_window.start, SYNTH_CHANGEPOINT_DAYS),
             config.seed,
         )
-        timeseries.save_series_csv(series, outdir / "counts_aggregate.csv")
+        _write_series(outdir / "counts_aggregate.csv", series)
         return ["counts_aggregate.csv"]
     raise ValueError(f"unknown synth kind {kind!r}")
 

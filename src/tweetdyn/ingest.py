@@ -27,7 +27,6 @@ import csv
 import hashlib
 import json
 import logging
-from collections import Counter
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta, timezone
 from itertools import compress, islice, repeat
@@ -107,19 +106,12 @@ class ParseReport:
     total_rows: int = field(default=0, init=False)
     accepted: int = field(default=0, init=False)
     rejected: int = field(default=0, init=False)
-    reasons: Counter[str] = field(default_factory=Counter, init=False)
+    # a plain dict: dataclasses.asdict rebuilds a Counter from its items
+    reasons: dict[str, int] = field(default_factory=dict, init=False)
 
     def reject(self, reason: str) -> None:
         self.rejected += 1
-        self.reasons[reason] += 1
-
-    def as_dict(self) -> dict:
-        return {
-            "total_rows": self.total_rows,
-            "accepted": self.accepted,
-            "rejected": self.rejected,
-            "reasons": dict(sorted(self.reasons.items())),
-        }
+        self.reasons[reason] = self.reasons.get(reason, 0) + 1
 
 
 class IngestError(ValueError):
@@ -252,7 +244,7 @@ def _parse_rows(rows: Iterable[tuple | str], path: Path) -> tuple[Corpus, ParseR
             path.name,
             report.rejected,
             report.total_rows,
-            dict(report.reasons),
+            report.reasons,
         )
     if not blocks:
         return Corpus.from_columns([], [], [], [], [], []), report

@@ -286,6 +286,8 @@ def kmedoids(
         raise ValueError(f"k={k} out of range 1..{n}")
     if k > len(distinct):
         raise ValueError(f"k={k} exceeds {len(distinct)} distinct points")
+    if restarts < 1:
+        raise ValueError("restarts must be >= 1")
 
     order = sorted(range(n), key=lambda i: (tuple(pts[i]), ids[i]))
     pts = pts[order]
@@ -357,7 +359,6 @@ def kmedoids(
         if best is None or key < (best[0], best[1]):
             best = (key[0], key[1], sorted(medoids))
 
-    assert best is not None
     cost, _, medoids = best
     labels = _assign(dist, medoids)
     label_map = {sorted_ids[i]: int(labels[i]) + 1 for i in range(n)}

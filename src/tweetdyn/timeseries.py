@@ -18,11 +18,9 @@ linear ramp maps to the constant ``slope * (w + 1) / 2``.
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass
 from datetime import date, timedelta
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -107,9 +105,6 @@ class LinearFit:
 class ChangePointReport:
     """Disjoint-slope-interval verdict for two adjacent segment fits."""
 
-    fit_before: LinearFit
-    fit_after: LinearFit
-    sigma: float
     interval_before: tuple[float, float]
     interval_after: tuple[float, float]
     significant: bool
@@ -227,39 +222,8 @@ def changepoint_significant(
     b = fit_after.slope_interval(sigma)
     disjoint = a[1] < b[0] or b[1] < a[0]
     return ChangePointReport(
-        fit_before=fit_before,
-        fit_after=fit_after,
-        sigma=sigma,
         interval_before=a,
         interval_after=b,
         significant=bool(disjoint),
     )
 
-
-def save_series_csv(series: CountSeries, path: str | Path) -> None:
-    """Write one series as (day_offset, date, count) rows."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["day_offset", "date", "count"])
-        for t, v in enumerate(series.values):
-            writer.writerow([t, series.window.date_of(t).isoformat(), int(v)])
-
-
-def load_series_csv(path: str | Path) -> CountSeries:
-    """Read a series written by :func:`save_series_csv`."""
-    path = Path(path)
-    offsets: list[int] = []
-    dates: list[date] = []
-    counts: list[int] = []
-    with path.open(newline="") as fh:
-        for row in csv.DictReader(fh):
-            offsets.append(int(row["day_offset"]))
-            dates.append(date.fromisoformat(row["date"]))
-            counts.append(int(row["count"]))
-    if not offsets:
-        raise ValueError(f"no rows in {path}")
-    if offsets != list(range(len(offsets))):
-        raise ValueError(f"day offsets in {path} are not contiguous from 0")
-    window = DayWindow.of_length(dates[0], len(dates))
-    return CountSeries(window=window, values=np.array(counts))

@@ -449,6 +449,8 @@ def top_terms(
 
     The parts must be disjoint; users without counts are ignored.
     """
+    if m < 1:
+        raise ValueError("m must be >= 1")
     index = {u: i for i, u in enumerate(counts.users)}
     part_of = np.full(len(counts.users), -1, dtype=np.int64)
     for p, part in enumerate(partition):

@@ -18,19 +18,21 @@ the ``spectra`` stages ran before the spectra became one (users x bins)
 table: detrend, DFT, denoise and summaries one user's series at a time;
 ``test_spectral.py`` requires the same bytes from the table chain. The
 ingest row loop is the parse that checked and converted one row at a time
-before ``ingest`` checked whole columns, and the CSV writer the one that
-formatted one cell at a time; ``test_ingest.py`` and ``test_cli.py``
-require the same corpus, report and bytes.
+before ``ingest`` checked whole columns, the CSV writer the one that
+formatted one cell at a time, and the JSON walker the one whose plain view
+``json.dumps`` encoded in a second walk; ``test_ingest.py`` and
+``test_cli.py`` require the same corpus, report and bytes.
 """
 
 import csv
+import dataclasses
 import enum
 import json
 import math
 import re
 from collections import Counter
 from dataclasses import dataclass
-from datetime import datetime, timedelta, timezone
+from datetime import date, datetime, timedelta, timezone
 from functools import lru_cache
 from operator import itemgetter
 
@@ -49,7 +51,7 @@ from tweetdyn.spectral import (
 )
 from tweetdyn.stopwords import ENGLISH_STOPWORDS
 from tweetdyn.strategy import ALPHABET, CORNER_THRESHOLD, EDGE_THRESHOLD, SymbolDistribution
-from tweetdyn.timeseries import CountSeries
+from tweetdyn.timeseries import CountSeries, DayWindow
 from tweetdyn.topic import TermUserMatrix, gamma_fit
 from tweetdyn.topic import similarity_graph as fast_similarity_graph
 
@@ -497,6 +499,36 @@ def long_rows(users, table):
     """(user, column index, value) rows of a (users x columns) table, as the
     ``counts`` and ``spectra`` stages built them."""
     return [[uid, k, v] for uid, row in zip(users, table) for k, v in enumerate(row)]
+
+
+# ------------------------------------------------------------ JSON walker
+# A plain view of the payload, for json.dumps to encode in a second walk.
+
+
+def _plain(obj):
+    """JSON-safe, deterministic view: numpy unwrapped, floats at 12 digits.
+    ``json.dumps(_plain(obj), sort_keys=True, indent=2)`` is the text
+    ``cli.write_json`` writes."""
+    if isinstance(obj, dict):
+        return {str(k): _plain(v) for k, v in sorted(obj.items(), key=lambda kv: str(kv[0]))}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(v) for v in obj]
+    if isinstance(obj, (set, frozenset)):
+        return [_plain(v) for v in sorted(obj)]
+    if isinstance(obj, np.ndarray):
+        return [_plain(v) for v in obj.tolist()]
+    if isinstance(obj, (np.integer, int)) and not isinstance(obj, bool):
+        return int(obj)
+    if isinstance(obj, (np.floating, float)):
+        f = float(obj)
+        return float(f"{f:.12g}") if np.isfinite(f) else None
+    if isinstance(obj, DayWindow):
+        return [obj.start.isoformat(), obj.end.isoformat()]
+    if isinstance(obj, date):
+        return obj.isoformat()
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return _plain(dataclasses.asdict(obj))
+    return obj
 
 
 # ----------------------------------------------------------- pairwise kernels

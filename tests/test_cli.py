@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -25,7 +26,7 @@ from tweetdyn import cli
 from tweetdyn.cli import load_config, main
 from tweetdyn.compare import adjusted_rand_index
 from tweetdyn.ingest import ColumnMap, parse_records
-from tweetdyn.timeseries import DayWindow
+from tweetdyn.timeseries import CountSeries, DayWindow
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -109,6 +110,40 @@ def _artifact_digests(outdir: Path) -> dict[str, str]:
         data = path.read_bytes()
         if path.name in ("parse_report.json", "report.json"):
             data = data.replace(str(outdir).encode(), b"<out>")
+        out[path.name] = hashlib.sha256(data).hexdigest()
+    return out
+
+
+# sha256 of every manifest of ``pipeline_dir``, as _manifest_digests reads it
+MANIFEST_DIGESTS = {
+    "manifest_cluster_spectral.json": "3617d6716fc48257ce3eed312ada0907c92c1cb6646e74fe5bd02de44d4032ab",
+    "manifest_cluster_topic.json": "2e859b43e911e101682b18da7dfd0581414766147f123c06ce6e01b63d1cc9d8",
+    "manifest_compare.json": "4f96cb2540ad3669a9c9fc78becd864f47ef47d2b3dc90f7a5454ae4cdf09a32",
+    "manifest_counts.json": "d25fafef88c67b3885fceacf0b95be97389ee38902172a57d986a3e5f8859215",
+    "manifest_ingest.json": "c0218125366071ded7fa68aa1443c862711e0168c4f7625a56cd8c0667d9b274",
+    "manifest_report.json": "d0a2f276fd48b321b2f191ed98c6c0cc9ae4a2d06bdec8892dad0ab91c3efe90",
+    "manifest_spectra.json": "688199dfb57e57cf8ac8184d920e444ff47f576f64a5d5c7112c5271b45b645a",
+    "manifest_strategy.json": "54960e19594be10c5e16b5c7554682a41e11390cd8e9a415662239a22be8c61d",
+    "manifest_synth.json": "bb33e7c5966373e4a9dde783759f261c701f49e29f66a56d3aff6a613f7c6f53",
+}
+
+
+def _manifest_digests(outdir: Path) -> dict[str, str]:
+    """sha256 of each manifest with every library version replaced by
+    "<version>". A manifest whose config names the run directory (ingest's
+    input) has it replaced by "<out>", and its config_sha256, which hashes
+    that directory, by "<sha256>". Every config_sha256 must first be the
+    sha256 of the recorded config as sorted, compact JSON."""
+    out = {}
+    for path in sorted(outdir.glob("manifest_*.json")):
+        data = path.read_bytes()
+        doc = json.loads(data)
+        canon = json.dumps(doc["config"], sort_keys=True).encode()
+        assert doc["config_sha256"] == hashlib.sha256(canon).hexdigest(), path.name
+        if str(outdir).encode() in data:
+            data = data.replace(doc["config_sha256"].encode(), b"<sha256>")
+            data = data.replace(str(outdir).encode(), b"<out>")
+        data = re.sub(rb'("(?:numpy|python|tweetdyn)": )"[^"]*"', rb'\1"<version>"', data)
         out[path.name] = hashlib.sha256(data).hexdigest()
     return out
 
@@ -224,6 +259,9 @@ class TestPipelineArtifacts:
     def test_artifact_bytes_pinned(self, pipeline_dir):
         assert _artifact_digests(pipeline_dir) == PIPELINE_DIGESTS
 
+    def test_manifest_bytes_pinned(self, pipeline_dir):
+        assert _manifest_digests(pipeline_dir) == MANIFEST_DIGESTS
+
 
 def _ingested_copy(pipeline_dir: Path, outdir: Path) -> Path:
     """A fresh output directory holding only ``pipeline_dir``'s ingest output."""
@@ -291,6 +329,34 @@ class TestChangepointCommand:
         lo1, hi1 = doc["slope_interval_1"]
         lo2, hi2 = doc["slope_interval_2"]
         assert hi1 < lo2
+
+    def test_bytes_pinned(self, tmp_path, config_path):
+        argv = ["--config", str(config_path), "--out", str(tmp_path)]
+        assert main(["synth", "--kind", "changepoint", *argv]) == 0
+        assert main(["changepoint", *argv]) == 0
+        digests = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in ("counts_aggregate.csv", "changepoint.json")
+        }
+        assert digests == {
+            "counts_aggregate.csv": "ee4b59ed1b4c8165c39a85a11154547315eac09fb4a1b6d4e80feea5df137080",
+            "changepoint.json": "c735934da9a73921b0238a65068b2f89750d32070df614c6c9385029e2526f37",
+        }
+        assert _manifest_digests(tmp_path) == {
+            "manifest_changepoint.json": "5f9e5bab3c1769f928d0ce1d8963d0af25ce65904d44fe1e3c0012c6557ad2b7",
+            "manifest_synth.json": "61898fdade34e0bb660edabcb300d0fad4c3c82c1cd75aa70f707cbb8289a7a9",
+        }
+
+
+class TestSeriesCsv:
+    def test_round_trip(self, tmp_path):
+        w = DayWindow.of_length(date(2016, 3, 9), 12)
+        s = CountSeries(window=w, values=np.arange(12))
+        path = tmp_path / "series.csv"
+        cli._write_series(path, s)
+        loaded = cli.load_series_csv(path)
+        assert loaded.window == s.window
+        assert (loaded.values == s.values).all()
 
 
 # the stage order perfbench times and `run` walks; windowed stages get "pre"
@@ -512,6 +578,21 @@ class TestFailureModes:
         assert expect in doc["error"]
         assert not (out / "compare.json").exists()
 
+    def test_compare_takes_settings_as_the_manifest_records_them(self, tmp_path, pipeline_dir):
+        # a manifest keeps floats at 12 significant digits, so it records
+        # this denoise_q as 0.123456789012; compare must still take the
+        # clusters made under it
+        out = _ingested_copy(pipeline_dir, tmp_path / "out")
+        shutil.copy(pipeline_dir / "clusters_topic.json", out / "clusters_topic.json")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**SMALL_CONFIG, "denoise_q": 0.1234567890123}))
+        argv = ["--config", str(config), "--out", str(out)]
+        assert main(["cluster-spectral", *argv]) == 0
+        manifest = json.loads((out / "manifest_cluster_spectral.json").read_text())
+        assert manifest["config"]["denoise_q"] == 0.123456789012
+        assert main(["compare", *argv]) == 0
+        assert (out / "compare.json").exists()
+
     def test_changepoint_needs_counts_aggregate(self, tmp_path, config_path):
         rc = main(["changepoint", "--config", str(config_path), "--out", str(tmp_path)])
         assert rc == 1
@@ -640,7 +721,7 @@ class TestArtifactWriters:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp, "out.json")
             cli.write_json(path, payload)
-            expected = json.dumps(cli._plain(payload), sort_keys=True, indent=2) + "\n"
+            expected = json.dumps(ref._plain(payload), sort_keys=True, indent=2) + "\n"
             assert path.read_bytes() == expected.encode("utf-8")
 
     @pytest.mark.parametrize(
@@ -649,7 +730,7 @@ class TestArtifactWriters:
     )
     def test_json_refuses_what_json_dumps_refuses(self, tmp_path, payload):
         with pytest.raises(TypeError):
-            json.dumps(cli._plain(payload), sort_keys=True, indent=2)
+            json.dumps(ref._plain(payload), sort_keys=True, indent=2)
         with pytest.raises(TypeError, match="is not JSON serializable"):
             cli.write_json(tmp_path / "out.json", payload)
 

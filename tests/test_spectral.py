@@ -439,6 +439,12 @@ class TestKmedoids:
         with pytest.raises(ValueError):
             kmedoids(pts, ["a", "b"], k=0, seed=0, restarts=10)
 
+    @pytest.mark.parametrize("restarts", [0, -1])
+    def test_restarts_below_one_rejected(self, restarts):
+        pts = np.array([[0.0, 0], [1, 1], [2, 0]])
+        with pytest.raises(ValueError, match="restarts must be >= 1"):
+            kmedoids(pts, ["a", "b", "c"], k=2, seed=0, restarts=restarts)
+
 
 @st.composite
 def point_set_st(draw):

@@ -19,8 +19,6 @@ from tweetdyn.timeseries import (
     counts_by_user,
     detrend,
     fit_segment,
-    load_series_csv,
-    save_series_csv,
 )
 
 
@@ -275,13 +273,3 @@ class TestChangepoint:
             == changepoint_significant(fb, fa, sigma=5.0).significant
         )
 
-
-class TestSeriesCsv:
-    def test_round_trip(self, tmp_path):
-        w = DayWindow.of_length(date(2016, 3, 9), 12)
-        s = CountSeries(window=w, values=np.arange(12))
-        path = tmp_path / "series.csv"
-        save_series_csv(s, path)
-        loaded = load_series_csv(path)
-        assert loaded.window == s.window
-        assert (loaded.values == s.values).all()

@@ -478,6 +478,12 @@ class TestTopTerms:
         ranked = top_terms([["ghost"]], term_counts_of({"u1": Counter({"a": 1})}), m=5)
         assert ranked == ((),)
 
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_m_below_one_rejected(self, m):
+        counts = term_counts_of({"u1": Counter({"a": 3, "b": 2, "c": 1})})
+        with pytest.raises(ValueError, match="m must be >= 1"):
+            top_terms([["u1"]], counts, m=m)
+
 
 class TestTopicCommunities:
     window = DayWindow.of_length(date(2016, 3, 9), 30)
