@@ -1,7 +1,9 @@
 """Micro-benchmark of the fast kernels against the code they replaced.
 
 Times ``graphs.modularity_communities`` on 10-NN graphs of uniform random
-points in the unit square, ``spectral.kmedoids`` on 3-d Gaussian blobs (the
+points in the unit square and on a dense planted-partition graph (1,500
+vertices in 5 blocks, about 40k edges with weights 1-3: the dense regime of
+a campaign-sized retweet graph), ``spectral.kmedoids`` on 3-d Gaussian blobs (the
 pipeline's default ``pca_dims`` and ``kmedoids_k``, 10 restarts),
 ``topic.similarity_graph`` on a random term-by-user count matrix,
 ``porter.stem`` on 20k distinct words (each stemmed once, so every call is
@@ -62,6 +64,7 @@ from tweetdyn.topic import (  # noqa: E402
 )
 
 MODULARITY_N = (250, 500, 1000)
+DENSE_MODULARITY_N = (1500,)
 KMEDOIDS_N = (200, 400, 800, 2000)
 SIMILARITY_N = (2000,)
 STEM_N = (20_000,)
@@ -89,12 +92,29 @@ def knn_graph(n: int, k: int = 10, seed: int = 0) -> WeightedGraph:
     dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
     np.fill_diagonal(dist, np.inf)
     nearest = np.argsort(dist, axis=1)[:, :k]
-    edges = {
-        tuple(sorted((f"n{i:04d}", f"n{int(j):04d}"))): 1.0
-        for i in range(n)
-        for j in nearest[i]
-    }
-    return WeightedGraph.from_edges(edges, extra_vertices=())
+    ends = np.repeat(np.arange(n), k), nearest.ravel()
+    pairs = np.unique(np.minimum(*ends) * n + np.maximum(*ends))
+    return WeightedGraph(
+        vertices=tuple(f"n{i:04d}" for i in range(n)),
+        u=pairs // n,
+        v=pairs % n,
+        w=np.ones(len(pairs)),
+    )
+
+
+def planted_graph(n: int, blocks: int = 5, seed: int = 0) -> WeightedGraph:
+    """``blocks`` equal blocks; a pair is joined with probability 0.12 inside
+    a block and 0.015 across, at a weight of 1, 2 or 3."""
+    rng = np.random.default_rng(seed)
+    block = np.arange(n) * blocks // n
+    p = np.where(block[:, None] == block[None, :], 0.12, 0.015)
+    u, v = np.nonzero(np.triu(rng.random((n, n)) < p, 1))
+    return WeightedGraph(
+        vertices=tuple(f"n{i:04d}" for i in range(n)),
+        u=u,
+        v=v,
+        w=rng.integers(1, 4, len(u)).astype(np.float64),
+    )
 
 
 def blobs(n: int, seed: int = 0) -> tuple[np.ndarray, list[str]]:
@@ -225,9 +245,11 @@ def same_parse(new, old) -> bool:
 
 
 def same_edges(a: WeightedGraph, b: WeightedGraph) -> bool:
-    return a.vertices == b.vertices and [(e, w.hex()) for e, w in a.edges.items()] == [
-        (e, w.hex()) for e, w in b.edges.items()
-    ]
+    return ref.graph_key(a) == ref.graph_key(b)
+
+
+def same_partition(a, b) -> bool:
+    return a[0] == b[0] and a[1].hex() == b[1].hex()
 
 
 def same_topics(new, old: dict) -> bool:
@@ -249,7 +271,12 @@ def main() -> int:
         graph = knn_graph(n)
         cases.append(("modularity_communities", n, {"edges": graph.n_edges},
                       modularity_communities, ref.modularity_communities, (graph,), {},
-                      lambda a, b: a[0] == b[0] and a[1].hex() == b[1].hex()))
+                      same_partition))
+    for n in DENSE_MODULARITY_N:
+        graph = planted_graph(n)
+        cases.append(("modularity_communities", n, {"edges": graph.n_edges, "dense": True},
+                      modularity_communities, ref.modularity_communities, (graph,), {},
+                      same_partition))
     for n in KMEDOIDS_N:
         pts, ids = blobs(n)
         cases.append(("kmedoids", n, {"k": 4, "restarts": 10},

@@ -213,11 +213,14 @@ def _conforms(value: Any, hint: Any) -> bool:
     return isinstance(value, hint) and not isinstance(value, bool)
 
 
-def _window_from_json(value: Any) -> DayWindow:
-    if isinstance(value, dict):
-        value = [value["start"], value["end"]]
-    start, end = value
-    return DayWindow(date.fromisoformat(start), date.fromisoformat(end))
+def _window_from_json(name: str, value: Any) -> DayWindow:
+    """The window of config key ``name`` from its JSON form, two ISO dates."""
+    try:
+        if not isinstance(value, list) or len(value) != 2:
+            raise ValueError("not a [start, end] list of two ISO dates")
+        return DayWindow(date.fromisoformat(value[0]), date.fromisoformat(value[1]))
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name} {value!r}: {exc}") from None
 
 
 def load_config(path: str | Path | None, overrides: dict[str, Any]) -> RunConfig:
@@ -239,7 +242,7 @@ def load_config(path: str | Path | None, overrides: dict[str, Any]) -> RunConfig
             continue
         value = data[f.name]
         if hints[f.name] is DayWindow and not isinstance(value, DayWindow):
-            value = _window_from_json(value)
+            value = _window_from_json(f.name, value)
         elif hints[f.name] is ColumnMap and isinstance(value, dict):
             value = ColumnMap(**value)
         elif isinstance(value, list):
@@ -261,7 +264,7 @@ def _json_text(obj: Any, nl: str) -> str:
     sorted, and an indent of 2; NumPy values unwrapped, floats at 12
     significant digits (non-finite ones as null), sets sorted, a
     :class:`DayWindow` as its two ISO dates, a date as its ISO date and a
-    dataclass as ``dataclasses.asdict`` of it."""
+    dataclass as the object of its fields, each encoded by its own case."""
     scalar = _SCALAR_JSON.get(obj.__class__)
     if scalar is not None:
         return scalar(obj)
@@ -299,7 +302,7 @@ def _json_text(obj: Any, nl: str) -> str:
     if isinstance(obj, date):
         return encode_basestring_ascii(obj.isoformat())
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return _json_text(dataclasses.asdict(obj), nl)
+        return _json_text({f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}, nl)
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
     if obj is None or obj is True or obj is False:
@@ -688,13 +691,14 @@ def cmd_cluster_topic(ctx: StageContext) -> list[str]:
             "communities": [sorted(p) for p in result.partition],
         },
     )
+    graph = result.graph
     write_csv(
         outdir / "topic_edges.csv",
         ["user_a", "user_b", "similarity"],
         [
-            [u for u, _ in result.graph.edges],
-            [v for _, v in result.graph.edges],
-            list(result.graph.edges.values()),
+            [graph.vertices[i] for i in graph.u.tolist()],
+            [graph.vertices[i] for i in graph.v.tolist()],
+            graph.w,
         ],
     )
     ranked = result.top_terms
@@ -822,16 +826,6 @@ def cmd_synth(ctx: StageContext) -> list[str]:
         write_records(corpus, outdir / RECORDS_FILE)
         write_json(outdir / LABELS_FILE, labels)
         return [RECORDS_FILE, LABELS_FILE]
-    if kind == "series":
-        specs = synth.reference_cluster_specs()
-        users, table, labels = synth.generate_series(specs, config.pre_window, config.seed)
-        write_csv(
-            outdir / "synth_series.csv",
-            ["user_id", "day_offset", "count"],
-            _long_form(users, table),
-        )
-        write_json(outdir / LABELS_FILE, labels)
-        return ["synth_series.csv", LABELS_FILE]
     if kind == "changepoint":
         series = synth.generate_changepoint_aggregate(
             config.synth_rates[0],
@@ -943,7 +937,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--kind",
                 default="corpus",
-                choices=["corpus", "series", "changepoint"],
+                choices=["corpus", "changepoint"],
                 help="what to generate",
             )
     return parser

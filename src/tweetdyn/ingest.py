@@ -518,9 +518,10 @@ def retweet_network(corpus: Corpus, campaign_users: set[str]) -> WeightedGraph:
     pairs, weights = np.unique(
         np.minimum(user, src) * len(ids) + np.maximum(user, src), return_counts=True
     )
-    edges = {
-        (ids[p // len(ids)], ids[p % len(ids)]): float(w)
-        for p, w in zip(pairs.tolist(), weights.tolist())
-    }
     seen = np.unique(np.concatenate([corpus.user[by_member], src]))
-    return WeightedGraph.from_edges(edges, extra_vertices=[ids[c] for c in seen.tolist()])
+    return WeightedGraph(
+        vertices=tuple(ids[c] for c in seen.tolist()),
+        u=np.searchsorted(seen, pairs // len(ids)),
+        v=np.searchsorted(seen, pairs % len(ids)),
+        w=weights,
+    )

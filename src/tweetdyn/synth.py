@@ -1,17 +1,15 @@
 """Synthetic data with known ground truth for every pipeline stage.
 
-Three generators, all driven by ``numpy.random.default_rng(seed)`` so equal
+Two generators, both driven by ``numpy.random.default_rng(seed)`` so equal
 specs and seeds reproduce byte-identical data:
 
-* :func:`generate_series` - a ``(users, days)`` count table, each row a
-  constant baseline plus planted cosines plus Gaussian noise, rounded
-  half-to-even (``np.rint``) and clipped at zero. Ground truth is the group
-  label per user.
 * :func:`generate_corpus` - a tweet :class:`~tweetdyn.corpus.Corpus` with
   planted group vocabularies, per-era strategy mixes and an optional strategy
   change point; tweet volume per day either constant or driven by an embedded
-  rate spec. Term draws follow Zipf-like 1/rank weights over each group's
-  vocabulary; outsider retweets name one of :data:`AMPLIFIED_OUTSIDERS`.
+  rate spec: a constant baseline plus planted cosines plus Gaussian noise,
+  rounded half-to-even (``np.rint``) and clipped at zero. Term draws follow
+  Zipf-like 1/rank weights over each group's vocabulary; outsider retweets
+  name one of :data:`AMPLIFIED_OUTSIDERS`.
   Ground truth (user -> group) is returned separately, never written into
   the tweet table.
 * :func:`generate_changepoint_aggregate` - one aggregate Poisson count series
@@ -26,7 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from datetime import date
-from typing import Sequence
 
 import numpy as np
 
@@ -136,24 +133,7 @@ def _member_counts(
     return np.clip(np.rint(values), 0, None).astype(np.int64)
 
 
-def generate_series(
-    specs: Sequence[GroupSpec],
-    window: DayWindow,
-    seed: int,
-) -> tuple[list[str], np.ndarray, dict[str, str]]:
-    """Member ids of every group, their (users, days) count table (row ``i``
-    for ``users[i]``) and their true labels."""
-    users = [uid for spec in specs for uid in _member_ids(spec)]
-    if len(set(users)) != len(users):
-        raise ValueError("group ids collide; member ids must be unique")
-    rng = np.random.default_rng(seed)
-    rows = [_member_counts(s, window.n_days, rng) for s in specs for _ in range(s.members)]
-    table = np.array(rows, dtype=np.int64).reshape(len(users), window.n_days)
-    labels = {uid: s.group_id for s in specs for uid in _member_ids(s)}
-    return users, table, labels
-
-
-def reference_cluster_specs(members: int = 10) -> tuple[GroupSpec, ...]:
+def reference_cluster_specs(members: int) -> tuple[GroupSpec, ...]:
     """Four rate archetypes: aperiodic; 4-day; 7- and 4-day; 7- and 2.5-day."""
     two_pi = 2.0 * math.pi
     return (

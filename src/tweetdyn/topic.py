@@ -417,7 +417,7 @@ def similarity_graph(matrix: TermUserMatrix, k: int) -> WeightedGraph:
     del xn
     n = len(users)
     if n < 2:
-        return WeightedGraph.from_edges({}, extra_vertices=users)
+        return WeightedGraph(vertices=users, u=(), v=(), w=())
     kth = min(k, n - 1)
     np.fill_diagonal(sim, -np.inf)  # sorts first, so it never sets a bound
     # ``sim`` is the one n x n array; the rest goes a block of rows at a time.
@@ -425,7 +425,7 @@ def similarity_graph(matrix: TermUserMatrix, k: int) -> WeightedGraph:
     bounds = np.empty(n)
     for lo in range(0, n, step):
         bounds[lo : lo + step] = np.partition(sim[lo : lo + step], n - kth, axis=1)[:, n - kth]
-    edges = {}
+    u, v, w = [], [], []
     for lo in range(0, n, step):
         block = sim[lo : lo + step]
         # Read sim[i, j] with i < j only: a BLAS product need not be symmetric.
@@ -433,11 +433,12 @@ def similarity_graph(matrix: TermUserMatrix, k: int) -> WeightedGraph:
             (block > 0) & (block >= np.minimum(bounds[lo : lo + step, None], bounds)), 1 + lo
         )
         rows, cols = np.nonzero(keep)
-        edges.update(
-            ((users[lo + i], users[j]), a)
-            for i, j, a in zip(rows.tolist(), cols.tolist(), block[rows, cols].tolist())
-        )
-    return WeightedGraph.from_edges(edges, extra_vertices=users)
+        u.append(rows + lo)
+        v.append(cols)
+        w.append(block[rows, cols])
+    return WeightedGraph(
+        vertices=users, u=np.concatenate(u), v=np.concatenate(v), w=np.concatenate(w)
+    )
 
 
 def top_terms(

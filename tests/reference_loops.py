@@ -128,9 +128,7 @@ def retweet_network(records, campaign_users):
             seen.add(src)
             key = (rec.user_id, src) if rec.user_id < src else (src, rec.user_id)
             weights[key] += 1
-    return WeightedGraph.from_edges(
-        {k: float(v) for k, v in weights.items()}, extra_vertices=seen
-    )
+    return graph_from_edges({k: float(v) for k, v in weights.items()}, extra_vertices=seen)
 
 
 def daily_counts(records, window):
@@ -527,7 +525,7 @@ def _plain(obj):
     if isinstance(obj, date):
         return obj.isoformat()
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return _plain(dataclasses.asdict(obj))
+        return _plain({f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)})
     return obj
 
 
@@ -535,10 +533,83 @@ def _plain(obj):
 # Greedy modularity that rescans and rebuilds every inter-community weight on
 # each merge, Q summed part by part over all edges, k-medoids swap descent
 # that prices each (medoid, candidate) swap from scratch, and the similarity
-# graph built with a full sort per row and a loop over vertex pairs.
+# graph built with a full sort per row and a loop over vertex pairs. The graph
+# oracles read a graph as a dict keyed by (id, id) pairs (``dict_view``) and
+# build one from such a dict (``graph_from_edges``).
+
+
+def graph_from_edges(edge_weights, extra_vertices):
+    """The WeightedGraph of a ``{(id, id): weight}`` dict: both orientations
+    of a pair are summed into one edge, and the vertices are the edges' ends
+    plus ``extra_vertices``."""
+    verts = set(extra_vertices)
+    merged = {}
+    for (u, v), w in edge_weights.items():
+        verts.add(u)
+        verts.add(v)
+        key = _edge_key(u, v)
+        merged[key] = merged.get(key, 0.0) + float(w)
+    vertices = tuple(sorted(verts))
+    index = {x: i for i, x in enumerate(vertices)}
+    edges = sorted((index[u], index[v], w) for (u, v), w in merged.items())
+    return WeightedGraph(
+        vertices=vertices,
+        u=[u for u, _, _ in edges],
+        v=[v for _, v, _ in edges],
+        w=[w for _, _, w in edges],
+    )
+
+
+@dataclass(frozen=True)
+class DictGraph:
+    """A graph as the oracles read it: ``edges`` maps each sorted (id, id)
+    pair to its weight, in sorted pair order."""
+
+    vertices: tuple
+    edges: dict
+
+    @property
+    def n_edges(self):
+        return len(self.edges)
+
+    @property
+    def total_weight(self):
+        return sum(self.edges.values())
+
+    def degrees(self):
+        deg = {v: 0.0 for v in self.vertices}
+        for (u, v), w in self.edges.items():
+            deg[u] += w
+            deg[v] += w
+        return deg
+
+
+def dict_view(graph):
+    """The DictGraph of a WeightedGraph; a DictGraph is returned as it is."""
+    if isinstance(graph, DictGraph):
+        return graph
+    ids = graph.vertices
+    return DictGraph(
+        vertices=ids,
+        edges={
+            (ids[u], ids[v]): w
+            for u, v, w in zip(graph.u.tolist(), graph.v.tolist(), graph.w.tolist())
+        },
+    )
+
+
+def graph_key(graph):
+    """A WeightedGraph as comparable values: vertices, u, v and w's exact floats."""
+    return (
+        graph.vertices,
+        graph.u.tolist(),
+        graph.v.tolist(),
+        [w.hex() for w in graph.w.tolist()],
+    )
 
 
 def modularity(graph, partition):
+    graph = dict_view(graph)
     groups = [frozenset(part) for part in partition]
     seen = set()
     for g in groups:
@@ -567,6 +638,7 @@ def _edge_key(u, v):
 
 
 def modularity_communities(graph):
+    graph = dict_view(graph)
     if graph.n_edges == 0:
         return [frozenset([v]) for v in graph.vertices], 0.0
     two_m = 2.0 * graph.total_weight
@@ -683,7 +755,7 @@ def similarity_graph(matrix, k):
     sim = xn.T @ xn
     n = len(users)
     if n < 2:
-        return WeightedGraph.from_edges({}, extra_vertices=users)
+        return graph_from_edges({}, extra_vertices=users)
     bounds = np.empty(n)
     for i in range(n):
         row = np.delete(sim[i], i)
@@ -696,7 +768,7 @@ def similarity_graph(matrix, k):
             a = sim[i, j]
             if a > 0 and a >= min(bounds[i], bounds[j]):
                 edges[(users[i], users[j])] = float(a)
-    return WeightedGraph.from_edges(edges, extra_vertices=users)
+    return graph_from_edges(edges, extra_vertices=users)
 
 
 # ------------------------------------------------------------ text pipeline

@@ -34,7 +34,6 @@ from tweetdyn.synth import (
     GroupCorpusSpec,
     generate_changepoint_aggregate,
     generate_corpus,
-    generate_series,
     planted_vocabulary,
     reference_cluster_specs,
 )
@@ -51,6 +50,7 @@ from test_cli import SMALL_CONFIG, run_pipeline
 from test_graphs import FIXTURES as GRAPH_FIXTURES
 from test_graphs import brute_force_best_q
 from test_spectral import KMEDOID_FIXTURES, exhaustive_kmedoids_cost, half_spectrum_power
+from test_synth import generate_series
 from tweet_tables import term_counts_of
 
 

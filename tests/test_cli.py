@@ -21,8 +21,9 @@ from hypothesis.extra import numpy as hnp
 
 import reference_loops as ref
 import tweetdyn
+from test_synth import generate_series
 from tweet_tables import write_csv
-from tweetdyn import cli
+from tweetdyn import cli, synth
 from tweetdyn.cli import load_config, main
 from tweetdyn.compare import adjusted_rand_index
 from tweetdyn.ingest import ColumnMap, parse_records
@@ -116,15 +117,15 @@ def _artifact_digests(outdir: Path) -> dict[str, str]:
 
 # sha256 of every manifest of ``pipeline_dir``, as _manifest_digests reads it
 MANIFEST_DIGESTS = {
-    "manifest_cluster_spectral.json": "3617d6716fc48257ce3eed312ada0907c92c1cb6646e74fe5bd02de44d4032ab",
-    "manifest_cluster_topic.json": "2e859b43e911e101682b18da7dfd0581414766147f123c06ce6e01b63d1cc9d8",
-    "manifest_compare.json": "4f96cb2540ad3669a9c9fc78becd864f47ef47d2b3dc90f7a5454ae4cdf09a32",
-    "manifest_counts.json": "d25fafef88c67b3885fceacf0b95be97389ee38902172a57d986a3e5f8859215",
-    "manifest_ingest.json": "c0218125366071ded7fa68aa1443c862711e0168c4f7625a56cd8c0667d9b274",
-    "manifest_report.json": "d0a2f276fd48b321b2f191ed98c6c0cc9ae4a2d06bdec8892dad0ab91c3efe90",
-    "manifest_spectra.json": "688199dfb57e57cf8ac8184d920e444ff47f576f64a5d5c7112c5271b45b645a",
-    "manifest_strategy.json": "54960e19594be10c5e16b5c7554682a41e11390cd8e9a415662239a22be8c61d",
-    "manifest_synth.json": "bb33e7c5966373e4a9dde783759f261c701f49e29f66a56d3aff6a613f7c6f53",
+    "manifest_cluster_spectral.json": "74e5ce7b927a108bb29b560656d6d769845d6ca5dcea87769ad33b137c9c0f74",
+    "manifest_cluster_topic.json": "aae9119672ce109d8b32ebd7afe1eacb85e492aaa2559635fa0bed9e540028c2",
+    "manifest_compare.json": "5f3be6c53dbd27b0593492e6df1b0682b99d32ef6717c4ea81df9498720c2d74",
+    "manifest_counts.json": "de77723bdfbd31e4e56b7afafd93072549ea0fb3fc198b72136b0e59e51f5200",
+    "manifest_ingest.json": "c02e24532bb1f52afac3d8bc7152c874d1daf0c3ee25f33b645f2d5b5984a908",
+    "manifest_report.json": "6d09969fbb3156ff3ae0517fe7aab96ab8aa60515fb6d72b8a1b5db93a33bfb9",
+    "manifest_spectra.json": "255a264eaaa3eb1e36bfebead40b53012bd7e3c1e436fff21c64d7d13ddf4d2d",
+    "manifest_strategy.json": "9dc323aea0ebc4bb2c471ab64f29ec102bafb3324a29ec94b10fd10e60c2b56b",
+    "manifest_synth.json": "6f66fc0161fff074a470600028b54b02f364b99727bdb0ba7e5ff1b6956eac3c",
 }
 
 
@@ -262,6 +263,14 @@ class TestPipelineArtifacts:
     def test_manifest_bytes_pinned(self, pipeline_dir):
         assert _manifest_digests(pipeline_dir) == MANIFEST_DIGESTS
 
+    @pytest.mark.parametrize("kind", ["spectral", "topic"])
+    def test_manifest_window_is_the_artifact_window(self, pipeline_dir, kind):
+        # a window is its two ISO dates in a manifest's config and in an artifact alike
+        manifest = json.loads((pipeline_dir / f"manifest_cluster_{kind}.json").read_text())
+        artifact = json.loads((pipeline_dir / f"clusters_{kind}.json").read_text())
+        assert manifest["config"]["pre_window"] == artifact["window"] == SMALL_CONFIG["pre_window"]
+        assert manifest["config"]["bulk_window"] == SMALL_CONFIG["bulk_window"]
+
 
 def _ingested_copy(pipeline_dir: Path, outdir: Path) -> Path:
     """A fresh output directory holding only ``pipeline_dir``'s ingest output."""
@@ -297,8 +306,18 @@ class TestWindowOption:
 
 class TestSynthSeries:
     def test_bytes_pinned(self, tmp_path):
-        # default config: 4 reference groups x 10 users over the 244-day pre window
-        assert main(["synth", "--kind", "series", "--out", str(tmp_path)]) == 0
+        # the table the former `synth --kind series` wrote under the default
+        # config: 4 reference groups x 10 users over the 244-day pre window
+        config = cli.RunConfig()
+        users, table, labels = generate_series(
+            synth.reference_cluster_specs(members=10), config.pre_window, config.seed
+        )
+        cli.write_csv(
+            tmp_path / "synth_series.csv",
+            ["user_id", "day_offset", "count"],
+            cli._long_form(users, table),
+        )
+        cli.write_json(tmp_path / "labels.json", labels)
         rows = (tmp_path / "synth_series.csv").read_text().splitlines()
         assert len(rows) == 1 + 40 * 244
         digests = {
@@ -343,8 +362,8 @@ class TestChangepointCommand:
             "changepoint.json": "c735934da9a73921b0238a65068b2f89750d32070df614c6c9385029e2526f37",
         }
         assert _manifest_digests(tmp_path) == {
-            "manifest_changepoint.json": "5f9e5bab3c1769f928d0ce1d8963d0af25ce65904d44fe1e3c0012c6557ad2b7",
-            "manifest_synth.json": "61898fdade34e0bb660edabcb300d0fad4c3c82c1cd75aa70f707cbb8289a7a9",
+            "manifest_changepoint.json": "27161cccaeb98d3feaf46f28028d1cbd65e3da7d38c7a1ce175b6c08c7902bd9",
+            "manifest_synth.json": "f8ae1dfef9ffda7bd0b0aeed85f11aadbd63206232cee0cfd90da4fb92208a55",
         }
 
 
@@ -407,7 +426,7 @@ class TestRunCommand:
 
     def test_takes_no_flag_of_synth(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
-            main(["run", "--kind", "series", "--out", str(tmp_path)])
+            main(["run", "--kind", "changepoint", "--out", str(tmp_path)])
         assert exc.value.code == 2
 
     def test_benchmark_times_the_stages_run_runs(self):
@@ -474,6 +493,22 @@ class TestFailureModes:
         path.write_text(json.dumps(bad))
         assert main(["counts", "--config", str(path), "--out", str(tmp_path)]) == 2
         assert not (tmp_path / "manifest_counts.json").exists()
+
+    @pytest.mark.parametrize(
+        "window",
+        [
+            {"start": "2016-03-09", "end": "2016-04-08"},
+            ["2016-03-09"],
+            "2016-03-09",
+            ["2016-03-09", "soon"],
+            ["2016-04-08", "2016-03-09"],
+        ],
+    )
+    def test_bad_window_names_its_key(self, tmp_path, caplog, window):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"post_window": window}))
+        assert main(["counts", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert "post_window" in caplog.text
 
     def test_negative_seed_flag_returns_2(self, tmp_path):
         assert main(["synth", "--seed", "-1", "--out", str(tmp_path)]) == 2
@@ -758,6 +793,12 @@ class TestArtifactWriters:
         header = [f"c{i}" for i in range(len(columns))]
         with tempfile.TemporaryDirectory() as tmp:
             new, old = Path(tmp, "new.csv"), Path(tmp, "old.csv")
+            try:
+                ref.write_csv_rows(old, header, list(zip(*columns)))
+            except UnicodeEncodeError:
+                # a lone surrogate has no UTF-8 bytes: both writers refuse it
+                with pytest.raises(UnicodeEncodeError):
+                    cli.write_csv(new, header, columns)
+                return
             cli.write_csv(new, header, columns)
-            ref.write_csv_rows(old, header, list(zip(*columns)))
             assert new.read_bytes() == old.read_bytes()

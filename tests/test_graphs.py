@@ -18,9 +18,7 @@ from tweetdyn.graphs import WeightedGraph, modularity, modularity_communities
 
 
 def _graph(edge_list, extra=()):
-    return WeightedGraph.from_edges(
-        {(u, v): w for u, v, w in edge_list}, extra_vertices=extra
-    )
+    return ref.graph_from_edges({(u, v): w for u, v, w in edge_list}, extra_vertices=extra)
 
 
 TWO_TRIANGLES = _graph(
@@ -54,27 +52,56 @@ class TestWeightedGraph:
     def test_canonical_edges_and_lookups(self):
         g = _graph([("b", "a", 2.0), ("b", "c", 1.5)])
         assert g.vertices == ("a", "b", "c")
-        assert g.edges == {("a", "b"): 2.0, ("b", "c"): 1.5}
-        assert g.degrees() == {"a": 2.0, "b": 3.5, "c": 1.5}
+        assert (g.u.tolist(), g.v.tolist(), g.w.tolist()) == ([0, 1], [1, 2], [2.0, 1.5])
+        assert g.degrees().tolist() == [2.0, 3.5, 1.5]
         assert g.total_weight == 3.5
 
     def test_from_edges_merges_orientations(self):
-        g = WeightedGraph.from_edges({("a", "b"): 1.0, ("b", "a"): 2.0}, extra_vertices=())
-        assert g.edges == {("a", "b"): 3.0}
+        g = ref.graph_from_edges({("a", "b"): 1.0, ("b", "a"): 2.0}, extra_vertices=())
+        assert ref.dict_view(g).edges == {("a", "b"): 3.0}
         assert g.n_edges == 1
 
     def test_validation(self):
+        with pytest.raises(ValueError, match="sorted"):
+            WeightedGraph(vertices=("b", "a"), u=(), v=(), w=())
+        with pytest.raises(ValueError, match="sorted"):
+            WeightedGraph(vertices=("a", "a"), u=(), v=(), w=())
+
+    @pytest.mark.parametrize(
+        "u, v, w",
+        [
+            pytest.param([1], [0], [1.0], id="u-above-v"),
+            pytest.param([0], [0], [1.0], id="self-loop"),
+            pytest.param([0], [3], [1.0], id="index-past-end"),
+            pytest.param([-1], [1], [1.0], id="negative-index"),
+            pytest.param([0.0], [1.0], [1.0], id="float-indices"),
+            pytest.param([1, 0], [2, 1], [1.0, 1.0], id="unsorted-u"),
+            pytest.param([0, 0], [2, 1], [1.0, 1.0], id="unsorted-v"),
+            pytest.param([0, 0], [1, 1], [1.0, 1.0], id="duplicate-pair"),
+            pytest.param([0], [1], [0.0], id="zero-weight"),
+            pytest.param([0], [1], [-1.0], id="negative-weight"),
+            pytest.param([0], [1], [float("nan")], id="nan-weight"),
+            pytest.param([0, 1], [1], [1.0], id="u-v-lengths"),
+            pytest.param([0], [1], [1.0, 2.0], id="w-length"),
+            pytest.param([[0]], [[1]], [[1.0]], id="2-d"),
+        ],
+    )
+    def test_constructor_rejects(self, u, v, w):
         with pytest.raises(ValueError):
-            WeightedGraph(vertices=("a",), edges={("a", "a"): 1.0})
+            WeightedGraph(vertices=("a", "b", "c"), u=np.array(u), v=np.array(v), w=np.array(w))
+
+    def test_arrays_are_read_only_copies(self):
+        u, v, w = np.array([0]), np.array([1]), np.array([2.0])
+        g = WeightedGraph(vertices=("a", "b"), u=u, v=v, w=w)
+        w[0] = 5.0
+        assert g.w.tolist() == [2.0]
         with pytest.raises(ValueError):
-            WeightedGraph(vertices=("a", "b"), edges={("a", "b"): 0.0})
-        with pytest.raises(ValueError):
-            WeightedGraph(vertices=("a",), edges={("a", "b"): 1.0})
+            g.w[0] = 5.0
 
     def test_isolated_vertices_kept(self):
         g = _graph([("a", "b", 1.0)], extra=["lonely"])
-        assert "lonely" in g.vertices
-        assert g.degrees()["lonely"] == 0.0
+        assert g.vertices == ("a", "b", "lonely")
+        assert g.degrees().tolist() == [1.0, 1.0, 0.0]
 
 
 class TestModularity:
@@ -84,10 +111,10 @@ class TestModularity:
             "import numpy as np\n"
             "from tweetdyn.graphs import WeightedGraph, modularity\n"
             "rng = np.random.default_rng(3)\n"
-            "verts = [f'user{i:03d}' for i in range(80)]\n"
-            "edges = {(verts[i], verts[j]): float(rng.random() * 10 ** rng.uniform(-3, 3))\n"
-            "         for i in range(80) for j in range(i + 1, 80) if rng.random() < 0.2}\n"
-            "graph = WeightedGraph.from_edges(edges, extra_vertices=verts)\n"
+            "verts = tuple(f'user{i:03d}' for i in range(80))\n"
+            "u, v = np.nonzero(np.triu(rng.random((80, 80)) < 0.2, 1))\n"
+            "w = rng.random(len(u)) * 10 ** rng.uniform(-3, 3, len(u))\n"
+            "graph = WeightedGraph(vertices=verts, u=u, v=v, w=w)\n"
             "print(repr(modularity(graph, [verts[:40], verts[40:]])))\n"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(tweetdyn.__file__).parents[1]))
@@ -161,7 +188,7 @@ class TestModularityCommunities:
         assert q >= brute_force_best_q(graph) - 0.02
 
     def test_edgeless_graph_singleton_communities(self):
-        g = WeightedGraph(vertices=("a", "b", "c"), edges={})
+        g = WeightedGraph(vertices=("a", "b", "c"), u=(), v=(), w=())
         partition, q = modularity_communities(g)
         assert partition == [frozenset({"a"}), frozenset({"b"}), frozenset({"c"})]
         assert q == 0.0
@@ -194,9 +221,7 @@ class TestModularityCommunities:
         )
     )
     def test_greedy_never_below_singletons(self, pairs):
-        g = WeightedGraph.from_edges(
-            {(f"v{u}", f"v{v}"): 1.0 for u, v in pairs}, extra_vertices=()
-        )
+        g = ref.graph_from_edges({(f"v{u}", f"v{v}"): 1.0 for u, v in pairs}, extra_vertices=())
         partition, q = modularity_communities(g)
         singles = modularity(g, [{v} for v in g.vertices])
         assert q >= singles - 1e-12
@@ -215,7 +240,7 @@ def graph_st(draw):
         lambda p: p[0] != p[1]
     )
     edges = draw(st.dictionaries(pairs, weight, max_size=3 * n))
-    return WeightedGraph.from_edges(
+    return ref.graph_from_edges(
         {(names[u], names[v]): w for (u, v), w in edges.items()}, extra_vertices=names
     )
 
@@ -231,6 +256,16 @@ class TestMatchesQuadraticReference:
         old_partition, old_q = ref.modularity_communities(graph)
         assert partition == old_partition
         assert q.hex() == float(old_q).hex()
+
+    @settings(max_examples=200, deadline=None)
+    @given(graph_st())
+    def test_same_degrees_and_total_weight(self, graph):
+        view = ref.dict_view(graph)
+        want = view.degrees()
+        assert [d.hex() for d in graph.degrees().tolist()] == [
+            want[v].hex() for v in graph.vertices
+        ]
+        assert float(graph.total_weight).hex() == float(view.total_weight).hex()
 
     @settings(max_examples=200, deadline=None)
     @given(graph_st(), st.randoms(use_true_random=False))
@@ -269,7 +304,7 @@ def _knn_graph(n, k, seed):
     for i in range(n):
         for j in np.argsort(dist[i])[:k]:
             edges[tuple(sorted((f"n{i:03d}", f"n{int(j):03d}")))] = 1.0
-    return WeightedGraph.from_edges(edges, extra_vertices=())
+    return ref.graph_from_edges(edges, extra_vertices=())
 
 
 def _planted_graph(n_blocks, size, seed):
@@ -278,7 +313,7 @@ def _planted_graph(n_blocks, size, seed):
     block = np.arange(n) // size
     p = np.where(block[:, None] == block[None, :], 0.3, 0.005)
     hits = np.triu(rng.random((n, n)) < p, 1)
-    return WeightedGraph.from_edges(
+    return ref.graph_from_edges(
         {(f"n{i:03d}", f"n{j:03d}"): 1.0 for i, j in zip(*np.nonzero(hits))},
         extra_vertices=(),
     )
@@ -294,7 +329,7 @@ class TestAgainstNetworkx:
         nx = pytest.importorskip("networkx")
         g = nx.Graph()
         g.add_nodes_from(graph.vertices)
-        g.add_weighted_edges_from((u, v, w) for (u, v), w in graph.edges.items())
+        g.add_weighted_edges_from((u, v, w) for (u, v), w in ref.dict_view(graph).edges.items())
         parts = nx.community.greedy_modularity_communities(g, weight="weight")
         return nx.community.modularity(g, parts, weight="weight")
 

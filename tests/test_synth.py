@@ -16,13 +16,29 @@ from tweetdyn.synth import (
     CorpusSpec,
     GroupCorpusSpec,
     GroupSpec,
+    _member_counts,
+    _member_ids,
     generate_changepoint_aggregate,
     generate_corpus,
-    generate_series,
     planted_vocabulary,
     reference_cluster_specs,
 )
 from tweetdyn.timeseries import DayWindow
+
+
+def generate_series(specs, window, seed):
+    """Member ids of every group, their (users, days) count table (row ``i``
+    for ``users[i]``) and their true labels: each row a group's rate model
+    (``synth.GroupSpec``) drawn the way ``generate_corpus`` draws a member's
+    daily tweet counts, with no tweets made from it."""
+    users = [uid for spec in specs for uid in _member_ids(spec)]
+    if len(set(users)) != len(users):
+        raise ValueError("group ids collide; member ids must be unique")
+    rng = np.random.default_rng(seed)
+    rows = [_member_counts(s, window.n_days, rng) for s in specs for _ in range(s.members)]
+    table = np.array(rows, dtype=np.int64).reshape(len(users), window.n_days)
+    labels = {uid: s.group_id for s in specs for uid in _member_ids(s)}
+    return users, table, labels
 
 
 class TestGroupSpecValidation:
