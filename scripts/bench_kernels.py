@@ -255,7 +255,6 @@ def same_partition(a, b) -> bool:
 def same_topics(new, old: dict) -> bool:
     return (
         new.dynamic_stopwords == old["dynamic_stopwords"]
-        and new.keywords_by_user == old["keywords_by_user"]
         and new.vocabulary == old["vocabulary"]
         and new.matrix.counts.tobytes() == old["matrix"].counts.tobytes()
         and same_edges(new.graph, old["graph"])

@@ -406,25 +406,6 @@ def write_manifest(
     write_json(outdir / f"manifest_{command.replace('-', '_')}.json", payload)
 
 
-def resolve_cohort(corpus: Corpus, config: RunConfig, window: DayWindow) -> list[str]:
-    """Volume threshold over the bulk window AND regularity over ``window``."""
-    volume = select_cohort(
-        corpus,
-        config.bulk_window,
-        config.language,
-        min_total_tweets=config.min_total_tweets,
-        active_day_fraction=0.0,
-    )
-    regular = select_cohort(
-        corpus,
-        window,
-        config.language,
-        min_total_tweets=0,
-        active_day_fraction=config.active_day_fraction,
-    )
-    return sorted(volume & regular)
-
-
 @dataclass(frozen=True)
 class StageContext:
     """What the stages of one :func:`main` call share: the config, the output
@@ -451,7 +432,15 @@ class StageContext:
 
     def cohort(self, window: DayWindow) -> tuple[str, ...]:
         if window not in self._cohorts:
-            self._cohorts[window] = tuple(resolve_cohort(self.corpus, self.config, window))
+            config = self.config
+            self._cohorts[window] = select_cohort(
+                self.corpus,
+                config.bulk_window,
+                window,
+                config.language,
+                config.min_total_tweets,
+                config.active_day_fraction,
+            )
         return self._cohorts[window]
 
     def spectra(self, window: DayWindow) -> spectral.Spectra:

@@ -89,7 +89,7 @@ class WeightedGraph:
     @property
     def total_weight(self) -> float:
         """Sum of edge weights (each undirected edge counted once), left to right."""
-        return sum(self.w.tolist())
+        return sum(self.w.tolist(), 0.0)
 
     def degrees(self) -> np.ndarray:
         """Weighted degree per vertex index: each edge adds its weight to ``u``

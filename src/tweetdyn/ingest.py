@@ -461,39 +461,46 @@ def write_records(corpus: Corpus, path: str | Path) -> str:
 
 def select_cohort(
     corpus: Corpus,
+    bulk_window: DayWindow,
     window: DayWindow,
     language: str | None,
     min_total_tweets: int,
     active_day_fraction: float,
-) -> set[str]:
-    """Users meeting the volume and regularity thresholds inside the window.
+) -> tuple[str, ...]:
+    """The cohort of ``window``, in id order: the users that meet the volume
+    threshold over ``bulk_window`` and the regularity threshold over
+    ``window``.
 
-    A user qualifies when, counting only their tweets inside the window (and
-    in ``language``, unless it is None): total tweets >= ``min_total_tweets``
-    and (days with >= 1 tweet) / window length >= ``active_day_fraction``.
-    An empty result is valid and logged.
+    Counting only tweets in ``language`` (every language when it is None), a
+    user qualifies with at least max(1, ``min_total_tweets``) tweets inside
+    ``bulk_window``, and tweets on at least one day of ``window`` and on a
+    share of its days of at least ``active_day_fraction``. An empty result is
+    valid and logged.
     """
     if min_total_tweets < 0:
         raise ValueError("min_total_tweets must be >= 0")
     if not 0.0 <= active_day_fraction <= 1.0:
         raise ValueError("active_day_fraction must be in [0, 1]")
-    t, inside = corpus.window_offsets(window)
-    keep = inside & corpus.language_mask(language)
-    user, t = corpus.user[keep], t[keep]
     n_accounts, n_days = len(corpus.account_ids), window.n_days
-    totals = np.bincount(user, minlength=n_accounts)
-    active_days = np.bincount(np.unique(user * n_days + t) // n_days, minlength=n_accounts)
+    in_language = corpus.language_mask(language)
+    _, inside = corpus.window_offsets(bulk_window)
+    volume = np.bincount(corpus.user[inside & in_language], minlength=n_accounts)
+    t, inside = corpus.window_offsets(window)
+    keep = inside & in_language
+    days = np.unique(corpus.user[keep] * n_days + t[keep])
+    active_days = np.bincount(days // n_days, minlength=n_accounts)
     qualifies = (
-        (totals > 0)
-        & (totals >= min_total_tweets)
+        (volume > 0)
+        & (volume >= min_total_tweets)
+        & (active_days > 0)
         & (active_days / n_days >= active_day_fraction)
     )
-    cohort = {corpus.account_ids[u] for u in np.flatnonzero(qualifies).tolist()}
+    cohort = tuple(corpus.account_ids[u] for u in np.flatnonzero(qualifies).tolist())
     if not cohort:
         logger.warning(
-            "select_cohort: no users in %s meet language=%r, min_total_tweets=%d, "
-            "active_day_fraction=%s",
-            window, language, min_total_tweets, active_day_fraction,
+            "select_cohort: no users meet language=%r, min_total_tweets=%d in %s "
+            "and active_day_fraction=%s in %s",
+            language, min_total_tweets, bulk_window, active_day_fraction, window,
         )
     return cohort
 

@@ -88,7 +88,6 @@ class Embedding:
     ids: tuple[str, ...]
     points: np.ndarray
     eigenvalues: np.ndarray
-    components: np.ndarray
 
     def __post_init__(self) -> None:
         points = np.asarray(self.points, dtype=np.float64)
@@ -123,7 +122,6 @@ class BandSummary:
     q3: np.ndarray
     maxs: np.ndarray
     n_samples: int
-    n_spectra: int
 
 
 def dft(values: np.ndarray, users: Sequence[str]) -> Spectra:
@@ -223,12 +221,7 @@ def pca_embed(matrix: np.ndarray, ids: Sequence[str], dims: int) -> Embedding:
         if components[i, j] < 0:
             components[i] = -components[i]
     points = centered @ components.T
-    return Embedding(
-        ids=tuple(ids),
-        points=points,
-        eigenvalues=eigenvalues,
-        components=components,
-    )
+    return Embedding(ids=tuple(ids), points=points, eigenvalues=eigenvalues)
 
 
 def _pairwise_distances(points: np.ndarray, block: int = 64) -> np.ndarray:
@@ -382,7 +375,6 @@ def band_summary(magnitudes: np.ndarray, n_samples: int) -> BandSummary:
         q3=q3,
         maxs=mags.max(axis=0),
         n_samples=n_samples,
-        n_spectra=len(mags),
     )
 
 

@@ -33,7 +33,7 @@ import math
 import re
 from collections import defaultdict
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -217,7 +217,6 @@ class TopicClustering:
     """Everything the text pipeline produced, stage by stage."""
 
     dynamic_stopwords: frozenset[str]
-    keywords_by_user: Mapping[str, frozenset[str]]
     vocabulary: tuple[str, ...]
     matrix: TermUserMatrix
     graph: WeightedGraph
@@ -342,12 +341,9 @@ def gamma_fit(counts: Sequence[float]) -> GammaFit:
     return GammaFit(k_shape=mean * mean / var, theta_scale=var / mean)
 
 
-def gamma_keywords(
-    counts: TermCounts,
-    q: float,
-) -> tuple[dict[str, frozenset[str]], frozenset[str]]:
-    """Per-user keyword sets (counts at or above the user's Gamma q-quantile)
-    and their union.
+def gamma_keywords(counts: TermCounts, q: float) -> frozenset[str]:
+    """The vocabulary: the union over users of their keywords, the terms
+    whose count is at or above the user's Gamma q-quantile.
 
     The fit reads the user's counts in ascending order. Users whose counts
     admit no moment fit (fewer than two distinct terms, or all counts equal)
@@ -370,13 +366,8 @@ def gamma_keywords(
                 "keeping terms at or above the mean",
                 counts.users[i],
             )
-    keywords = counts.where(counts.count >= threshold[counts.user])
-    kept = [counts.terms[t] for t in keywords.term.tolist()]
-    bounds = keywords.bounds()
-    per_user = {
-        u: frozenset(kept[a:b]) for u, a, b in zip(counts.users, bounds, bounds[1:])
-    }
-    return per_user, frozenset(kept)
+    keyword = counts.count >= threshold[counts.user]
+    return frozenset(counts.terms[t] for t in counts.term[keyword].tolist())
 
 
 def build_term_user_matrix(
@@ -490,7 +481,7 @@ def topic_communities(
         raise ValueError("need at least 2 users with text to cluster")
     dyn = dynamic_stopwords(raw, dynamic_p)
     counts = raw.without(dyn)
-    keywords, vocabulary = gamma_keywords(counts, gamma_q)
+    vocabulary = gamma_keywords(counts, gamma_q)
     if not vocabulary:
         raise ValueError("no keywords survive filtering; nothing to cluster")
     matrix = build_term_user_matrix(counts, vocabulary)
@@ -498,7 +489,6 @@ def topic_communities(
     partition, q = modularity_communities(graph)
     return TopicClustering(
         dynamic_stopwords=dyn,
-        keywords_by_user=keywords,
         vocabulary=tuple(sorted(vocabulary)),
         matrix=matrix,
         graph=graph,

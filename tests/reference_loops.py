@@ -1015,22 +1015,18 @@ def dynamic_stopwords(term_counts, p):
 
 
 def gamma_keywords(term_counts, q):
-    per_user = {}
     union = set()
     for user_id in sorted(term_counts):
         counts = term_counts[user_id]
         if not counts:
-            per_user[user_id] = frozenset()
             continue
         values = np.array(sorted(counts.values()), dtype=np.float64)
         try:
             threshold = gamma_fit(values).quantile(q)
         except ValueError:
             threshold = float(values.mean())
-        kept = frozenset(t for t, c in counts.items() if c >= threshold)
-        per_user[user_id] = kept
-        union |= kept
-    return per_user, frozenset(union)
+        union |= {t for t, c in counts.items() if c >= threshold}
+    return frozenset(union)
 
 
 def build_term_user_matrix(term_counts, vocabulary):
@@ -1070,7 +1066,7 @@ def topic_communities(corpus, users, window, dynamic_p, gamma_q, knn_k, top_m):
         u: Counter({t: c for t, c in counts.items() if t not in dyn})
         for u, counts in raw_counts.items()
     }
-    keywords, vocabulary = gamma_keywords(filtered, gamma_q)
+    vocabulary = gamma_keywords(filtered, gamma_q)
     if not vocabulary:
         raise ValueError("no keywords survive filtering; nothing to cluster")
     matrix = build_term_user_matrix(filtered, vocabulary)
@@ -1079,7 +1075,6 @@ def topic_communities(corpus, users, window, dynamic_p, gamma_q, knn_k, top_m):
     return {
         "raw_counts": raw_counts,
         "dynamic_stopwords": dyn,
-        "keywords_by_user": keywords,
         "vocabulary": tuple(sorted(vocabulary)),
         "matrix": matrix,
         "graph": graph,
@@ -1238,7 +1233,6 @@ def band_summary(spectra):
         q3=q3,
         maxs=mags.max(axis=0),
         n_samples=n_samples.pop(),
-        n_spectra=len(spectra),
     )
 
 

@@ -20,7 +20,13 @@ import pytest
 from tweetdyn.cli import RunConfig, main
 from tweetdyn.compare import adjusted_rand_index
 from tweetdyn.graphs import modularity_communities
-from tweetdyn.ingest import ColumnMap, merge_parts, parse_records, retweet_network
+from tweetdyn.ingest import (
+    ColumnMap,
+    merge_parts,
+    parse_records,
+    retweet_network,
+    select_cohort,
+)
 from tweetdyn.spectral import denoise, dft, dominant_period, kmedoids, pca_embed
 from tweetdyn.strategy import (
     CRITICAL_VALUE_P999_DF6,
@@ -339,10 +345,17 @@ def test_criterion_9_real_corpus_checks(capsys):
     config = RunConfig()
     users = corpus.authors()
 
-    from tweetdyn.cli import resolve_cohort
-
-    pre_cohort = resolve_cohort(corpus, config, config.pre_window)
-    post_cohort = resolve_cohort(corpus, config, config.post_window)
+    pre_cohort, post_cohort = (
+        select_cohort(
+            corpus,
+            config.bulk_window,
+            window,
+            config.language,
+            config.min_total_tweets,
+            config.active_day_fraction,
+        )
+        for window in (config.pre_window, config.post_window)
+    )
     network = retweet_network(corpus, users)
     parts, q = modularity_communities(network)
 

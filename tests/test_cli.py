@@ -12,6 +12,7 @@ import sys
 import tempfile
 from datetime import date
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -674,13 +675,34 @@ class TestRemappedColumns:
         assert len(doc["cohort"]) == 32
 
 
+# SMALL_CONFIG with fit ranges inside its 92-day bulk window, so that `run`
+# gets past changepoint
+RUN_CONFIG = {
+    **SMALL_CONFIG, "model1_range": [8, 23], "model1_t0": 8,
+    "model2_range": [23, 38], "model2_t0": 23,
+}
+
+
+def test_run_selects_each_cohort_once(tmp_path, pipeline_dir):
+    config_path = tmp_path / "fit.json"
+    config_path.write_text(json.dumps(RUN_CONFIG))
+    argv = [
+        "run", "--config", str(config_path), "--out", str(tmp_path / "out"),
+        "--input", str(pipeline_dir / "records.jsonl"), "--format", "jsonl",
+    ]
+    with mock.patch.object(cli, "select_cohort", wraps=cli.select_cohort) as select:
+        assert main(argv) == 0
+    windows = [c.args[2] for c in select.call_args_list]
+    config = load_config(config_path, {})
+    # three distinct windows, each selected once
+    assert len(windows) == 3
+    assert set(windows) == {config.pre_window, config.reference_window, config.comparison_window}
+
+
 def test_run_leaves_scipy_unimported(tmp_path, pipeline_dir):
     # scipy is a test dependency only: no stage may import any of it
     config_path = tmp_path / "fit.json"
-    config_path.write_text(json.dumps({
-        **SMALL_CONFIG, "model1_range": [8, 23], "model1_t0": 8,
-        "model2_range": [23, 38], "model2_t0": 23,
-    }))
+    config_path.write_text(json.dumps(RUN_CONFIG))
     out = tmp_path / "out"
     argv = [
         "run", "--config", str(config_path), "--out", str(out), "--window", "pre",

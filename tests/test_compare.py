@@ -92,7 +92,10 @@ class TestIntersectSubcluster:
         )
         assert summary.users == ("u1", "u2")
         assert summary.dominant_period_days == pytest.approx(4.0)
-        assert summary.band.n_spectra == 2
+        # the band is the two users' own: each bin's median is their mean
+        np.testing.assert_allclose(
+            summary.band.medians, spectra.magnitudes[[1, 2]].mean(axis=0)
+        )
 
     def test_empty_intersection_rejected(self):
         with pytest.raises(ValueError):

@@ -26,6 +26,17 @@ USERS = ["u0", "u1", "u2", "ü3"]
 OUTSIDE = ["x0", "cnn"]
 WINDOW = DayWindow(date(2016, 3, 5), date(2016, 3, 15))
 BASE = datetime(2016, 3, 1, tzinfo=timezone.utc)
+# Bulk windows equal to WINDOW, nested in it, holding it, overlapping it on
+# either side and disjoint from it on either side.
+BULK_WINDOWS = [
+    WINDOW,
+    DayWindow(date(2016, 3, 7), date(2016, 3, 12)),
+    DayWindow(date(2016, 3, 1), date(2016, 3, 22)),
+    DayWindow(date(2016, 3, 1), date(2016, 3, 8)),
+    DayWindow(date(2016, 3, 12), date(2016, 3, 22)),
+    DayWindow(date(2016, 3, 1), date(2016, 3, 5)),
+    DayWindow(date(2016, 3, 15), date(2016, 3, 22)),
+]
 ZONES = [timezone.utc, timezone(timedelta(hours=3)), timezone(timedelta(hours=-5))]
 
 
@@ -69,13 +80,17 @@ campaign_st = st.sets(st.sampled_from(USERS + OUTSIDE), min_size=1)
 class TestKernelsMatchReferenceLoops:
     @given(
         records_st(),
+        st.sampled_from(BULK_WINDOWS),
         st.integers(0, 6),
         st.sampled_from([0.0, 0.1, 0.2, 0.5]),
         st.sampled_from([None, "en", "ru", "zz"]),
     )
-    def test_select_cohort(self, records, min_total, fraction, language):
-        args = (WINDOW, language, min_total, fraction)
-        assert select_cohort(corpus_of(records), *args) == ref.select_cohort(records, *args)
+    def test_select_cohort(self, records, bulk, min_total, fraction, language):
+        # volume over the bulk window AND regularity over the window
+        volume = ref.select_cohort(records, bulk, language, min_total, 0.0)
+        regular = ref.select_cohort(records, WINDOW, language, 0, fraction)
+        got = select_cohort(corpus_of(records), bulk, WINDOW, language, min_total, fraction)
+        assert got == tuple(sorted(volume & regular))
 
     @given(records_st())
     def test_daily_counts_and_counts_by_user(self, records):

@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import logging
 import os
 import tempfile
 import tracemalloc
@@ -310,30 +311,45 @@ class TestSelectCohort:
     def test_thresholds_and_language(self):
         window = DayWindow.of_length(date(2016, 3, 9), 10)
         corpus = self._corpus()
-        assert select_cohort(corpus, window, "en", 5, 0.6) == {"steady"}
+        assert select_cohort(corpus, window, window, "en", 5, 0.6) == ("steady",)
         # volume-only: burst qualifies too
-        assert select_cohort(corpus, window, "en", 5, 0.0) == {"steady", "burst"}
+        assert select_cohort(corpus, window, window, "en", 5, 0.0) == ("burst", "steady")
         # no language filter: foreign meets both thresholds
-        assert select_cohort(corpus, window, None, 5, 0.6) == {"steady", "foreign"}
+        assert select_cohort(corpus, window, window, None, 5, 0.6) == ("foreign", "steady")
+
+    def test_volume_over_bulk_window_regularity_over_window(self):
+        window = DayWindow.of_length(date(2016, 3, 9), 10)
+        first_day = DayWindow.of_length(date(2016, 3, 9), 1)
+        corpus = self._corpus()
+        # steady has 1 tweet on the first day, burst 20; only steady is regular
+        assert select_cohort(corpus, first_day, window, "en", 1, 0.6) == ("steady",)
+        assert select_cohort(corpus, first_day, window, "en", 2, 0.6) == ()
+        assert select_cohort(corpus, first_day, window, "en", 2, 0.0) == ("burst",)
+        # both tweet on the first day, but steady has 8 tweets in the window
+        assert select_cohort(corpus, window, first_day, "en", 9, 1.0) == ("burst",)
 
     def test_fraction_boundary_inclusive(self):
         window = DayWindow.of_length(date(2016, 3, 9), 10)
         corpus = self._corpus()
         # steady is active 8/10 days; 0.8 passes, nudging above fails
-        assert "steady" in select_cohort(corpus, window, "en", 0, 0.8)
-        assert "steady" not in select_cohort(corpus, window, "en", 0, 0.81)
+        assert "steady" in select_cohort(corpus, window, window, "en", 0, 0.8)
+        assert "steady" not in select_cohort(corpus, window, window, "en", 0, 0.81)
 
-    def test_empty_cohort_is_valid(self):
+    def test_empty_cohort_is_valid(self, caplog):
         window = DayWindow.of_length(date(2016, 3, 9), 10)
-        assert select_cohort(self._corpus(), window, None, 10_000, 0.0) == set()
+        bulk = DayWindow.of_length(date(2016, 3, 1), 30)
+        with caplog.at_level(logging.WARNING, logger="tweetdyn.ingest"):
+            assert select_cohort(self._corpus(), bulk, window, None, 10_000, 0.0) == ()
+        (message,) = caplog.messages
+        assert str(bulk) in message and str(window) in message
 
     def test_spec_validation(self):
         window = DayWindow.of_length(date(2016, 3, 9), 10)
         corpus = self._corpus()
         with pytest.raises(ValueError, match="active_day_fraction"):
-            select_cohort(corpus, window, None, 0, 1.5)
+            select_cohort(corpus, window, window, None, 0, 1.5)
         with pytest.raises(ValueError, match="min_total_tweets"):
-            select_cohort(corpus, window, None, -1, 0.0)
+            select_cohort(corpus, window, window, None, -1, 0.0)
 
 
 class TestRetweetNetwork:
@@ -362,6 +378,20 @@ class TestRetweetNetwork:
     def test_empty_campaign_rejected(self):
         with pytest.raises(ValueError):
             retweet_network(corpus_of([]), set())
+
+    def test_edgeless_network_writes_a_float_total_weight(self, tmp_path):
+        path = _write_csv(
+            tmp_path,
+            [
+                "1,u1,2016-11-08 10:21,en,false,,original",
+                "2,u2,2016-11-08 10:22,en,true,cnn,outside account",
+                "3,u1,2016-11-08 10:23,en,true,u1,self-retweet",
+            ],
+        )
+        out = tmp_path / "out"
+        assert main(["ingest", "--input", str(path), "--format", "csv", "--out", str(out)]) == 0
+        text = (out / "retweet_network.json").read_text()
+        assert '"n_edges": 0,' in text and '"total_weight": 0.0\n' in text
 
 
 # --------------------------------------------- columnar ingest vs the row loop

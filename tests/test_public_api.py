@@ -5,7 +5,9 @@ no API or knob lives on only because a test calls or sets it. A defaulted
 parameter is also left out by at least one call in the package, so no default
 lives on only for tests while every package call overrides it: a knob's
 default lives in ``cli.RunConfig``, and the kernels take their values as
-arguments.
+arguments. Every field of a public dataclass is read by an attribute access
+somewhere in the package, unless the dataclass is written whole into an
+artifact, so no result state lives on that no stage reads.
 
 A name counts as called when the same identifier appears as a name or an
 attribute anywhere in ``src/tweetdyn`` outside its own definition. The match
@@ -47,6 +49,16 @@ ALLOWED_DEFAULTS = {
         "per-group rate with the vectorized synth (ROADMAP item 6, step 2)"
     ),
     "cli.main.argv": "the tweetdyn console script, which calls main() to parse sys.argv",
+}
+
+
+# Public dataclasses that ``cli._json_text`` writes whole into an artifact or
+# manifest, so a field no code reads by name still reaches a file.
+WRITTEN_WHOLE = {
+    "cli.RunConfig": "every manifest records the config it ran under",
+    "ingest.ParseReport": "parse_report.json, one report per input table",
+    "spectral.FourierTerm": "the fourier_terms of clusters_spectral.json",
+    "timeseries.LinearFit": "model1 and model2 of changepoint.json",
 }
 
 
@@ -211,3 +223,32 @@ def test_every_default_is_left_out_by_a_call_in_the_package():
         if is_function and sites and not any(_omits(c, index, param) for c in sites)
     ]
     assert always_passed == []
+
+
+def _unread_fields():
+    """Fields of public dataclasses that no attribute access in the package
+    reads, matched by name alone as calls are."""
+    trees = _trees()
+    reads = {
+        node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    out = []
+    for module, tree in trees.items():
+        for name, node in _public_definitions(tree):
+            if not isinstance(node, ast.ClassDef) or not _is_dataclass(node):
+                continue
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    if item.target.id not in reads:
+                        out.append((f"{module}.{name}", item.target.id))
+    return out
+
+
+def test_every_dataclass_field_is_read_in_the_package():
+    unread = _unread_fields()
+    assert [f"{c}.{f}" for c, f in unread if c not in WRITTEN_WHOLE] == []
+    # an entry with no unread field left is stale
+    assert sorted(WRITTEN_WHOLE) == sorted({c for c, _ in unread})

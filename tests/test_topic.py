@@ -23,6 +23,7 @@ import reference_loops as ref
 from tweet_tables import TweetRecord, corpus_of, counters_of, term_counts_of
 from tweetdyn import cli, synth, topic
 from tweetdyn.corpus import Corpus
+from tweetdyn.ingest import select_cohort
 from tweetdyn.timeseries import DayWindow
 from tweetdyn.topic import (
     GammaFit,
@@ -86,7 +87,7 @@ def pipeline_quantiles(perfbench_runs):
         cli._demo_corpus_spec(config), config.pre_window, config.seed
     )
     window = config.pre_window
-    cohort = cli.resolve_cohort(corpus, config, window)
+    cohort = cohort_of(corpus, config, window)
     calls = _quantiles_of(
         lambda: topic_communities(corpus, cohort, window, **knobs_of(config))
     )
@@ -98,6 +99,18 @@ def pipeline_quantiles(perfbench_runs):
 WINDOW = DayWindow.of_length(date(2016, 3, 9), 10)
 BASE = datetime(2016, 3, 9, 8, 0, tzinfo=timezone.utc)
 TOPIC_KNOBS = ("dynamic_p", "gamma_q", "knn_k", "top_m")
+
+
+def cohort_of(corpus, config, window):
+    """The cohort the CLI analyses in ``window``."""
+    return select_cohort(
+        corpus,
+        config.bulk_window,
+        window,
+        config.language,
+        config.min_total_tweets,
+        config.active_day_fraction,
+    )
 
 
 def knobs_of(config):
@@ -319,31 +332,29 @@ class TestGammaFit:
 class TestGammaKeywords:
     def test_threshold_application(self):
         counts = {"u1": Counter({"a": 1, "b": 1, "c": 1, "d": 1, "e": 10})}
-        per_user, union = gamma_keywords(term_counts_of(counts), q=0.9)
+        union = gamma_keywords(term_counts_of(counts), q=0.9)
         threshold = gamma_fit([1, 1, 1, 1, 10]).quantile(0.9)
-        expected = frozenset(t for t, c in counts["u1"].items() if c >= threshold)
-        assert per_user["u1"] == expected
-        assert "e" in per_user["u1"]  # the heavy term always survives
-        assert union == expected
+        assert union == frozenset(t for t, c in counts["u1"].items() if c >= threshold)
+        assert "e" in union  # the heavy term always survives
 
     def test_degenerate_fallback_keeps_at_or_above_mean(self):
-        counts = {
-            "flat": Counter({"a": 3, "b": 3}),  # zero variance
-            "solo": Counter({"only": 5}),  # single term
-            "empty": Counter(),
-        }
-        per_user, union = gamma_keywords(term_counts_of(counts), q=0.9)
-        assert per_user["flat"] == frozenset({"a", "b"})
-        assert per_user["solo"] == frozenset({"only"})
-        assert per_user["empty"] == frozenset()
-        assert union == frozenset({"a", "b", "only"})
+        cases = [
+            (Counter({"a": 3, "b": 3}), {"a", "b"}),  # zero variance
+            (Counter({"only": 5}), {"only"}),  # single term
+            (Counter(), set()),
+        ]
+        for counts, kept in cases:
+            assert gamma_keywords(term_counts_of({"u": counts}), q=0.9) == kept
+        union = gamma_keywords(term_counts_of({"flat": cases[0][0], "solo": cases[1][0]}), q=0.9)
+        assert union == {"a", "b", "only"}
 
     def test_fallback_mean_excludes_below(self):
-        counts = {"u": Counter({"hi": 4, "lo": 2, "mid": 3})}
-        # mean 3 with nonzero variance: gamma path; force fallback via equal pair
-        counts2 = {"u": Counter({"hi": 4, "lo": 2})}  # mean 3, var 2 -> gamma path
-        per_user, _ = gamma_keywords(term_counts_of(counts2), q=0.9)
-        assert isinstance(per_user["u"], frozenset)
+        # mean 3 and nonzero variance: the gamma path, whose threshold falls
+        # between the two counts at q=0.5 and above both at q=0.9
+        counts = term_counts_of({"u": Counter({"hi": 4, "lo": 2})})
+        assert 2 < gamma_fit([2, 4]).quantile(0.5) < 4 < gamma_fit([2, 4]).quantile(0.9)
+        assert gamma_keywords(counts, q=0.5) == {"hi"}
+        assert gamma_keywords(counts, q=0.9) == frozenset()
 
     def test_q_validated(self):
         with pytest.raises(ValueError):
@@ -544,7 +555,7 @@ class TestCountTermsMemory:
         config = cli.load_config(None, {})
         corpus = Corpus.load(out / cli.CORPUS_FILE, out / cli.RECORDS_FILE)
         window = config.analysis_window("pre")
-        users = cli.resolve_cohort(corpus, config, window)
+        users = cohort_of(corpus, config, window)
         text_bytes = corpus.text.blob.nbytes
         count_terms(corpus, users, window)  # fills the corpus's account index
         tracemalloc.start()
@@ -592,7 +603,6 @@ def topic_records_st(draw):
 
 def _assert_same_clustering(got, want):
     assert got.dynamic_stopwords == want["dynamic_stopwords"]
-    assert got.keywords_by_user == want["keywords_by_user"]
     assert got.vocabulary == want["vocabulary"]
     assert (got.matrix.terms, got.matrix.users) == (want["matrix"].terms, want["matrix"].users)
     assert got.matrix.counts.tobytes() == want["matrix"].counts.tobytes()
