@@ -789,12 +789,10 @@ def _demo_corpus_spec(config: RunConfig) -> synth.CorpusSpec:
     ]
     groups = tuple(
         synth.GroupCorpusSpec(
-            group_id=d.group_id,
+            dynamics=d,
             vocabulary=synth.planted_vocabulary(d.group_id, 30),
-            members=d.members,
             strategy_pre=pre,
             strategy_post=post,
-            dynamics=d,
         )
         for d, (pre, post) in zip(dynamics, mixes)
     )

@@ -181,7 +181,9 @@ class Corpus:
     @classmethod
     def concat(cls, parts: Sequence["Corpus"]) -> "Corpus":
         """The rows of ``parts``, one after another, coded against the union
-        of their account and language tables."""
+        of their account and language tables; one part is returned as is."""
+        if len(parts) == 1:
+            return parts[0]
         accounts = sorted(set().union(*(p.account_ids for p in parts)))
         language_ids = sorted(set().union(*(p.language_ids for p in parts)))
 

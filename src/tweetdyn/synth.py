@@ -5,11 +5,12 @@ specs and seeds reproduce byte-identical data:
 
 * :func:`generate_corpus` - a tweet :class:`~tweetdyn.corpus.Corpus` with
   planted group vocabularies, per-era strategy mixes and an optional strategy
-  change point; tweet volume per day either constant or driven by an embedded
-  rate spec: a constant baseline plus planted cosines plus Gaussian noise,
-  rounded half-to-even (``np.rint``) and clipped at zero. Term draws follow
-  Zipf-like 1/rank weights over each group's vocabulary; outsider retweets
-  name one of :data:`AMPLIFIED_OUTSIDERS`.
+  change point. Every group's tweet volume comes from one rate model, its
+  :class:`GroupSpec`: per member and day, a constant baseline plus planted
+  cosines plus Gaussian noise, rounded half-to-even (``np.rint``) and clipped
+  at zero; a spec with no cosines and no noise gives a constant volume. Term
+  draws follow Zipf-like 1/rank weights over each group's vocabulary;
+  outsider retweets name one of :data:`AMPLIFIED_OUTSIDERS`.
   Ground truth (user -> group) is returned separately, never written into
   the tweet table.
 * :func:`generate_changepoint_aggregate` - one aggregate Poisson count series
@@ -27,7 +28,7 @@ from datetime import date
 
 import numpy as np
 
-from .corpus import US_PER_DAY, Corpus
+from .corpus import AMPLIFYING, SPREADING, US_PER_DAY, Corpus
 from .timeseries import CountSeries, DayWindow
 
 _US_PER_MINUTE = 60_000_000
@@ -40,11 +41,11 @@ class GroupSpec:
     """Rate model of one user group: constant baseline + planted cosines."""
 
     group_id: str
+    baseline_level: float
+    noise_sigma: float
+    members: int
     frequencies: tuple[float, ...] = ()
     amplitude_ranges: tuple[tuple[float, float], ...] = ()
-    baseline_level: float = 30.0
-    noise_sigma: float = 0.0
-    members: int = 10
 
     def __post_init__(self) -> None:
         if len(self.frequencies) != len(self.amplitude_ranges):
@@ -61,27 +62,22 @@ class GroupSpec:
 
 @dataclass(frozen=True)
 class GroupCorpusSpec:
-    """Text/strategy model of one user group."""
+    """Text/strategy model of one user group; its id, member count and daily
+    tweet counts come from ``dynamics``."""
 
-    group_id: str
+    dynamics: GroupSpec
     vocabulary: tuple[str, ...]
-    members: int = 10
-    strategy_pre: tuple[float, float, float] = (1.0, 0.0, 0.0)
-    strategy_post: tuple[float, float, float] | None = None
-    dynamics: GroupSpec | None = None
+    strategy_pre: tuple[float, float, float]
+    strategy_post: tuple[float, float, float]
 
     def __post_init__(self) -> None:
         if not self.vocabulary:
             raise ValueError("empty vocabulary")
         for mix in (self.strategy_pre, self.strategy_post):
-            if mix is None:
-                continue
             if len(mix) != 3 or any(c < 0 for c in mix) or not math.isclose(
                 sum(mix), 1.0, abs_tol=1e-9
             ):
                 raise ValueError(f"strategy mix {mix} is not a simplex point")
-        if self.dynamics is not None and self.dynamics.members != self.members:
-            raise ValueError("dynamics member count must match the group's")
 
     def weights(self) -> np.ndarray:
         """Emission weights of the vocabulary: Zipf-like 1/rank, normalized."""
@@ -91,30 +87,30 @@ class GroupCorpusSpec:
 
 @dataclass(frozen=True)
 class CorpusSpec:
-    """A whole synthetic campaign: groups plus shared noise vocabulary."""
+    """A whole synthetic campaign: groups plus shared noise vocabulary; with
+    ``changepoint_day`` None every day is in the ``strategy_pre`` era."""
 
     groups: tuple[GroupCorpusSpec, ...]
-    noise_vocabulary: tuple[str, ...] = ()
-    noise_weight: float = 0.0
-    tweets_per_day: int = 5
-    tokens_per_tweet: int = 8
-    changepoint_day: int | None = None
+    noise_vocabulary: tuple[str, ...]
+    noise_weight: float
+    tokens_per_tweet: int
+    changepoint_day: int | None
 
     def __post_init__(self) -> None:
         if not self.groups:
             raise ValueError("need at least one group")
-        ids = [g.group_id for g in self.groups]
+        ids = [g.dynamics.group_id for g in self.groups]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate group ids")
         if not 0.0 <= self.noise_weight < 1.0:
             raise ValueError("noise_weight must be in [0, 1)")
         if self.noise_weight > 0 and not self.noise_vocabulary:
             raise ValueError("noise_weight set but no noise vocabulary")
-        if self.tweets_per_day < 1 or self.tokens_per_tweet < 1:
-            raise ValueError("tweets_per_day and tokens_per_tweet must be >= 1")
+        if self.tokens_per_tweet < 1:
+            raise ValueError("tokens_per_tweet must be >= 1")
 
 
-def _member_ids(spec: GroupSpec | GroupCorpusSpec) -> list[str]:
+def _member_ids(spec: GroupSpec) -> list[str]:
     return [f"{spec.group_id}-u{j:02d}" for j in range(spec.members)]
 
 
@@ -170,16 +166,6 @@ def reference_cluster_specs(members: int) -> tuple[GroupSpec, ...]:
     )
 
 
-def _strategy_of(group: GroupCorpusSpec, day: int, changepoint: int | None):
-    if (
-        changepoint is not None
-        and group.strategy_post is not None
-        and day >= changepoint
-    ):
-        return group.strategy_post
-    return group.strategy_pre
-
-
 def generate_corpus(
     spec: CorpusSpec,
     window: DayWindow,
@@ -187,85 +173,83 @@ def generate_corpus(
 ) -> tuple[Corpus, dict[str, str]]:
     """Tweets of a synthetic campaign as a :class:`Corpus`, plus true labels.
 
-    Per user-day the tweet count comes from the group's embedded rate spec
-    (when set) or ``tweets_per_day``. Each tweet draws a category from the
-    era's strategy mix: originals carry generated text, member retweets pick
-    a uniformly random other campaign user, outsider retweets pick from the
-    amplified-outsider pool. Tweet text is drawn from the group vocabulary
-    mixed with the shared noise vocabulary at ``noise_weight``.
+    Tweets run member by member, in group order, and day by day within a
+    member; a member's ``n`` tweets of a day are ``min(60, max(1, 1440 //
+    n))`` minutes apart from midnight, wrapping at midnight. The generator
+    ``numpy.random.default_rng(seed)`` is drawn in this order:
+
+    1. every member's daily counts from its group's ``dynamics``
+       (:func:`_member_counts`), group by group, member by member;
+    2. per tweet, its category from its group's mix for the era of its day
+       (``strategy_pre`` before ``changepoint_day``, ``strategy_post`` from
+       it on): original, member retweet or outsider retweet;
+    3. per member retweet, its source, uniform over the other members;
+    4. per outsider retweet, its source in :data:`AMPLIFIED_OUTSIDERS`;
+    5. per token, its term: the group's vocabulary at its Zipf weights times
+       ``1 - noise_weight``, then the noise vocabulary, uniform, at
+       ``noise_weight``.
     """
     rng = np.random.default_rng(seed)
     n_days = window.n_days
-    all_users = [uid for g in spec.groups for uid in _member_ids(g)]
-    if len(set(all_users)) != len(all_users):
+    rates = [g.dynamics for g in spec.groups]
+    users = [uid for r in rates for uid in _member_ids(r)]
+    if len(set(users)) != len(users):
         raise ValueError("group ids collide; member ids must be unique")
-    noise_vocab = list(spec.noise_vocabulary)
+    counts = np.array([_member_counts(r, n_days, rng) for r in rates for _ in range(r.members)])
 
-    counts_by_user: dict[str, np.ndarray] = {}
-    group_of: dict[str, str] = {}
-    for group in spec.groups:
-        for uid in _member_ids(group):
-            group_of[uid] = group.group_id
-            if group.dynamics is not None:
-                counts_by_user[uid] = _member_counts(group.dynamics, n_days, rng)
-            else:
-                counts_by_user[uid] = np.full(n_days, spec.tweets_per_day, np.int64)
-
-    user: list[str] = []
-    source: list[str | None] = []
-    timestamp_us: list[int] = []
-    text: list[str] = []
+    per_cell = counts.ravel()
+    n = int(per_cell.sum())
+    author = np.repeat(np.arange(len(users)), counts.sum(axis=1))
+    group = np.repeat(np.arange(len(rates)), [r.members for r in rates])[author]
+    day = np.repeat(np.tile(np.arange(n_days), len(users)), per_cell)
+    step = np.minimum(60, np.maximum(1, (24 * 60) // np.maximum(per_cell, 1)))
+    nth = np.arange(n) - np.repeat(np.cumsum(per_cell) - per_cell, per_cell)
+    minute = nth * np.repeat(step, per_cell) % (24 * 60)
     first_day = (window.start - date(1970, 1, 1)).days
-    for group in spec.groups:
-        vocab = list(group.vocabulary)
-        weights = group.weights()
-        for uid in _member_ids(group):
-            counts = counts_by_user[uid]
-            others = [u for u in all_users if u != uid]
-            for day in range(n_days):
-                mix = _strategy_of(group, day, spec.changepoint_day)
-                day_start = (first_day + day) * US_PER_DAY
-                n_tweets = int(counts[day])
-                if n_tweets == 0:
-                    continue
-                step = min(60, max(1, (24 * 60) // n_tweets))
-                categories = rng.choice(3, size=n_tweets, p=np.asarray(mix))
-                for i in range(n_tweets):
-                    category = int(categories[i])
-                    if category == 1:
-                        source.append(others[int(rng.integers(len(others)))])
-                    elif category == 2:
-                        source.append(
-                            AMPLIFIED_OUTSIDERS[
-                                int(rng.integers(len(AMPLIFIED_OUTSIDERS)))
-                            ]
-                        )
-                    else:
-                        source.append(None)
-                    n_tokens = spec.tokens_per_tweet
-                    use_noise = (
-                        rng.random(n_tokens) < spec.noise_weight
-                        if noise_vocab
-                        else np.zeros(n_tokens, dtype=bool)
-                    )
-                    group_draws = rng.choice(len(vocab), size=n_tokens, p=weights)
-                    words = [
-                        noise_vocab[int(rng.integers(len(noise_vocab)))]
-                        if use_noise[j]
-                        else vocab[int(group_draws[j])]
-                        for j in range(n_tokens)
-                    ]
-                    user.append(uid)
-                    timestamp_us.append(day_start + (i * step) % (24 * 60) * _US_PER_MINUTE)
-                    text.append(" ".join(words))
+    timestamp_us = (first_day + day) * US_PER_DAY + minute * _US_PER_MINUTE
+
+    mixes = np.array([(g.strategy_pre, g.strategy_post) for g in spec.groups])
+    mix_cdf = np.cumsum(mixes, axis=-1)
+    mix_cdf /= mix_cdf[..., -1:]
+    changepoint = n_days if spec.changepoint_day is None else spec.changepoint_day
+    tweet_cdf = mix_cdf[group, (day >= changepoint).astype(np.int64)]
+    # the first category whose cumulative share exceeds the uniform, as
+    # Generator.choice picks it
+    category = (tweet_cdf[:, :-1] <= rng.random(n)[:, None]).sum(axis=1)
+
+    # source codes: a member's index in users, len(users) + an outsider's
+    # index, or -1 for an original
+    source = np.full(n, -1, dtype=np.int64)
+    spreading = np.flatnonzero(category == SPREADING)
+    other = rng.integers(len(users) - 1, size=len(spreading))
+    source[spreading] = other + (other >= author[spreading])
+    amplifying = np.flatnonzero(category == AMPLIFYING)
+    source[amplifying] = len(users) + rng.integers(len(AMPLIFIED_OUTSIDERS), size=len(amplifying))
+
+    noise = spec.noise_vocabulary
+    noise_weights = np.full(len(noise), spec.noise_weight / max(len(noise), 1))
+    terms: list[str] = []
+    term = np.empty((n, spec.tokens_per_tweet), dtype=np.int64)
+    u = rng.random(term.shape)
+    for gi, g in enumerate(spec.groups):
+        term_cdf = np.cumsum(
+            np.concatenate([(1.0 - spec.noise_weight) * g.weights(), noise_weights])
+        )
+        term_cdf /= term_cdf[-1]
+        rows = slice(*np.searchsorted(group, [gi, gi + 1]))  # tweets run group by group
+        term[rows] = len(terms) + term_cdf.searchsorted(u[rows], side="right")
+        terms += [*g.vocabulary, *noise]
+
+    names = np.array([*users, *AMPLIFIED_OUTSIDERS, None], dtype=object)
     corpus = Corpus.from_columns(
-        tweet_id=[f"syn{serial:08d}" for serial in range(1, len(user) + 1)],
-        user=user,
-        source=source,
+        tweet_id=["syn%08d" % serial for serial in range(1, n + 1)],
+        user=names[author].tolist(),
+        source=names[source].tolist(),
         timestamp_us=timestamp_us,
-        language=["en"] * len(user),
-        text=text,
+        language=["en"] * n,
+        text=list(map(" ".join, zip(*np.array(terms, dtype=object)[term.T].tolist()))),
     )
+    group_of = {uid: r.group_id for r in rates for uid in _member_ids(r)}
     return corpus, group_of
 
 

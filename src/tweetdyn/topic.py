@@ -345,27 +345,17 @@ def gamma_keywords(counts: TermCounts, q: float) -> frozenset[str]:
     """The vocabulary: the union over users of their keywords, the terms
     whose count is at or above the user's Gamma q-quantile.
 
-    The fit reads the user's counts in ascending order. Users whose counts
-    admit no moment fit (fewer than two distinct terms, or all counts equal)
-    fall back to keeping terms with count >= their mean.
+    The fit reads the user's counts in ascending order. A user whose counts
+    admit no moment fit (one term, or all counts equal) keeps every term.
     """
     if not 0.0 < q < 1.0:
         raise ValueError("q must be in (0, 1)")
     values = counts.count[np.lexsort((counts.count, counts.user))].astype(np.float64)
     bounds = counts.bounds()
-    threshold = np.full(len(counts.users), np.inf)
+    threshold = np.zeros(len(counts.users))
     for i, (a, b) in enumerate(zip(bounds, bounds[1:])):
-        if a == b:
-            continue
-        try:
+        if b - a > 1 and values[a] < values[b - 1]:
             threshold[i] = gamma_fit(values[a:b]).quantile(q)
-        except ValueError:
-            threshold[i] = float(values[a:b].mean())
-            logger.debug(
-                "gamma_keywords: user %s has degenerate counts, "
-                "keeping terms at or above the mean",
-                counts.users[i],
-            )
     keyword = counts.count >= threshold[counts.user]
     return frozenset(counts.terms[t] for t in counts.term[keyword].tolist())
 

@@ -38,6 +38,7 @@ from tweetdyn.strategy import (
 from tweetdyn.synth import (
     CorpusSpec,
     GroupCorpusSpec,
+    GroupSpec,
     generate_changepoint_aggregate,
     generate_corpus,
     planted_vocabulary,
@@ -158,13 +159,18 @@ def test_criterion_3_chi_square_oracle_and_planted_shift(capsys):
     shift_hits = 0
     for seed in range(20):
         group = GroupCorpusSpec(
-            group_id="g",
+            dynamics=GroupSpec(group_id="g", baseline_level=5.0, noise_sigma=0.0, members=6),
             vocabulary=planted_vocabulary("g", 10),
-            members=6,
             strategy_pre=(0.8, 0.1, 0.1),
             strategy_post=(0.15, 0.15, 0.7),
         )
-        spec = CorpusSpec(groups=(group,), tweets_per_day=5, changepoint_day=20)
+        spec = CorpusSpec(
+            groups=(group,),
+            noise_vocabulary=(),
+            noise_weight=0.0,
+            tokens_per_tweet=8,
+            changepoint_day=20,
+        )
         corpus, group_of = generate_corpus(spec, window, seed=seed)
         campaign = set(group_of)
         ref, cmp_ = (
@@ -250,7 +256,10 @@ def test_criterion_7_text_pipeline_end_to_end(capsys):
     window = DayWindow.of_length(date(2016, 3, 9), 30)
     groups = tuple(
         GroupCorpusSpec(
-            group_id=g, vocabulary=planted_vocabulary(g, 30), members=10
+            dynamics=GroupSpec(group_id=g, baseline_level=5.0, noise_sigma=0.0, members=10),
+            vocabulary=planted_vocabulary(g, 30),
+            strategy_pre=(1.0, 0.0, 0.0),
+            strategy_post=(1.0, 0.0, 0.0),
         )
         for g in ("news", "sport", "local")
     )
@@ -258,8 +267,8 @@ def test_criterion_7_text_pipeline_end_to_end(capsys):
         groups=groups,
         noise_vocabulary=planted_vocabulary("shared-noise", 20),
         noise_weight=0.2,
-        tweets_per_day=5,
         tokens_per_tweet=8,
+        changepoint_day=None,
     )
     corpus, group_of = generate_corpus(spec, window, seed=0)
     result = topic_communities(

@@ -83,10 +83,10 @@ PIPELINE_DIGESTS = {
     "cluster_band_3.csv": "770e672965cbb4f2bcef57697913b7a04703133d7b023a8929dc0cb8f673c6de",
     "cluster_band_4.csv": "e3f11ae9fb9fcbf423fd0d2983fada6558bc27ce339d4d60c151eea1f995b39f",
     "clusters_spectral.json": "cc8d5bd95460bf36df006fc25eb00082d32277e58e75594232aa3cc0292b8ee8",
-    "clusters_topic.json": "cff21f3b14bb505e7a94b0474ac9786a2cfae234456dda5bbc5ea762450fd3ec",
+    "clusters_topic.json": "134fdc382493eafc5ed7e7cf5d445c004e32a56cbd42124a8fb58e2df0b89e8f",
     "cohort_pre.json": "aa53ed9e855d0a3b71f53ec8f86e6824232b2105bb479a95cc2c3ecb4f02c739",
     "compare.json": "21f5d57a85cea66eb0ceb63ecf34717b4b0758897e053484ab06392abcc0d041",
-    "corpus.npz": "12ec50ddee11c2799b2789bd4199fd94c74aee5c33cf4b2237601162e7a2e7ce",
+    "corpus.npz": "db1df67bb3ba8d525ea45d3245516048bb4f8afdd9f14c3ee4b43bea0635bb36",
     "counts_aggregate.csv": "4a63e319a96e2240f7c346f4fd3a278f61753ea64909bbebdfac18ab56930b4a",
     "counts_pre.csv": "d01e704d015641314d8ddefd39bc9db2461481447496e6333710f4e94e9c068c",
     "crosstab.csv": "1906f108aed94b0cfad74a2533af8aeaecd6f94fcf8f86872a89e80e72b1897e",
@@ -94,13 +94,13 @@ PIPELINE_DIGESTS = {
     "embedding.csv": "b63d0fab0b3f2d085e0f62ab56c3eabafb94a71501b7029e29fbc2cdcc12b02b",
     "labels.json": "6f09b83c4551a35e6e0010a592fe941e329e859e2e1abe5ff6411a2209867475",
     "parse_report.json": "2bb21b190ba043de5dde5995270a0c99d07f2616640b782e2531eba5aef71895",
-    "records.jsonl": "56d8c2de0f597787a04578b0d92790d23f0fcf7acb642106aa04243335f4ea90",
-    "report.json": "9be0a5edce55b4fb0295bfa6ed357d65c2f8da7d71dc9524822810d40c091478",
-    "retweet_network.json": "1175c0de1bc0ed6122d1031434f4529f4973c5600785dd7392988c67e478f3fe",
+    "records.jsonl": "5678b76b7dbe13191b5d1ad35cdc65539d8fc0559c22c4defc58ef15cc5efd03",
+    "report.json": "744773ab3accffae99c6749811ad433ef3f45d3693346f0cef14f3b9b00676d6",
+    "retweet_network.json": "3d1bfe9f71286caf8000fcf7140096c6aabbc332090f05e2de977c37031f5067",
     "spectra_pre.csv": "962516224785f0c9366234de89071c49c0fc6ba8d2d6217e00bb041d8dbb9e22",
-    "strategy.json": "0a83b7ff3b7a929ce010d46023011d386c1ca4252fd7711ec44598b3d6bbedb9",
-    "topic_edges.csv": "9795cd29812ce942d10cddecbd0b0ec9aa3c715e164e96e3300d9370b0765b35",
-    "topic_top_terms.csv": "d00f2816ebceaf07c7e32d035ddac8f3a4e8dc796da14d3d6528547a99143248",
+    "strategy.json": "ac4a23681b1b899167a68384cc22136725b291124a3f46651cc0e52d0c3f1949",
+    "topic_edges.csv": "c97d5bf30b5a4287525e559d60c439ecf93cb1f1ac227f3dc54c1e587abca886",
+    "topic_top_terms.csv": "8dbb335fde4f27c0b058b9fb62d90753606aaaba439b3adcc389e6359d05d1a2",
 }
 
 

@@ -163,6 +163,16 @@ class TestStringColumn:
         assert column.strings(start, stop) == strings[start:stop]
 
 
+class TestConcat:
+    @settings(max_examples=50)
+    @given(records_st())
+    def test_one_part_is_returned_as_the_general_join_builds_it(self, records):
+        part = corpus_of(records)
+        assert Corpus.concat([part]) is part
+        # joining an empty part recodes and copies every column
+        assert arrays_of(Corpus.concat([part, corpus_of([])])) == arrays_of(part)
+
+
 class TestSidecarFile:
     @settings(max_examples=25)
     @given(records_st())

@@ -31,7 +31,13 @@ from tweetdyn.ingest import (
     select_cohort,
     write_records,
 )
-from tweetdyn.synth import CorpusSpec, GroupCorpusSpec, generate_corpus, planted_vocabulary
+from tweetdyn.synth import (
+    CorpusSpec,
+    GroupCorpusSpec,
+    GroupSpec,
+    generate_corpus,
+    planted_vocabulary,
+)
 from tweetdyn.timeseries import DayWindow
 
 CSV_HEADER = "tweetid,userid,tweet_time,tweet_language,is_retweet,retweet_userid,tweet_text\n"
@@ -256,14 +262,20 @@ class TestParse:
         # 10k+ records written and re-read with full field equality
         groups = tuple(
             GroupCorpusSpec(
-                group_id=g,
+                dynamics=GroupSpec(group_id=g, baseline_level=10.0, noise_sigma=0.0, members=9),
                 vocabulary=planted_vocabulary(g, 12),
-                members=9,
                 strategy_pre=(0.5, 0.3, 0.2),
+                strategy_post=(0.5, 0.3, 0.2),
             )
             for g in ("red", "blue")
         )
-        spec = CorpusSpec(groups=groups, tweets_per_day=10, tokens_per_tweet=4)
+        spec = CorpusSpec(
+            groups=groups,
+            noise_vocabulary=(),
+            noise_weight=0.0,
+            tokens_per_tweet=4,
+            changepoint_day=None,
+        )
         window = DayWindow.of_length(date(2016, 3, 9), 60)
         corpus, _ = generate_corpus(spec, window, seed=3)
         assert len(corpus) >= 10_000

@@ -17,11 +17,10 @@ in ``__init__.py`` do not count as calls. Parameters are matched the same
 way, by the callee's identifier. A dataclass field is a keyword of the
 class's constructor, at its place among the fields ``__init__`` takes; a
 field declared with ``init=False`` is not one. A call through ``*`` or ``**``
-unpacking counts both as passing a parameter and as leaving it out. A
-parameter with no call site in the package is left to the rule that it be
-passed. Dataclass fields are not held to the rule that some call leave them
-out: the synth spec fields that every package call sets wait for the
-vectorized synth (ROADMAP item 6).
+unpacking counts both as passing a parameter and as leaving it out. The
+rule that some call leave a default out holds for dataclass fields as for
+parameters. A parameter or field with no call site in the package is left
+to the rule that it be passed.
 """
 
 import ast
@@ -44,10 +43,6 @@ ALLOWED = {
 # Defaulted parameters and dataclass fields that no call in the package
 # passes, each with the caller that sets them or why they are not a knob.
 ALLOWED_DEFAULTS = {
-    "synth.CorpusSpec.tweets_per_day": (
-        "acceptance 3 and 7 build corpora at other volumes; to become a "
-        "per-group rate with the vectorized synth (ROADMAP item 6, step 2)"
-    ),
     "cli.main.argv": "the tweetdyn console script, which calls main() to parse sys.argv",
 }
 
@@ -168,15 +163,13 @@ def _defaulted_fields(node):
 
 
 def _defaults_and_sites():
-    """(dotted name, positional index, name, whether it is a function's
-    parameter, calls of its owner in the package) of each defaulted
-    parameter and dataclass field."""
+    """(dotted name, positional index, name, calls of its owner in the
+    package) of each defaulted parameter and dataclass field."""
     trees = _trees()
     calls = [n for t in trees.values() for n in ast.walk(t) if isinstance(n, ast.Call)]
     for module, tree in trees.items():
         for name, node in _public_definitions(tree):
-            is_function = isinstance(node, ast.FunctionDef)
-            if is_function:
+            if isinstance(node, ast.FunctionDef):
                 defaulted = _defaulted_parameters(node, "." in name)
             elif _is_dataclass(node):
                 defaulted = _defaulted_fields(node)
@@ -186,13 +179,13 @@ def _defaults_and_sites():
             own = {id(n) for n in ast.walk(node)}
             sites = [c for c in calls if _callee(c) == ident and id(c) not in own]
             for index, param in defaulted:
-                yield f"{module}.{name}.{param}", index, param, is_function, sites
+                yield f"{module}.{name}.{param}", index, param, sites
 
 
 def _unpassed():
     return [
         name
-        for name, index, param, _, sites in _defaults_and_sites()
+        for name, index, param, sites in _defaults_and_sites()
         if not any(_passes(c, index, param) for c in sites)
     ]
 
@@ -219,8 +212,8 @@ def _omits(call, index, name):
 def test_every_default_is_left_out_by_a_call_in_the_package():
     always_passed = [
         name
-        for name, index, param, is_function, sites in _defaults_and_sites()
-        if is_function and sites and not any(_omits(c, index, param) for c in sites)
+        for name, index, param, sites in _defaults_and_sites()
+        if sites and not any(_omits(c, index, param) for c in sites)
     ]
     assert always_passed == []
 

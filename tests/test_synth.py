@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+from dataclasses import replace
 from datetime import date
 
 import numpy as np
@@ -41,20 +42,25 @@ def generate_series(specs, window, seed):
     return users, table, labels
 
 
+def flat(group_id, level, members):
+    """A group whose members each tweet ``level`` times a day: no cosines and
+    no noise, so its counts draw nothing from the generator."""
+    return GroupSpec(group_id=group_id, baseline_level=level, noise_sigma=0.0, members=members)
+
+
 class TestGroupSpecValidation:
     def test_schedule_and_ranges(self):
+        ok = dict(group_id="g", baseline_level=30.0, noise_sigma=0.0, members=10)
         with pytest.raises(ValueError):
-            GroupSpec(group_id="g", frequencies=(1.0,), amplitude_ranges=())
+            GroupSpec(**ok, frequencies=(1.0,), amplitude_ranges=())
         with pytest.raises(ValueError):
-            GroupSpec(group_id="g", baseline_level=-1.0)
+            GroupSpec(**{**ok, "baseline_level": -1.0})
         with pytest.raises(ValueError):
-            GroupSpec(
-                group_id="g", frequencies=(1.0,), amplitude_ranges=((5.0, 2.0),)
-            )
+            GroupSpec(**ok, frequencies=(1.0,), amplitude_ranges=((5.0, 2.0),))
         with pytest.raises(ValueError):
-            GroupSpec(group_id="g", noise_sigma=-0.1)
+            GroupSpec(**{**ok, "noise_sigma": -0.1})
         with pytest.raises(ValueError):
-            GroupSpec(group_id="g", members=0)
+            GroupSpec(**{**ok, "members": 0})
 
 
 class TestGenerateSeries:
@@ -80,7 +86,7 @@ class TestGenerateSeries:
         assert set(users) == set(labels)
 
     def test_counts_are_nonnegative_integers(self):
-        spec = GroupSpec(group_id="g", baseline_level=0.5, noise_sigma=4.0)
+        spec = GroupSpec(group_id="g", baseline_level=0.5, noise_sigma=4.0, members=10)
         _, table, _ = generate_series([spec], self.window, seed=1)
         assert table.dtype == np.int64
         assert np.all(table >= 0)
@@ -91,6 +97,7 @@ class TestGenerateSeries:
             frequencies=(2 * math.pi / 4.0,),
             amplitude_ranges=((8.0, 12.0),),
             baseline_level=30.0,
+            noise_sigma=0.0,
             members=4,
         )
         _, table, _ = generate_series([spec], self.window, seed=3)
@@ -101,7 +108,7 @@ class TestGenerateSeries:
             assert period == pytest.approx(4.0)
 
     def test_colliding_group_ids_rejected(self):
-        specs = [GroupSpec(group_id="same"), GroupSpec(group_id="same")]
+        specs = [flat("same", 30.0, 10), flat("same", 30.0, 10)]
         with pytest.raises(ValueError):
             generate_series(specs, self.window, seed=0)
 
@@ -113,35 +120,60 @@ class TestGenerateSeries:
         assert specs[1].frequencies == (2 * math.pi / 4.0,)
 
 
+def text_group(group_id, members, level=4.0, pre=(1.0, 0.0, 0.0), post=None, vocabulary=None):
+    """A group that tweets ``level`` times a day per member, from its planted
+    vocabulary; with no ``post`` mix it keeps ``pre`` in both eras."""
+    return GroupCorpusSpec(
+        dynamics=flat(group_id, level, members),
+        vocabulary=planted_vocabulary(group_id, 8) if vocabulary is None else vocabulary,
+        strategy_pre=pre,
+        strategy_post=post or pre,
+    )
+
+
+def corpus_spec(groups, noise_vocabulary=(), noise_weight=0.0, tokens_per_tweet=5,
+                changepoint_day=None):
+    return CorpusSpec(
+        groups=groups,
+        noise_vocabulary=noise_vocabulary,
+        noise_weight=noise_weight,
+        tokens_per_tweet=tokens_per_tweet,
+        changepoint_day=changepoint_day,
+    )
+
+
+def user_day_counts(corpus, users, window):
+    """The (users, days) table of tweets per user and day of ``window``."""
+    days, inside = corpus.window_offsets(window)
+    pos = corpus.positions(users)
+    assert inside.all() and (pos >= 0).all()
+    return np.bincount(
+        pos * window.n_days + days, minlength=len(users) * window.n_days
+    ).reshape(len(users), window.n_days)
+
+
 class TestCorpusSpecValidation:
     def test_group_spec_constraints(self):
         with pytest.raises(ValueError):
-            GroupCorpusSpec(group_id="g", vocabulary=())
+            text_group("g", 3, vocabulary=())
         with pytest.raises(ValueError):
-            GroupCorpusSpec(
-                group_id="g", vocabulary=("a",), strategy_pre=(0.5, 0.5, 0.5)
-            )
+            text_group("g", 3, pre=(0.5, 0.5, 0.5))
         with pytest.raises(ValueError):
-            GroupCorpusSpec(
-                group_id="g",
-                vocabulary=("a",),
-                members=3,
-                dynamics=GroupSpec(group_id="g", members=2),
-            )
+            text_group("g", 3, post=(0.5, 0.6, -0.1))
 
     def test_corpus_constraints(self):
-        good = GroupCorpusSpec(group_id="g", vocabulary=("a",))
+        good = text_group("g", 3)
         with pytest.raises(ValueError):
-            CorpusSpec(groups=())
+            corpus_spec(())
         with pytest.raises(ValueError):
-            CorpusSpec(groups=(good, good))  # duplicate ids
+            corpus_spec((good, good))  # duplicate ids
         with pytest.raises(ValueError):
-            CorpusSpec(groups=(good,), noise_weight=0.5)  # no noise vocab
+            corpus_spec((good,), noise_weight=0.5)  # no noise vocab
         with pytest.raises(ValueError):
-            CorpusSpec(groups=(good,), tweets_per_day=0)
+            corpus_spec((good,), tokens_per_tweet=0)
 
     def test_default_weights_are_zipf_normalized(self):
-        spec = GroupCorpusSpec(group_id="g", vocabulary=("a", "b", "c"))
+        spec = text_group("g", 3, vocabulary=("a", "b", "c"))
         w = spec.weights()
         expect = np.array([1.0, 0.5, 1 / 3])
         np.testing.assert_allclose(w, expect / expect.sum())
@@ -151,24 +183,8 @@ class TestGenerateCorpus:
     window = DayWindow.of_length(date(2016, 3, 9), 20)
 
     def _spec(self, **kwargs):
-        defaults = dict(
-            groups=(
-                GroupCorpusSpec(
-                    group_id="alpha",
-                    vocabulary=planted_vocabulary("alpha", 8),
-                    members=3,
-                ),
-                GroupCorpusSpec(
-                    group_id="beta",
-                    vocabulary=planted_vocabulary("beta", 8),
-                    members=3,
-                ),
-            ),
-            tweets_per_day=4,
-            tokens_per_tweet=5,
-        )
-        defaults.update(kwargs)
-        return CorpusSpec(**defaults)
+        groups = (text_group("alpha", 3), text_group("beta", 3))
+        return corpus_spec(groups, **kwargs)
 
     def test_deterministic_per_seed(self):
         spec = self._spec()
@@ -183,8 +199,8 @@ class TestGenerateCorpus:
     @pytest.mark.parametrize(
         "mixed, sha256",
         [
-            (False, "daeddc8cfc323a68711e5fcecc4caf49072cd58ef893fe1f01049f31dd3857ef"),
-            (True, "9ee6ca5c4ebb5221dde0c06d57cf54c2773ab8298e69689332c6d15b3c3a48d6"),
+            (False, "c235dfb443131f4e90230aeaa663e83866af1bf1a87dcf28574a1958b60201b4"),
+            (True, "d8c04d5105d02489db450f192c7c4641e3dda7ce0a71b1dccc41cbcc865ab85d"),
         ],
         ids=["plain", "mixed"],
     )
@@ -192,31 +208,14 @@ class TestGenerateCorpus:
         spec = self._spec()
         if mixed:
             # member and outsider retweets, noise words, an era switch and
-            # an embedded rate spec with zero-tweet days
-            alpha, beta = spec.groups
-            spec = self._spec(
-                groups=(
-                    GroupCorpusSpec(
-                        group_id="alpha",
-                        vocabulary=alpha.vocabulary,
-                        members=3,
-                        strategy_pre=(0.4, 0.3, 0.3),
-                        strategy_post=(0.1, 0.2, 0.7),
-                    ),
-                    GroupCorpusSpec(
-                        group_id="beta",
-                        vocabulary=beta.vocabulary,
-                        members=3,
-                        strategy_pre=(0.2, 0.5, 0.3),
-                        dynamics=GroupSpec(
-                            group_id="beta", baseline_level=2.0, noise_sigma=2.0, members=3
-                        ),
-                    ),
-                ),
-                noise_vocabulary=("noisea", "noiseb"),
-                noise_weight=0.3,
-                changepoint_day=10,
-            )
+            # a noisy rate model with zero-tweet days
+            beta = GroupSpec(group_id="beta", baseline_level=2.0, noise_sigma=2.0, members=3)
+            spec = self._spec(noise_vocabulary=("noisea", "noiseb"), noise_weight=0.3,
+                              changepoint_day=10)
+            spec = replace(spec, groups=(
+                text_group("alpha", 3, pre=(0.4, 0.3, 0.3), post=(0.1, 0.2, 0.7)),
+                replace(text_group("beta", 3, pre=(0.2, 0.5, 0.3)), dynamics=beta),
+            ))
         corpus, labels = generate_corpus(spec, self.window, seed=0)
         write_records(corpus, tmp_path / "records.jsonl")
         assert hashlib.sha256((tmp_path / "records.jsonl").read_bytes()).hexdigest() == sha256
@@ -236,10 +235,10 @@ class TestGenerateCorpus:
         assert set(per_user_day.values()) == {4}
 
     def test_text_drawn_from_group_vocabulary_only(self):
-        spec = self._spec(noise_weight=0.0)
+        spec = self._spec(noise_vocabulary=("noisea",), noise_weight=0.0)
         corpus, group_of = generate_corpus(spec, self.window, seed=1)
         vocab = {
-            g.group_id: set(g.vocabulary) for g in spec.groups
+            g.dynamics.group_id: set(g.vocabulary) for g in spec.groups
         }
         f = fields_of(corpus)
         for user, text in zip(f["user_id"], f["text"]):
@@ -256,15 +255,9 @@ class TestGenerateCorpus:
         assert 0.4 < noise_share < 0.6
 
     def test_pure_strategies_realized(self):
-        members = GroupCorpusSpec(
-            group_id="m", vocabulary=("vox",), members=3,
-            strategy_pre=(0.0, 1.0, 0.0),
-        )
-        amplifiers = GroupCorpusSpec(
-            group_id="a", vocabulary=("pox",), members=2,
-            strategy_pre=(0.0, 0.0, 1.0),
-        )
-        spec = CorpusSpec(groups=(members, amplifiers), tweets_per_day=3)
+        members = text_group("m", 3, level=3.0, pre=(0.0, 1.0, 0.0), vocabulary=("vox",))
+        amplifiers = text_group("a", 2, level=3.0, pre=(0.0, 0.0, 1.0), vocabulary=("pox",))
+        spec = corpus_spec((members, amplifiers))
         corpus, group_of = generate_corpus(spec, self.window, seed=4)
         campaign = set(group_of)
         f = fields_of(corpus)
@@ -279,11 +272,10 @@ class TestGenerateCorpus:
                 assert source in AMPLIFIED_OUTSIDERS
 
     def test_changepoint_switches_era_mix(self):
-        group = GroupCorpusSpec(
-            group_id="g", vocabulary=("vix",), members=2,
-            strategy_pre=(1.0, 0.0, 0.0), strategy_post=(0.0, 0.0, 1.0),
+        group = text_group(
+            "g", 2, level=3.0, pre=(1.0, 0.0, 0.0), post=(0.0, 0.0, 1.0), vocabulary=("vix",)
         )
-        spec = CorpusSpec(groups=(group,), tweets_per_day=3, changepoint_day=10)
+        spec = corpus_spec((group,), changepoint_day=10)
         corpus, _ = generate_corpus(spec, self.window, seed=5)
         days, _ = corpus.window_offsets(self.window)
         f = fields_of(corpus)
@@ -296,14 +288,69 @@ class TestGenerateCorpus:
                 assert is_retweet and source in AMPLIFIED_OUTSIDERS
 
     def test_embedded_dynamics_drive_volume(self):
-        dyn = GroupSpec(group_id="g", baseline_level=2.0, members=2)
-        group = GroupCorpusSpec(
-            group_id="g", vocabulary=("vux",), members=2, dynamics=dyn
-        )
-        spec = CorpusSpec(groups=(group,), tweets_per_day=99)
+        spec = corpus_spec((text_group("g", 2, level=2.0, vocabulary=("vux",)),))
         corpus, _ = generate_corpus(spec, self.window, seed=6)
-        # the flat 2/day schedule overrides tweets_per_day
+        # the flat 2/day rate model, two members, 20 days
         assert len(corpus) == 2 * 20 * 2
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_counts_are_the_rate_models_table(self, seed):
+        rates = reference_cluster_specs(members=3)
+        spec = corpus_spec(
+            tuple(
+                replace(text_group(r.group_id, r.members, pre=(0.2, 0.5, 0.3)), dynamics=r)
+                for r in rates
+            ),
+            changepoint_day=10,
+        )
+        corpus, labels = generate_corpus(spec, self.window, seed=seed)
+        users, table, series_labels = generate_series(rates, self.window, seed=seed)
+        assert labels == series_labels
+        np.testing.assert_array_equal(user_day_counts(corpus, users, self.window), table)
+
+    def test_era_category_shares_match_the_mixes(self):
+        # each (seed, group, era) share within 5 binomial standard deviations
+        # of the planted mix, over 4 members x 10 days x 20 tweets = 800
+        pre_a, post_a = (0.6, 0.3, 0.1), (0.1, 0.2, 0.7)
+        pre_b, post_b = (0.2, 0.5, 0.3), (0.5, 0.0, 0.5)
+        spec = corpus_spec(
+            (
+                text_group("a", 4, level=20.0, pre=pre_a, post=post_a),
+                text_group("b", 4, level=20.0, pre=pre_b, post=post_b),
+            ),
+            changepoint_day=10,
+        )
+        mixes = {("a", 0): pre_a, ("a", 1): post_a, ("b", 0): pre_b, ("b", 1): post_b}
+        worst = 0.0
+        for seed in range(10):
+            corpus, group_of = generate_corpus(spec, self.window, seed=seed)
+            days, _ = corpus.window_offsets(self.window)
+            group = np.array([group_of.get(u) for u in corpus.account_ids])[corpus.user]
+            category = corpus.categories(group_of)
+            for (g, era), mix in mixes.items():
+                rows = (group == g) & ((days >= 10) == era)
+                assert rows.sum() == 800
+                share = np.bincount(category[rows], minlength=3) / 800
+                sd = np.sqrt(np.array(mix) * (1 - np.array(mix)) / 800)
+                assert np.all(np.abs(share - mix) <= 5 * sd + 1e-12), (seed, g, era, share)
+                worst = max(worst, float(np.max(np.abs(share - mix))))
+        assert worst > 0  # the shares are drawn, not set
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+    def test_member_retweets_reach_every_other_member(self, seed):
+        spec = corpus_spec(
+            (
+                text_group("m", 4, level=10.0, pre=(0.0, 1.0, 0.0)),
+                text_group("n", 3, level=10.0, pre=(0.3, 0.4, 0.3)),
+            )
+        )
+        corpus, group_of = generate_corpus(spec, self.window, seed=seed)
+        f = fields_of(corpus)
+        targets = {u: set() for u in group_of}
+        for user, source in zip(f["user_id"], f["retweeted_user_id"]):
+            if source in group_of:
+                targets[user].add(source)
+        assert targets == {u: set(group_of) - {u} for u in group_of}
 
     def test_timestamps_inside_window(self):
         corpus, _ = generate_corpus(self._spec(), self.window, seed=7)

@@ -37,7 +37,13 @@ from tweetdyn.topic import (
     top_terms,
     topic_communities,
 )
-from tweetdyn.synth import CorpusSpec, GroupCorpusSpec, generate_corpus, planted_vocabulary
+from tweetdyn.synth import (
+    CorpusSpec,
+    GroupCorpusSpec,
+    GroupSpec,
+    generate_corpus,
+    planted_vocabulary,
+)
 
 
 REPO = Path(__file__).resolve().parents[1]
@@ -337,7 +343,7 @@ class TestGammaKeywords:
         assert union == frozenset(t for t, c in counts["u1"].items() if c >= threshold)
         assert "e" in union  # the heavy term always survives
 
-    def test_degenerate_fallback_keeps_at_or_above_mean(self):
+    def test_users_without_a_moment_fit_keep_every_term(self):
         cases = [
             (Counter({"a": 3, "b": 3}), {"a", "b"}),  # zero variance
             (Counter({"only": 5}), {"only"}),  # single term
@@ -348,7 +354,7 @@ class TestGammaKeywords:
         union = gamma_keywords(term_counts_of({"flat": cases[0][0], "solo": cases[1][0]}), q=0.9)
         assert union == {"a", "b", "only"}
 
-    def test_fallback_mean_excludes_below(self):
+    def test_two_distinct_counts_use_the_gamma_quantile(self):
         # mean 3 and nonzero variance: the gamma path, whose threshold falls
         # between the two counts at q=0.5 and above both at q=0.9
         counts = term_counts_of({"u": Counter({"hi": 4, "lo": 2})})
@@ -500,17 +506,19 @@ class TestTopicCommunities:
     def _corpus(self, seed=0):
         groups = tuple(
             GroupCorpusSpec(
-                group_id=g,
+                dynamics=GroupSpec(group_id=g, baseline_level=4.0, noise_sigma=0.0, members=4),
                 vocabulary=planted_vocabulary(g, 15),
-                members=4,
                 strategy_pre=(1.0, 0.0, 0.0),
+                strategy_post=(1.0, 0.0, 0.0),
             )
             for g in ("north", "south", "east")
         )
         spec = CorpusSpec(
-            groups=groups, tweets_per_day=4, tokens_per_tweet=6,
+            groups=groups,
             noise_vocabulary=("filler", "words", "everyone", "uses"),
             noise_weight=0.1,
+            tokens_per_tweet=6,
+            changepoint_day=None,
         )
         return generate_corpus(spec, self.window, seed=seed)
 
