@@ -21,10 +21,13 @@ and `input_format` in the config). It parses each table into a columnar
 `Corpus`, merges them in (timestamp, tweet id) order and writes the
 normalized tweets twice, in that row order: `records.jsonl` and its columnar
 sidecar `corpus.npz`, which records the sha256 of that `records.jsonl`.
+Both are replaced atomically, so a failed write leaves the old file whole.
 The stages that need tweets (`counts`, `strategy`, `spectra`,
-`cluster-spectral`, `cluster-topic` and `compare`) load `corpus.npz`, and
-fail with a failed manifest if it is missing, malformed or older than
-`records.jsonl`, asking for `ingest` to be re-run. `changepoint` reads only
+`cluster-spectral`, `cluster-topic` and `compare`) map `corpus.npz`
+read-only, with no copy of its columns; the load reads `records.jsonl` once
+for its sha256 and the sidecar once for its members' CRC-32s. They fail with
+a failed manifest if it is missing, malformed or older than `records.jsonl`,
+asking for `ingest` to be re-run. `changepoint` reads only
 `counts_aggregate.csv` and fails the same way without it. `compare` fails
 when `clusters_spectral.json` or `clusters_topic.json` was made for another
 window than the one it recomputes spectra for, or when the spectral clusters

@@ -13,22 +13,32 @@ A :class:`Corpus` holds one row per tweet, in the order ``ingest`` wrote them:
 Strings are encoded with the ``surrogatepass`` handler, so any Python string
 survives the round trip, and byte order in a blob equals code-point order.
 
-``ingest`` writes the corpus next to ``records.jsonl`` as ``corpus.npz``.
-The sidecar records the sha256 of that ``records.jsonl``; :meth:`Corpus.load`
-verifies it along with every shape, code range and offset, and raises
-:class:`CorpusError` on any mismatch instead of handing back stale rows.
+``ingest`` writes the corpus next to ``records.jsonl`` as ``corpus.npz``, an
+uncompressed zip of ``.npy`` members. The sidecar records the sha256 of that
+``records.jsonl``. :meth:`Corpus.load` maps the sidecar read-only and copies
+no column: each one is a view into the map. It costs two full reads, the
+records sha256 and the members' CRC-32s, and it checks every shape, code
+range and offset too. It raises :class:`CorpusError` on any mismatch instead
+of handing back stale rows. :meth:`Corpus.save` and ``write_records`` replace
+their file atomically (:func:`replacing`), so a live map of an earlier
+sidecar never sees it rewritten.
 """
 
 from __future__ import annotations
 
 import hashlib
 import io
+import math
+import mmap
+import os
+import struct
 import zipfile
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from datetime import date
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import BinaryIO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -38,6 +48,9 @@ _EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
 # Any fixed stamp works; np.savez would write the wall clock here.
 _ZIP_DATE = (1980, 1, 1, 0, 0, 0)
 _SELECT_BLOCK = 8192  # rows joined at once by StringColumn.select
+_CRC_CHUNK = 1 << 20  # bytes read at once by the CRC pass of Corpus.load
+# A zip local file header, read for its name and extra-field lengths.
+_LOCAL_HEADER = struct.Struct("<26xHH")
 
 # Category codes of Corpus.categories.
 ORIGINAL, SPREADING, AMPLIFYING = 0, 1, 2
@@ -53,6 +66,25 @@ def file_sha256(path: str | Path) -> str:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             digest.update(chunk)
     return digest.hexdigest()
+
+
+@contextmanager
+def replacing(path: str | Path) -> Iterator[BinaryIO]:
+    """A binary file that takes ``path``'s place when the block ends.
+
+    It is written beside ``path`` and moved over it with ``os.replace``, so a
+    reader (or a live map) of the old file never sees a partial one. On an
+    error the new file is removed and ``path`` is left as it was.
+    """
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _encode(s: str) -> bytes:
@@ -147,7 +179,9 @@ class Corpus:
     day: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "day", self.timestamp_us // US_PER_DAY + _EPOCH_ORDINAL)
+        day = self.timestamp_us // US_PER_DAY + _EPOCH_ORDINAL
+        day.flags.writeable = False
+        object.__setattr__(self, "day", day)
 
     @classmethod
     def from_columns(
@@ -279,7 +313,11 @@ class Corpus:
 
     def save(self, path: str | Path, records_sha256: str) -> None:
         """Write ``corpus.npz`` byte-deterministically, stamped with the sha256
-        of the ``records.jsonl`` it mirrors."""
+        of the ``records.jsonl`` it mirrors.
+
+        The file is replaced atomically (:func:`replacing`): a corpus loaded
+        from an earlier sidecar keeps its map of the old file and its values.
+        """
         accounts = StringColumn.of(self.account_ids)
         languages = StringColumn.of(self.language_ids)
         members = {
@@ -298,7 +336,7 @@ class Corpus:
             "text_blob": self.text.blob,
             "text_offsets": self.text.offsets,
         }
-        with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_STORED) as zf:
+        with replacing(path) as fh, zipfile.ZipFile(fh, "w", zipfile.ZIP_STORED) as zf:
             for name, array in members.items():
                 # np.save's header, then the array's own buffer: no copy
                 header = io.BytesIO()
@@ -314,8 +352,13 @@ class Corpus:
 
     @classmethod
     def load(cls, path: str | Path, records_path: str | Path) -> "Corpus":
-        """Read a sidecar and check it against the ``records.jsonl`` beside it.
+        """Map a sidecar read-only and check it against the ``records.jsonl``
+        beside it.
 
+        No column is copied: each is a read-only view into one map of the
+        file, which lives as long as the columns do. The checks read each
+        file once in full: ``records.jsonl`` for its sha256, and the sidecar's
+        members, streamed through a bounded buffer, for their CRC-32s.
         Raises :class:`CorpusError` naming the file at fault when the sidecar
         is missing, unreadable, malformed, or was written for other records.
         """
@@ -326,8 +369,7 @@ class Corpus:
         if not path.exists():
             raise CorpusError(f"{path} does not exist; {rerun}")
         try:
-            with np.load(path, allow_pickle=False) as npz:
-                arrays = {name: npz[name] for name in npz.files}
+            arrays = _map_members(path)
         except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
             raise CorpusError(f"{path} is unreadable ({exc}); {rerun}") from None
         try:
@@ -373,6 +415,47 @@ class Corpus:
             text=text,
         )
         return corpus, str(a["records_sha256"])
+
+
+def _map_members(path: Path) -> dict[str, np.ndarray]:
+    """Each ``.npy`` member of a stored zip, by name less ``.npy``, as a
+    read-only view into one map of the file; a streamed pass first checks
+    every member's CRC-32 and local header."""
+    with path.open("rb") as fh:
+        with zipfile.ZipFile(fh) as zf:
+            infos = zf.infolist()
+            for info in infos:
+                if info.compress_type != zipfile.ZIP_STORED:
+                    raise ValueError(f"member {info.filename} is compressed")
+                # zipfile compares the CRC-32 when a read reaches the end
+                with zf.open(info) as member:
+                    while member.read(_CRC_CHUNK):
+                        pass
+        data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+        return {info.filename.removesuffix(".npy"): _member(fh, data, info) for info in infos}
+
+
+def _member(fh: BinaryIO, data: mmap.mmap, info: zipfile.ZipInfo) -> np.ndarray:
+    """The array of one stored ``.npy`` member; its header is read from
+    ``fh`` and its values are a view into ``data``, the map of ``fh``."""
+    fh.seek(info.header_offset)
+    name_length, extra_length = _LOCAL_HEADER.unpack(fh.read(_LOCAL_HEADER.size))
+    start = info.header_offset + _LOCAL_HEADER.size + name_length + extra_length
+    fh.seek(start)
+    version = np.lib.format.read_magic(fh)
+    if version != (1, 0):
+        raise ValueError(f"member {info.filename}: npy format {version}, expected (1, 0)")
+    # Every column is 1-d, so the header's Fortran-order flag changes nothing;
+    # np.frombuffer refuses an object dtype.
+    shape, _, dtype = np.lib.format.read_array_header_1_0(fh)
+    count = math.prod(shape)
+    body = fh.tell() - start
+    if body + count * dtype.itemsize != info.file_size:
+        raise ValueError(
+            f"member {info.filename}: header claims {body + count * dtype.itemsize} "
+            f"bytes, the member holds {info.file_size}"
+        )
+    return np.frombuffer(data, dtype=dtype, count=count, offset=start + body).reshape(shape)
 
 
 def _column(a: dict[str, np.ndarray], name: str, n: int | None = None) -> np.ndarray:

@@ -37,7 +37,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .corpus import Corpus
+from .corpus import Corpus, replacing
 from .graphs import WeightedGraph
 from .timeseries import DayWindow
 
@@ -60,7 +60,7 @@ _MIN_US = (datetime.min - _NAIVE_EPOCH) // _ONE_US
 _MAX_US = (datetime.max - _NAIVE_EPOCH) // _ONE_US
 _2D = [f"{i:02d}" for i in range(60)]
 _WRITE_BLOCK = 1024  # lines
-_PARSE_BLOCK = 8192  # rows checked at once
+_PARSE_BLOCK = 2048  # rows checked at once
 _NO_FIELDS = (None,) * 7  # the fields of a row the reader rejected
 _scan_json = json.JSONDecoder().scan_once
 # YYYY-MM-DD HH:MM:SS: the places of the digits, and of "-", " " and ":"
@@ -419,7 +419,9 @@ def write_records(corpus: Corpus, path: str | Path) -> str:
 
     Each row is the line ``json.dumps(row, sort_keys=True)`` would give, with
     the time in whole UTC seconds as ``strftime("%Y-%m-%d %H:%M:%S")`` writes it;
-    every line is ASCII.
+    every line is ASCII. The file is replaced atomically (``corpus.replacing``),
+    so a write that fails leaves the old ``records.jsonl`` as it was, even
+    when it is the file ``ingest`` read.
     """
     quote = encode_basestring_ascii
     # Source code -> the line's opening; -1 (no retweet) is the last entry.
@@ -434,7 +436,7 @@ def write_records(corpus: Corpus, path: str | Path) -> str:
     # A block at a time: faster than a write per line, and neither the file's
     # text nor every row's strings are in memory at once.
     digest = hashlib.sha256()
-    with Path(path).open("wb") as fh:
+    with replacing(path) as fh:
         for lo in range(0, len(corpus), _WRITE_BLOCK):
             hi = min(lo + _WRITE_BLOCK, len(corpus))
             clock = corpus.timestamp_us[lo:hi] // 1_000_000 % 86_400

@@ -203,6 +203,60 @@ class TestSidecarFile:
             Corpus.load(tmp_path / "corpus.npz", jsonl)
 
 
+    @staticmethod
+    def _saved(tmp_path, texts):
+        """A corpus of one row per text, saved with its ``records.jsonl``."""
+        rows = [TweetRecord(str(i), f"u{i}", BASE, "en", False, None, t) for i, t in enumerate(texts)]
+        corpus, jsonl = corpus_of(rows), tmp_path / "records.jsonl"
+        write_records(corpus, jsonl)
+        corpus.save(tmp_path / "corpus.npz", file_sha256(jsonl))
+        return corpus, tmp_path / "corpus.npz", jsonl
+
+    def test_loaded_columns_are_read_only(self, tmp_path):
+        _, npz, jsonl = self._saved(tmp_path, ["a", "bc"])
+        loaded = Corpus.load(npz, jsonl)
+        columns = [getattr(loaded, name) for name in ("user", "source", "timestamp_us", "language", "day")]
+        columns += [c for s in (loaded.tweet_id, loaded.text) for c in (s.blob, s.offsets)]
+        for column in columns:
+            assert not column.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 1
+
+    def test_resaving_leaves_an_earlier_load_unchanged(self, tmp_path):
+        corpus, npz, jsonl = self._saved(tmp_path, ["first", "rows"])
+        loaded = Corpus.load(npz, jsonl)
+        other, _, _ = self._saved(tmp_path, ["other", "rows", "here"])
+        assert arrays_of(loaded) == arrays_of(corpus)
+        assert arrays_of(Corpus.load(npz, jsonl)) == arrays_of(other)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.npz", "records.jsonl"]
+
+    @staticmethod
+    def _rewrite(npz, compression=zipfile.ZIP_STORED, edit=lambda name, data: data):
+        """Write the sidecar's members again, edited, with valid CRCs."""
+        with zipfile.ZipFile(npz) as zf:
+            members = [(info.filename, zf.read(info)) for info in zf.infolist()]
+        with zipfile.ZipFile(npz, "w", compression=compression) as zf:
+            for name, data in members:
+                zf.writestr(name, edit(name, data))
+
+    def test_compressed_member_refused(self, tmp_path):
+        _, npz, jsonl = self._saved(tmp_path, ["a", "bc"])
+        self._rewrite(npz, compression=zipfile.ZIP_DEFLATED)
+        with pytest.raises(CorpusError, match="corpus.npz.*compressed.*re-run ingest"):
+            Corpus.load(npz, jsonl)
+
+    def test_header_claiming_more_bytes_than_its_member_refused(self, tmp_path):
+        _, npz, jsonl = self._saved(tmp_path, ["a", "bc"])
+
+        def grow_user(name, data):
+            # the same header length, one more row than the member holds
+            return data.replace(b"'shape': (2,)", b"'shape': (3,)") if name == "user.npy" else data
+
+        self._rewrite(npz, edit=grow_user)
+        with pytest.raises(CorpusError, match="corpus.npz.*user.npy.*claims.*re-run ingest"):
+            Corpus.load(npz, jsonl)
+
+
 SMALL_CONFIG = {
     "bulk_window": ["2016-03-01", "2016-04-01"],
     "pre_window": ["2016-03-05", "2016-03-15"],

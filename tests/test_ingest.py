@@ -21,7 +21,7 @@ import reference_loops as ref
 from tweet_tables import TweetRecord, arrays_of, corpus_of, fields_of, write_csv
 from tweetdyn import ingest
 from tweetdyn.cli import main
-from tweetdyn.corpus import AMPLIFYING, ORIGINAL, SPREADING, Corpus, file_sha256
+from tweetdyn.corpus import AMPLIFYING, ORIGINAL, SPREADING, Corpus, StringColumn, file_sha256
 from tweetdyn.ingest import (
     ColumnMap,
     IngestError,
@@ -287,6 +287,34 @@ class TestParse:
         loaded, report = parse_records(path, fmt=fmt, columns=ColumnMap())
         assert report.rejected == 0
         assert arrays_of(loaded) == arrays_of(corpus)
+
+
+class TestWriteRecords:
+    def test_a_failed_write_leaves_the_old_file(self, tmp_path, monkeypatch):
+        """``tweetdyn run --input <out>/records.jsonl --out <out>`` rewrites
+        the file it read; an error midway must not cost that input."""
+        t0 = datetime(2016, 3, 1, tzinfo=timezone.utc)
+        rows = [
+            TweetRecord(str(i), f"u{i % 7}", t0 + timedelta(seconds=i), "en", False, None, f"t{i}")
+            for i in range(3 * ingest._WRITE_BLOCK)
+        ]
+        path = tmp_path / "records.jsonl"
+        write_records(corpus_of(rows[:5]), path)
+        old = path.read_bytes()
+        strings = StringColumn.strings
+
+        def fail_after_the_first_block(column, start, stop):
+            if start > 0:
+                (partial,) = set(tmp_path.iterdir()) - {path}
+                assert partial.stat().st_size > 0  # the first block is on disk
+                raise OSError("disk full")
+            return strings(column, start, stop)
+
+        monkeypatch.setattr(StringColumn, "strings", fail_after_the_first_block)
+        with pytest.raises(OSError, match="disk full"):
+            write_records(corpus_of(rows), path)
+        assert path.read_bytes() == old
+        assert list(tmp_path.iterdir()) == [path]
 
 
 class TestCategorize:
