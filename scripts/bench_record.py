@@ -5,15 +5,17 @@ Runs ``perfbench/run.py`` on the ``crowd`` and ``chatter`` workloads at seed
 (``--trace 1``, the per-layer metrics), then ``scripts/bench_kernels.py``,
 all from the checkout this script lives in. Writes ``BENCH_<LABEL>.json`` at
 the checkout's root: each perfbench run's two output lines (the detail line
-and the result line), the kernel table, the git SHA (and whether tracked
-files differ from it) and the machine (``nproc`` and the Python and NumPy
-versions).
+and the result line), the kernel table, the git SHA, whether tracked files
+differ from it and, if they do, the sha256 of that difference (see
+:func:`git_diff_sha256`), and the machine (``nproc`` and the Python and
+NumPy versions).
 
 usage: python scripts/bench_record.py LABEL
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import platform
@@ -43,6 +45,28 @@ def run(argv: list[str]) -> list[str]:
     return proc.stdout.splitlines()
 
 
+def git(*args: str) -> bytes:
+    return subprocess.run(
+        ["git", *args], cwd=ROOT, stdout=subprocess.PIPE, check=True
+    ).stdout
+
+
+def git_diff_sha256() -> str | None:
+    """The sha256 of the work tree's difference from HEAD, so that a BENCH
+    file names the code it timed: ``git diff --binary HEAD``, then the path
+    and bytes of each untracked file that git does not ignore, in path order
+    (BENCH files, which this script writes, left out). None when no tracked
+    file differs from HEAD."""
+    diff = git("diff", "--binary", "HEAD")
+    if not diff:
+        return None
+    digest = hashlib.sha256(diff)
+    for path in git("ls-files", "--others", "--exclude-standard", "-z").split(b"\0"):
+        if path and not (path.startswith(b"BENCH_") and path.endswith(b".json")):
+            digest.update(path + b"\0" + (ROOT / path.decode()).read_bytes())
+    return digest.hexdigest()
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__.strip().splitlines()[-1], file=sys.stderr)
@@ -58,15 +82,14 @@ def main(argv: list[str]) -> int:
             detail, result = (json.loads(line) for line in lines[-2:])
             perfbench[f"{workload}/trace{trace}"] = {"detail": detail, "result": result}
     kernels = json.loads("\n".join(run(["scripts/bench_kernels.py"])))
-    sha = subprocess.run(
-        ["git", "rev-parse", "HEAD"], cwd=ROOT, stdout=subprocess.PIPE, text=True, check=True
-    ).stdout.strip()
-    # the tracked files differ from that commit: the run measured the work tree
-    dirty = subprocess.run(["git", "diff", "--quiet", "HEAD"], cwd=ROOT).returncode != 0
+    # git_dirty: the tracked files differ from that commit, so the run
+    # measured the work tree that git_diff_sha256 names
+    diff_sha = git_diff_sha256()
     bench = {
         "label": label,
-        "git_sha": sha,
-        "git_dirty": dirty,
+        "git_sha": git("rev-parse", "HEAD").decode().strip(),
+        "git_dirty": diff_sha is not None,
+        "git_diff_sha256": diff_sha,
         "machine": {
             "nproc": os.cpu_count(),
             "python": platform.python_version(),

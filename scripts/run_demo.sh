@@ -2,9 +2,10 @@
 # End-to-end demo on synthetic data with known ground truth.
 #
 # Generates a four-group campaign corpus (planted rate spectra, vocabularies
-# and strategy mixes) with `tweetdyn synth`, runs the whole analysis pipeline
-# on it with `tweetdyn run`, then fits the change-point model on a separate
-# planted-rate aggregate series (`synth --kind changepoint`, `changepoint`).
+# and strategy mixes) with `tweetdyn synth` into OUT_DIR/synth, runs the whole
+# analysis pipeline on it with `tweetdyn run` into OUT_DIR/corpus, then fits
+# the change-point model on a separate planted-rate aggregate series
+# (`synth --kind changepoint`, `changepoint`, into OUT_DIR/changepoint).
 # Prints a short summary of how well each stage recovered the planted
 # structure, and the sha256 of every file it wrote, sorted by path under
 # OUT_DIR. Two runs from two checkouts with the same OUT_DIR wrote the same
@@ -15,9 +16,10 @@
 set -euo pipefail
 
 OUT="${1:-runs/demo}"
+SYNTH="$OUT/synth"
 CORPUS="$OUT/corpus"
 AGG="$OUT/changepoint"
-mkdir -p "$CORPUS" "$AGG"
+mkdir -p "$SYNTH" "$CORPUS" "$AGG"
 
 # The synthetic campaign flips its strategy mixes halfway through the corpus
 # window (2016-07-09), so the before/after comparison must bracket that day
@@ -41,20 +43,20 @@ step() {
   "${TWEETDYN[@]}" "$@"
 }
 
-step synth --config "$CONFIG" --out "$CORPUS"
-step run   --config "$CONFIG" --out "$CORPUS" --input "$CORPUS/records.jsonl"
+step synth --config "$CONFIG" --out "$SYNTH"
+step run   --config "$CONFIG" --out "$CORPUS" --input "$SYNTH/records.jsonl"
 
 step synth --kind changepoint --config "$CONFIG" --out "$AGG"
 step changepoint              --config "$CONFIG" --out "$AGG"
 
-python3 - "$CORPUS" "$AGG" <<'PY'
+python3 - "$SYNTH" "$CORPUS" "$AGG" <<'PY'
 import json
 import sys
 
-corpus, agg = sys.argv[1], sys.argv[2]
+synth, corpus, agg = sys.argv[1], sys.argv[2], sys.argv[3]
 head = json.load(open(f"{corpus}/report.json"))["headline"]
 cp = json.load(open(f"{agg}/changepoint.json"))
-truth = json.load(open(f"{corpus}/labels.json"))
+truth = json.load(open(f"{synth}/labels.json"))
 spectral = json.load(open(f"{corpus}/clusters_spectral.json"))
 
 print()
@@ -72,7 +74,7 @@ print(
     f" {cp['model1']['slope']:.2f} / {cp['model2']['slope']:.2f} tweets/day"
     f" (significant: {cp['significant']})"
 )
-print(f"  artifacts: {corpus}/ and {agg}/")
+print(f"  artifacts: {synth}/, {corpus}/ and {agg}/")
 PY
 
 python3 - "$OUT" <<'PY'

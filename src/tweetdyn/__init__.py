@@ -57,4 +57,4 @@ from .topic import (  # noqa: F401
     similarity_graph,
     topic_communities,
 )
-from .compare import CrossTab, adjusted_rand_index, cross_tab  # noqa: F401
+from .compare import cross_tab, diversity  # noqa: F401

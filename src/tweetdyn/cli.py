@@ -5,7 +5,7 @@ The stages are declared once, in :data:`STAGES`; the argument parser and
 table order in one process and stops at the first that fails; it takes the
 union of those stages' flags. Each `main` call builds one
 :class:`StageContext` that its stages share, so within a `run` the corpus,
-and each window's cohort and cohort spectra, are computed once. Every stage
+each window's cohort and the `--window` spectra are computed once. Every stage
 writes JSON/CSV artifacts plus a manifest into an output directory.
 Artifacts are deterministic for a given config and seed: keys are sorted,
 floats are normalized to 12 significant digits, manifests carry a config
@@ -30,10 +30,10 @@ a failed manifest if it is missing, malformed or older than `records.jsonl`,
 asking for `ingest` to be re-run. `changepoint` reads only
 `counts_aggregate.csv` and fails the same way without it. `compare` fails
 when `clusters_spectral.json` or `clusters_topic.json` was made for another
-window than the one it recomputes spectra for, or when the spectral clusters
-were made under other cohort or spectra settings. A config with an unknown
-key, a wrongly typed value or a value out of range is rejected with exit
-code 2.
+window than the one it recomputes spectra for or lists a user twice, or when
+the spectral clusters were made under other cohort or spectra settings. A
+config with an unknown key, a wrongly typed value or a value out of range is
+rejected with exit code 2.
 
 Typical flow on synthetic data::
 
@@ -413,8 +413,8 @@ def write_manifest(
 class StageContext:
     """What the stages of one :func:`main` call share: the config, the output
     directory, the ``--window`` name and synth's ``--kind`` (None for a call
-    whose stages take no such flag). The corpus, and the cohort and cohort
-    spectra of each window, are computed on first use and live as long as
+    whose stages take no such flag). The corpus, each window's cohort and
+    the ``--window`` spectra are computed on first use and live as long as
     the context."""
 
     config: RunConfig
@@ -422,7 +422,6 @@ class StageContext:
     window_name: str | None
     kind: str | None
     _cohorts: dict[DayWindow, tuple[str, ...]] = field(default_factory=dict, init=False)
-    _spectra: dict[DayWindow, spectral.Spectra] = field(default_factory=dict, init=False)
 
     @cached_property
     def window(self) -> DayWindow:
@@ -446,18 +445,15 @@ class StageContext:
             )
         return self._cohorts[window]
 
-    def spectra(self, window: DayWindow) -> spectral.Spectra:
-        """Denoised spectra of the window's cohort, one row per user in id order."""
-        if window not in self._spectra:
-            cohort = self.cohort(window)
-            if not cohort:
-                raise ValueError("no users in cohort; nothing to transform")
-            table = timeseries.counts_by_user(self.corpus, window, cohort)
-            oscillators = timeseries.detrend(table, self.config.ma_window)
-            self._spectra[window] = spectral.denoise(
-                spectral.dft(oscillators, cohort), self.config.denoise_q
-            )
-        return self._spectra[window]
+    @cached_property
+    def spectra(self) -> spectral.Spectra:
+        """Denoised spectra of the ``--window`` cohort, one row per user in id order."""
+        cohort = self.cohort(self.window)
+        if not cohort:
+            raise ValueError("no users in cohort; nothing to transform")
+        table = timeseries.counts_by_user(self.corpus, self.window, cohort)
+        oscillators = timeseries.detrend(table, self.config.ma_window)
+        return spectral.denoise(spectral.dft(oscillators, cohort), self.config.denoise_q)
 
 
 # ---------------------------------------------------------------- subcommands
@@ -595,7 +591,7 @@ def _write_band(path: Path, band: spectral.BandSummary) -> None:
 
 def cmd_spectra(ctx: StageContext) -> list[str]:
     outdir, window_name = ctx.outdir, ctx.window_name
-    spectra = ctx.spectra(ctx.window)
+    spectra = ctx.spectra
     magnitudes = spectra.magnitudes
     write_csv(
         outdir / f"spectra_{window_name}.csv",
@@ -611,7 +607,7 @@ def cmd_spectra(ctx: StageContext) -> list[str]:
 
 def cmd_cluster_spectral(ctx: StageContext) -> list[str]:
     config, outdir = ctx.config, ctx.outdir
-    spectra = ctx.spectra(ctx.window)
+    spectra = ctx.spectra
     magnitudes = spectra.magnitudes
     embedding = spectral.pca_embed(magnitudes, spectra.users, dims=config.pca_dims)
     assignment = spectral.kmedoids(
@@ -740,43 +736,30 @@ def cmd_compare(ctx: StageContext) -> list[str]:
                 f"{manifest['config'][name]!r}, not {current[name]!r}; "
                 "re-run cluster-spectral"
             )
-    labels = {
-        u: int(c)
-        for c, info in spec_doc["clusters"].items()
-        for u in info["members"]
-    }
-    assignment = spectral.ClusterAssignment(
-        labels=labels,
-        medoids=tuple(
-            spec_doc["clusters"][str(c)]["medoid"]
-            for c in range(1, spec_doc["k"] + 1)
-        ),
-        cost=float(spec_doc["cost"]),
-    )
-    partition = [frozenset(p) for p in topic_doc["communities"]]
-    tab = compare.cross_tab(assignment, partition)
+    spectral_parts = [
+        spec_doc["clusters"][str(c)]["members"] for c in range(1, spec_doc["k"] + 1)
+    ]
+    topic_parts = topic_doc["communities"]
+    cells = compare.cross_tab(spectral_parts, topic_parts)
+    n_spectral, n_topic = cells.shape
     write_csv(
         outdir / "crosstab.csv",
-        ["spectral_cluster"] + [f"community_{j}" for j in tab.topic_ids],
-        [tab.spectral_ids, *tab.cells.T],
+        ["spectral_cluster"] + [f"community_{j}" for j in range(1, n_topic + 1)],
+        [range(1, n_spectral + 1), *cells.T],
     )
-    spectra = ctx.spectra(window)
     subclusters = {}
-    for i, sid in enumerate(tab.spectral_ids):
-        for j, tid in enumerate(tab.topic_ids):
-            if tab.cells[i, j] == 0:
-                continue
-            summary = compare.intersect_subcluster(
-                assignment.members(sid), partition[tid - 1], spectra
-            )
-            subclusters[f"s{sid}_t{tid}"] = {
-                "users": summary.users,
-                "dominant_period_days": summary.dominant_period_days,
-                "median_band": summary.band.medians,
-            }
+    for i, j in zip(*np.nonzero(cells)):
+        users, band, period = compare.intersect_subcluster(
+            spectral_parts[i], topic_parts[j], ctx.spectra
+        )
+        subclusters[f"s{i + 1}_t{j + 1}"] = {
+            "users": users,
+            "dominant_period_days": period,
+            "median_band": band.medians,
+        }
     write_json(
         outdir / "compare.json",
-        {"diversity": tab.diversity(), "subclusters": subclusters},
+        {"diversity": compare.diversity(cells), "subclusters": subclusters},
     )
     return ["crosstab.csv", "compare.json"]
 

@@ -171,7 +171,8 @@ def fit_segment(
     Classical closed-form standard errors:
     ``se(slope) = sqrt(sigma2 / Sxx)``,
     ``se(intercept) = sqrt(sigma2 * (1/n + xbar^2 / Sxx))`` with
-    ``sigma2 = SSE / (n - 2)``; adjusted R^2 uses ``(n - 1) / (n - 2)``.
+    ``sigma2 = SSE / (n - 2)``; adjusted R^2 uses ``(n - 1) / (n - 2)``. A
+    flat range, such as one with no tweet, has no R^2: ``r2_adj`` is NaN.
     """
     s = np.asarray(accumulated, dtype=np.float64)
     lo, hi = t_range
@@ -196,7 +197,7 @@ def fit_segment(
     sigma2 = sse / (n - 2)
     se_slope = float(np.sqrt(sigma2 / sxx))
     se_intercept = float(np.sqrt(sigma2 * (1.0 / n + xbar**2 / sxx)))
-    r2 = 1.0 if tss == 0 else 1.0 - sse / tss
+    r2 = np.nan if tss == 0 else 1.0 - sse / tss
     r2_adj = 1.0 - (1.0 - r2) * (n - 1) / (n - 2)
     return LinearFit(
         intercept=float(intercept),

@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 
 from tweetdyn.cli import RunConfig, main
-from tweetdyn.compare import adjusted_rand_index
 from tweetdyn.graphs import modularity_communities
 from tweetdyn.ingest import (
     ColumnMap,
@@ -53,6 +52,7 @@ from tweetdyn.timeseries import (
 )
 from tweetdyn.topic import dynamic_stopwords, gamma_fit, topic_communities
 
+from scoring import adjusted_rand_index
 from test_cli import SMALL_CONFIG, run_pipeline
 from test_graphs import FIXTURES as GRAPH_FIXTURES
 from test_graphs import brute_force_best_q

@@ -22,11 +22,11 @@ from hypothesis.extra import numpy as hnp
 
 import reference_loops as ref
 import tweetdyn
+from scoring import adjusted_rand_index
 from test_synth import generate_series
 from tweet_tables import write_csv
 from tweetdyn import cli, synth
 from tweetdyn.cli import load_config, main
-from tweetdyn.compare import adjusted_rand_index
 from tweetdyn.ingest import ColumnMap, parse_records
 from tweetdyn.timeseries import CountSeries, DayWindow
 
@@ -612,6 +612,24 @@ class TestFailureModes:
         assert rc == 1 and doc["status"] == "failed"
         expect = "denoise_q" if case == "denoise_q" else "manifest_cluster_spectral.json"
         assert expect in doc["error"]
+        assert not (out / "compare.json").exists()
+
+    def test_compare_refuses_a_user_in_two_spectral_clusters(
+        self, tmp_path, pipeline_dir, config_path
+    ):
+        out = _ingested_copy(pipeline_dir, tmp_path / "out")
+        for name in ("clusters_spectral.json", "clusters_topic.json",
+                     "manifest_cluster_spectral.json"):
+            shutil.copy(pipeline_dir / name, out / name)
+        spec_doc = json.loads((out / "clusters_spectral.json").read_text())
+        clusters = spec_doc["clusters"]
+        user = clusters["1"]["members"][0]
+        clusters["2"]["members"].append(user)
+        (out / "clusters_spectral.json").write_text(json.dumps(spec_doc))
+        rc = main(["compare", "--config", str(config_path), "--out", str(out)])
+        doc = json.loads((out / "manifest_compare.json").read_text())
+        assert rc == 1 and doc["status"] == "failed"
+        assert user in doc["error"]
         assert not (out / "compare.json").exists()
 
     def test_compare_takes_settings_as_the_manifest_records_them(self, tmp_path, pipeline_dir):

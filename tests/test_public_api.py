@@ -32,13 +32,9 @@ import tweetdyn
 SRC = Path(tweetdyn.__file__).parent
 
 # Public names with no caller inside the package, each with the caller that
-# keeps it.
-ALLOWED = {
-    "compare.adjusted_rand_index": (
-        "library users scoring a clustering against synth's planted labels "
-        "(README, Library); perfbench keeps its own copy"
-    ),
-}
+# keeps it. None is left: the tests score clusterings with their own
+# adjusted Rand index (tests/scoring.py).
+ALLOWED: dict[str, str] = {}
 
 # Defaulted parameters and dataclass fields that no call in the package
 # passes, each with the caller that sets them or why they are not a knob.

@@ -1,5 +1,6 @@
 """Windows, daily counts, detrending and segment fits."""
 
+import math
 from datetime import date, datetime, timedelta, timezone
 
 import numpy as np
@@ -224,6 +225,15 @@ class TestFitSegment:
         n = len(t)
         r2_adj = 1 - (1 - ref.rvalue**2) * (n - 1) / (n - 2)
         assert fit.r2_adj == pytest.approx(r2_adj, rel=1e-12)
+
+    def test_flat_accumulation_has_no_r2(self):
+        # a range with no tweet: the accumulation is flat, so no line
+        # explains any variance and R^2 is undefined, not a perfect 1
+        s = np.concatenate([np.arange(20.0), np.full(30, 19.0)])
+        fit = fit_segment(s, (20, 49), t0=20)
+        assert fit.slope == 0.0
+        assert fit.se_slope == 0.0
+        assert math.isnan(fit.r2_adj)
 
     def test_t0_shifts_intercept_only(self):
         t = np.arange(50.0)
