@@ -9,8 +9,9 @@ pipeline's default ``pca_dims`` and ``kmedoids_k``, 10 restarts),
 ``porter.stem`` on 20k distinct words (each stemmed once, so every call is
 cold), ``topic.topic_communities`` on planted corpora from
 ``perfbench/gen.py`` with 256 and 4,000 users, ``topic.count_terms`` on the
-4,000-user one, ``ingest.parse_records`` on its first 68,000 rows as a CSV
-table, and the spectra chain
+4,000-user one, ``ingest.read_tables`` on its first 68,000 rows as a CSV
+table (the parse, its string bytes spilled to unnamed files, and the sort
+into ``ingest``'s row order), and the spectra chain
 (``detrend`` -> ``dft`` -> ``denoise`` on a Poisson count table of 256 and
 4,000 users over 244 days, the pipeline's default ``ma_window`` and
 ``denoise_q``), and ``cli.write_csv`` writing the 4,000-user spectra as
@@ -21,7 +22,7 @@ time one call; each row also says whether the two results are identical
 (partition and Q, labels, medoids and cost, edges and weights, stems, every
 topic artifact, the spectra's bins and magnitude matrix, the term counts,
 the corpus columns and parse report, or the CSV file, byte for byte). The
-rows of ``parse_records``, ``count_terms`` and ``similarity_graph`` also
+rows of ``read_tables``, ``count_terms`` and ``similarity_graph`` also
 give the traced peak (``tracemalloc``) of one more call of each, in MiB.
 Prints one JSON document.
 
@@ -53,7 +54,7 @@ from tweet_tables import arrays_of, counters_of  # noqa: E402
 from tweetdyn import cli, porter  # noqa: E402
 from tweetdyn.corpus import Corpus  # noqa: E402
 from tweetdyn.graphs import WeightedGraph, modularity_communities  # noqa: E402
-from tweetdyn.ingest import ColumnMap, parse_records  # noqa: E402
+from tweetdyn.ingest import ColumnMap, read_tables  # noqa: E402
 from tweetdyn.spectral import denoise, dft, kmedoids  # noqa: E402
 from tweetdyn.timeseries import DayWindow, detrend  # noqa: E402
 from tweetdyn.topic import (  # noqa: E402
@@ -77,7 +78,7 @@ SPECTRA_DAYS = 244
 CSV_USERS = 4000
 PARSE_ROWS = 68_000
 TERMS_USERS = 4000  # one of TOPIC_N
-PEAK_KERNELS = {"parse_records", "count_terms", "similarity_graph"}
+PEAK_KERNELS = {"read_tables", "count_terms", "similarity_graph"}
 CSV_HEADER = ["user_id", "bin", "magnitude"]
 DEFAULTS = cli.RunConfig()
 MA_WINDOW, DENOISE_Q = DEFAULTS.ma_window, DEFAULTS.denoise_q
@@ -235,9 +236,19 @@ def same_term_counts(new, old: dict) -> bool:
     return counters_of(new) == old
 
 
-def loop_parse(path: Path, fmt: str, columns: ColumnMap) -> tuple[Corpus, object]:
-    columns, report = ref.parse_file(path, fmt, columns)
-    return Corpus.from_columns(**columns), report
+def loop_read(
+    paths: list[str], fmt: str, columns: ColumnMap, spill_dir: Path
+) -> tuple[Corpus, dict]:
+    """The row loop's parse of each table, its rows joined and sorted stably
+    by (timestamp, tweet id)."""
+    joined, reports = {}, {}
+    for path in paths:
+        table, reports[path] = ref.parse_file(Path(path), fmt, columns)
+        for name, values in table.items():
+            joined.setdefault(name, []).extend(values)
+    keys = list(zip(joined["timestamp_us"], joined["tweet_id"]))
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    return Corpus.from_columns(**{k: [v[i] for i in order] for k, v in joined.items()}), reports
 
 
 def same_parse(new, old) -> bool:
@@ -306,9 +317,10 @@ def main() -> int:
                           count_terms, loop_term_counts, (corpus, users, window), {},
                           same_term_counts))
             write_csv(tmp / "parse.csv", rows[:PARSE_ROWS])
-            cases.append(("parse_records", PARSE_ROWS, {"format": "csv"},
-                          parse_records, loop_parse, (tmp / "parse.csv",),
-                          {"fmt": "csv", "columns": ColumnMap()}, same_parse))
+            cases.append(("read_tables", PARSE_ROWS, {"format": "csv"},
+                          read_tables, loop_read, ([str(tmp / "parse.csv")],),
+                          {"fmt": "csv", "columns": ColumnMap(), "spill_dir": tmp},
+                          same_parse))
 
     for n in SPECTRA_N:
         users = [f"u{i:04d}" for i in range(n)]

@@ -27,8 +27,8 @@ from .timeseries import (  # noqa: F401
 from .corpus import Corpus  # noqa: F401
 from .ingest import (  # noqa: F401
     ColumnMap,
-    merge_parts,
     parse_records,
+    read_tables,
     retweet_network,
     select_cohort,
     write_records,

@@ -17,10 +17,13 @@ stages' artifacts from the same directory by their fixed names, so `run`
 writes the same bytes as its stages run one by one with the same flags.
 
 Only `ingest` reads tweet tables (`--input` and `--format`, or `input_paths`
-and `input_format` in the config). It parses each table into a columnar
-`Corpus`, merges them in (timestamp, tweet id) order and writes the
-normalized tweets twice, in that row order: `records.jsonl` and its columnar
-sidecar `corpus.npz`, which records the sha256 of that `records.jsonl`.
+and `input_format` in the config). It parses every table into one columnar
+`Corpus` with one id table (:func:`tweetdyn.ingest.read_tables`), spilling
+the bytes of the tweet ids and texts to unnamed files under `--out` and
+keeping only int columns in memory, puts the rows in (timestamp, tweet id)
+order and writes the normalized tweets twice, in that row order:
+`records.jsonl` and its columnar sidecar `corpus.npz`, which records the
+sha256 of that `records.jsonl`.
 Both are replaced atomically, so a failed write leaves the old file whole.
 The stages that need tweets (`counts`, `strategy`, `spectra`,
 `cluster-spectral`, `cluster-topic` and `compare`) map `corpus.npz`
@@ -65,8 +68,7 @@ from . import __version__, compare, spectral, strategy, synth, timeseries, topic
 from .corpus import Corpus
 from .ingest import (
     ColumnMap,
-    merge_parts,
-    parse_records,
+    read_tables,
     retweet_network,
     select_cohort,
     write_records,
@@ -463,14 +465,9 @@ def cmd_ingest(ctx: StageContext) -> list[str]:
     config, outdir = ctx.config, ctx.outdir
     if not config.input_paths:
         raise FileNotFoundError("ingest needs --input (or input_paths in config)")
-    parts = []
-    reports = {}
-    for p in config.input_paths:
-        part, report = parse_records(p, fmt=config.input_format, columns=config.column_map)
-        parts.append(part)
-        reports[p] = report
-    corpus = merge_parts(parts)
-    del parts, part
+    corpus, reports = read_tables(
+        config.input_paths, config.input_format, config.column_map, spill_dir=outdir
+    )
     records_sha256 = write_records(corpus, outdir / RECORDS_FILE)
     # records.jsonl keeps whole seconds; the sidecar holds the same rows.
     corpus = dataclasses.replace(

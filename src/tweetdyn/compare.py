@@ -59,7 +59,8 @@ def diversity(cells: np.ndarray) -> dict[int, dict[str, float]]:
             out[sid] = {"clusters_hit": 0, "entropy_bits": 0.0}
             continue
         p = row[row > 0] / total
-        entropy = float(-(p * np.log2(p)).sum())
+        # 0.0 - x rather than -x: one community gives 0.0, not -0.0
+        entropy = float(0.0 - (p * np.log2(p)).sum())
         out[sid] = {"clusters_hit": len(p), "entropy_bits": entropy}
     return out
 

@@ -13,6 +13,11 @@ A :class:`Corpus` holds one row per tweet, in the order ``ingest`` wrote them:
 Strings are encoded with the ``surrogatepass`` handler, so any Python string
 survives the round trip, and byte order in a blob equals code-point order.
 
+``ingest`` builds its corpus with a :class:`CorpusRows`: one account and
+one language id table for every table it reads, the int columns in memory,
+and the bytes of the tweet ids and texts spilled to two unnamed files that
+the corpus then maps read-only.
+
 ``ingest`` writes the corpus next to ``records.jsonl`` as ``corpus.npz``, an
 uncompressed zip of ``.npy`` members. The sidecar records the sha256 of that
 ``records.jsonl``. :meth:`Corpus.load` maps the sidecar read-only and copies
@@ -91,6 +96,22 @@ def _encode(s: str) -> bytes:
     return s.encode("utf-8", "surrogatepass")
 
 
+def _encoded(strings: list[str]) -> tuple[bytes, np.ndarray]:
+    """The strings' bytes, one after another, and each string's byte count."""
+    text = "".join(strings)
+    blob = _encode(text)
+    if len(blob) == len(text):  # every character is one byte
+        return blob, np.fromiter(map(len, strings), np.int64, len(strings))
+    return blob, np.fromiter((len(_encode(s)) for s in strings), np.int64, len(strings))
+
+
+def _offsets(lengths: np.ndarray) -> np.ndarray:
+    """Row offsets of strings of the given byte counts."""
+    offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    return offsets
+
+
 @dataclass(frozen=True, eq=False)
 class StringColumn:
     """Strings stored as one UTF-8 blob; row ``i`` is ``blob[offsets[i]:offsets[i+1]]``."""
@@ -100,31 +121,8 @@ class StringColumn:
 
     @classmethod
     def of(cls, strings: Iterable[str]) -> "StringColumn":
-        strings = list(strings)
-        text = "".join(strings)
-        blob = _encode(text)
-        if len(blob) != len(text):  # a character of more than one byte
-            return cls._of_bytes([_encode(s) for s in strings])
-        offsets = np.zeros(len(strings) + 1, dtype=np.int64)
-        np.cumsum(np.fromiter(map(len, strings), np.int64, len(strings)), out=offsets[1:])
-        return cls(blob=np.frombuffer(blob, dtype=np.uint8), offsets=offsets)
-
-    @classmethod
-    def _of_bytes(cls, encoded: list[bytes]) -> "StringColumn":
-        offsets = np.zeros(len(encoded) + 1, dtype=np.int64)
-        np.cumsum([len(b) for b in encoded], out=offsets[1:])
-        blob = np.frombuffer(b"".join(encoded), dtype=np.uint8)
-        return cls(blob=blob, offsets=offsets)
-
-    @classmethod
-    def concat(cls, columns: Sequence["StringColumn"]) -> "StringColumn":
-        """The rows of ``columns``, one after another."""
-        starts = np.cumsum([0] + [len(c.blob) for c in columns])
-        offsets = [c.offsets[:-1] + start for c, start in zip(columns, starts)]
-        return cls(
-            blob=np.concatenate([c.blob for c in columns]),
-            offsets=np.concatenate([*offsets, starts[-1:]]),
-        )
+        blob, lengths = _encoded(list(strings))
+        return cls(blob=np.frombuffer(blob, dtype=np.uint8), offsets=_offsets(lengths))
 
     def __len__(self) -> int:
         return len(self.offsets) - 1
@@ -135,8 +133,7 @@ class StringColumn:
     def select(self, rows: np.ndarray) -> "StringColumn":
         """A column of the given rows, in that order, joined a block of rows
         at a time."""
-        offsets = np.zeros(len(rows) + 1, dtype=np.int64)
-        np.cumsum(np.diff(self.offsets)[rows], out=offsets[1:])
+        offsets = _offsets(np.diff(self.offsets)[rows])
         blob = np.empty(offsets[-1], dtype=np.uint8)
         for lo in range(0, len(rows), _SELECT_BLOCK):
             chunk = b"".join(self._bytes(rows[lo : lo + _SELECT_BLOCK]))
@@ -210,34 +207,6 @@ class Corpus:
             language=np.fromiter(map(lang_code.__getitem__, language), np.int64, n),
             tweet_id=StringColumn.of(tweet_id),
             text=StringColumn.of(text),
-        )
-
-    @classmethod
-    def concat(cls, parts: Sequence["Corpus"]) -> "Corpus":
-        """The rows of ``parts``, one after another, coded against the union
-        of their account and language tables; one part is returned as is."""
-        if len(parts) == 1:
-            return parts[0]
-        accounts = sorted(set().union(*(p.account_ids for p in parts)))
-        language_ids = sorted(set().union(*(p.language_ids for p in parts)))
-
-        def recode(new: list[str], old: Sequence[tuple[str, ...]]) -> list[np.ndarray]:
-            """Per part, its old code -> the new code; the trailing -1 keeps
-            source -1 (no retweet) at -1."""
-            index = {x: i for i, x in enumerate(new)}
-            return [np.array([index[x] for x in table] + [-1], dtype=np.int64) for table in old]
-
-        accounts_of = recode(accounts, [p.account_ids for p in parts])
-        language_of = recode(language_ids, [p.language_ids for p in parts])
-        return cls(
-            account_ids=tuple(accounts),
-            user=np.concatenate([a[p.user] for a, p in zip(accounts_of, parts)]),
-            source=np.concatenate([a[p.source] for a, p in zip(accounts_of, parts)]),
-            timestamp_us=np.concatenate([p.timestamp_us for p in parts]),
-            language_ids=tuple(language_ids),
-            language=np.concatenate([x[p.language] for x, p in zip(language_of, parts)]),
-            tweet_id=StringColumn.concat([p.tweet_id for p in parts]),
-            text=StringColumn.concat([p.text for p in parts]),
         )
 
     def select(self, rows: np.ndarray) -> "Corpus":
@@ -415,6 +384,135 @@ class Corpus:
             text=text,
         )
         return corpus, str(a["records_sha256"])
+
+
+class Codes(dict):
+    """String -> code, in the order the strings are first looked up; None
+    (no retweet source) is -1."""
+
+    def __init__(self) -> None:
+        super().__init__({None: -1})
+
+    def __missing__(self, key: str) -> int:
+        code = self[key] = len(self) - 1
+        return code
+
+    def sorted_table(self) -> tuple[tuple[str, ...], np.ndarray]:
+        """The sorted table of the strings, and per code its place in that
+        table; the extra last entry keeps code -1 at -1."""
+        keys = list(self)[1:]
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        place = np.full(len(keys) + 1, -1, dtype=np.int64)
+        place[order] = np.arange(len(keys))
+        return tuple(keys[i] for i in order), place
+
+
+_INT_COLUMNS = ("user", "source", "timestamp_us", "language", "tweet_id_bytes", "text_bytes")
+
+
+class CorpusRows:
+    """A corpus built from blocks of rows: one id table for accounts and one
+    for languages, the int columns in memory, and the bytes of the tweet ids
+    and texts written to two files as each block comes in.
+
+    :meth:`build` maps both files read-only, so the corpus's string columns
+    are views into them, as :meth:`Corpus.load`'s are into the sidecar. The
+    maps outlive the files' handles; unnamed files leave no name behind.
+    """
+
+    def __init__(self, tweet_ids: BinaryIO, texts: BinaryIO) -> None:
+        self._files = {"tweet_id": tweet_ids, "text": texts}
+        self._accounts, self._languages = Codes(), Codes()
+        self._blocks: dict[str, list[np.ndarray]] = {name: [] for name in _INT_COLUMNS}
+        self._rows = 0
+
+    def __len__(self) -> int:
+        return self._rows
+
+    def add_rows(
+        self,
+        tweet_id: list[str],
+        user: list[str],
+        source: list[str | None],
+        timestamp_us: np.ndarray,
+        language: list[str],
+        text: list[str],
+    ) -> None:
+        """Append rows given as ``Corpus.from_columns`` takes them."""
+        n = len(user)
+        accounts = self._accounts.__getitem__
+        columns = {
+            "user": np.fromiter(map(accounts, user), np.int64, n),
+            "source": np.fromiter(map(accounts, source), np.int64, n),
+            "timestamp_us": np.asarray(timestamp_us, dtype=np.int64),
+            "language": np.fromiter(map(self._languages.__getitem__, language), np.int64, n),
+        }
+        for name, strings in (("tweet_id", tweet_id), ("text", text)):
+            blob, columns[f"{name}_bytes"] = _encoded(strings)
+            self._files[name].write(blob)
+        for name, values in columns.items():
+            self._blocks[name].append(values)
+        self._rows += n
+
+    def mark(self) -> tuple[int, ...]:
+        """The state to roll back to: rows, blocks, ids and bytes so far."""
+        return (
+            self._rows,
+            len(self._blocks["user"]),
+            len(self._accounts),
+            len(self._languages),
+            *(fh.tell() for fh in self._files.values()),
+        )
+
+    def roll_back(self, mark: tuple[int, ...]) -> None:
+        """Drop every row, id and byte added since ``mark``."""
+        self._rows, n_blocks, n_accounts, n_languages, *sizes = mark
+        for blocks in self._blocks.values():
+            del blocks[n_blocks:]
+        for ids, n in ((self._accounts, n_accounts), (self._languages, n_languages)):
+            while len(ids) > n:
+                ids.popitem()  # the last id added
+        for fh, size in zip(self._files.values(), sizes):
+            fh.seek(size)
+            fh.truncate()
+
+    def build(self) -> Corpus:
+        """The rows added, coded against the sorted id tables; call it once.
+        Each column's blocks are moved into it one at a time, so one block
+        is the transient; the byte counts become offsets in place."""
+        account_ids, account_place = self._accounts.sorted_table()
+        language_ids, language_place = self._languages.sorted_table()
+        place = {"user": account_place, "source": account_place, "language": language_place}
+        columns = {}
+        for name, blocks in self._blocks.items():
+            lo = int(name.endswith("_bytes"))  # offsets start with a 0
+            column = np.zeros(lo + self._rows, dtype=np.int64)
+            blocks.reverse()
+            while blocks:
+                block = blocks.pop()
+                column[lo : lo + len(block)] = place[name][block] if name in place else block
+                lo += len(block)
+            columns[name] = column
+        strings = {}
+        for name, fh in self._files.items():
+            offsets = columns.pop(f"{name}_bytes")
+            np.cumsum(offsets, out=offsets)
+            strings[name] = StringColumn(blob=_mapped(fh), offsets=offsets)
+        return Corpus(
+            account_ids=account_ids,
+            language_ids=language_ids,
+            **columns,
+            **strings,
+        )
+
+
+def _mapped(fh: BinaryIO) -> np.ndarray:
+    """The bytes of a file written up to its position, as a read-only view
+    into a map of it."""
+    fh.flush()
+    # mmap refuses an empty file
+    data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) if fh.tell() else b""
+    return np.frombuffer(data, dtype=np.uint8)
 
 
 def _map_members(path: Path) -> dict[str, np.ndarray]:

@@ -4,9 +4,13 @@ The expected source schema is the public takedown-release layout: one row per
 tweet with columns ``tweetid, userid, tweet_time, tweet_language, is_retweet,
 retweet_userid, tweet_text``. Column names are remappable via
 :class:`ColumnMap` so other exports can be ingested without rewriting files.
-:func:`parse_records` reads one table straight into a :class:`Corpus`,
-:func:`merge_parts` joins the tables in ``ingest``'s row order, and
-:func:`write_records` writes them as the normalized ``records.jsonl``.
+:func:`read_tables` parses every table of one ``ingest`` into one
+:class:`Corpus`, in ``ingest``'s (timestamp, tweet id) row order, and
+:func:`write_records` writes it as the normalized ``records.jsonl``. The
+parse (:func:`parse_records`, one table) keeps one account and one language
+id table across all tables, holds only int columns in memory and writes the
+bytes of the tweet ids and texts to two unnamed files under the output
+directory as each block of rows is checked; the corpus maps them read-only.
 
 Every tweet by a campaign account falls in exactly one category
 (:meth:`Corpus.categories`):
@@ -27,6 +31,7 @@ import csv
 import hashlib
 import json
 import logging
+import tempfile
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta, timezone
 from itertools import compress, islice, repeat
@@ -37,7 +42,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .corpus import Corpus, replacing
+from .corpus import Corpus, CorpusRows, replacing
 from .graphs import WeightedGraph
 from .timeseries import DayWindow
 
@@ -194,11 +199,36 @@ def _jsonl_rows(fh, path: Path, fields: tuple[str, ...], check: bool) -> Iterato
             yield "bad_json"
 
 
+def read_tables(
+    paths: Sequence[str], fmt: str, columns: ColumnMap, spill_dir: str | Path
+) -> tuple[Corpus, dict[str, ParseReport]]:
+    """Parse each table (:func:`parse_records`) into one corpus, rows in
+    (timestamp, tweet id) order, and the report on each table by its path.
+
+    The bytes of the tweet ids and texts go to two unnamed files in
+    ``spill_dir`` as each block is checked, and only the int columns stay in
+    memory; the corpus's string columns are views into maps of those files.
+    Rows already in order are not copied. Otherwise they are gathered once;
+    the sort is stable, so rows equal in both keys keep their input order,
+    the tables' in the order given.
+    """
+    with (
+        tempfile.TemporaryFile(dir=spill_dir) as tweet_ids,
+        tempfile.TemporaryFile(dir=spill_dir) as texts,
+    ):
+        store = CorpusRows(tweet_ids, texts)
+        reports = {path: parse_records(path, fmt, columns, store)[1] for path in paths}
+        corpus = store.build()
+    if not _in_order(corpus):
+        corpus = corpus.select(_ingest_order(corpus))
+    return corpus, reports
+
+
 def parse_records(
-    path: str | Path, fmt: str, columns: ColumnMap
-) -> tuple[Corpus, ParseReport]:
-    """Parse one file of tweets into a :class:`Corpus`, rows in file order
-    with full-microsecond UTC timestamps.
+    path: str | Path, fmt: str, columns: ColumnMap, into: CorpusRows
+) -> tuple[range, ParseReport]:
+    """Parse one file of tweets into the rows of ``into``, in file order with
+    full-microsecond UTC timestamps; return the rows it added and the report.
 
     Malformed rows (a byte that is not UTF-8, a JSONL line that is no JSON
     object, missing field, bad boolean, bad timestamp, retweet flag
@@ -214,30 +244,34 @@ def parse_records(
         raise IngestError(f"unknown format {fmt!r} (use 'csv' or 'jsonl')")
     fields = (*columns.required(), columns.retweeted_user_id)
     read = _READERS[fmt]
+    first, start = len(into), into.mark()
     with path.open(newline="", encoding="utf-8") as fh:
         try:
-            return _parse_rows(read(fh, path, fields, False), path)
+            report = _parse_rows(read(fh, path, fields, False), path, into)
         except UnicodeDecodeError as exc:
             # Parse the file again from the start, with each byte that is
-            # not UTF-8 escaped and the rows that hold one rejected. Clean
-            # input pays nothing for this; a pipe cannot be read again.
+            # not UTF-8 escaped and the rows that hold one rejected; first
+            # drop the rows, ids and bytes the first pass added. Clean input
+            # pays nothing for this; a pipe cannot be read again.
             if not fh.seekable():
                 raise IngestError(f"{path}: {exc}; the stream cannot be read again") from None
+            into.roll_back(start)
             fh.seek(0)
             fh.reconfigure(errors="surrogateescape")
-            return _parse_rows(read(fh, path, fields, True), path)
+            report = _parse_rows(read(fh, path, fields, True), path, into)
+    return range(first, len(into)), report
 
 
-def _parse_rows(rows: Iterable[tuple | str], path: Path) -> tuple[Corpus, ParseReport]:
-    """The columns of a reader's accepted rows, and the report on them all,
-    checked a block of rows at a time; only one block's rows are Python
-    objects at once."""
+def _parse_rows(rows: Iterable[tuple | str], path: Path, into: CorpusRows) -> ParseReport:
+    """Add a reader's accepted rows to ``into``, checked a block of rows at a
+    time, and report on them all; only one block's rows are Python objects
+    at once."""
     report = ParseReport()
-    blocks = []
+    start = len(into)
     rows = iter(rows)
     while block := list(islice(rows, _PARSE_BLOCK)):
-        blocks.append(_check_block(block, report))
-    report.accepted = sum(map(len, blocks))
+        _check_block(block, report, into)
+    report.accepted = len(into) - start
     if report.rejected:
         logger.warning(
             "%s: rejected %d of %d rows (%s)",
@@ -246,14 +280,12 @@ def _parse_rows(rows: Iterable[tuple | str], path: Path) -> tuple[Corpus, ParseR
             report.total_rows,
             report.reasons,
         )
-    if not blocks:
-        return Corpus.from_columns([], [], [], [], [], []), report
-    return Corpus.concat(blocks), report
+    return report
 
 
-def _check_block(block: list[tuple | str], report: ParseReport) -> Corpus:
+def _check_block(block: list[tuple | str], report: ParseReport, into: CorpusRows) -> None:
     """Check a block of reader rows one column at a time, tally each rejected
-    row under the first check it fails, and return the accepted rows.
+    row under the first check it fails, and add the accepted rows to ``into``.
 
     Each check looks at the rows the earlier checks passed, and only values
     that fail a fast check go through the per-value helpers, so every row
@@ -309,7 +341,7 @@ def _check_block(block: list[tuple | str], report: ParseReport) -> Corpus:
         tid, uid, lang, body, src, is_retweet = (
             list(compress(column, keep)) for column in (tid, uid, lang, body, src, is_retweet)
         )
-    return Corpus.from_columns(
+    into.add_rows(
         tweet_id=list(map(str.strip, map(str, tid))),
         user=list(map(str.strip, map(str, uid))),
         source=[s if r else None for s, r in zip(src, is_retweet)],
@@ -370,18 +402,6 @@ def _iso_seconds_us(stamps: Sequence[object]) -> tuple[np.ndarray, np.ndarray]:
 
 
 _READERS = {"csv": _csv_rows, "jsonl": _jsonl_rows}
-
-
-def merge_parts(parts: Sequence[Corpus]) -> Corpus:
-    """The rows of every part in one corpus, ordered by (timestamp, tweet id).
-
-    The sort is stable: rows equal in both keys keep their input order, the
-    parts' in the order given.
-    """
-    corpus = Corpus.concat(parts)
-    if _in_order(corpus):
-        return corpus
-    return corpus.select(_ingest_order(corpus))
 
 
 def _in_order(corpus: Corpus) -> bool:

@@ -4,10 +4,10 @@ The stages compose into one text pipeline over NumPy arrays:
 
 1. :func:`count_terms` - per user, join their window tweets into one string,
    lowercase it, strip URLs and @mentions and take the runs of ``[0-9a-z]``
-   of length >= ``MIN_TOKEN_LEN`` that are not all digits. Each distinct
-   token gets an integer id, counted per user with ``np.unique`` one user
-   at a time, and is stemmed once, static stopwords dropped before
-   stemming; the counts of a user's tokens that stem alike add up into a
+   of length >= ``MIN_TOKEN_LEN`` that are not all digits. One dict codes
+   each distinct run straight to its stem, stemming it once and dropping
+   static stopwords before stemming; ``np.unique`` over one user's codes at
+   a time adds up the counts of the runs that stem alike, into a
    :class:`TermCounts`.
 2. :func:`dynamic_stopwords` - terms used by strictly more than ``p * n_c``
    of the ``n_c`` cohort users are corpus-specific stopwords.
@@ -31,14 +31,13 @@ from __future__ import annotations
 import logging
 import math
 import re
-from collections import defaultdict
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import porter
-from .corpus import Corpus
+from .corpus import Codes, Corpus
 from .graphs import WeightedGraph, modularity_communities
 from .stopwords import ENGLISH_STOPWORDS
 from .timeseries import DayWindow
@@ -241,70 +240,73 @@ def count_terms(corpus: Corpus, users: Iterable[str], window: DayWindow) -> Term
     rows = rows[np.argsort(pos[rows], kind="stable")]
     ends = np.cumsum(np.bincount(pos[rows], minlength=len(users))).tolist()
 
-    # run -> id in first-seen order; a new run gets the current size. Neither
-    # a URL nor a mention spans the " " that joins two tweets, so the runs
-    # do not depend on the order of a user's tweets. One user's texts are
-    # strings at a time, and only their distinct runs and counts are kept.
-    index: defaultdict[bytes, int] = defaultdict()
-    index.default_factory = index.__len__
-    run_ids, run_counts, n_runs = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)], []
+    # Neither a URL nor a mention spans the " " that joins two tweets, so the
+    # runs do not depend on the order of a user's tweets. One user's texts
+    # are strings at a time, and only their terms and counts are kept.
+    code_of = _StemCodes()
+    codes, counts, n_codes = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)], []
     start = 0
     for end in ends:
         text = " ".join(corpus.text.take(rows[start:end])).lower()
         text = _MENTION_RE.sub(" ", _URL_RE.sub(" ", text))
         runs = text.encode("ascii", "replace").translate(_RUN_BYTES).split()
-        ids, counts = np.unique(
-            np.fromiter(map(index.__getitem__, runs), np.int64, len(runs)), return_counts=True
+        # the counts of a user's runs that stem alike add up
+        user_codes, user_counts = np.unique(
+            np.fromiter(map(code_of.__getitem__, runs), np.int64, len(runs)), return_counts=True
         )
-        run_ids.append(ids)
-        run_counts.append(counts)
-        n_runs.append(len(ids))
+        codes.append(user_codes)
+        counts.append(user_counts)
+        n_codes.append(len(user_codes))
         start = end
 
-    terms, run_code = _stem_runs(index)
-    del index
-    code = run_code[np.concatenate(run_ids)]
-    user_of = np.repeat(np.arange(len(users)), n_runs)
-
-    has_text = np.bincount(user_of[code != -2], minlength=len(users)) > 0
+    stems, place = code_of.stems.sorted_table()
+    del code_of  # the run dict, before the pair arrays
+    code, count = np.concatenate(codes), np.concatenate(counts)
+    del codes, counts
+    user_of = np.repeat(np.arange(len(users)), n_codes)
+    has_text = np.bincount(user_of[code != _NO_TOKEN], minlength=len(users)) > 0
     for i in np.flatnonzero(~has_text).tolist():
         logger.warning("count_terms: user %s has no usable text", users[i])
-    kept = np.cumsum(has_text) - 1
     is_term = code >= 0
-    n_terms = max(len(terms), 1)
-    # the counts of a user's runs that stem alike add up
-    keys = kept[user_of[is_term]] * n_terms + code[is_term]
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    first = np.flatnonzero(np.diff(keys, prepend=-1))
-    count = np.add.reduceat(np.concatenate(run_counts)[is_term][order], first)
-    user, term = np.divmod(keys[first], n_terms)
+    n_terms = max(len(stems), 1)
+    keys = (np.cumsum(has_text) - 1)[user_of[is_term]] * n_terms
+    keys += place[code[is_term]]
+    count = count[is_term]
+    del code, user_of, is_term
+    # each (user, term) pair is one entry, so the keys are distinct
+    pairs = np.argsort(keys)
+    user, term = np.divmod(keys[pairs], n_terms)
     return TermCounts(
         users=tuple(u for u, h in zip(users, has_text.tolist()) if h),
-        terms=tuple(terms),
+        terms=stems,
         user=user,
         term=term,
-        count=count,
+        count=count[pairs],
     )
 
 
-def _stem_runs(runs: Iterable[bytes]) -> tuple[list[str], np.ndarray]:
-    """The sorted table of the runs' stemmed terms, and per run its term, -1
-    for a stopword or -2 for a run that is no token. Each run is stemmed once."""
-    words = [run.decode("ascii") for run in runs]
-    is_token = [len(w) >= MIN_TOKEN_LEN and not w.isdigit() for w in words]
-    stems = {
-        w: porter.stem(w)
-        for w, t in zip(words, is_token)
-        if t and w not in ENGLISH_STOPWORDS
-    }
-    terms = sorted(set(stems.values()))
-    term_index = {s: i for i, s in enumerate(terms)}
-    code = np.array(
-        [term_index[stems[w]] if w in stems else -1 if t else -2 for w, t in zip(words, is_token)],
-        dtype=np.int64,
-    )
-    return terms, code
+_STOPWORD, _NO_TOKEN = -1, -2
+
+
+class _StemCodes(dict):
+    """Run -> the code of its stem, stems coded in the order first seen;
+    ``_STOPWORD`` for a static stopword and ``_NO_TOKEN`` for a run that is
+    no token. Each distinct run is tested and stemmed once."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.stems = Codes()
+
+    def __missing__(self, run: bytes) -> int:
+        word = run.decode("ascii")
+        if len(word) < MIN_TOKEN_LEN or word.isdigit():
+            code = _NO_TOKEN
+        elif word in ENGLISH_STOPWORDS:
+            code = _STOPWORD
+        else:
+            code = self.stems[porter.stem(word)]
+        self[run] = code
+        return code
 
 
 def dynamic_stopwords(counts: TermCounts, p: float) -> frozenset[str]:

@@ -21,8 +21,7 @@ from tweetdyn.cli import RunConfig, main
 from tweetdyn.graphs import modularity_communities
 from tweetdyn.ingest import (
     ColumnMap,
-    merge_parts,
-    parse_records,
+    read_tables,
     retweet_network,
     select_cohort,
 )
@@ -338,7 +337,7 @@ def test_criterion_8_byte_identical_reruns(tmp_path, capsys):
     )
 
 
-def test_criterion_9_real_corpus_checks(capsys):
+def test_criterion_9_real_corpus_checks(capsys, tmp_path):
     """Restricted-dataset reproduction; runs only when TWEETDYN_DATA is set."""
     data = os.environ.get("TWEETDYN_DATA")
     if not data:
@@ -350,7 +349,7 @@ def test_criterion_9_real_corpus_checks(capsys):
     root = Path(data)
     paths = sorted(root.glob("*.csv")) if root.is_dir() else [root]
     assert paths, f"no CSV tables under {root}"
-    corpus = merge_parts([parse_records(p, fmt="csv", columns=ColumnMap())[0] for p in paths])
+    corpus, _ = read_tables(paths, "csv", ColumnMap(), tmp_path)
     config = RunConfig()
     users = corpus.authors()
 

@@ -3,6 +3,7 @@
 import ast
 import dataclasses
 import hashlib
+import importlib.util
 import json
 import os
 import re
@@ -24,10 +25,10 @@ import reference_loops as ref
 import tweetdyn
 from scoring import adjusted_rand_index
 from test_synth import generate_series
-from tweet_tables import write_csv
+from tweet_tables import parse_table, write_csv
 from tweetdyn import cli, synth
 from tweetdyn.cli import load_config, main
-from tweetdyn.ingest import ColumnMap, parse_records
+from tweetdyn.ingest import ColumnMap
 from tweetdyn.timeseries import CountSeries, DayWindow
 
 REPO = Path(__file__).resolve().parents[1]
@@ -85,7 +86,7 @@ PIPELINE_DIGESTS = {
     "clusters_spectral.json": "cc8d5bd95460bf36df006fc25eb00082d32277e58e75594232aa3cc0292b8ee8",
     "clusters_topic.json": "134fdc382493eafc5ed7e7cf5d445c004e32a56cbd42124a8fb58e2df0b89e8f",
     "cohort_pre.json": "aa53ed9e855d0a3b71f53ec8f86e6824232b2105bb479a95cc2c3ecb4f02c739",
-    "compare.json": "21f5d57a85cea66eb0ceb63ecf34717b4b0758897e053484ab06392abcc0d041",
+    "compare.json": "e9d1c98402f47d50066111bd30d6b06d208aeacc672e1ffe84da6d75108fadcf",
     "corpus.npz": "db1df67bb3ba8d525ea45d3245516048bb4f8afdd9f14c3ee4b43bea0635bb36",
     "counts_aggregate.csv": "4a63e319a96e2240f7c346f4fd3a278f61753ea64909bbebdfac18ab56930b4a",
     "counts_pre.csv": "d01e704d015641314d8ddefd39bc9db2461481447496e6333710f4e94e9c068c",
@@ -95,7 +96,7 @@ PIPELINE_DIGESTS = {
     "labels.json": "6f09b83c4551a35e6e0010a592fe941e329e859e2e1abe5ff6411a2209867475",
     "parse_report.json": "2bb21b190ba043de5dde5995270a0c99d07f2616640b782e2531eba5aef71895",
     "records.jsonl": "5678b76b7dbe13191b5d1ad35cdc65539d8fc0559c22c4defc58ef15cc5efd03",
-    "report.json": "744773ab3accffae99c6749811ad433ef3f45d3693346f0cef14f3b9b00676d6",
+    "report.json": "668a053b9bed0fc72613ea57901dcf02f769ed505f7910c7b4aaba9401958aaa",
     "retweet_network.json": "3d1bfe9f71286caf8000fcf7140096c6aabbc332090f05e2de977c37031f5067",
     "spectra_pre.csv": "962516224785f0c9366234de89071c49c0fc6ba8d2d6217e00bb041d8dbb9e22",
     "strategy.json": "ac4a23681b1b899167a68384cc22136725b291124a3f46651cc0e52d0c3f1949",
@@ -444,6 +445,56 @@ class TestRunCommand:
         assert found["WINDOW_STAGES"] == {s.name for s in cli.STAGES if s.windowed} == WINDOWED
 
 
+def _perfbench_module(name, monkeypatch):
+    """A module of perfbench, loaded from its file, which stays as it is;
+    it is in ``sys.modules`` for the test, as its dataclasses need."""
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", REPO / "perfbench" / f"{name}.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestTracedPass:
+    """perfbench's traced pass wraps the package's functions with counters
+    that read each call's arguments and result, so a result of another shape
+    makes a counter raise inside its stage and fails every traced pass.
+    ``tweetdyn run`` on perfbench's crowd inputs (seed 7), under perfbench's
+    own ``Tracer`` and ``child.TARGETS``, must pass every stage, and every
+    target the package still defines must record its counters."""
+
+    def test_every_stage_passes_and_every_counter_records(self, tmp_path, monkeypatch):
+        tracer_module = _perfbench_module("tracer", monkeypatch)
+        child = _perfbench_module("child", monkeypatch)
+        meta = json.loads(subprocess.run(
+            [sys.executable, str(REPO / "perfbench" / "gen.py"), "--workload", "crowd",
+             "--seed", "7", "--out", str(tmp_path)],
+            capture_output=True, text=True, check=True,
+        ).stdout)
+        out = tmp_path / "out"
+        argv = ["run", "--out", str(out), "--window", "pre", "--format", meta["format"]]
+        argv += ["--config", str(tmp_path / meta["config"])] if meta["config"] else []
+        for table in meta["inputs"]:
+            argv += ["--input", str(tmp_path / table["file"])]
+        tracer = tracer_module.Tracer()
+        absent = tracer.install("tweetdyn", child.TARGETS)
+        try:
+            assert main(argv) == 0
+        finally:
+            tracer.uninstall()
+        for stage in STAGE_ORDER:
+            doc = json.loads((out / f"manifest_{stage.replace('-', '_')}.json").read_text())
+            assert doc["status"] == "ok", stage
+        for target, counters in child.TARGETS.items():
+            if target in absent or not counters:
+                continue
+            spans = [s for s in tracer.spans if s.name == target]
+            assert spans, f"{target} was never called"
+            assert all(set(s.counts) == set(counters) for s in spans), target
+
+
 class TestFailureModes:
     def test_bad_config_returns_2(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -677,7 +728,7 @@ class TestRemappedColumns:
             tweet_id="id", user_id="author", timestamp="when", language="lang",
             is_retweet="rt", retweeted_user_id="rt_author", text="body",
         )
-        corpus, _ = parse_records(pipeline_dir / "records.jsonl", fmt="jsonl", columns=ColumnMap())
+        corpus, _ = parse_table(pipeline_dir / "records.jsonl", "jsonl", ColumnMap())
         table = tmp_path / "renamed.csv"
         write_csv(corpus, table, columns)
         config = tmp_path / "remapped.json"

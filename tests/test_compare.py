@@ -1,6 +1,8 @@
 """Cross-tabulation of the two clusterings, sub-cluster summaries, and the
 adjusted Rand index the tests score clusterings with."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,6 +32,11 @@ class TestCrossTab:
         assert div[1] == {"clusters_hit": 2, "entropy_bits": pytest.approx(1.0)}
         # cluster 2 sits in one community: 0 bits
         assert div[2] == {"clusters_hit": 1, "entropy_bits": pytest.approx(0.0)}
+
+    def test_one_community_is_zero_bits_not_minus_zero(self):
+        # json writes -0.0 as "-0.0"
+        (entropy,) = (d["entropy_bits"] for d in diversity(np.array([[3, 0]])).values())
+        assert json.dumps(entropy) == "0.0"
 
     def test_empty_row_touches_nothing(self):
         assert diversity(np.array([[0, 0], [1, 0]]))[1] == {

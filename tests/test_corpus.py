@@ -14,9 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_loops as ref
-from tweet_tables import TweetRecord, arrays_of, corpus_of, counters_of
+from tweet_tables import EPOCH, ONE_US, TweetRecord, arrays_of, corpus_of, counters_of
 from tweetdyn.cli import main
-from tweetdyn.corpus import Corpus, CorpusError, StringColumn, file_sha256
+from tweetdyn.corpus import Corpus, CorpusRows, CorpusError, StringColumn, file_sha256
 from tweetdyn.ingest import retweet_network, select_cohort, write_records
 from tweetdyn.strategy import SymbolDistribution, category_table, symbol_pairs, symbol_table
 from tweetdyn.timeseries import DayWindow, counts_by_user, daily_counts
@@ -163,14 +163,62 @@ class TestStringColumn:
         assert column.strings(start, stop) == strings[start:stop]
 
 
-class TestConcat:
-    @settings(max_examples=50)
-    @given(records_st())
-    def test_one_part_is_returned_as_the_general_join_builds_it(self, records):
-        part = corpus_of(records)
-        assert Corpus.concat([part]) is part
-        # joining an empty part recodes and copies every column
-        assert arrays_of(Corpus.concat([part, corpus_of([])])) == arrays_of(part)
+def _row_lists(records):
+    """The records' rows as ``Corpus.from_columns`` and ``add_rows`` take them."""
+    return dict(
+        tweet_id=[r.tweet_id for r in records],
+        user=[r.user_id for r in records],
+        source=[r.retweeted_user_id if r.is_retweet else None for r in records],
+        timestamp_us=np.array([(r.timestamp - EPOCH) // ONE_US for r in records], dtype=np.int64),
+        language=[r.language for r in records],
+        text=[r.text for r in records],
+    )
+
+
+class TestCorpusRows:
+    """Rows added in blocks, with ids first seen in any order, build the
+    corpus ``from_columns`` builds of all of them at once; rolling back to a
+    mark drops the rows, ids and bytes added since, as if they never were."""
+
+    @settings(max_examples=100)
+    @given(records_st(), st.data())
+    def test_blocks_build_the_corpus_of_all_rows(self, records, data):
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(records)), max_size=4)))
+        mark_at = data.draw(st.integers(0, len(cuts)))
+        bounds = [0, *cuts, len(records)]
+        with tempfile.TemporaryFile() as tweet_ids, tempfile.TemporaryFile() as texts:
+            store = CorpusRows(tweet_ids, texts)
+            for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+                if i == mark_at:
+                    mark = store.mark()
+                    store.add_rows(**_row_lists(list(reversed(records))))  # dropped below
+                    store.roll_back(mark)
+                store.add_rows(**_row_lists(records[lo:hi]))
+            assert len(store) == len(records)
+            corpus = store.build()
+        assert not corpus.text.blob.flags.writeable
+        assert arrays_of(corpus) == arrays_of(corpus_of(records))
+
+    def test_roll_back_drops_ids_seen_only_since_the_mark(self):
+        rows = [TweetRecord(str(i), f"u{i}", BASE, "en", False, None, "é") for i in range(3)]
+        late = TweetRecord("9", "zz", BASE, "ru", True, "x0", "gone")
+        with tempfile.TemporaryFile() as tweet_ids, tempfile.TemporaryFile() as texts:
+            store = CorpusRows(tweet_ids, texts)
+            store.add_rows(**_row_lists(rows[:1]))
+            mark = store.mark()
+            store.add_rows(**_row_lists([late, *rows[1:]]))
+            store.roll_back(mark)
+            store.add_rows(**_row_lists(rows[1:]))
+            corpus = store.build()
+            assert tweet_ids.seek(0, 2) == 3 and texts.seek(0, 2) == 3 * len("é".encode())
+        assert corpus.account_ids == ("u0", "u1", "u2")
+        assert corpus.language_ids == ("en",)
+        assert arrays_of(corpus) == arrays_of(corpus_of(rows))
+
+    def test_no_rows_build_an_empty_corpus(self):
+        with tempfile.TemporaryFile() as tweet_ids, tempfile.TemporaryFile() as texts:
+            corpus = CorpusRows(tweet_ids, texts).build()
+        assert arrays_of(corpus) == arrays_of(corpus_of([]))
 
 
 class TestSidecarFile:

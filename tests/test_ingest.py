@@ -18,15 +18,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_loops as ref
-from tweet_tables import TweetRecord, arrays_of, corpus_of, fields_of, write_csv
+from tweet_tables import (
+    TweetRecord,
+    arrays_of,
+    corpus_of,
+    fields_of,
+    parse_table,
+    utc,
+    write_csv,
+)
 from tweetdyn import ingest
 from tweetdyn.cli import main
 from tweetdyn.corpus import AMPLIFYING, ORIGINAL, SPREADING, Corpus, StringColumn, file_sha256
 from tweetdyn.ingest import (
     ColumnMap,
     IngestError,
-    merge_parts,
-    parse_records,
+    read_tables,
     retweet_network,
     select_cohort,
     write_records,
@@ -95,7 +102,7 @@ class TestParse:
                 '6,u6,2016-11-08 14:00,en,false,u9,source on original',
             ],
         )
-        corpus, report = parse_records(path, fmt="csv", columns=ColumnMap())
+        corpus, report = parse_table(path, "csv", ColumnMap())
         rows = fields_of(corpus)
         assert rows["tweet_id"] == ["1", "2"]
         assert rows["timestamp"][0] == datetime(2016, 11, 8, 10, 21, tzinfo=timezone.utc)
@@ -117,11 +124,11 @@ class TestParse:
             header="tweetid,userid,tweet_time,tweet_language,is_retweet,retweet_userid\n",
         )
         with pytest.raises(IngestError):
-            parse_records(path, fmt="csv", columns=ColumnMap())
+            parse_table(path, "csv", ColumnMap())
 
     def test_missing_file_is_fatal(self, tmp_path):
         with pytest.raises(IngestError):
-            parse_records(tmp_path / "nope.csv", fmt="csv", columns=ColumnMap())
+            parse_table(tmp_path / "nope.csv", "csv", ColumnMap())
 
     def test_column_remapping(self, tmp_path):
         path = tmp_path / "alt.csv"
@@ -133,7 +140,7 @@ class TestParse:
             tweet_id="id", user_id="who", timestamp="at", language="lang",
             is_retweet="rt", retweeted_user_id="src", text="body",
         )
-        corpus, report = parse_records(path, fmt="csv", columns=columns)
+        corpus, report = parse_table(path, "csv", columns)
         assert report.accepted == 1
         assert fields_of(corpus)["user_id"][0] == "userA"
 
@@ -145,7 +152,7 @@ class TestParse:
             "this is not json\n"
             '{"tweetid":"2","userid":"u2"}\n'
         )
-        corpus, report = parse_records(path, fmt="jsonl", columns=ColumnMap())
+        corpus, report = parse_table(path, "jsonl", ColumnMap())
         assert len(corpus) == 1
         assert report.reasons["bad_json"] == 1
         assert report.reasons["missing_field"] == 1
@@ -163,7 +170,7 @@ class TestParse:
             + "[" * 100_000 + "\n"  # deeper than the interpreter's stack
             + good.replace('"1"', '"2"') + "\n"
         )
-        corpus, report = parse_records(path, fmt="jsonl", columns=ColumnMap())
+        corpus, report = parse_table(path, "jsonl", ColumnMap())
         assert fields_of(corpus)["tweet_id"] == ["1", "2"]
         assert report.reasons == {"bad_json": 2}
         out = tmp_path / "out"
@@ -192,7 +199,7 @@ class TestParse:
         path = tmp_path / f"tweets.{fmt}"
         path.write_bytes(header + b"".join(line + b"\n" for line in lines))
         assert path.read_bytes().index(b"\xff") > 16_384
-        corpus, report = parse_records(path, fmt=fmt, columns=ColumnMap())
+        corpus, report = parse_table(path, fmt, ColumnMap())
         assert fields_of(corpus)["tweet_id"] == [str(i) for i in range(1000) if i not in (500, 900)]
         # asdict, as parse_report.json is written: reasons stay a mapping
         assert dataclasses.asdict(report) == {
@@ -225,7 +232,7 @@ class TestParse:
             os.write(write_end, data)
             os.close(write_end)
             with pytest.raises(IngestError, match="cannot be read again"):
-                parse_records(f"/dev/fd/{read_end}", fmt=fmt, columns=ColumnMap())
+                parse_table(f"/dev/fd/{read_end}", fmt, ColumnMap())
         finally:
             os.close(read_end)
 
@@ -238,7 +245,7 @@ class TestParse:
                 "3,u3,9999-12-31 23:59:59-01:00,en,false,,after year 9999 in UTC",
             ],
         )
-        corpus, report = parse_records(path, fmt="csv", columns=ColumnMap())
+        corpus, report = parse_table(path, "csv", ColumnMap())
         assert fields_of(corpus)["tweet_id"] == ["1"]
         assert report.reasons == {"bad_timestamp": 2}
         out = tmp_path / "out"
@@ -254,7 +261,7 @@ class TestParse:
                 "boolean-8,u2,2016-11-08 11:00,en,false,u1,source on original",
             ],
         )
-        _, report = parse_records(path, fmt="csv", columns=ColumnMap())
+        _, report = parse_table(path, "csv", ColumnMap())
         assert report.reasons == {"retweet_without_source": 1, "source_on_non_retweet": 1}
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
@@ -284,9 +291,41 @@ class TestParse:
             write_csv(corpus, path)
         else:
             assert write_records(corpus, path) == file_sha256(path)
-        loaded, report = parse_records(path, fmt=fmt, columns=ColumnMap())
+        loaded, report = parse_table(path, fmt, ColumnMap())
         assert report.rejected == 0
         assert arrays_of(loaded) == arrays_of(corpus)
+
+
+class TestSpill:
+    """``ingest`` spills the string bytes to unnamed files under ``--out``;
+    whether it succeeds or fails, only its artifacts are left there."""
+
+    ROWS = [
+        "1,u1,2016-11-08 10:21,en,false,,hello Жж",
+        "2,u2,2016-11-08 10:20,en,true,u1,rt body",
+        "3,u3,not-a-time,en,false,,bad stamp",
+    ]
+
+    def test_a_successful_ingest_leaves_only_its_artifacts(self, tmp_path):
+        path = _write_csv(tmp_path, self.ROWS)
+        out = tmp_path / "out"
+        assert main(["ingest", "--input", str(path), "--format", "csv", "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "campaign_users.json", "corpus.npz", "manifest_ingest.json", "parse_report.json",
+            "records.jsonl", "retweet_network.json",
+        ]
+
+    def test_a_failed_ingest_leaves_only_its_manifest(self, tmp_path):
+        # the second table lacks a column, so it fails after the first is spilled
+        good = _write_csv(tmp_path, self.ROWS)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("tweetid,userid\n1,u1\n", encoding="utf-8")
+        out = tmp_path / "out"
+        argv = ["ingest", "--input", str(good), "--input", str(bad), "--format", "csv"]
+        assert main([*argv, "--out", str(out)]) == 1
+        assert [p.name for p in out.iterdir()] == ["manifest_ingest.json"]
+        doc = json.loads((out / "manifest_ingest.json").read_text())
+        assert doc["status"] == "failed" and "missing required columns" in doc["error"]
 
 
 class TestWriteRecords:
@@ -605,37 +644,37 @@ def _write_table(path, fmt, lines):
 
 
 def _same_as_row_loop(paths, fmt, columns, tmp):
-    """parse_records + merge_parts + write_records over ``paths`` give the
-    row loop's records.jsonl (whose path this returns), parse reports and
-    columns, and write_records returns that file's sha256."""
-    parts, reports, old_records, old_reports = [], [], [], []
+    """read_tables + write_records over ``paths`` give the row loop's
+    records.jsonl (whose path this returns), parse reports and columns,
+    write_records returns that file's sha256, and the parse leaves nothing
+    in its spill directory."""
+    (tmp / "spill").mkdir()
+    merged, reports = read_tables([str(p) for p in paths], fmt, columns, tmp / "spill")
+    assert list((tmp / "spill").iterdir()) == []
+    old_records, old_reports = [], []
     for path in paths:
-        corpus, report = parse_records(path, fmt, columns)
-        parts.append(corpus)
-        reports.append(report)
         records, report = ref.parse_records(path, fmt, columns)
         old_records.extend(records)
         old_reports.append(report)
-    merged = merge_parts(parts)
     old_records = ref.ingest_order(old_records)
     new_file, old_file = tmp / "new.jsonl", tmp / "old.jsonl"
     digest = write_records(merged, new_file)
     ref.write_records(old_records, old_file)
     assert new_file.read_bytes() == old_file.read_bytes()
     assert digest == hashlib.sha256(old_file.read_bytes()).hexdigest()
-    assert reports == old_reports
+    assert list(reports.values()) == old_reports
     assert arrays_of(merged) == arrays_of(corpus_of(old_records))
     return old_file
 
 
 class TestColumnarIngestMatchesRowLoop:
-    """parse_records + merge_parts + write_records against the row loop in
+    """read_tables + write_records against the row loop in
     ``reference_loops``: same records.jsonl bytes, parse reports and columns,
     whatever the parse block. The drawn tables have rows out of (time, id)
-    order and timestamp ties within and across parts, so merge_parts
+    order and timestamp ties within and across tables, so read_tables
     reorders them (``Corpus.select``). The records.jsonl they give, cut in
     two, has its rows in order up to the ties that whole seconds make, with
-    ties across the cut, so merge_parts mostly keeps the order it checked."""
+    ties across the cut, so read_tables mostly keeps the order it checked."""
 
     @settings(max_examples=300, deadline=None)
     @given(tables_st(), st.sampled_from([1, 3, 8192]), st.data())
@@ -769,13 +808,93 @@ class TestColumnChecksMatchRowLoop:
             path = Path(tmp, f"table.{fmt}")
             path.write_bytes(table)
             with mock.patch.object(ingest, "_PARSE_BLOCK", block):
-                corpus, report = parse_records(path, fmt, columns)
+                corpus, report = parse_table(path, fmt, columns)
             old_columns, old_report = ref.parse_file(path, fmt, columns)
             corpus.save(Path(tmp, "new.npz"), "0" * 64)
             Corpus.from_columns(**old_columns).save(Path(tmp, "old.npz"), "0" * 64)
             assert Path(tmp, "new.npz").read_bytes() == Path(tmp, "old.npz").read_bytes()
         assert report == old_report
         assert list(report.reasons) == list(old_report.reasons)
+
+
+def _records_of(columns):
+    """The accepted rows of ``reference_loops.parse_file`` as records."""
+    return [
+        TweetRecord(tid, user, utc(us), lang, src is not None, src, text)
+        for tid, user, src, us, lang, text in zip(
+            *(columns[k] for k in ("tweet_id", "user", "source", "timestamp_us", "language", "text"))
+        )
+    ]
+
+
+PAD_ROWS = 200  # 11 KB of CSV rows or more: past the reader's first 8 KB buffer
+ONLY_REJECTED = "seen-only-in-a-rejected-row"
+
+
+def _padded(table, fmt, columns):
+    """The table with PAD_ROWS well-formed rows first (after a CSV header),
+    in falling time order with non-ASCII text, and then a row whose one
+    account id is nowhere else and whose text holds a byte that is not
+    UTF-8. The first pass parses the padding's blocks before the bad byte
+    stops it, so the second pass must start from none of them."""
+    def row(i, user, text):
+        return {
+            "tweet_id": str(i), "user_id": user, "timestamp": f"2016-03-01 00:00:{59 - i % 60:02d}",
+            "language": "en", "is_retweet": "false", "retweeted_user_id": "", "text": text,
+        }
+
+    rows = [row(i, f"pad{i % 3}", "Жж padding row") for i in range(PAD_ROWS)]
+    rows.append(row(PAD_ROWS, ONLY_REJECTED, f"x{BAD_BYTE_MARK}y"))
+    if fmt == "jsonl":
+        lines = [json.dumps({getattr(columns, f): v for f, v in r.items()}) for r in rows]
+        return b"".join(_line_bytes(line.replace("\\u00a4", BAD_BYTE_MARK)) for line in lines) + table
+    head, _, body = table.partition(b"\n")
+    field_of = {getattr(columns, f): f for f in FIELDS}
+    header = next(csv.reader([head.decode()]))
+    text = io.StringIO(newline="")
+    csv.writer(text).writerows([r[field_of[name]] for name in header] for r in rows)
+    return head + b"\n" + b"".join(map(_line_bytes, text.getvalue().splitlines())) + body
+
+
+class TestReadTablesMatchesRowLoop:
+    """``read_tables`` over several tables against the row loop: each table
+    through ``reference_loops.parse_file``, the rows joined in table order
+    and put in ``ingest_order``. The tables mix rows out of (time, id)
+    order, ties within and across tables, text outside ASCII, bytes that
+    are not UTF-8 (so a table is parsed again) and an account id seen only
+    in a rejected row; the parse spills into a directory it leaves empty."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from(["csv", "jsonl"]),
+        st.sampled_from([ColumnMap(), REMAPPED]),
+        st.sampled_from([1, 3, 8192]),
+        st.data(),
+    )
+    def test_same_rows_tables_and_reports(self, fmt, columns, block, data):
+        tables = data.draw(st.lists((odd_csv_st if fmt == "csv" else odd_jsonl_st)(columns),
+                                    min_size=1, max_size=3))
+        padded = data.draw(st.integers(-1, len(tables) - 1))
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = []
+            for i, table in enumerate(tables):
+                paths.append(Path(tmp, f"table{i}.{fmt}"))
+                paths[-1].write_bytes(_padded(table, fmt, columns) if i == padded else table)
+            spill = Path(tmp, "spill")
+            spill.mkdir()
+            with mock.patch.object(ingest, "_PARSE_BLOCK", block):
+                corpus, reports = read_tables([str(p) for p in paths], fmt, columns, spill)
+            assert list(spill.iterdir()) == []
+            records, old_reports = [], []
+            for path in paths:
+                old_columns, old_report = ref.parse_file(path, fmt, columns)
+                records += _records_of(old_columns)
+                old_reports.append(old_report)
+        assert arrays_of(corpus) == arrays_of(corpus_of(ref.ingest_order(records)))
+        assert list(reports.values()) == old_reports
+        assert ONLY_REJECTED not in corpus.account_ids
+        if padded >= 0:
+            assert old_reports[padded].reasons.get("bad_encoding", 0) >= 1
 
 
 class TestIsoStampColumn:
@@ -812,21 +931,39 @@ def _big_table(path, n_rows):
             )
 
 
+def _traced_parse(path):
+    """The corpus and report of parsing one table on its own, what of the
+    traced memory the corpus keeps, and the peak."""
+    tracemalloc.start()
+    try:
+        corpus, report = parse_table(path, "csv", ColumnMap())
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return corpus, report, kept, peak
+
+
 class TestParseMemory:
-    """parse_records turns each checked block into columns and joins them
-    once at the end, so the traced memory it allocates and frees again (its
-    peak less what the corpus keeps) is at most one more copy of the corpus
-    plus one block's rows, at about 1 KiB a row. Whole-table lists of row
+    """The parse keeps the int columns in memory and writes the string bytes
+    to files as each block is checked; the build moves each column's blocks
+    into it one block at a time. So the traced memory it allocates and frees
+    again (its peak less what the corpus keeps) is one block's rows, at
+    about 1 KiB a row, whatever the number of rows. Whole-table lists of row
     strings, joined at the end, take about three copies of the corpus."""
 
     def test_transient_is_one_copy_and_one_block(self, tmp_path):
         path = tmp_path / "tweets.csv"
         _big_table(path, 68_000)
-        tracemalloc.start()
-        try:
-            corpus, report = parse_records(path, fmt="csv", columns=ColumnMap())
-            kept, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        corpus, report, kept, peak = _traced_parse(path)
         assert report.accepted == len(corpus) == 68_000
         assert peak - kept <= kept + ingest._PARSE_BLOCK * 1024
+
+    def test_transient_does_not_grow_with_rows(self, tmp_path):
+        transient = []
+        for n_rows in (34_000, 68_000):
+            path = tmp_path / f"tweets{n_rows}.csv"
+            _big_table(path, n_rows)
+            corpus, report, kept, peak = _traced_parse(path)
+            assert report.accepted == len(corpus) == n_rows
+            transient.append(peak - kept)
+        assert abs(transient[1] - transient[0]) <= ingest._PARSE_BLOCK * 1024

@@ -2,14 +2,15 @@
 from or turned into plain Python values."""
 
 import csv
+import tempfile
 from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
 
-from tweetdyn.corpus import Corpus
-from tweetdyn.ingest import ColumnMap
+from tweetdyn.corpus import Corpus, CorpusRows
+from tweetdyn.ingest import ColumnMap, parse_records
 from tweetdyn.topic import TermCounts
 
 EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
@@ -55,6 +56,14 @@ def corpus_of(records):
         language=[r.language for r in records],
         text=[r.text for r in records],
     )
+
+
+def parse_table(path, fmt, columns):
+    """One table parsed on its own, rows in file order, and its report."""
+    with tempfile.TemporaryFile() as tweet_ids, tempfile.TemporaryFile() as texts:
+        store = CorpusRows(tweet_ids, texts)
+        _, report = parse_records(path, fmt, columns, store)
+        return store.build(), report
 
 
 def utc(timestamp_us):
