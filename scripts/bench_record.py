@@ -1,6 +1,7 @@
 """Record one BENCH file from the repo's own bench harness.
 
-Runs ``perfbench/run.py`` on the ``crowd`` and ``chatter`` workloads at seed
+Byte-compiles ``src`` and ``perfbench`` (``python -m compileall``), then
+runs ``perfbench/run.py`` on the ``crowd`` and ``chatter`` workloads at seed
 7 for 55 s each, untraced (``--trace 0``, the end-to-end metrics) and traced
 (``--trace 1``, the per-layer metrics), then ``scripts/bench_kernels.py``,
 all from the checkout this script lives in. Writes ``BENCH_<LABEL>.json`` at
@@ -33,7 +34,12 @@ NOTES = (
     "(strategy.symbol_sequence, strategy.symbol_distribution, "
     "topic.build_documents, topic.stem_and_filter): a traced run lists them "
     "under 'absent', and strategy.symbol_*, topic.build_documents.s and "
-    "topic.stem_and_filter.* read 0."
+    "topic.stem_and_filter.* read 0. "
+    "src and perfbench were byte-compiled (python -m compileall -q src perfbench) "
+    "before the first perfbench run: perfbench's children inherit "
+    "PYTHONDONTWRITEBYTECODE, so a tree whose .py files are newer than its "
+    ".pyc files compiles the package in every child, which adds about 2 MB "
+    "to peak_rss_mb."
 )
 
 
@@ -72,6 +78,7 @@ def main(argv: list[str]) -> int:
         print(__doc__.strip().splitlines()[-1], file=sys.stderr)
         return 2
     label = argv[0]
+    run(["-m", "compileall", "-q", "src", "perfbench"])
     perfbench = {}
     for workload in WORKLOADS:
         for trace in (0, 1):

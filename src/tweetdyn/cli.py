@@ -19,16 +19,19 @@ writes the same bytes as its stages run one by one with the same flags.
 Only `ingest` reads tweet tables (`--input` and `--format`, or `input_paths`
 and `input_format` in the config). It parses every table into one columnar
 `Corpus` with one id table (:func:`tweetdyn.ingest.read_tables`), spilling
-the bytes of the tweet ids and texts to unnamed files under `--out` and
-keeping only int columns in memory, puts the rows in (timestamp, tweet id)
-order and writes the normalized tweets twice, in that row order:
-`records.jsonl` and its columnar sidecar `corpus.npz`, which records the
-sha256 of that `records.jsonl`.
+the bytes of the tweet ids and texts to unnamed files under `--out`, which
+the corpus reads them from, and keeping only int columns in memory; puts
+the rows in (timestamp, tweet id) order and writes the normalized tweets
+twice, in that row order: `records.jsonl` and its columnar sidecar
+`corpus.npz`, which records the sha256 of that `records.jsonl`.
 Both are replaced atomically, so a failed write leaves the old file whole.
-The stages that need tweets (`counts`, `strategy`, `spectra`,
-`cluster-spectral`, `cluster-topic` and `compare`) map `corpus.npz`
-read-only, with no copy of its columns; the load reads `records.jsonl` once
-for its sha256 and the sidecar once for its members' CRC-32s. They fail with
+`ingest` drops the corpus once the retweet graph is built, before the
+graph's community search. The stages that need tweets (`counts`,
+`strategy`, `spectra`, `cluster-spectral`, `cluster-topic` and `compare`)
+load `corpus.npz` with no copy of its columns: the int columns are mapped
+read-only, and the tweet ids and texts are read from the file as they are
+needed, not mapped. The load reads `records.jsonl` once for its sha256 and
+the sidecar once for its members' CRC-32s. They fail with
 a failed manifest if it is missing, malformed or older than `records.jsonl`,
 asking for `ingest` to be re-run. `changepoint` reads only
 `counts_aggregate.csv` and fails the same way without it. `compare` fails
@@ -470,14 +473,14 @@ def cmd_ingest(ctx: StageContext) -> list[str]:
     )
     records_sha256 = write_records(corpus, outdir / RECORDS_FILE)
     # records.jsonl keeps whole seconds; the sidecar holds the same rows.
-    corpus = dataclasses.replace(
+    dataclasses.replace(
         corpus, timestamp_us=corpus.timestamp_us // 1_000_000 * 1_000_000
-    )
-    corpus.save(outdir / CORPUS_FILE, records_sha256)
+    ).save(outdir / CORPUS_FILE, records_sha256)
     write_json(outdir / "parse_report.json", reports)
     campaign = corpus.authors()
     write_json(outdir / "campaign_users.json", sorted(campaign))
     network = retweet_network(corpus, campaign)
+    del corpus  # its columns and spill files, before the search's peak
     parts, q = modularity_communities(network)
     write_json(
         outdir / "retweet_network.json",

@@ -8,25 +8,28 @@ A :class:`Corpus` holds one row per tweet, in the order ``ingest`` wrote them:
 * ``timestamp_us`` - UTC time as int64 microseconds since 1970-01-01, and
   ``day``, the proleptic Gregorian ordinal of its UTC calendar day;
 * ``language`` - codes into the sorted ``language_ids`` table;
-* ``tweet_id`` and ``text`` - UTF-8 blobs plus row offsets.
+* ``tweet_id`` and ``text`` - string columns (:class:`StringColumn`): UTF-8
+  bytes plus row offsets.
 
 Strings are encoded with the ``surrogatepass`` handler, so any Python string
-survives the round trip, and byte order in a blob equals code-point order.
+survives the round trip, and byte order in a column equals code-point order.
 
 ``ingest`` builds its corpus with a :class:`CorpusRows`: one account and
 one language id table for every table it reads, the int columns in memory,
 and the bytes of the tweet ids and texts spilled to two unnamed files that
-the corpus then maps read-only.
+the corpus's string columns then read with ``os.pread``, a block or a row at
+a time; no page of them stays resident.
 
 ``ingest`` writes the corpus next to ``records.jsonl`` as ``corpus.npz``, an
 uncompressed zip of ``.npy`` members. The sidecar records the sha256 of that
-``records.jsonl``. :meth:`Corpus.load` maps the sidecar read-only and copies
-no column: each one is a view into the map. It costs two full reads, the
-records sha256 and the members' CRC-32s, and it checks every shape, code
+``records.jsonl``. :meth:`Corpus.load` copies no column: it maps each int
+member read-only, and the tweet ids and texts are read from the open file as
+the spilled ones are. It costs two full reads through one 256 KiB buffer,
+the records sha256 and the members' CRC-32s, and it checks every shape, code
 range and offset too. It raises :class:`CorpusError` on any mismatch instead
 of handing back stale rows. :meth:`Corpus.save` and ``write_records`` replace
-their file atomically (:func:`replacing`), so a live map of an earlier
-sidecar never sees it rewritten.
+their file atomically (:func:`replacing`), so a loaded corpus, which holds
+the old file open, never sees it rewritten.
 """
 
 from __future__ import annotations
@@ -37,13 +40,16 @@ import math
 import mmap
 import os
 import struct
+import weakref
 import zipfile
+import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from datetime import date
 from functools import cached_property
+from itertools import repeat
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator, Sequence
+from typing import BinaryIO, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -53,7 +59,9 @@ _EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
 # Any fixed stamp works; np.savez would write the wall clock here.
 _ZIP_DATE = (1980, 1, 1, 0, 0, 0)
 _SELECT_BLOCK = 8192  # rows joined at once by StringColumn.select
-_CRC_CHUNK = 1 << 20  # bytes read at once by the CRC pass of Corpus.load
+# Bytes read at once by Corpus.load's checks and copied at once by
+# Corpus.save from a string column.
+_BLOCK_BYTES = 1 << 18
 # A zip local file header, read for its name and extra-field lengths.
 _LOCAL_HEADER = struct.Struct("<26xHH")
 
@@ -65,12 +73,17 @@ class CorpusError(ValueError):
     """A corpus sidecar that is missing, unreadable or out of date."""
 
 
-def file_sha256(path: str | Path) -> str:
-    digest = hashlib.sha256()
-    with Path(path).open("rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
+def _chunks(fh: BinaryIO, size: int, buffer: bytearray) -> Iterator[memoryview]:
+    """The next ``size`` bytes of ``fh``, read into ``buffer`` a block at a
+    time; each view is valid until the next one. Raises EOFError when the
+    file ends first."""
+    view = memoryview(buffer)
+    while size:
+        n = fh.readinto(view[: min(size, len(view))])
+        if not n:
+            raise EOFError(f"the file ends {size} bytes early")
+        size -= n
+        yield view[:n]
 
 
 @contextmanager
@@ -112,17 +125,39 @@ def _offsets(lengths: np.ndarray) -> np.ndarray:
     return offsets
 
 
+class _FileBytes:
+    """The bytes of a file from ``start`` on, sliced as ``bytes`` is, each
+    slice one ``os.pread``. It owns ``fd``, which it closes when it is
+    collected, so the columns that read a file keep it open."""
+
+    def __init__(self, fd: int, start: int) -> None:
+        self.fd, self.start = fd, start
+        weakref.finalize(self, os.close, fd)
+
+    def __getitem__(self, span: slice) -> bytes:
+        size = span.stop - span.start
+        data = os.pread(self.fd, size, self.start + span.start)
+        if len(data) != size:
+            raise OSError(f"read {len(data)} of {size} bytes: the file is shorter than its column")
+        return data
+
+
 @dataclass(frozen=True, eq=False)
 class StringColumn:
-    """Strings stored as one UTF-8 blob; row ``i`` is ``blob[offsets[i]:offsets[i+1]]``."""
+    """Strings stored as UTF-8 bytes one after another; row ``i`` is
+    ``data[offsets[i]:offsets[i+1]]``.
 
-    blob: np.ndarray
+    ``data`` is a read-only memoryview for a column built in memory, and a
+    file region (``_FileBytes``) for a spilled or loaded one, whose bytes
+    are read with ``os.pread`` as they are asked for."""
+
+    data: memoryview | _FileBytes
     offsets: np.ndarray
 
     @classmethod
     def of(cls, strings: Iterable[str]) -> "StringColumn":
         blob, lengths = _encoded(list(strings))
-        return cls(blob=np.frombuffer(blob, dtype=np.uint8), offsets=_offsets(lengths))
+        return cls(data=memoryview(blob), offsets=_offsets(lengths))
 
     def __len__(self) -> int:
         return len(self.offsets) - 1
@@ -131,30 +166,34 @@ class StringColumn:
         return [str(b, "utf-8", "surrogatepass") for b in self._bytes(rows)]
 
     def select(self, rows: np.ndarray) -> "StringColumn":
-        """A column of the given rows, in that order, joined a block of rows
-        at a time."""
+        """A column of the given rows, in that order, in memory; joined a
+        block of rows at a time."""
         offsets = _offsets(np.diff(self.offsets)[rows])
-        blob = np.empty(offsets[-1], dtype=np.uint8)
+        data = bytearray(int(offsets[-1]))
         for lo in range(0, len(rows), _SELECT_BLOCK):
             chunk = b"".join(self._bytes(rows[lo : lo + _SELECT_BLOCK]))
-            blob[offsets[lo] : offsets[lo] + len(chunk)] = np.frombuffer(chunk, dtype=np.uint8)
-        return StringColumn(blob=blob, offsets=offsets)
+            data[offsets[lo] : offsets[lo] + len(chunk)] = chunk
+        return StringColumn(data=memoryview(data).toreadonly(), offsets=offsets)
 
-    def _bytes(self, rows: Sequence[int]) -> Iterator[memoryview]:
-        """Views of the rows' bytes; the blob is not copied."""
+    def _bytes(self, rows: Sequence[int]) -> Iterator[memoryview | bytes]:
+        """The bytes of each row: a view of an in-memory column, one read
+        of a file-backed one."""
         rows = np.asarray(rows, dtype=np.int64)
-        raw = memoryview(self.blob)
-        starts, stops = self.offsets[rows].tolist(), self.offsets[rows + 1].tolist()
-        return map(raw.__getitem__, map(slice, starts, stops))
+        starts, stops = self.offsets[rows], self.offsets[rows + 1]
+        if isinstance(self.data, _FileBytes):
+            sizes, at = (stops - starts).tolist(), (starts + self.data.start).tolist()
+            return map(os.pread, repeat(self.data.fd), sizes, at)
+        return map(self.data.__getitem__, map(slice, starts.tolist(), stops.tolist()))
 
     def strings(self, start: int, stop: int) -> list[str]:
-        """Rows ``start`` to ``stop`` (exclusive), copying only their bytes."""
+        """Rows ``start`` to ``stop`` (exclusive), reading only their bytes,
+        in one piece."""
         off = self.offsets[start : stop + 1]
-        raw = self.blob[off[0] : off[-1]].tobytes()
+        raw = self.data[int(off[0]) : int(off[-1])]
         off = (off - off[0]).tolist()
-        text = raw.decode("utf-8", "surrogatepass")
+        text = str(raw, "utf-8", "surrogatepass")
         if len(text) != len(raw):  # a character of more than one byte
-            return [raw[a:b].decode("utf-8", "surrogatepass") for a, b in zip(off, off[1:])]
+            return [str(raw[a:b], "utf-8", "surrogatepass") for a, b in zip(off, off[1:])]
         return [text[a:b] for a, b in zip(off, off[1:])]
 
     def tolist(self) -> list[str]:
@@ -284,50 +323,61 @@ class Corpus:
         """Write ``corpus.npz`` byte-deterministically, stamped with the sha256
         of the ``records.jsonl`` it mirrors.
 
-        The file is replaced atomically (:func:`replacing`): a corpus loaded
-        from an earlier sidecar keeps its map of the old file and its values.
+        The string columns are copied a block of bytes at a time. The file is
+        replaced atomically (:func:`replacing`): a corpus loaded from an
+        earlier sidecar keeps that file open and its values.
         """
         accounts = StringColumn.of(self.account_ids)
         languages = StringColumn.of(self.language_ids)
         members = {
             "version": np.array(FORMAT_VERSION, dtype=np.int64),
             "records_sha256": np.array(records_sha256, dtype="U64"),
-            "account_blob": accounts.blob,
+            "account_blob": accounts,
             "account_offsets": accounts.offsets,
-            "language_blob": languages.blob,
+            "language_blob": languages,
             "language_offsets": languages.offsets,
             "user": self.user,
             "source": self.source,
             "timestamp_us": self.timestamp_us,
             "language": self.language,
-            "tweet_id_blob": self.tweet_id.blob,
+            "tweet_id_blob": self.tweet_id,
             "tweet_id_offsets": self.tweet_id.offsets,
-            "text_blob": self.text.blob,
+            "text_blob": self.text,
             "text_offsets": self.text.offsets,
         }
         with replacing(path) as fh, zipfile.ZipFile(fh, "w", zipfile.ZIP_STORED) as zf:
-            for name, array in members.items():
-                # np.save's header, then the array's own buffer: no copy
+            for name, value in members.items():
+                if isinstance(value, StringColumn):  # stored as a uint8 array
+                    size = int(value.offsets[-1])
+                    header_data = {"descr": "|u1", "fortran_order": False, "shape": (size,)}
+                    blocks = (
+                        value.data[lo : min(lo + _BLOCK_BYTES, size)]
+                        for lo in range(0, size, _BLOCK_BYTES)
+                    )
+                else:  # np.save's header, then the array's own buffer: no copy
+                    size = value.nbytes
+                    header_data = np.lib.format.header_data_from_array_1_0(value)
+                    blocks = [value.data]
                 header = io.BytesIO()
-                np.lib.format.write_array_header_1_0(
-                    header, np.lib.format.header_data_from_array_1_0(array)
-                )
+                np.lib.format.write_array_header_1_0(header, header_data)
                 info = zipfile.ZipInfo(f"{name}.npy", date_time=_ZIP_DATE)
                 # as writestr sets it, so the same entries take ZIP64 fields
-                info.file_size = header.tell() + array.nbytes
-                with zf.open(info, "w") as fh:
-                    fh.write(header.getbuffer())
-                    fh.write(array.data)
+                info.file_size = header.tell() + size
+                with zf.open(info, "w") as member:
+                    member.write(header.getbuffer())
+                    for block in blocks:
+                        member.write(block)
 
     @classmethod
     def load(cls, path: str | Path, records_path: str | Path) -> "Corpus":
-        """Map a sidecar read-only and check it against the ``records.jsonl``
-        beside it.
+        """Open a sidecar and check it against the ``records.jsonl`` beside it.
 
-        No column is copied: each is a read-only view into one map of the
-        file, which lives as long as the columns do. The checks read each
-        file once in full: ``records.jsonl`` for its sha256, and the sidecar's
-        members, streamed through a bounded buffer, for their CRC-32s.
+        No column is copied: each int column is a read-only view into a map
+        of its member, and the tweet ids and texts are read from the open
+        file with ``os.pread`` (:class:`StringColumn`), which stays open as
+        long as the columns do. The checks read each file once in full,
+        through one 256 KiB buffer: ``records.jsonl`` for its sha256, and the
+        sidecar's members, with their local headers, for their CRC-32s.
         Raises :class:`CorpusError` naming the file at fault when the sidecar
         is missing, unreadable, malformed, or was written for other records.
         """
@@ -337,15 +387,23 @@ class Corpus:
             raise CorpusError(f"{records_path} does not exist; {rerun}")
         if not path.exists():
             raise CorpusError(f"{path} does not exist; {rerun}")
-        try:
-            arrays = _map_members(path)
-        except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
-            raise CorpusError(f"{path} is unreadable ({exc}); {rerun}") from None
-        try:
-            corpus, recorded_sha = cls._from_arrays(arrays)
-        except (KeyError, ValueError, IndexError, TypeError) as exc:
-            raise CorpusError(f"{path} is malformed ({exc}); {rerun}") from None
-        if recorded_sha != file_sha256(records_path):
+        buffer = bytearray(_BLOCK_BYTES)
+        with path.open("rb") as fh:
+            try:
+                members = _checked_members(fh, buffer)
+            except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+                raise CorpusError(f"{path} is unreadable ({exc}); {rerun}") from None
+            try:
+                corpus, recorded_sha = cls._from_members(fh.fileno(), members)
+            except (KeyError, ValueError, IndexError, TypeError) as exc:
+                raise CorpusError(f"{path} is malformed ({exc}); {rerun}") from None
+            except OSError as exc:
+                raise CorpusError(f"{path} is unreadable ({exc}); {rerun}") from None
+        digest = hashlib.sha256()
+        with records_path.open("rb") as fh:
+            for chunk in _chunks(fh, os.fstat(fh.fileno()).st_size, buffer):
+                digest.update(chunk)
+        if recorded_sha != digest.hexdigest():
             raise CorpusError(
                 f"{path} was not written from the current {records_path.name} "
                 f"(sha256 mismatch); {rerun}"
@@ -353,19 +411,22 @@ class Corpus:
         return corpus
 
     @classmethod
-    def _from_arrays(cls, a: dict[str, np.ndarray]) -> tuple["Corpus", str]:
-        if int(a["version"]) != FORMAT_VERSION:
-            raise ValueError(f"format version {int(a['version'])}, expected {FORMAT_VERSION}")
-        accounts = _strings(a, "account")
-        languages = _strings(a, "language")
+    def _from_members(cls, fd: int, members: dict[str, _Member]) -> tuple["Corpus", str]:
+        version = int(_mapped(fd, members["version"]))
+        if version != FORMAT_VERSION:
+            raise ValueError(f"format version {version}, expected {FORMAT_VERSION}")
+        accounts = _strings(fd, members, "account")
+        languages = _strings(fd, members, "language")
         account_ids, language_ids = tuple(accounts.tolist()), tuple(languages.tolist())
         for name, table in (("account", account_ids), ("language", language_ids)):
             if any(x >= y for x, y in zip(table, table[1:])):
                 raise ValueError(f"{name} table is not strictly sorted")
-        user = _column(a, "user")
+        user = _column(fd, members, "user")
         n = len(user)
-        columns = {name: _column(a, name, n) for name in ("source", "timestamp_us", "language")}
-        tweet_id, text = _strings(a, "tweet_id", n), _strings(a, "text", n)
+        columns = {
+            name: _column(fd, members, name, n) for name in ("source", "timestamp_us", "language")
+        }
+        tweet_id, text = _strings(fd, members, "tweet_id", n), _strings(fd, members, "text", n)
         for name, col, lo, hi in (
             ("user", user, 0, len(account_ids)),
             ("source", columns["source"], -1, len(account_ids)),
@@ -383,7 +444,7 @@ class Corpus:
             tweet_id=tweet_id,
             text=text,
         )
-        return corpus, str(a["records_sha256"])
+        return corpus, str(_mapped(fd, members["records_sha256"]))
 
 
 class Codes(dict):
@@ -415,9 +476,11 @@ class CorpusRows:
     for languages, the int columns in memory, and the bytes of the tweet ids
     and texts written to two files as each block comes in.
 
-    :meth:`build` maps both files read-only, so the corpus's string columns
-    are views into them, as :meth:`Corpus.load`'s are into the sidecar. The
-    maps outlive the files' handles; unnamed files leave no name behind.
+    :meth:`build` gives each of the corpus's string columns its own
+    descriptor of its file, from which it reads its bytes with ``os.pread``
+    as :meth:`Corpus.load`'s columns read the sidecar; so the files stay open
+    as long as the corpus lives, after the handles given here are closed,
+    and unnamed files leave no name behind.
     """
 
     def __init__(self, tweet_ids: BinaryIO, texts: BinaryIO) -> None:
@@ -497,7 +560,10 @@ class CorpusRows:
         for name, fh in self._files.items():
             offsets = columns.pop(f"{name}_bytes")
             np.cumsum(offsets, out=offsets)
-            strings[name] = StringColumn(blob=_mapped(fh), offsets=offsets)
+            offsets.flags.writeable = False
+            fh.flush()
+            data = _FileBytes(os.dup(fh.fileno()), 0)
+            strings[name] = StringColumn(data=data, offsets=offsets)
         return Corpus(
             account_ids=account_ids,
             language_ids=language_ids,
@@ -506,73 +572,85 @@ class CorpusRows:
         )
 
 
-def _mapped(fh: BinaryIO) -> np.ndarray:
-    """The bytes of a file written up to its position, as a read-only view
-    into a map of it."""
-    fh.flush()
-    # mmap refuses an empty file
-    data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) if fh.tell() else b""
-    return np.frombuffer(data, dtype=np.uint8)
+class _Member(NamedTuple):
+    """A stored ``.npy`` member: its values' dtype, shape and file position."""
+
+    dtype: np.dtype
+    shape: tuple[int, ...]
+    start: int
 
 
-def _map_members(path: Path) -> dict[str, np.ndarray]:
-    """Each ``.npy`` member of a stored zip, by name less ``.npy``, as a
-    read-only view into one map of the file; a streamed pass first checks
-    every member's CRC-32 and local header."""
-    with path.open("rb") as fh:
-        with zipfile.ZipFile(fh) as zf:
-            infos = zf.infolist()
-            for info in infos:
-                if info.compress_type != zipfile.ZIP_STORED:
-                    raise ValueError(f"member {info.filename} is compressed")
-                # zipfile compares the CRC-32 when a read reaches the end
-                with zf.open(info) as member:
-                    while member.read(_CRC_CHUNK):
-                        pass
-        data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-        return {info.filename.removesuffix(".npy"): _member(fh, data, info) for info in infos}
+def _checked_members(fh: BinaryIO, buffer: bytearray) -> dict[str, _Member]:
+    """Each ``.npy`` member of a stored zip, by name less ``.npy``, once the
+    checks ``zipfile`` makes on a read have passed (the local header's
+    signature and name, the member's size and CRC-32, its bytes read through
+    ``buffer``) and its npy header agrees with its size."""
+    members = {}
+    with zipfile.ZipFile(fh) as zf:
+        for info in zf.infolist():
+            if info.compress_type != zipfile.ZIP_STORED:
+                raise ValueError(f"member {info.filename} is compressed")
+            with zf.open(info):  # checks the local header's signature and name
+                pass
+            fh.seek(info.header_offset)
+            name_length, extra_length = _LOCAL_HEADER.unpack(fh.read(_LOCAL_HEADER.size))
+            start = fh.seek(name_length + extra_length, os.SEEK_CUR)
+            crc = 0
+            try:
+                for chunk in _chunks(fh, info.file_size, buffer):
+                    crc = zlib.crc32(chunk, crc)
+            except EOFError:
+                raise EOFError(f"member {info.filename} is truncated") from None
+            if crc != info.CRC:
+                raise ValueError(f"member {info.filename}: bad CRC-32")
+            fh.seek(start)
+            version = np.lib.format.read_magic(fh)
+            if version != (1, 0):
+                raise ValueError(f"member {info.filename}: npy format {version}, expected (1, 0)")
+            # Every column is 1-d, so the header's Fortran-order flag changes
+            # nothing; np.frombuffer refuses an object dtype.
+            shape, _, dtype = np.lib.format.read_array_header_1_0(fh)
+            body = fh.tell()
+            claimed = body - start + math.prod(shape) * dtype.itemsize
+            if claimed != info.file_size:
+                raise ValueError(
+                    f"member {info.filename}: header claims {claimed} "
+                    f"bytes, the member holds {info.file_size}"
+                )
+            members[info.filename.removesuffix(".npy")] = _Member(dtype, shape, body)
+    return members
 
 
-def _member(fh: BinaryIO, data: mmap.mmap, info: zipfile.ZipInfo) -> np.ndarray:
-    """The array of one stored ``.npy`` member; its header is read from
-    ``fh`` and its values are a view into ``data``, the map of ``fh``."""
-    fh.seek(info.header_offset)
-    name_length, extra_length = _LOCAL_HEADER.unpack(fh.read(_LOCAL_HEADER.size))
-    start = info.header_offset + _LOCAL_HEADER.size + name_length + extra_length
-    fh.seek(start)
-    version = np.lib.format.read_magic(fh)
-    if version != (1, 0):
-        raise ValueError(f"member {info.filename}: npy format {version}, expected (1, 0)")
-    # Every column is 1-d, so the header's Fortran-order flag changes nothing;
-    # np.frombuffer refuses an object dtype.
-    shape, _, dtype = np.lib.format.read_array_header_1_0(fh)
-    count = math.prod(shape)
-    body = fh.tell() - start
-    if body + count * dtype.itemsize != info.file_size:
-        raise ValueError(
-            f"member {info.filename}: header claims {body + count * dtype.itemsize} "
-            f"bytes, the member holds {info.file_size}"
-        )
-    return np.frombuffer(data, dtype=dtype, count=count, offset=start + body).reshape(shape)
+def _mapped(fd: int, member: _Member) -> np.ndarray:
+    """A member's values as a read-only view into a map of its pages alone."""
+    count = math.prod(member.shape)
+    if not count:
+        return np.frombuffer(b"", dtype=member.dtype).reshape(member.shape)
+    lo = member.start - member.start % mmap.ALLOCATIONGRANULARITY
+    size = member.start + count * member.dtype.itemsize - lo
+    data = mmap.mmap(fd, size, access=mmap.ACCESS_READ, offset=lo)
+    return np.frombuffer(data, member.dtype, count, member.start - lo).reshape(member.shape)
 
 
-def _column(a: dict[str, np.ndarray], name: str, n: int | None = None) -> np.ndarray:
-    col = a[name]
-    if col.dtype != np.int64 or col.ndim != 1:
-        raise ValueError(f"{name}: dtype {col.dtype}, shape {col.shape}; want 1-d int64")
-    if n is not None and len(col) != n:
-        raise ValueError(f"{name}: {len(col)} rows, want {n}")
-    return col
+def _column(fd: int, members: dict[str, _Member], name: str, n: int | None = None) -> np.ndarray:
+    dtype, shape, _ = members[name]
+    if dtype != np.int64 or len(shape) != 1:
+        raise ValueError(f"{name}: dtype {dtype}, shape {shape}; want 1-d int64")
+    if n is not None and shape[0] != n:
+        raise ValueError(f"{name}: {shape[0]} rows, want {n}")
+    return _mapped(fd, members[name])
 
 
-def _strings(a: dict[str, np.ndarray], name: str, n: int | None = None) -> StringColumn:
-    blob = a[f"{name}_blob"]
-    if blob.dtype != np.uint8 or blob.ndim != 1:
-        raise ValueError(f"{name}_blob: dtype {blob.dtype}, shape {blob.shape}")
-    offsets = _column(a, f"{name}_offsets", None if n is None else n + 1)
-    if len(offsets) == 0 or offsets[0] != 0 or offsets[-1] != len(blob):
+def _strings(
+    fd: int, members: dict[str, _Member], name: str, n: int | None = None
+) -> StringColumn:
+    """A column whose bytes are read from the member ``<name>_blob``."""
+    dtype, shape, start = members[f"{name}_blob"]
+    if dtype != np.uint8 or len(shape) != 1:
+        raise ValueError(f"{name}_blob: dtype {dtype}, shape {shape}")
+    offsets = _column(fd, members, f"{name}_offsets", None if n is None else n + 1)
+    if len(offsets) == 0 or offsets[0] != 0 or offsets[-1] != shape[0]:
         raise ValueError(f"{name}_offsets do not span the blob")
     if np.any(np.diff(offsets) < 0):
         raise ValueError(f"{name}_offsets are not monotone")
-    return StringColumn(blob=blob, offsets=offsets)
-
+    return StringColumn(data=_FileBytes(os.dup(fd), start), offsets=offsets)

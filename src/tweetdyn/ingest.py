@@ -207,7 +207,8 @@ def read_tables(
 
     The bytes of the tweet ids and texts go to two unnamed files in
     ``spill_dir`` as each block is checked, and only the int columns stay in
-    memory; the corpus's string columns are views into maps of those files.
+    memory; the corpus's string columns read their bytes from those files
+    with ``os.pread``, and hold them open as long as the corpus lives.
     Rows already in order are not copied. Otherwise they are gathered once;
     the sort is stable, so rows equal in both keys keep their input order,
     the tables' in the order given.

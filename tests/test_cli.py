@@ -11,6 +11,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import weakref
 from datetime import date
 from pathlib import Path
 from unittest import mock
@@ -272,6 +273,33 @@ class TestPipelineArtifacts:
         artifact = json.loads((pipeline_dir / f"clusters_{kind}.json").read_text())
         assert manifest["config"]["pre_window"] == artifact["window"] == SMALL_CONFIG["pre_window"]
         assert manifest["config"]["bulk_window"] == SMALL_CONFIG["bulk_window"]
+
+
+class TestIngestMemory:
+    def test_retweet_graph_search_runs_with_the_corpus_gone(
+        self, pipeline_dir, config_path, tmp_path, monkeypatch
+    ):
+        # the search sets ingest's peak; the corpus, its int columns and its
+        # spill files are dropped once the graph is built
+        corpora, searched = [], []
+        read_tables, search = cli.read_tables, cli.modularity_communities
+
+        def kept_read_tables(*args, **kwargs):
+            corpus, reports = read_tables(*args, **kwargs)
+            corpora.append(weakref.ref(corpus))
+            return corpus, reports
+
+        def checked_search(graph):
+            assert [ref() for ref in corpora] == [None]
+            searched.append(graph.n_vertices)
+            return search(graph)
+
+        monkeypatch.setattr(cli, "read_tables", kept_read_tables)
+        monkeypatch.setattr(cli, "modularity_communities", checked_search)
+        argv = ["ingest", "--config", str(config_path), "--out", str(tmp_path)]
+        argv += ["--input", str(pipeline_dir / "records.jsonl"), "--format", "jsonl"]
+        assert main(argv) == 0
+        assert searched == [json.loads((tmp_path / "retweet_network.json").read_text())["n_vertices"]]
 
 
 def _ingested_copy(pipeline_dir: Path, outdir: Path) -> Path:

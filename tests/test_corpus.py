@@ -3,6 +3,7 @@
 
 import dataclasses
 import json
+import struct
 import tempfile
 import zipfile
 from datetime import date, datetime, timedelta, timezone
@@ -14,9 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_loops as ref
-from tweet_tables import EPOCH, ONE_US, TweetRecord, arrays_of, corpus_of, counters_of
+from tweet_tables import (
+    EPOCH, ONE_US, TweetRecord, arrays_of, corpus_of, counters_of, file_sha256,
+)
 from tweetdyn.cli import main
-from tweetdyn.corpus import Corpus, CorpusRows, CorpusError, StringColumn, file_sha256
+from tweetdyn.corpus import Corpus, CorpusRows, CorpusError, StringColumn
 from tweetdyn.ingest import retweet_network, select_cohort, write_records
 from tweetdyn.strategy import SymbolDistribution, category_table, symbol_pairs, symbol_table
 from tweetdyn.timeseries import DayWindow, counts_by_user, daily_counts
@@ -156,11 +159,48 @@ class TestStringColumn:
     def test_of_and_strings_match_one_string_at_a_time(self, strings, data):
         column = StringColumn.of(iter(strings))
         encoded = [s.encode("utf-8", "surrogatepass") for s in strings]
-        assert column.blob.tobytes() == b"".join(encoded)
+        assert bytes(column.data[0 : int(column.offsets[-1])]) == b"".join(encoded)
         assert column.offsets.tolist() == np.cumsum([0] + [len(b) for b in encoded]).tolist()
         start = data.draw(st.integers(0, len(strings)))
         stop = data.draw(st.integers(start, len(strings)))
         assert column.strings(start, stop) == strings[start:stop]
+
+
+class TestFileBackedColumns:
+    """Columns spilled by ``CorpusRows.build`` and loaded by ``Corpus.load``
+    read their bytes from a file; they give what the in-memory column of
+    the same strings gives."""
+
+    @settings(max_examples=50)
+    @given(
+        st.lists(st.text(st.sampled_from(list("ab ,\n\x00") + ["é", "Ж", "\ud800", "\U0001f600"]),
+                         max_size=5), max_size=12),
+        st.data(),
+    )
+    def test_spilled_and_loaded_columns_read_as_in_memory_ones(self, strings, data):
+        n = len(strings)
+        rows = np.array(data.draw(st.lists(st.integers(0, max(n - 1, 0)), max_size=3 * n)), dtype=np.int64)
+        start = data.draw(st.integers(0, n))
+        stop = data.draw(st.integers(start, n))
+        want = StringColumn.of(strings)
+        with tempfile.TemporaryDirectory() as tmp, tempfile.TemporaryFile() as tweet_ids, \
+                tempfile.TemporaryFile() as texts:
+            store = CorpusRows(tweet_ids, texts)
+            store.add_rows(
+                tweet_id=strings, user=["u"] * n, source=[None] * n,
+                timestamp_us=np.zeros(n, dtype=np.int64), language=["en"] * n, text=strings,
+            )
+            spilled = store.build()
+            jsonl, npz = Path(tmp, "records.jsonl"), Path(tmp, "corpus.npz")
+            spilled.save(npz, write_records(spilled, jsonl))
+            loaded = Corpus.load(npz, jsonl)
+        for column in (spilled.tweet_id, spilled.text, loaded.tweet_id, loaded.text):
+            assert column.take(rows) == want.take(rows)
+            assert column.strings(start, stop) == want.strings(start, stop)
+            assert column.tolist() == want.tolist() == strings
+            selected = column.select(rows)
+            assert selected.tolist() == want.select(rows).tolist() == [strings[i] for i in rows]
+            assert selected.offsets.tolist() == want.select(rows).offsets.tolist()
 
 
 def _row_lists(records):
@@ -196,7 +236,12 @@ class TestCorpusRows:
                 store.add_rows(**_row_lists(records[lo:hi]))
             assert len(store) == len(records)
             corpus = store.build()
-        assert not corpus.text.blob.flags.writeable
+        # the strings are read from the spill files, which outlive the
+        # handles closed above; no view of their bytes is left to write to
+        for column in (corpus.tweet_id, corpus.text):
+            assert not column.offsets.flags.writeable
+            with pytest.raises(TypeError):
+                memoryview(column.data)
         assert arrays_of(corpus) == arrays_of(corpus_of(records))
 
     def test_roll_back_drops_ids_seen_only_since_the_mark(self):
@@ -264,11 +309,15 @@ class TestSidecarFile:
         _, npz, jsonl = self._saved(tmp_path, ["a", "bc"])
         loaded = Corpus.load(npz, jsonl)
         columns = [getattr(loaded, name) for name in ("user", "source", "timestamp_us", "language", "day")]
-        columns += [c for s in (loaded.tweet_id, loaded.text) for c in (s.blob, s.offsets)]
+        columns += [s.offsets for s in (loaded.tweet_id, loaded.text)]
         for column in columns:
             assert not column.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 column[0] = 1
+        # the strings are read from the sidecar: no view of its bytes to write to
+        for strings in (loaded.tweet_id, loaded.text):
+            with pytest.raises(TypeError):
+                memoryview(strings.data)
 
     def test_resaving_leaves_an_earlier_load_unchanged(self, tmp_path):
         corpus, npz, jsonl = self._saved(tmp_path, ["first", "rows"])
@@ -291,6 +340,35 @@ class TestSidecarFile:
         _, npz, jsonl = self._saved(tmp_path, ["a", "bc"])
         self._rewrite(npz, compression=zipfile.ZIP_DEFLATED)
         with pytest.raises(CorpusError, match="corpus.npz.*compressed.*re-run ingest"):
+            Corpus.load(npz, jsonl)
+
+    def test_member_whose_local_header_names_another_file_refused(self, tmp_path):
+        _, npz, jsonl = self._saved(tmp_path, ["a", "bc"])
+        data = npz.read_bytes()
+        # the local header's name alone; the central directory still says user.npy
+        at = data.index(b"user.npy")
+        npz.write_bytes(data[:at] + b"usex.npy" + data[at + len(b"user.npy") :])
+        with pytest.raises(CorpusError, match="corpus.npz.*user.npy.*usex.npy.*re-run ingest"):
+            Corpus.load(npz, jsonl)
+
+    def test_truncated_member_refused(self, tmp_path):
+        _, npz, jsonl = self._saved(tmp_path, ["a", "bc"])
+        data = bytearray(npz.read_bytes())
+        # the central directory entry of the last member claims 4 KiB more
+        # than the file holds after its local header
+        entry = data.rindex(b"PK\x01\x02")
+        sizes = struct.unpack_from("<II", data, entry + 20)
+        struct.pack_into("<II", data, entry + 20, *(size + 4096 for size in sizes))
+        npz.write_bytes(bytes(data))
+        with pytest.raises(CorpusError, match="corpus.npz.*text_offsets.npy is truncated.*re-run ingest"):
+            Corpus.load(npz, jsonl)
+
+    def test_flipped_text_byte_refused(self, tmp_path):
+        _, npz, jsonl = self._saved(tmp_path, ["a", "some text"])
+        data = bytearray(npz.read_bytes())
+        data[data.index(b"some text")] ^= 0x01
+        npz.write_bytes(bytes(data))
+        with pytest.raises(CorpusError, match="corpus.npz.*text_blob.npy.*CRC-32.*re-run ingest"):
             Corpus.load(npz, jsonl)
 
     def test_header_claiming_more_bytes_than_its_member_refused(self, tmp_path):

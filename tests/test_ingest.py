@@ -23,13 +23,14 @@ from tweet_tables import (
     arrays_of,
     corpus_of,
     fields_of,
+    file_sha256,
     parse_table,
     utc,
     write_csv,
 )
 from tweetdyn import ingest
 from tweetdyn.cli import main
-from tweetdyn.corpus import AMPLIFYING, ORIGINAL, SPREADING, Corpus, StringColumn, file_sha256
+from tweetdyn.corpus import AMPLIFYING, ORIGINAL, SPREADING, Corpus, StringColumn
 from tweetdyn.ingest import (
     ColumnMap,
     IngestError,

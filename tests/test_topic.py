@@ -1,5 +1,6 @@
 """Text pipeline: tokenizing, stemming, Gamma keywords, similarity graph."""
 
+import gc
 import json
 import logging
 import math
@@ -564,7 +565,7 @@ class TestCountTermsMemory:
         corpus = Corpus.load(out / cli.CORPUS_FILE, out / cli.RECORDS_FILE)
         window = config.analysis_window("pre")
         users = cohort_of(corpus, config, window)
-        text_bytes = corpus.text.blob.nbytes
+        text_bytes = int(corpus.text.offsets[-1])
         count_terms(corpus, users, window)  # fills the corpus's account index
         tracemalloc.start()
         try:
@@ -573,6 +574,36 @@ class TestCountTermsMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 2 * text_bytes
+
+
+def _mapped_rss(path):
+    """Bytes of ``path`` resident in this process's maps of it, from
+    ``/proc/self/smaps``."""
+    total, current = 0, None
+    for line in Path("/proc/self/smaps").read_text().splitlines():
+        head = line.split(maxsplit=5)
+        if len(head) >= 5 and "-" in head[0] and ":" in head[3]:  # a mapping's header
+            current = head[5] if len(head) == 6 else None
+        elif head[:1] == ["Rss:"] and current == str(path):
+            total += int(head[1]) * 1024
+    return total
+
+
+@pytest.mark.skipif(not Path("/proc/self/smaps").exists(), reason="needs Linux's smaps")
+def test_count_terms_leaves_no_text_page_resident(perfbench_runs):
+    # The texts are read with os.pread, so once count_terms has read every
+    # cohort tweet, the only resident pages of corpus.npz are those of the
+    # int members it maps, give or take their partial first and last pages.
+    out, _ = perfbench_runs["chatter"]
+    npz = out / cli.CORPUS_FILE
+    with np.load(npz) as members:
+        int_bytes = sum(members[k].nbytes for k in members.files if members[k].dtype == np.int64)
+    config = cli.load_config(None, {})
+    window = config.analysis_window("pre")
+    gc.collect()
+    corpus = Corpus.load(npz, out / cli.RECORDS_FILE)
+    count_terms(corpus, cohort_of(corpus, config, window), window)
+    assert _mapped_rss(npz.resolve()) <= int_bytes + 64 * 1024
 
 
 # --------------------------------------------- against the old text pipeline

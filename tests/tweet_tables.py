@@ -2,6 +2,7 @@
 from or turned into plain Python values."""
 
 import csv
+import hashlib
 import tempfile
 from collections import Counter
 from dataclasses import dataclass
@@ -56,6 +57,12 @@ def corpus_of(records):
         language=[r.language for r in records],
         text=[r.text for r in records],
     )
+
+
+def file_sha256(path):
+    """The sha256 of a file's bytes, as ``Corpus.load`` checks it."""
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def parse_table(path, fmt, columns):
