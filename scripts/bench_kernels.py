@@ -52,7 +52,7 @@ import reference_loops as ref  # noqa: E402
 from gen import planted_corpus, pseudo_words, write_csv  # noqa: E402
 from tweet_tables import arrays_of, counters_of  # noqa: E402
 from tweetdyn import cli, porter  # noqa: E402
-from tweetdyn.corpus import Corpus  # noqa: E402
+from tweetdyn.corpus import Corpus, CorpusRows  # noqa: E402
 from tweetdyn.graphs import WeightedGraph, modularity_communities  # noqa: E402
 from tweetdyn.ingest import ColumnMap, read_tables  # noqa: E402
 from tweetdyn.spectral import denoise, dft, kmedoids  # noqa: E402
@@ -156,14 +156,16 @@ def planted_rows(n_users: int, n_days: int, seed: int = 0) -> tuple[list[list[st
 
 def corpus_of_rows(rows: list[list[str]]) -> Corpus:
     tweet_id, user, stamp, language, _, source, text = map(list, zip(*rows))
-    return Corpus.from_columns(
+    store = CorpusRows(None)
+    store.add_rows(
         tweet_id=tweet_id,
         user=user,
         source=[s or None for s in source],
-        timestamp_us=np.array(stamp, dtype="datetime64[us]").astype(np.int64).tolist(),
+        timestamp_us=np.array(stamp, dtype="datetime64[us]").astype(np.int64),
         language=language,
         text=text,
     )
+    return store.build()
 
 
 def count_table(n: int, n_days: int, seed: int = 0) -> np.ndarray:
@@ -240,15 +242,11 @@ def loop_read(
     paths: list[str], fmt: str, columns: ColumnMap, spill_dir: Path
 ) -> tuple[Corpus, dict]:
     """The row loop's parse of each table, its rows joined and sorted stably
-    by (timestamp, tweet id)."""
-    joined, reports = {}, {}
-    for path in paths:
-        table, reports[path] = ref.parse_file(Path(path), fmt, columns)
-        for name, values in table.items():
-            joined.setdefault(name, []).extend(values)
-    keys = list(zip(joined["timestamp_us"], joined["tweet_id"]))
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    return Corpus.from_columns(**{k: [v[i] for i in order] for k, v in joined.items()}), reports
+    by (timestamp, tweet id) (``reference_loops.read_tables``)."""
+    table, reports = ref.read_tables(paths, fmt, columns)
+    store = CorpusRows(spill_dir)
+    store.add_rows(**table)
+    return store.build(), dict(zip(paths, reports))
 
 
 def same_parse(new, old) -> bool:

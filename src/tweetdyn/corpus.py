@@ -14,11 +14,12 @@ A :class:`Corpus` holds one row per tweet, in the order ``ingest`` wrote them:
 Strings are encoded with the ``surrogatepass`` handler, so any Python string
 survives the round trip, and byte order in a column equals code-point order.
 
-``ingest`` builds its corpus with a :class:`CorpusRows`: one account and
-one language id table for every table it reads, the int columns in memory,
-and the bytes of the tweet ids and texts spilled to two unnamed files that
-the corpus's string columns then read with ``os.pread``, a block or a row at
-a time; no page of them stays resident.
+Every corpus is built by a :class:`CorpusRows`: one account and one
+language id table for every block of rows it is given, the int columns in
+memory, and the bytes of the tweet ids and texts spilled to two unnamed
+files. Every string column reads its bytes from a file with ``os.pread``, a
+block or a row at a time, so no page of them stays resident; a selection of
+rows (:meth:`Corpus.select`) is gathered into two more unnamed files.
 
 ``ingest`` writes the corpus next to ``records.jsonl`` as ``corpus.npz``, an
 uncompressed zip of ``.npy`` members. The sidecar records the sha256 of that
@@ -40,6 +41,7 @@ import math
 import mmap
 import os
 import struct
+import tempfile
 import weakref
 import zipfile
 import zlib
@@ -58,7 +60,7 @@ US_PER_DAY = 86_400_000_000
 _EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
 # Any fixed stamp works; np.savez would write the wall clock here.
 _ZIP_DATE = (1980, 1, 1, 0, 0, 0)
-_SELECT_BLOCK = 8192  # rows joined at once by StringColumn.select
+_SELECT_BLOCK = 8192  # rows gathered at once by StringColumn.select
 # Bytes read at once by Corpus.load's checks and copied at once by
 # Corpus.save from a string column.
 _BLOCK_BYTES = 1 << 18
@@ -125,39 +127,20 @@ def _offsets(lengths: np.ndarray) -> np.ndarray:
     return offsets
 
 
-class _FileBytes:
-    """The bytes of a file from ``start`` on, sliced as ``bytes`` is, each
-    slice one ``os.pread``. It owns ``fd``, which it closes when it is
-    collected, so the columns that read a file keep it open."""
-
-    def __init__(self, fd: int, start: int) -> None:
-        self.fd, self.start = fd, start
-        weakref.finalize(self, os.close, fd)
-
-    def __getitem__(self, span: slice) -> bytes:
-        size = span.stop - span.start
-        data = os.pread(self.fd, size, self.start + span.start)
-        if len(data) != size:
-            raise OSError(f"read {len(data)} of {size} bytes: the file is shorter than its column")
-        return data
-
-
 @dataclass(frozen=True, eq=False)
 class StringColumn:
-    """Strings stored as UTF-8 bytes one after another; row ``i`` is
-    ``data[offsets[i]:offsets[i+1]]``.
+    """Strings stored as UTF-8 bytes one after another in a file, from byte
+    ``start`` on; row ``i`` is bytes ``offsets[i]`` to ``offsets[i+1]`` of
+    that region, read with ``os.pread`` as it is asked for. The column owns
+    ``fd``, which it closes when it is collected, so it keeps its file open
+    after every other handle of it is closed."""
 
-    ``data`` is a read-only memoryview for a column built in memory, and a
-    file region (``_FileBytes``) for a spilled or loaded one, whose bytes
-    are read with ``os.pread`` as they are asked for."""
-
-    data: memoryview | _FileBytes
+    fd: int
+    start: int
     offsets: np.ndarray
 
-    @classmethod
-    def of(cls, strings: Iterable[str]) -> "StringColumn":
-        blob, lengths = _encoded(list(strings))
-        return cls(data=memoryview(blob), offsets=_offsets(lengths))
+    def __post_init__(self) -> None:
+        weakref.finalize(self, os.close, self.fd)
 
     def __len__(self) -> int:
         return len(self.offsets) - 1
@@ -165,31 +148,34 @@ class StringColumn:
     def take(self, rows: Sequence[int]) -> list[str]:
         return [str(b, "utf-8", "surrogatepass") for b in self._bytes(rows)]
 
-    def select(self, rows: np.ndarray) -> "StringColumn":
-        """A column of the given rows, in that order, in memory; joined a
-        block of rows at a time."""
-        offsets = _offsets(np.diff(self.offsets)[rows])
-        data = bytearray(int(offsets[-1]))
-        for lo in range(0, len(rows), _SELECT_BLOCK):
-            chunk = b"".join(self._bytes(rows[lo : lo + _SELECT_BLOCK]))
-            data[offsets[lo] : offsets[lo] + len(chunk)] = chunk
-        return StringColumn(data=memoryview(data).toreadonly(), offsets=offsets)
+    def select(self, rows: np.ndarray, spill_dir: str | Path | None) -> "StringColumn":
+        """A column of the given rows, in that order, gathered a block of
+        rows at a time into an unnamed file in ``spill_dir``."""
+        with tempfile.TemporaryFile(dir=spill_dir) as fh:
+            for lo in range(0, len(rows), _SELECT_BLOCK):
+                fh.write(b"".join(self._bytes(rows[lo : lo + _SELECT_BLOCK])))
+            return _spilled(fh, _offsets(np.diff(self.offsets)[rows]))
 
-    def _bytes(self, rows: Sequence[int]) -> Iterator[memoryview | bytes]:
-        """The bytes of each row: a view of an in-memory column, one read
-        of a file-backed one."""
+    def _bytes(self, rows: Sequence[int]) -> Iterator[bytes]:
+        """The bytes of each row, one read each."""
         rows = np.asarray(rows, dtype=np.int64)
-        starts, stops = self.offsets[rows], self.offsets[rows + 1]
-        if isinstance(self.data, _FileBytes):
-            sizes, at = (stops - starts).tolist(), (starts + self.data.start).tolist()
-            return map(os.pread, repeat(self.data.fd), sizes, at)
-        return map(self.data.__getitem__, map(slice, starts.tolist(), stops.tolist()))
+        starts = self.offsets[rows]
+        sizes = (self.offsets[rows + 1] - starts).tolist()
+        return map(os.pread, repeat(self.fd), sizes, (starts + self.start).tolist())
+
+    def _read(self, lo: int, hi: int) -> bytes:
+        """Bytes ``lo`` to ``hi`` of the column's data, in one read."""
+        size = hi - lo
+        data = os.pread(self.fd, size, self.start + lo)
+        if len(data) != size:
+            raise OSError(f"read {len(data)} of {size} bytes: the file is shorter than its column")
+        return data
 
     def strings(self, start: int, stop: int) -> list[str]:
         """Rows ``start`` to ``stop`` (exclusive), reading only their bytes,
         in one piece."""
         off = self.offsets[start : stop + 1]
-        raw = self.data[int(off[0]) : int(off[-1])]
+        raw = self._read(int(off[0]), int(off[-1]))
         off = (off - off[0]).tolist()
         text = str(raw, "utf-8", "surrogatepass")
         if len(text) != len(raw):  # a character of more than one byte
@@ -198,6 +184,16 @@ class StringColumn:
 
     def tolist(self) -> list[str]:
         return self.strings(0, len(self))
+
+
+def _spilled(fh: BinaryIO, offsets: np.ndarray) -> StringColumn:
+    """A column of the bytes written to the file ``fh``, with read-only
+    ``offsets``; it takes the file over, through its own descriptor, and
+    closes ``fh``."""
+    with fh:
+        fh.flush()
+        offsets.flags.writeable = False
+        return StringColumn(fd=os.dup(fh.fileno()), start=0, offsets=offsets)
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,45 +215,17 @@ class Corpus:
         day.flags.writeable = False
         object.__setattr__(self, "day", day)
 
-    @classmethod
-    def from_columns(
-        cls,
-        tweet_id: list[str],
-        user: list[str],
-        source: list[str | None],
-        timestamp_us: list[int],
-        language: list[str],
-        text: list[str],
-    ) -> "Corpus":
-        """A corpus of plain per-row lists; ``source`` is None for a tweet
-        that is not a retweet."""
-        accounts = sorted(set(user).union(s for s in source if s is not None))
-        code = {a: i for i, a in enumerate(accounts)}
-        code[None] = -1
-        language_ids = sorted(set(language))
-        lang_code = {x: i for i, x in enumerate(language_ids)}
-        n = len(user)
-        return cls(
-            account_ids=tuple(accounts),
-            user=np.fromiter(map(code.__getitem__, user), np.int64, n),
-            source=np.fromiter(map(code.__getitem__, source), np.int64, n),
-            timestamp_us=np.array(timestamp_us, dtype=np.int64),
-            language_ids=tuple(language_ids),
-            language=np.fromiter(map(lang_code.__getitem__, language), np.int64, n),
-            tweet_id=StringColumn.of(tweet_id),
-            text=StringColumn.of(text),
-        )
-
-    def select(self, rows: np.ndarray) -> "Corpus":
-        """The given rows, in that order; the tables stay as they are."""
+    def select(self, rows: np.ndarray, spill_dir: str | Path | None) -> "Corpus":
+        """The given rows, in that order; the tables stay as they are, and
+        the strings are gathered into two unnamed files in ``spill_dir``."""
         return replace(
             self,
             user=self.user[rows],
             source=self.source[rows],
             timestamp_us=self.timestamp_us[rows],
             language=self.language[rows],
-            tweet_id=self.tweet_id.select(rows),
-            text=self.text.select(rows),
+            tweet_id=self.tweet_id.select(rows, spill_dir),
+            text=self.text.select(rows, spill_dir),
         )
 
     def __len__(self) -> int:
@@ -327,15 +295,15 @@ class Corpus:
         replaced atomically (:func:`replacing`): a corpus loaded from an
         earlier sidecar keeps that file open and its values.
         """
-        accounts = StringColumn.of(self.account_ids)
-        languages = StringColumn.of(self.language_ids)
         members = {
             "version": np.array(FORMAT_VERSION, dtype=np.int64),
             "records_sha256": np.array(records_sha256, dtype="U64"),
-            "account_blob": accounts,
-            "account_offsets": accounts.offsets,
-            "language_blob": languages,
-            "language_offsets": languages.offsets,
+        }
+        for name, table in (("account", self.account_ids), ("language", self.language_ids)):
+            blob, lengths = _encoded(list(table))
+            members[f"{name}_blob"] = np.frombuffer(blob, dtype=np.uint8)
+            members[f"{name}_offsets"] = _offsets(lengths)
+        members |= {
             "user": self.user,
             "source": self.source,
             "timestamp_us": self.timestamp_us,
@@ -351,7 +319,7 @@ class Corpus:
                     size = int(value.offsets[-1])
                     header_data = {"descr": "|u1", "fortran_order": False, "shape": (size,)}
                     blocks = (
-                        value.data[lo : min(lo + _BLOCK_BYTES, size)]
+                        value._read(lo, min(lo + _BLOCK_BYTES, size))
                         for lo in range(0, size, _BLOCK_BYTES)
                     )
                 else:  # np.save's header, then the array's own buffer: no copy
@@ -472,19 +440,22 @@ _INT_COLUMNS = ("user", "source", "timestamp_us", "language", "tweet_id_bytes", 
 
 
 class CorpusRows:
-    """A corpus built from blocks of rows: one id table for accounts and one
-    for languages, the int columns in memory, and the bytes of the tweet ids
-    and texts written to two files as each block comes in.
+    """The one builder of a :class:`Corpus`, from blocks of rows: one id
+    table for accounts and one for languages, the int columns in memory, and
+    the bytes of the tweet ids and texts written to two unnamed files in
+    ``spill_dir`` (None: the default temporary directory) as each block
+    comes in.
 
-    :meth:`build` gives each of the corpus's string columns its own
-    descriptor of its file, from which it reads its bytes with ``os.pread``
-    as :meth:`Corpus.load`'s columns read the sidecar; so the files stay open
-    as long as the corpus lives, after the handles given here are closed,
-    and unnamed files leave no name behind.
+    :meth:`build` hands each file to the corpus's string column of it, which
+    reads its bytes with ``os.pread`` as :meth:`Corpus.load`'s columns read
+    the sidecar; so a file stays open as long as its column lives, and
+    leaves no name behind.
     """
 
-    def __init__(self, tweet_ids: BinaryIO, texts: BinaryIO) -> None:
-        self._files = {"tweet_id": tweet_ids, "text": texts}
+    def __init__(self, spill_dir: str | Path | None) -> None:
+        self._files = {
+            name: tempfile.TemporaryFile(dir=spill_dir) for name in ("tweet_id", "text")
+        }
         self._accounts, self._languages = Codes(), Codes()
         self._blocks: dict[str, list[np.ndarray]] = {name: [] for name in _INT_COLUMNS}
         self._rows = 0
@@ -501,7 +472,8 @@ class CorpusRows:
         language: list[str],
         text: list[str],
     ) -> None:
-        """Append rows given as ``Corpus.from_columns`` takes them."""
+        """Append rows, one list per column; ``source`` is None for a tweet
+        that is not a retweet."""
         n = len(user)
         accounts = self._accounts.__getitem__
         columns = {
@@ -540,9 +512,10 @@ class CorpusRows:
             fh.truncate()
 
     def build(self) -> Corpus:
-        """The rows added, coded against the sorted id tables; call it once.
-        Each column's blocks are moved into it one at a time, so one block
-        is the transient; the byte counts become offsets in place."""
+        """The rows added, coded against the sorted id tables; call it once,
+        as the spill files go to the corpus. Each column's blocks are moved
+        into it one at a time, so one block is the transient; the byte
+        counts become offsets in place."""
         account_ids, account_place = self._accounts.sorted_table()
         language_ids, language_place = self._languages.sorted_table()
         place = {"user": account_place, "source": account_place, "language": language_place}
@@ -560,10 +533,7 @@ class CorpusRows:
         for name, fh in self._files.items():
             offsets = columns.pop(f"{name}_bytes")
             np.cumsum(offsets, out=offsets)
-            offsets.flags.writeable = False
-            fh.flush()
-            data = _FileBytes(os.dup(fh.fileno()), 0)
-            strings[name] = StringColumn(data=data, offsets=offsets)
+            strings[name] = _spilled(fh, offsets)
         return Corpus(
             account_ids=account_ids,
             language_ids=language_ids,
@@ -653,4 +623,4 @@ def _strings(
         raise ValueError(f"{name}_offsets do not span the blob")
     if np.any(np.diff(offsets) < 0):
         raise ValueError(f"{name}_offsets are not monotone")
-    return StringColumn(data=_FileBytes(os.dup(fd), start), offsets=offsets)
+    return StringColumn(fd=os.dup(fd), start=start, offsets=offsets)

@@ -10,7 +10,8 @@ retweet_userid, tweet_text``. Column names are remappable via
 parse (:func:`parse_records`, one table) keeps one account and one language
 id table across all tables, holds only int columns in memory and writes the
 bytes of the tweet ids and texts to two unnamed files under the output
-directory as each block of rows is checked; the corpus maps them read-only.
+directory as each block of rows is checked; the corpus reads them from
+there with ``os.pread``.
 
 Every tweet by a campaign account falls in exactly one category
 (:meth:`Corpus.categories`):
@@ -31,7 +32,6 @@ import csv
 import hashlib
 import json
 import logging
-import tempfile
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta, timezone
 from itertools import compress, islice, repeat
@@ -111,7 +111,6 @@ class ParseReport:
     total_rows: int = field(default=0, init=False)
     accepted: int = field(default=0, init=False)
     rejected: int = field(default=0, init=False)
-    # a plain dict: dataclasses.asdict rebuilds a Counter from its items
     reasons: dict[str, int] = field(default_factory=dict, init=False)
 
     def reject(self, reason: str) -> None:
@@ -206,22 +205,19 @@ def read_tables(
     (timestamp, tweet id) order, and the report on each table by its path.
 
     The bytes of the tweet ids and texts go to two unnamed files in
-    ``spill_dir`` as each block is checked, and only the int columns stay in
-    memory; the corpus's string columns read their bytes from those files
-    with ``os.pread``, and hold them open as long as the corpus lives.
-    Rows already in order are not copied. Otherwise they are gathered once;
-    the sort is stable, so rows equal in both keys keep their input order,
-    the tables' in the order given.
+    ``spill_dir`` as each block is checked (:class:`CorpusRows`), and only
+    the int columns stay in memory; the corpus's string columns read their
+    bytes from those files with ``os.pread``, and hold them open as long as
+    the corpus lives. Rows already in order are not copied. Otherwise they
+    are gathered once, a block at a time, into two more unnamed files in
+    ``spill_dir`` (:meth:`Corpus.select`); the sort is stable, so rows equal
+    in both keys keep their input order, the tables' in the order given.
     """
-    with (
-        tempfile.TemporaryFile(dir=spill_dir) as tweet_ids,
-        tempfile.TemporaryFile(dir=spill_dir) as texts,
-    ):
-        store = CorpusRows(tweet_ids, texts)
-        reports = {path: parse_records(path, fmt, columns, store)[1] for path in paths}
-        corpus = store.build()
+    store = CorpusRows(spill_dir)
+    reports = {path: parse_records(path, fmt, columns, store)[1] for path in paths}
+    corpus = store.build()
     if not _in_order(corpus):
-        corpus = corpus.select(_ingest_order(corpus))
+        corpus = corpus.select(_ingest_order(corpus), spill_dir)
     return corpus, reports
 
 

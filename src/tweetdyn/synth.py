@@ -28,7 +28,7 @@ from datetime import date
 
 import numpy as np
 
-from .corpus import AMPLIFYING, SPREADING, US_PER_DAY, Corpus
+from .corpus import AMPLIFYING, SPREADING, US_PER_DAY, Corpus, CorpusRows
 from .timeseries import CountSeries, DayWindow
 
 _US_PER_MINUTE = 60_000_000
@@ -241,7 +241,8 @@ def generate_corpus(
         terms += [*g.vocabulary, *noise]
 
     names = np.array([*users, *AMPLIFIED_OUTSIDERS, None], dtype=object)
-    corpus = Corpus.from_columns(
+    rows = CorpusRows(None)
+    rows.add_rows(
         tweet_id=["syn%08d" % serial for serial in range(1, n + 1)],
         user=names[author].tolist(),
         source=names[source].tolist(),
@@ -249,6 +250,7 @@ def generate_corpus(
         language=["en"] * n,
         text=list(map(" ".join, zip(*np.array(terms, dtype=object)[term.T].tolist()))),
     )
+    corpus = rows.build()
     group_of = {uid: r.group_id for r in rates for uid in _member_ids(r)}
     return corpus, group_of
 

@@ -27,14 +27,17 @@ formatted one cell at a time, and the JSON walker the one whose plain view
 import csv
 import dataclasses
 import enum
+import io
 import json
 import math
 import re
+import zipfile
 from collections import Counter
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
 from functools import lru_cache
 from operator import itemgetter
+from pathlib import Path
 
 import numpy as np
 
@@ -411,7 +414,7 @@ def jsonl_rows(fh, path, fields, check):
 
 
 def parse_rows(rows):
-    """The accepted rows' columns (as ``Corpus.from_columns`` takes them)
+    """The accepted rows' columns (as ``CorpusRows.add_rows`` takes them)
     and the report on every row."""
     report = ParseReport()
     tweet_id, user, source, timestamp_us, language, text = ([] for _ in range(6))
@@ -472,6 +475,67 @@ def parse_file(path, fmt, columns):
             fh.seek(0)
             fh.reconfigure(errors="surrogateescape")
             return parse_rows(read(fh, path, fields, True))
+
+
+def read_tables(paths, fmt, columns):
+    """``parse_file`` over each table, the accepted rows joined in table
+    order and sorted stably by (timestamp, tweet id), and the reports."""
+    joined, reports = {}, []
+    for path in paths:
+        table, report = parse_file(Path(path), fmt, columns)
+        for name, values in table.items():
+            joined.setdefault(name, []).extend(values)
+        reports.append(report)
+    keys = list(zip(joined["timestamp_us"], joined["tweet_id"]))
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    return {name: [values[i] for i in order] for name, values in joined.items()}, reports
+
+
+def arrays_of(columns):
+    """The tables and columns of the corpus of rows given one list per
+    column (as ``parse_rows`` gives them), as ``tweet_tables.arrays_of``
+    reads them off a corpus: the sorted id tables, each code looked up in a
+    dict and each UTC day from its timestamp."""
+    accounts = sorted({*columns["user"], *(s for s in columns["source"] if s is not None)})
+    languages = sorted(set(columns["language"]))
+    account = {a: i for i, a in enumerate(accounts)} | {None: -1}
+    language = {x: i for i, x in enumerate(languages)}
+    epoch = date(1970, 1, 1)
+    return {
+        "account_ids": tuple(accounts),
+        "language_ids": tuple(languages),
+        "user": [account[u] for u in columns["user"]],
+        "source": [account[s] for s in columns["source"]],
+        "timestamp_us": [int(us) for us in columns["timestamp_us"]],
+        "language": [language[x] for x in columns["language"]],
+        "day": [(epoch + timedelta(microseconds=int(us))).toordinal() for us in columns["timestamp_us"]],
+        "tweet_id": list(columns["tweet_id"]),
+        "text": list(columns["text"]),
+    }
+
+
+def sidecar_bytes(arrays, records_sha256):
+    """The ``corpus.npz`` of ``arrays_of``'s tables and columns: each member
+    as ``np.save`` writes it, stored by ``ZipFile.writestr`` with a fixed
+    date."""
+    members = {"version": np.array(1, dtype=np.int64), "records_sha256": np.array(records_sha256, dtype="U64")}
+    for name in ("account_ids", "language_ids", "user", "source", "timestamp_us", "language",
+                 "tweet_id", "text"):
+        values = arrays[name]
+        if name in ("user", "source", "timestamp_us", "language"):
+            members[name] = np.array(values, dtype=np.int64)
+            continue
+        encoded = [s.encode("utf-8", "surrogatepass") for s in values]
+        stem = name.removesuffix("_ids")
+        members[f"{stem}_blob"] = np.frombuffer(b"".join(encoded), dtype=np.uint8)
+        members[f"{stem}_offsets"] = np.cumsum([0, *map(len, encoded)], dtype=np.int64)
+    out = io.BytesIO()
+    with zipfile.ZipFile(out, "w", zipfile.ZIP_STORED) as zf:
+        for name, value in members.items():
+            npy = io.BytesIO()
+            np.save(npy, value)
+            zf.writestr(zipfile.ZipInfo(f"{name}.npy", date_time=(1980, 1, 1, 0, 0, 0)), npy.getvalue())
+    return out.getvalue()
 
 
 # ------------------------------------------------------------- CSV writer

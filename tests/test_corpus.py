@@ -3,6 +3,7 @@
 
 import dataclasses
 import json
+import os
 import struct
 import tempfile
 import zipfile
@@ -19,7 +20,7 @@ from tweet_tables import (
     EPOCH, ONE_US, TweetRecord, arrays_of, corpus_of, counters_of, file_sha256,
 )
 from tweetdyn.cli import main
-from tweetdyn.corpus import Corpus, CorpusRows, CorpusError, StringColumn
+from tweetdyn.corpus import Corpus, CorpusRows, CorpusError
 from tweetdyn.ingest import retweet_network, select_cohort, write_records
 from tweetdyn.strategy import SymbolDistribution, category_table, symbol_pairs, symbol_table
 from tweetdyn.timeseries import DayWindow, counts_by_user, daily_counts
@@ -145,71 +146,62 @@ class TestKernelsMatchReferenceLoops:
         assert ref.graph_key(got) == ref.graph_key(want)
 
 
-class TestStringColumn:
-    """A column of ASCII strings is encoded and decoded in one piece; any
-    other column one string at a time. Both give the bytes and strings of
-    the one-at-a-time path."""
-
-    @settings(max_examples=200)
-    @given(
-        st.lists(st.text(st.sampled_from(list("ab ,\n\x00") + ["é", "Ж", "\ud800", "\U0001f600"]),
-                         max_size=5), max_size=12),
-        st.data(),
-    )
-    def test_of_and_strings_match_one_string_at_a_time(self, strings, data):
-        column = StringColumn.of(iter(strings))
-        encoded = [s.encode("utf-8", "surrogatepass") for s in strings]
-        assert bytes(column.data[0 : int(column.offsets[-1])]) == b"".join(encoded)
-        assert column.offsets.tolist() == np.cumsum([0] + [len(b) for b in encoded]).tolist()
-        start = data.draw(st.integers(0, len(strings)))
-        stop = data.draw(st.integers(start, len(strings)))
-        assert column.strings(start, stop) == strings[start:stop]
-
-
 class TestFileBackedColumns:
-    """Columns spilled by ``CorpusRows.build`` and loaded by ``Corpus.load``
-    read their bytes from a file; they give what the in-memory column of
-    the same strings gives."""
+    """Columns spilled by ``CorpusRows.build``, loaded by ``Corpus.load`` and
+    gathered by ``select`` read their bytes from a file that holds the
+    strings' UTF-8 bytes one after another, at offsets that are the
+    cumulative byte counts of the strings encoded one at a time; they expose
+    no buffer, and give the rows a plain list of the strings gives. A column
+    of ASCII strings is decoded in one piece, any other one string at a
+    time."""
 
-    @settings(max_examples=50)
+    @settings(max_examples=100)
     @given(
         st.lists(st.text(st.sampled_from(list("ab ,\n\x00") + ["é", "Ж", "\ud800", "\U0001f600"]),
                          max_size=5), max_size=12),
         st.data(),
     )
-    def test_spilled_and_loaded_columns_read_as_in_memory_ones(self, strings, data):
+    def test_spilled_loaded_and_selected_columns_read_as_the_strings(self, strings, data):
         n = len(strings)
         rows = np.array(data.draw(st.lists(st.integers(0, max(n - 1, 0)), max_size=3 * n)), dtype=np.int64)
         start = data.draw(st.integers(0, n))
         stop = data.draw(st.integers(start, n))
-        want = StringColumn.of(strings)
-        with tempfile.TemporaryDirectory() as tmp, tempfile.TemporaryFile() as tweet_ids, \
-                tempfile.TemporaryFile() as texts:
-            store = CorpusRows(tweet_ids, texts)
+
+        def check(column, want):
+            encoded = [s.encode("utf-8", "surrogatepass") for s in want]
+            assert column.offsets.tolist() == np.cumsum([0, *map(len, encoded)]).tolist()
+            assert os.pread(column.fd, int(column.offsets[-1]), column.start) == b"".join(encoded)
+            with pytest.raises(TypeError):
+                memoryview(column)
+            assert column.tolist() == want
+
+        with tempfile.TemporaryDirectory() as tmp:
+            store = CorpusRows(tmp)
             store.add_rows(
                 tweet_id=strings, user=["u"] * n, source=[None] * n,
-                timestamp_us=np.zeros(n, dtype=np.int64), language=["en"] * n, text=strings,
+                timestamp_us=[0] * n, language=["en"] * n, text=strings,
             )
             spilled = store.build()
             jsonl, npz = Path(tmp, "records.jsonl"), Path(tmp, "corpus.npz")
             spilled.save(npz, write_records(spilled, jsonl))
             loaded = Corpus.load(npz, jsonl)
-        for column in (spilled.tweet_id, spilled.text, loaded.tweet_id, loaded.text):
-            assert column.take(rows) == want.take(rows)
-            assert column.strings(start, stop) == want.strings(start, stop)
-            assert column.tolist() == want.tolist() == strings
-            selected = column.select(rows)
-            assert selected.tolist() == want.select(rows).tolist() == [strings[i] for i in rows]
-            assert selected.offsets.tolist() == want.select(rows).offsets.tolist()
+            for column in (spilled.tweet_id, spilled.text, loaded.tweet_id, loaded.text):
+                check(column, strings)
+                assert column.take(rows) == [strings[i] for i in rows]
+                assert column.strings(start, stop) == strings[start:stop]
+                check(column.select(rows, tmp), [strings[i] for i in rows])
+            # the spill files are unnamed
+            assert sorted(os.listdir(tmp)) == ["corpus.npz", "records.jsonl"]
 
 
 def _row_lists(records):
-    """The records' rows as ``Corpus.from_columns`` and ``add_rows`` take them."""
+    """The records' rows as ``add_rows`` and ``reference_loops.arrays_of``
+    take them."""
     return dict(
         tweet_id=[r.tweet_id for r in records],
         user=[r.user_id for r in records],
         source=[r.retweeted_user_id if r.is_retweet else None for r in records],
-        timestamp_us=np.array([(r.timestamp - EPOCH) // ONE_US for r in records], dtype=np.int64),
+        timestamp_us=[(r.timestamp - EPOCH) // ONE_US for r in records],
         language=[r.language for r in records],
         text=[r.text for r in records],
     )
@@ -217,8 +209,9 @@ def _row_lists(records):
 
 class TestCorpusRows:
     """Rows added in blocks, with ids first seen in any order, build the
-    corpus ``from_columns`` builds of all of them at once; rolling back to a
-    mark drops the rows, ids and bytes added since, as if they never were."""
+    corpus the plain-Python ``reference_loops.arrays_of`` gives of all of
+    them at once; rolling back to a mark drops the rows, ids and bytes added
+    since, as if they never were."""
 
     @settings(max_examples=100)
     @given(records_st(), st.data())
@@ -226,44 +219,42 @@ class TestCorpusRows:
         cuts = sorted(data.draw(st.lists(st.integers(0, len(records)), max_size=4)))
         mark_at = data.draw(st.integers(0, len(cuts)))
         bounds = [0, *cuts, len(records)]
-        with tempfile.TemporaryFile() as tweet_ids, tempfile.TemporaryFile() as texts:
-            store = CorpusRows(tweet_ids, texts)
-            for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-                if i == mark_at:
-                    mark = store.mark()
-                    store.add_rows(**_row_lists(list(reversed(records))))  # dropped below
-                    store.roll_back(mark)
-                store.add_rows(**_row_lists(records[lo:hi]))
-            assert len(store) == len(records)
-            corpus = store.build()
+        store = CorpusRows(None)
+        for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+            if i == mark_at:
+                mark = store.mark()
+                store.add_rows(**_row_lists(list(reversed(records))))  # dropped below
+                store.roll_back(mark)
+            store.add_rows(**_row_lists(records[lo:hi]))
+        assert len(store) == len(records)
+        corpus = store.build()
         # the strings are read from the spill files, which outlive the
-        # handles closed above; no view of their bytes is left to write to
+        # store's handles; no view of their bytes is left to write to
         for column in (corpus.tweet_id, corpus.text):
             assert not column.offsets.flags.writeable
             with pytest.raises(TypeError):
-                memoryview(column.data)
-        assert arrays_of(corpus) == arrays_of(corpus_of(records))
+                memoryview(column)
+        assert arrays_of(corpus) == ref.arrays_of(_row_lists(records))
 
     def test_roll_back_drops_ids_seen_only_since_the_mark(self):
         rows = [TweetRecord(str(i), f"u{i}", BASE, "en", False, None, "é") for i in range(3)]
         late = TweetRecord("9", "zz", BASE, "ru", True, "x0", "gone")
-        with tempfile.TemporaryFile() as tweet_ids, tempfile.TemporaryFile() as texts:
-            store = CorpusRows(tweet_ids, texts)
-            store.add_rows(**_row_lists(rows[:1]))
-            mark = store.mark()
-            store.add_rows(**_row_lists([late, *rows[1:]]))
-            store.roll_back(mark)
-            store.add_rows(**_row_lists(rows[1:]))
-            corpus = store.build()
-            assert tweet_ids.seek(0, 2) == 3 and texts.seek(0, 2) == 3 * len("é".encode())
+        store = CorpusRows(None)
+        store.add_rows(**_row_lists(rows[:1]))
+        mark = store.mark()
+        store.add_rows(**_row_lists([late, *rows[1:]]))
+        store.roll_back(mark)
+        store.add_rows(**_row_lists(rows[1:]))
+        corpus = store.build()
+        assert os.fstat(corpus.tweet_id.fd).st_size == 3
+        assert os.fstat(corpus.text.fd).st_size == 3 * len("é".encode())
         assert corpus.account_ids == ("u0", "u1", "u2")
         assert corpus.language_ids == ("en",)
-        assert arrays_of(corpus) == arrays_of(corpus_of(rows))
+        assert arrays_of(corpus) == ref.arrays_of(_row_lists(rows))
 
     def test_no_rows_build_an_empty_corpus(self):
-        with tempfile.TemporaryFile() as tweet_ids, tempfile.TemporaryFile() as texts:
-            corpus = CorpusRows(tweet_ids, texts).build()
-        assert arrays_of(corpus) == arrays_of(corpus_of([]))
+        corpus = CorpusRows(None).build()
+        assert arrays_of(corpus) == ref.arrays_of(_row_lists([]))
 
 
 class TestSidecarFile:
@@ -317,7 +308,7 @@ class TestSidecarFile:
         # the strings are read from the sidecar: no view of its bytes to write to
         for strings in (loaded.tweet_id, loaded.text):
             with pytest.raises(TypeError):
-                memoryview(strings.data)
+                memoryview(strings)
 
     def test_resaving_leaves_an_earlier_load_unchanged(self, tmp_path):
         corpus, npz, jsonl = self._saved(tmp_path, ["first", "rows"])

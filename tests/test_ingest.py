@@ -25,12 +25,11 @@ from tweet_tables import (
     fields_of,
     file_sha256,
     parse_table,
-    utc,
     write_csv,
 )
 from tweetdyn import ingest
 from tweetdyn.cli import main
-from tweetdyn.corpus import AMPLIFYING, ORIGINAL, SPREADING, Corpus, StringColumn
+from tweetdyn.corpus import AMPLIFYING, ORIGINAL, SPREADING, StringColumn
 from tweetdyn.ingest import (
     ColumnMap,
     IngestError,
@@ -793,8 +792,9 @@ class TestColumnChecksMatchRowLoop:
     """``parse_records`` checks whole columns; the row loop it replaced
     (``reference_loops.parse_file``) checks one row at a time. On tables that
     mix well-formed rows with every kind of malformed one, both give the same
-    corpus bytes and the same report, reasons in the same order, whatever
-    the block size."""
+    columns (``reference_loops.arrays_of``), the same sidecar bytes
+    (``reference_loops.sidecar_bytes``) and the same report, reasons in the
+    same order, whatever the block size."""
 
     @settings(max_examples=250, deadline=None)
     @given(
@@ -811,21 +811,12 @@ class TestColumnChecksMatchRowLoop:
             with mock.patch.object(ingest, "_PARSE_BLOCK", block):
                 corpus, report = parse_table(path, fmt, columns)
             old_columns, old_report = ref.parse_file(path, fmt, columns)
+            old_arrays = ref.arrays_of(old_columns)
+            assert arrays_of(corpus) == old_arrays
             corpus.save(Path(tmp, "new.npz"), "0" * 64)
-            Corpus.from_columns(**old_columns).save(Path(tmp, "old.npz"), "0" * 64)
-            assert Path(tmp, "new.npz").read_bytes() == Path(tmp, "old.npz").read_bytes()
+            assert Path(tmp, "new.npz").read_bytes() == ref.sidecar_bytes(old_arrays, "0" * 64)
         assert report == old_report
         assert list(report.reasons) == list(old_report.reasons)
-
-
-def _records_of(columns):
-    """The accepted rows of ``reference_loops.parse_file`` as records."""
-    return [
-        TweetRecord(tid, user, utc(us), lang, src is not None, src, text)
-        for tid, user, src, us, lang, text in zip(
-            *(columns[k] for k in ("tweet_id", "user", "source", "timestamp_us", "language", "text"))
-        )
-    ]
 
 
 PAD_ROWS = 200  # 11 KB of CSV rows or more: past the reader's first 8 KB buffer
@@ -858,12 +849,13 @@ def _padded(table, fmt, columns):
 
 
 class TestReadTablesMatchesRowLoop:
-    """``read_tables`` over several tables against the row loop: each table
-    through ``reference_loops.parse_file``, the rows joined in table order
-    and put in ``ingest_order``. The tables mix rows out of (time, id)
-    order, ties within and across tables, text outside ASCII, bytes that
-    are not UTF-8 (so a table is parsed again) and an account id seen only
-    in a rejected row; the parse spills into a directory it leaves empty."""
+    """``read_tables`` over several tables against the row loop
+    (``reference_loops.read_tables``): each table through ``parse_file``,
+    the rows joined in table order and sorted by (timestamp, tweet id). The
+    tables mix rows out of (time, id) order, ties within and across tables,
+    text outside ASCII, bytes that are not UTF-8 (so a table is parsed
+    again) and an account id seen only in a rejected row; the parse spills
+    into a directory it leaves empty."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -886,12 +878,8 @@ class TestReadTablesMatchesRowLoop:
             with mock.patch.object(ingest, "_PARSE_BLOCK", block):
                 corpus, reports = read_tables([str(p) for p in paths], fmt, columns, spill)
             assert list(spill.iterdir()) == []
-            records, old_reports = [], []
-            for path in paths:
-                old_columns, old_report = ref.parse_file(path, fmt, columns)
-                records += _records_of(old_columns)
-                old_reports.append(old_report)
-        assert arrays_of(corpus) == arrays_of(corpus_of(ref.ingest_order(records)))
+            old_columns, old_reports = ref.read_tables(paths, fmt, columns)
+        assert arrays_of(corpus) == ref.arrays_of(old_columns)
         assert list(reports.values()) == old_reports
         assert ONLY_REJECTED not in corpus.account_ids
         if padded >= 0:
@@ -968,3 +956,25 @@ class TestParseMemory:
             assert report.accepted == len(corpus) == n_rows
             transient.append(peak - kept)
         assert abs(transient[1] - transient[0]) <= ingest._PARSE_BLOCK * 1024
+
+    def test_rows_out_of_order_are_gathered_into_files(self, tmp_path):
+        """``_big_table``'s rows are not in (time, id) order, so
+        ``read_tables`` gathers them again (``Corpus.select``), into two more
+        unnamed files in the spill directory: what it keeps is the corpus's
+        int columns and, within one block's slack, its id tables and the
+        report."""
+        path, spill = tmp_path / "tweets.csv", tmp_path / "spill"
+        _big_table(path, 68_000)
+        spill.mkdir()
+        assert not ingest._in_order(parse_table(path, "csv", ColumnMap())[0])
+        tracemalloc.start()
+        try:
+            corpus, reports = read_tables([str(path)], "csv", ColumnMap(), spill)
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert reports[str(path)].accepted == len(corpus) == 68_000
+        int_columns = [corpus.user, corpus.source, corpus.timestamp_us, corpus.language, corpus.day]
+        int_columns += [corpus.tweet_id.offsets, corpus.text.offsets]
+        assert kept <= sum(c.nbytes for c in int_columns) + ingest._PARSE_BLOCK * 1024
+        assert list(spill.iterdir()) == []

@@ -3,14 +3,13 @@ from or turned into plain Python values."""
 
 import csv
 import hashlib
-import tempfile
 from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
 
-from tweetdyn.corpus import Corpus, CorpusRows
+from tweetdyn.corpus import CorpusRows
 from tweetdyn.ingest import ColumnMap, parse_records
 from tweetdyn.topic import TermCounts
 
@@ -49,7 +48,8 @@ class TweetRecord:
 def corpus_of(records):
     """A :class:`Corpus` of the records' rows, in order."""
     records = list(records)
-    return Corpus.from_columns(
+    rows = CorpusRows(None)
+    rows.add_rows(
         tweet_id=[r.tweet_id for r in records],
         user=[r.user_id for r in records],
         source=[r.retweeted_user_id if r.is_retweet else None for r in records],
@@ -57,6 +57,7 @@ def corpus_of(records):
         language=[r.language for r in records],
         text=[r.text for r in records],
     )
+    return rows.build()
 
 
 def file_sha256(path):
@@ -67,10 +68,9 @@ def file_sha256(path):
 
 def parse_table(path, fmt, columns):
     """One table parsed on its own, rows in file order, and its report."""
-    with tempfile.TemporaryFile() as tweet_ids, tempfile.TemporaryFile() as texts:
-        store = CorpusRows(tweet_ids, texts)
-        _, report = parse_records(path, fmt, columns, store)
-        return store.build(), report
+    store = CorpusRows(None)
+    _, report = parse_records(path, fmt, columns, store)
+    return store.build(), report
 
 
 def utc(timestamp_us):
