@@ -146,50 +146,75 @@ class TestKernelsMatchReferenceLoops:
         assert ref.graph_key(got) == ref.graph_key(want)
 
 
+STRINGS = st.lists(
+    st.text(st.sampled_from(list("ab ,\n\x00") + ["é", "Ж", "\ud800", "\U0001f600"]), max_size=5),
+    max_size=12,
+)
+
+
+def _spilled_columns(strings, spill_dir):
+    """The tweet id and text columns ``CorpusRows.build`` spills for rows
+    whose ids and texts are ``strings``."""
+    n = len(strings)
+    store = CorpusRows(spill_dir)
+    store.add_rows(
+        tweet_id=strings, user=["u"] * n, source=[None] * n,
+        timestamp_us=[0] * n, language=["en"] * n, text=strings,
+    )
+    return store.build()
+
+
+class TestStringColumn:
+    """A column of ASCII strings is encoded and decoded in one piece; any
+    other column one string at a time. Both give the bytes and strings of
+    the one-at-a-time path: the file holds the strings' UTF-8 bytes one
+    after another, at offsets that are the cumulative byte counts of the
+    strings encoded one at a time."""
+
+    @settings(max_examples=200)
+    @given(STRINGS, st.data())
+    def test_of_and_strings_match_one_string_at_a_time(self, strings, data):
+        encoded = [s.encode("utf-8", "surrogatepass") for s in strings]
+        start = data.draw(st.integers(0, len(strings)))
+        stop = data.draw(st.integers(start, len(strings)))
+        with tempfile.TemporaryDirectory() as tmp:
+            corpus = _spilled_columns(strings, tmp)
+        for column in (corpus.tweet_id, corpus.text):
+            assert os.pread(column.fd, int(column.offsets[-1]), column.start) == b"".join(encoded)
+            assert column.offsets.tolist() == np.cumsum([0] + [len(b) for b in encoded]).tolist()
+            assert column.strings(start, stop) == strings[start:stop]
+
+
 class TestFileBackedColumns:
     """Columns spilled by ``CorpusRows.build``, loaded by ``Corpus.load`` and
-    gathered by ``select`` read their bytes from a file that holds the
-    strings' UTF-8 bytes one after another, at offsets that are the
-    cumulative byte counts of the strings encoded one at a time; they expose
-    no buffer, and give the rows a plain list of the strings gives. A column
-    of ASCII strings is decoded in one piece, any other one string at a
-    time."""
+    gathered by ``select`` read their bytes from a file; they expose no
+    buffer, and give what the in-memory list of the same strings gives."""
 
-    @settings(max_examples=100)
-    @given(
-        st.lists(st.text(st.sampled_from(list("ab ,\n\x00") + ["é", "Ж", "\ud800", "\U0001f600"]),
-                         max_size=5), max_size=12),
-        st.data(),
-    )
-    def test_spilled_loaded_and_selected_columns_read_as_the_strings(self, strings, data):
+    @settings(max_examples=50)
+    @given(STRINGS, st.data())
+    def test_spilled_and_loaded_columns_read_as_in_memory_ones(self, strings, data):
         n = len(strings)
         rows = np.array(data.draw(st.lists(st.integers(0, max(n - 1, 0)), max_size=3 * n)), dtype=np.int64)
         start = data.draw(st.integers(0, n))
         stop = data.draw(st.integers(start, n))
-
-        def check(column, want):
-            encoded = [s.encode("utf-8", "surrogatepass") for s in want]
-            assert column.offsets.tolist() == np.cumsum([0, *map(len, encoded)]).tolist()
-            assert os.pread(column.fd, int(column.offsets[-1]), column.start) == b"".join(encoded)
-            with pytest.raises(TypeError):
-                memoryview(column)
-            assert column.tolist() == want
-
+        want = [strings[i] for i in rows]
+        want_offsets = np.cumsum([0, *(len(strings[i].encode("utf-8", "surrogatepass")) for i in rows)])
         with tempfile.TemporaryDirectory() as tmp:
-            store = CorpusRows(tmp)
-            store.add_rows(
-                tweet_id=strings, user=["u"] * n, source=[None] * n,
-                timestamp_us=[0] * n, language=["en"] * n, text=strings,
-            )
-            spilled = store.build()
+            spilled = _spilled_columns(strings, tmp)
             jsonl, npz = Path(tmp, "records.jsonl"), Path(tmp, "corpus.npz")
             spilled.save(npz, write_records(spilled, jsonl))
             loaded = Corpus.load(npz, jsonl)
             for column in (spilled.tweet_id, spilled.text, loaded.tweet_id, loaded.text):
-                check(column, strings)
-                assert column.take(rows) == [strings[i] for i in rows]
+                with pytest.raises(TypeError):
+                    memoryview(column)
+                assert column.take(rows) == want
                 assert column.strings(start, stop) == strings[start:stop]
-                check(column.select(rows, tmp), [strings[i] for i in rows])
+                assert column.tolist() == strings
+                selected = column.select(rows, tmp)
+                with pytest.raises(TypeError):
+                    memoryview(selected)
+                assert selected.tolist() == want
+                assert selected.offsets.tolist() == want_offsets.tolist()
             # the spill files are unnamed
             assert sorted(os.listdir(tmp)) == ["corpus.npz", "records.jsonl"]
 
