@@ -12,10 +12,10 @@ cold), ``topic.topic_communities`` on planted corpora from
 4,000-user one, ``ingest.read_tables`` on its first 68,000 rows as a CSV
 table (the parse, its string bytes spilled to unnamed files, and the sort
 into ``ingest``'s row order), and the spectra chain
-(``detrend`` -> ``dft`` -> ``denoise`` on a Poisson count table of 256 and
-4,000 users over 244 days, the pipeline's default ``ma_window`` and
-``denoise_q``), and ``cli.write_csv`` writing the 4,000-user spectra as
-``spectra_pre.csv``, each next to its reference in
+(``spectral.cohort_spectra``: ``detrend`` -> ``dft`` -> ``denoise`` on a
+Poisson count table of 256 and 4,000 users over 244 days, the pipeline's
+default ``ma_window`` and ``denoise_q``), and ``cli.write_csv`` writing the
+4,000-user spectra as ``spectra_pre.csv``, each next to its reference in
 ``tests/reference_loops.py``.
 A kernel's time is the best of three calls in this process, a reference's
 time one call; each row also says whether the two results are identical
@@ -55,8 +55,8 @@ from tweetdyn import cli, porter  # noqa: E402
 from tweetdyn.corpus import Corpus, CorpusRows  # noqa: E402
 from tweetdyn.graphs import WeightedGraph, modularity_communities  # noqa: E402
 from tweetdyn.ingest import ColumnMap, read_tables  # noqa: E402
-from tweetdyn.spectral import denoise, dft, kmedoids  # noqa: E402
-from tweetdyn.timeseries import DayWindow, detrend  # noqa: E402
+from tweetdyn.spectral import cohort_spectra, kmedoids  # noqa: E402
+from tweetdyn.timeseries import DayWindow  # noqa: E402
 from tweetdyn.topic import (  # noqa: E402
     TermUserMatrix,
     count_terms,
@@ -174,12 +174,10 @@ def count_table(n: int, n_days: int, seed: int = 0) -> np.ndarray:
     return rng.poisson(rng.uniform(0.5, 30.0, size=(n, 1)), size=(n, n_days))
 
 
-def table_spectra(table: np.ndarray, users: list[str], window: DayWindow):
-    return denoise(dft(detrend(table, MA_WINDOW), users), DENOISE_Q)
-
-
-def loop_spectra(table: np.ndarray, users: list[str], window: DayWindow):
-    return ref.cohort_spectra(window, table, users, MA_WINDOW, DENOISE_Q)
+def loop_spectra(table: np.ndarray, users: list[str], ma_window: int, q: float):
+    """The per-user loop's spectra of a table whose days start at TOPIC_START."""
+    window = DayWindow.of_length(TOPIC_START, table.shape[1])
+    return ref.cohort_spectra(window, table, users, ma_window, q)
 
 
 def same_spectra(new, old: dict) -> bool:
@@ -322,14 +320,14 @@ def main() -> int:
 
     for n in SPECTRA_N:
         users = [f"u{i:04d}" for i in range(n)]
-        window = DayWindow.of_length(TOPIC_START, SPECTRA_DAYS)
         cases.append(("spectra_chain", n, {"days": SPECTRA_DAYS},
-                      table_spectra, loop_spectra,
-                      (count_table(n, SPECTRA_DAYS), users, window), {}, same_spectra))
+                      cohort_spectra, loop_spectra,
+                      (count_table(n, SPECTRA_DAYS), users, MA_WINDOW, DENOISE_Q), {},
+                      same_spectra))
 
     users = [f"u{i:04d}" for i in range(CSV_USERS)]
-    window = DayWindow.of_length(TOPIC_START, SPECTRA_DAYS)
-    magnitudes = table_spectra(count_table(CSV_USERS, SPECTRA_DAYS), users, window).magnitudes
+    table = count_table(CSV_USERS, SPECTRA_DAYS)
+    magnitudes = cohort_spectra(table, users, MA_WINDOW, DENOISE_Q).magnitudes
     cases.append(("write_csv", CSV_USERS, {"days": SPECTRA_DAYS, "rows": magnitudes.size},
                   partial(columns_csv, tmp / "columns.csv"), partial(cells_csv, tmp / "cells.csv"),
                   (users, magnitudes), {}, same_file))

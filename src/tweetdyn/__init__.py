@@ -6,7 +6,7 @@ into a corpus, cohorts, retweet networks), :mod:`~tweetdyn.timeseries` (daily
 counts as a (users, days) table, detrending, segment fits),
 :mod:`~tweetdyn.strategy` (posting-mix simplex and symbol dynamics),
 :mod:`~tweetdyn.spectral` (rate spectra as one (users, bins) table, PCA,
-k-medoids), :mod:`~tweetdyn.topic` (text keywords and similarity communities),
+k-medoids, composed once from count table to clusters), :mod:`~tweetdyn.topic` (text keywords and similarity communities),
 :mod:`~tweetdyn.compare` (cross-tabulating the two clusterings),
 :mod:`~tweetdyn.synth` (ground-truth generators), :mod:`~tweetdyn.cli`.
 """
@@ -42,7 +42,10 @@ from .spectral import (  # noqa: F401
     ClusterAssignment,
     Embedding,
     Spectra,
+    band_of,
     band_summary,
+    cluster_spectra,
+    cohort_spectra,
     denoise,
     dft,
     dominant_period,

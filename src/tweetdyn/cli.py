@@ -5,7 +5,10 @@ The stages are declared once, in :data:`STAGES`; the argument parser and
 table order in one process and stops at the first that fails; it takes the
 union of those stages' flags. Each `main` call builds one
 :class:`StageContext` that its stages share, so within a `run` the corpus,
-each window's cohort and the `--window` spectra are computed once. Every stage
+each window's cohort, the `--window` cohort's count table and its spectra
+are computed once: `counts` writes the table that `spectra`,
+`cluster-spectral` and `compare` transform, through
+:func:`tweetdyn.spectral.cohort_spectra`. Every stage
 writes JSON/CSV artifacts plus a manifest into an output directory.
 Artifacts are deterministic for a given config and seed: keys are sorted,
 floats are normalized to 12 significant digits, manifests carry a config
@@ -418,9 +421,9 @@ def write_manifest(
 class StageContext:
     """What the stages of one :func:`main` call share: the config, the output
     directory, the ``--window`` name and synth's ``--kind`` (None for a call
-    whose stages take no such flag). The corpus, each window's cohort and
-    the ``--window`` spectra are computed on first use and live as long as
-    the context."""
+    whose stages take no such flag). The corpus, each window's cohort, the
+    ``--window`` cohort's count table and its spectra are computed on first
+    use, once per context, and live as long as the context."""
 
     config: RunConfig
     outdir: Path
@@ -451,14 +454,20 @@ class StageContext:
         return self._cohorts[window]
 
     @cached_property
+    def table(self) -> np.ndarray:
+        """Daily counts of the ``--window`` cohort, ``(users, days)``, one row
+        per user in id order."""
+        return timeseries.counts_by_user(self.corpus, self.window, self.cohort(self.window))
+
+    @cached_property
     def spectra(self) -> spectral.Spectra:
-        """Denoised spectra of the ``--window`` cohort, one row per user in id order."""
+        """Denoised spectra of the ``--window`` cohort's count table, one row
+        per user in id order."""
         cohort = self.cohort(self.window)
         if not cohort:
             raise ValueError("no users in cohort; nothing to transform")
-        table = timeseries.counts_by_user(self.corpus, self.window, cohort)
-        oscillators = timeseries.detrend(table, self.config.ma_window)
-        return spectral.denoise(spectral.dft(oscillators, cohort), self.config.denoise_q)
+        config = self.config
+        return spectral.cohort_spectra(self.table, cohort, config.ma_window, config.denoise_q)
 
 
 # ---------------------------------------------------------------- subcommands
@@ -507,11 +516,10 @@ def cmd_counts(ctx: StageContext) -> list[str]:
     cohort = ctx.cohort(ctx.window)
     aggregate = timeseries.daily_counts(ctx.corpus, ctx.config.bulk_window)
     _write_series(outdir / "counts_aggregate.csv", aggregate)
-    table = timeseries.counts_by_user(ctx.corpus, ctx.window, cohort)
     write_csv(
         outdir / f"counts_{name}.csv",
         ["user_id", "day_offset", "count"],
-        _long_form(cohort, table),
+        _long_form(cohort, ctx.table),
     )
     write_json(outdir / f"cohort_{name}.json", cohort)
     return ["counts_aggregate.csv", f"counts_{name}.csv", f"cohort_{name}.json"]
@@ -608,22 +616,16 @@ def cmd_spectra(ctx: StageContext) -> list[str]:
 def cmd_cluster_spectral(ctx: StageContext) -> list[str]:
     config, outdir = ctx.config, ctx.outdir
     spectra = ctx.spectra
-    magnitudes = spectra.magnitudes
-    embedding = spectral.pca_embed(magnitudes, spectra.users, dims=config.pca_dims)
-    assignment = spectral.kmedoids(
-        embedding.points,
-        embedding.ids,
-        k=config.kmedoids_k,
-        seed=config.seed,
-        restarts=config.restarts,
+    embedding, assignment = spectral.cluster_spectra(
+        spectra, config.pca_dims, config.kmedoids_k, config.seed, config.restarts
     )
     write_csv(
         outdir / "embedding.csv",
         ["user_id"] + [f"pc{i + 1}" for i in range(config.pca_dims)] + ["cluster"],
         [
-            embedding.ids,
+            spectra.users,
             *embedding.points.T,
-            [assignment.labels[uid] for uid in embedding.ids],
+            [assignment.labels[uid] for uid in spectra.users],
         ],
     )
     write_csv(
@@ -633,16 +635,16 @@ def cmd_cluster_spectral(ctx: StageContext) -> list[str]:
     )
     clusters_payload = {}
     artifacts = ["embedding.csv", "eigenvalues.csv", "clusters_spectral.json"]
-    for c in range(1, assignment.k + 1):
+    for c in range(1, config.kmedoids_k + 1):
         members = assignment.members(c)
         rows = spectra.rows(members)
-        band = spectral.band_summary(magnitudes[rows], spectra.n_samples)
+        band, period = spectral.band_of(spectra, members)
         _write_band(outdir / f"cluster_band_{c}.csv", band)
         artifacts.append(f"cluster_band_{c}.csv")
         clusters_payload[str(c)] = {
             "members": members,
             "medoid": assignment.medoids[c - 1],
-            "dominant_period_days": spectral.dominant_period(band.medians, band.n_samples),
+            "dominant_period_days": period,
             "fourier_terms": {
                 u: spectral.fit_fourier(spectra, i, j_terms=config.fourier_terms)
                 for u, i in zip(members, rows)
@@ -650,7 +652,7 @@ def cmd_cluster_spectral(ctx: StageContext) -> list[str]:
         }
     write_json(
         outdir / "clusters_spectral.json",
-        {"k": assignment.k, "cost": assignment.cost, "clusters": clusters_payload,
+        {"k": config.kmedoids_k, "cost": assignment.cost, "clusters": clusters_payload,
          "window": ctx.window, "n_users": len(spectra.users)},
     )
     return artifacts

@@ -6,7 +6,9 @@ over the users common to both; :func:`diversity` gives each spectral
 cluster's count of text communities touched and the Shannon entropy (bits)
 of its row. A *sub-cluster* is the intersection of one spectral cluster with
 one text community; :func:`intersect_subcluster` summarizes its members'
-rows of the cohort's :class:`~tweetdyn.spectral.Spectra`.
+rows of the cohort's :class:`~tweetdyn.spectral.Spectra` with
+:func:`~tweetdyn.spectral.band_of`, as `cluster-spectral` summarizes a
+cluster.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .spectral import BandSummary, Spectra, band_summary, dominant_period
+from .spectral import BandSummary, Spectra, band_of
 
 
 def _part_of(parts: Sequence[Iterable[str]], kind: str) -> dict[str, int]:
@@ -69,15 +71,15 @@ def intersect_subcluster(
     spectral_users: Iterable[str],
     topic_users: Iterable[str],
     spectra: Spectra,
-) -> tuple[tuple[str, ...], BandSummary, float]:
+) -> tuple[tuple[str, ...], BandSummary, float | None]:
     """The users in both groups, in id order, their band summary and its
-    dominant period in days.
+    dominant period in days (:func:`~tweetdyn.spectral.band_of`: None for a
+    band with no oscillatory power).
 
-    The dominant period is read off the per-bin medians of the
-    intersection's band. An empty intersection is an error.
+    An empty intersection is an error.
     """
     users = tuple(sorted(set(spectral_users) & set(topic_users)))
     if not users:
         raise ValueError("empty sub-cluster")
-    band = band_summary(np.abs(spectra.bins[spectra.rows(users)]), spectra.n_samples)
-    return users, band, dominant_period(band.medians, band.n_samples)
+    band, period = band_of(spectra, users)
+    return users, band, period

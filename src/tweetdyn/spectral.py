@@ -1,23 +1,29 @@
 """Frequency-domain modeling and clustering of detrended tweet-rate series.
 
 The spectra of a cohort are one table, :class:`Spectra`: row ``i`` is the
-half spectrum of ``users[i]``. Pipeline, in the order the operations compose:
+half spectrum of ``users[i]``. The chain from a ``(users, days)`` count table
+to the clusters is composed once, in two halves that every caller shares:
+:func:`cohort_spectra` (steps 1-3) and :func:`cluster_spectra` (steps 4-5).
+Pipeline, in the order the operations compose:
 
-1. :func:`dft` - unnormalized forward DFT of each row of a
+1. :func:`~tweetdyn.timeseries.detrend` - subtract each row's trailing
+   moving average, dropping the first ``ma_window`` days.
+2. :func:`dft` - unnormalized forward DFT of each row of a
    ``(users, samples)`` table of detrended series, keeping the
    non-negative-frequency half spectrum (bins ``0 .. floor(N/2)``). Bin ``k``
    is a period of ``N / k`` days.
-2. :func:`denoise` - in each row, zero every bin whose squared magnitude
+3. :func:`denoise` - in each row, zero every bin whose squared magnitude
    falls strictly below the empirical q-quantile of that row's squared
    magnitudes.
-3. :func:`pca_embed` - project the magnitude rows (:attr:`Spectra.magnitudes`)
+4. :func:`pca_embed` - project the magnitude rows (:attr:`Spectra.magnitudes`)
    onto the leading principal axes of the column-mean-centered covariance.
-4. :func:`kmedoids` - PAM clustering with seeded restarts; points are
+5. :func:`kmedoids` - PAM clustering with seeded restarts; points are
    pre-sorted canonically so the outcome is invariant to input order.
-5. :func:`fit_fourier` / :func:`band_summary` / :func:`dominant_period` -
-   per-cluster summaries; :func:`fit_fourier` returns the cosine-sum terms
-   of one row's largest bins as a tuple of :class:`FourierTerm`, and
-   :func:`dominant_period` reads a band's per-bin medians.
+6. :func:`fit_fourier` / :func:`band_of` - per-cluster summaries;
+   :func:`fit_fourier` returns the cosine-sum terms of one row's largest
+   bins as a tuple of :class:`FourierTerm`, and :func:`band_of` gives the
+   :func:`band_summary` of a set of rows and the :func:`dominant_period` of
+   its per-bin medians, or no period for a band with no oscillatory power.
 
 Quantile convention: ``Q(q)`` is the smallest squared magnitude such that at
 least a ``q`` fraction of bins are at or below it (``sorted[ceil(q*n)-1]``);
@@ -32,6 +38,8 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
+
+from .timeseries import detrend
 
 logger = logging.getLogger(__name__)
 
@@ -83,17 +91,11 @@ class FourierTerm:
 
 @dataclass(frozen=True)
 class Embedding:
-    """Low-dimensional projection of user spectra."""
+    """Low-dimensional projection of user spectra, one point per row of
+    the embedded matrix, in its row order."""
 
-    ids: tuple[str, ...]
     points: np.ndarray
     eigenvalues: np.ndarray
-
-    def __post_init__(self) -> None:
-        points = np.asarray(self.points, dtype=np.float64)
-        if points.shape[0] != len(self.ids):
-            raise ValueError("one embedded point per id required")
-        object.__setattr__(self, "points", points)
 
 
 @dataclass(frozen=True)
@@ -103,10 +105,6 @@ class ClusterAssignment:
     labels: dict[str, int]
     medoids: tuple[str, ...]
     cost: float
-
-    @property
-    def k(self) -> int:
-        return len(self.medoids)
 
     def members(self, cluster: int) -> list[str]:
         return sorted(u for u, c in self.labels.items() if c == cluster)
@@ -184,7 +182,7 @@ def fit_fourier(spectra: Spectra, row: int, j_terms: int) -> tuple[FourierTerm, 
     return tuple(terms)
 
 
-def pca_embed(matrix: np.ndarray, ids: Sequence[str], dims: int) -> Embedding:
+def pca_embed(matrix: np.ndarray, dims: int) -> Embedding:
     """Project rows onto the leading principal axes.
 
     The covariance is over column-mean-centered data. Eigenvalues are
@@ -196,8 +194,6 @@ def pca_embed(matrix: np.ndarray, ids: Sequence[str], dims: int) -> Embedding:
     if x.ndim != 2:
         raise ValueError("matrix must be 2-d")
     n, m = x.shape
-    if len(ids) != n:
-        raise ValueError("one id per row required")
     if dims < 1:
         raise ValueError("dims must be >= 1")
     if n < dims + 1:
@@ -221,7 +217,7 @@ def pca_embed(matrix: np.ndarray, ids: Sequence[str], dims: int) -> Embedding:
         if components[i, j] < 0:
             components[i] = -components[i]
     points = centered @ components.T
-    return Embedding(ids=tuple(ids), points=points, eigenvalues=eigenvalues)
+    return Embedding(points=points, eigenvalues=eigenvalues)
 
 
 def _pairwise_distances(points: np.ndarray, block: int = 64) -> np.ndarray:
@@ -388,3 +384,36 @@ def dominant_period(magnitudes: np.ndarray, n_samples: int) -> float:
         raise ValueError("all oscillatory bins are zero; no dominant period")
     k = 1 + int(np.argmax(mags[1:]))
     return n_samples / k
+
+
+def cohort_spectra(
+    table: np.ndarray, users: Sequence[str], ma_window: int, q: float
+) -> Spectra:
+    """Denoised half spectra of a ``(users, days)`` count table, row ``i``
+    that of ``users[i]``: :func:`~tweetdyn.timeseries.detrend`, then
+    :func:`dft`, then :func:`denoise`."""
+    return denoise(dft(detrend(table, ma_window), users), q)
+
+
+def cluster_spectra(
+    spectra: Spectra, dims: int, k: int, seed: int, restarts: int
+) -> tuple[Embedding, ClusterAssignment]:
+    """The :func:`pca_embed` of the magnitude rows, one point per row of
+    ``spectra`` in its row order, and the :func:`kmedoids` clusters of those
+    points."""
+    embedding = pca_embed(spectra.magnitudes, dims)
+    assignment = kmedoids(embedding.points, spectra.users, k=k, seed=seed, restarts=restarts)
+    return embedding, assignment
+
+
+def band_of(spectra: Spectra, users: Iterable[str]) -> tuple[BandSummary, float | None]:
+    """The band summary of the rows of ``users`` and the dominant period of
+    its per-bin medians, in days.
+
+    A band whose oscillatory medians are all zero, as for users who post the
+    same count every day, has no dominant period: it gets None.
+    """
+    band = band_summary(np.abs(spectra.bins[spectra.rows(users)]), spectra.n_samples)
+    if not np.any(band.medians[1:]):
+        return band, None
+    return band, dominant_period(band.medians, band.n_samples)

@@ -25,7 +25,7 @@ from tweetdyn.ingest import (
     retweet_network,
     select_cohort,
 )
-from tweetdyn.spectral import denoise, dft, dominant_period, kmedoids, pca_embed
+from tweetdyn.spectral import cluster_spectra, cohort_spectra, dft, dominant_period, kmedoids
 from tweetdyn.strategy import (
     CRITICAL_VALUE_P999_DF6,
     SymbolDistribution,
@@ -84,13 +84,10 @@ def test_criterion_1_spectral_cluster_recovery(capsys):
     worst = 1.0
     for seed in range(10):
         users, table, truth = generate_series(specs, PRE_WINDOW, seed=seed)
-        spectra = denoise(dft(detrend(table, 7), users), 0.33)
-        ids = sorted(users)
-        matrix = spectra.magnitudes[spectra.rows(ids)]
-        embedding = pca_embed(matrix, ids, dims=3)
-        assignment = kmedoids(
-            embedding.points, embedding.ids, k=4, seed=seed, restarts=10
-        )
+        # the pipeline's chain, on the table in id order as counts builds it
+        order = sorted(range(len(users)), key=users.__getitem__)
+        spectra = cohort_spectra(table[order], [users[i] for i in order], 7, 0.33)
+        _, assignment = cluster_spectra(spectra, 3, 4, seed, 10)
         group_index = {g: i for i, g in enumerate(sorted(set(truth.values())))}
         ari = adjusted_rand_index(
             assignment.labels, {u: group_index[g] for u, g in truth.items()}

@@ -1,10 +1,12 @@
 """End-to-end runs of every CLI subcommand on small synthetic data."""
 
 import ast
+import csv
 import dataclasses
 import hashlib
 import importlib.util
 import json
+import math
 import os
 import re
 import shutil
@@ -27,9 +29,11 @@ import tweetdyn
 from scoring import adjusted_rand_index
 from test_synth import generate_series
 from tweet_tables import parse_table, write_csv
-from tweetdyn import cli, synth
+from tweetdyn import cli, synth, timeseries
 from tweetdyn.cli import load_config, main
-from tweetdyn.ingest import ColumnMap
+from tweetdyn.corpus import Corpus
+from tweetdyn.ingest import ColumnMap, write_records
+from tweetdyn.spectral import cluster_spectra, cohort_spectra
 from tweetdyn.timeseries import CountSeries, DayWindow
 
 REPO = Path(__file__).resolve().parents[1]
@@ -250,6 +254,28 @@ class TestPipelineArtifacts:
             assert len(sub["users"]) >= 1
         crosstab = (pipeline_dir / "crosstab.csv").read_text().splitlines()
         assert crosstab[0].startswith("spectral_cluster,community_1")
+
+    def test_library_chain_reproduces_the_stage(self, pipeline_dir, config_path):
+        config = load_config(config_path, {})
+        corpus = Corpus.load(pipeline_dir / "corpus.npz", pipeline_dir / "records.jsonl")
+        cohort = json.loads((pipeline_dir / "cohort_pre.json").read_text())
+        table = timeseries.counts_by_user(corpus, config.pre_window, cohort)
+        spectra = cohort_spectra(table, cohort, config.ma_window, config.denoise_q)
+        embedding, assignment = cluster_spectra(
+            spectra, config.pca_dims, config.kmedoids_k, config.seed, config.restarts
+        )
+        doc = json.loads((pipeline_dir / "clusters_spectral.json").read_text())
+        assert doc["cost"] == cli._recorded(assignment.cost)
+        assert len(assignment.medoids) == doc["k"]
+        for c, cluster in doc["clusters"].items():
+            assert cluster["members"] == assignment.members(int(c))
+            assert cluster["medoid"] == assignment.medoids[int(c) - 1]
+        with (pipeline_dir / "embedding.csv").open(newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert rows == [
+            [u, *(f"{v:.12g}" for v in point), str(assignment.labels[u])]
+            for u, point in zip(spectra.users, embedding.points.tolist())
+        ]
 
     def test_report_headline(self, pipeline_dir):
         doc = json.loads((pipeline_dir / "report.json").read_text())
@@ -750,6 +776,57 @@ class TestFailureModes:
         assert doc["config"]["seed"] == 123
 
 
+class TestConstantRateCluster:
+    """Users who post the same count every day detrend to zeros, and
+    k-medoids gathers them into one cluster whose band has no oscillatory
+    power: its dominant period is written as null, and neither
+    cluster-spectral nor compare fails."""
+
+    def test_flat_cluster_has_no_period(self, tmp_path):
+        two_pi = 2.0 * math.pi
+        dynamics = [
+            synth.GroupSpec(f"p{period}", 20.0, 2.0, 6, (two_pi / period,), ((6.0, 8.0),))
+            for period in (4, 7, 10)
+        ]
+        dynamics.append(synth.GroupSpec("flat", 12.0, 0.0, 6))
+        spec = synth.CorpusSpec(
+            groups=tuple(
+                synth.GroupCorpusSpec(
+                    dynamics=d,
+                    vocabulary=synth.planted_vocabulary(d.group_id, 20),
+                    strategy_pre=(1.0, 0.0, 0.0),
+                    strategy_post=(1.0, 0.0, 0.0),
+                )
+                for d in dynamics
+            ),
+            noise_vocabulary=(),
+            noise_weight=0.0,
+            tokens_per_tweet=6,
+            changepoint_day=None,
+        )
+        config = {**SMALL_CONFIG, "pre_window": ["2016-03-09", "2016-05-08"], "seed": 0}
+        window = load_config(None, config).pre_window
+        corpus, _ = synth.generate_corpus(spec, window, seed=0)
+        write_records(corpus, tmp_path / "records.jsonl")
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        argv = ["--config", str(config_path), "--out", str(tmp_path)]
+        assert main(["ingest", "--input", str(tmp_path / "records.jsonl"), *argv]) == 0
+        for stage in ("cluster-spectral", "cluster-topic", "compare"):
+            main([stage, *argv])
+            doc = json.loads((tmp_path / f"manifest_{stage.replace('-', '_')}.json").read_text())
+            assert doc["status"] == "ok", doc["error"]
+        flat_users = [f"flat-u{j:02d}" for j in range(6)]
+        clusters = json.loads((tmp_path / "clusters_spectral.json").read_text())["clusters"]
+        periods = {tuple(c["members"]): c["dominant_period_days"] for c in clusters.values()}
+        assert periods.pop(tuple(flat_users)) is None
+        assert all(p > 0 for p in periods.values())
+        subclusters = json.loads((tmp_path / "compare.json").read_text())["subclusters"]
+        periods = {tuple(s["users"]): s["dominant_period_days"] for s in subclusters.values()}
+        assert periods.pop(tuple(flat_users)) is None
+        assert all(p > 0 for p in periods.values())
+
+
 class TestRemappedColumns:
     def test_stages_after_ingest_read_the_normalized_schema(self, tmp_path, pipeline_dir):
         columns = ColumnMap(
@@ -794,6 +871,22 @@ def test_run_selects_each_cohort_once(tmp_path, pipeline_dir):
     # three distinct windows, each selected once
     assert len(windows) == 3
     assert set(windows) == {config.pre_window, config.reference_window, config.comparison_window}
+
+
+def test_run_builds_the_window_count_table_once(tmp_path, pipeline_dir):
+    # counts writes the --window cohort's table; spectra, cluster-spectral
+    # and compare transform the same table
+    config_path = tmp_path / "fit.json"
+    config_path.write_text(json.dumps(RUN_CONFIG))
+    argv = [
+        "run", "--config", str(config_path), "--out", str(tmp_path / "out"),
+        "--input", str(pipeline_dir / "records.jsonl"), "--format", "jsonl",
+    ]
+    with mock.patch.object(
+        timeseries, "counts_by_user", wraps=timeseries.counts_by_user
+    ) as counts_by_user:
+        assert main(argv) == 0
+    assert counts_by_user.call_count == 1
 
 
 def test_run_leaves_scipy_unimported(tmp_path, pipeline_dir):

@@ -13,7 +13,9 @@ from tweetdyn.spectral import (
     BandSummary,
     ClusterAssignment,
     Spectra,
+    band_of,
     band_summary,
+    cohort_spectra,
     denoise,
     dft,
     dominant_period,
@@ -294,7 +296,7 @@ class TestPcaEmbed:
     def test_variance_conserved(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=(40, 6))
-        emb = pca_embed(x, [f"u{i}" for i in range(40)], dims=3)
+        emb = pca_embed(x, dims=3)
         centered = x - x.mean(axis=0)
         total_var = np.sum(centered**2) / (len(x) - 1)
         assert np.sum(emb.eigenvalues) == pytest.approx(total_var, rel=1e-9)
@@ -305,7 +307,7 @@ class TestPcaEmbed:
         basis = rng.normal(size=(2, 5))
         coeffs = rng.normal(size=(30, 2))
         x = coeffs @ basis
-        emb = pca_embed(x, [f"u{i}" for i in range(30)], dims=3)
+        emb = pca_embed(x, dims=3)
         assert emb.eigenvalues[0] > 1e-6
         assert emb.eigenvalues[1] > 1e-6
         np.testing.assert_allclose(emb.eigenvalues[2:], 0.0, atol=1e-9)
@@ -314,8 +316,7 @@ class TestPcaEmbed:
         rng = np.random.default_rng(3)
         basis = rng.normal(size=(3, 8))
         x = rng.normal(size=(25, 3)) @ basis
-        ids = [f"u{i}" for i in range(25)]
-        emb = pca_embed(x, ids, dims=3)
+        emb = pca_embed(x, dims=3)
         centered = x - x.mean(axis=0)
 
         def pd(a):
@@ -326,7 +327,7 @@ class TestPcaEmbed:
     def test_sign_convention(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(20, 5))
-        emb = pca_embed(x, [f"u{i}" for i in range(20)], dims=3)
+        emb = pca_embed(x, dims=3)
         # each axis of the points is a principal axis, signed so that its
         # largest-magnitude loading is positive
         centered = x - x.mean(axis=0)
@@ -341,7 +342,7 @@ class TestPcaEmbed:
         b = rng.normal(0, 0.1, size=(15, 4))
         b[:, 0] += 10.0
         x = np.vstack([a, b])
-        emb = pca_embed(x, [f"u{i}" for i in range(30)], dims=2)
+        emb = pca_embed(x, dims=2)
         assert emb.eigenvalues[0] / emb.eigenvalues[1] > 10
         # the two groups separate along the first embedded coordinate
         left, right = emb.points[:15, 0], emb.points[15:, 0]
@@ -350,11 +351,9 @@ class TestPcaEmbed:
     def test_validation(self):
         x = np.zeros((3, 4))
         with pytest.raises(ValueError):
-            pca_embed(x, ["a", "b"], dims=1)
+            pca_embed(x, dims=3)  # needs dims+1 rows
         with pytest.raises(ValueError):
-            pca_embed(x, ["a", "b", "c"], dims=3)  # needs dims+1 rows
-        with pytest.raises(ValueError):
-            pca_embed(np.zeros(4), ["a"], dims=1)
+            pca_embed(np.zeros(4), dims=1)
 
 
 def exhaustive_kmedoids_cost(points, k):
@@ -640,7 +639,7 @@ class TestTableChainMatchesPerUserLoop:
         for u, row, osc in zip(users, table, oscillators):
             old = ref.detrend(CountSeries(window=window, values=row), ma_window, u)
             assert osc.tobytes() == old.values.tobytes()
-        new = denoise(dft(oscillators, users), q)
+        new = cohort_spectra(table, users, ma_window, q)
         old = ref.cohort_spectra(window, table, users, ma_window, q)
         assert new.users == tuple(old)
         assert new.bins.tobytes() == np.vstack([old[u].bins for u in users]).tobytes()
@@ -651,9 +650,16 @@ class TestTableChainMatchesPerUserLoop:
             band = band_summary(new.magnitudes[new.rows(members)], new.n_samples)
             old_members = [old[u] for u in members]
             _same_band(band, ref.band_summary(old_members))
-            assert _outcome(lambda: dominant_period(band.medians, band.n_samples)) == _outcome(
-                lambda: ref.dominant_period(ref.median_spectrum(old_members))
-            )
+            old_period = _outcome(lambda: ref.dominant_period(ref.median_spectrum(old_members)))
+            assert _outcome(lambda: dominant_period(band.medians, band.n_samples)) == old_period
+            # band_of gives the same band, and no period where the loop
+            # finds every oscillatory median zero
+            shared, period = band_of(new, members)
+            _same_band(shared, band)
+            if old_period == ("error", "all oscillatory bins are zero; no dominant period"):
+                assert period is None
+            else:
+                assert ("ok", period.hex()) == old_period
         for i, u in enumerate(users):
             assert _outcome(
                 lambda: dominant_period(new.magnitudes[i], new.n_samples)
@@ -683,7 +689,7 @@ class TestTableChainMatchesPerUserLoop:
         users = ["a", "b", "c"]
 
         def new():
-            return denoise(dft(detrend(table, ma_window), users), q)
+            return cohort_spectra(table, users, ma_window, q)
 
         def old():
             return ref.cohort_spectra(window, table, users, ma_window, q)
