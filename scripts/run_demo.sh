@@ -32,15 +32,13 @@ cat > "$CONFIG" <<'JSON'
 }
 JSON
 
-if command -v tweetdyn >/dev/null 2>&1; then
-  TWEETDYN=(tweetdyn)
-else
-  TWEETDYN=(python3 -m tweetdyn.cli)
-fi
+# Always the package of this checkout, never a tweetdyn installed elsewhere:
+# the byte-identity oracle (scripts/demo_oracle.sh) compares two checkouts.
+SRC="$(cd "$(dirname "${BASH_SOURCE[0]}")/../src" && pwd)"
 
 step() {
   echo "==> tweetdyn $*"
-  "${TWEETDYN[@]}" "$@"
+  PYTHONPATH="$SRC" python3 -m tweetdyn.cli "$@"
 }
 
 step synth --config "$CONFIG" --out "$SYNTH"

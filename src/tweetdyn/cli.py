@@ -8,8 +8,10 @@ union of those stages' flags. Each `main` call builds one
 each window's cohort, the `--window` cohort's count table and its spectra
 are computed once: `counts` writes the table that `spectra`,
 `cluster-spectral` and `compare` transform, through
-:func:`tweetdyn.spectral.cohort_spectra`. Every stage
-writes JSON/CSV artifacts plus a manifest into an output directory.
+:func:`tweetdyn.spectral.cohort_spectra`. A stage writes each artifact
+at the path :meth:`StageContext.artifact` gives it, into an output
+directory, and the stage's manifest, which the driver writes, lists exactly
+those files (none if the stage failed).
 Artifacts are deterministic for a given config and seed: keys are sorted,
 floats are normalized to 12 significant digits, manifests carry a config
 hash and library versions but no timestamps. Every JSON and CSV artifact,
@@ -36,8 +38,10 @@ read-only, and the tweet ids and texts are read from the file as they are
 needed, not mapped. The load reads `records.jsonl` once for its sha256 and
 the sidecar once for its members' CRC-32s. They fail with
 a failed manifest if it is missing, malformed or older than `records.jsonl`,
-asking for `ingest` to be re-run. `changepoint` reads only
-`counts_aggregate.csv` and fails the same way without it. `compare` fails
+asking for `ingest` to be re-run. A stage's ``needs`` names the other
+files it reads and the stage that makes each (`changepoint` reads only
+`counts_aggregate.csv`); the driver fails the stage the same way, before
+it runs, when one is missing. `compare` fails
 when `clusters_spectral.json` or `clusters_topic.json` was made for another
 window than the one it recomputes spectra for or lists a user twice, or when
 the spectral clusters were made under other cohort or spectra settings. A
@@ -398,12 +402,13 @@ def write_manifest(
     command: str,
     config: RunConfig,
     artifacts: list[str],
-    status: str = "ok",
-    error: str | None = None,
+    error: str | None,
 ) -> None:
+    """The manifest of a stage that wrote ``artifacts``, or failed with
+    ``error`` and wrote none."""
     payload = {
         "command": command,
-        "status": status,
+        "status": "ok" if error is None else "failed",
         "error": error,
         "artifacts": sorted(artifacts),
         "config": config,
@@ -430,6 +435,13 @@ class StageContext:
     window_name: str | None
     kind: str | None
     _cohorts: dict[DayWindow, tuple[str, ...]] = field(default_factory=dict, init=False)
+    written: list[str] = field(default_factory=list, init=False)
+
+    def artifact(self, name: str) -> Path:
+        """``outdir / name``, with ``name`` recorded in ``written`` as a file
+        the current stage wrote."""
+        self.written.append(name)
+        return self.outdir / name
 
     @cached_property
     def window(self) -> DayWindow:
@@ -473,26 +485,26 @@ class StageContext:
 # ---------------------------------------------------------------- subcommands
 
 
-def cmd_ingest(ctx: StageContext) -> list[str]:
-    config, outdir = ctx.config, ctx.outdir
+def cmd_ingest(ctx: StageContext) -> None:
+    config = ctx.config
     if not config.input_paths:
         raise FileNotFoundError("ingest needs --input (or input_paths in config)")
     corpus, reports = read_tables(
-        config.input_paths, config.input_format, config.column_map, spill_dir=outdir
+        config.input_paths, config.input_format, config.column_map, spill_dir=ctx.outdir
     )
-    records_sha256 = write_records(corpus, outdir / RECORDS_FILE)
+    records_sha256 = write_records(corpus, ctx.artifact(RECORDS_FILE))
     # records.jsonl keeps whole seconds; the sidecar holds the same rows.
     dataclasses.replace(
         corpus, timestamp_us=corpus.timestamp_us // 1_000_000 * 1_000_000
-    ).save(outdir / CORPUS_FILE, records_sha256)
-    write_json(outdir / "parse_report.json", reports)
+    ).save(ctx.artifact(CORPUS_FILE), records_sha256)
+    write_json(ctx.artifact("parse_report.json"), reports)
     campaign = corpus.authors()
-    write_json(outdir / "campaign_users.json", sorted(campaign))
+    write_json(ctx.artifact("campaign_users.json"), sorted(campaign))
     network = retweet_network(corpus, campaign)
     del corpus  # its columns and spill files, before the search's peak
     parts, q = modularity_communities(network)
     write_json(
-        outdir / "retweet_network.json",
+        ctx.artifact("retweet_network.json"),
         {
             "n_vertices": network.n_vertices,
             "n_edges": network.n_edges,
@@ -502,42 +514,29 @@ def cmd_ingest(ctx: StageContext) -> list[str]:
             "communities": [sorted(p) for p in parts],
         },
     )
-    return [
-        RECORDS_FILE,
-        CORPUS_FILE,
-        "parse_report.json",
-        "campaign_users.json",
-        "retweet_network.json",
-    ]
 
 
-def cmd_counts(ctx: StageContext) -> list[str]:
-    outdir, name = ctx.outdir, ctx.window_name
+def cmd_counts(ctx: StageContext) -> None:
+    name = ctx.window_name
     cohort = ctx.cohort(ctx.window)
     aggregate = timeseries.daily_counts(ctx.corpus, ctx.config.bulk_window)
-    _write_series(outdir / "counts_aggregate.csv", aggregate)
+    _write_series(ctx.artifact("counts_aggregate.csv"), aggregate)
     write_csv(
-        outdir / f"counts_{name}.csv",
+        ctx.artifact(f"counts_{name}.csv"),
         ["user_id", "day_offset", "count"],
         _long_form(cohort, ctx.table),
     )
-    write_json(outdir / f"cohort_{name}.json", cohort)
-    return ["counts_aggregate.csv", f"counts_{name}.csv", f"cohort_{name}.json"]
+    write_json(ctx.artifact(f"cohort_{name}.json"), cohort)
 
 
-def cmd_changepoint(ctx: StageContext) -> list[str]:
-    config, series_path = ctx.config, ctx.outdir / "counts_aggregate.csv"
-    if not series_path.exists():
-        raise FileNotFoundError(
-            f"changepoint needs {series_path.name}; run counts "
-            "(or synth --kind changepoint) first"
-        )
-    s = timeseries.accumulate(load_series_csv(series_path))
+def cmd_changepoint(ctx: StageContext) -> None:
+    config = ctx.config
+    s = timeseries.accumulate(load_series_csv(ctx.outdir / "counts_aggregate.csv"))
     fit1 = timeseries.fit_segment(s, config.model1_range, config.model1_t0)
     fit2 = timeseries.fit_segment(s, config.model2_range, config.model2_t0)
     verdict = timeseries.changepoint_significant(fit1, fit2, config.sigma)
     write_json(
-        ctx.outdir / "changepoint.json",
+        ctx.artifact("changepoint.json"),
         {
             "model1": fit1,
             "model2": fit2,
@@ -547,10 +546,9 @@ def cmd_changepoint(ctx: StageContext) -> list[str]:
             "significant": verdict.significant,
         },
     )
-    return ["changepoint.json"]
 
 
-def cmd_strategy(ctx: StageContext) -> list[str]:
+def cmd_strategy(ctx: StageContext) -> None:
     corpus = ctx.corpus
     campaign = corpus.authors()
     ref_w, cmp_w = ctx.config.reference_window, ctx.config.comparison_window
@@ -573,7 +571,7 @@ def cmd_strategy(ctx: StageContext) -> list[str]:
     ref_dist, cmp_dist = dists["reference"], dists["comparison"]
     chi2 = strategy.chi_square_shift(cmp_dist, ref_dist)
     write_json(
-        ctx.outdir / "strategy.json",
+        ctx.artifact("strategy.json"),
         {
             "cohort": cohort,
             "sequences": sequences,
@@ -585,7 +583,6 @@ def cmd_strategy(ctx: StageContext) -> list[str]:
             "critical_value_p999_df6": strategy.CRITICAL_VALUE_P999_DF6,
         },
     )
-    return ["strategy.json"]
 
 
 def _write_band(path: Path, band: spectral.BandSummary) -> None:
@@ -597,30 +594,26 @@ def _write_band(path: Path, band: spectral.BandSummary) -> None:
     )
 
 
-def cmd_spectra(ctx: StageContext) -> list[str]:
-    outdir, window_name = ctx.outdir, ctx.window_name
+def cmd_spectra(ctx: StageContext) -> None:
+    window_name = ctx.window_name
     spectra = ctx.spectra
     magnitudes = spectra.magnitudes
     write_csv(
-        outdir / f"spectra_{window_name}.csv",
+        ctx.artifact(f"spectra_{window_name}.csv"),
         ["user_id", "bin", "magnitude"],
         _long_form(spectra.users, magnitudes),
     )
-    _write_band(
-        outdir / f"band_{window_name}.csv",
-        spectral.band_summary(magnitudes, spectra.n_samples),
-    )
-    return [f"spectra_{window_name}.csv", f"band_{window_name}.csv"]
+    _write_band(ctx.artifact(f"band_{window_name}.csv"), spectral.band_summary(magnitudes))
 
 
-def cmd_cluster_spectral(ctx: StageContext) -> list[str]:
-    config, outdir = ctx.config, ctx.outdir
+def cmd_cluster_spectral(ctx: StageContext) -> None:
+    config = ctx.config
     spectra = ctx.spectra
     embedding, assignment = spectral.cluster_spectra(
         spectra, config.pca_dims, config.kmedoids_k, config.seed, config.restarts
     )
     write_csv(
-        outdir / "embedding.csv",
+        ctx.artifact("embedding.csv"),
         ["user_id"] + [f"pc{i + 1}" for i in range(config.pca_dims)] + ["cluster"],
         [
             spectra.users,
@@ -629,18 +622,16 @@ def cmd_cluster_spectral(ctx: StageContext) -> list[str]:
         ],
     )
     write_csv(
-        outdir / "eigenvalues.csv",
+        ctx.artifact("eigenvalues.csv"),
         ["rank", "eigenvalue"],
         [range(1, len(embedding.eigenvalues) + 1), embedding.eigenvalues],
     )
     clusters_payload = {}
-    artifacts = ["embedding.csv", "eigenvalues.csv", "clusters_spectral.json"]
     for c in range(1, config.kmedoids_k + 1):
         members = assignment.members(c)
         rows = spectra.rows(members)
         band, period = spectral.band_of(spectra, members)
-        _write_band(outdir / f"cluster_band_{c}.csv", band)
-        artifacts.append(f"cluster_band_{c}.csv")
+        _write_band(ctx.artifact(f"cluster_band_{c}.csv"), band)
         clusters_payload[str(c)] = {
             "members": members,
             "medoid": assignment.medoids[c - 1],
@@ -651,15 +642,14 @@ def cmd_cluster_spectral(ctx: StageContext) -> list[str]:
             },
         }
     write_json(
-        outdir / "clusters_spectral.json",
+        ctx.artifact("clusters_spectral.json"),
         {"k": config.kmedoids_k, "cost": assignment.cost, "clusters": clusters_payload,
          "window": ctx.window, "n_users": len(spectra.users)},
     )
-    return artifacts
 
 
-def cmd_cluster_topic(ctx: StageContext) -> list[str]:
-    outdir, window, config = ctx.outdir, ctx.window, ctx.config
+def cmd_cluster_topic(ctx: StageContext) -> None:
+    window, config = ctx.window, ctx.config
     result = topic.topic_communities(
         ctx.corpus,
         ctx.cohort(window),
@@ -670,7 +660,7 @@ def cmd_cluster_topic(ctx: StageContext) -> list[str]:
         top_m=config.top_m,
     )
     write_json(
-        outdir / "clusters_topic.json",
+        ctx.artifact("clusters_topic.json"),
         {
             "window": window,
             "n_users": len(result.matrix.users),
@@ -683,7 +673,7 @@ def cmd_cluster_topic(ctx: StageContext) -> list[str]:
     )
     graph = result.graph
     write_csv(
-        outdir / "topic_edges.csv",
+        ctx.artifact("topic_edges.csv"),
         ["user_a", "user_b", "similarity"],
         [
             [graph.vertices[i] for i in graph.u.tolist()],
@@ -693,7 +683,7 @@ def cmd_cluster_topic(ctx: StageContext) -> list[str]:
     )
     ranked = result.top_terms
     write_csv(
-        outdir / "topic_top_terms.csv",
+        ctx.artifact("topic_top_terms.csv"),
         ["community", "rank", "term", "count"],
         [
             [c for c, terms in enumerate(ranked, start=1) for _ in terms],
@@ -702,16 +692,12 @@ def cmd_cluster_topic(ctx: StageContext) -> list[str]:
             [count for terms in ranked for _, count in terms],
         ],
     )
-    return ["clusters_topic.json", "topic_edges.csv", "topic_top_terms.csv"]
 
 
-def cmd_compare(ctx: StageContext) -> list[str]:
+def cmd_compare(ctx: StageContext) -> None:
     outdir, window = ctx.outdir, ctx.window
     spec_path = outdir / "clusters_spectral.json"
     topic_path = outdir / "clusters_topic.json"
-    for p in (spec_path, topic_path):
-        if not p.exists():
-            raise FileNotFoundError(f"compare needs {p.name}; run the cluster steps first")
     spec_doc = json.loads(spec_path.read_text())
     topic_doc = json.loads(topic_path.read_text())
     recorded_window = _recorded(window)
@@ -745,7 +731,7 @@ def cmd_compare(ctx: StageContext) -> list[str]:
     cells = compare.cross_tab(spectral_parts, topic_parts)
     n_spectral, n_topic = cells.shape
     write_csv(
-        outdir / "crosstab.csv",
+        ctx.artifact("crosstab.csv"),
         ["spectral_cluster"] + [f"community_{j}" for j in range(1, n_topic + 1)],
         [range(1, n_spectral + 1), *cells.T],
     )
@@ -760,10 +746,9 @@ def cmd_compare(ctx: StageContext) -> list[str]:
             "median_band": band.medians,
         }
     write_json(
-        outdir / "compare.json",
+        ctx.artifact("compare.json"),
         {"diversity": compare.diversity(cells), "subclusters": subclusters},
     )
-    return ["crosstab.csv", "compare.json"]
 
 
 def _demo_corpus_spec(config: RunConfig) -> synth.CorpusSpec:
@@ -793,15 +778,14 @@ def _demo_corpus_spec(config: RunConfig) -> synth.CorpusSpec:
     )
 
 
-def cmd_synth(ctx: StageContext) -> list[str]:
-    config, outdir, kind = ctx.config, ctx.outdir, ctx.kind
+def cmd_synth(ctx: StageContext) -> None:
+    config, kind = ctx.config, ctx.kind
     if kind == "corpus":
         spec = _demo_corpus_spec(config)
         corpus, labels = synth.generate_corpus(spec, config.pre_window, config.seed)
-        write_records(corpus, outdir / RECORDS_FILE)
-        write_json(outdir / LABELS_FILE, labels)
-        return [RECORDS_FILE, LABELS_FILE]
-    if kind == "changepoint":
+        write_records(corpus, ctx.artifact(RECORDS_FILE))
+        write_json(ctx.artifact(LABELS_FILE), labels)
+    elif kind == "changepoint":
         series = synth.generate_changepoint_aggregate(
             config.synth_rates[0],
             config.synth_rates[1],
@@ -809,12 +793,12 @@ def cmd_synth(ctx: StageContext) -> list[str]:
             DayWindow.of_length(config.bulk_window.start, SYNTH_CHANGEPOINT_DAYS),
             config.seed,
         )
-        _write_series(outdir / "counts_aggregate.csv", series)
-        return ["counts_aggregate.csv"]
-    raise ValueError(f"unknown synth kind {kind!r}")
+        _write_series(ctx.artifact("counts_aggregate.csv"), series)
+    else:
+        raise ValueError(f"unknown synth kind {kind!r}")
 
 
-def cmd_report(ctx: StageContext) -> list[str]:
+def cmd_report(ctx: StageContext) -> None:
     """Collect the directory's JSON artifacts into one report document."""
     wanted = [
         "parse_report.json",
@@ -843,8 +827,7 @@ def cmd_report(ctx: StageContext) -> list[str]:
         headline["topic_modularity"] = sections["clusters_topic"]["modularity"]
     if sections["clusters_spectral"]:
         headline["n_spectral_clusters"] = sections["clusters_spectral"]["k"]
-    write_json(ctx.outdir / "report.json", {"headline": headline, "sections": sections})
-    return ["report.json"]
+    write_json(ctx.artifact("report.json"), {"headline": headline, "sections": sections})
 
 
 # -------------------------------------------------------------------- driver
@@ -852,20 +835,25 @@ def cmd_report(ctx: StageContext) -> list[str]:
 
 @dataclass(frozen=True)
 class Stage:
-    """One subcommand: ``run(ctx)`` writes the stage's artifacts into
-    ``ctx.outdir`` and returns their names. A ``windowed`` stage takes
-    ``--window``."""
+    """One subcommand: ``run(ctx)`` writes each artifact at the path
+    ``ctx.artifact(name)`` gives it, and its manifest lists exactly those.
+    ``needs`` maps each upstream file it reads to the stage that makes it,
+    checked before it runs. A ``windowed`` stage takes ``--window``."""
 
     name: str
     help: str
-    run: Callable[[StageContext], list[str]]
+    run: Callable[[StageContext], None]
     windowed: bool = False
+    needs: dict[str, str] = field(default_factory=dict)
 
 
 STAGES = (
     Stage("ingest", "parse raw tweet tables", cmd_ingest),
     Stage("counts", "daily count series", cmd_counts, windowed=True),
-    Stage("changepoint", "fit the accumulation curve", cmd_changepoint),
+    Stage(
+        "changepoint", "fit the accumulation curve", cmd_changepoint,
+        needs={"counts_aggregate.csv": "counts (or synth --kind changepoint)"},
+    ),
     Stage("strategy", "strategy symbol dynamics", cmd_strategy),
     Stage("spectra", "per-user rate spectra", cmd_spectra, windowed=True),
     Stage(
@@ -876,7 +864,11 @@ STAGES = (
         "cluster-topic", "text-similarity communities", cmd_cluster_topic,
         windowed=True,
     ),
-    Stage("compare", "cross-tabulate the two clusterings", cmd_compare, windowed=True),
+    Stage(
+        "compare", "cross-tabulate the two clusterings", cmd_compare, windowed=True,
+        needs={"clusters_spectral.json": "cluster-spectral",
+               "clusters_topic.json": "cluster-topic"},
+    ),
     Stage("synth", "generate ground-truth synthetic data", cmd_synth),
     Stage("report", "assemble a single report document", cmd_report),
 )
@@ -956,15 +948,20 @@ def main(argv: Sequence[str] | None = None) -> int:
         stage_ctx = (
             dataclasses.replace(ctx, config=ingest_config) if stage.name == "ingest" else ctx
         )
+        stage_ctx.written.clear()
+        error = None
         try:
-            artifacts = stage.run(stage_ctx)
+            for name, maker in stage.needs.items():
+                if not (outdir / name).exists():
+                    raise FileNotFoundError(f"{stage.name} needs {name}; run {maker} first")
+            stage.run(stage_ctx)
         except Exception as exc:
             logger.error("%s failed: %s", stage.name, exc)
-            write_manifest(
-                outdir, stage.name, stage_ctx.config, [], status="failed", error=str(exc)
-            )
+            error = str(exc)
+            stage_ctx.written.clear()
+        write_manifest(outdir, stage.name, stage_ctx.config, stage_ctx.written, error)
+        if error is not None:
             return 1
-        write_manifest(outdir, stage.name, stage_ctx.config, artifacts)
     return 0
 
 

@@ -119,7 +119,6 @@ class BandSummary:
     medians: np.ndarray
     q3: np.ndarray
     maxs: np.ndarray
-    n_samples: int
 
 
 def dft(values: np.ndarray, users: Sequence[str]) -> Spectra:
@@ -358,7 +357,7 @@ def kmedoids(
     )
 
 
-def band_summary(magnitudes: np.ndarray, n_samples: int) -> BandSummary:
+def band_summary(magnitudes: np.ndarray) -> BandSummary:
     """Five-number summary per bin (column) of a magnitude matrix."""
     mags = np.asarray(magnitudes, dtype=np.float64)
     if mags.ndim != 2 or len(mags) == 0:
@@ -370,7 +369,6 @@ def band_summary(magnitudes: np.ndarray, n_samples: int) -> BandSummary:
         medians=med,
         q3=q3,
         maxs=mags.max(axis=0),
-        n_samples=n_samples,
     )
 
 
@@ -413,7 +411,7 @@ def band_of(spectra: Spectra, users: Iterable[str]) -> tuple[BandSummary, float 
     A band whose oscillatory medians are all zero, as for users who post the
     same count every day, has no dominant period: it gets None.
     """
-    band = band_summary(np.abs(spectra.bins[spectra.rows(users)]), spectra.n_samples)
+    band = band_summary(np.abs(spectra.bins[spectra.rows(users)]))
     if not np.any(band.medians[1:]):
         return band, None
-    return band, dominant_period(band.medians, band.n_samples)
+    return band, dominant_period(band.medians, spectra.n_samples)

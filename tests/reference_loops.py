@@ -1296,7 +1296,6 @@ def band_summary(spectra):
         medians=med,
         q3=q3,
         maxs=mags.max(axis=0),
-        n_samples=n_samples.pop(),
     )
 
 
@@ -1304,7 +1303,7 @@ def median_spectrum(spectra):
     """Spectrum whose bins are the per-bin median magnitudes (real-valued)."""
     summary = band_summary(spectra)
     return Spectrum(
-        bins=summary.medians.astype(np.complex128), n_samples=summary.n_samples
+        bins=summary.medians.astype(np.complex128), n_samples=spectra[0].n_samples
     )
 
 

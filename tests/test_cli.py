@@ -183,6 +183,27 @@ class TestPipelineArtifacts:
             assert doc["config"]["seed"] == 99
             assert "config_sha256" in doc and "versions" in doc
 
+    def test_manifests_list_every_file_of_the_directory(self, pipeline_dir):
+        # a write that bypasses StageContext.artifact leaves a file no
+        # manifest lists; records.jsonl is listed by both synth and ingest
+        manifests = {p.name for p in pipeline_dir.glob("manifest_*.json")}
+        listed = {
+            name
+            for m in manifests
+            for name in json.loads((pipeline_dir / m).read_text())["artifacts"]
+        }
+        assert {p.name for p in pipeline_dir.iterdir()} == manifests | listed
+
+    def test_every_needed_file_is_listed_by_its_maker(self, pipeline_dir):
+        needs = [
+            (stage, name, maker) for stage in cli.STAGES for name, maker in stage.needs.items()
+        ]
+        assert needs
+        for stage, name, maker in needs:
+            # "counts (or synth --kind changepoint)" is made by counts
+            manifest = pipeline_dir / f"manifest_{maker.split()[0].replace('-', '_')}.json"
+            assert name in json.loads(manifest.read_text())["artifacts"], (stage.name, name)
+
     def test_ingest_outputs(self, pipeline_dir):
         users = json.loads((pipeline_dir / "campaign_users.json").read_text())
         assert len(users) == 32  # 4 groups x 8 members

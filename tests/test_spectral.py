@@ -537,7 +537,7 @@ class TestPairwiseDistancesInRowBlocks:
 class TestBandSummary:
     def test_hand_quartiles(self):
         mags = np.array([[m, 2.0 * m] for m in (1.0, 2.0, 3.0)])
-        summary = band_summary(mags, 3)
+        summary = band_summary(mags)
         assert isinstance(summary, BandSummary)
         np.testing.assert_allclose(summary.mins, [1.0, 2.0])
         np.testing.assert_allclose(summary.q1, [1.5, 3.0])
@@ -553,15 +553,15 @@ class TestBandSummary:
             rng = np.random.default_rng(seed)
             rows.append(9.0 * np.cos(2 * np.pi * 60 * t / n) + rng.normal(0, 0.5, size=n))
         specs = dft(np.vstack(rows), [f"u{i}" for i in range(5)])
-        band = band_summary(specs.magnitudes, specs.n_samples)
+        band = band_summary(specs.magnitudes)
         # bin 60 of 240 samples
-        assert dominant_period(band.medians, band.n_samples) == pytest.approx(4.0)
+        assert dominant_period(band.medians, specs.n_samples) == pytest.approx(4.0)
 
     def test_mixed_sample_counts_rejected(self):
         with pytest.raises(ValueError):
-            band_summary(dft1(np.arange(8.0)).magnitudes[0], 8)  # not a matrix
+            band_summary(dft1(np.arange(8.0)).magnitudes[0])  # not a matrix
         with pytest.raises(ValueError):
-            band_summary(np.zeros((0, 5)), 8)
+            band_summary(np.zeros((0, 5)))
 
 
 class TestDominantPeriod:
@@ -592,7 +592,6 @@ def _outcome(fn):
 
 
 def _same_band(new, old):
-    assert new.n_samples == old.n_samples
     for name in ("mins", "q1", "medians", "q3", "maxs"):
         assert getattr(new, name).tobytes() == getattr(old, name).tobytes(), name
 
@@ -647,11 +646,11 @@ class TestTableChainMatchesPerUserLoop:
         assert list(new.users) == ids
         assert new.magnitudes.tobytes() == matrix.tobytes()
         for members in (users, cluster):
-            band = band_summary(new.magnitudes[new.rows(members)], new.n_samples)
+            band = band_summary(new.magnitudes[new.rows(members)])
             old_members = [old[u] for u in members]
             _same_band(band, ref.band_summary(old_members))
             old_period = _outcome(lambda: ref.dominant_period(ref.median_spectrum(old_members)))
-            assert _outcome(lambda: dominant_period(band.medians, band.n_samples)) == old_period
+            assert _outcome(lambda: dominant_period(band.medians, new.n_samples)) == old_period
             # band_of gives the same band, and no period where the loop
             # finds every oscillatory median zero
             shared, period = band_of(new, members)
